@@ -46,11 +46,39 @@ _STENCILS = {
     3: ((-3, -2, -1, 1, 2, 3), (1.0 / 8, -1.0, 13.0 / 8, -13.0 / 8, 1.0, -1.0 / 8)),
     4: ((-3, -2, -1, 0, 1, 2, 3), (-1.0 / 6, 2.0, -13.0 / 2, 28.0 / 3, -13.0 / 2, 2.0, -1.0 / 6)),
 }
+# the plain 2nd-order central stencils for orders 1 and 2
+SECOND_ORDER_STENCILS = {1: ((-1, 1), (-0.5, 0.5)), 2: ((-1, 0, 1), (1.0, -2.0, 1.0))}
 
 
 def fd_step(order: int, scale: float = 1.0) -> float:
     """Step schedule for order-p central stencils: h = max(1e-3, eps^(1/3)*scale) * 2^(p-1)."""
     return max(1e-3, _EPS ** (1.0 / 3.0) * scale) * 2.0 ** (order - 1)
+
+
+def fd_stencil(alpha, step, stencils: dict = _STENCILS) -> tuple:
+    """Offsets (m, n) and weights (m,) of the nested central stencil for D^alpha.
+
+    Each differentiated axis applies the stencil of its order p (4th-order
+    accurate by default) with spacing step(p);
+    D^alpha g(x) ~= sum_i weights[i] * g(x + offsets[i]).
+    """
+    n = len(alpha)
+    offsets = [np.zeros(n)]
+    weights = [1.0]
+    for axis, p in enumerate(alpha):
+        if p == 0:
+            continue
+        offs, coefs = stencils[p]
+        h = step(p)
+        new_offsets, new_weights = [], []
+        for base, wt in zip(offsets, weights):
+            for o, cf in zip(offs, coefs):
+                shifted = base.copy()
+                shifted[axis] += o * h
+                new_offsets.append(shifted)
+                new_weights.append(wt * cf / h**p)
+        offsets, weights = new_offsets, new_weights
+    return np.array(offsets), np.array(weights)
 
 
 def multiindices(n: int, order: int) -> list:
@@ -194,24 +222,7 @@ class FunctionHandle:
                 raise DerivativeError(
                     f"finite-difference backend supports per-axis order <= 4, got {alpha}"
                 )
-            offsets = [np.zeros(arity)]
-            weights = [1.0]
-            for axis, p in enumerate(alpha):
-                if p == 0:
-                    continue
-                offs, coefs = _STENCILS[p]
-                h = fd_step(p, scale)
-                new_offsets, new_weights = [], []
-                for base, wt in zip(offsets, weights):
-                    for o, cf in zip(offs, coefs):
-                        shifted = base.copy()
-                        shifted[axis] += o * h
-                        new_offsets.append(shifted)
-                        new_weights.append(wt * cf / h**p)
-                offsets, weights = new_offsets, new_weights
-
-            obs = np.array(offsets)
-            wts = np.array(weights)
+            obs, wts = fd_stencil(alpha, lambda p: fd_step(p, scale))
 
             def d_many(X):
                 X = np.asarray(X, dtype=float)
@@ -251,10 +262,6 @@ class FunctionHandle:
 
     def value(self, x) -> float:
         return float(self.values(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-    @property
-    def has_log_eval(self) -> bool:
-        return self._log_eval_many is not None
 
     def log_values(self, X) -> np.ndarray:
         """log f on the given points; -inf where f vanishes."""

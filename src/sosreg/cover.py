@@ -27,6 +27,7 @@ __all__ = [
     "ControlDistanceParams",
     "CoverCell",
     "Partition",
+    "ChiPairs",
     "control_distance",
     "control_distance_values",
     "verify_slowly_varying",
@@ -299,6 +300,54 @@ def bump_profile(u: np.ndarray) -> np.ndarray:
     return np.where(u <= 0.5, 1.0, np.where(u >= 1.0, 0.0, _transition(2.0 * (1.0 - u))))
 
 
+def bump_jet(u: np.ndarray) -> tuple:
+    """(b, b', b'') of the bump profile b = bump_profile in closed form.
+
+    On 1/2 < u < 1, b(u) = q(v) with v = 2(1 - u) and q(v) = sigmoid(s(v)),
+    s(v) = 1/(1-v) - 1/v, so q' = q(1-q) s' and q'' = q(1-q)((1-2q) s'^2 + s'');
+    the derivatives vanish identically outside that interval.
+    """
+    u = np.asarray(u, dtype=float)
+    b = bump_profile(u)
+    mid = (u > 0.5) & (u < 1.0)
+    v = np.where(mid, 2.0 * (1.0 - u), 0.5)
+    s = 1.0 / (1.0 - v) - 1.0 / v
+    e = np.exp(-np.abs(s))
+    q = np.where(s >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    qq = e / (1.0 + e) ** 2  # q (1 - q) without cancellation
+    s1 = 1.0 / (1.0 - v) ** 2 + 1.0 / v**2
+    s2 = 2.0 / (1.0 - v) ** 3 - 2.0 / v**3
+    # chain rule through v = 2(1 - u): d/du = -2 d/dv
+    b1 = np.where(mid, -2.0 * qq * s1, 0.0)
+    b2 = np.where(mid, 4.0 * qq * ((1.0 - 2.0 * q) * s1**2 + s2), 0.0)
+    return b, b1, b2
+
+
+class ChiPairs:
+    """Bump values of one point batch, stored sparsely and cell-major.
+
+    Hit h pairs point idx[h] with cell cell[h] and holds chi[h] =
+    chi_cell(x_idx); hits are sorted by cell, then point.  As a sequence over
+    the cells, entry nu is the (point indices, chi values) view of cell nu's
+    hits, empty where the cell's ball holds no point of the batch.
+    """
+
+    def __init__(self, idx: np.ndarray, cell: np.ndarray, chi: np.ndarray, n_cells: int):
+        self.idx, self.cell, self.chi = idx, cell, chi
+        self.starts = np.concatenate([[0], np.cumsum(np.bincount(cell, minlength=n_cells))]).tolist()
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, nu: int) -> tuple:
+        a, b = self.starts[nu], self.starts[nu + 1]
+        return self.idx[a:b], self.chi[a:b]
+
+    def __iter__(self):
+        for a, b in zip(self.starts[:-1], self.starts[1:]):
+            yield self.idx[a:b], self.chi[a:b]
+
+
 class Partition:
     """Squared partition of unity subordinate to a cover.
 
@@ -321,38 +370,50 @@ class Partition:
     def dim(self) -> int:
         return self.centers.shape[1]
 
-    def chi_pairs(self, X) -> list:
-        """Per-cell (point-index array, chi-value array) for one point batch.
+    def chi_pairs(self, X) -> ChiPairs:
+        """The bump values chi_nu(x) of every (point, cell) hit of one batch.
 
-        Only cells whose ball meets the batch appear with nonempty indices;
-        the map is the single geometric pass every evaluation reuses.
+        One vectorised pass: a dual KD-tree query lists the (cell, point)
+        pairs within the largest radius, the pairs with |x - c_nu| <= r_nu
+        are kept, and the bump is evaluated once on all of them.  The result
+        is the single geometric pass every evaluation reuses; indexed by a
+        cell it gives that cell's sorted point indices and chi values.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        pt_tree = cKDTree(X)
-        hits = pt_tree.query_ball_point(self.centers, self.radii)
-        pairs = []
-        for j, idxs in enumerate(hits):
-            if not idxs:
-                pairs.append((np.empty(0, dtype=int), np.empty(0)))
-                continue
-            idxs = np.asarray(idxs, dtype=int)
-            u = np.linalg.norm(X[idxs] - self.centers[j], axis=1) / self.radii[j]
-            pairs.append((idxs, bump_profile(u)))
-        return pairs
+        near = self.tree.sparse_distance_matrix(cKDTree(X), self.r_max * (1.0 + 1e-9), output_type="ndarray")
+        order = np.lexsort((near["j"], near["i"]))
+        cell, idx = near["i"][order], near["j"][order]
+        u = np.linalg.norm(X[idx] - self.centers[cell], axis=1) / self.radii[cell]
+        inside = u <= 1.0
+        return ChiPairs(idx[inside], cell[inside], bump_profile(u[inside]), len(self.cells))
+
+    def chi_jets(self, X, idx, cell) -> tuple:
+        """chi_cell at the points X[idx] with its gradient and Hessian in x.
+
+        Hit-wise arrays of shapes (H,), (H, n), (H, n, n) for chi = b(|x - c| / r):
+        D chi = b' e / r and D^2 chi = b'' e e^T / r^2 + b' (I - e e^T) / (r |x - c|)
+        with e the unit vector from the cell center.
+        """
+        diff = X[idx] - self.centers[cell]
+        r = self.radii[cell]
+        dist = np.linalg.norm(diff, axis=1)
+        b, b1, b2 = bump_jet(dist / r)
+        safe = np.where(dist > 0, dist, 1.0)  # b' = 0 near the center
+        e = diff / safe[:, None]
+        ee = e[:, :, None] * e[:, None, :]
+        d1 = (b1 / r)[:, None] * e
+        d2 = (b2 / r**2)[:, None, None] * ee + (b1 / (r * safe))[:, None, None] * (np.eye(self.dim) - ee)
+        return b, d1, d2
 
     def chi(self, nu: int, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         u = np.linalg.norm(X - self.centers[nu], axis=1) / self.radii[nu]
         return bump_profile(u)
 
-    def sum_chi_sq(self, X, pairs: list | None = None) -> np.ndarray:
+    def sum_chi_sq(self, X, pairs: ChiPairs | None = None) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         pairs = pairs if pairs is not None else self.chi_pairs(X)
-        out = np.zeros(X.shape[0])
-        for idxs, chi in pairs:
-            if idxs.size:
-                np.add.at(out, idxs, chi**2)
-        return out
+        return np.bincount(pairs.idx, weights=pairs.chi**2, minlength=X.shape[0])
 
     def phi(self, nu: int, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -369,18 +430,12 @@ class Partition:
         if np.any(tot == 0.0):
             i = int(np.argmin(tot))
             raise CoverageHoleError(f"no bump covers the point {X[i].tolist()}")
-        acc = np.zeros(X.shape[0])
-        for idxs, chi in pairs:
-            if idxs.size:
-                np.add.at(acc, idxs, chi**2 / tot[idxs])
+        acc = np.bincount(pairs.idx, weights=pairs.chi**2 / tot[pairs.idx], minlength=X.shape[0])
         return float(np.max(np.abs(acc - 1.0)))
 
     def observe_overlap(self, X) -> int:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        counts = np.zeros(X.shape[0], dtype=int)
-        for idxs, chi in self.chi_pairs(X):
-            if idxs.size:
-                counts[idxs] += 1
+        counts = np.bincount(self.chi_pairs(X).idx, minlength=X.shape[0])
         self.overlap_observed = int(np.max(counts)) if counts.size else 0
         return self.overlap_observed
 

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 
 @dataclass(frozen=True)
@@ -33,13 +32,40 @@ class Ball:
         return np.linalg.norm(x - c, axis=-1) <= self.radius + slack
 
 
+def _primes(count: int) -> list:
+    """The first `count` primes, by trial division."""
+    out: list = []
+    k = 2
+    while len(out) < count:
+        if all(k % p for p in out if p * p <= k):
+            out.append(k)
+        k += 1
+    return out
+
+
+def _radical_inverse(n: int, base: int) -> np.ndarray:
+    """Van der Corput points 0..n-1 in the given base: the base-b digits of
+    the index mirrored about the radix point, least significant digit first."""
+    k = np.arange(n)
+    out = np.zeros(n)
+    weight = 1.0 / base
+    while np.any(k > 0):
+        k, digit = np.divmod(k, base)
+        out += digit * weight
+        weight /= base
+    return out
+
+
 def halton(n: int, dim: int) -> np.ndarray:
     """First n points of the unscrambled Halton sequence in [0,1)^dim.
 
-    Unscrambled so that prefixes are nested: halton(2n)[:n] == halton(n).
+    Coordinate i is the radical inverse of the point index in the i-th prime
+    base, starting at index 0 (the origin).  Unscrambled so that prefixes are
+    nested: halton(2n)[:n] == halton(n).  Column-major, as scipy's
+    qmc.Halton returns it: downstream einsum contractions over the point
+    axis run several times faster on this layout.
     """
-    eng = qmc.Halton(d=dim, scramble=False)
-    return eng.random(n)
+    return np.stack([_radical_inverse(n, b) for b in _primes(dim)]).T
 
 
 def ball_points(ball: Ball, n: int, inner_radius: float = 0.0) -> np.ndarray:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import FunctionHandle, HolderEstimate, multiindices
+from .calculus import SECOND_ORDER_STENCILS, FunctionHandle, HolderEstimate, fd_stencil, multiindices
 from .cover import (
     ControlDistanceParams,
     CoverCell,
@@ -57,7 +57,6 @@ __all__ = [
     "DiffIneqReport",
     "MinimizerProfile",
     "track_implicit_root",
-    "implicit_gradient",
     "implicit_second_derivative",
 ]
 
@@ -229,12 +228,6 @@ def track_implicit_root(
     return float(y)
 
 
-def implicit_gradient(H: FunctionHandle, point) -> np.ndarray:
-    """dh/dx_i = -H_i / H_n at a point (x', h(x')) on the zero set."""
-    g = H.gradient(point)
-    return -g[:-1] / g[-1]
-
-
 def implicit_second_derivative(H: FunctionHandle, point) -> np.ndarray:
     """Closed-form Hessian of the implicit function h at (x', h(x')):
 
@@ -299,21 +292,6 @@ class _RotatedFrame:
     def hessian_loc(self, V) -> np.ndarray:
         H = self.f.hessian_values(self.to_global(V))
         return np.einsum("pab,ai,bj->pij", H, self.R, self.R)
-
-    def tensor3_loc(self, V) -> np.ndarray:
-        X = self.to_global(V)
-        n = self.n
-        T = np.empty((X.shape[0],) + (n,) * 3)
-        cache = {}
-        for idx in np.ndindex(*(n,) * 3):
-            counts = [0] * n
-            for i in idx:
-                counts[i] += 1
-            counts = tuple(counts)
-            if counts not in cache:
-                cache[counts] = self.f.derivative_values(X, counts)
-            T[(slice(None),) + idx] = cache[counts]
-        return np.einsum("pabc,ai,bj,ck->pijk", T, self.R, self.R, self.R)
 
     def fiber_d1(self, V) -> np.ndarray:
         return self.gradient_loc(V)[:, -1]
@@ -436,9 +414,10 @@ class MinimizerProfile:
     """Newton-tracked fiberwise minimizer X(xi) over a cell cross-section.
 
     Solves d_y f(xi, y) = 0 on the fiber bracket by safeguarded Newton with
-    bisection fallback; solutions are cached and reused as warm starts.  A
-    missing sign change means the minimum sits on the bracket boundary,
-    which indicates the case split constant c was chosen too large.
+    bisection fallback, starting every solve from the cell's center y = 0; no
+    solution is cached between calls.  A missing sign change means the minimum
+    sits on the bracket boundary, which indicates the case split constant c
+    was chosen too large.
     """
 
     def __init__(self, frame: _RotatedFrame, halfwidth: float, g_tol: float, cell_nu: int):
@@ -581,24 +560,9 @@ def _reduced_profile_handle(
         return frame.values(graph_points(Xi))
 
     h_base = radius / 16.0
-    from .calculus import _STENCILS
 
     def fd_many(Xi, alpha, h):
-        offsets = [np.zeros(k)]
-        weights = [1.0]
-        for axis, p in enumerate(alpha):
-            if p == 0:
-                continue
-            offs, coefs = _STENCILS[p]
-            new_o, new_w = [], []
-            for base, wt in zip(offsets, weights):
-                for o, cf in zip(offs, coefs):
-                    sh = base.copy()
-                    sh[axis] += o * h
-                    new_o.append(sh)
-                    new_w.append(wt * cf / h ** p)
-            offsets, weights = new_o, new_w
-        obs, wts = np.array(offsets), np.array(weights)
+        obs, wts = fd_stencil(alpha, lambda p: h)
         Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
         pts = (Xi[:, None, :] + obs[None, :, :]).reshape(-1, k)
         return eval_many(pts).reshape(Xi.shape[0], -1) @ wts
@@ -682,7 +646,14 @@ def reduced_profile(
 # ---------------------------------------------------------------------------
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise outer products of two (N, n) batches."""
+    return a[:, :, None] * b[:, None, :]
+
+
 class _CaseIPiece:
+    """w = sqrt(f); one instance serves every case-I cell of a decomposition."""
+
     kind = "caseI"
 
     def __init__(self, f: FunctionHandle):
@@ -690,6 +661,18 @@ class _CaseIPiece:
 
     def weights(self, X) -> np.ndarray:
         return np.sqrt(np.maximum(self.f.values(X), 0.0))
+
+    def jet(self, X) -> tuple:
+        """(w, Dw, D^2 w) from f's gradient and Hessian:
+        D sqrt f = Df / (2 sqrt f), D^2 sqrt f = D^2 f / (2 sqrt f) - Df Df^T / (4 f^(3/2))."""
+        f0 = self.f.values(X)
+        f1 = self.f.gradient_values(X)
+        f2 = self.f.hessian_values(X)
+        w = np.sqrt(np.maximum(f0, 0.0))
+        inv = np.where(w > 0, 1.0 / np.where(w > 0, w, 1.0), 0.0)
+        w1 = 0.5 * inv[:, None] * f1
+        w2 = 0.5 * inv[:, None, None] * f2 - 0.25 * (inv**3)[:, None, None] * _outer(f1, f1)
+        return w, w1, w2
 
 
 class _CaseIIQuadPiece:
@@ -711,6 +694,30 @@ class _CaseIIQuadPiece:
         h = np.maximum(self.H.values(Xi, Y), 0.0)
         return (Y - Xstar) * np.sqrt(h)
 
+    def jet(self, X) -> tuple:
+        """(w, Dw, D^2 w) by 2nd-order central differences of the weights with
+        step 1e-3 * cell radius, all distinct stencil points in one weights call."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        N, n = X.shape
+        h = 1e-3 * self.minimizer.halfwidth
+        alphas = multiindices(n, 1) + multiindices(n, 2)
+        stencils = [fd_stencil(alpha, lambda p: h, SECOND_ORDER_STENCILS) for alpha in alphas]
+        offsets, where = np.unique(
+            np.concatenate([np.zeros((1, n))] + [o for o, _ in stencils]), axis=0, return_inverse=True
+        )
+        vals = self.weights((X[:, None, :] + offsets[None]).reshape(-1, n)).reshape(N, -1)[:, where.ravel()]
+        w1, w2 = np.empty((N, n)), np.empty((N, n, n))
+        col = 1
+        for alpha, (_, wts) in zip(alphas, stencils):
+            d = vals[:, col : col + len(wts)] @ wts
+            col += len(wts)
+            axes = [i for i, p in enumerate(alpha) for _ in range(p)]
+            if len(axes) == 1:
+                w1[:, axes[0]] = d
+            else:
+                w2[:, axes[0], axes[1]] = w2[:, axes[1], axes[0]] = d
+        return vals[:, 0], w1, w2
+
 
 class _ConstPiece:
     kind = "residue_const"
@@ -721,6 +728,10 @@ class _ConstPiece:
     def weights(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.full(X.shape[0], math.sqrt(self.value))
+
+    def jet(self, X) -> tuple:
+        N, n = np.atleast_2d(np.asarray(X, dtype=float)).shape
+        return self.weights(X), np.zeros((N, n)), np.zeros((N, n, n))
 
 
 class _LiftedPiece:
@@ -734,6 +745,13 @@ class _LiftedPiece:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         V = (X - self.frame.base) @ self.frame.R
         return self.sub_root.eval_many(V[:, :-1])
+
+    def jet(self, X) -> tuple:
+        """The sub-root's jet at xi = (x - base) R[:, :-1], pulled back to x."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        P = self.frame.R[:, :-1]
+        w, w1, w2 = self.sub_root.jet((X - self.frame.base) @ P)
+        return w, w1 @ P.T, P @ w2 @ P.T
 
 
 class RootGroup:
@@ -754,6 +772,24 @@ class RootGroup:
     def arity(self) -> int:
         return self.partition.dim
 
+    def _batches(self, pairs) -> list:
+        """(piece, point indices, cell indices, chi) over the members' hits
+        with chi > 0, one batch per distinct piece object, so members that
+        share a piece (every case-I cell) are evaluated in one call."""
+        pieces: dict = {}
+        batch = [pieces.setdefault(id(piece), (len(pieces), piece))[0] for _, piece in self.members]
+        batch_of_cell = np.full(len(pairs), -1)
+        batch_of_cell[[nu for nu, _ in self.members]] = batch
+        b = batch_of_cell[pairs.cell]
+        live = np.flatnonzero((b >= 0) & (pairs.chi > 0))
+        live = live[np.argsort(b[live], kind="stable")]
+        ends = np.cumsum(np.bincount(b[live], minlength=len(pieces))).tolist()
+        return [
+            (piece, pairs.idx[hits], pairs.cell[hits], pairs.chi[hits])
+            for (_, piece), hits in zip(pieces.values(), np.split(live, ends[:-1]))
+            if hits.size
+        ]
+
     def eval_many(self, X, pairs=None, tot=None) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if pairs is None:
@@ -761,18 +797,58 @@ class RootGroup:
         if tot is None:
             tot = self.partition.sum_chi_sq(X, pairs)
         out = np.zeros(X.shape[0])
-        for nu, piece in self.members:
-            idxs, chi = pairs[nu]
-            if not idxs.size:
-                continue
-            live = chi > 0
-            if not np.any(live):
-                continue
-            ids = idxs[live]
-            out[ids] += chi[live] * piece.weights(X[ids])
+        for piece, ids, _, chi in self._batches(pairs):
+            np.add.at(out, ids, chi * piece.weights(X[ids]))
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.where(tot > 0, out / np.sqrt(np.where(tot > 0, tot, 1.0)), 0.0)
         return self.scale * out
+
+    def jet(self, X) -> tuple:
+        """(g, Dg, D^2 g) on an (N, n) batch: shapes (N,), (N, n), (N, n, n).
+
+        g = scale * P / sqrt(S) with P = sum_nu chi_nu w_nu over the members and
+        S = sum_mu chi_mu^2 over every cell.  P and S are differentiated by the
+        Leibniz rule from the closed-form bump derivatives and each piece's own
+        (w, Dw, D^2 w); the quotient uses the logarithmic derivatives DS/S and
+        D^2 S/S, which stay finite where a lone bump tail covers the point.
+        Points outside the cover get zeros.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        N, n = X.shape
+        part = self.partition
+        pairs = part.chi_pairs(X)
+        tot = part.sum_chi_sq(X, pairs)
+        g = self.eval_many(X, pairs, tot)
+
+        chi, d1, d2 = part.chi_jets(X, pairs.idx, pairs.cell)
+        dS, d2S = np.zeros((N, n)), np.zeros((N, n, n))
+        np.add.at(dS, pairs.idx, 2.0 * chi[:, None] * d1)
+        np.add.at(d2S, pairs.idx, 2.0 * (_outer(d1, d1) + chi[:, None, None] * d2))
+
+        P, dP, d2P = np.zeros(N), np.zeros((N, n)), np.zeros((N, n, n))
+        for piece, ids, nus, _ in self._batches(pairs):
+            c0, c1, c2 = part.chi_jets(X, ids, nus)
+            w0, w1, w2 = piece.jet(X[ids])
+            np.add.at(P, ids, c0 * w0)
+            np.add.at(dP, ids, c1 * w0[:, None] + c0[:, None] * w1)
+            np.add.at(
+                d2P, ids,
+                c2 * w0[:, None, None] + _outer(c1, w1) + _outer(w1, c1) + c0[:, None, None] * w2,
+            )
+
+        covered = tot > 0
+        S = np.where(covered, tot, 1.0)
+        q = np.where(covered, self.scale / np.sqrt(S), 0.0)
+        L1 = dS / S[:, None]
+        L2 = d2S / S[:, None, None]
+        # D S^(-1/2) = S^(-1/2) (-L1/2), D^2 S^(-1/2) = S^(-1/2) (3/4 L1 L1^T - L2/2)
+        Dg = q[:, None] * (dP - 0.5 * P[:, None] * L1)
+        D2g = q[:, None, None] * (
+            d2P
+            - 0.5 * (_outer(dP, L1) + _outer(L1, dP))
+            + P[:, None, None] * (0.75 * _outer(L1, L1) - 0.5 * L2)
+        )
+        return g, Dg, D2g
 
     def __call__(self, X):
         return self.eval_many(X)
@@ -829,10 +905,21 @@ class DecompositionReport:
     identity_error: float = 0.0
     boundary_excluded_fraction: float = 0.0
     boundary_sup_f: float = 0.0
+    probe_sup_f: float = 0.0
     holder: dict = field(default_factory=dict)
     recursion_depth: int = 0
     warnings: list = field(default_factory=list)
     empty: bool = False
+
+    @property
+    def residual_bound(self) -> float:
+        """tol * (1 + sup f), sup f taken over the region's probe grid."""
+        return self.params.tol * (1.0 + self.probe_sup_f)
+
+    @property
+    def passed(self) -> bool:
+        """The pass/fail rule: residuals were measured and stay within residual_bound."""
+        return self.residual_points > 0 and self.residual_sup <= self.residual_bound
 
     @property
     def case_counts(self) -> dict:
@@ -870,6 +957,9 @@ class DecompositionReport:
             "identity_error": float(self.identity_error),
             "boundary_excluded_fraction": float(self.boundary_excluded_fraction),
             "boundary_sup_f": float(self.boundary_sup_f),
+            "probe_sup_f": float(self.probe_sup_f),
+            "residual_bound": float(self.residual_bound),
+            "passed": self.passed,
             "holder": {k: v.as_dict() for k, v in self.holder.items()},
             "recursion_depth": self.recursion_depth,
             "warnings": self.warnings,
@@ -936,8 +1026,10 @@ def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> De
     probe = ball_points(params.region, max(params.verify_points, 512))
     rho_probe = control_distance_values(g, probe, cdp)
     excluded = rho_probe < params.floor
+    f_probe = f.values(probe)
     report.boundary_excluded_fraction = float(np.mean(excluded))
-    report.boundary_sup_f = float(np.max(f.values(probe[excluded]))) if np.any(excluded) else 0.0
+    report.boundary_sup_f = float(np.max(f_probe[excluded])) if np.any(excluded) else 0.0
+    report.probe_sup_f = float(np.max(f_probe))
 
     if not cells:
         report.empty = True
@@ -968,6 +1060,7 @@ def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> De
     rho_c = np.maximum(np.maximum(term_f_c, term_h_c), term_q_c)
     case_one = fvals_c >= params.c * rho_c ** (4.0 + 2.0 * d)
 
+    case_one_piece = _CaseIPiece(g)
     max_depth = 0
     identity_worst = 0.0
     for ci, cell in enumerate(cells):
@@ -991,7 +1084,7 @@ def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> De
                     break
         cd = CellDecomposition(cell=cell, case=case, rho=rho, rho_terms=terms)
         if case == "I":
-            add_member(("caseI", cell.color), cell.nu, _CaseIPiece(g))
+            add_member(("caseI", cell.color), cell.nu, case_one_piece)
         else:
             cd.axis = tuple(axis)
             minimizer = implicit_minimizer(g, cell, axis, rho, params.delta, params.newton_tol)
@@ -1043,7 +1136,7 @@ def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> De
     live = probe[~excluded]
     if live.size:
         recon = report.sum_of_squares(live)
-        res = np.abs(f.values(live) - recon)
+        res = np.abs(f_probe[~excluded] - recon)
         report.residual_sup = float(np.max(res))
         report.residual_mean = float(np.mean(res))
         report.residual_points = int(len(live))
@@ -1065,89 +1158,81 @@ def root_holder_estimate(
 ) -> HolderEstimate:
     """Order-2 Hölder seminorm estimate of a grouped root, sampled on its support.
 
-    Pair anchors cycle deterministically through the member cells with a
-    dyadic separation ladder tied to each cell's radius, so quadrupling the
-    pair count refines (never reshuffles) the family.  Derivatives of the
-    composite root use the finite-difference backend.
-    """
-    from .geometry import ball_points as _bp
+    The pair family is fixed per cell: radially aligned pairs anchored on the
+    bump transition ring (ring fractions 0.45..0.9 of the radius along 8
+    directions) at a dyadic ladder of separations r/4..r/32.  The k-th of the
+    `samples` pairs finishes one cell's 128 (2-D) probe pairs before moving to
+    the next cell; laps after the first re-anchor at low-discrepancy points of
+    the cell, so quadrupling the count refines (never reshuffles) the family.
 
+    Cells are visited worst-first by the measured max |D^2 g| entry over their
+    ring anchors inside the region, so a coarse budget already probes the
+    extremal cells.  Pairs with an endpoint outside `partition.region` are left
+    out: the cover is truncated at the region's edge and f = sum g^2 is only
+    claimed inside it.  Derivatives are exact (RootGroup.jet), taken at the
+    pair endpoints only; `sup_norms` are the maxima of |g|, |Dg| and |D^2 g|
+    entries over those endpoints and `pair_count` counts the pairs kept.
+    """
     partition = group.partition
     n = partition.dim
-    # visit cells in decreasing order of their second-derivative scale
-    # |w(center)| / radius^2 (bump curvature times the local root size), so a
-    # coarse pair budget already probes the extremal cells
-    def cell_scale(item):
-        nu, piece = item
-        cell = partition.cells[nu]
-        w = abs(float(piece.weights(np.asarray(cell.center)[None, :])[0]))
-        return -w / cell.radius**2
+    region = partition.region
 
-    ordered = sorted(group.members, key=cell_scale)
-    cells = [partition.cells[nu] for nu, _ in ordered]
-    gh = FunctionHandle.from_callable(
-        group.eval_many, arity=n, vectorized=True, label=group.label,
-        domain=partition.region or Ball(center=(0.0,) * n, radius=1.0),
-    )
-    offsets = _bp(Ball(center=(0.0,) * n, radius=1.0), 16)
-    dirs = sphere_points(16, n) if n > 1 else np.array([[1.0], [-1.0]] * 8)
+    def inside(P):
+        return np.ones(len(P), dtype=bool) if region is None else region.contains(P)
 
-    # fixed per-cell probe: radially aligned pairs anchored on the bump
-    # transition ring (where the quotients of these roots concentrate), at a
-    # dyadic ladder of separations.  Refinement first finishes a cell's probe,
-    # then moves to the next cell in the worst-first order, so a coarse budget
-    # already sees the extremal quotients.
     ring_fracs = (0.45, 0.6, 0.75, 0.9)
     sep_fracs = (0.25, 0.125, 0.0625, 0.03125)
     ring_dirs = sphere_points(8, n) if n > 1 else np.array([[1.0], [-1.0]])
-    probe = [
-        (frac, d, sep)
-        for d in ring_dirs
-        for frac in ring_fracs
-        for sep in sep_fracs
-    ]
-    ys, zs, seps = [], [], []
-    m = len(cells)
-    probe_len = len(probe)
-    for k in range(samples):
-        cell_idx = (k // probe_len) % m
-        lap = k // (probe_len * m)
-        cell = cells[cell_idx]
-        frac, d, sep_frac = probe[k % probe_len]
-        if lap > 0:
-            # extra laps roam the cell with low-discrepancy anchors
-            y = np.asarray(cell.center) + 0.9 * cell.radius * offsets[lap % len(offsets)]
-        else:
-            y = np.asarray(cell.center) + frac * cell.radius * d
-        sep = sep_frac * cell.radius
-        z = y + sep * d
-        ys.append(y)
-        zs.append(z)
-        seps.append(sep)
-    ys, zs, seps = np.array(ys), np.array(zs), np.array(seps)
+    # one cell's probe: (direction, ring fraction, separation), separation fastest
+    p_dir = np.repeat(ring_dirs, len(ring_fracs) * len(sep_fracs), axis=0)
+    p_frac = np.tile(np.repeat(ring_fracs, len(sep_fracs)), len(ring_dirs))
+    p_sep = np.tile(sep_fracs, len(ring_dirs) * len(ring_fracs))
+    offsets = ball_points(Ball(center=(0.0,) * n, radius=1.0), 16)
 
-    sup_pts = np.concatenate([ys, zs])
-    sup_norms = []
-    for ell in range(3):
-        sup_norms.append(float(np.max(gh.max_entry_values(sup_pts, ell))))
+    # worst-first order: max |D^2 g| over each cell's in-region ring anchors
+    nus = np.array([nu for nu, _ in group.members])
+    ring = p_frac[:: len(sep_fracs), None] * p_dir[:: len(sep_fracs)]
+    anchors = (partition.centers[nus][:, None, :] + partition.radii[nus][:, None, None] * ring).reshape(-1, n)
+    owner = np.repeat(np.arange(len(nus)), len(ring))
+    keep = inside(anchors)
+    score = np.zeros(len(nus))
+    if np.any(keep):
+        _, _, d2 = group.jet(anchors[keep])
+        np.maximum.at(score, owner[keep], np.max(np.abs(d2), axis=(1, 2)))
+    ordered = nus[np.argsort(-score, kind="stable")]
 
-    best, worst_pair = 0.0, None
-    for alpha in multiindices(n, 2):
-        dy = gh.derivative_values(ys, alpha)
-        dz = gh.derivative_values(zs, alpha)
-        quot = np.abs(dy - dz) / seps**exponent
-        i = int(np.argmax(quot))
-        if quot[i] > best:
-            best = float(quot[i])
-            worst_pair = (tuple(ys[i]), tuple(zs[i]))
+    # pair k probes cell k // len(probe) (cycling); laps after the first
+    # roam the cell with low-discrepancy anchors
+    k = np.arange(samples)
+    probe_len = len(p_sep)
+    cell = ordered[(k // probe_len) % len(ordered)]
+    lap = k // (probe_len * len(ordered))
+    j = k % probe_len
+    center, radius = partition.centers[cell], partition.radii[cell][:, None]
+    ring_anchor = center + p_frac[j, None] * radius * p_dir[j]
+    roam_anchor = center + 0.9 * radius * offsets[lap % len(offsets)]
+    ys = np.where((lap > 0)[:, None], roam_anchor, ring_anchor)
+    seps = p_sep[j] * radius[:, 0]
+    zs = ys + seps[:, None] * p_dir[j]
+    kept = inside(ys) & inside(zs)
+    ys, zs, seps = ys[kept], zs[kept], seps[kept]
+    P = len(ys)
+    if P == 0:
+        return HolderEstimate(order=2, exponent=exponent, sup_norms=[0.0, 0.0, 0.0], seminorm=0.0,
+                              pair_count=0, min_separation=math.nan)
+
+    g, d1, d2 = group.jet(np.concatenate([ys, zs]))
+    sup_norms = [float(np.max(np.abs(v))) for v in (g, d1, d2)]
+    quot = np.max(np.abs(d2[:P] - d2[P:]), axis=(1, 2)) / seps**exponent
+    i = int(np.argmax(quot))
     return HolderEstimate(
         order=2,
         exponent=exponent,
         sup_norms=sup_norms,
-        seminorm=best,
-        pair_count=samples,
+        seminorm=float(quot[i]),
+        pair_count=P,
         min_separation=float(np.min(seps)),
-        worst_pair=worst_pair,
+        worst_pair=(tuple(ys[i]), tuple(zs[i])),
     )
 
 

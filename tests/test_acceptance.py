@@ -114,10 +114,12 @@ def test_criterion_02_decomposition_residual(decomposition_runs):
         sup_f = float(np.max(run["f"].values(pts)))
         tol = 1e-6 * (1.0 + sup_f)
         good = rep.residual_points > 0 and rep.residual_sup <= tol and run["seconds"] < 60.0
-        ok = ok and good
+        ok = ok and good and rep.passed
         details.append(f"{name}: sup {rep.residual_sup:.1e} <= {tol:.1e}, {run['seconds']:.1f} s")
     report_line(2, "decomposition-residual", ok, "; ".join(details))
     assert ok
+    # the report's own pass/fail rule, shared with the CLI
+    assert all(run["report"].passed for run in decomposition_runs.values())
 
 
 def test_criterion_03_case_two_exact_identity(decomposition_runs):
@@ -329,6 +331,7 @@ def test_criterion_11_quartic_gap():
 
 
 def test_criterion_12_root_holder_stability(decomposition_runs):
+    t0 = time.time()
     ok = True
     worst_growth = 0.0
     groups_checked = 0
@@ -346,7 +349,11 @@ def test_criterion_12_root_holder_stability(decomposition_runs):
             worst_growth = max(worst_growth, growth)
             ok = ok and growth < 0.5
             groups_checked += 1
+    elapsed = time.time() - t0
+    ok = ok and elapsed < 60.0
     report_line(12, "root-holder-stability", ok,
-                f"{groups_checked} root groups, worst growth {100 * worst_growth:.1f}% under 4x pairs")
+                f"{groups_checked} root groups, worst growth {100 * worst_growth:.1f}% under 4x pairs, "
+                f"{elapsed:.1f} s")
     assert groups_checked > 0
     assert ok
+    assert elapsed < 60.0

@@ -193,3 +193,20 @@ class TestObservedOverlap:
         grid = ball_grid(Ball((0.0, 0.0), 0.115), 40)
         overlap = part.observe_overlap(grid)
         assert 1 <= overlap <= 30
+
+
+class TestChiPairs:
+    def test_matches_per_cell_loop(self):
+        f = handle("x^2 + y^2", ("x", "y"))
+        region = Ball((0.01, -0.02), 0.1)
+        part = build_partition(build_cover(f, ControlDistanceParams(0.25), region, floor=1e-3), region)
+        X = ball_points(region, 3000)
+        pairs = part.chi_pairs(X)
+        tot = np.zeros(len(X))
+        for nu, (idxs, chi) in enumerate(pairs):
+            u = np.linalg.norm(X - part.centers[nu], axis=1) / part.radii[nu]
+            ref = np.flatnonzero(u <= 1.0)
+            assert np.array_equal(idxs, ref)
+            assert np.array_equal(chi, part.chi(nu, X[ref]))
+            np.add.at(tot, idxs, chi**2)
+        assert np.array_equal(part.sum_chi_sq(X, pairs), tot)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sosreg.calculus import FunctionHandle
-from sosreg.cover import ControlDistanceParams, CoverCell, build_cover
+from sosreg.cover import ControlDistanceParams, CoverCell, build_cover, bump_jet, bump_profile
 from sosreg.errors import BoundaryRootError, ClassificationError, DomainError
 from sosreg.exprlang import parse_expression
 from sosreg.geometry import Ball, ball_points
@@ -17,7 +17,10 @@ from sosreg.sos import (
     delta_sequence,
     implicit_minimizer,
     implicit_second_derivative,
+    RootGroup,
+    _ConstPiece,
     reduced_profile,
+    root_holder_estimate,
     track_implicit_root,
     verify_decomposition,
 )
@@ -334,3 +337,88 @@ class TestVerifyDecomposition:
         rep.params.floor = 1e9
         out = verify_decomposition(f, rep, np.linspace(-0.5, 0.5, 50).reshape(-1, 1))
         assert out["empty"]
+
+
+def _decomposed(src, variables, region):
+    f = handle(src, variables)
+    return decompose(f, DecomposeParams(delta=0.25, eta=0.3, region=region, floor=1e-3, tol=1e-6,
+                                        verify_points=3000, estimate_holder=False))
+
+
+@pytest.fixture(scope="module")
+def isotropic_2d():
+    return _decomposed("x^2 + y^2", ("x", "y"), Ball((0.0, 0.0), 0.12))
+
+
+@pytest.fixture(scope="module")
+def parabola_1d():
+    return _decomposed("x^2", ("x",), Ball((0.0,), 1.0))
+
+
+def _fd_jet(grp, pts, h):
+    """Central differences of eval_many: first and second derivatives."""
+    n = pts.shape[1]
+    e = np.eye(n) * h
+    g = grp.eval_many
+    d1 = np.stack([(g(pts + e[i]) - g(pts - e[i])) / (2 * h) for i in range(n)], axis=1)
+    d2 = np.empty((len(pts), n, n))
+    for i in range(n):
+        for j in range(n):
+            d2[:, i, j] = (g(pts + e[i] + e[j]) - g(pts + e[i] - e[j])
+                           - g(pts - e[i] + e[j]) + g(pts - e[i] - e[j])) / (4 * h * h)
+    return d1, d2
+
+
+def _check_jet(grp, partition):
+    for nu, _ in grp.members[:3]:
+        cell = partition.cells[nu]
+        pts = ball_points(Ball(cell.center, 0.9 * cell.radius), 24)
+        g, d1, d2 = grp.jet(pts)
+        fd1, fd2 = _fd_jet(grp, pts, 1e-4 * cell.radius)
+        assert np.array_equal(g, grp.eval_many(pts))
+        assert np.max(np.abs(d1 - fd1)) <= 1e-4 * np.max(np.abs(d1)) + 1e-12, grp.label
+        assert np.max(np.abs(d2 - fd2)) <= 1e-4 * np.max(np.abs(d2)) + 1e-8, grp.label
+
+
+class TestRootJet:
+    def test_bump_jet_matches_fd_of_profile(self):
+        u = np.linspace(0.3, 1.1, 1601)
+        u = u[(np.abs(u - 0.5) > 1e-3) & (np.abs(u - 1.0) > 1e-3)]
+        b, b1, b2 = bump_jet(u)
+        h = 1e-5
+        fd1 = (bump_profile(u + h) - bump_profile(u - h)) / (2 * h)
+        fd2 = (bump_profile(u + h) - 2 * bump_profile(u) + bump_profile(u - h)) / h**2
+        assert np.array_equal(b, bump_profile(u))
+        assert np.max(np.abs(b1 - fd1)) <= 1e-7 * np.max(np.abs(b1))
+        assert np.max(np.abs(b2 - fd2)) <= 1e-5 * np.max(np.abs(b2))
+        outside = (u < 0.5) | (u > 1.0)
+        assert np.all(b1[outside] == 0.0) and np.all(b2[outside] == 0.0)
+
+    @pytest.mark.parametrize("prefix", ["caseI:", "caseII:", "rem:"])
+    def test_isotropic_groups_match_fd(self, isotropic_2d, prefix):
+        groups = [g for g in isotropic_2d.roots if g.label.startswith(prefix)]
+        assert groups
+        for grp in groups[:4]:
+            _check_jet(grp, isotropic_2d.partition)
+
+    def test_parabola_constant_group(self, parabola_1d):
+        (grp,) = [g for g in parabola_1d.roots if g.label.endswith(":const")]
+        _check_jet(grp, parabola_1d.partition)
+        # the same member with a positive constant exercises the chi / sqrt(S) jet
+        nu = grp.members[0][0]
+        positive = RootGroup("const2", parabola_1d.partition, [(nu, _ConstPiece(2.0))])
+        _check_jet(positive, parabola_1d.partition)
+
+    def test_shifted_region_holder_growth(self):
+        # region r0 of the holder2d benchmark's seed 405: the former
+        # |w(center)|/r^2 cell order missed the extreme cell (growth 182%, 181%)
+        rep = _decomposed("x^2 + y^2", ("x", "y"),
+                          Ball((0.00032931282065477, 0.00465484852411652), 0.12))
+        groups = {g.label: g for g in rep.roots}
+        for label in ("caseI:0", "caseI:3"):
+            base = root_holder_estimate(groups[label], rep.deltas[-1], samples=240)
+            fine = root_holder_estimate(groups[label], rep.deltas[-1], samples=960)
+            assert 0 < base.pair_count <= 240 and base.pair_count < fine.pair_count <= 960
+            assert fine.seminorm / base.seminorm - 1.0 < 0.5, label
+            inside = rep.partition.region.contains(np.array(fine.worst_pair))
+            assert np.all(inside)
