@@ -14,6 +14,7 @@ with ties resolved by the lexicographically smallest sample point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -100,10 +101,27 @@ def tensor_contract(tensor: np.ndarray, v: np.ndarray, times: int) -> float:
     return float(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _tensor_layout(n: int, order: int) -> tuple:
+    """The multi-indices of one order, each with the positions of its entries
+    in the row-major flattened (n,)*order symmetric tensor."""
+    where: dict = {alpha: [] for alpha in multiindices(n, order)}
+    for flat, idx in enumerate(np.ndindex(*(n,) * order)):
+        where[tuple(int(c) for c in np.bincount(idx, minlength=n))].append(flat)
+    return tuple(where.items())
+
+
 class FunctionHandle:
     """Evaluable scalar function on a ball with derivative access by multi-index.
 
     Construct via :meth:`from_def`, :meth:`from_expr` or :meth:`from_callable`.
+    A handle is backed either by one derivative function per multi-index
+    (`derivative_many_factory`) or, with that factory None, by a jet function
+    `jet_many(X, order)` that returns every derivative tensor up to `order` in
+    one call (the reduced profiles of the fiber split).  :meth:`jet` gives (f, Df, ..., D^m f) as
+    full symmetric tensors; `gradient_values`, `hessian_values`,
+    `max_entry_values` and `tensor` are views of one order of it.  Multi-index
+    backends fill each tensor from `derivative_values`, once per multi-index.
     Handles are immutable and safe to share across threads.
     """
 
@@ -117,10 +135,14 @@ class FunctionHandle:
         log_eval_many=None,
         label: str = "f",
         exact_derivatives: bool = True,
+        jet_many=None,
     ):
+        if (derivative_many_factory is None) == (jet_many is None):
+            raise ValueError("give exactly one of derivative_many_factory and jet_many")
         self.arity = arity
         self._eval_many = eval_many
         self._derivative_factory = derivative_many_factory
+        self._jet_many = jet_many
         self._derivative_cache: dict = {}
         self.domain = domain
         self.flat = flat
@@ -277,61 +299,58 @@ class FunctionHandle:
             raise DerivativeError(f"multi-index {alpha} does not match arity {self.arity}")
         if sum(alpha) == 0:
             return self.values(X)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self._jet_many is not None:
+            axes = tuple(i for i, p in enumerate(alpha) for _ in range(p))
+            return self._jet_many(X, len(axes))[-1][(slice(None),) + axes]
         if alpha not in self._derivative_cache:
             self._derivative_cache[alpha] = self._derivative_factory(alpha)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         return self._derivative_cache[alpha](X)
 
     def derivative(self, x, alpha) -> float:
         return float(self.derivative_values(np.atleast_2d(np.asarray(x, dtype=float)), alpha)[0])
 
-    def gradient_values(self, X) -> np.ndarray:
+    def derivative_tensor(self, X, order: int) -> np.ndarray:
+        """All order-`order` partials as one symmetric (N, n, ..., n) tensor; f itself at order 0."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        cols = []
-        for i in range(self.arity):
-            alpha = tuple(1 if j == i else 0 for j in range(self.arity))
-            cols.append(self.derivative_values(X, alpha))
-        return np.stack(cols, axis=1)
+        if order == 0:
+            return self.values(X)
+        if self._jet_many is not None:
+            return self._jet_many(X, order)[order]
+        T = np.empty((X.shape[0], self.arity**order))
+        for alpha, where in _tensor_layout(self.arity, order):
+            T[:, where] = self.derivative_values(X, alpha)[:, None]
+        return T.reshape((X.shape[0],) + (self.arity,) * order)
+
+    def jet(self, X, order: int) -> tuple:
+        """(f, Df, ..., D^order f) on an (N, n) batch, shapes (N,), (N, n), (N, n, n), ..."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self._jet_many is not None:
+            return tuple(self._jet_many(X, order))
+        return tuple(self.derivative_tensor(X, m) for m in range(order + 1))
+
+    def gradient_values(self, X) -> np.ndarray:
+        return self.derivative_tensor(X, 1)
 
     def gradient(self, x) -> np.ndarray:
         return self.gradient_values(np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
     def hessian_values(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        n = self.arity
-        H = np.empty((X.shape[0], n, n))
-        for i in range(n):
-            for j in range(i, n):
-                alpha = [0] * n
-                alpha[i] += 1
-                alpha[j] += 1
-                vals = self.derivative_values(X, tuple(alpha))
-                H[:, i, j] = vals
-                H[:, j, i] = vals
-        return H
+        return self.derivative_tensor(X, 2)
 
     def hessian(self, x) -> np.ndarray:
         return self.hessian_values(np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
     def tensor(self, x, order: int) -> np.ndarray:
         """Full symmetric derivative tensor of the given order at one point."""
-        n = self.arity
-        T = np.empty((n,) * order)
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        cache = {}
-        for idx in np.ndindex(*T.shape):
-            counts = [0] * n
-            for i in idx:
-                counts[i] += 1
-            counts = tuple(counts)
-            if counts not in cache:
-                cache[counts] = float(self.derivative_values(x2, counts)[0])
-            T[idx] = cache[counts]
-        return T
+        return self.derivative_tensor(np.atleast_2d(np.asarray(x, dtype=float)), order)[0]
 
     def max_entry_values(self, X, order: int) -> np.ndarray:
         """Max absolute derivative-tensor entry of the given order, pointwise."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if order and self._jet_many is not None:
+            T = self._jet_many(X, order)[order]
+            return np.max(np.abs(T), axis=tuple(range(1, T.ndim)), initial=0.0)
         out = np.zeros(X.shape[0])
         for alpha in multiindices(self.arity, order):
             out = np.maximum(out, np.abs(self.derivative_values(X, alpha)))
@@ -349,11 +368,19 @@ class FunctionHandle:
         def eval_many(X):
             return a * self._eval_many(np.atleast_2d(np.asarray(X, dtype=float)))
 
-        def derivative_factory(alpha):
-            def d_many(X):
-                return a * self.derivative_values(X, alpha)
+        derivative_factory = jet_many = None
+        if self._jet_many is not None:
 
-            return d_many
+            def jet_many(X, order):
+                return [a * T for T in self._jet_many(X, order)]
+
+        else:
+
+            def derivative_factory(alpha):
+                def d_many(X):
+                    return a * self.derivative_values(X, alpha)
+
+                return d_many
 
         log_many = None
         if self._log_eval_many is not None:
@@ -370,6 +397,7 @@ class FunctionHandle:
             log_eval_many=log_many,
             label=label or f"{a:g}*{self.label}",
             exact_derivatives=self.exact_derivatives,
+            jet_many=jet_many,
         )
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "delta_sequence",
     "check_differential_inequalities",
     "classify_cell",
+    "classify_cells",
     "implicit_minimizer",
     "reduced_profile",
     "decompose",
@@ -229,25 +230,70 @@ def track_implicit_root(
 
 
 def implicit_second_derivative(H: FunctionHandle, point) -> np.ndarray:
-    """Closed-form Hessian of the implicit function h at (x', h(x')):
+    """Closed-form Hessian of the implicit function h at (x', h(x')), from
+    H's order-2 jet by the implicit jet of the fiber recursion:
 
     d2h/dx_i dx_j = -H_ij/H_n + (H_j H_in + H_i H_jn)/H_n^2
                     - H_i H_j H_nn/H_n^3.
     """
-    g = H.gradient(point)
-    Hes = H.hessian(point)
-    n = len(g)
-    k = n - 1
-    Hn = g[-1]
-    out = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            out[i, j] = (
-                -Hes[i, j] / Hn
-                + (g[j] * Hes[i, -1] + g[i] * Hes[j, -1]) / Hn**2
-                - g[i] * g[j] * Hes[-1, -1] / Hn**3
-            )
+    _, (h2,) = _implicit_jet(H.jet(np.atleast_2d(np.asarray(point, dtype=float)), 2), 2)
+    return h2[0]
+
+
+def _pull(T: np.ndarray, P: np.ndarray, axes: int) -> np.ndarray:
+    """Contract each of the last `axes` axes of the batch T (N, ..., n) with
+    P, of shape (n, k) or (N, n, k): out[..., i, j] = T[..., a, b] P[a, i] P[b, j]."""
+    N, n, k = T.shape[0], P.shape[-2], P.shape[-1]
+    for _ in range(axes):
+        T = (T.reshape(N, -1, n) @ P).reshape(T.shape[:-1] + (k,))
+        T = np.moveaxis(T, -1, T.ndim - axes)
+    return T
+
+
+def _times(a: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """a (N, *L) times T (N, k, ..., k): the (N, *L, k, ..., k) outer products."""
+    lead = a.ndim - 1
+    return a.reshape(a.shape + (1,) * (T.ndim - 1)) * T.reshape(T.shape[:1] + (1,) * lead + T.shape[1:])
+
+
+def _sym3(c: np.ndarray, X2: np.ndarray) -> np.ndarray:
+    """c_i X2_jl + c_j X2_il + c_l X2_ij for c (N, *L, k) and X2 (N, k, k)."""
+    t = _times(c, X2)
+    return t + np.swapaxes(t, -3, -2) + np.moveaxis(t, -3, -1)
+
+
+def _compose(U, P: np.ndarray, Xs: list, j: int) -> np.ndarray:
+    """D^j (u o Phi) for Phi(xi) = (xi, X(xi)) and j <= 3, by Faa di Bruno.
+
+    U[m] is D^m u at Phi(xi), shape (N, *L, n, ..., n) with y the last
+    coordinate; P = D Phi is (N, n, k) and D^m Phi = e_y X_m for m >= 2, with
+    Xs = [X_2, ...] the higher derivatives of X known so far.  The term
+    u_y X_j is left out while X_j is unknown, which is how X_j is solved for.
+    """
+    out = _pull(U[j], P, j)
+    if j == 3:
+        out = out + _sym3(_pull(U[2][..., -1], P, 1), Xs[0])
+    if 2 <= j <= len(Xs) + 1:
+        out = out + _times(U[1][..., -1], Xs[j - 2])
     return out
+
+
+def _implicit_jet(U, order: int) -> tuple:
+    """Derivatives of X(xi) defined by u(xi, X(xi)) = 0, from u's jet U.
+
+    U[m] is D^m u at the graph points, (N, n, ..., n) with y the last
+    coordinate, for m = 1..order (U[0] is not read).  Returns P = D Phi, whose
+    last row is DX, and [X_2, ..., X_order]: differentiating u o Phi = 0 j
+    times gives u_y X_j = -(the other terms of D^j (u o Phi)).
+    """
+    uy = U[1][:, -1]
+    N, k = uy.shape[0], U[1].shape[1] - 1
+    P = np.concatenate([np.broadcast_to(np.eye(k), (N, k, k)), (-U[1][:, :k] / uy[:, None])[:, None, :]], axis=1)
+    Xs: list = []
+    for j in range(2, order + 1):
+        rest = _compose(U, P, Xs, j)
+        Xs.append(-rest / uy.reshape((N,) + (1,) * (rest.ndim - 1)))
+    return P, Xs
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +317,8 @@ def rotation_with_last_axis(theta: np.ndarray) -> np.ndarray:
 
 
 class _RotatedFrame:
-    """Derivatives of f in coordinates v with x = base + R v."""
+    """Derivatives of f in coordinates v with x = base + R v; the fiber
+    direction is the last coordinate, r = R[:, -1] in x."""
 
     def __init__(self, f: FunctionHandle, base: np.ndarray, R: np.ndarray):
         self.f = f
@@ -286,18 +333,20 @@ class _RotatedFrame:
     def values(self, V) -> np.ndarray:
         return self.f.values(self.to_global(V))
 
-    def gradient_loc(self, V) -> np.ndarray:
-        return self.f.gradient_values(self.to_global(V)) @ self.R
+    def jet(self, V, order: int) -> list:
+        """f's jet at the points, each tensor rotated into the frame (R^T H R, ...)."""
+        J = self.f.jet(self.to_global(V), order)
+        return [J[0]] + [_pull(T, self.R, m) for m, T in enumerate(J[1:], 1)]
 
-    def hessian_loc(self, V) -> np.ndarray:
-        H = self.f.hessian_values(self.to_global(V))
-        return np.einsum("pab,ai,bj->pij", H, self.R, self.R)
-
-    def fiber_d1(self, V) -> np.ndarray:
-        return self.gradient_loc(V)[:, -1]
+    def fiber(self, V) -> tuple:
+        """(g . r, r . H . r): first and second fiber derivatives from one order-2 jet."""
+        _, g, H = self.f.jet(self.to_global(V), 2)
+        r = self.R[:, -1]
+        return g @ r, (H @ r) @ r
 
     def fiber_d2(self, V) -> np.ndarray:
-        return self.hessian_loc(V)[:, -1, -1]
+        r = self.R[:, -1]
+        return (self.f.hessian_values(self.to_global(V)) @ r) @ r
 
 
 # ---------------------------------------------------------------------------
@@ -368,41 +417,49 @@ class CellDecomposition:
         }
 
 
-def classify_cell(f: FunctionHandle, cell: CoverCell, delta: float, c: float):
-    """Case label at the cell center: "I" when f(center) >= c * rho^(4+2d),
-    else "II" together with the top Hessian eigendirection.
+def classify_cells(f: FunctionHandle, cells: list, delta: float, c: float) -> tuple:
+    """Case labels at the cell centers, from one order-4 jet of f there.
 
-    In the second case the Hessian term must be the active maximum in rho;
-    otherwise the fourth-derivative term dominates, which the pipeline's
-    normalization is supposed to prevent, and a ClassificationError signals
-    the inconsistency.
+    A cell is case I when f(center) >= c * rho^(4+2d), rho the largest of the
+    value, Hessian and quartic terms; otherwise it is case II and its axis is
+    the top Hessian eigendirection, signed so that its first non-negligible
+    component is positive.  A case-II cell must have the Hessian term as the
+    active maximum in rho; otherwise the fourth-derivative term dominates,
+    which the pipeline's normalization is supposed to prevent, and a
+    ClassificationError signals the inconsistency.
+
+    Returns (case_one (N,) bool, rho (N,), terms (N, 3) as value/Hessian/quartic, axes (N, n)).
     """
-    x = np.asarray(cell.center)
     d = delta
-    fval = max(f.value(x), 0.0)
-    H = f.hessian(x)
+    fval, _, H, _, D4 = f.jet(np.array([cell.center for cell in cells]), 4)
     eigvals, eigvecs = np.linalg.eigh(H)
-    lam = max(eigvals[-1], 0.0)
-    term_f = fval ** (1.0 / (4.0 + 2.0 * d))
-    term_h = lam ** (1.0 / (2.0 + 2.0 * d))
-    term_q = f.max_entry(x, 4) ** (1.0 / (2.0 * d))
-    rho = max(term_f, term_h, term_q)
-    terms = (term_f, term_h, term_q)
-    if fval >= c * rho ** (4.0 + 2.0 * d):
-        return "I", None, rho, terms
-    if term_h < rho * (1.0 - 1e-9):
+    terms = np.stack([
+        np.maximum(fval, 0.0) ** (1.0 / (4.0 + 2.0 * d)),
+        np.maximum(eigvals[:, -1], 0.0) ** (1.0 / (2.0 + 2.0 * d)),
+        np.max(np.abs(D4), axis=(1, 2, 3, 4)) ** (1.0 / (2.0 * d)),
+    ], axis=1)
+    rho = np.max(terms, axis=1)
+    case_one = np.maximum(fval, 0.0) >= c * rho ** (4.0 + 2.0 * d)
+    bad = np.flatnonzero(~case_one & (terms[:, 1] < rho * (1.0 - 1e-9)))
+    if bad.size:
+        i = int(bad[0])
         raise ClassificationError(
-            f"cell {cell.nu}: case II with a non-dominant Hessian term "
-            f"(terms f/hess/quartic = {terms}); the fourth-derivative term dominates, "
+            f"cell {cells[i].nu}: case II with a non-dominant Hessian term "
+            f"(terms f/hess/quartic = {tuple(terms[i])}); the fourth-derivative term dominates, "
             "which signals a missing normalization upstream"
         )
-    axis = eigvecs[:, -1]
-    for v in axis:
-        if abs(v) > 1e-12:
-            if v < 0:
-                axis = -axis
-            break
-    return "II", axis, rho, terms
+    axes = eigvecs[:, :, -1]
+    first = np.argmax(np.abs(axes) > 1e-12, axis=1)
+    axes = axes * np.where(axes[np.arange(len(axes)), first] < 0, -1.0, 1.0)[:, None]
+    return case_one, rho, terms, axes
+
+
+def classify_cell(f: FunctionHandle, cell: CoverCell, delta: float, c: float):
+    """(case, axis, rho, terms) of one cell by :func:`classify_cells`; axis is None in case I."""
+    case_one, rho, terms, axes = classify_cells(f, [cell], delta, c)
+    if case_one[0]:
+        return "I", None, float(rho[0]), tuple(terms[0])
+    return "II", axes[0], float(rho[0]), tuple(terms[0])
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +472,23 @@ class MinimizerProfile:
 
     Solves d_y f(xi, y) = 0 on the fiber bracket by safeguarded Newton with
     bisection fallback, starting every solve from the cell's center y = 0; no
-    solution is cached between calls.  A missing sign change means the minimum
-    sits on the bracket boundary, which indicates the case split constant c
-    was chosen too large.
+    solution is cached between calls.  Each Newton iteration reads g = d_y f
+    and g2 = d_y^2 f of the points still above `g_tol` from one order-2 jet of
+    f; the bracket ends and the first iterate share one call.  A missing sign
+    change means the minimum sits on the bracket boundary, which indicates the
+    case split constant c was chosen too large.  Points still above `g_tol`
+    after `max_iter` iterations keep their last iterate and are added to
+    `unconverged`, a running count over every solve of this profile.
     """
+
+    max_iter = 80
 
     def __init__(self, frame: _RotatedFrame, halfwidth: float, g_tol: float, cell_nu: int):
         self.frame = frame
         self.halfwidth = float(halfwidth)
         self.g_tol = float(g_tol)
         self.cell_nu = cell_nu
+        self.unconverged = 0
 
     def solve(self, xi) -> float:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -436,39 +500,33 @@ class MinimizerProfile:
         N = Xi.shape[0]
         if N == 0:
             return np.empty(0)
-
-        def g_batch(Y):
-            return self.frame.fiber_d1(np.concatenate([Xi, Y[:, None]], axis=1))
-
-        def g2_batch(Y):
-            return self.frame.fiber_d2(np.concatenate([Xi, Y[:, None]], axis=1))
-
-        a = np.full(N, -self.halfwidth)
-        b = np.full(N, self.halfwidth)
-        ga = g_batch(a)
-        gb = g_batch(b)
-        if np.any(ga > self.g_tol) or np.any(gb < -self.g_tol):
+        w = self.halfwidth
+        starts = np.repeat([-w, w, 0.0], N)[:, None]
+        g, g2 = self.frame.fiber(np.concatenate([np.tile(Xi, (3, 1)), starts], axis=1))
+        if np.any(g[:N] > self.g_tol) or np.any(g[N : 2 * N] < -self.g_tol):
             raise BoundaryRootError(
                 f"cell {self.cell_nu}: fiber minimum on the bracket boundary "
                 "(case split constant c too large)"
             )
-        lo, hi = a.copy(), b.copy()
+        lo, hi = np.full(N, -w), np.full(N, w)
         y = np.zeros(N)
-        for _ in range(80):
-            gy = g_batch(y)
-            done = np.abs(gy) <= self.g_tol
-            if np.all(done):
+        live, gy, g2y = np.arange(N), g[2 * N :], g2[2 * N :]
+        for _ in range(self.max_iter):
+            todo = np.abs(gy) > self.g_tol
+            live, gy, g2y = live[todo], gy[todo], g2y[todo]
+            if live.size == 0:
                 break
+            yl = y[live]
             neg = gy < 0
-            lo = np.where(neg & ~done, y, lo)
-            hi = np.where(~neg & ~done, y, hi)
-            g2 = g2_batch(y)
+            lo[live] = np.where(neg, yl, lo[live])
+            hi[live] = np.where(neg, hi[live], yl)
             with np.errstate(divide="ignore", invalid="ignore"):
-                newton = y - gy / g2
-            mid = 0.5 * (lo + hi)
-            bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi) | (g2 <= 0)
-            y_new = np.where(bad, mid, newton)
-            y = np.where(done, y, y_new)
+                newton = yl - gy / g2y
+            a, b = lo[live], hi[live]
+            bad = ~np.isfinite(newton) | (newton <= a) | (newton >= b) | (g2y <= 0)
+            y[live] = np.where(bad, 0.5 * (a + b), newton)
+            gy, g2y = self.frame.fiber(np.concatenate([Xi[live], y[live, None]], axis=1))
+        self.unconverged += int(np.count_nonzero(np.abs(gy) > self.g_tol))
         return y
 
 
@@ -536,6 +594,9 @@ class _FiberFactor:
         return err
 
 
+_BLOCK = 8192  # points per fiber solve of a reduced profile; bounds the parent's jet tensors
+
+
 def _reduced_profile_handle(
     frame: _RotatedFrame,
     minimizer: MinimizerProfile,
@@ -543,63 +604,45 @@ def _reduced_profile_handle(
     radius: float,
     label: str,
 ) -> FunctionHandle:
-    """F(xi) = f(xi, X(xi)) as a handle over the (k-dim) cross-section.
+    """F(xi) = f(xi, X(xi)) as a jet-backed handle over the (k-dim) cross-section.
 
-    Derivatives of order <= 2 use the implicit-function formulas
-    F_i = f_i and F_ij = f_ij - f_in f_jn / f_nn (rotated frame, on the
-    minimizer graph); orders 3 and 4 fall back to Richardson-extrapolated
-    central differences of the tracked profile.
+    Each call solves the fiber once per point.  On the graph Phi(xi) =
+    (xi, X(xi)) the fiber derivative f_y vanishes, so DF = f_xi o Phi and
+    D^m F = D^(m-1) (f_xi o Phi) by Faa di Bruno on Phi, in the rotated frame;
+    in particular D^2 F = f_xixi - f_xiy f_yxi / f_yy.  X's derivatives to
+    order 3 come in closed form from differentiating f_y o Phi = 0.  An
+    order-m jet of F thus needs only the order-m jet of f, so jets compose
+    across recursion levels; orders up to 4 are supported.  Batches are
+    solved in blocks of at most _BLOCK points.
     """
 
-    def graph_points(Xi):
+    def jet_block(Xi, order):
+        V = np.concatenate([Xi, minimizer.solve_many(Xi)[:, None]], axis=1)
+        J = frame.jet(V, order)
+        F = [J[0]]
+        if order >= 1:
+            F.append(J[1][:, :k])
+        if order >= 2:
+            P, Xs = _implicit_jet([None] + [T[:, -1] for T in J[2:]], order - 1)
+            G = [None] + [T[:, :k] for T in J[2:]]
+            F += [_compose(G, P, Xs, j) for j in range(1, order)]
+        return F
+
+    def jet_many(Xi, order):
+        if order > 4:
+            raise DomainError(f"reduced profile supports derivative orders <= 4, got {order}")
         Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
-        X = minimizer.solve_many(Xi)
-        return np.concatenate([Xi, X[:, None]], axis=1)
+        blocks = [jet_block(Xi[i : i + _BLOCK], order) for i in range(0, max(len(Xi), 1), _BLOCK)]
+        return [np.concatenate(parts) for parts in zip(*blocks)]
 
     def eval_many(Xi):
-        return frame.values(graph_points(Xi))
-
-    h_base = radius / 16.0
-
-    def fd_many(Xi, alpha, h):
-        obs, wts = fd_stencil(alpha, lambda p: h)
-        Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
-        pts = (Xi[:, None, :] + obs[None, :, :]).reshape(-1, k)
-        return eval_many(pts).reshape(Xi.shape[0], -1) @ wts
-
-    def derivative_factory(alpha):
-        alpha = tuple(alpha)
-        order = sum(alpha)
-        if order == 1:
-            axis = alpha.index(1)
-
-            def d1(Xi):
-                return frame.gradient_loc(graph_points(Xi))[:, axis]
-
-            return d1
-        if order == 2 and max(alpha) <= 2:
-            ij = [a for a, p in enumerate(alpha) for _ in range(p)]
-            i, j = ij[0], ij[1]
-
-            def d2(Xi):
-                Hl = frame.hessian_loc(graph_points(Xi))
-                return Hl[:, i, j] - Hl[:, i, -1] * Hl[:, j, -1] / Hl[:, -1, -1]
-
-            return d2
-        if order in (3, 4) and max(alpha) <= 4:
-
-            def dfd(Xi):
-                coarse = fd_many(Xi, alpha, h_base)
-                finer = fd_many(Xi, alpha, h_base / 2.0)
-                return (16.0 * finer - coarse) / 15.0
-
-            return dfd
-        raise DomainError(f"reduced profile supports derivative orders <= 4, got {alpha}")
+        return jet_many(Xi, 0)[0]
 
     return FunctionHandle(
         arity=k,
         eval_many=eval_many,
-        derivative_many_factory=derivative_factory,
+        derivative_many_factory=None,
+        jet_many=jet_many,
         domain=Ball(center=(0.0,) * k, radius=radius),
         label=label,
         exact_derivatives=False,
@@ -1048,40 +1091,15 @@ def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> De
             groups[label] = RootGroup(label, partition, [], scale=root_scale)
         groups[label].members.append((nu, piece))
 
-    # vectorized classification prepass over all cell centers
-    centers = np.array([c.center for c in cells])
-    d = params.delta
-    fvals_c = np.maximum(g.values(centers), 0.0)
-    H_c = g.hessian_values(centers)
-    eig_c = np.linalg.eigvalsh(H_c)[:, -1]
-    term_f_c = fvals_c ** (1.0 / (4.0 + 2.0 * d))
-    term_h_c = np.maximum(eig_c, 0.0) ** (1.0 / (2.0 + 2.0 * d))
-    term_q_c = g.max_entry_values(centers, 4) ** (1.0 / (2.0 * d))
-    rho_c = np.maximum(np.maximum(term_f_c, term_h_c), term_q_c)
-    case_one = fvals_c >= params.c * rho_c ** (4.0 + 2.0 * d)
+    case_one, rho_c, terms_c, axes_c = classify_cells(g, cells, params.delta, params.c)
 
     case_one_piece = _CaseIPiece(g)
     max_depth = 0
     identity_worst = 0.0
     for ci, cell in enumerate(cells):
-        terms = (float(term_f_c[ci]), float(term_h_c[ci]), float(term_q_c[ci]))
+        terms = tuple(float(t) for t in terms_c[ci])
         rho = float(rho_c[ci])
-        if case_one[ci]:
-            case, axis = "I", None
-        else:
-            case = "II"
-            if terms[1] < rho * (1.0 - 1e-9):
-                raise ClassificationError(
-                    f"cell {cell.nu}: case II with a non-dominant Hessian term "
-                    f"(terms f/hess/quartic = {terms}); normalization missing upstream"
-                )
-            eigvals, eigvecs = np.linalg.eigh(H_c[ci])
-            axis = eigvecs[:, -1]
-            for v in axis:
-                if abs(v) > 1e-12:
-                    if v < 0:
-                        axis = -axis
-                    break
+        case, axis = ("I", None) if case_one[ci] else ("II", axes_c[ci])
         cd = CellDecomposition(cell=cell, case=case, rho=rho, rho_terms=terms)
         if case == "I":
             add_member(("caseI", cell.color), cell.nu, case_one_piece)
@@ -1143,6 +1161,12 @@ def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> De
     else:
         report.warnings.append("verification grid entirely inside the floor region")
         report.residual_points = 0
+    for cd in report.cells:
+        if cd.minimizer is not None and cd.minimizer.unconverged:
+            report.warnings.append(
+                f"cell {cd.cell.nu}: {cd.minimizer.unconverged} fiber Newton solves stopped above "
+                f"g_tol after {cd.minimizer.max_iter} iterations"
+            )
 
     if params.estimate_holder and report.roots:
         exponent = deltas[-1]

@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sosreg.calculus import FunctionHandle
+from sosreg.calculus import FunctionHandle, fd_stencil, multiindices
 from sosreg.cover import ControlDistanceParams, CoverCell, build_cover, bump_jet, bump_profile
 from sosreg.errors import BoundaryRootError, ClassificationError, DomainError
 from sosreg.exprlang import parse_expression
 from sosreg.geometry import Ball, ball_points
 from sosreg.sos import (
     DecomposeParams,
+    MinimizerProfile,
     check_differential_inequalities,
     classify_cell,
     decompose,
@@ -184,6 +185,31 @@ class TestMinimizerAndProfile:
         for xi in (-0.005, 0.0, 0.004):
             assert prof.solve([xi]) == pytest.approx(xi, abs=1e-12)
 
+    def test_newton_non_convergence_is_counted(self):
+        # with g_tol = 0 the iterates stall one rounding error away from the root
+        f = handle("s^2 + (x - s)^2 + s*x^2", ("s", "x"))
+        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01, bump_scale=0.01)
+        xi = np.linspace(-0.007, 0.007, 9)[:, None]
+        for tol in (1e-12, 0.0):
+            prof = implicit_minimizer(f, cell, np.array([0.0, 1.0]), rho=2 ** (1 / 2.5), delta=0.25,
+                                      newton_tol=tol)
+            y = prof.solve_many(xi)
+            assert np.max(np.abs(y - xi.ravel() / (1 + xi.ravel()))) <= 1e-15
+            assert (prof.unconverged > 0) == (tol == 0.0)
+        stalled = prof.unconverged
+        prof.solve_many(xi)
+        assert prof.unconverged == 2 * stalled  # a running count over solves
+
+    def test_decompose_warns_per_unconverged_cell(self, monkeypatch):
+        # no Newton step at all: the case-II cell off the origin keeps y = 0
+        monkeypatch.setattr(MinimizerProfile, "max_iter", 0)
+        rep = decompose(handle("x^2"), DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0003,), 1.0),
+                                                       verify_points=400, estimate_holder=False))
+        (cd,) = [cd for cd in rep.cells if cd.case == "II"]
+        assert cd.minimizer.unconverged > 0
+        assert any(w.startswith(f"cell {cd.cell.nu}: {cd.minimizer.unconverged} fiber Newton solves")
+                   for w in rep.warnings)
+
     def test_boundary_root_error(self):
         # strictly increasing fiber: the minimum sits on the bracket edge
         f = handle("x + 10 + 0*s", ("s", "x"))
@@ -217,6 +243,97 @@ class TestMinimizerAndProfile:
         assert np.allclose(H.values(xis, np.linspace(-0.007, 0.007, 9)), 1.0, atol=1e-10)
         # implicit-function derivatives of F
         assert np.allclose(F.derivative_values(xis, (2,)), 2.0, atol=1e-9)
+
+
+def _richardson(F, X, alpha, h):
+    """Reference derivative: Richardson extrapolation (h, h/2) of the nested
+    4th-order central stencils on F.values."""
+
+    def fd(step):
+        obs, wts = fd_stencil(alpha, lambda p: step)
+        pts = (X[:, None, :] + obs[None, :, :]).reshape(-1, F.arity)
+        return F.values(pts).reshape(len(X), -1) @ wts
+
+    return (16.0 * fd(h / 2.0) - fd(h)) / 15.0
+
+
+def _check_against_richardson(F, X, h):
+    J = F.jet(X, 4)
+    assert np.array_equal(J[0], F.values(X))
+    for order in (1, 2, 3, 4):
+        for alpha in multiindices(F.arity, order):
+            axes = tuple(i for i, p in enumerate(alpha) for _ in range(p))
+            jet = J[order][(slice(None),) + axes]
+            assert np.array_equal(jet, F.derivative_values(X, alpha))
+            err = np.abs(jet - _richardson(F, X, alpha, h))
+            if order <= 2:
+                assert np.max(err) <= 1e-9, alpha
+            else:
+                assert np.max(err / (1.0 + np.abs(jet))) <= 1e-5, alpha
+
+
+def _level_profile(f, center, axis, radius):
+    cell = CoverCell(nu=0, center=center, radius=radius, bump_scale=radius)
+    prof = implicit_minimizer(f, cell, np.asarray(axis, dtype=float), rho=1.0, delta=0.25)
+    F, _, _ = reduced_profile(f, cell, prof, rho=1.0, delta=0.25)
+    return F, prof
+
+
+class TestJets:
+    def test_expression_jet_is_derivative_values(self):
+        f = handle("exp(x*y) + x^3*z - sin(y*z) + x*y*z^2", ("x", "y", "z"))
+        X = ball_points(Ball((0.1, -0.2, 0.3), 0.5), 40)
+        J = f.jet(X, 4)
+        assert np.array_equal(J[0], f.values(X))
+        for order in (1, 2, 3, 4):
+            assert J[order].shape == (40,) + (3,) * order
+            for idx in np.ndindex(*(3,) * order):
+                alpha = tuple(int(c) for c in np.bincount(idx, minlength=3))
+                assert np.array_equal(J[order][(slice(None),) + idx], f.derivative_values(X, alpha))
+        assert np.array_equal(f.gradient_values(X), J[1])
+        assert np.array_equal(f.hessian_values(X), J[2])
+        assert np.array_equal(f.max_entry_values(X, 4), np.max(np.abs(J[4]), axis=(1, 2, 3, 4)))
+
+    def test_level_one_profile_with_cross_terms(self):
+        # X(s) = s/(1+s) and F(s) = s^2 + s^3/(1+s) = 2s^2 - s + 1 - 1/(1+s)
+        f = handle("s^2 + (x - s)^2 + s*x^2", ("s", "x"))
+        F, _ = _level_profile(f, (0.0, 0.0), (0.0, 1.0), 0.01)
+        s = np.linspace(-0.007, 0.007, 5)
+        _check_against_richardson(F, s[:, None], 0.01 / 16.0)
+        exact = [2 * s**2 - s + 1 - 1 / (1 + s), 4 * s - 1 + (1 + s) ** -2.0, 4 - 2 * (1 + s) ** -3.0,
+                 6 * (1 + s) ** -4.0, -24 * (1 + s) ** -5.0]
+        for got, want in zip(F.jet(s[:, None], 4), exact):
+            assert np.allclose(got.ravel(), want, rtol=1e-12, atol=1e-15)
+
+    def test_level_two_profile_of_isotropic_3d(self):
+        f = handle("x^2 + y^2 + z^2", ("x", "y", "z"))
+        axis = np.array([0.3, 0.5, 0.8]) / np.linalg.norm([0.3, 0.5, 0.8])
+        F1, _ = _level_profile(f, (0.0, 0.0, 0.0), axis, 0.004)
+        F2, p2 = _level_profile(F1, (0.0005, 0.0003), (0.6, 0.8), 0.002)
+        X = np.linspace(-0.0005, 0.0005, 5)[:, None]
+        _check_against_richardson(F2, X, 2.5e-4)
+        # F1 = |xi|^2, so F2(eta) = (c . u + eta)^2 with c the level-2 center, u its cross-section axis
+        _, d1, d2, d3, d4 = F2.jet(X, 4)
+        cu = np.dot((0.0005, 0.0003), p2.frame.R[:, 0])
+        assert np.allclose(d1.ravel(), 2 * (cu + X.ravel()), rtol=1e-9, atol=1e-15)
+        assert np.allclose(d2, 2.0, atol=1e-12)
+        assert np.max(np.abs(d3)) <= 1e-12 and np.max(np.abs(d4)) <= 1e-12
+
+    def test_one_parent_batch_per_newton_iteration(self):
+        f = handle("x^2 + y^2 + z^2", ("x", "y", "z"))
+        F1, p1 = _level_profile(f, (0.0, 0.0, 0.0), np.array([0.0, 0.6, 0.8]), 0.004)
+        cell = CoverCell(nu=1, center=(0.0005, 0.0003), radius=0.002, bump_scale=0.002)
+        p2 = implicit_minimizer(F1, cell, np.array([0.6, 0.8]), rho=1.0, delta=0.25)
+        parent, fiber_calls = [], []
+        solve_many, fiber = p1.solve_many, p2.frame.fiber
+        p1.solve_many = lambda Xi: parent.append(len(Xi)) or solve_many(Xi)
+        p2.frame.fiber = lambda V: fiber_calls.append(len(V)) or fiber(V)
+        N = 7
+        p2.solve_many(np.linspace(-0.001, 0.001, N)[:, None])
+        # bracket ends plus first iterate, then one batch of the unconverged points per iteration
+        assert parent == fiber_calls
+        assert parent[:2] == [3 * N, N]
+        assert all(a >= b for a, b in zip(parent[1:], parent[2:]))
 
 
 class TestDecompose:
@@ -293,6 +410,15 @@ class TestDecompose:
                 bound = rho ** (2.0 + 0.25 - order) * params.s ** (-order)
                 ratio = vals / bound
                 assert np.max(ratio) < 10.0, (grp.label, order, float(np.max(ratio)))
+
+    def test_isotropic_3d_recursion_depth_two(self):
+        f = handle("x^2 + y^2 + z^2", ("x", "y", "z"))
+        rep = decompose(f, DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0, 0.0, 0.0), 0.015),
+                                           estimate_holder=False))
+        assert rep.recursion_depth == 2
+        assert rep.identity_error <= 1e-10
+        assert rep.passed
+        assert not rep.warnings
 
     def test_strict_mode_raises(self):
         f = handle("x^2")
