@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DerivativeError, DomainError, NonnegativityError
-from .exprlang import Expr, FunctionDef, differentiate, evaluate, has_conditionals
+from .exprlang import (
+    DerivativeTable, EvalMemo, Expr, FunctionDef, differentiate, evaluate, has_conditionals, read_counts,
+)
 from .geometry import Ball, ball_points, sphere_points
 
 __all__ = [
@@ -121,8 +123,12 @@ class FunctionHandle:
     one call (the reduced profiles of the fiber split).  :meth:`jet` gives (f, Df, ..., D^m f) as
     full symmetric tensors; `gradient_values`, `hessian_values`,
     `max_entry_values` and `tensor` are views of one order of it.  Multi-index
-    backends fill each tensor from `derivative_values`, once per multi-index.
-    Handles are immutable and safe to share across threads.
+    backends fill each tensor from `derivative_values`, once per multi-index;
+    when `batch_memo(order)` gives an EvalMemo (expression handles), all
+    multi-indices of the order share it.  The function a handle represents
+    never changes, but expression handles grow a private derivative table and
+    per-order batch plans as derivatives are requested, so one handle must not
+    be used from several threads at once.
     """
 
     def __init__(
@@ -136,6 +142,7 @@ class FunctionHandle:
         label: str = "f",
         exact_derivatives: bool = True,
         jet_many=None,
+        batch_memo=None,
     ):
         if (derivative_many_factory is None) == (jet_many is None):
             raise ValueError("give exactly one of derivative_many_factory and jet_many")
@@ -143,6 +150,7 @@ class FunctionHandle:
         self._eval_many = eval_many
         self._derivative_factory = derivative_many_factory
         self._jet_many = jet_many
+        self._batch_memo = batch_memo
         self._derivative_cache: dict = {}
         self.domain = domain
         self.flat = flat
@@ -160,52 +168,57 @@ class FunctionHandle:
         flat: bool | None = None,
         label: str = "f",
     ) -> "FunctionHandle":
+        """Handle of an expression with exact symbolic derivatives.
+
+        D^alpha f differentiates along the axes in order, one `differentiate`
+        call per differentiated axis on the derivative of the preceding axes.
+        Every call shares the handle's DerivativeTable, so a derivative is
+        built once per handle.  The batch plan of an order (the read counts of
+        all its multi-indices' expressions) is built on first use.
+        """
         variables = tuple(variables)
         n = len(variables)
         domain = domain or Ball(center=(0.0,) * n, radius=1.0)
-        expr_cache: dict = {(0,) * n: body}
+        table = DerivativeTable()
+        exprs: dict = {(0,) * n: table.intern(body)}
+        plans: dict = {}
 
-        def env_of(X):
-            X = np.asarray(X, dtype=float)
-            return {v: X[:, i] for i, v in enumerate(variables)}
-
-        def eval_many(X):
-            vals = np.asarray(evaluate(body, env_of(X)), dtype=float)
-            return np.broadcast_to(vals, (np.asarray(X).shape[0],)).copy()
+        def expr_of(alpha):
+            # not recursive: a self-referencing closure would leave the
+            # handle's table to the cyclic garbage collector
+            got = exprs[(0,) * n]
+            for k, p in enumerate(alpha):
+                if p:
+                    head = alpha[: k + 1] + (0,) * (n - k - 1)
+                    if head not in exprs:
+                        exprs[head] = differentiate(got, variables[k], p, table=table)
+                    got = exprs[head]
+            return got
 
         def derivative_factory(alpha):
-            alpha = tuple(alpha)
-            if alpha not in expr_cache:
-                # build by extending the longest cached prefix one axis at a time
-                cur = (0,) * n
-                expr = body
-                for known in sorted(expr_cache, key=lambda a: -sum(a)):
-                    if all(k <= a for k, a in zip(known, alpha)):
-                        cur, expr = known, expr_cache[known]
-                        break
-                for axis in range(n):
-                    need = alpha[axis] - cur[axis]
-                    if need > 0:
-                        expr = differentiate(expr, variables[axis], need)
-                        cur = tuple(c + (need if i == axis else 0) for i, c in enumerate(cur))
-                        expr_cache[cur] = expr
-                expr_cache[alpha] = expr
-            expr = expr_cache[alpha]
+            expr = expr_of(tuple(alpha))
 
-            def d_many(X):
-                vals = evaluate(expr, env_of(X))
-                return np.broadcast_to(np.asarray(vals, dtype=float), (np.asarray(X).shape[0],)).copy()
+            def d_many(X, memo=None):
+                X = np.asarray(X, dtype=float)
+                vals = evaluate(expr, {v: X[:, i] for i, v in enumerate(variables)}, memo=memo)
+                return np.broadcast_to(np.asarray(vals, dtype=float), (X.shape[0],)).copy()
 
             return d_many
 
+        def batch_memo(order):
+            if order not in plans:
+                plans[order] = read_counts([expr_of(a) for a in multiindices(n, order)])
+            return EvalMemo(plans[order])
+
         return FunctionHandle(
             arity=n,
-            eval_many=eval_many,
+            eval_many=derivative_factory((0,) * n),
             derivative_many_factory=derivative_factory,
             domain=domain,
             flat=flat,
             label=label,
             exact_derivatives=not has_conditionals(body),
+            batch_memo=batch_memo,
         )
 
     @staticmethod
@@ -293,7 +306,9 @@ class FunctionHandle:
         with np.errstate(divide="ignore"):
             return np.log(self.values(X))
 
-    def derivative_values(self, X, alpha) -> np.ndarray:
+    def derivative_values(self, X, alpha, memo: EvalMemo | None = None) -> np.ndarray:
+        """D^alpha f on an (N, n) batch; `memo` is the batch memo of
+        `batch_memo(|alpha|)` when the caller evaluates a whole order."""
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.arity:
             raise DerivativeError(f"multi-index {alpha} does not match arity {self.arity}")
@@ -305,7 +320,8 @@ class FunctionHandle:
             return self._jet_many(X, len(axes))[-1][(slice(None),) + axes]
         if alpha not in self._derivative_cache:
             self._derivative_cache[alpha] = self._derivative_factory(alpha)
-        return self._derivative_cache[alpha](X)
+        d_many = self._derivative_cache[alpha]
+        return d_many(X) if memo is None else d_many(X, memo)
 
     def derivative(self, x, alpha) -> float:
         return float(self.derivative_values(np.atleast_2d(np.asarray(x, dtype=float)), alpha)[0])
@@ -318,8 +334,9 @@ class FunctionHandle:
         if self._jet_many is not None:
             return self._jet_many(X, order)[order]
         T = np.empty((X.shape[0], self.arity**order))
+        memo = self.batch_memo(order)
         for alpha, where in _tensor_layout(self.arity, order):
-            T[:, where] = self.derivative_values(X, alpha)[:, None]
+            T[:, where] = self.derivative_values(X, alpha, memo=memo)[:, None]
         return T.reshape((X.shape[0],) + (self.arity,) * order)
 
     def jet(self, X, order: int) -> tuple:
@@ -352,9 +369,14 @@ class FunctionHandle:
             T = self._jet_many(X, order)[order]
             return np.max(np.abs(T), axis=tuple(range(1, T.ndim)), initial=0.0)
         out = np.zeros(X.shape[0])
+        memo = self.batch_memo(order)
         for alpha in multiindices(self.arity, order):
-            out = np.maximum(out, np.abs(self.derivative_values(X, alpha)))
+            out = np.maximum(out, np.abs(self.derivative_values(X, alpha, memo=memo)))
         return out
+
+    def batch_memo(self, order: int) -> EvalMemo | None:
+        """A fresh memo shared by all multi-indices of one order, or None."""
+        return None if self._batch_memo is None else self._batch_memo(order)
 
     def max_entry(self, x, order: int) -> float:
         return float(self.max_entry_values(np.atleast_2d(np.asarray(x, dtype=float)), order)[0])
@@ -377,8 +399,8 @@ class FunctionHandle:
         else:
 
             def derivative_factory(alpha):
-                def d_many(X):
-                    return a * self.derivative_values(X, alpha)
+                def d_many(X, memo=None):
+                    return a * self.derivative_values(X, alpha, memo=memo)
 
                 return d_many
 
@@ -398,6 +420,7 @@ class FunctionHandle:
             label=label or f"{a:g}*{self.label}",
             exact_derivatives=self.exact_derivatives,
             jet_many=jet_many,
+            batch_memo=self._batch_memo,
         )
 
 

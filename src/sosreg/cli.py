@@ -336,12 +336,11 @@ def _cmd_counterex(args, cfg) -> int:
             sphere_samples=int(_resolve(args, cfg, "sphere_samples", 2000, cast=int)),
             restarts=int(_resolve(args, cfg, "restarts", 20, cast=int)),
             seed=int(args.seed),
-            threads=int(args.threads),
         )
         payload = _base_payload(
             "counterex delta-nu",
             {"nu": nu, "c0": rep.coefficient_cap, "sphere_samples": rep.sphere_samples,
-             "restarts": len(rep.restart_values), "seed": args.seed, "threads": args.threads},
+             "restarts": len(rep.restart_values), "seed": args.seed},
         )
         payload["report"] = rep.as_dict()
         ok = rep.estimate > 0 and rep.stable if nu >= 1 else True
@@ -414,7 +413,6 @@ def _add_common(sp):
     sp.add_argument("--report", help="write the JSON report to this path")
     sp.add_argument("--csv", help="write grid/cell output to this CSV path")
     sp.add_argument("--seed", type=int, default=0, help="seed fixing every stochastic choice")
-    sp.add_argument("--threads", type=int, default=1, help="worker cap for parallel sweeps")
     sp.add_argument("--config", help="key=value config file; explicit flags override")
 
 

@@ -20,7 +20,6 @@ underflow double precision long before the grids bottom out).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -463,27 +462,36 @@ def sos_failure_criterion(p: FamilyParams, beta: float, t_grid=None) -> dict:
 # Distance of L from sums of squares of quadratic forms
 # ---------------------------------------------------------------------------
 
-_SYM_IDX = [(i, j) for i in range(4) for j in range(i, 4)]  # 10 free coefficients
+_SYM_IDX = np.array([(i, j) for i in range(4) for j in range(i, 4)])  # 10 free coefficients
 
 
-def _mats_from_params(theta: np.ndarray, nu: int) -> np.ndarray:
-    mats = np.zeros((nu, 4, 4))
-    for ell in range(nu):
-        for k, (i, j) in enumerate(_SYM_IDX):
-            v = theta[10 * ell + k]
-            mats[ell, i, j] = v
-            mats[ell, j, i] = v
-    return mats
+def _monomials(W: np.ndarray) -> np.ndarray:
+    """Phi (P, 10): W_i W_j per coefficient i <= j, doubled off the diagonal,
+    so that a quadratic form with coefficients theta_l is Q_l = Phi theta_l."""
+    i, j = _SYM_IDX.T
+    return W[:, i] * W[:, j] * np.where(i == j, 1.0, 2.0)
 
 
-def _sup_misfit(theta: np.ndarray, nu: int, W: np.ndarray, L: np.ndarray) -> float:
-    """max over sphere samples of (L - sum_l Q_l^2)^2."""
-    if nu == 0:
-        return float(np.max(L**2))
-    mats = _mats_from_params(theta, nu)
-    q = np.einsum("pi,lij,pj->lp", W, mats, W)
-    diff = L - np.sum(q**2, axis=0)
-    return float(np.max(diff**2))
+def _misfit(theta: np.ndarray, Phi: np.ndarray, L: np.ndarray) -> tuple:
+    """(r, q): the misfit r = L - sum_l Q_l^2 at the samples and the forms q (nu, P)."""
+    q = theta.reshape(-1, 10) @ Phi.T
+    return L - np.sum(q**2, axis=0), q
+
+
+def _smoothed(theta: np.ndarray, tau: float, Phi: np.ndarray, L: np.ndarray, grad: bool = False):
+    """The descent target at scale tau, an annealed softmax of m = r^2:
+    max m + tau log mean exp((m - max m) / tau).  With grad, also its exact
+    gradient, Phi^T (-4 softmax(m / tau) r q_l) for each theta_l."""
+    r, q = _misfit(theta, Phi, L)
+    m = r**2
+    top = float(np.max(m))
+    e = np.exp((m - top) / tau)
+    mean = float(np.mean(e)) + 1e-300
+    val = top + tau * math.log(mean)
+    if not grad:
+        return val
+    weight = e / (e.size * mean)  # d val / d m
+    return val, ((-4.0 * weight * r * q) @ Phi).ravel()
 
 
 @dataclass
@@ -518,17 +526,19 @@ def estimate_delta_nu(
     restarts: int = 20,
     iterations: int = 300,
     seed: int = 7,
-    threads: int = 1,
 ) -> DeltaNuReport:
     """Lower-bound estimate of the sup-distance of L from sums of nu squares
     of quadratic forms on the unit sphere.
 
     Multi-start projected gradient descent over nu symmetric 4x4 coefficient
     matrices (10*nu parameters, box |coef| <= c0) minimizing the max over
-    sphere samples of the squared misfit; the reported estimate is the square
-    root of the best achieved value.  pointwise_inf records the minimum
-    |L - sum Q^2| over samples at the best parameters, which vanishes on the
-    coordinate axes where the quartic itself vanishes.
+    sphere samples of the squared misfit.  Each step follows the exact
+    gradient of a softmax-smoothed max (`_smoothed`) with a halving line
+    search; the softmax scale is annealed by 0.4 every 40 steps.  The
+    reported estimate is the square root of the best achieved max.
+    pointwise_inf records the minimum |L - sum Q^2| over samples at the best
+    parameters, which vanishes on the coordinate axes where the quartic
+    itself vanishes.
     """
     if nu < 0 or nu > 4:
         raise DomainError(f"nu must lie in 0..4, got {nu}")
@@ -550,45 +560,30 @@ def estimate_delta_nu(
             stalled=False,
         )
 
-    dim = 10 * nu
+    Phi = _monomials(W)
 
-    def smoothed(theta, tau):
-        # annealed softmax of the misfits; the descent target at scale tau
-        mats = _mats_from_params(theta, nu)
-        q = np.einsum("pi,lij,pj->lp", W, mats, W)
-        m = (L - np.sum(q**2, axis=0)) ** 2
-        top = float(np.max(m))
-        return top + tau * math.log(float(np.mean(np.exp((m - top) / tau))) + 1e-300)
+    def sup_misfit(theta):
+        return float(np.max(_misfit(theta, Phi, L)[0] ** 2))
 
     def run_restart(ridx: int):
         rng = np.random.default_rng(seed + 1000 * ridx)
-        theta = rng.uniform(-0.5, 0.5, size=dim)
-        tau = max(_sup_misfit(theta, nu, W, L) / 5.0, 1e-6)
+        theta = rng.uniform(-0.5, 0.5, size=10 * nu)
+        tau = max(sup_misfit(theta) / 5.0, 1e-6)
         step = 0.1
-        val = smoothed(theta, tau)
         stalled = True
         for i in range(iterations):
             if i and i % 40 == 0:
                 tau = max(tau * 0.4, 1e-9)
-                val = smoothed(theta, tau)
                 step = max(step, 1e-3)
-            grad = np.empty(dim)
-            h = 1e-7
-            for k in range(dim):
-                tp = theta.copy()
-                tp[k] += h
-                tm = theta.copy()
-                tm[k] -= h
-                grad[k] = (smoothed(tp, tau) - smoothed(tm, tau)) / (2 * h)
+            val, grad = _smoothed(theta, tau, Phi, L, grad=True)
             gn = np.linalg.norm(grad)
             if gn == 0:
                 break
             improved = False
             for _ in range(40):
                 cand = np.clip(theta - step * grad / gn, -c0, c0)
-                cval = smoothed(cand, tau)
-                if cval < val:
-                    theta, val = cand, cval
+                if _smoothed(cand, tau, Phi, L) < val:
+                    theta = cand
                     improved = True
                     break
                 step *= 0.5
@@ -599,13 +594,9 @@ def estimate_delta_nu(
                 stalled = False
             if step < 1e-14:
                 step = 1e-6
-        return _sup_misfit(theta, nu, W, L), theta, stalled
+        return sup_misfit(theta), theta, stalled
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_restart, range(restarts)))
-    else:
-        results = [run_restart(i) for i in range(restarts)]
+    results = [run_restart(i) for i in range(restarts)]
     values = sorted(math.sqrt(v) for v, _, _ in results)
     stalled = all(st for _, _, st in results)
     best = values[0]
@@ -614,9 +605,7 @@ def estimate_delta_nu(
     stable = near_best >= min(3, len(values))
 
     best_theta = min(results, key=lambda r: r[0])[1]
-    mats = _mats_from_params(best_theta, nu)
-    q = np.einsum("pi,lij,pj->lp", W, mats, W)
-    pointwise = float(np.min(np.abs(L - np.sum(q**2, axis=0))))
+    pointwise = float(np.min(np.abs(_misfit(best_theta, Phi, L)[0])))
 
     return DeltaNuReport(
         nu=nu,

@@ -6,13 +6,20 @@ nodes for smooth plateau bumps) with exact symbolic partial derivatives to
 arbitrary order and numpy-vectorized evaluation.  The module also ships the
 catalog of named test functions used throughout the package.
 
-Expressions are immutable; evaluation and differentiation are pure, so trees
-may be shared freely across threads.
+Expressions are immutable and may be shared freely across threads.
+`differentiate` hash-conses its output in a DerivativeTable: structurally
+equal nodes become one object, and derivatives and simplifications are
+memoized per interned node.  A call given no table builds a fresh one; a
+table passed in (one per FunctionHandle) keeps growing, so it must not be
+shared across threads.  `evaluate` given an EvalMemo shares node values
+across the evaluations of one batch of roots; a memo belongs to one batch.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +48,9 @@ __all__ = [
     "to_source",
     "evaluate",
     "differentiate",
+    "DerivativeTable",
+    "EvalMemo",
+    "read_counts",
     "free_variables",
     "has_conditionals",
     "FunctionDef",
@@ -69,7 +79,9 @@ class ParseError(ExprError):
 
 
 class Expr:
-    """Base class for expression nodes.  Nodes are frozen dataclasses."""
+    """Base class for expression nodes.  Nodes are frozen dataclasses with slots."""
+
+    __slots__ = ()
 
     def __add__(self, other):
         return Sum((self, _as_expr(other)))
@@ -108,38 +120,38 @@ def _as_expr(x) -> Expr:
     return Const(float(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum(Expr):
     terms: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prod(Expr):
     factors: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quot(Expr):
     num: Expr
     den: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pow(Expr):
     """base ** exponent with a real (literal) exponent."""
 
@@ -147,27 +159,27 @@ class Pow(Expr):
     exponent: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exp(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ln(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sin(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cos(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlatExp(Expr):
     """flatexp(u) = exp(-1/u) for u > 0 and 0 for u <= 0.
 
@@ -179,7 +191,7 @@ class FlatExp(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Piecewise(Expr):
     """Region-conditional expression.
 
@@ -203,34 +215,102 @@ class Piecewise(Expr):
             raise ExprError("piecewise breakpoints must be increasing")
 
 
+_UFUNCS = {Exp: np.exp, Ln: np.log, Sin: np.sin, Cos: np.cos}
+_FOLDS = {Exp: math.exp, Ln: math.log, Sin: math.sin, Cos: math.cos}
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
 
-def evaluate(e: Expr, env: dict):
+def evaluate(e: Expr, env: dict, memo: EvalMemo | None = None):
     """Evaluate e with variables bound to scalars or numpy arrays.
 
     Shared subtrees (expressions are DAGs after differentiation) evaluate
-    once per call.  Intermediate overflow/invalid warnings are suppressed:
+    once per call.  With `memo`, an EvalMemo made from the read counts of a
+    batch of roots that contains e, values also carry over to the batch's
+    other roots in the same environment, and each value is dropped after its
+    last read.  Intermediate overflow/invalid warnings are suppressed:
     out-of-branch values of piecewise nodes and the guarded flatexp primitive
     legitimately produce inf/NaN that never reach the selected result.
     """
     with np.errstate(all="ignore"):
-        return _eval(e, env, {})
+        if memo is None:
+            return _eval(e, env, {}, None)
+        return _eval(e, env, memo.values, memo.left)
 
 
-def _eval(e: Expr, env, memo: dict):
+class EvalMemo:
+    """Node values shared by the evaluations of one batch of roots.
+
+    `left` starts as `read_counts(roots)` and counts the reads still to come;
+    a value is dropped at its last read, so the memo holds only values that
+    a later read of the batch needs.
+    """
+
+    __slots__ = ("values", "left")
+
+    def __init__(self, reads: dict):
+        self.values: dict = {}
+        self.left = dict(reads)
+
+
+def _children(e: Expr) -> tuple:
+    """The subexpressions evaluation reads, with multiplicity."""
+    if isinstance(e, (Const, Var)):
+        return ()
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Prod):
+        return e.factors
+    if isinstance(e, Quot):
+        return (e.num, e.den)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Piecewise):
+        return (e.scrutinee, *e.branches)
+    return (e.arg,)
+
+
+def _nodes(*roots) -> list:
+    """The distinct nodes of the roots' DAG."""
+    seen: dict = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(_children(node))
+    return list(seen.values())
+
+
+def read_counts(roots) -> dict:
+    """id(node) -> reads when each root is evaluated once through one EvalMemo:
+    one per root occurrence plus one per parent edge of each distinct node.
+    The ids stay valid while the roots are alive."""
+    reads = Counter(id(r) for r in roots)
+    for node in _nodes(*roots):
+        for c in _children(node):
+            reads[id(c)] += 1
+    return dict(reads)
+
+
+def _eval(e: Expr, env, memo: dict, left):
     key = id(e)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    out = _eval_node(e, env, memo)
-    memo[key] = out
+    out = memo.get(key)
+    if out is None:
+        out = _eval_node(e, env, memo, left)
+        memo[key] = out
+    if left is not None:
+        n = left[key] - 1
+        left[key] = n
+        if not n:
+            del memo[key]
     return out
 
 
-def _eval_node(e: Expr, env, memo):
+def _eval_node(e: Expr, env, memo, left):
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -239,41 +319,36 @@ def _eval_node(e: Expr, env, memo):
         except KeyError:
             raise ExprError(f"unbound variable {e.name!r}") from None
     if isinstance(e, Sum):
-        acc = _eval(e.terms[0], env, memo)
+        acc = _eval(e.terms[0], env, memo, left)
         for t in e.terms[1:]:
-            acc = acc + _eval(t, env, memo)
+            acc = acc + _eval(t, env, memo, left)
         return acc
     if isinstance(e, Neg):
-        return -_eval(e.arg, env, memo)
+        return -_eval(e.arg, env, memo, left)
     if isinstance(e, Prod):
-        acc = _eval(e.factors[0], env, memo)
+        acc = _eval(e.factors[0], env, memo, left)
         for f in e.factors[1:]:
-            acc = acc * _eval(f, env, memo)
+            acc = acc * _eval(f, env, memo, left)
         return acc
     if isinstance(e, Quot):
-        return _eval(e.num, env, memo) / _eval(e.den, env, memo)
+        return _eval(e.num, env, memo, left) / _eval(e.den, env, memo, left)
     if isinstance(e, Pow):
-        b = _eval(e.base, env, memo)
+        b = _eval(e.base, env, memo, left)
         p = e.exponent
         if p == int(p):
             return np.power(b, int(p))
         return np.power(b, p)
-    if isinstance(e, Exp):
-        return np.exp(_eval(e.arg, env, memo))
-    if isinstance(e, Ln):
-        return np.log(_eval(e.arg, env, memo))
-    if isinstance(e, Sin):
-        return np.sin(_eval(e.arg, env, memo))
-    if isinstance(e, Cos):
-        return np.cos(_eval(e.arg, env, memo))
+    ufunc = _UFUNCS.get(type(e))
+    if ufunc is not None:
+        return ufunc(_eval(e.arg, env, memo, left))
     if isinstance(e, FlatExp):
         # dtype preserved: callers may evaluate in extended precision
-        u = np.asarray(_eval(e.arg, env, memo))
+        u = np.asarray(_eval(e.arg, env, memo, left))
         out = np.where(u > 0, np.exp(-1.0 / np.where(u > 0, u, u.dtype.type(1.0))), u.dtype.type(0.0))
         return out if out.ndim else out[()]
     if isinstance(e, Piecewise):
-        s = np.asarray(_eval(e.scrutinee, env, memo))
-        vals = [np.asarray(_eval(b, env, memo)) for b in e.branches]
+        s = np.asarray(_eval(e.scrutinee, env, memo, left))
+        vals = [np.asarray(_eval(b, env, memo, left)) for b in e.branches]
         shape = np.broadcast_shapes(s.shape, *(v.shape for v in vals))
         s = np.broadcast_to(s, shape)
         vals = [np.broadcast_to(v, shape) for v in vals]
@@ -285,192 +360,177 @@ def _eval_node(e: Expr, env, memo):
 
 
 def free_variables(e: Expr) -> set:
-    out: set = set()
-    _collect_vars(e, out)
-    return out
-
-
-def _collect_vars(e: Expr, out: set):
-    if isinstance(e, Var):
-        out.add(e.name)
-    elif isinstance(e, Sum):
-        for t in e.terms:
-            _collect_vars(t, out)
-    elif isinstance(e, Prod):
-        for f in e.factors:
-            _collect_vars(f, out)
-    elif isinstance(e, Neg):
-        _collect_vars(e.arg, out)
-    elif isinstance(e, Quot):
-        _collect_vars(e.num, out)
-        _collect_vars(e.den, out)
-    elif isinstance(e, Pow):
-        _collect_vars(e.base, out)
-    elif isinstance(e, (Exp, Ln, Sin, Cos, FlatExp)):
-        _collect_vars(e.arg, out)
-    elif isinstance(e, Piecewise):
-        _collect_vars(e.scrutinee, out)
-        for b in e.branches:
-            _collect_vars(b, out)
+    return {node.name for node in _nodes(e) if isinstance(node, Var)}
 
 
 def has_conditionals(e: Expr) -> bool:
     """True if e contains piecewise or flatexp nodes, whose derivatives are
     exact only away from the seam set."""
-    if isinstance(e, (Piecewise, FlatExp)):
-        return True
-    if isinstance(e, Sum):
-        return any(has_conditionals(t) for t in e.terms)
-    if isinstance(e, Prod):
-        return any(has_conditionals(f) for f in e.factors)
-    if isinstance(e, Neg):
-        return has_conditionals(e.arg)
-    if isinstance(e, Quot):
-        return has_conditionals(e.num) or has_conditionals(e.den)
-    if isinstance(e, Pow):
-        return has_conditionals(e.base)
-    if isinstance(e, (Exp, Ln, Sin, Cos)):
-        return has_conditionals(e.arg)
-    return False
+    return any(isinstance(node, (Piecewise, FlatExp)) for node in _nodes(e))
 
 
 # ---------------------------------------------------------------------------
-# Simplification (identity pruning and constant folding only; no CAS rewriting)
+# Hash-consing, simplification and differentiation
 # ---------------------------------------------------------------------------
+
+
+class DerivativeTable:
+    """Intern table of expression nodes with derivative and simplify memos.
+
+    `node(cls, *fields)` returns the table's one node of that structure, so
+    structurally equal subexpressions are one object; the derivative memo
+    (per interned node and variable) and the simplify memo (per interned
+    node) are keyed on those objects and hit across calls.  The table keeps
+    every node it interned alive, which keeps the ids valid while it lives.
+    """
+
+    def __init__(self):
+        self._nodes: dict = {}  # structural key -> node
+        self._canon: dict = {}  # id(node) -> its interned node
+        self._inputs: list = []  # interned foreign nodes, kept alive for their ids
+        self.derivatives: dict = {}  # (id(node), variable) -> unsimplified derivative
+        self.simplified: dict = {}  # id(node) -> simplified node
+
+    def node(self, cls, *fields) -> Expr:
+        # children are interned, so they key by identity; numbers key with
+        # their sign, since 0.0 == -0.0 but 1/-0.0 differs
+        a = fields[0]
+        if cls is Sum or cls is Prod:
+            key = (cls, *map(id, a))
+        elif cls is Const:
+            key = (cls, a, math.copysign(1.0, a))
+        elif cls is Var:
+            key = (cls, a)
+        elif cls is Pow:
+            key = (cls, id(a), fields[1], math.copysign(1.0, fields[1]))
+        elif cls is Piecewise:
+            key = (cls, id(a), fields[1], *map(id, fields[2]))
+        else:
+            key = (cls, *map(id, fields))
+        got = self._nodes.get(key)
+        if got is None:
+            got = self._nodes[key] = cls(*fields)
+            self._canon[id(got)] = got
+        return got
+
+    def intern(self, e: Expr) -> Expr:
+        """The interned node structurally equal to e."""
+        hit = self._canon.get(id(e))
+        if hit is not None:
+            return hit
+        fields = (getattr(e, f.name) for f in dataclasses.fields(e))
+        out = self.node(type(e), *map(self._intern_field, fields))
+        self._canon[id(e)] = out
+        self._inputs.append(e)
+        return out
+
+    def _intern_field(self, v):
+        if isinstance(v, Expr):
+            return self.intern(v)
+        if isinstance(v, tuple):
+            return tuple(map(self._intern_field, v))
+        return v
 
 
 def simplify(e: Expr) -> Expr:
-    """Identity pruning and constant folding, preserving subtree sharing."""
-    return _simplify(e, {})
+    """Identity pruning and constant folding (no CAS rewriting); the result is
+    hash-consed in a fresh DerivativeTable."""
+    t = DerivativeTable()
+    return _simplify(t.intern(e), t)
 
 
-def _simplify(e: Expr, memo: dict) -> Expr:
-    key = id(e)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    # ids stay unambiguous during the call: every visited node is reachable
-    # from the root reference held by the caller
-    out = _simplify_node(e, memo)
-    memo[key] = out
-    return out
+def _simplify(e: Expr, t: DerivativeTable) -> Expr:
+    got = t.simplified.get(id(e))
+    if got is None:
+        got = t.simplified[id(e)] = _simplify_node(e, t)
+    return got
 
 
-def _simplify_node(e: Expr, memo: dict) -> Expr:
+def _simplify_node(e: Expr, t: DerivativeTable) -> Expr:
+    mk = t.node
     if isinstance(e, (Const, Var)):
         return e
     if isinstance(e, Sum):
         terms = []
         const = 0.0
-        for t in e.terms:
-            t = _simplify(t, memo)
-            if isinstance(t, Sum):
-                inner = t.terms
-            else:
-                inner = (t,)
-            for u in inner:
-                if isinstance(u, Const):
-                    const += u.value
-                elif isinstance(u, Neg) and isinstance(u.arg, Const):
-                    const -= u.arg.value
+        for u in e.terms:
+            u = _simplify(u, t)
+            for v in u.terms if isinstance(u, Sum) else (u,):
+                if isinstance(v, Const):
+                    const += v.value
+                elif isinstance(v, Neg) and isinstance(v.arg, Const):
+                    const -= v.arg.value
                 else:
-                    terms.append(u)
+                    terms.append(v)
         if const != 0.0 or not terms:
-            terms.append(Const(const))
-        if len(terms) == 1:
-            return terms[0]
-        return Sum(tuple(terms))
+            terms.append(mk(Const, const))
+        return terms[0] if len(terms) == 1 else mk(Sum, tuple(terms))
     if isinstance(e, Neg):
-        a = _simplify(e.arg, memo)
+        a = _simplify(e.arg, t)
         if isinstance(a, Const):
-            return Const(-a.value)
-        if isinstance(a, Neg):
-            return a.arg
-        return Neg(a)
+            return mk(Const, -a.value)
+        return a.arg if isinstance(a, Neg) else mk(Neg, a)
     if isinstance(e, Prod):
         factors = []
         const = 1.0
-        for f in e.factors:
-            f = _simplify(f, memo)
-            if isinstance(f, Prod):
-                inner = f.factors
-            else:
-                inner = (f,)
-            for u in inner:
-                if isinstance(u, Const):
-                    const *= u.value
+        for u in e.factors:
+            u = _simplify(u, t)
+            for v in u.factors if isinstance(u, Prod) else (u,):
+                if isinstance(v, Const):
+                    const *= v.value
                 else:
-                    factors.append(u)
+                    factors.append(v)
         if const == 0.0:
-            return Const(0.0)
+            return mk(Const, 0.0)
         if const != 1.0 or not factors:
-            factors.insert(0, Const(const))
-        if len(factors) == 1:
-            return factors[0]
-        return Prod(tuple(factors))
+            factors.insert(0, mk(Const, const))
+        return factors[0] if len(factors) == 1 else mk(Prod, tuple(factors))
     if isinstance(e, Quot):
-        num = _simplify(e.num, memo)
-        den = _simplify(e.den, memo)
+        num = _simplify(e.num, t)
+        den = _simplify(e.den, t)
         if isinstance(num, Const) and num.value == 0.0:
-            return Const(0.0)
+            return mk(Const, 0.0)
         if isinstance(den, Const) and den.value == 1.0:
             return num
         if isinstance(num, Const) and isinstance(den, Const) and den.value != 0.0:
-            return Const(num.value / den.value)
-        return Quot(num, den)
+            return mk(Const, num.value / den.value)
+        return mk(Quot, num, den)
     if isinstance(e, Pow):
-        base = _simplify(e.base, memo)
+        base = _simplify(e.base, t)
         if e.exponent == 0.0:
-            return Const(1.0)
+            return mk(Const, 1.0)
         if e.exponent == 1.0:
             return base
         if isinstance(base, Const):
             if base.value > 0 or float(e.exponent).is_integer():
-                return Const(float(base.value**e.exponent))
-        return Pow(base, e.exponent)
-    if isinstance(e, Exp):
-        a = _simplify(e.arg, memo)
-        if isinstance(a, Const):
-            return Const(math.exp(a.value))
-        return Exp(a)
-    if isinstance(e, Ln):
-        a = _simplify(e.arg, memo)
-        if isinstance(a, Const) and a.value > 0:
-            return Const(math.log(a.value))
-        return Ln(a)
-    if isinstance(e, Sin):
-        a = _simplify(e.arg, memo)
-        if isinstance(a, Const):
-            return Const(math.sin(a.value))
-        return Sin(a)
-    if isinstance(e, Cos):
-        a = _simplify(e.arg, memo)
-        if isinstance(a, Const):
-            return Const(math.cos(a.value))
-        return Cos(a)
-    if isinstance(e, FlatExp):
-        a = _simplify(e.arg, memo)
-        if isinstance(a, Const):
-            return Const(math.exp(-1.0 / a.value) if a.value > 0 else 0.0)
-        return FlatExp(a)
+                return mk(Const, float(base.value**e.exponent))
+        return mk(Pow, base, e.exponent)
     if isinstance(e, Piecewise):
-        branches = tuple(_simplify(b, memo) for b in e.branches)
+        branches = tuple(_simplify(b, t) for b in e.branches)
         if all(b == branches[0] for b in branches[1:]):
             return branches[0]
-        return Piecewise(_simplify(e.scrutinee, memo), e.breaks, branches)
-    raise ExprError(f"cannot simplify node {type(e).__name__}")
+        return mk(Piecewise, _simplify(e.scrutinee, t), e.breaks, branches)
+    a = _simplify(e.arg, t)
+    if not isinstance(a, Const):
+        return mk(type(e), a)
+    if isinstance(e, Ln) and not a.value > 0:
+        return mk(Ln, a)
+    if isinstance(e, FlatExp):
+        return mk(Const, math.exp(-1.0 / a.value) if a.value > 0 else 0.0)
+    if type(e) not in _FOLDS:
+        raise ExprError(f"cannot simplify node {type(e).__name__}")
+    return mk(Const, _FOLDS[type(e)](a.value))
 
-
-# ---------------------------------------------------------------------------
-# Differentiation
-# ---------------------------------------------------------------------------
 
 MAX_DERIVATIVE_ORDER = 8
 
 
-def differentiate(e: Expr, variable: str, order: int = 1) -> Expr:
+def differentiate(e: Expr, variable: str, order: int = 1, table: DerivativeTable | None = None) -> Expr:
     """Exact symbolic partial derivative of the given order.
 
+    Each order is one derivative step followed by `simplify`.  The result is
+    an interned node of `table` (a fresh one when None); a table passed in
+    memoizes every step, so later calls reuse earlier derivatives.
     Piecewise and flatexp nodes differentiate branchwise; the result is exact
     away from seam points (use has_conditionals to detect them and fall back
     to finite differences there if needed).
@@ -479,57 +539,58 @@ def differentiate(e: Expr, variable: str, order: int = 1) -> Expr:
         raise ExprError(f"derivative order must be >= 1, got {order}")
     if order > MAX_DERIVATIVE_ORDER:
         raise ExprError(f"derivative order {order} exceeds the supported maximum {MAX_DERIVATIVE_ORDER}")
-    out = e
+    t = DerivativeTable() if table is None else table
+    out = t.intern(e)
     for _ in range(order):
-        out = simplify(_d(out, variable, {}))
+        out = _simplify(_d(out, variable, t), t)
     return out
 
 
-def _d(e: Expr, v: str, memo: dict) -> Expr:
-    key = id(e)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    out = _d_node(e, v, memo)
-    memo[key] = out
-    return out
+def _d(e: Expr, v: str, t: DerivativeTable) -> Expr:
+    key = (id(e), v)
+    got = t.derivatives.get(key)
+    if got is None:
+        got = t.derivatives[key] = _d_node(e, v, t)
+    return got
 
 
-def _d_node(e: Expr, v: str, memo: dict) -> Expr:
+def _d_node(e: Expr, v: str, t: DerivativeTable) -> Expr:
+    mk = t.node
     if isinstance(e, Const):
-        return Const(0.0)
+        return mk(Const, 0.0)
     if isinstance(e, Var):
-        return Const(1.0 if e.name == v else 0.0)
+        return mk(Const, 1.0 if e.name == v else 0.0)
     if isinstance(e, Sum):
-        return Sum(tuple(_d(t, v, memo) for t in e.terms))
+        return mk(Sum, tuple(_d(u, v, t) for u in e.terms))
     if isinstance(e, Neg):
-        return Neg(_d(e.arg, v, memo))
+        return mk(Neg, _d(e.arg, v, t))
     if isinstance(e, Prod):
         terms = []
         for i in range(len(e.factors)):
             fs = list(e.factors)
-            fs[i] = _d(fs[i], v, memo)
-            terms.append(Prod(tuple(fs)))
-        return Sum(tuple(terms))
+            fs[i] = _d(fs[i], v, t)
+            terms.append(mk(Prod, tuple(fs)))
+        return mk(Sum, tuple(terms))
     if isinstance(e, Quot):
-        da, db = _d(e.num, v, memo), _d(e.den, v, memo)
-        return Quot(Sum((Prod((da, e.den)), Neg(Prod((e.num, db))))), Pow(e.den, 2.0))
+        da, db = _d(e.num, v, t), _d(e.den, v, t)
+        num = mk(Sum, (mk(Prod, (da, e.den)), mk(Neg, mk(Prod, (e.num, db)))))
+        return mk(Quot, num, mk(Pow, e.den, 2.0))
     if isinstance(e, Pow):
-        return Prod((Const(e.exponent), Pow(e.base, e.exponent - 1.0), _d(e.base, v, memo)))
+        return mk(Prod, (mk(Const, e.exponent), mk(Pow, e.base, e.exponent - 1.0), _d(e.base, v, t)))
     if isinstance(e, Exp):
-        return Prod((Exp(e.arg), _d(e.arg, v, memo)))
+        return mk(Prod, (e, _d(e.arg, v, t)))
     if isinstance(e, Ln):
-        return Quot(_d(e.arg, v, memo), e.arg)
+        return mk(Quot, _d(e.arg, v, t), e.arg)
     if isinstance(e, Sin):
-        return Prod((Cos(e.arg), _d(e.arg, v, memo)))
+        return mk(Prod, (mk(Cos, e.arg), _d(e.arg, v, t)))
     if isinstance(e, Cos):
-        return Neg(Prod((Sin(e.arg), _d(e.arg, v, memo))))
+        return mk(Neg, mk(Prod, (mk(Sin, e.arg), _d(e.arg, v, t))))
     if isinstance(e, FlatExp):
         u = e.arg
-        smooth_part = Prod((FlatExp(u), Quot(_d(u, v, memo), Pow(u, 2.0))))
-        return Piecewise(u, (0.0,), (Const(0.0), smooth_part))
+        smooth_part = mk(Prod, (e, mk(Quot, _d(u, v, t), mk(Pow, u, 2.0))))
+        return mk(Piecewise, u, (0.0,), (mk(Const, 0.0), smooth_part))
     if isinstance(e, Piecewise):
-        return Piecewise(e.scrutinee, e.breaks, tuple(_d(b, v, memo) for b in e.branches))
+        return mk(Piecewise, e.scrutinee, e.breaks, tuple(_d(b, v, t) for b in e.branches))
     raise ExprError(f"cannot differentiate node {type(e).__name__}")
 
 

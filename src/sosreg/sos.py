@@ -476,9 +476,11 @@ class MinimizerProfile:
     and g2 = d_y^2 f of the points still above `g_tol` from one order-2 jet of
     f; the bracket ends and the first iterate share one call.  A missing sign
     change means the minimum sits on the bracket boundary, which indicates the
-    case split constant c was chosen too large.  Points still above `g_tol`
-    after `max_iter` iterations keep their last iterate and are added to
-    `unconverged`, a running count over every solve of this profile.
+    case split constant c was chosen too large.  A point stops early, still
+    above `g_tol`, once its Newton step rounds to its iterate or its bracket
+    holds no float strictly inside.  Such points, and those still above
+    `g_tol` after `max_iter` iterations, keep their last iterate and are
+    added to `unconverged`, a running count over every solve of this profile.
     """
 
     max_iter = 80
@@ -525,6 +527,16 @@ class MinimizerProfile:
             a, b = lo[live], hi[live]
             bad = ~np.isfinite(newton) | (newton <= a) | (newton >= b) | (g2y <= 0)
             y[live] = np.where(bad, 0.5 * (a + b), newton)
+            if bad.any():
+                # yl is a bracket end, so a Newton correction below rounding is
+                # bad, as is every step in a bracket with no float inside; such
+                # points cannot move any more
+                stuck = ((newton == yl) & (g2y > 0)) | (np.nextafter(a, b) >= b)
+                y[live[stuck]] = yl[stuck]
+                self.unconverged += int(np.count_nonzero(stuck))
+                live, gy = live[~stuck], gy[~stuck]
+                if live.size == 0:
+                    break
             gy, g2y = self.frame.fiber(np.concatenate([Xi[live], y[live, None]], axis=1))
         self.unconverged += int(np.count_nonzero(np.abs(gy) > self.g_tol))
         return y

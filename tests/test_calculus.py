@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import sosreg.calculus as calculus
+import sosreg.exprlang as exprlang
 from sosreg.calculus import (
     FunctionHandle,
     Modulus,
@@ -10,12 +13,13 @@ from sosreg.calculus import (
     holder_seminorm,
     is_flat,
     modulus_eval,
+    multiindices,
     verify_interpolation_bound,
     verify_odd_even_control,
 )
 from sosreg.errors import DomainError, NonnegativityError
 from sosreg.exprlang import catalog_function, parse_expression
-from sosreg.geometry import Ball
+from sosreg.geometry import Ball, ball_points
 
 from oracles import brute_direction_hessian_plus, brute_pair_seminorm
 
@@ -225,3 +229,81 @@ class TestFiniteDifferenceBackend:
         g = f.rescaled(3.0)
         assert g.value([0.5]) == pytest.approx(0.75)
         assert g.derivative([0.5], (2,)) == pytest.approx(6.0)
+
+
+def _axes(alpha):
+    return (slice(None),) + tuple(i for i, p in enumerate(alpha) for _ in range(p))
+
+
+class TestDerivativeTable:
+    fdef = catalog_function("family_f")
+
+    def test_family_derivatives_equal_fresh_ones(self, monkeypatch):
+        # each multi-index of order <= 4: the handle's expression equals a fresh
+        # axis-by-axis differentiate, and its batch-memo values are bitwise
+        # those of a fresh-memo evaluate
+        f = FunctionHandle.from_def(self.fdef)
+        X = ball_points(Ball((0.0,) * 5, 0.9), 24)
+        env = {v: X[:, i] for i, v in enumerate(self.fdef.variables)}
+        seen = []
+
+        def recording(expr, env, memo=None):
+            seen.append(expr)
+            return exprlang.evaluate(expr, env, memo=memo)
+
+        def fresh(alpha):
+            # fresh differentiate calls (each with its own table), axis by axis
+            if alpha not in chains:
+                k = max(i for i, p in enumerate(alpha) if p)
+                head = fresh(alpha[:k] + (0,) * (5 - k))
+                chains[alpha] = exprlang.differentiate(head, self.fdef.variables[k], alpha[k])
+            return chains[alpha]
+
+        chains = {(0,) * 5: self.fdef.body}
+        monkeypatch.setattr(calculus, "evaluate", recording)
+        for order in range(1, 5):
+            seen.clear()
+            T = f.derivative_tensor(X, order)
+            assert len(seen) == len(multiindices(5, order))
+            for alpha, expr in zip(multiindices(5, order), seen):
+                assert expr == fresh(alpha)
+                want = np.broadcast_to(np.asarray(exprlang.evaluate(expr, env), dtype=float), (len(X),))
+                assert T[_axes(alpha)].tobytes() == want.tobytes()
+
+    def test_batch_memo_is_freed(self):
+        f = FunctionHandle.from_def(self.fdef)
+        X = ball_points(Ball((0.0,) * 5, 0.9), 8)
+        memo = f.batch_memo(2)
+        for alpha in multiindices(5, 2):
+            f.derivative_values(X, alpha, memo=memo)
+        assert memo.values == {} and not any(memo.left.values())
+
+    def test_order_four_peak_memory(self):
+        # a memo keeping every node value of the 70 order-4 derivatives peaks
+        # near 60 MB at this size; freeing after the last read keeps it small
+        f = FunctionHandle.from_def(self.fdef)
+        X = ball_points(Ball((0.0,) * 5, 1.0), 516)
+        f.max_entry_values(X[:1], 4)  # builds the derivatives and the plan
+        tracemalloc.start()
+        try:
+            f.max_entry_values(X, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_each_handle_differentiates_for_itself(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return exprlang.differentiate(*args, **kwargs)
+
+        monkeypatch.setattr(calculus, "differentiate", counting)
+        fdef = catalog_function("quartic_L")
+        X = np.array([[0.1, 0.2, 0.3, 0.4]])
+        for handles in (1, 2):
+            f = FunctionHandle.from_def(fdef)
+            f.derivative_values(X, (1, 0, 0, 0))
+            f.derivative_values(X, (1, 0, 0, 0))
+            assert len(calls) == handles

@@ -5,6 +5,9 @@ import pytest
 
 from sosreg.calculus import Modulus
 from sosreg.counterex import (
+    _misfit,
+    _monomials,
+    _smoothed,
     DeltaNuReport,
     FamilyParams,
     LogProfile,
@@ -21,6 +24,7 @@ from sosreg.counterex import (
     witness_pair_ratios,
 )
 from sosreg.errors import DomainError
+from sosreg.geometry import sphere_points
 
 
 class TestGammaAlpha:
@@ -232,6 +236,40 @@ class TestDeltaNu:
     def test_nu_validation(self):
         with pytest.raises(DomainError):
             estimate_delta_nu(7)
+
+    def test_restarts_reproduce_reference_values(self):
+        # restarts 13-15 of criterion 11's run, as recorded before the exact gradient
+        rep = estimate_delta_nu(1, seed=7 + 13000, restarts=3)
+        assert rep.restart_values == pytest.approx([0.20049268, 0.20050603, 0.20053424], abs=1e-6)
+
+
+class TestDeltaNuObjective:
+    W = sphere_points(400, 4)
+
+    def test_monomials_give_the_quadratic_forms(self):
+        theta = np.random.default_rng(5).uniform(-1.0, 1.0, size=20)
+        mats = np.zeros((2, 4, 4))
+        for ell in range(2):
+            for k, (i, j) in enumerate((i, j) for i in range(4) for j in range(i, 4)):
+                mats[ell, i, j] = mats[ell, j, i] = theta[10 * ell + k]
+        q = np.einsum("pi,lij,pj->lp", self.W, mats, self.W)
+        r, q_phi = _misfit(theta, _monomials(self.W), quartic_values(self.W))
+        assert np.allclose(q_phi, q, rtol=0, atol=1e-13)
+        assert np.allclose(r, quartic_values(self.W) - np.sum(q**2, axis=0), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("tau", [0.05, 0.002])
+    def test_gradient_matches_central_differences(self, nu, tau):
+        Phi, L = _monomials(self.W), quartic_values(self.W)
+        theta = np.random.default_rng(100 * nu + 1).uniform(-0.5, 0.5, size=10 * nu)
+        val, grad = _smoothed(theta, tau, Phi, L, grad=True)
+        assert val == _smoothed(theta, tau, Phi, L)
+        h = 1e-6
+        fd = np.array([
+            (_smoothed(theta + h * e, tau, Phi, L) - _smoothed(theta - h * e, tau, Phi, L)) / (2 * h)
+            for e in np.eye(theta.size)
+        ])
+        assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
 
 
 class TestCrucialLowerBound:

@@ -5,6 +5,8 @@ import pytest
 
 from sosreg.exprlang import (
     Const,
+    DerivativeTable,
+    EvalMemo,
     ExprError,
     FunctionDef,
     Neg,
@@ -22,6 +24,7 @@ from sosreg.exprlang import (
     glaeser_stub_with,
     parse_expression,
     parse_function_file,
+    read_counts,
     to_source,
 )
 from sosreg.geometry import Ball
@@ -130,6 +133,34 @@ class TestDifferentiate:
         a = evaluate(dxy, pts)
         b = evaluate(dyx, pts)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+class TestDerivativeTableAndMemo:
+    def test_structurally_equal_nodes_are_one_object(self):
+        t = DerivativeTable()
+        e = t.intern(parse_expression("x*y + x*y - 0*x"))
+        assert e == parse_expression("x*y + x*y - 0*x")
+        assert e.terms[0] is e.terms[1]
+        # zeros keep their sign: 1/-0.0 is not 1/0.0
+        assert t.node(Const, 0.0) is not t.node(Const, -0.0)
+        assert t.node(Const, 2.0) is t.intern(Const(2.0))
+
+    def test_shared_table_reuses_derivatives(self):
+        t = DerivativeTable()
+        e = parse_expression("exp(x*y) * sin(x)")
+        d1 = differentiate(e, "x", 2, table=t)
+        assert differentiate(e, "x", 2, table=t) is d1
+        assert differentiate(differentiate(e, "x", table=t), "x", table=t) is d1
+        assert d1 == differentiate(e, "x", 2)
+
+    def test_batch_memo_matches_fresh_evaluation(self):
+        e = parse_expression("exp(x*y) * sin(x) + x^3")
+        roots = [differentiate(e, v, 2) for v in "xy"] + [e, e]
+        env = {"x": np.linspace(-1.0, 1.0, 7), "y": np.linspace(0.5, 2.0, 7)}
+        memo = EvalMemo(read_counts(roots))
+        for r in roots:
+            assert np.array_equal(evaluate(r, env, memo=memo), evaluate(r, env))
+        assert memo.values == {}
 
 
 class TestCatalog:

@@ -200,6 +200,21 @@ class TestMinimizerAndProfile:
         prof.solve_many(xi)
         assert prof.unconverged == 2 * stalled  # a running count over solves
 
+    def test_newton_stops_when_steps_cannot_move(self):
+        # with g_tol = 0 every point stays above tolerance, but a Newton step
+        # that rounds to its iterate ends the solve instead of running max_iter
+        f = handle("s^2 + (x - s)^2 + s*x^2", ("s", "x"))
+        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01, bump_scale=0.01)
+        xi = np.linspace(-0.007, 0.007, 9)[:, None]
+        prof = implicit_minimizer(f, cell, np.array([0.0, 1.0]), rho=2 ** (1 / 2.5), delta=0.25, newton_tol=0.0)
+        calls = []
+        fiber = prof.frame.fiber
+        prof.frame.fiber = lambda V: calls.append(len(V)) or fiber(V)
+        y = prof.solve_many(xi)
+        assert np.max(np.abs(y - xi.ravel() / (1 + xi.ravel()))) <= 1e-15
+        assert prof.unconverged > 0
+        assert len(calls) <= 20
+
     def test_decompose_warns_per_unconverged_cell(self, monkeypatch):
         # no Newton step at all: the case-II cell off the origin keeps y = 0
         monkeypatch.setattr(MinimizerProfile, "max_iter", 0)
