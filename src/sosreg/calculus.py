@@ -31,6 +31,7 @@ __all__ = [
     "Modulus",
     "HolderEstimate",
     "modulus_eval",
+    "log_ratios",
     "holder_seminorm",
     "directional_hessian_plus",
     "verify_odd_even_control",
@@ -39,8 +40,6 @@ __all__ = [
     "multiindices",
     "tensor_contract",
 ]
-
-_EPS = float(np.finfo(float).eps)
 
 # 4th-order-accurate central stencils for pure derivatives of order 1..4
 _STENCILS = {
@@ -53,9 +52,9 @@ _STENCILS = {
 SECOND_ORDER_STENCILS = {1: ((-1, 1), (-0.5, 0.5)), 2: ((-1, 0, 1), (1.0, -2.0, 1.0))}
 
 
-def fd_step(order: int, scale: float = 1.0) -> float:
-    """Step schedule for order-p central stencils: h = max(1e-3, eps^(1/3)*scale) * 2^(p-1)."""
-    return max(1e-3, _EPS ** (1.0 / 3.0) * scale) * 2.0 ** (order - 1)
+def fd_step(order: int) -> float:
+    """Step schedule for order-p central stencils: h = 1e-3 * 2^(p-1)."""
+    return 1e-3 * 2.0 ** (order - 1)
 
 
 def fd_stencil(alpha, step, stencils: dict = _STENCILS) -> tuple:
@@ -137,7 +136,6 @@ class FunctionHandle:
         eval_many,
         derivative_many_factory,
         domain: Ball,
-        flat: bool | None = None,
         log_eval_many=None,
         label: str = "f",
         exact_derivatives: bool = True,
@@ -153,7 +151,6 @@ class FunctionHandle:
         self._batch_memo = batch_memo
         self._derivative_cache: dict = {}
         self.domain = domain
-        self.flat = flat
         self._log_eval_many = log_eval_many
         self.label = label
         self.exact_derivatives = exact_derivatives
@@ -165,7 +162,6 @@ class FunctionHandle:
         body: Expr,
         variables: tuple,
         domain: Ball | None = None,
-        flat: bool | None = None,
         label: str = "f",
     ) -> "FunctionHandle":
         """Handle of an expression with exact symbolic derivatives.
@@ -215,27 +211,21 @@ class FunctionHandle:
             eval_many=derivative_factory((0,) * n),
             derivative_many_factory=derivative_factory,
             domain=domain,
-            flat=flat,
             label=label,
             exact_derivatives=not has_conditionals(body),
             batch_memo=batch_memo,
         )
 
     @staticmethod
-    def from_def(fdef: FunctionDef, flat: bool | None = None) -> "FunctionHandle":
-        return FunctionHandle.from_expr(
-            fdef.body, fdef.variables, domain=fdef.domain, flat=flat, label=fdef.name
-        )
+    def from_def(fdef: FunctionDef) -> "FunctionHandle":
+        return FunctionHandle.from_expr(fdef.body, fdef.variables, domain=fdef.domain, label=fdef.name)
 
     @staticmethod
     def from_callable(
         fn,
         arity: int,
         domain: Ball | None = None,
-        scale: float = 1.0,
         vectorized: bool = False,
-        flat: bool | None = None,
-        log_fn=None,
         label: str = "f",
     ) -> "FunctionHandle":
         """Wrap a plain callable; derivatives use nested central differences.
@@ -257,7 +247,7 @@ class FunctionHandle:
                 raise DerivativeError(
                     f"finite-difference backend supports per-axis order <= 4, got {alpha}"
                 )
-            obs, wts = fd_stencil(alpha, lambda p: fd_step(p, scale))
+            obs, wts = fd_stencil(alpha, fd_step)
 
             def d_many(X):
                 X = np.asarray(X, dtype=float)
@@ -267,22 +257,11 @@ class FunctionHandle:
 
             return d_many
 
-        log_eval_many = None
-        if log_fn is not None:
-
-            def log_eval_many(X):
-                X = np.asarray(X, dtype=float)
-                if vectorized:
-                    return np.asarray(log_fn(X), dtype=float)
-                return np.array([float(log_fn(x)) for x in X])
-
         return FunctionHandle(
             arity=arity,
             eval_many=eval_many,
             derivative_many_factory=derivative_factory,
             domain=domain,
-            flat=flat,
-            log_eval_many=log_eval_many,
             label=label,
             exact_derivatives=False,
         )
@@ -415,7 +394,6 @@ class FunctionHandle:
             eval_many=eval_many,
             derivative_many_factory=derivative_factory,
             domain=self.domain,
-            flat=self.flat,
             log_eval_many=log_many,
             label=label or f"{a:g}*{self.label}",
             exact_derivatives=self.exact_derivatives,
@@ -435,7 +413,10 @@ class Modulus:
 
     kind s = 1 gives t*(1 + ln(1/t)); 0 < s < 1 gives t^s; s = 0 gives
     1/(1 + ln(1/t)).  The s = 1 and s = 0 members are dual: their product is
-    exactly t.  A custom table is piecewise log-linear between its nodes.
+    exactly t.  A custom table is piecewise log-linear between its nodes and
+    continues the first segment's log-log slope below the first node.  Every
+    member is written once, in log space (`log_eval`, scalar or array);
+    `eval(t)` is exp(log_eval(log t)) for t > 0 and 0 at t = 0.
     """
 
     s: float | None = None
@@ -469,54 +450,47 @@ class Modulus:
     def eval(self, t: float) -> float:
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"modulus argument must lie in [0,1], got {t}")
-        if t == 0.0:
-            return 0.0
-        if self.s is None:
-            return self._table_eval(t)
-        if self.s == 1.0:
-            return t * (1.0 + math.log(1.0 / t))
-        if self.s == 0.0:
-            return 1.0 / (1.0 + math.log(1.0 / t))
-        return t**self.s
+        return 0.0 if t == 0.0 else math.exp(self.log_eval(math.log(t)))
 
-    def log_eval(self, log_t: float) -> float:
-        """log omega(t) from log t; exact in log space for the one-parameter scale and
-        log-linear for tables (including their continuation below the first
-        node, so arguments far beyond double-precision range still work)."""
-        if log_t > 0.0:
-            raise DomainError(f"modulus argument must lie in [0,1], got exp({log_t})")
-        if log_t == -math.inf:
-            return -math.inf
-        if self.s is None:
-            log_ts = np.log([p[0] for p in self.table])
-            log_ws = np.log([p[1] for p in self.table])
-            if log_t <= log_ts[0]:
+    def log_eval(self, log_t):
+        """log omega(t) from log t, elementwise on a scalar or an array (a
+        scalar gives a float); log t = -inf gives -inf, so arguments far
+        beyond double-precision range still work."""
+        x = np.asarray(log_t, dtype=float)
+        if np.any(x > 0.0):
+            raise DomainError(f"modulus argument must lie in [0,1], got exp({np.max(x)})")
+        with np.errstate(invalid="ignore"):
+            if self.s is None:
+                log_ts, log_ws = np.log(self.table).T
+                out = np.interp(x, log_ts, log_ws)
                 if len(log_ts) >= 2:
                     slope = (log_ws[1] - log_ws[0]) / (log_ts[1] - log_ts[0])
-                    return float(log_ws[0] + slope * (log_t - log_ts[0]))
-                return float(log_ws[0])
-            return float(np.interp(log_t, log_ts, log_ws))
-        if self.s == 1.0:
-            return log_t + math.log1p(-log_t)
-        if self.s == 0.0:
-            return -math.log1p(-log_t)
-        return self.s * log_t
-
-    def _table_eval(self, t: float) -> float:
-        ts = np.array([p[0] for p in self.table])
-        ws = np.array([p[1] for p in self.table])
-        if t <= ts[0]:
-            # log-linear continuation below the first node
-            if len(ts) >= 2 and ts[0] > 0:
-                slope = (math.log(ws[1]) - math.log(ws[0])) / (math.log(ts[1]) - math.log(ts[0]))
-                return float(ws[0] * (t / ts[0]) ** slope)
-            return float(ws[0])
-        return float(np.exp(np.interp(math.log(t), np.log(ts), np.log(ws))))
+                    out = np.where(x <= log_ts[0], log_ws[0] + slope * (x - log_ts[0]), out)
+            elif self.s == 1.0:
+                out = x + np.log1p(-x)
+            elif self.s == 0.0:
+                out = -np.log1p(-x)
+            else:
+                out = self.s * x
+        out = np.where(x == -np.inf, -np.inf, out)
+        return float(out) if out.ndim == 0 else out
 
 
 def modulus_eval(m: Modulus, t: float) -> float:
     """Evaluate a modulus of continuity at t in [0,1]."""
     return m.eval(float(t))
+
+
+def log_ratios(log_num, log_den, exponent: float) -> np.ndarray:
+    """Elementwise log(num / den^exponent) from log num and log den, exponent > 0.
+
+    0/0 and 0/x give -inf, x/0 gives +inf and NaN stays NaN; take suprema
+    with `np.fmax.reduce`, which skips NaN samples.
+    """
+    log_num = np.asarray(log_num, dtype=float)
+    with np.errstate(invalid="ignore"):
+        out = log_num - exponent * np.asarray(log_den, dtype=float)
+    return np.where(log_num == -np.inf, -np.inf, out)
 
 
 # ---------------------------------------------------------------------------

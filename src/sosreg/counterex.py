@@ -183,8 +183,7 @@ def build_family(p: FamilyParams) -> FunctionHandle:
     if default:
         body = family_body(s_prime=p.s_prime, rho=p.rho_plateau)
         fh = FunctionHandle.from_expr(
-            body, ("w", "x", "y", "z", "t"), domain=Ball(center=(0.0,) * 5, radius=1.5),
-            flat=True, label="family_f",
+            body, ("w", "x", "y", "z", "t"), domain=Ball(center=(0.0,) * 5, radius=1.5), label="family_f",
         )
     else:
         def eval_many(X):
@@ -192,7 +191,7 @@ def build_family(p: FamilyParams) -> FunctionHandle:
 
         fh = FunctionHandle.from_callable(
             eval_many, arity=5, domain=Ball(center=(0.0,) * 5, radius=1.5),
-            vectorized=True, flat=True, label="family_f",
+            vectorized=True, label="family_f",
         )
     fh._log_eval_many = lambda X: family_log_values(p, X)
     return fh
@@ -248,8 +247,7 @@ def _functional_logs(p: FamilyParams, name: str, gamma: float, m: Modulus, t_gri
         args = p.phi.log(t_grid) + 4.0 * log_t
     else:
         raise DomainError(f"unknown functional {name!r}; expected R, S or T")
-    omega_logs = np.array([m.log_eval(min(a, 0.0)) for a in args])
-    return vals - omega_logs
+    return vals - m.log_eval(np.minimum(args, 0.0))
 
 
 def functional(
@@ -321,14 +319,14 @@ def witness_pair_ratios(p: FamilyParams, m: Modulus, t_grid, direction=None):
     Q1 = np.concatenate([np.outer(t_grid / 2.0, direction), (t_grid / 2.0)[:, None]], axis=1)
     log_fp = family_log_values(p, P1)
     log_fq = family_log_values(p, Q1)
-    out["pair1"] = log_fq - np.array([m.log_eval(min(v, 0.0)) for v in log_fp])
+    out["pair1"] = log_fq - m.log_eval(np.minimum(log_fp, 0.0))
 
     g1 = 0.5 + 1.0 / math.sqrt(2.0)
     P2 = np.concatenate([np.outer(t_grid, direction), t_grid[:, None]], axis=1)
     Q2 = np.concatenate([np.outer(t_grid / 2.0, direction), (g1 * t_grid)[:, None]], axis=1)
     log_fp2 = family_log_values(p, P2)
     log_fq2 = family_log_values(p, Q2)
-    out["pair2"] = log_fq2 - np.array([m.log_eval(min(v, 0.0)) for v in log_fp2])
+    out["pair2"] = log_fq2 - m.log_eval(np.minimum(log_fp2, 0.0))
     return out
 
 
@@ -363,7 +361,7 @@ def boundary_pair_supremum(
             R = np.sqrt(r**2 + t**2)
             P = np.concatenate([np.outer(r, w_hat), t[:, None]], axis=1)
             log_fp = family_log_values(p, P)
-            omega_p = np.array([m.log_eval(min(v, 0.0)) for v in log_fp])
+            omega_p = m.log_eval(np.minimum(log_fp, 0.0))
             for th in thetas:
                 z = r / 2.0 + R / 2.0 * math.cos(th)
                 u = t / 2.0 + R / 2.0 * math.sin(th)

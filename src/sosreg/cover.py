@@ -323,6 +323,11 @@ def bump_jet(u: np.ndarray) -> tuple:
     return b, b1, b2
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise outer products of two (N, n) batches."""
+    return a[:, :, None] * b[:, None, :]
+
+
 class ChiPairs:
     """Bump values of one point batch, stored sparsely and cell-major.
 
@@ -405,6 +410,34 @@ class Partition:
         d2 = (b2 / r**2)[:, None, None] * ee + (b1 / (r * safe))[:, None, None] * (np.eye(self.dim) - ee)
         return b, d1, d2
 
+    def sqrt_quotient_jet(self, X, pairs: ChiPairs, tot, P, dP, d2P, scale: float) -> tuple:
+        """(Dq, D^2 q) of q = scale * P / sqrt(S), S = sum_mu chi_mu^2, on the batch X.
+
+        (P, dP, d2P) is the numerator's jet, `pairs` the batch's chi_pairs and
+        `tot` its S.  S is differentiated from the closed-form bump jets; the
+        quotient uses the logarithmic derivatives DS/S and D^2 S/S, which stay
+        finite where a lone bump tail covers the point.  Points outside the
+        cover get zeros.
+        """
+        N, n = X.shape
+        chi, d1, d2 = self.chi_jets(X, pairs.idx, pairs.cell)
+        dS, d2S = np.zeros((N, n)), np.zeros((N, n, n))
+        np.add.at(dS, pairs.idx, 2.0 * chi[:, None] * d1)
+        np.add.at(d2S, pairs.idx, 2.0 * (_outer(d1, d1) + chi[:, None, None] * d2))
+        covered = tot > 0
+        S = np.where(covered, tot, 1.0)
+        q = np.where(covered, scale / np.sqrt(S), 0.0)
+        L1 = dS / S[:, None]
+        L2 = d2S / S[:, None, None]
+        # D S^(-1/2) = S^(-1/2) (-L1/2), D^2 S^(-1/2) = S^(-1/2) (3/4 L1 L1^T - L2/2)
+        Dq = q[:, None] * (dP - 0.5 * P[:, None] * L1)
+        D2q = q[:, None, None] * (
+            d2P
+            - 0.5 * (_outer(dP, L1) + _outer(L1, dP))
+            + P[:, None, None] * (0.75 * _outer(L1, L1) - 0.5 * L2)
+        )
+        return Dq, D2q
+
     def chi(self, nu: int, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         u = np.linalg.norm(X - self.centers[nu], axis=1) / self.radii[nu]
@@ -447,30 +480,29 @@ def build_partition(cells: list, region: Ball | None = None) -> Partition:
 
 
 def partition_derivative_report(partition: Partition, per_cell_samples: int = 64, max_cells: int = 40) -> dict:
-    """Empirical sup of |D^alpha Phi_nu| * r_nu^|alpha| for |alpha| <= 2.
+    """Sup of |D^alpha Phi_nu| * r_nu^|alpha| over all |alpha| = 1 and all |alpha| = 2.
 
-    Finite differences on a subsample of cells; the scaled sup should be
-    bounded by a constant independent of the cell.
+    Exact derivatives at `per_cell_samples` points in the ball of radius
+    0.98 r_nu around each of at most `max_cells` evenly spaced cells: the
+    bump jet of chi_nu (`Partition.chi_jets`) through the quotient step
+    Phi_nu = chi_nu / sqrt(sum chi^2) (`Partition.sqrt_quotient_jet`).  The
+    scaled sup should be bounded by a constant independent of the cell.
     """
-    picked = partition.cells[:: max(1, len(partition.cells) // max_cells)][:max_cells]
-    out = {1: 0.0, 2: 0.0}
-    for cell in picked:
-        r = cell.radius
-        h = 1e-4 * r
-        pts = ball_points(Ball(center=cell.center, radius=0.98 * r), per_cell_samples)
-        n = partition.dim
-
-        def phi(P):
-            return partition.phi(cell.nu, P)
-
-        for axis in range(n):
-            e = np.zeros(n)
-            e[axis] = h
-            d1 = (phi(pts + e) - phi(pts - e)) / (2 * h)
-            d2 = (phi(pts + e) - 2 * phi(pts) + phi(pts - e)) / h**2
-            out[1] = max(out[1], float(np.max(np.abs(d1))) * r)
-            out[2] = max(out[2], float(np.max(np.abs(d2))) * r**2)
-    return {"scaled_sup_order1": out[1], "scaled_sup_order2": out[2], "cells_checked": len(picked)}
+    picked = np.arange(0, len(partition.cells), max(1, len(partition.cells) // max_cells))[:max_cells]
+    X = np.concatenate([
+        ball_points(Ball(center=tuple(partition.centers[nu]), radius=0.98 * partition.radii[nu]), per_cell_samples)
+        for nu in picked
+    ])
+    nus = np.repeat(picked, per_cell_samples)
+    pairs = partition.chi_pairs(X)
+    chi, d_chi, d2_chi = partition.chi_jets(X, np.arange(len(X)), nus)
+    d1, d2 = partition.sqrt_quotient_jet(X, pairs, partition.sum_chi_sq(X, pairs), chi, d_chi, d2_chi, 1.0)
+    r = partition.radii[nus]
+    return {
+        "scaled_sup_order1": float(np.max(np.max(np.abs(d1), axis=1) * r)),
+        "scaled_sup_order2": float(np.max(np.max(np.abs(d2), axis=(1, 2)) * r**2)),
+        "cells_checked": len(picked),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -481,26 +513,31 @@ def partition_derivative_report(partition: Partition, per_cell_samples: int = 64
 def color_classes(cells: list) -> list:
     """Greedy coloring of the "tripled balls intersect" graph.
 
-    Within each returned class the balls of triple radius are pairwise
-    disjoint.  Returns the cells with their color fields set, ordered as
-    given; the number of classes is len({c.color}).
+    Cells i and j are neighbours when |c_i - c_j| < 3 (r_i + r_j): one
+    `query_pairs` at 6 r_max lists the candidate pairs, one vectorised
+    filter keeps the neighbours, stored as symmetric CSR lists.  Cells are
+    colored in the given order, each with the smallest color no neighbour
+    holds; a color set before the call counts for the neighbours colored
+    before that cell's own turn.  Within each returned class the balls of
+    triple radius are pairwise disjoint.  Returns the cells with their color
+    fields set, ordered as given; the number of classes is len({c.color}).
     """
     if not cells:
         return cells
     centers = np.array([c.center for c in cells])
     radii = np.array([c.radius for c in cells])
-    tree = cKDTree(centers)
-    r_max = float(np.max(radii))
-    neighbor_lists = tree.query_ball_tree(tree, 6.0 * r_max)
-    for i, cell in enumerate(cells):
-        used = set()
-        for j in neighbor_lists[i]:
-            if j == i or cells[j].color is None:
-                continue
-            if np.linalg.norm(centers[i] - centers[j]) < 3.0 * (radii[i] + radii[j]):
-                used.add(cells[j].color)
+    i, j = cKDTree(centers).query_pairs(6.0 * float(np.max(radii)), output_type="ndarray").T
+    near = np.linalg.norm(centers[i] - centers[j], axis=1) < 3.0 * (radii[i] + radii[j])
+    rows = np.concatenate([i[near], j[near]])
+    cols = np.concatenate([j[near], i[near]])[np.argsort(rows, kind="stable")]
+    starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(cells)))]).tolist()
+    colors = np.array([-1 if c.color is None else c.color for c in cells])  # -1: uncolored
+    for k in range(len(cells)):
+        used = set(colors[cols[starts[k] : starts[k + 1]]].tolist())
         color = 0
         while color in used:
             color += 1
+        colors[k] = color
+    for cell, color in zip(cells, colors.tolist()):
         cell.color = color
     return cells

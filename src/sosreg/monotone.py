@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import FunctionHandle, Modulus
+from .calculus import FunctionHandle, Modulus, log_ratios
 from .errors import DomainError, NonnegativityError
 from .geometry import Ball, ball_points
 
@@ -80,13 +80,7 @@ def _log_ratio(f: FunctionHandle, m: Modulus, scale_log: float, xs: np.ndarray, 
     """log of f(y)/scale / omega(f(x)/scale) for paired sample arrays."""
     log_fy = f.log_values(ys) - scale_log
     log_fx = f.log_values(xs) - scale_log
-    out = np.empty(len(xs))
-    for i in range(len(xs)):
-        if log_fx[i] == -math.inf:
-            out[i] = math.inf if log_fy[i] > -math.inf else -math.inf
-        else:
-            out[i] = log_fy[i] - m.log_eval(min(log_fx[i], 0.0))
-    return out
+    return log_ratios(log_fy, m.log_eval(np.minimum(log_fx, 0.0)), 1.0)
 
 
 def monotone_functional(
@@ -291,22 +285,15 @@ def verify_power_bound(
         exponent = s_prime**m
 
         def worst(points, logs):
-            best = -math.inf
-            d = np.zeros(len(points))
-            for alpha in _multiindices_cached(f.arity, m):
-                d = np.maximum(d, np.abs(f.derivative_values(points, alpha)))
             with np.errstate(divide="ignore"):
-                logd = np.log(d)
-            for i in range(len(points)):
-                if logs[i] == -math.inf:
-                    if logd[i] > -math.inf:
-                        raise NonnegativityError(
-                            f"f vanishes at {points[i]} with a nonzero order-{m} derivative; "
-                            "shrink the region away from the flat point"
-                        )
-                    continue
-                best = max(best, logd[i] - exponent * logs[i])
-            return best
+                ratios = log_ratios(np.log(f.max_entry_values(points, m)), logs, exponent)
+            vanishing = (logs == -math.inf) & (ratios == math.inf)
+            if np.any(vanishing):
+                raise NonnegativityError(
+                    f"f vanishes at {points[np.argmax(vanishing)]} with a nonzero order-{m} derivative; "
+                    "shrink the region away from the flat point"
+                )
+            return np.fmax.reduce(ratios, initial=-math.inf)
 
         base = worst(pts, log_f)
         fine_pts = ball_points(region, 2 * samples)
@@ -314,15 +301,3 @@ def verify_power_bound(
         report.constants[m] = float(np.exp(min(fine, 700.0)))
         report.stable[m] = bool(fine - base < math.log(1.0 + STABILITY_TOLERANCE))
     return report
-
-
-_MI_CACHE: dict = {}
-
-
-def _multiindices_cached(n, order):
-    from .calculus import multiindices
-
-    key = (n, order)
-    if key not in _MI_CACHE:
-        _MI_CACHE[key] = multiindices(n, order)
-    return _MI_CACHE[key]

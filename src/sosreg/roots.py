@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import FunctionHandle, holder_seminorm, multiindices
+from .calculus import FunctionHandle, holder_seminorm, log_ratios
 from .errors import DerivativeError, DomainError
 from .geometry import Ball, ball_points
 
@@ -152,7 +152,6 @@ class PowerHandle:
             eval_many=self.values,
             derivative_many_factory=factory,
             domain=domain,
-            flat=self.base.flat,
             label=f"{self.base.label}^{self.gamma:g}",
             exact_derivatives=self.base.exact_derivatives,
         )
@@ -267,31 +266,17 @@ def verify_power_smoothness_chain(
     log_f = f.log_values(pts)
     constants: dict = {}
     for m in range(1, m_max + 1):
-        best = -math.inf
-        d = np.zeros(len(pts))
-        for alpha in multiindices(f.arity, m):
-            d = np.maximum(d, np.abs(f.derivative_values(pts, alpha)))
         with np.errstate(divide="ignore"):
-            logd = np.log(d)
-        for i in range(len(pts)):
-            if logd[i] == -math.inf:
-                continue
-            if log_f[i] == -math.inf:
-                best = math.inf
-                break
-            best = max(best, logd[i] - s * log_f[i])
+            logd = np.log(f.max_entry_values(pts, m))
+        best = np.fmax.reduce(log_ratios(logd, log_f, s), initial=-math.inf)
         constants[m] = math.exp(best) if best < 700 else math.inf
 
     power_sup: dict = {}
     for gamma in gamma_grid:
-        ph = PowerHandle(f, float(gamma), order_cap=m_max)
-        sup_by_m: dict = {}
-        for m in range(1, m_max + 1):
-            worst = 0.0
-            for alpha in multiindices(f.arity, m):
-                worst = max(worst, float(np.max(np.abs(ph.derivative_values(pts, alpha)))))
-            sup_by_m[m] = worst
-        power_sup[float(gamma)] = sup_by_m
+        ph = PowerHandle(f, float(gamma), order_cap=m_max).as_function_handle()
+        power_sup[float(gamma)] = {
+            m: float(np.fmax.reduce(ph.max_entry_values(pts, m), initial=0.0)) for m in range(1, m_max + 1)
+        }
 
     premise = all(math.isfinite(c) for c in constants.values())
     conclusion = all(

@@ -23,11 +23,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import SECOND_ORDER_STENCILS, FunctionHandle, HolderEstimate, fd_stencil, multiindices
+from .calculus import SECOND_ORDER_STENCILS, FunctionHandle, HolderEstimate, fd_stencil, log_ratios, multiindices
 from .cover import (
     ControlDistanceParams,
     CoverCell,
     Partition,
+    _outer,
     build_cover,
     build_partition,
     color_classes,
@@ -126,18 +127,6 @@ class DiffIneqReport:
         }
 
 
-def _ratio_sup(log_num: np.ndarray, log_f: np.ndarray, exponent: float) -> float:
-    """sup exp(log_num - exponent*log_f), treating 0/0 as 0 and x/0 as inf."""
-    best = -math.inf
-    for ln, lf in zip(log_num, log_f):
-        if ln == -math.inf:
-            continue
-        if lf == -math.inf:
-            return math.inf
-        best = max(best, ln - exponent * lf)
-    return math.exp(best) if best < 700 else math.inf
-
-
 def check_differential_inequalities(
     f: FunctionHandle, delta: float, eta: float, region: Ball, samples: int = 600
 ) -> DiffIneqReport:
@@ -150,10 +139,9 @@ def check_differential_inequalities(
             log_f = np.log(np.maximum(f.values(pts), 0.0))
             log_q = np.log(f.max_entry_values(pts, 4))
             log_h = np.log(dhp(f, pts))
-        return (
-            _ratio_sup(log_q, log_f, delta / (2.0 + delta)),
-            _ratio_sup(log_h, log_f, eta),
-        )
+        sups = [np.fmax.reduce(log_ratios(log_q, log_f, delta / (2.0 + delta)), initial=-np.inf),
+                np.fmax.reduce(log_ratios(log_h, log_f, eta), initial=-np.inf)]
+        return tuple(math.exp(b) if b < 700 else math.inf for b in sups)
 
     base = constants(ball_points(region, samples))
     fine = constants(ball_points(region, 2 * samples))
@@ -701,11 +689,6 @@ def reduced_profile(
 # ---------------------------------------------------------------------------
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise outer products of two (N, n) batches."""
-    return a[:, :, None] * b[:, None, :]
-
-
 class _CaseIPiece:
     """w = sqrt(f); one instance serves every case-I cell of a decomposition."""
 
@@ -862,11 +845,10 @@ class RootGroup:
         """(g, Dg, D^2 g) on an (N, n) batch: shapes (N,), (N, n), (N, n, n).
 
         g = scale * P / sqrt(S) with P = sum_nu chi_nu w_nu over the members and
-        S = sum_mu chi_mu^2 over every cell.  P and S are differentiated by the
+        S = sum_mu chi_mu^2 over every cell.  P is differentiated by the
         Leibniz rule from the closed-form bump derivatives and each piece's own
-        (w, Dw, D^2 w); the quotient uses the logarithmic derivatives DS/S and
-        D^2 S/S, which stay finite where a lone bump tail covers the point.
-        Points outside the cover get zeros.
+        (w, Dw, D^2 w); `Partition.sqrt_quotient_jet` differentiates S and the
+        quotient.  Points outside the cover get zeros.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         N, n = X.shape
@@ -874,11 +856,6 @@ class RootGroup:
         pairs = part.chi_pairs(X)
         tot = part.sum_chi_sq(X, pairs)
         g = self.eval_many(X, pairs, tot)
-
-        chi, d1, d2 = part.chi_jets(X, pairs.idx, pairs.cell)
-        dS, d2S = np.zeros((N, n)), np.zeros((N, n, n))
-        np.add.at(dS, pairs.idx, 2.0 * chi[:, None] * d1)
-        np.add.at(d2S, pairs.idx, 2.0 * (_outer(d1, d1) + chi[:, None, None] * d2))
 
         P, dP, d2P = np.zeros(N), np.zeros((N, n)), np.zeros((N, n, n))
         for piece, ids, nus, _ in self._batches(pairs):
@@ -890,20 +867,7 @@ class RootGroup:
                 d2P, ids,
                 c2 * w0[:, None, None] + _outer(c1, w1) + _outer(w1, c1) + c0[:, None, None] * w2,
             )
-
-        covered = tot > 0
-        S = np.where(covered, tot, 1.0)
-        q = np.where(covered, self.scale / np.sqrt(S), 0.0)
-        L1 = dS / S[:, None]
-        L2 = d2S / S[:, None, None]
-        # D S^(-1/2) = S^(-1/2) (-L1/2), D^2 S^(-1/2) = S^(-1/2) (3/4 L1 L1^T - L2/2)
-        Dg = q[:, None] * (dP - 0.5 * P[:, None] * L1)
-        D2g = q[:, None, None] * (
-            d2P
-            - 0.5 * (_outer(dP, L1) + _outer(L1, dP))
-            + P[:, None, None] * (0.75 * _outer(L1, L1) - 0.5 * L2)
-        )
-        return g, Dg, D2g
+        return (g,) + part.sqrt_quotient_jet(X, pairs, tot, P, dP, d2P, self.scale)
 
     def __call__(self, X):
         return self.eval_many(X)

@@ -12,6 +12,7 @@ from sosreg.calculus import (
     directional_hessian_plus,
     holder_seminorm,
     is_flat,
+    log_ratios,
     modulus_eval,
     multiindices,
     verify_interpolation_bound,
@@ -81,6 +82,49 @@ class TestModulus:
         assert m.eval(0.1) == pytest.approx(0.4)
         assert m.eval(0.0) == 0.0
         assert 0.1 < m.eval(0.03) < 0.4
+
+    def test_log_eval_arrays_match_scalar_calls(self):
+        # -inf, tiny, the table's continuation below its first node, and log t = 0
+        x = np.concatenate([[-np.inf, -1e300, -745.0, -50.0], -np.logspace(-8, 3, 40), [0.0]])
+        table = Modulus.from_table([(0.01, 0.1), (0.1, 0.4), (1.0, 1.0)])
+        for m in [Modulus.omega(s) for s in (0.0, 0.3, 0.5, 1.0)] + [table]:
+            got = m.log_eval(x)
+            assert got.shape == x.shape
+            assert np.array_equal(got, [m.log_eval(float(v)) for v in x]), m.name
+            assert isinstance(m.log_eval(-1.0), float)
+            assert m.log_eval(-math.inf) == -math.inf
+            with pytest.raises(DomainError):
+                m.log_eval(np.array([-1.0, 1e-9]))
+            with pytest.raises(DomainError):
+                m.log_eval(1e-9)
+
+    def test_eval_matches_closed_forms(self):
+        table = Modulus.from_table([(0.01, 0.1), (0.1, 0.4), (1.0, 1.0)])
+        slope = math.log(4.0) / math.log(10.0)
+        for t in (1e-6, 0.003, 0.01, 0.05, 0.37, 1.0):
+            assert Modulus.omega(1.0).eval(t) == pytest.approx(t * (1.0 + math.log(1.0 / t)), rel=1e-14)
+            assert Modulus.omega(0.0).eval(t) == pytest.approx(1.0 / (1.0 + math.log(1.0 / t)), rel=1e-14)
+            assert Modulus.omega(0.3).eval(t) == pytest.approx(t**0.3, rel=1e-14)
+            if t <= 0.01:  # log-log continuation of the first segment
+                assert table.eval(t) == pytest.approx(0.1 * (t / 0.01) ** slope, rel=1e-13)
+
+
+class TestLogRatios:
+    def test_zero_and_nan_rules(self):
+        inf, nan = math.inf, math.nan
+        log_num = [-inf, -inf, 1.0, 2.0, nan, nan, 1.0]
+        log_den = [-inf, 0.5, -inf, 1.0, -inf, 1.0, nan]
+        # 0/0, 0/x, x/0, x/y, and NaN in either place
+        np.testing.assert_array_equal(log_ratios(log_num, log_den, 0.5), [-inf, -inf, inf, 1.5, nan, nan, nan])
+
+    def test_supremum_skips_nan(self):
+        ratios = log_ratios([math.nan, 1.0, math.nan, 0.0], [0.0, 0.0, -math.inf, 2.0], 1.0)
+        assert np.fmax.reduce(ratios, initial=-np.inf) == 1.0
+
+    def test_all_zero_numerators(self):
+        ratios = log_ratios(np.full(4, -np.inf), [-np.inf, 0.0, -3.0, 1.0], 0.3)
+        assert np.all(ratios == -np.inf)
+        assert np.fmax.reduce(ratios, initial=-np.inf) == -np.inf
 
 
 class TestHolderSeminorm:

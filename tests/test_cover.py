@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from sosreg.calculus import FunctionHandle
 from sosreg.cover import (
@@ -149,12 +152,86 @@ class TestPartition:
         large = scaled_sup(1.0)
         assert large == pytest.approx(small / 2.0, rel=0.1)
 
+    @pytest.mark.parametrize("case", ["chain_1d", "isotropic_2d"])
+    def test_exact_sups_match_central_differences(self, case, isotropic_covers):
+        # central differences err by O(h^2): 1e-4 r suffices on the 1-D chain,
+        # while on the 2-D cover it leaves 4.6e-6, so that case steps at 1e-5 r
+        if case == "chain_1d":
+            cells, h_frac = [CoverCell(nu=i, center=(i * 0.5,), radius=0.5, bump_scale=0.5) for i in range(6)], 1e-4
+        else:
+            cells, h_frac = isotropic_covers[1], 1e-5
+        part = build_partition(cells)
+        rep = partition_derivative_report(part, per_cell_samples=48, max_cells=12)
+        fd = _fd_partition_sups(part, 48, 12, h_frac)
+        assert rep["scaled_sup_order1"] == pytest.approx(fd[1], rel=1e-6)
+        # the exact order-2 sup also covers the mixed entries
+        assert rep["scaled_sup_order2"] >= fd[2] * (1.0 - 1e-4)
+
     def test_empty_cover_rejected(self):
         with pytest.raises(DomainError):
             build_partition([])
 
 
+@pytest.fixture(scope="module")
+def isotropic_covers():
+    """The top-level covers of x^2+y^2+z^2 on B(0, 0.015) (213 cells) and of
+    x^2+y^2 on B(0, 0.12) (1,896 cells)."""
+    return [
+        build_cover(handle(src, variables), ControlDistanceParams(0.25), Ball((0.0,) * len(variables), radius))
+        for src, variables, radius in (("x^2 + y^2 + z^2", ("x", "y", "z"), 0.015), ("x^2 + y^2", ("x", "y"), 0.12))
+    ]
+
+
+def _fd_partition_sups(part, per_cell_samples, max_cells, h_frac):
+    """Order-1 and pure order-2 sups of partition_derivative_report by central
+    differences of Partition.phi at step h_frac * r, as it was computed before
+    reading the exact bump jets."""
+    out = {1: 0.0, 2: 0.0}
+    for nu in range(0, len(part.cells), max(1, len(part.cells) // max_cells))[:max_cells]:
+        r = part.radii[nu]
+        h = h_frac * r
+        pts = ball_points(Ball(center=tuple(part.centers[nu]), radius=0.98 * r), per_cell_samples)
+        for axis in range(part.dim):
+            e = np.zeros(part.dim)
+            e[axis] = h
+            plus, mid, minus = part.phi(nu, pts + e), part.phi(nu, pts), part.phi(nu, pts - e)
+            out[1] = max(out[1], float(np.max(np.abs(plus - minus) / (2 * h))) * r)
+            out[2] = max(out[2], float(np.max(np.abs(plus - 2 * mid + minus) / h**2)) * r**2)
+    return out
+
+
+def _color_reference(cells):
+    """color_classes by the per-pair loop it replaced."""
+    centers = np.array([c.center for c in cells])
+    radii = np.array([c.radius for c in cells])
+    tree = cKDTree(centers)
+    neighbor_lists = tree.query_ball_tree(tree, 6.0 * float(np.max(radii)))
+    colors = [c.color for c in cells]
+    for i in range(len(cells)):
+        used = set()
+        for j in neighbor_lists[i]:
+            if j == i or colors[j] is None:
+                continue
+            if np.linalg.norm(centers[i] - centers[j]) < 3.0 * (radii[i] + radii[j]):
+                used.add(colors[j])
+        color = 0
+        while color in used:
+            color += 1
+        colors[i] = color
+    return colors
+
+
 class TestColorClasses:
+    def test_matches_per_pair_loop(self, isotropic_covers):
+        for cells in isotropic_covers:
+            cells = [replace(c, color=None) for c in cells]
+            assert [c.color for c in color_classes(cells)] == _color_reference(cells)
+
+    def test_precolored_cells_match_per_pair_loop(self, isotropic_covers):
+        cells = [replace(c, color=c.nu % 5 if c.nu % 7 == 0 else None) for c in isotropic_covers[0]]
+        expected = _color_reference(cells)
+        assert [c.color for c in color_classes(cells)] == expected
+
     def test_disjoint_cells_single_class(self):
         cells = [CoverCell(nu=i, center=(10.0 * i,), radius=0.1, bump_scale=0.1) for i in range(5)]
         cells = color_classes(cells)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sosreg.calculus import FunctionHandle, Modulus
-from sosreg.errors import DomainError
+from sosreg.calculus import FunctionHandle, Modulus, multiindices
+from sosreg.errors import DomainError, NonnegativityError
 from sosreg.exprlang import (
     Const,
     FlatExp,
@@ -16,7 +16,7 @@ from sosreg.exprlang import (
     Var,
     parse_expression,
 )
-from sosreg.geometry import Ball
+from sosreg.geometry import Ball, ball_points
 from sosreg.monotone import classify_monotonicity, monotone_functional, verify_power_bound
 
 
@@ -115,7 +115,46 @@ class TestClassification:
             classify_monotonicity(handle("x"), [])
 
 
+def _power_bound_reference(f, s_prime, m_max, region, samples):
+    """verify_power_bound's constants by the per-multi-index, per-point loops
+    it used before reading max_entry_values and log_ratios."""
+    constants = {}
+    for m in range(1, m_max + 1):
+        exponent = s_prime**m
+
+        def worst(points):
+            logs = f.log_values(points)
+            best = -math.inf
+            d = np.zeros(len(points))
+            for alpha in multiindices(f.arity, m):
+                d = np.maximum(d, np.abs(f.derivative_values(points, alpha)))
+            with np.errstate(divide="ignore"):
+                logd = np.log(d)
+            for i in range(len(points)):
+                if logs[i] == -math.inf:
+                    continue
+                best = max(best, logd[i] - exponent * logs[i])
+            return best
+
+        fine = worst(ball_points(region, 2 * samples))
+        constants[m] = float(np.exp(min(fine, 700.0)))
+    return constants
+
+
 class TestPowerBound:
+    @pytest.mark.parametrize("m_max, s_prime, region", [
+        (3, 0.5, Ball((0.5,), 0.45)),
+        (4, 0.6, Ball((0.53125,), 0.46875)),
+    ])
+    def test_matches_per_multiindex_loop(self, flat_exp, m_max, s_prime, region):
+        rep = verify_power_bound(flat_exp, 0.9, s_prime, m_max, region, samples=300)
+        assert rep.constants == _power_bound_reference(flat_exp, s_prime, m_max, region, 300)
+
+    def test_vanishing_with_nonzero_derivative_names_the_point(self):
+        # x^2 vanishes at the region's first sample, x = 0, where f'' = 2
+        with pytest.raises(NonnegativityError, match=r"vanishes at \[0\.\] with a nonzero order-2"):
+            verify_power_bound(handle("x^2"), 0.9, 0.5, 2, Ball((0.0,), 0.5), samples=50)
+
     def test_flat_exp_constants_stable(self, flat_exp):
         rep = verify_power_bound(flat_exp, 0.9, 0.5, 3, Ball((0.5,), 0.45), samples=300)
         assert all(rep.stable.values())

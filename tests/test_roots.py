@@ -6,7 +6,7 @@ import pytest
 from sosreg.calculus import FunctionHandle, multiindices
 from sosreg.errors import DerivativeError, DomainError
 from sosreg.exprlang import Pow, Var, catalog_function, differentiate, evaluate, parse_expression
-from sosreg.geometry import Ball
+from sosreg.geometry import Ball, ball_points
 from sosreg.roots import (
     PowerHandle,
     falling_factorial,
@@ -123,7 +123,50 @@ class TestRootRegularity:
                                    region=Ball((0.0,), 1.0))
 
 
+def _chain_reference(f, gamma_grid, m_max, region, samples, s):
+    """verify_power_smoothness_chain's constants and power sups by the
+    per-multi-index, per-point loops it used before reading max_entry_values."""
+    pts = ball_points(region, samples)
+    log_f = f.log_values(pts)
+    constants = {}
+    for m in range(1, m_max + 1):
+        best = -math.inf
+        d = np.zeros(len(pts))
+        for alpha in multiindices(f.arity, m):
+            d = np.maximum(d, np.abs(f.derivative_values(pts, alpha)))
+        with np.errstate(divide="ignore"):
+            logd = np.log(d)
+        for i in range(len(pts)):
+            if logd[i] == -math.inf:
+                continue
+            if log_f[i] == -math.inf:
+                best = math.inf
+                break
+            best = max(best, logd[i] - s * log_f[i])
+        constants[m] = math.exp(best) if best < 700 else math.inf
+    power_sup = {}
+    for gamma in gamma_grid:
+        ph = PowerHandle(f, float(gamma), order_cap=m_max)
+        power_sup[float(gamma)] = {
+            m: max(float(np.max(np.abs(ph.derivative_values(pts, a)))) for a in multiindices(f.arity, m))
+            for m in range(1, m_max + 1)
+        }
+    return constants, power_sup
+
+
 class TestPowerSmoothnessChain:
+    @pytest.mark.parametrize("src, variables, gammas, m_max, region", [
+        ("flatexp(x)", ("x",), [0.5, 0.25, 0.1], 4, Ball((0.5,), 0.45)),
+        ("x^2*y^2 + x^4 + 0.1", ("x", "y"), [0.5, 0.75], 3, Ball((0.2, 0.1), 0.3)),
+        ("1", ("x",), [0.5], 3, Ball((0.0,), 1.0)),
+    ])
+    def test_matches_per_multiindex_loop(self, src, variables, gammas, m_max, region):
+        f = handle(src, variables)
+        rep = verify_power_smoothness_chain(f, gammas, m_max, region, samples=150, s=0.8)
+        constants, power_sup = _chain_reference(f, gammas, m_max, region, 150, 0.8)
+        assert rep.derivative_constants == constants
+        assert rep.power_sup == power_sup
+
     def test_flat_profile_chain(self, flat_exp):
         rep = verify_power_smoothness_chain(flat_exp, [0.5, 0.25, 0.1], 4,
                                             Ball((0.5,), 0.45), samples=200)
