@@ -32,6 +32,7 @@ __all__ = [
     "HolderEstimate",
     "modulus_eval",
     "log_ratios",
+    "max_entries",
     "holder_seminorm",
     "directional_hessian_plus",
     "verify_odd_even_control",
@@ -110,6 +111,11 @@ def _tensor_layout(n: int, order: int) -> tuple:
     for flat, idx in enumerate(np.ndindex(*(n,) * order)):
         where[tuple(int(c) for c in np.bincount(idx, minlength=n))].append(flat)
     return tuple(where.items())
+
+
+def max_entries(T: np.ndarray) -> np.ndarray:
+    """Max absolute entry of each point's tensor in a batch (N, n, ..., n)."""
+    return np.max(np.abs(T), axis=tuple(range(1, T.ndim)), initial=0.0)
 
 
 class FunctionHandle:
@@ -328,9 +334,6 @@ class FunctionHandle:
     def gradient_values(self, X) -> np.ndarray:
         return self.derivative_tensor(X, 1)
 
-    def gradient(self, x) -> np.ndarray:
-        return self.gradient_values(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
     def hessian_values(self, X) -> np.ndarray:
         return self.derivative_tensor(X, 2)
 
@@ -345,8 +348,7 @@ class FunctionHandle:
         """Max absolute derivative-tensor entry of the given order, pointwise."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if order and self._jet_many is not None:
-            T = self._jet_many(X, order)[order]
-            return np.max(np.abs(T), axis=tuple(range(1, T.ndim)), initial=0.0)
+            return max_entries(self._jet_many(X, order)[order])
         out = np.zeros(X.shape[0])
         memo = self.batch_memo(order)
         for alpha in multiindices(self.arity, order):
@@ -356,9 +358,6 @@ class FunctionHandle:
     def batch_memo(self, order: int) -> EvalMemo | None:
         """A fresh memo shared by all multi-indices of one order, or None."""
         return None if self._batch_memo is None else self._batch_memo(order)
-
-    def max_entry(self, x, order: int) -> float:
-        return float(self.max_entry_values(np.atleast_2d(np.asarray(x, dtype=float)), order)[0])
 
     def rescaled(self, value_scale: float, label: str | None = None) -> "FunctionHandle":
         """Handle for value_scale * f (derivatives scale linearly)."""

@@ -246,16 +246,12 @@ def _cmd_roots(args, cfg) -> int:
     from .geometry import ball_points
 
     pts = ball_points(region, int(_resolve(args, cfg, "samples", 100, cast=int)))
-    vals = f.values(pts)
-    pts = pts[vals > 1e-12]
-    handle = ph.as_function_handle(domain=region)
-    fd = FunctionHandle.from_callable(
-        lambda X: np.maximum(f.values(X), 0.0) ** gamma, arity=f.arity, domain=region, vectorized=True
-    )
+    pts = pts[f.values(pts) > 1e-12]
+    fd = FunctionHandle.from_callable(ph.values, arity=f.arity, domain=region, vectorized=True)
     worst = 0.0
     sup = 0.0
     for alpha in multiindices(f.arity, order):
-        direct = handle.derivative_values(pts, alpha)
+        direct = ph.derivative_values(pts, alpha)
         oracle = fd.derivative_values(pts, alpha)
         dev = np.max(np.abs(direct - oracle) / (1.0 + np.abs(direct)))
         worst = max(worst, float(dev))

@@ -156,29 +156,18 @@ def verify_slowly_varying(
     fracs = np.linspace(0.1, 1.0, 7)
     bound = 0.5 ** (1.0 / (4.0 + 2.0 * p.delta))
 
-    worst = 0.0
-    violations = []
-    pair_count = 0
-    ys_all, rx_rep = [], []
-    for k, x in enumerate(xs):
-        d = dirs[k % len(dirs)]
-        frac = fracs[k % len(fracs)]
-        y = x + frac * (rx[k] / 200.0) * d
-        ys_all.append(y)
-        rx_rep.append(rx[k])
-    ys_all = np.array(ys_all)
-    ry = control_distance_values(g, ys_all, reduced)
-    for k in range(len(xs)):
-        if rx_rep[k] <= 0:
-            continue
-        pair_count += 1
-        ratio = abs(rx_rep[k] - ry[k]) / rx_rep[k]
-        if ratio > worst:
-            worst = ratio
-        if ratio > bound * (1 + 1e-12):
-            violations.append(
-                {"x": [float(v) for v in xs[k]], "y": [float(v) for v in ys_all[k]], "ratio": float(ratio)}
-            )
+    k = np.arange(len(xs))
+    ys = xs + (fracs[k % len(fracs)] * (rx / 200.0))[:, None] * dirs[k % len(dirs)]
+    ry = control_distance_values(g, ys, reduced)
+    kept = ~(rx <= 0)
+    ratio = np.abs(rx - ry)[kept] / rx[kept]
+    worst = float(np.fmax.reduce(ratio, initial=0.0))
+    violations = [
+        {"x": [float(v) for v in xs[i]], "y": [float(v) for v in ys[i]], "ratio": float(r)}
+        for i, r in zip(k[kept], ratio)
+        if r > bound * (1 + 1e-12)
+    ]
+    pair_count = int(np.count_nonzero(kept))
     return SlowVariationReport(
         delta=p.delta, bound=bound, worst_ratio=worst, violations=violations, pairs=pair_count, rescale=M
     )

@@ -25,6 +25,10 @@ class BoundaryRootError(SosregError):
     """A fiber minimizer landed on the search interval boundary."""
 
 
+class ConvergenceError(SosregError):
+    """An iterative solver stopped before meeting its tolerance."""
+
+
 class QuadratureError(SosregError):
     """Quadrature failed to converge to the requested tolerance."""
 

@@ -1,27 +1,28 @@
 """Powers of nonnegative functions and square-root regularity checks.
 
-PowerHandle evaluates derivatives of f^gamma through the composition formula
-for grad^M(psi o f): the partition coefficients are generated by recursive
-differentiation (each partial-derivative step either raises the order of the
-outer derivative or bumps one inner factor), never from a closed formula, so
-they are consistent with the chain rule by construction.  Outer derivatives
-use d^k/dt^k t^gamma = gamma (gamma-1) ... (gamma-k+1) t^(gamma-k); terms
-are combined in log space so flat bases do not overflow f^(gamma-m).
+`power_jet` is the one implementation of derivatives of f^gamma: Faa di
+Bruno over the set partitions of the derivative slots, where a partition
+into m blocks contributes (gamma)_m prod_B f^(gamma/m - 1) D^|B| f.  Each
+block carries its share of f^(gamma-m), so the partial products stay finite
+on flat bases such as exp(-1/t).  PowerHandle reads one base jet per call,
+and the case-I root pieces of the decomposition use `power_jet` at 1/2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import FunctionHandle, holder_seminorm, log_ratios
+from .calculus import FunctionHandle, _tensor_layout, holder_seminorm, log_ratios, max_entries
 from .errors import DerivativeError, DomainError
 from .geometry import Ball, ball_points
 
 __all__ = [
     "PowerHandle",
+    "power_jet",
     "power_derivative",
     "falling_factorial",
     "verify_root_regularity",
@@ -39,41 +40,56 @@ def falling_factorial(gamma: float, k: int) -> float:
     return out
 
 
-def _composition_terms(alpha: tuple) -> dict:
-    """Terms of grad^alpha (psi o f) as {(m, sorted inner multi-indices): coeff}.
+@functools.lru_cache(maxsize=None)
+def _set_partitions(k: int) -> tuple:
+    """The set partitions of the slots 0..k-1, each a tuple of blocks."""
+    if k == 0:
+        return ((),)
+    out = []
+    for p in _set_partitions(k - 1):
+        out.append(p + ((k - 1,),))
+        out.extend(p[:i] + (p[i] + (k - 1,),) + p[i + 1 :] for i in range(len(p)))
+    return tuple(out)
 
-    Built by applying one partial derivative at a time: differentiating
-    psi^(m)(f) * prod D^beta f either bumps m and appends the new first-order
-    factor, or raises one existing inner factor by the axis.
+
+def power_jet(J, gamma: float) -> tuple:
+    """The jet of f^gamma (gamma > 0) from f's jet J = (f, Df, ..., D^m f),
+    shaped as `FunctionHandle.jet` returns it; zero where f <= 0.
+
+    The blocks' tensors sit on their slots of one `np.einsum` outer product;
+    every entry then takes the value at its sorted index, so each D^k f^gamma
+    is exactly symmetric.
     """
-    n = len(alpha)
-    terms = {(0, ()): 1.0}
-    for axis in range(n):
-        for _ in range(alpha[axis]):
-            new: dict = {}
-            e = tuple(1 if i == axis else 0 for i in range(n))
-            for (m, betas), coeff in terms.items():
-                # chain-rule bump of the outer derivative
-                key = (m + 1, tuple(sorted(betas + (e,))))
-                new[key] = new.get(key, 0.0) + coeff
-                # product-rule bump of each inner factor
-                for i, beta in enumerate(betas):
-                    raised = tuple(b + (1 if j == axis else 0) for j, b in enumerate(beta))
-                    rest = betas[:i] + betas[i + 1 :]
-                    key = (m, tuple(sorted(rest + (raised,))))
-                    new[key] = new.get(key, 0.0) + coeff
-            terms = new
-    return terms
+    if gamma <= 0:
+        raise DomainError(f"exponent must be positive, got {gamma}")
+    pos = ~(J[0] <= 0.0)  # NaN stays NaN
+    fp = np.where(pos, J[0], 1.0)
+    N = fp.shape[0]
+    out = [np.where(pos, fp**gamma, 0.0)]
+    for k in range(1, len(J)):
+        T = np.zeros_like(J[k], dtype=float)
+        for blocks in _set_partitions(k):
+            coeff = falling_factorial(gamma, len(blocks))
+            if coeff != 0.0:
+                share = fp ** (gamma / len(blocks) - 1.0)
+                operands = []
+                for B in blocks:
+                    operands += [share.reshape((N,) + (1,) * len(B)) * J[len(B)], [0, *(s + 1 for s in B)]]
+                T += coeff * np.einsum(*operands, list(range(k + 1)))
+        flat = T.reshape(N, -1)
+        for _, where in _tensor_layout(T.shape[1], k):
+            flat[:, where] = flat[:, where[:1]]
+        out.append(np.where(pos.reshape((N,) + (1,) * k), T, 0.0))
+    return tuple(out)
 
 
 @dataclass
 class PowerHandle:
-    """f^gamma with derivative access up to a declared order cap."""
+    """f^gamma with derivatives up to a declared order cap, which need f > 0."""
 
     base: FunctionHandle
     gamma: float
     order_cap: int = 4
-    _term_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -84,82 +100,50 @@ class PowerHandle:
         return self.base.arity
 
     def value(self, x) -> float:
-        return float(self.base.value(x) ** self.gamma)
+        return float(self.values(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
     def values(self, X) -> np.ndarray:
         return np.maximum(self.base.values(X), 0.0) ** self.gamma
 
-    def derivative_values(self, X, alpha) -> np.ndarray:
-        alpha = tuple(int(a) for a in alpha)
-        order = sum(alpha)
-        if order == 0:
-            return self.values(X)
+    def jet(self, X, order: int) -> tuple:
+        """(f^gamma, D f^gamma, ..., D^order f^gamma) from one base jet."""
         if order > self.order_cap:
             raise DerivativeError(
                 f"order {order} exceeds the declared cap {self.order_cap} for this power handle"
             )
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        fvals = self.base.values(X)
-        if np.any(fvals <= 0.0):
-            i = int(np.argmin(fvals))
-            raise DomainError(f"power derivatives need f > 0; f({X[i].tolist()}) = {fvals[i]}")
-        if alpha not in self._term_cache:
-            self._term_cache[alpha] = _composition_terms(alpha)
-        terms = self._term_cache[alpha]
+        J = self.base.jet(X, order)
+        if order:
+            _require_positive(X, J[0])
+        return power_jet(J, self.gamma)
 
-        log_f = np.log(fvals)
-        inner_cache: dict = {}
-
-        def inner(beta):
-            if beta not in inner_cache:
-                inner_cache[beta] = self.base.derivative_values(X, beta)
-            return inner_cache[beta]
-
-        total = np.zeros(X.shape[0])
-        for (m, betas), coeff in terms.items():
-            s_m = falling_factorial(self.gamma, m)
-            if s_m == 0.0 or coeff == 0.0:
-                continue
-            # signed log-space product: coeff * s_m * f^(gamma-m) * prod D^beta f
-            sign = np.full(X.shape[0], math.copysign(1.0, coeff * s_m))
-            log_term = np.full(X.shape[0], math.log(abs(coeff * s_m)))
-            log_term += (self.gamma - m) * log_f
-            alive = np.ones(X.shape[0], dtype=bool)
-            for beta in betas:
-                vals = inner(beta)
-                alive &= vals != 0.0
-                with np.errstate(divide="ignore"):
-                    log_term += np.where(alive, np.log(np.abs(np.where(vals != 0, vals, 1.0))), 0.0)
-                sign *= np.where(vals < 0, -1.0, 1.0)
-            contrib = np.where(alive, sign * np.exp(np.where(alive, log_term, 0.0)), 0.0)
-            total += contrib
-        return total
-
-    def derivative(self, x, alpha) -> float:
-        return float(self.derivative_values(np.atleast_2d(np.asarray(x, dtype=float)), alpha)[0])
+    def derivative_values(self, X, alpha) -> np.ndarray:
+        axes = tuple(i for i, p in enumerate(alpha) for _ in range(int(p)))
+        if not axes:
+            return self.values(X)
+        return self.jet(X, len(axes))[-1][(slice(None),) + axes]
 
     def as_function_handle(self, domain: Ball | None = None) -> FunctionHandle:
-        domain = domain or self.base.domain
-
-        def factory(alpha):
-            def d_many(X):
-                return self.derivative_values(X, alpha)
-
-            return d_many
-
         return FunctionHandle(
             arity=self.arity,
             eval_many=self.values,
-            derivative_many_factory=factory,
-            domain=domain,
+            derivative_many_factory=None,
+            domain=domain or self.base.domain,
             label=f"{self.base.label}^{self.gamma:g}",
             exact_derivatives=self.base.exact_derivatives,
+            jet_many=self.jet,
         )
 
 
+def _require_positive(X, fvals) -> None:
+    if np.any(fvals <= 0.0):
+        i = int(np.argmin(fvals))
+        raise DomainError(f"power derivatives need f > 0; f({X[i].tolist()}) = {fvals[i]}")
+
+
 def power_derivative(p: PowerHandle, x, alpha) -> float:
-    """Evaluate D^alpha (f^gamma) at x through the composition formula."""
-    return p.derivative(x, alpha)
+    """Evaluate D^alpha (f^gamma) at x through `power_jet`."""
+    return float(p.derivative_values(np.atleast_2d(np.asarray(x, dtype=float)), alpha)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -258,24 +242,29 @@ def verify_power_smoothness_chain(
 ) -> PowerChainReport:
     """Check |grad^m f| <= C f^s empirically, then boundedness of grad^m(f^gamma).
 
+    One order-m_max jet of f serves the constants and every exponent's
+    `power_jet`; the power derivatives need f > 0 on the samples.
+
     Consistency means: whenever the derivative-power constants are finite and
     stable, the power derivatives stay bounded on the sampled region for
     every exponent in the grid.
     """
     pts = ball_points(region, samples)
     log_f = f.log_values(pts)
+    J = f.jet(pts, m_max)
     constants: dict = {}
     for m in range(1, m_max + 1):
         with np.errstate(divide="ignore"):
-            logd = np.log(f.max_entry_values(pts, m))
+            logd = np.log(max_entries(J[m]))
         best = np.fmax.reduce(log_ratios(logd, log_f, s), initial=-math.inf)
         constants[m] = math.exp(best) if best < 700 else math.inf
 
+    _require_positive(pts, J[0])
     power_sup: dict = {}
     for gamma in gamma_grid:
-        ph = PowerHandle(f, float(gamma), order_cap=m_max).as_function_handle()
+        P = power_jet(J, float(gamma))
         power_sup[float(gamma)] = {
-            m: float(np.fmax.reduce(ph.max_entry_values(pts, m), initial=0.0)) for m in range(1, m_max + 1)
+            m: float(np.fmax.reduce(max_entries(P[m]), initial=0.0)) for m in range(1, m_max + 1)
         }
 
     premise = all(math.isfinite(c) for c in constants.values())

@@ -37,11 +37,13 @@ from .cover import (
 from .errors import (
     BoundaryRootError,
     ClassificationError,
+    ConvergenceError,
     DomainError,
     QuadratureError,
     SosregError,
 )
 from .geometry import Ball, ball_points, sphere_points
+from .roots import power_jet
 
 __all__ = [
     "delta_sequence",
@@ -174,11 +176,11 @@ def track_implicit_root(
 ) -> float:
     """Root y of H(x', y) = 0 on [lo, hi] by safeguarded Newton with bisection.
 
-    Requires a sign change of H(x', .) across the bracket.
+    Requires a sign change of H(x', .) across the bracket; raises ConvergenceError
+    when |H| > tol after 100 iterations or once the iterate stops moving.
     """
     x_prime = tuple(float(v) for v in np.atleast_1d(x_prime))
-    k = len(x_prime)
-    dn = tuple([0] * k + [1])
+    dn = (0,) * len(x_prime) + (1,)
 
     def val(y):
         return H.value(x_prime + (y,))
@@ -199,22 +201,17 @@ def track_implicit_root(
         fy = val(y)
         if abs(fy) <= tol:
             return float(y)
-        if fy < 0:
-            a = y
-        else:
-            b = y
+        a, b = (y, b) if fy < 0 else (a, y)
         dy = dval(y)
-        step_ok = dy != 0.0
-        if step_ok:
-            y_new = y - fy / dy
-            if not (min(a, b) < y_new < max(a, b)):
-                step_ok = False
-        if not step_ok:
+        y_new = y - fy / dy if dy != 0.0 else math.nan
+        if not min(a, b) < y_new < max(a, b):  # no step, or it leaves the bracket: bisect
             y_new = 0.5 * (a + b)
         if y_new == y:
-            return float(y)
+            break
         y = y_new
-    return float(y)
+    raise ConvergenceError(
+        f"no root of H to |H| <= {tol} at x'={x_prime} on [{lo}, {hi}]: last |H| = {abs(fy)}"
+    )
 
 
 def implicit_second_derivative(H: FunctionHandle, point) -> np.ndarray:
@@ -317,6 +314,11 @@ class _RotatedFrame:
     def to_global(self, V) -> np.ndarray:
         V = np.atleast_2d(np.asarray(V, dtype=float))
         return self.base + V @ self.R.T
+
+    def to_local(self, X) -> tuple:
+        """(xi, y) with x = base + R (xi, y): the inverse of `to_global`."""
+        V = (np.atleast_2d(np.asarray(X, dtype=float)) - self.base) @ self.R
+        return V[:, :-1], V[:, -1]
 
     def values(self, V) -> np.ndarray:
         return self.f.values(self.to_global(V))
@@ -701,16 +703,8 @@ class _CaseIPiece:
         return np.sqrt(np.maximum(self.f.values(X), 0.0))
 
     def jet(self, X) -> tuple:
-        """(w, Dw, D^2 w) from f's gradient and Hessian:
-        D sqrt f = Df / (2 sqrt f), D^2 sqrt f = D^2 f / (2 sqrt f) - Df Df^T / (4 f^(3/2))."""
-        f0 = self.f.values(X)
-        f1 = self.f.gradient_values(X)
-        f2 = self.f.hessian_values(X)
-        w = np.sqrt(np.maximum(f0, 0.0))
-        inv = np.where(w > 0, 1.0 / np.where(w > 0, w, 1.0), 0.0)
-        w1 = 0.5 * inv[:, None] * f1
-        w2 = 0.5 * inv[:, None, None] * f2 - 0.25 * (inv**3)[:, None, None] * _outer(f1, f1)
-        return w, w1, w2
+        """(w, Dw, D^2 w) from f's order-2 jet; zero where f <= 0."""
+        return power_jet(self.f.jet(X, 2), 0.5)
 
 
 class _CaseIIQuadPiece:
@@ -721,13 +715,8 @@ class _CaseIIQuadPiece:
         self.minimizer = minimizer
         self.H = H
 
-    def _split(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        V = (X - self.frame.base) @ self.frame.R
-        return V[:, :-1], V[:, -1]
-
     def weights(self, X) -> np.ndarray:
-        Xi, Y = self._split(X)
+        Xi, Y = self.frame.to_local(X)
         Xstar = self.minimizer.solve_many(Xi)
         h = np.maximum(self.H.values(Xi, Y), 0.0)
         return (Y - Xstar) * np.sqrt(h)
@@ -780,15 +769,12 @@ class _LiftedPiece:
         self.sub_root = sub_root
 
     def weights(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        V = (X - self.frame.base) @ self.frame.R
-        return self.sub_root.eval_many(V[:, :-1])
+        return self.sub_root.eval_many(self.frame.to_local(X)[0])
 
     def jet(self, X) -> tuple:
-        """The sub-root's jet at xi = (x - base) R[:, :-1], pulled back to x."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """The sub-root's jet at the frame's xi, pulled back to x through R[:, :-1]."""
         P = self.frame.R[:, :-1]
-        w, w1, w2 = self.sub_root.jet((X - self.frame.base) @ P)
+        w, w1, w2 = self.sub_root.jet(self.frame.to_local(X)[0])
         return w, w1 @ P.T, P @ w2 @ P.T
 
 
@@ -992,11 +978,8 @@ def _case_ii_identity_error(
 ) -> float:
     """Max of |g - F - H (y - X)^2| over cell samples (exactness check)."""
     cell = cd.cell
-    n = g.arity
     pts = ball_points(Ball(center=cell.center, radius=0.98 * cell.radius), samples)
-    frame = cd.minimizer.frame
-    V = (pts - frame.base) @ frame.R
-    Xi, Y = V[:, :-1], V[:, -1]
+    Xi, Y = cd.minimizer.frame.to_local(pts)
     Xstar = cd.minimizer.solve_many(Xi)
     h = cd.H_eval.values(Xi, Y)
     if cd.F_handle is not None:

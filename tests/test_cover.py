@@ -18,7 +18,7 @@ from sosreg.cover import (
 )
 from sosreg.errors import CoverageHoleError, DomainError
 from sosreg.exprlang import parse_expression
-from sosreg.geometry import Ball, ball_grid, ball_points
+from sosreg.geometry import Ball, ball_grid, ball_points, sphere_points
 
 
 def handle(src, variables=("x",), radius=3.0):
@@ -84,6 +84,47 @@ class TestSlowVariation:
         )
         assert rep.passed
         assert rep.rescale >= 1.0
+
+
+def _slow_variation_loop(f, p, region, samples):
+    """worst_ratio, violations and pairs of verify_slowly_varying by the
+    per-sample loops it used before it was vectorised."""
+    xs =ball_points(region, samples)
+    g = f.rescaled(1.0 / max(1.0, 1.05 * float(np.max(f.max_entry_values(xs, 4)))))
+    reduced = ControlDistanceParams(delta=p.delta, variant="reduced")
+    rx = control_distance_values(g, xs, reduced)
+    dirs = sphere_points(max(16, samples // 8), f.arity) if f.arity > 1 else np.array([[1.0], [-1.0]])
+    fracs = np.linspace(0.1, 1.0, 7)
+    bound = 0.5 ** (1.0 / (4.0 + 2.0 * p.delta))
+    ys = np.array([x + fracs[k % 7] * (rx[k] / 200.0) * dirs[k % len(dirs)] for k, x in enumerate(xs)])
+    ry = control_distance_values(g, ys, reduced)
+    worst, violations, pairs = 0.0, [], 0
+    for k in range(len(xs)):
+        if rx[k] <= 0:
+            continue
+        pairs += 1
+        ratio = abs(rx[k] - ry[k]) / rx[k]
+        if ratio > worst:
+            worst = ratio
+        if ratio > bound * (1 + 1e-12):
+            violations.append({"x": [float(v) for v in xs[k]], "y": [float(v) for v in ys[k]],
+                               "ratio": float(ratio)})
+    return worst, violations, pairs
+
+
+@pytest.mark.parametrize("fn, arity, delta, violates", [
+    (lambda X: X[:, 0] ** 2 * (1 + 0.9 * np.sin(1e4 * X[:, 0])), 1, 0.45, True),
+    (lambda X: X[:, 0] ** 4 / 24 + X[:, 1] ** 2, 2, 0.25, False),
+])
+def test_slow_variation_matches_loop(fn, arity, delta, violates):
+    f = FunctionHandle.from_callable(fn, arity, domain=Ball((0.0,) * arity, 3.0), vectorized=True)
+    region = Ball((0.01,) * arity, 0.5)
+    rep = verify_slowly_varying(f, ControlDistanceParams(delta), region, 1500)
+    worst, violations, pairs = _slow_variation_loop(f, ControlDistanceParams(delta), region, 1500)
+    assert rep.worst_ratio == worst
+    assert rep.violations == violations
+    assert rep.pairs == pairs
+    assert bool(violations) == violates
 
 
 class TestCover:

@@ -6,7 +6,7 @@ import pytest
 
 from sosreg.calculus import FunctionHandle, fd_stencil, multiindices
 from sosreg.cover import ControlDistanceParams, CoverCell, build_cover, bump_jet, bump_profile
-from sosreg.errors import BoundaryRootError, ClassificationError, DomainError
+from sosreg.errors import BoundaryRootError, ClassificationError, ConvergenceError, DomainError
 from sosreg.exprlang import parse_expression
 from sosreg.geometry import Ball, ball_points
 from sosreg.sos import (
@@ -20,8 +20,10 @@ from sosreg.sos import (
     implicit_second_derivative,
     RootGroup,
     _ConstPiece,
+    _RotatedFrame,
     reduced_profile,
     root_holder_estimate,
+    rotation_with_last_axis,
     track_implicit_root,
     verify_decomposition,
 )
@@ -110,6 +112,12 @@ class TestImplicitFunctionHelpers:
         with pytest.raises(BoundaryRootError):
             track_implicit_root(H, [0.0], -1.0, 1.0)
 
+    def test_non_convergence_raises(self):
+        # no float y has y^2 - 2 == 0, so |H| <= 0 is never met
+        H = handle("x^2 - 2 + 0*s", ("s", "x"))
+        with pytest.raises(ConvergenceError, match=r"x'=\(0\.0,\) on \[1\.0, 2\.0\]: last \|H\| = "):
+            track_implicit_root(H, [0.0], 1.0, 2.0, tol=0.0)
+
     @pytest.mark.parametrize(
         "src,xi0,bracket",
         [
@@ -132,6 +140,15 @@ class TestImplicitFunctionHelpers:
         root = track_implicit_root(H, [0.3], -1.0, 1.0)
         assert root == pytest.approx(0.09)
         assert implicit_second_derivative(H, (0.3, 0.09))[0, 0] == pytest.approx(2.0)
+
+
+def test_rotated_frame_to_local_inverts_to_global():
+    R = rotation_with_last_axis(np.array([0.48, -0.6, 0.64]))
+    frame = _RotatedFrame(handle("x^2 + y^2 + z^2", ("x", "y", "z")), np.array([0.1, -0.2, 0.3]), R)
+    V = np.random.default_rng(3).uniform(-1.0, 1.0, (50, 3))
+    Xi, Y = frame.to_local(frame.to_global(V))
+    assert Xi.shape == (50, 2) and Y.shape == (50,)
+    assert np.max(np.abs(np.column_stack([Xi, Y]) - V)) <= 1e-15
 
 
 class TestClassifyCell:
@@ -434,6 +451,19 @@ class TestDecompose:
         assert rep.identity_error <= 1e-10
         assert rep.passed
         assert not rep.warnings
+
+    @pytest.mark.parametrize("src, radius", [
+        ("x^2", 0.05),  # translation-invariant fiber: the remainder is exactly zero
+        ("x^2 + y^4", 0.01),  # degenerate zero set
+    ])
+    def test_case_two_cells_2d(self, src, radius):
+        f = handle(src, ("x", "y"))
+        rep = decompose(f, DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0, 0.0), radius),
+                                           estimate_holder=False))
+        assert rep.identity_error <= 1e-10
+        assert rep.passed
+        assert rep.case_counts["II"] >= 1
+        assert all(w.endswith(": remainder profile entirely below the floor; dropped") for w in rep.warnings)
 
     def test_strict_mode_raises(self):
         f = handle("x^2")
