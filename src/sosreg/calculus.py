@@ -592,10 +592,10 @@ def holder_seminorm(
     sep = np.linalg.norm(ys - zs, axis=1)
     best = 0.0
     worst = None
+    Ty, Tz = f.derivative_tensor(ys, order), f.derivative_tensor(zs, order)
     for alpha in multiindices(f.arity, order):
-        dy = f.derivative_values(ys, alpha)
-        dz = f.derivative_values(zs, alpha)
-        quot = np.abs(dy - dz) / sep**exponent
+        at = (slice(None),) + tuple(i for i, p in enumerate(alpha) for _ in range(p))
+        quot = np.abs(Ty[at] - Tz[at]) / sep**exponent
         i = int(np.argmax(quot))
         if quot[i] > best:
             best = float(quot[i])

@@ -250,8 +250,9 @@ def _cmd_roots(args, cfg) -> int:
     fd = FunctionHandle.from_callable(ph.values, arity=f.arity, domain=region, vectorized=True)
     worst = 0.0
     sup = 0.0
+    T = ph.derivative_tensor(pts, order)
     for alpha in multiindices(f.arity, order):
-        direct = ph.derivative_values(pts, alpha)
+        direct = T[(slice(None),) + tuple(i for i, p in enumerate(alpha) for _ in range(p))]
         oracle = fd.derivative_values(pts, alpha)
         dev = np.max(np.abs(direct - oracle) / (1.0 + np.abs(direct)))
         worst = max(worst, float(dev))

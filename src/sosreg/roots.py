@@ -117,11 +117,13 @@ class PowerHandle:
             _require_positive(X, J[0])
         return power_jet(J, self.gamma)
 
+    def derivative_tensor(self, X, order: int) -> np.ndarray:
+        """All order-`order` partials of f^gamma as one (N, n, ..., n) tensor; f^gamma at order 0."""
+        return self.jet(X, order)[order] if order else self.values(X)
+
     def derivative_values(self, X, alpha) -> np.ndarray:
         axes = tuple(i for i, p in enumerate(alpha) for _ in range(int(p)))
-        if not axes:
-            return self.values(X)
-        return self.jet(X, len(axes))[-1][(slice(None),) + axes]
+        return self.derivative_tensor(X, len(axes))[(slice(None),) + axes]
 
     def as_function_handle(self, domain: Ball | None = None) -> FunctionHandle:
         return FunctionHandle(

@@ -18,6 +18,7 @@ Cells decompose independently; assembly and reporting are deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -373,6 +374,7 @@ class CellDecomposition:
             "recursive": self.sub_report is not None,
         }
         if self.case == "II":
+            out["quad_nodes"] = self.H_eval.nodes
             out["tables"] = self.sampled_tables()
         return out
 
@@ -392,10 +394,12 @@ class CellDecomposition:
         ys = np.linspace(-r, r, resolution)
         X = self.minimizer.solve_many(Xi)
         if self.F_handle is not None:
-            F = self.F_handle.values(Xi)
+            F = self.minimizer.frame.values(np.concatenate([Xi, X[:, None]], axis=1))
         else:
             F = np.full(Xi.shape[0], self.F_const)
-        H = np.stack([self.H_eval.values(Xi, np.full(Xi.shape[0], y)) for y in ys])
+        M = len(ys)
+        H = self.H_eval.values(np.tile(Xi, (M, 1)), np.repeat(ys, Xi.shape[0]), np.tile(X, M))
+        H = H.reshape(M, Xi.shape[0])
         return {
             "xi_shape": list(Xi.shape),
             "xi": [[float(v) for v in row] for row in Xi],
@@ -553,47 +557,74 @@ def implicit_minimizer(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _fiber_rule(nodes: int) -> tuple:
+    """(t, (1 - t) w): the n-node Gauss-Legendre rule on [0, 1] with the
+    fiber factor's weight (1 - t) folded in."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t = 0.5 * (t + 1.0)
+    rule = (t, (1.0 - t) * (0.5 * w))
+    for a in rule:
+        a.flags.writeable = False  # shared by every caller through the cache
+    return rule
+
+
 class _FiberFactor:
     """H(xi, y) = int_0^1 (1-t) d^2_y f(xi, (1-t) X(xi) + t y) dt by
-    Gauss-Legendre quadrature (without a leading 1/2, so that
-    f = F + H * (y - X)^2 holds exactly)."""
+    n-node Gauss-Legendre quadrature (without a leading 1/2, so that
+    f = F + H * (y - X)^2 holds exactly).
 
-    def __init__(self, frame: _RotatedFrame, minimizer: MinimizerProfile, nodes: int = 32):
+    `max_nodes` (the `quad_nodes` setting) caps n.  `nodes` is the count in
+    use: the cap until `check_quadrature` sets it to the smallest n in
+    2, 4, ..., `max_nodes` whose rule agrees with the one before it on the
+    cell's samples.  An n-node rule integrates polynomials of degree 2n - 1
+    exactly, so a polynomial fiber needs few nodes."""
+
+    def __init__(self, frame: _RotatedFrame, minimizer: MinimizerProfile, max_nodes: int = 32):
         self.frame = frame
         self.minimizer = minimizer
-        self.nodes = nodes
-        t, w = np.polynomial.legendre.leggauss(nodes)
-        self.t = 0.5 * (t + 1.0)
-        self.w = 0.5 * w
+        self.max_nodes = max_nodes
+        self.nodes = max_nodes
 
-    def _values(self, Xi, Y, nodes=None) -> np.ndarray:
+    def _values(self, Xi, Y, X, nodes: int) -> np.ndarray:
         Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
         Y = np.atleast_1d(np.asarray(Y, dtype=float))
-        X = self.minimizer.solve_many(Xi)
-        if nodes is None:
-            t, w = self.t, self.w
-        else:
-            tt, ww = np.polynomial.legendre.leggauss(nodes)
-            t, w = 0.5 * (tt + 1.0), 0.5 * ww
+        t, tw = _fiber_rule(nodes)
         N = Xi.shape[0]
         ys = (1.0 - t)[None, :] * X[:, None] + t[None, :] * Y[:, None]
-        V = np.concatenate(
-            [np.repeat(Xi, len(t), axis=0), ys.reshape(-1, 1)], axis=1
-        )
-        d2 = self.frame.fiber_d2(V).reshape(N, len(t))
-        return d2 @ ((1.0 - t) * w)
+        V = np.concatenate([np.repeat(Xi, nodes, axis=0), ys.reshape(-1, 1)], axis=1)
+        return self.frame.fiber_d2(V).reshape(N, nodes) @ tw
 
-    def values(self, Xi, Y) -> np.ndarray:
-        return self._values(Xi, Y)
+    def values(self, Xi, Y, X=None) -> np.ndarray:
+        """H at the points (Xi, Y); X is the minimizer at Xi when the caller
+        has solved it already, and is solved here otherwise."""
+        if X is None:
+            X = self.minimizer.solve_many(Xi)
+        return self._values(Xi, Y, X, self.nodes)
 
     def check_quadrature(self, Xi, Y, rel_tol: float = 1e-9):
-        a = self._values(Xi, Y)
-        b = self._values(Xi, Y, nodes=self.nodes // 2)
-        scale = np.max(np.abs(a)) + 1e-30
-        err = float(np.max(np.abs(a - b))) / scale
-        if err > rel_tol:
-            raise QuadratureError(f"fiber factor quadrature mismatch {err:.3e}")
-        return err
+        """Choose the cell's node count on the sample points (Xi, Y).
+
+        Walks n = 2, 4, ... up to `max_nodes` (the cap itself last), comparing
+        each rule with the one before it (the 1-node rule for n = 2) in the
+        sup norm relative to max |H_n|, on one fiber solve of the samples.
+        The first n within `rel_tol` becomes `nodes`, and its values H_n at
+        the samples are returned; if none passes, QuadratureError is raised.
+        """
+        X = self.minimizer.solve_many(Xi)
+        prev, n, err = self._values(Xi, Y, X, 1), 1, math.inf
+        while n < self.max_nodes:
+            n = min(2 * n, self.max_nodes)
+            cur = self._values(Xi, Y, X, n)
+            err = float(np.max(np.abs(cur - prev))) / (np.max(np.abs(cur)) + 1e-30)
+            if err <= rel_tol:
+                self.nodes = n
+                return cur
+            prev = cur
+        raise QuadratureError(
+            f"cell {self.minimizer.cell_nu}: fiber factor quadrature mismatch {err:.3e} "
+            f"at {n} nodes, the cap (quad_nodes)"
+        )
 
 
 _BLOCK = 8192  # points per fiber solve of a reduced profile; bounds the parent's jet tensors
@@ -659,24 +690,27 @@ def reduced_profile(
     delta: float,
     quad_nodes: int = 32,
 ):
-    """(F, H) for a case II cell: the reduced profile over the cross-section
-    and the fiber factor with exact reconstruction f = F + H (y - X)^2.
+    """(F, H, h_ok) for a case II cell: the reduced profile over the
+    cross-section and the fiber factor with exact reconstruction
+    f = F + H (y - X)^2.
 
-    Checks H >= (1/4) rho^(2+2d) on cell samples (the lower bound matching
-    the unhalved H normalization) and quadrature convergence.
+    On 16 cell samples, `H.check_quadrature` chooses H's node count (the
+    smallest n in 2, 4, ..., `quad_nodes` that agrees with n/2 to a relative
+    1e-9; `quad_nodes` is the cap), and h_ok records whether those values
+    keep H >= (1/4) rho^(2+2d) (the lower bound matching the unhalved H
+    normalization).
     """
     frame = minimizer.frame
     n = f.arity
     k = n - 1
-    H = _FiberFactor(frame, minimizer, nodes=quad_nodes)
+    H = _FiberFactor(frame, minimizer, max_nodes=quad_nodes)
 
     if k > 0:
         xi_pts = ball_points(Ball(center=(0.0,) * k, radius=0.9 * cell.radius), 16)
     else:
         xi_pts = np.zeros((8, 0))
     y_pts = np.linspace(-0.9 * cell.radius, 0.9 * cell.radius, len(xi_pts))
-    H.check_quadrature(xi_pts, y_pts)
-    h_vals = H.values(xi_pts, y_pts)
+    h_vals = H.check_quadrature(xi_pts, y_pts)
     h_floor = 0.25 * rho ** (2.0 + 2.0 * delta)
     h_ok = bool(np.all(h_vals >= h_floor * (1.0 - 1e-6)))
 
@@ -718,7 +752,7 @@ class _CaseIIQuadPiece:
     def weights(self, X) -> np.ndarray:
         Xi, Y = self.frame.to_local(X)
         Xstar = self.minimizer.solve_many(Xi)
-        h = np.maximum(self.H.values(Xi, Y), 0.0)
+        h = np.maximum(self.H.values(Xi, Y, Xstar), 0.0)
         return (Y - Xstar) * np.sqrt(h)
 
     def jet(self, X) -> tuple:
@@ -976,14 +1010,17 @@ class DecompositionReport:
 def _case_ii_identity_error(
     g: FunctionHandle, cd: CellDecomposition, samples: int
 ) -> float:
-    """Max of |g - F - H (y - X)^2| over cell samples (exactness check)."""
+    """Max of |g - F - H (y - X)^2| over cell samples (exactness check), on
+    one fiber solve: F = g(xi, X(xi)) is read from the same minimizer values
+    that H uses."""
     cell = cd.cell
     pts = ball_points(Ball(center=cell.center, radius=0.98 * cell.radius), samples)
-    Xi, Y = cd.minimizer.frame.to_local(pts)
+    frame = cd.minimizer.frame
+    Xi, Y = frame.to_local(pts)
     Xstar = cd.minimizer.solve_many(Xi)
-    h = cd.H_eval.values(Xi, Y)
+    h = cd.H_eval.values(Xi, Y, Xstar)
     if cd.F_handle is not None:
-        Fv = cd.F_handle.values(Xi)
+        Fv = frame.values(np.concatenate([Xi, Xstar[:, None]], axis=1))
     else:
         Fv = np.full(len(pts), cd.F_const)
     recon = Fv + h * (Y - Xstar) ** 2

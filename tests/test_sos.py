@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from sosreg.calculus import FunctionHandle, fd_stencil, multiindices
 from sosreg.cover import ControlDistanceParams, CoverCell, build_cover, bump_jet, bump_profile
-from sosreg.errors import BoundaryRootError, ClassificationError, ConvergenceError, DomainError
+from sosreg.errors import BoundaryRootError, ClassificationError, ConvergenceError, DomainError, QuadratureError
 from sosreg.exprlang import parse_expression
 from sosreg.geometry import Ball, ball_points
 from sosreg.sos import (
@@ -19,8 +20,11 @@ from sosreg.sos import (
     implicit_minimizer,
     implicit_second_derivative,
     RootGroup,
+    _CaseIIQuadPiece,
     _ConstPiece,
+    _FiberFactor,
     _RotatedFrame,
+    _case_ii_identity_error,
     reduced_profile,
     root_holder_estimate,
     rotation_with_last_axis,
@@ -487,6 +491,78 @@ class TestDecompose:
             assert np.max(np.maximum(f2, 0.0)) <= 3.0 * parent_plus
             checked += 1
         assert checked >= 1
+
+
+def _case_ii_cells(rep, depth=0):
+    """(depth, cell decomposition) of every case-II cell, recursing into sub-reports."""
+    for cd in rep.cells:
+        if cd.case == "II":
+            yield depth, cd
+            if cd.sub_report is not None:
+                yield from _case_ii_cells(cd.sub_report, depth + 1)
+
+
+@pytest.fixture(scope="module")
+def counted_isotropic_3d():
+    """x^2+y^2+z^2 on the fiber3d-sized ball, with every fiber solve point counted."""
+    points = []
+    solve_many = MinimizerProfile.solve_many
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MinimizerProfile, "solve_many",
+                   lambda self, Xi: points.append(len(np.atleast_2d(Xi))) or solve_many(self, Xi))
+        rep = decompose(handle("x^2 + y^2 + z^2", ("x", "y", "z")),
+                        DecomposeParams(delta=0.25, eta=0.3, region=Ball((3e-4, -2e-4, 1e-4), 0.015),
+                                        estimate_holder=False))
+    return rep, sum(points)
+
+
+class TestFiberQuadrature:
+    def test_polynomial_fibers_choose_two_nodes(self):
+        f = handle("x^2 + y^2 + z^2", ("x", "y", "z"))
+        rep = decompose(f, DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0, 0.0, 0.0), 0.015),
+                                           estimate_holder=False))
+        nodes = {}
+        for depth, cd in _case_ii_cells(rep):
+            nodes.setdefault(depth, set()).add(cd.H_eval.nodes)
+            assert cd.as_dict()["quad_nodes"] == cd.H_eval.nodes
+        assert nodes[0] == nodes[1] == {2}
+
+    def test_transcendental_fiber_chooses_more_nodes(self):
+        f = handle("x^2 + sin(y)^2", ("x", "y"))
+        params = DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0, 0.0), 0.05), estimate_holder=False)
+        cells = [cd for cd in decompose(f, params).cells if cd.case == "II"]
+        assert cells
+        for cd in cells:
+            assert 2 < cd.H_eval.nodes <= params.quad_nodes
+            pts = ball_points(Ball(cd.cell.center, 0.98 * cd.cell.radius), 200)
+            Xi, Y = cd.minimizer.frame.to_local(pts)
+            # an unchecked factor integrates with its cap
+            full = _FiberFactor(cd.minimizer.frame, cd.minimizer, max_nodes=32).values(Xi, Y)
+            assert np.max(np.abs(cd.H_eval.values(Xi, Y) - full)) <= 1e-12 * np.max(np.abs(full))
+        with pytest.raises(QuadratureError, match=f"cell {cells[0].cell.nu}: .* at 2 nodes"):
+            decompose(f, replace(params, quad_nodes=2))
+
+    def test_solve_count(self, counted_isotropic_3d):
+        rep, points = counted_isotropic_3d
+        assert rep.recursion_depth == 2 and rep.passed
+        assert points <= 110_000
+
+    def test_one_fiber_solve_per_batch(self, counted_isotropic_3d, monkeypatch):
+        rep, _ = counted_isotropic_3d
+        parent, cd = next((p, c) for p in rep.cells if p.sub_report is not None
+                          for _, c in _case_ii_cells(p.sub_report))
+        callers = []
+        solve_many = MinimizerProfile.solve_many
+        monkeypatch.setattr(MinimizerProfile, "solve_many",
+                            lambda self, Xi: callers.append(self) or solve_many(self, Xi))
+        pts = ball_points(Ball(cd.cell.center, 0.9 * cd.cell.radius), 50)
+        piece = _CaseIIQuadPiece(cd.minimizer.frame, cd.minimizer, cd.H_eval)
+        for run in (lambda: piece.weights(pts), lambda: _case_ii_identity_error(parent.F_handle, cd, 50)):
+            callers.clear()
+            run()
+            # H's second fiber derivatives solve the parent level; this level solves once
+            assert sum(m is cd.minimizer for m in callers) == 1
+            assert any(m is parent.minimizer for m in callers)
 
 
 class TestVerifyDecomposition:
