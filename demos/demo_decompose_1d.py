@@ -38,11 +38,12 @@ for cd in report.cells:
     if cd.case == "II":
         print(f"\nthe origin cell (nu={cd.cell.nu}):")
         print(f"  center {cd.cell.center}, radius {cd.cell.radius:.4f}")
-        x_local = cd.minimizer.solve(np.zeros(0))
+        split = cd.split
+        x_local = split.minimizer.solve(np.zeros(0))
         x_global = cd.cell.center[0] + x_local
         print(f"  fiber minimizer at {x_global:.2e} in global coordinates (true minimum at 0)")
-        print(f"  reduced profile constant F = {cd.F_const:.2e} (true value 0)")
-        h_val = cd.H_eval.values(np.zeros((1, 0)), np.array([0.003]))[0]
+        print(f"  reduced profile constant F = {split.F:.2e} (true value 0)")
+        h_val = split.H(np.zeros((1, 0)), np.array([0.003]))[0]
         print(f"  fiber factor H = {h_val:.12f} (true value 1: no leading 1/2)")
 
 grid = np.linspace(-0.95, 0.95, 1200).reshape(-1, 1)

@@ -49,8 +49,6 @@ _STENCILS = {
     3: ((-3, -2, -1, 1, 2, 3), (1.0 / 8, -1.0, 13.0 / 8, -13.0 / 8, 1.0, -1.0 / 8)),
     4: ((-3, -2, -1, 0, 1, 2, 3), (-1.0 / 6, 2.0, -13.0 / 2, 28.0 / 3, -13.0 / 2, 2.0, -1.0 / 6)),
 }
-# the plain 2nd-order central stencils for orders 1 and 2
-SECOND_ORDER_STENCILS = {1: ((-1, 1), (-0.5, 0.5)), 2: ((-1, 0, 1), (1.0, -2.0, 1.0))}
 
 
 def fd_step(order: int) -> float:
@@ -58,11 +56,11 @@ def fd_step(order: int) -> float:
     return 1e-3 * 2.0 ** (order - 1)
 
 
-def fd_stencil(alpha, step, stencils: dict = _STENCILS) -> tuple:
+def fd_stencil(alpha, step) -> tuple:
     """Offsets (m, n) and weights (m,) of the nested central stencil for D^alpha.
 
-    Each differentiated axis applies the stencil of its order p (4th-order
-    accurate by default) with spacing step(p);
+    Each differentiated axis applies the 4th-order accurate stencil of its
+    order p with spacing step(p);
     D^alpha g(x) ~= sum_i weights[i] * g(x + offsets[i]).
     """
     n = len(alpha)
@@ -71,7 +69,7 @@ def fd_stencil(alpha, step, stencils: dict = _STENCILS) -> tuple:
     for axis, p in enumerate(alpha):
         if p == 0:
             continue
-        offs, coefs = stencils[p]
+        offs, coefs = _STENCILS[p]
         h = step(p)
         new_offsets, new_weights = [], []
         for base, wt in zip(offsets, weights):

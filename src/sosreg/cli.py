@@ -420,14 +420,8 @@ def _add_function(sp):
     sp.add_argument("--region-center", dest="region_center")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sosreg",
-        description="Constructive sum-of-squares decompositions and their supporting checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("decompose", help="decompose a nonnegative function into squares")
+def _add_decompose(sp):
+    """The flags shared by `decompose` and `verify`."""
     _add_function(sp)
     sp.add_argument("--dim", type=int)
     sp.add_argument("--delta", type=float)
@@ -443,22 +437,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cells", help="write cover cells as JSON lines to this path")
     _add_common(sp)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="sosreg",
+        description="Constructive sum-of-squares decompositions and their supporting checks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    sp = sub.add_parser("decompose", help="decompose a nonnegative function into squares")
+    _add_decompose(sp)
+
     sp = sub.add_parser("verify", help="decompose and verify on a denser grid")
-    _add_function(sp)
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--eta", type=float)
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--floor", type=float)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--verify-points", type=int, dest="verify_points")
-    sp.add_argument("--max-cells", type=int, dest="max_cells")
+    _add_decompose(sp)
     sp.add_argument("--grid-points", type=int, dest="grid_points")
-    sp.add_argument("--strict", action="store_true")
-    sp.add_argument("--no-normalize", action="store_true")
-    sp.add_argument("--no-holder", action="store_true")
-    sp.add_argument("--cells", help="write cover cells as JSON lines to this path")
-    _add_common(sp)
 
     sp = sub.add_parser("monotone", help="weak-monotonicity functional of a function")
     _add_function(sp)

@@ -201,7 +201,6 @@ def build_cover(
     # probe to learn the radius range on the region
     probe = ball_points(region, 512)
     rho_probe = control_distance_values(f, probe, p)
-    rho_max = float(np.max(rho_probe))
     live = rho_probe[rho_probe >= floor]
     if live.size == 0:
         return []
@@ -229,43 +228,26 @@ def build_cover(
     order = np.lexsort(tuple(cand[:, i] for i in range(n)) + (-rho,))
     cand, rho = cand[order], rho[order]
 
-    # spatial hash for "covered at half radius" queries
-    cell_size = s * rho_max / 2.0
-    buckets: dict = {}
-    accepted_centers: list = []
-    accepted_radius: list = []
-
-    def bucket_key(pt):
-        return tuple(int(math.floor(v / cell_size)) for v in pt)
-
-    reach = 1  # accepted half-radii are <= cell_size, one bucket ring suffices
-
+    # accept in that order every candidate not within half the radius of an
+    # accepted cell; an acceptance marks the candidates it covers
+    tree = cKDTree(cand)
+    free = np.ones(len(cand), dtype=bool)
     cells: list = []
-    for idx in range(len(cand)):
-        x = cand[idx]
-        key = bucket_key(x)
-        covered = False
-        for offs in np.ndindex(*((2 * reach + 1,) * n)):
-            nb = tuple(k + o - reach for k, o in zip(key, offs))
-            for j in buckets.get(nb, ()):
-                if np.linalg.norm(x - accepted_centers[j]) <= accepted_radius[j] / 2.0:
-                    covered = True
-                    break
-            if covered:
-                break
-        if covered:
-            continue
-        r = s * float(rho[idx])
-        j = len(accepted_centers)
-        accepted_centers.append(x)
-        accepted_radius.append(r)
-        buckets.setdefault(key, []).append(j)
-        cells.append(CoverCell(nu=j, center=tuple(x), radius=r, bump_scale=r))
+    i = 0
+    while i < len(cand):
+        i += int(np.argmax(free[i:]))
+        if not free[i]:
+            break
+        x, r = cand[i], s * float(rho[i])
+        near = np.asarray(tree.query_ball_point(x, r / 2.0 * (1.0 + 1e-9)), dtype=int)
+        free[near[np.linalg.norm(cand[near] - x, axis=1) <= r / 2.0]] = False
+        cells.append(CoverCell(nu=len(cells), center=tuple(x), radius=r, bump_scale=r))
         if len(cells) > max_cells:
             raise CoverBudgetError(
                 f"cover exceeded {max_cells} cells (floor {floor} too small for this region)",
                 count=len(cells),
             )
+        i += 1
     return cells
 
 

@@ -10,8 +10,10 @@ along the top Hessian eigendirection, where X is the fiberwise minimizer,
 H(xi, y) = int_0^1 (1-t) d^2_y f(xi, (1-t)X+ty) dt (no leading 1/2, so the
 identity is exact), and the reduced profile F of one fewer variable is
 decomposed recursively with a smaller Hölder exponent from the two-parameter
-recursion.  Roots are grouped by cover color class into finitely many
-functions g_l with f = sum g_l^2 on the truncated region.
+recursion.  One `FiberSplit` (built by `reduced_profile`) holds a cell's
+split and is its root (y - X) sqrt(H), whose derivatives are taken in closed
+form.  Roots are grouped by cover color class into finitely many functions
+g_l with f = sum g_l^2 on the truncated region.
 
 Cells decompose independently; assembly and reporting are deterministic.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import SECOND_ORDER_STENCILS, FunctionHandle, HolderEstimate, fd_stencil, log_ratios, multiindices
+from .calculus import FunctionHandle, HolderEstimate, log_ratios
 from .cover import (
     ControlDistanceParams,
     CoverCell,
@@ -51,8 +53,8 @@ __all__ = [
     "check_differential_inequalities",
     "classify_cell",
     "classify_cells",
-    "implicit_minimizer",
     "reduced_profile",
+    "FiberSplit",
     "decompose",
     "verify_decomposition",
     "root_holder_estimate",
@@ -352,12 +354,8 @@ class CellDecomposition:
     rho: float
     rho_terms: tuple
     axis: tuple | None = None
-    minimizer: "MinimizerProfile | None" = None
-    H_eval: "object | None" = None
-    F_handle: FunctionHandle | None = None
-    F_const: float | None = None
+    split: "FiberSplit | None" = None
     sub_report: "DecompositionReport | None" = None
-    h_lower_ok: bool | None = None
     identity_error: float | None = None
 
     def as_dict(self) -> dict:
@@ -369,46 +367,14 @@ class CellDecomposition:
             "radius": float(self.cell.radius),
             "rho": float(self.rho),
             "axis": None if self.axis is None else [float(v) for v in self.axis],
-            "h_lower_ok": self.h_lower_ok,
+            "h_lower_ok": None if self.split is None else self.split.h_ok,
             "identity_error": self.identity_error,
             "recursive": self.sub_report is not None,
         }
-        if self.case == "II":
-            out["quad_nodes"] = self.H_eval.nodes
-            out["tables"] = self.sampled_tables()
+        if self.split is not None:
+            out["quad_nodes"] = self.split.nodes
+            out["tables"] = self.split.sampled_tables()
         return out
-
-    def sampled_tables(self, resolution: int = 9) -> dict | None:
-        """Grid tables of the minimizer X, reduced profile F and fiber factor
-        H over the cell, with shape metadata, for serialized reports."""
-        if self.minimizer is None:
-            return None
-        k = self.minimizer.frame.n - 1
-        r = 0.9 * self.cell.radius
-        if k == 0:
-            Xi = np.zeros((1, 0))
-        elif k == 1:
-            Xi = np.linspace(-r, r, resolution).reshape(-1, 1)
-        else:
-            Xi = ball_points(Ball(center=(0.0,) * k, radius=r), resolution)
-        ys = np.linspace(-r, r, resolution)
-        X = self.minimizer.solve_many(Xi)
-        if self.F_handle is not None:
-            F = self.minimizer.frame.values(np.concatenate([Xi, X[:, None]], axis=1))
-        else:
-            F = np.full(Xi.shape[0], self.F_const)
-        M = len(ys)
-        H = self.H_eval.values(np.tile(Xi, (M, 1)), np.repeat(ys, Xi.shape[0]), np.tile(X, M))
-        H = H.reshape(M, Xi.shape[0])
-        return {
-            "xi_shape": list(Xi.shape),
-            "xi": [[float(v) for v in row] for row in Xi],
-            "fiber_grid": [float(v) for v in ys],
-            "X": [float(v) for v in X],
-            "F": [float(v) for v in F],
-            "H_shape": list(H.shape),
-            "H": [[float(v) for v in row] for row in H],
-        }
 
 
 def classify_cells(f: FunctionHandle, cells: list, delta: float, c: float) -> tuple:
@@ -536,24 +502,8 @@ class MinimizerProfile:
         return y
 
 
-def implicit_minimizer(
-    f: FunctionHandle,
-    cell: CoverCell,
-    axis,
-    rho: float,
-    delta: float,
-    newton_tol: float = 1e-12,
-) -> MinimizerProfile:
-    """Minimizer profile for the cell fiber along the given unit direction."""
-    axis = np.asarray(axis, dtype=float)
-    R = rotation_with_last_axis(axis)
-    frame = _RotatedFrame(f, np.asarray(cell.center), R)
-    g_tol = newton_tol * rho ** (2.0 + 2.0 * delta)
-    return MinimizerProfile(frame, halfwidth=cell.radius, g_tol=g_tol, cell_nu=cell.nu)
-
-
 # ---------------------------------------------------------------------------
-# Reduced profile and second-derivative factor
+# The case-II fiber split
 # ---------------------------------------------------------------------------
 
 
@@ -569,62 +519,20 @@ def _fiber_rule(nodes: int) -> tuple:
     return rule
 
 
-class _FiberFactor:
-    """H(xi, y) = int_0^1 (1-t) d^2_y f(xi, (1-t) X(xi) + t y) dt by
-    n-node Gauss-Legendre quadrature (without a leading 1/2, so that
-    f = F + H * (y - X)^2 holds exactly).
+def _quadrature_points(Xi: np.ndarray, Y: np.ndarray, X: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The points (xi, (1 - t) X + t y) of every node t, nodes fastest: (N * nodes, n)."""
+    ys = (1.0 - t)[None, :] * X[:, None] + t[None, :] * Y[:, None]
+    return np.concatenate([np.repeat(Xi, len(t), axis=0), ys.reshape(-1, 1)], axis=1)
 
-    `max_nodes` (the `quad_nodes` setting) caps n.  `nodes` is the count in
-    use: the cap until `check_quadrature` sets it to the smallest n in
-    2, 4, ..., `max_nodes` whose rule agrees with the one before it on the
-    cell's samples.  An n-node rule integrates polynomials of degree 2n - 1
-    exactly, so a polynomial fiber needs few nodes."""
 
-    def __init__(self, frame: _RotatedFrame, minimizer: MinimizerProfile, max_nodes: int = 32):
-        self.frame = frame
-        self.minimizer = minimizer
-        self.max_nodes = max_nodes
-        self.nodes = max_nodes
-
-    def _values(self, Xi, Y, X, nodes: int) -> np.ndarray:
-        Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
-        Y = np.atleast_1d(np.asarray(Y, dtype=float))
-        t, tw = _fiber_rule(nodes)
-        N = Xi.shape[0]
-        ys = (1.0 - t)[None, :] * X[:, None] + t[None, :] * Y[:, None]
-        V = np.concatenate([np.repeat(Xi, nodes, axis=0), ys.reshape(-1, 1)], axis=1)
-        return self.frame.fiber_d2(V).reshape(N, nodes) @ tw
-
-    def values(self, Xi, Y, X=None) -> np.ndarray:
-        """H at the points (Xi, Y); X is the minimizer at Xi when the caller
-        has solved it already, and is solved here otherwise."""
-        if X is None:
-            X = self.minimizer.solve_many(Xi)
-        return self._values(Xi, Y, X, self.nodes)
-
-    def check_quadrature(self, Xi, Y, rel_tol: float = 1e-9):
-        """Choose the cell's node count on the sample points (Xi, Y).
-
-        Walks n = 2, 4, ... up to `max_nodes` (the cap itself last), comparing
-        each rule with the one before it (the 1-node rule for n = 2) in the
-        sup norm relative to max |H_n|, on one fiber solve of the samples.
-        The first n within `rel_tol` becomes `nodes`, and its values H_n at
-        the samples are returned; if none passes, QuadratureError is raised.
-        """
-        X = self.minimizer.solve_many(Xi)
-        prev, n, err = self._values(Xi, Y, X, 1), 1, math.inf
-        while n < self.max_nodes:
-            n = min(2 * n, self.max_nodes)
-            cur = self._values(Xi, Y, X, n)
-            err = float(np.max(np.abs(cur - prev))) / (np.max(np.abs(cur)) + 1e-30)
-            if err <= rel_tol:
-                self.nodes = n
-                return cur
-            prev = cur
-        raise QuadratureError(
-            f"cell {self.minimizer.cell_nu}: fiber factor quadrature mismatch {err:.3e} "
-            f"at {n} nodes, the cap (quad_nodes)"
-        )
+def _fiber_factor(frame: _RotatedFrame, Xi, Y, X: np.ndarray, nodes: int) -> np.ndarray:
+    """H(xi, y) = int_0^1 (1-t) d^2_y f(xi, (1-t) X(xi) + t y) dt by the
+    n-node Gauss-Legendre rule, X the minimizer at xi (without a leading 1/2,
+    so that f = F + H * (y - X)^2 holds exactly)."""
+    Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
+    Y = np.atleast_1d(np.asarray(Y, dtype=float))
+    t, tw = _fiber_rule(nodes)
+    return frame.fiber_d2(_quadrature_points(Xi, Y, X, t)).reshape(len(Xi), nodes) @ tw
 
 
 _BLOCK = 8192  # points per fiber solve of a reduced profile; bounds the parent's jet tensors
@@ -682,42 +590,174 @@ def _reduced_profile_handle(
     )
 
 
+class FiberSplit:
+    """The case-II split f = F(xi) + H(xi, y) (y - X(xi))^2 of one cell, and
+    its root piece w = (y - X(xi)) sqrt(H(xi, y)).
+
+    (xi, y) are the coordinates of `frame`, y along the cell's axis.  X is
+    the fiber minimizer (`minimizer`), H the fiber factor by the `nodes`-node
+    rule, and F the reduced profile f(xi, X(xi)): a jet-backed handle over
+    the cross-section, or for a 1-D cell the constant f(X), clamped at 0.
+    `h_ok` records whether H kept its lower bound on the samples that chose
+    `nodes`.  Built by :func:`reduced_profile`; every method solves the
+    fiber once per batch.
+    """
+
+    kind = "caseII"
+
+    def __init__(self, cell: CoverCell, minimizer: MinimizerProfile, nodes: int, F, h_ok: bool):
+        self.cell = cell
+        self.frame = minimizer.frame
+        self.minimizer = minimizer
+        self.nodes = nodes
+        self.F = F
+        self.h_ok = h_ok
+
+    def H(self, Xi, Y, X=None) -> np.ndarray:
+        """H at the points (Xi, Y); X is the minimizer at Xi when the caller
+        has solved it already, and is solved here otherwise."""
+        if X is None:
+            X = self.minimizer.solve_many(Xi)
+        return _fiber_factor(self.frame, Xi, Y, X, self.nodes)
+
+    def _F_values(self, Xi: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """F at Xi from the minimizer values X already solved there."""
+        if self.frame.n == 1:
+            return np.full(len(Xi), self.F)
+        return self.frame.values(np.concatenate([Xi, X[:, None]], axis=1))
+
+    def weights(self, X) -> np.ndarray:
+        Xi, Y = self.frame.to_local(X)
+        Xstar = self.minimizer.solve_many(Xi)
+        return (Y - Xstar) * np.sqrt(np.maximum(self.H(Xi, Y, Xstar), 0.0))
+
+    def jet(self, X) -> tuple:
+        """(w, Dw, D^2 w) in closed form, from one fiber solve and one order-4
+        jet of f at the graph and quadrature points.
+
+        In the frame, w = s sqrt(H) with s = y - X(xi).  DX and D^2 X come
+        from differentiating f_y(xi, X(xi)) = 0 (`_implicit_jet`).  With
+        Psi_i(xi, y) = (xi, (1 - t_i) X(xi) + t_i y), H = sum_i tw_i f_yy o Psi_i,
+        so DH = sum_i tw_i DPsi_i^T D f_yy and D^2 H = sum_i tw_i
+        (DPsi_i^T D^2 f_yy DPsi_i + (1 - t_i) d_y f_yy D^2 X on the xi block);
+        sqrt(H) is taken by `power_jet` (zero where H <= 0).  The derivatives
+        are rotated back to x by R.
+        """
+        Xi, Y = self.frame.to_local(X)
+        N, k = Xi.shape
+        t, tw = _fiber_rule(self.nodes)
+        Xstar = self.minimizer.solve_many(Xi)
+        graph = np.concatenate([Xi, Xstar[:, None]], axis=1)
+        J = self.frame.jet(np.concatenate([graph, _quadrature_points(Xi, Y, Xstar, t)]), 4)
+        P, (X2,) = _implicit_jet([None, J[2][:N, -1], J[3][:N, -1]], 2)
+        DX = P[:, -1]
+        DPsi = np.zeros((N, len(t), k + 1, k + 1))
+        DPsi[..., :k, :k] = np.eye(k)
+        DPsi[..., -1, :k] = (1.0 - t)[:, None] * DX[:, None, :]
+        DPsi[..., -1, -1] = t
+        DPsi = DPsi.reshape(-1, k + 1, k + 1)
+        phi0, phi1, phi2 = (T[N:, ..., -1, -1] for T in J[2:])  # f_yy and its jet at the nodes
+        H0 = phi0.reshape(N, -1) @ tw
+        H1 = np.tensordot(_pull(phi1, DPsi, 1).reshape(N, len(t), k + 1), tw, axes=(1, 0))
+        H2 = np.tensordot(_pull(phi2, DPsi, 2).reshape(N, len(t), k + 1, k + 1), tw, axes=(1, 0))
+        H2[:, :k, :k] += (phi1[:, -1].reshape(N, -1) @ ((1.0 - t) * tw))[:, None, None] * X2
+        q0, q1, q2 = power_jet((H0, H1, H2), 0.5)
+        s = Y - Xstar
+        ds = np.concatenate([-DX, np.ones((N, 1))], axis=1)
+        w2 = _outer(ds, q1) + _outer(q1, ds) + s[:, None, None] * q2
+        w2[:, :k, :k] -= q0[:, None, None] * X2
+        R = self.frame.R
+        return s * q0, (ds * q0[:, None] + s[:, None] * q1) @ R.T, R @ w2 @ R.T
+
+    def identity_error(self, samples: int) -> float:
+        """Max of |f - F - H (y - X)^2| over `samples` points of the cell
+        (the exactness check), on one fiber solve."""
+        pts = ball_points(Ball(center=self.cell.center, radius=0.98 * self.cell.radius), samples)
+        Xi, Y = self.frame.to_local(pts)
+        Xstar = self.minimizer.solve_many(Xi)
+        h = self.H(Xi, Y, Xstar)
+        recon = self._F_values(Xi, Xstar) + h * (Y - Xstar) ** 2
+        return float(np.max(np.abs(self.frame.f.values(pts) - recon)))
+
+    def sampled_tables(self, resolution: int = 9) -> dict:
+        """Grid tables of the minimizer X, reduced profile F and fiber factor
+        H over the cell, with shape metadata, for serialized reports."""
+        k = self.frame.n - 1
+        r = 0.9 * self.cell.radius
+        if k == 0:
+            Xi = np.zeros((1, 0))
+        elif k == 1:
+            Xi = np.linspace(-r, r, resolution).reshape(-1, 1)
+        else:
+            Xi = ball_points(Ball(center=(0.0,) * k, radius=r), resolution)
+        ys = np.linspace(-r, r, resolution)
+        X = self.minimizer.solve_many(Xi)
+        F = self._F_values(Xi, X)
+        M = len(ys)
+        H = self.H(np.tile(Xi, (M, 1)), np.repeat(ys, Xi.shape[0]), np.tile(X, M)).reshape(M, Xi.shape[0])
+        return {
+            "xi_shape": list(Xi.shape),
+            "xi": [[float(v) for v in row] for row in Xi],
+            "fiber_grid": [float(v) for v in ys],
+            "X": [float(v) for v in X],
+            "F": [float(v) for v in F],
+            "H_shape": list(H.shape),
+            "H": [[float(v) for v in row] for row in H],
+        }
+
+
 def reduced_profile(
     f: FunctionHandle,
     cell: CoverCell,
-    minimizer: MinimizerProfile,
+    axis,
     rho: float,
     delta: float,
+    newton_tol: float = 1e-12,
     quad_nodes: int = 32,
-):
-    """(F, H, h_ok) for a case II cell: the reduced profile over the
-    cross-section and the fiber factor with exact reconstruction
-    f = F + H (y - X)^2.
+) -> FiberSplit:
+    """The case-II split of a cell along the unit direction `axis`.
 
-    On 16 cell samples, `H.check_quadrature` chooses H's node count (the
-    smallest n in 2, 4, ..., `quad_nodes` that agrees with n/2 to a relative
-    1e-9; `quad_nodes` is the cap), and h_ok records whether those values
-    keep H >= (1/4) rho^(2+2d) (the lower bound matching the unhalved H
-    normalization).
+    The fiber Newton solves stop at |f_y| <= newton_tol * rho^(2+2d).  On 16
+    cell samples and one fiber solve, H's node count is chosen: the smallest
+    n in 2, 4, ..., `quad_nodes` (the cap, last) whose rule agrees with the
+    one before it (the 1-node rule for n = 2) to a relative 1e-9 in the sup
+    norm; QuadratureError is raised if none does.  h_ok records whether
+    those values keep H >= (1/4) rho^(2+2d) (the lower bound matching the
+    unhalved H normalization).
     """
-    frame = minimizer.frame
-    n = f.arity
-    k = n - 1
-    H = _FiberFactor(frame, minimizer, max_nodes=quad_nodes)
+    R = rotation_with_last_axis(np.asarray(axis, dtype=float))
+    frame = _RotatedFrame(f, np.asarray(cell.center), R)
+    g_tol = newton_tol * rho ** (2.0 + 2.0 * delta)
+    minimizer = MinimizerProfile(frame, halfwidth=cell.radius, g_tol=g_tol, cell_nu=cell.nu)
+    k = f.arity - 1
 
     if k > 0:
         xi_pts = ball_points(Ball(center=(0.0,) * k, radius=0.9 * cell.radius), 16)
     else:
         xi_pts = np.zeros((8, 0))
     y_pts = np.linspace(-0.9 * cell.radius, 0.9 * cell.radius, len(xi_pts))
-    h_vals = H.check_quadrature(xi_pts, y_pts)
+    X = minimizer.solve_many(xi_pts)
+    prev, n, err = _fiber_factor(frame, xi_pts, y_pts, X, 1), 1, math.inf
+    while n < quad_nodes:
+        n = min(2 * n, quad_nodes)
+        h_vals = _fiber_factor(frame, xi_pts, y_pts, X, n)
+        err = float(np.max(np.abs(h_vals - prev))) / (np.max(np.abs(h_vals)) + 1e-30)
+        if err <= 1e-9:
+            break
+        prev = h_vals
+    else:
+        raise QuadratureError(
+            f"cell {cell.nu}: fiber factor quadrature mismatch {err:.3e} at {n} nodes, the cap (quad_nodes)"
+        )
     h_floor = 0.25 * rho ** (2.0 + 2.0 * delta)
     h_ok = bool(np.all(h_vals >= h_floor * (1.0 - 1e-6)))
 
-    F = None
     if k > 0:
         F = _reduced_profile_handle(frame, minimizer, k, cell.radius, label=f"{f.label}|cell{cell.nu}")
-    return F, H, h_ok
+    else:
+        y_star = minimizer.solve(np.zeros(0))
+        F = max(float(f.value(frame.to_global(np.array([[y_star]]))[0])), 0.0)
+    return FiberSplit(cell, minimizer, n, F, h_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -739,45 +779,6 @@ class _CaseIPiece:
     def jet(self, X) -> tuple:
         """(w, Dw, D^2 w) from f's order-2 jet; zero where f <= 0."""
         return power_jet(self.f.jet(X, 2), 0.5)
-
-
-class _CaseIIQuadPiece:
-    kind = "caseII"
-
-    def __init__(self, frame: _RotatedFrame, minimizer: MinimizerProfile, H: _FiberFactor):
-        self.frame = frame
-        self.minimizer = minimizer
-        self.H = H
-
-    def weights(self, X) -> np.ndarray:
-        Xi, Y = self.frame.to_local(X)
-        Xstar = self.minimizer.solve_many(Xi)
-        h = np.maximum(self.H.values(Xi, Y, Xstar), 0.0)
-        return (Y - Xstar) * np.sqrt(h)
-
-    def jet(self, X) -> tuple:
-        """(w, Dw, D^2 w) by 2nd-order central differences of the weights with
-        step 1e-3 * cell radius, all distinct stencil points in one weights call."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        N, n = X.shape
-        h = 1e-3 * self.minimizer.halfwidth
-        alphas = multiindices(n, 1) + multiindices(n, 2)
-        stencils = [fd_stencil(alpha, lambda p: h, SECOND_ORDER_STENCILS) for alpha in alphas]
-        offsets, where = np.unique(
-            np.concatenate([np.zeros((1, n))] + [o for o, _ in stencils]), axis=0, return_inverse=True
-        )
-        vals = self.weights((X[:, None, :] + offsets[None]).reshape(-1, n)).reshape(N, -1)[:, where.ravel()]
-        w1, w2 = np.empty((N, n)), np.empty((N, n, n))
-        col = 1
-        for alpha, (_, wts) in zip(alphas, stencils):
-            d = vals[:, col : col + len(wts)] @ wts
-            col += len(wts)
-            axes = [i for i, p in enumerate(alpha) for _ in range(p)]
-            if len(axes) == 1:
-                w1[:, axes[0]] = d
-            else:
-                w2[:, axes[0], axes[1]] = w2[:, axes[1], axes[0]] = d
-        return vals[:, 0], w1, w2
 
 
 class _ConstPiece:
@@ -1007,26 +1008,6 @@ class DecompositionReport:
         }
 
 
-def _case_ii_identity_error(
-    g: FunctionHandle, cd: CellDecomposition, samples: int
-) -> float:
-    """Max of |g - F - H (y - X)^2| over cell samples (exactness check), on
-    one fiber solve: F = g(xi, X(xi)) is read from the same minimizer values
-    that H uses."""
-    cell = cd.cell
-    pts = ball_points(Ball(center=cell.center, radius=0.98 * cell.radius), samples)
-    frame = cd.minimizer.frame
-    Xi, Y = frame.to_local(pts)
-    Xstar = cd.minimizer.solve_many(Xi)
-    h = cd.H_eval.values(Xi, Y, Xstar)
-    if cd.F_handle is not None:
-        Fv = frame.values(np.concatenate([Xi, Xstar[:, None]], axis=1))
-    else:
-        Fv = np.full(len(pts), cd.F_const)
-    recon = Fv + h * (Y - Xstar) ** 2
-    return float(np.max(np.abs(g.values(pts) - recon)))
-
-
 def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> DecompositionReport:
     """Decompose a nonnegative function into a finite sum of squares.
 
@@ -1101,23 +1082,17 @@ def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> De
             add_member(("caseI", cell.color), cell.nu, case_one_piece)
         else:
             cd.axis = tuple(axis)
-            minimizer = implicit_minimizer(g, cell, axis, rho, params.delta, params.newton_tol)
-            cd.minimizer = minimizer
-            F, H, h_ok = reduced_profile(g, cell, minimizer, rho, params.delta, params.quad_nodes)
-            cd.H_eval = H
-            cd.h_lower_ok = h_ok
-            if not h_ok:
+            split = cd.split = reduced_profile(
+                g, cell, axis, rho, params.delta, params.newton_tol, params.quad_nodes
+            )
+            if not split.h_ok:
                 report.warnings.append(f"cell {cell.nu}: fiber factor fell below its lower bound")
-            add_member(("caseII", cell.color), cell.nu, _CaseIIQuadPiece(minimizer.frame, minimizer, H))
+            add_member(("caseII", cell.color), cell.nu, split)
 
             k = n - 1
             if k == 0:
-                y_star = minimizer.solve(np.zeros(0))
-                c0 = float(g.value(minimizer.frame.to_global(np.array([[y_star]]))[0]))
-                cd.F_const = max(c0, 0.0)
-                add_member(("rem", cell.color, "const"), cell.nu, _ConstPiece(cd.F_const))
+                add_member(("rem", cell.color, "const"), cell.nu, _ConstPiece(split.F))
             else:
-                cd.F_handle = F
                 sub_params = replace(
                     params,
                     # one step of the exponent recursion per recursion level
@@ -1129,16 +1104,16 @@ def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> De
                     estimate_holder=False,
                     ineq_samples=max(60, params.ineq_samples // 8),
                 )
-                sub_report = decompose(F, sub_params, _level=_level + 1)
+                sub_report = decompose(split.F, sub_params, _level=_level + 1)
                 cd.sub_report = sub_report
                 max_depth = max(max_depth, 1 + sub_report.recursion_depth)
                 for sub_g in sub_report.roots:
-                    add_member(("rem", cell.color, sub_g.label), cell.nu, _LiftedPiece(minimizer.frame, sub_g))
+                    add_member(("rem", cell.color, sub_g.label), cell.nu, _LiftedPiece(split.frame, sub_g))
                 if sub_report.empty:
                     report.warnings.append(
                         f"cell {cell.nu}: remainder profile entirely below the floor; dropped"
                     )
-            cd.identity_error = _case_ii_identity_error(g, cd, params.identity_samples) / max(a, 1e-300)
+            cd.identity_error = split.identity_error(params.identity_samples) / max(a, 1e-300)
             identity_worst = max(identity_worst, cd.identity_error)
         report.cells.append(cd)
 
@@ -1158,10 +1133,11 @@ def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> De
         report.warnings.append("verification grid entirely inside the floor region")
         report.residual_points = 0
     for cd in report.cells:
-        if cd.minimizer is not None and cd.minimizer.unconverged:
+        if cd.split is not None and cd.split.minimizer.unconverged:
+            m = cd.split.minimizer
             report.warnings.append(
-                f"cell {cd.cell.nu}: {cd.minimizer.unconverged} fiber Newton solves stopped above "
-                f"g_tol after {cd.minimizer.max_iter} iterations"
+                f"cell {cd.cell.nu}: {m.unconverged} fiber Newton solves stopped above "
+                f"g_tol after {m.max_iter} iterations"
             )
 
     if params.estimate_holder and report.roots:

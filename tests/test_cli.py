@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from sosreg.cli import main
+from sosreg.cli import build_parser, main
 
 
 def run_cli(args):
@@ -38,6 +38,20 @@ class TestDecompose:
         payload = json.loads(report.read_text())
         assert payload["report"]["residual_sup"] <= 1e-8
         assert payload["config"]["delta"] == 0.25
+
+    def test_verify_shares_decompose_flags(self):
+        flags = ["--function", "x^2", "--param", "a=1", "--region-radius", "0.1", "--region-center", "0,0",
+                 "--dim", "2", "--delta", "0.2", "--eta", "0.3", "--s", "0.004", "--floor", "0.002",
+                 "--tol", "1e-7", "--verify-points", "300", "--max-cells", "1000", "--strict",
+                 "--no-normalize", "--no-holder", "--cells", "c.jsonl", "--report", "r.json",
+                 "--csv", "o.csv", "--seed", "3", "--config", "k.cfg"]
+        parser = build_parser()
+        dec = vars(parser.parse_args(["decompose"] + flags))
+        ver = vars(parser.parse_args(["verify"] + flags + ["--grid-points", "500"]))
+        assert dec.pop("command") == "decompose" and ver.pop("command") == "verify"
+        assert ver.pop("grid_points") == 500
+        assert dec == ver
+        assert dec["verify_points"] == 300 and dec["max_cells"] == 1000 and dec["strict"] and dec["no_holder"]
 
     def test_wrong_dim_is_config_error(self, capsys):
         code = run_cli(["decompose", "--function", "x^2 + y^2", "--dim", "1"])

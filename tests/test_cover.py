@@ -146,6 +146,13 @@ class TestCover:
         with pytest.raises(DomainError):
             build_cover(handle("1"), ControlDistanceParams(0.25), Ball((0.0,), 1.0), s=0.01)
 
+    def test_matches_spatial_hash_loop(self, isotropic_covers):
+        for cells, (src, variables, radius) in zip(isotropic_covers, _ISOTROPIC):
+            ref = _cover_reference(handle(src, variables), ControlDistanceParams(0.25),
+                                   Ball((0.0,) * len(variables), radius))
+            assert [(c.nu, c.center, c.radius, c.bump_scale) for c in cells] == \
+                [(c.nu, c.center, c.radius, c.bump_scale) for c in ref]
+
     def test_parabola_cover_covers_region(self):
         f = handle("x^2")
         region = Ball((0.0,), 1.0)
@@ -213,14 +220,52 @@ class TestPartition:
             build_partition([])
 
 
+_ISOTROPIC = (("x^2 + y^2 + z^2", ("x", "y", "z"), 0.015), ("x^2 + y^2", ("x", "y"), 0.12))
+
+
 @pytest.fixture(scope="module")
 def isotropic_covers():
     """The top-level covers of x^2+y^2+z^2 on B(0, 0.015) (213 cells) and of
     x^2+y^2 on B(0, 0.12) (1,896 cells)."""
     return [
         build_cover(handle(src, variables), ControlDistanceParams(0.25), Ball((0.0,) * len(variables), radius))
-        for src, variables, radius in (("x^2 + y^2 + z^2", ("x", "y", "z"), 0.015), ("x^2 + y^2", ("x", "y"), 0.12))
+        for src, variables, radius in _ISOTROPIC
     ]
+
+
+def _cover_reference(f, p, region, s=1.0 / 200.0, floor=1e-3):
+    """build_cover's cells by the spatial-hash loop over every candidate it replaced."""
+    n = region.dim
+    rho_probe = control_distance_values(f, ball_points(region, 512), p)
+    rho_max = float(np.max(rho_probe))
+    live = rho_probe[rho_probe >= floor]
+    spacing = s * max(float(np.min(live)), floor) / 2.0
+    per_axis = int(np.ceil(2.0 * region.radius / spacing)) + 1
+    c = np.asarray(region.center)
+    mesh = np.meshgrid(*[np.linspace(ci - region.radius, ci + region.radius, per_axis) for ci in c], indexing="ij")
+    cand = np.stack([m.ravel() for m in mesh], axis=1)
+    cand = cand[np.linalg.norm(cand - c, axis=1) <= region.radius]
+    rho = control_distance_values(f, cand, p)
+    cand, rho = cand[rho >= floor], rho[rho >= floor]
+    order = np.lexsort(tuple(cand[:, i] for i in range(n)) + (-rho,))
+    cand, rho = cand[order], rho[order]
+    cell_size = s * rho_max / 2.0
+    buckets, centers, radii, cells = {}, [], [], []
+    for x, rx in zip(cand, rho):
+        key = tuple(int(np.floor(v / cell_size)) for v in x)
+        covered = any(
+            np.linalg.norm(x - centers[j]) <= radii[j] / 2.0
+            for offs in np.ndindex(*((3,) * n))
+            for j in buckets.get(tuple(k + o - 1 for k, o in zip(key, offs)), ())
+        )
+        if covered:
+            continue
+        r = s * float(rx)
+        buckets.setdefault(key, []).append(len(centers))
+        centers.append(x)
+        radii.append(r)
+        cells.append(CoverCell(nu=len(cells), center=tuple(x), radius=r, bump_scale=r))
+    return cells
 
 
 def _fd_partition_sups(part, per_cell_samples, max_cells, h_frac):

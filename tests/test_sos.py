@@ -17,14 +17,11 @@ from sosreg.sos import (
     classify_cell,
     decompose,
     delta_sequence,
-    implicit_minimizer,
     implicit_second_derivative,
     RootGroup,
-    _CaseIIQuadPiece,
     _ConstPiece,
-    _FiberFactor,
     _RotatedFrame,
-    _case_ii_identity_error,
+    _fiber_factor,
     reduced_profile,
     root_holder_estimate,
     rotation_with_last_axis,
@@ -191,18 +188,24 @@ class TestClassifyCell:
         assert case == "I"
 
 
+def _profile(f, cell, axis, rho, newton_tol=1e-12):
+    """The fiber minimizer of a cell along `axis`, as `reduced_profile` builds it for delta = 0.25."""
+    frame = _RotatedFrame(f, np.asarray(cell.center), rotation_with_last_axis(np.asarray(axis, dtype=float)))
+    return MinimizerProfile(frame, halfwidth=cell.radius, g_tol=newton_tol * rho**2.5, cell_nu=cell.nu)
+
+
 class TestMinimizerAndProfile:
     def test_parabola_minimizer_at_zero(self):
         f = handle("x^2")
         cell = CoverCell(nu=0, center=(0.0,), radius=0.006, bump_scale=0.006)
-        prof = implicit_minimizer(f, cell, np.array([1.0]), rho=2 ** (1 / 2.5), delta=0.25)
+        prof = _profile(f, cell, [1.0], rho=2 ** (1 / 2.5))
         assert prof.solve(np.zeros(0)) == pytest.approx(0.0, abs=1e-14)
 
     def test_affine_minimizer_of_shifted_quadratic(self):
         # f(xi, x) = xi^2 + (x - xi)^2 has X(xi) = xi
         f = handle("s^2 + (x - s)^2", ("s", "x"))
         cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01, bump_scale=0.01)
-        prof = implicit_minimizer(f, cell, np.array([0.0, 1.0]), rho=2 ** (1 / 2.5), delta=0.25)
+        prof = _profile(f, cell, [0.0, 1.0], rho=2 ** (1 / 2.5))
         for xi in (-0.005, 0.0, 0.004):
             assert prof.solve([xi]) == pytest.approx(xi, abs=1e-12)
 
@@ -212,8 +215,7 @@ class TestMinimizerAndProfile:
         cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01, bump_scale=0.01)
         xi = np.linspace(-0.007, 0.007, 9)[:, None]
         for tol in (1e-12, 0.0):
-            prof = implicit_minimizer(f, cell, np.array([0.0, 1.0]), rho=2 ** (1 / 2.5), delta=0.25,
-                                      newton_tol=tol)
+            prof = _profile(f, cell, [0.0, 1.0], rho=2 ** (1 / 2.5), newton_tol=tol)
             y = prof.solve_many(xi)
             assert np.max(np.abs(y - xi.ravel() / (1 + xi.ravel()))) <= 1e-15
             assert (prof.unconverged > 0) == (tol == 0.0)
@@ -227,7 +229,7 @@ class TestMinimizerAndProfile:
         f = handle("s^2 + (x - s)^2 + s*x^2", ("s", "x"))
         cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01, bump_scale=0.01)
         xi = np.linspace(-0.007, 0.007, 9)[:, None]
-        prof = implicit_minimizer(f, cell, np.array([0.0, 1.0]), rho=2 ** (1 / 2.5), delta=0.25, newton_tol=0.0)
+        prof = _profile(f, cell, [0.0, 1.0], rho=2 ** (1 / 2.5), newton_tol=0.0)
         calls = []
         fiber = prof.frame.fiber
         prof.frame.fiber = lambda V: calls.append(len(V)) or fiber(V)
@@ -242,15 +244,15 @@ class TestMinimizerAndProfile:
         rep = decompose(handle("x^2"), DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0003,), 1.0),
                                                        verify_points=400, estimate_holder=False))
         (cd,) = [cd for cd in rep.cells if cd.case == "II"]
-        assert cd.minimizer.unconverged > 0
-        assert any(w.startswith(f"cell {cd.cell.nu}: {cd.minimizer.unconverged} fiber Newton solves")
+        assert cd.split.minimizer.unconverged > 0
+        assert any(w.startswith(f"cell {cd.cell.nu}: {cd.split.minimizer.unconverged} fiber Newton solves")
                    for w in rep.warnings)
 
     def test_boundary_root_error(self):
         # strictly increasing fiber: the minimum sits on the bracket edge
         f = handle("x + 10 + 0*s", ("s", "x"))
         cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01, bump_scale=0.01)
-        prof = implicit_minimizer(f, cell, np.array([0.0, 1.0]), rho=1.0, delta=0.25)
+        prof = _profile(f, cell, [0.0, 1.0], rho=1.0)
         with pytest.raises(BoundaryRootError):
             prof.solve([0.0])
 
@@ -259,12 +261,11 @@ class TestMinimizerAndProfile:
         f = handle("x^2")
         cell = CoverCell(nu=0, center=(0.0,), radius=0.006, bump_scale=0.006)
         rho = 2 ** (1 / 2.5)
-        prof = implicit_minimizer(f, cell, np.array([1.0]), rho=rho, delta=0.25)
-        F, H, h_ok = reduced_profile(f, cell, prof, rho=rho, delta=0.25)
-        assert F is None
-        assert h_ok
+        split = reduced_profile(f, cell, [1.0], rho=rho, delta=0.25)
+        assert split.F == 0.0
+        assert split.h_ok
         ys = np.linspace(-0.005, 0.005, 11)
-        vals = H.values(np.zeros((11, 0)), ys)
+        vals = split.H(np.zeros((11, 0)), ys)
         assert np.allclose(vals, 1.0, atol=1e-12)
 
     def test_reduced_profile_shifted_quadratic(self):
@@ -272,11 +273,11 @@ class TestMinimizerAndProfile:
         f = handle("s^2 + (x - s)^2", ("s", "x"))
         cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01, bump_scale=0.01)
         rho = 2 ** (1 / 2.5)
-        prof = implicit_minimizer(f, cell, np.array([0.0, 1.0]), rho=rho, delta=0.25)
-        F, H, h_ok = reduced_profile(f, cell, prof, rho=rho, delta=0.25)
+        split = reduced_profile(f, cell, [0.0, 1.0], rho=rho, delta=0.25)
+        F = split.F
         xis = np.linspace(-0.007, 0.007, 9).reshape(-1, 1)
         assert np.allclose(F.values(xis), xis.ravel() ** 2, atol=1e-12)
-        assert np.allclose(H.values(xis, np.linspace(-0.007, 0.007, 9)), 1.0, atol=1e-10)
+        assert np.allclose(split.H(xis, np.linspace(-0.007, 0.007, 9)), 1.0, atol=1e-10)
         # implicit-function derivatives of F
         assert np.allclose(F.derivative_values(xis, (2,)), 2.0, atol=1e-9)
 
@@ -310,9 +311,8 @@ def _check_against_richardson(F, X, h):
 
 def _level_profile(f, center, axis, radius):
     cell = CoverCell(nu=0, center=center, radius=radius, bump_scale=radius)
-    prof = implicit_minimizer(f, cell, np.asarray(axis, dtype=float), rho=1.0, delta=0.25)
-    F, _, _ = reduced_profile(f, cell, prof, rho=1.0, delta=0.25)
-    return F, prof
+    split = reduced_profile(f, cell, axis, rho=1.0, delta=0.25)
+    return split.F, split.minimizer
 
 
 class TestJets:
@@ -359,7 +359,7 @@ class TestJets:
         f = handle("x^2 + y^2 + z^2", ("x", "y", "z"))
         F1, p1 = _level_profile(f, (0.0, 0.0, 0.0), np.array([0.0, 0.6, 0.8]), 0.004)
         cell = CoverCell(nu=1, center=(0.0005, 0.0003), radius=0.002, bump_scale=0.002)
-        p2 = implicit_minimizer(F1, cell, np.array([0.6, 0.8]), rho=1.0, delta=0.25)
+        p2 = _profile(F1, cell, [0.6, 0.8], rho=1.0)
         parent, fiber_calls = [], []
         solve_many, fiber = p1.solve_many, p2.frame.fiber
         p1.solve_many = lambda Xi: parent.append(len(Xi)) or solve_many(Xi)
@@ -483,10 +483,10 @@ class TestDecompose:
                                            verify_points=600, estimate_holder=False))
         checked = 0
         for cd in rep.cells:
-            if cd.case != "II" or cd.F_handle is None:
+            if cd.case != "II":
                 continue
             xis = np.linspace(-0.7, 0.7, 9).reshape(-1, 1) * cd.cell.radius
-            f2 = cd.F_handle.derivative_values(xis, (2,))
+            f2 = cd.split.F.derivative_values(xis, (2,))
             parent_plus = 2.0  # sup of the positive Hessian part of x^2+y^2
             assert np.max(np.maximum(f2, 0.0)) <= 3.0 * parent_plus
             checked += 1
@@ -516,29 +516,41 @@ def counted_isotropic_3d():
     return rep, sum(points)
 
 
+@pytest.fixture(scope="module")
+def isotropic_3d():
+    return decompose(handle("x^2 + y^2 + z^2", ("x", "y", "z")),
+                     DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0, 0.0, 0.0), 0.015),
+                                     estimate_holder=False))
+
+
+@pytest.fixture(scope="module")
+def sine_fiber_2d():
+    """x^2 + sin(y)^2 on B(0, 0.05): one case-II cell, whose fiber takes 4 nodes."""
+    params = DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0, 0.0), 0.05), estimate_holder=False)
+    return decompose(handle("x^2 + sin(y)^2", ("x", "y")), params)
+
+
 class TestFiberQuadrature:
-    def test_polynomial_fibers_choose_two_nodes(self):
-        f = handle("x^2 + y^2 + z^2", ("x", "y", "z"))
-        rep = decompose(f, DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0, 0.0, 0.0), 0.015),
-                                           estimate_holder=False))
+    def test_polynomial_fibers_choose_two_nodes(self, isotropic_3d):
         nodes = {}
-        for depth, cd in _case_ii_cells(rep):
-            nodes.setdefault(depth, set()).add(cd.H_eval.nodes)
-            assert cd.as_dict()["quad_nodes"] == cd.H_eval.nodes
+        for depth, cd in _case_ii_cells(isotropic_3d):
+            nodes.setdefault(depth, set()).add(cd.split.nodes)
+            assert cd.as_dict()["quad_nodes"] == cd.split.nodes
         assert nodes[0] == nodes[1] == {2}
 
-    def test_transcendental_fiber_chooses_more_nodes(self):
-        f = handle("x^2 + sin(y)^2", ("x", "y"))
-        params = DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0, 0.0), 0.05), estimate_holder=False)
-        cells = [cd for cd in decompose(f, params).cells if cd.case == "II"]
+    def test_transcendental_fiber_chooses_more_nodes(self, sine_fiber_2d):
+        params = sine_fiber_2d.params
+        cells = [cd for cd in sine_fiber_2d.cells if cd.case == "II"]
         assert cells
         for cd in cells:
-            assert 2 < cd.H_eval.nodes <= params.quad_nodes
+            split = cd.split
+            assert 2 < split.nodes <= params.quad_nodes
             pts = ball_points(Ball(cd.cell.center, 0.98 * cd.cell.radius), 200)
-            Xi, Y = cd.minimizer.frame.to_local(pts)
+            Xi, Y = split.frame.to_local(pts)
             # an unchecked factor integrates with its cap
-            full = _FiberFactor(cd.minimizer.frame, cd.minimizer, max_nodes=32).values(Xi, Y)
-            assert np.max(np.abs(cd.H_eval.values(Xi, Y) - full)) <= 1e-12 * np.max(np.abs(full))
+            full = _fiber_factor(split.frame, Xi, Y, split.minimizer.solve_many(Xi), 32)
+            assert np.max(np.abs(split.H(Xi, Y) - full)) <= 1e-12 * np.max(np.abs(full))
+        f = handle("x^2 + sin(y)^2", ("x", "y"))
         with pytest.raises(QuadratureError, match=f"cell {cells[0].cell.nu}: .* at 2 nodes"):
             decompose(f, replace(params, quad_nodes=2))
 
@@ -556,13 +568,13 @@ class TestFiberQuadrature:
         monkeypatch.setattr(MinimizerProfile, "solve_many",
                             lambda self, Xi: callers.append(self) or solve_many(self, Xi))
         pts = ball_points(Ball(cd.cell.center, 0.9 * cd.cell.radius), 50)
-        piece = _CaseIIQuadPiece(cd.minimizer.frame, cd.minimizer, cd.H_eval)
-        for run in (lambda: piece.weights(pts), lambda: _case_ii_identity_error(parent.F_handle, cd, 50)):
+        split = cd.split
+        for run in (lambda: split.weights(pts), lambda: split.jet(pts), lambda: split.identity_error(50)):
             callers.clear()
             run()
             # H's second fiber derivatives solve the parent level; this level solves once
-            assert sum(m is cd.minimizer for m in callers) == 1
-            assert any(m is parent.minimizer for m in callers)
+            assert sum(m is split.minimizer for m in callers) == 1
+            assert any(m is parent.split.minimizer for m in callers)
 
 
 class TestVerifyDecomposition:
@@ -647,6 +659,44 @@ class TestRootJet:
         assert groups
         for grp in groups[:4]:
             _check_jet(grp, isotropic_2d.partition)
+
+    @pytest.mark.parametrize("label", [
+        "caseII:17",
+        "rem:17:caseI:0",
+        pytest.param("rem:17:caseI:2", marks=pytest.mark.xfail(
+            strict=True, reason="a case-I cell of the reduced profile covers its zero at xi = 0, "
+                                "so the lifted root sqrt(F) has a kink there")),
+        "rem:17:caseII:1",
+        "rem:17:rem:1:const",
+    ])
+    def test_four_node_fiber_groups_match_fd(self, sine_fiber_2d, label):
+        (grp,) = [g for g in sine_fiber_2d.roots if g.label == label]
+        assert {cd.split.nodes for _, cd in _case_ii_cells(sine_fiber_2d)} >= {4}
+        _check_jet(grp, sine_fiber_2d.partition)
+
+    def test_split_jet_on_a_curved_fiber(self):
+        # X is curved and f_yy varies along the fiber, so every term of the jet is live
+        f = handle("s^2 + (x - s)^2 + s*x^2 + x^3", ("s", "x"))
+        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01, bump_scale=0.01)
+        split = reduced_profile(f, cell, [0.0, 1.0], rho=1.0, delta=0.25)
+        pts = ball_points(Ball(cell.center, 0.9 * cell.radius), 24)
+        w, d1, d2 = split.jet(pts)
+        h = 1e-3 * cell.radius
+        e = np.eye(2) * h
+        wt = split.weights
+        fd1 = np.stack([(wt(pts + e[i]) - wt(pts - e[i])) / (2 * h) for i in range(2)], axis=1)
+        fd2 = np.stack([np.stack([(wt(pts + e[i] + e[j]) - wt(pts + e[i] - e[j]) - wt(pts - e[i] + e[j])
+                                   + wt(pts - e[i] - e[j])) / (4 * h * h) for j in range(2)], axis=1)
+                        for i in range(2)], axis=1)
+        assert np.max(np.abs(w - wt(pts))) <= 1e-15
+        assert np.max(np.abs(d1 - fd1)) <= 1e-4 * np.max(np.abs(d1))
+        assert np.max(np.abs(d2 - fd2)) <= 1e-4 * np.max(np.abs(d2))
+
+    def test_depth_two_lifted_groups_match_fd(self, isotropic_3d):
+        groups = [g for g in isotropic_3d.roots if g.label.startswith("rem:") and ":rem:" in g.label]
+        assert isotropic_3d.recursion_depth == 2 and len(groups) >= 3
+        for grp in groups:
+            _check_jet(grp, isotropic_3d.partition)
 
     def test_parabola_constant_group(self, parabola_1d):
         (grp,) = [g for g in parabola_1d.roots if g.label.endswith(":const")]
