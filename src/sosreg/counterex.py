@@ -473,7 +473,7 @@ def _monomials(W: np.ndarray) -> np.ndarray:
 def _misfit(theta: np.ndarray, Phi: np.ndarray, L: np.ndarray) -> tuple:
     """(r, q): the misfit r = L - sum_l Q_l^2 at the samples and the forms q (nu, P)."""
     q = theta.reshape(-1, 10) @ Phi.T
-    return L - np.sum(q**2, axis=0), q
+    return L - np.sum(q * q, axis=0), q
 
 
 def _smoothed(theta: np.ndarray, tau: float, Phi: np.ndarray, L: np.ndarray, grad: bool = False):
@@ -481,10 +481,10 @@ def _smoothed(theta: np.ndarray, tau: float, Phi: np.ndarray, L: np.ndarray, gra
     max m + tau log mean exp((m - max m) / tau).  With grad, also its exact
     gradient, Phi^T (-4 softmax(m / tau) r q_l) for each theta_l."""
     r, q = _misfit(theta, Phi, L)
-    m = r**2
-    top = float(np.max(m))
+    m = r * r
+    top = m.max()
     e = np.exp((m - top) / tau)
-    mean = float(np.mean(e)) + 1e-300
+    mean = e.sum() / e.size + 1e-300
     val = top + tau * math.log(mean)
     if not grad:
         return val
@@ -579,7 +579,7 @@ def estimate_delta_nu(
                 break
             improved = False
             for _ in range(40):
-                cand = np.clip(theta - step * grad / gn, -c0, c0)
+                cand = np.minimum(np.maximum(theta - step * grad / gn, -c0), c0)
                 if _smoothed(cand, tau, Phi, L) < val:
                     theta = cand
                     improved = True

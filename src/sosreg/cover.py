@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .calculus import FunctionHandle, directional_hessian_plus_values
 from .errors import CoverBudgetError, CoverageHoleError, DomainError
-from .geometry import Ball, ball_points, sphere_points
+from .geometry import Ball, ball_grid, ball_points, sphere_points
 
 __all__ = [
     "ControlDistanceParams",
@@ -38,6 +37,13 @@ __all__ = [
 ]
 
 DEFAULT_CELL_SCALE = 1.0 / 200.0
+
+
+def _tree(points):
+    """scipy's cKDTree over the points, for every neighbour search of the cover,
+    partition and colouring; scipy loads here, at the first cover, not at import."""
+    from scipy.spatial import cKDTree
+    return cKDTree(points)
 
 
 @dataclass(frozen=True)
@@ -213,11 +219,7 @@ def build_cover(
             f"candidate grid of {per_axis ** n} points exceeds the budget; raise floor or max_cells",
             count=per_axis**n,
         )
-    c = np.asarray(region.center)
-    axes = [np.linspace(ci - region.radius, ci + region.radius, per_axis) for ci in c]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cand = np.stack([m.ravel() for m in mesh], axis=1)
-    cand = cand[np.linalg.norm(cand - c, axis=1) <= region.radius]
+    cand = ball_grid(region, per_axis)
 
     rho = np.empty(len(cand))
     chunk = 200_000
@@ -230,7 +232,7 @@ def build_cover(
 
     # accept in that order every candidate not within half the radius of an
     # accepted cell; an acceptance marks the candidates it covers
-    tree = cKDTree(cand)
+    tree = _tree(cand)
     free = np.ones(len(cand), dtype=bool)
     cells: list = []
     i = 0
@@ -338,7 +340,7 @@ class Partition:
         self.region = region
         self.centers = np.array([c.center for c in self.cells])
         self.radii = np.array([c.radius for c in self.cells])
-        self.tree = cKDTree(self.centers)
+        self.tree = _tree(self.centers)
         self.r_max = float(np.max(self.radii))
         self.overlap_observed: int | None = None
 
@@ -356,7 +358,7 @@ class Partition:
         cell it gives that cell's sorted point indices and chi values.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        near = self.tree.sparse_distance_matrix(cKDTree(X), self.r_max * (1.0 + 1e-9), output_type="ndarray")
+        near = self.tree.sparse_distance_matrix(_tree(X), self.r_max * (1.0 + 1e-9), output_type="ndarray")
         order = np.lexsort((near["j"], near["i"]))
         cell, idx = near["i"][order], near["j"][order]
         u = np.linalg.norm(X[idx] - self.centers[cell], axis=1) / self.radii[cell]
@@ -497,7 +499,7 @@ def color_classes(cells: list) -> list:
         return cells
     centers = np.array([c.center for c in cells])
     radii = np.array([c.radius for c in cells])
-    i, j = cKDTree(centers).query_pairs(6.0 * float(np.max(radii)), output_type="ndarray").T
+    i, j = _tree(centers).query_pairs(6.0 * float(np.max(radii)), output_type="ndarray").T
     near = np.linalg.norm(centers[i] - centers[j], axis=1) < 3.0 * (radii[i] + radii[j])
     rows = np.concatenate([i[near], j[near]])
     cols = np.concatenate([j[near], i[near]])[np.argsort(rows, kind="stable")]

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ def ball_points(ball: Ball, n: int, inner_radius: float = 0.0) -> np.ndarray:
     """
     c = np.asarray(ball.center)
     dim = ball.dim
-    pts = []
     m = max(4 * n, 16)
     while True:
         cube = halton(m, dim)
@@ -84,16 +83,15 @@ def ball_points(ball: Ball, n: int, inner_radius: float = 0.0) -> np.ndarray:
         d = np.linalg.norm(cand - c, axis=1)
         mask = (d <= ball.radius) & (d >= inner_radius)
         if mask.sum() >= n:
-            pts = cand[mask][:n]
-            break
+            return cand[mask][:n]
         m *= 2
-    return pts
 
 
 def sphere_points(n: int, dim: int) -> np.ndarray:
-    """n low-discrepancy points on the unit sphere S^(dim-1)."""
+    """n low-discrepancy points on the unit sphere S^(dim-1): clipped Halton points mapped
+    through the normal quantile (stdlib NormalDist.inv_cdf, Wichura's AS241), normalised."""
     u = halton(n, dim)
-    g = ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+    g = np.vectorize(NormalDist().inv_cdf, otypes=[float])(np.clip(u, 1e-12, 1 - 1e-12))
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0] = 1.0
     return g / norms[:, None]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sosreg import counterex
 from sosreg.calculus import Modulus
 from sosreg.counterex import (
     _misfit,
@@ -241,6 +242,32 @@ class TestDeltaNu:
         # restarts 13-15 of criterion 11's run, as recorded before the exact gradient
         rep = estimate_delta_nu(1, seed=7 + 13000, restarts=3)
         assert rep.restart_values == pytest.approx([0.20049268, 0.20050603, 0.20053424], abs=1e-6)
+
+    @pytest.mark.parametrize(("seed", "restarts"), [(7 + 13000, 3), (7, 20)])
+    def test_lean_objective_reproduces_restarts_bit_for_bit(self, monkeypatch, seed, restarts):
+        # the numpy-wrapper form of the misfit and the smoothed max it replaced
+        def misfit(theta, Phi, L):
+            q = theta.reshape(-1, 10) @ Phi.T
+            return L - np.sum(q**2, axis=0), q
+
+        def smoothed(theta, tau, Phi, L, grad=False):
+            r, q = misfit(theta, Phi, L)
+            m = r**2
+            top = float(np.max(m))
+            e = np.exp((m - top) / tau)
+            mean = float(np.mean(e)) + 1e-300
+            val = top + tau * math.log(mean)
+            if not grad:
+                return val
+            return val, ((-4.0 * (e / (e.size * mean)) * r * q) @ Phi).ravel()
+
+        lean = estimate_delta_nu(1, seed=seed, restarts=restarts).restart_values
+        monkeypatch.setattr(counterex, "_misfit", misfit)
+        monkeypatch.setattr(counterex, "_smoothed", smoothed)
+        assert estimate_delta_nu(1, seed=seed, restarts=restarts).restart_values == lean
+        # the box projection's ufunc pair is np.clip's own rule
+        x = np.linspace(-4.0, 4.0, 81)
+        assert np.array_equal(np.minimum(np.maximum(x, -3.0), 3.0), np.clip(x, -3.0, 3.0))
 
 
 class TestDeltaNuObjective:
