@@ -180,7 +180,7 @@ class FunctionHandle:
         n = len(variables)
         domain = domain or Ball(center=(0.0,) * n, radius=1.0)
         table = DerivativeTable()
-        exprs: dict = {(0,) * n: table.intern(body)}
+        exprs: dict = {(0,) * n: body}
         plans: dict = {}
 
         def expr_of(alpha):

@@ -492,6 +492,41 @@ def _smoothed(theta: np.ndarray, tau: float, Phi: np.ndarray, L: np.ndarray, gra
     return val, ((-4.0 * weight * r * q) @ Phi).ravel()
 
 
+def _descend(theta, tau, Phi, L, c0: float, iterations: int) -> tuple:
+    """(theta, stalled) after the descent of one restart of
+    `estimate_delta_nu` from theta at softmax scale tau."""
+    step = 0.1
+    stalled = True
+    i = 0
+    while i < iterations:
+        if i and i % 40 == 0:
+            tau = max(tau * 0.4, 1e-9)
+            step = max(step, 1e-3)
+        val, grad = _smoothed(theta, tau, Phi, L, grad=True)
+        gn = np.linalg.norm(grad)
+        if gn == 0:
+            break
+        start = step
+        improved = False
+        for _ in range(40):
+            cand = np.minimum(np.maximum(theta - step * grad / gn, -c0), c0)
+            if _smoothed(cand, tau, Phi, L) < val:
+                theta = cand
+                improved = True
+                break
+            step *= 0.5
+            if step < 1e-14:
+                break
+        if improved:
+            step *= 1.7
+            stalled = False
+        if step < 1e-14:
+            step = 1e-6
+        # a failed search from the reset step would repeat until the next anneal
+        i += 1 if improved or step != start else 40 - i % 40
+    return theta, stalled
+
+
 @dataclass
 class DeltaNuReport:
     nu: int
@@ -532,8 +567,12 @@ def estimate_delta_nu(
     matrices (10*nu parameters, box |coef| <= c0) minimizing the max over
     sphere samples of the squared misfit.  Each step follows the exact
     gradient of a softmax-smoothed max (`_smoothed`) with a halving line
-    search; the softmax scale is annealed by 0.4 every 40 steps.  The
-    reported estimate is the square root of the best achieved max.
+    search; the softmax scale is annealed by 0.4 every 40 steps.  A search
+    that fails from the reset step 1e-6 leaves theta, the scale, the
+    gradient and the start step as they were, so every step up to the next
+    anneal would repeat the same failed search: those steps are skipped,
+    which changes no iterate and no result.  The reported estimate is the
+    square root of the best achieved max.
     pointwise_inf records the minimum |L - sum Q^2| over samples at the best
     parameters, which vanishes on the coordinate axes where the quartic
     itself vanishes.
@@ -564,56 +603,24 @@ def estimate_delta_nu(
         return float(np.max(_misfit(theta, Phi, L)[0] ** 2))
 
     def run_restart(ridx: int):
-        rng = np.random.default_rng(seed + 1000 * ridx)
-        theta = rng.uniform(-0.5, 0.5, size=10 * nu)
-        tau = max(sup_misfit(theta) / 5.0, 1e-6)
-        step = 0.1
-        stalled = True
-        for i in range(iterations):
-            if i and i % 40 == 0:
-                tau = max(tau * 0.4, 1e-9)
-                step = max(step, 1e-3)
-            val, grad = _smoothed(theta, tau, Phi, L, grad=True)
-            gn = np.linalg.norm(grad)
-            if gn == 0:
-                break
-            improved = False
-            for _ in range(40):
-                cand = np.minimum(np.maximum(theta - step * grad / gn, -c0), c0)
-                if _smoothed(cand, tau, Phi, L) < val:
-                    theta = cand
-                    improved = True
-                    break
-                step *= 0.5
-                if step < 1e-14:
-                    break
-            if improved:
-                step *= 1.7
-                stalled = False
-            if step < 1e-14:
-                step = 1e-6
+        theta = np.random.default_rng(seed + 1000 * ridx).uniform(-0.5, 0.5, size=10 * nu)
+        theta, stalled = _descend(theta, max(sup_misfit(theta) / 5.0, 1e-6), Phi, L, c0, iterations)
         return sup_misfit(theta), theta, stalled
 
     results = [run_restart(i) for i in range(restarts)]
     values = sorted(math.sqrt(v) for v, _, _ in results)
-    stalled = all(st for _, _, st in results)
-    best = values[0]
     # stable: the best value is independently reproduced by other restarts
-    near_best = sum(1 for v in values if v <= best * 1.2 + 1e-300)
-    stable = near_best >= min(3, len(values))
-
+    stable = sum(1 for v in values if v <= values[0] * 1.2 + 1e-300) >= min(3, len(values))
     best_theta = min(results, key=lambda r: r[0])[1]
-    pointwise = float(np.min(np.abs(_misfit(best_theta, Phi, L)[0])))
-
     return DeltaNuReport(
         nu=nu,
-        estimate=float(best),
-        pointwise_inf=pointwise,
+        estimate=float(values[0]),
+        pointwise_inf=float(np.min(np.abs(_misfit(best_theta, Phi, L)[0]))),
         restart_values=[float(v) for v in values],
         stable=bool(stable),
         coefficient_cap=c0,
         sphere_samples=sphere_samples,
-        stalled=stalled,
+        stalled=all(st for _, _, st in results),
     )
 
 

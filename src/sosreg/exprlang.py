@@ -7,17 +7,17 @@ arbitrary order and numpy-vectorized evaluation.  The module also ships the
 catalog of named test functions used throughout the package.
 
 Expressions are immutable and may be shared freely across threads.
-`differentiate` hash-conses its output in a DerivativeTable: structurally
-equal nodes become one object, and derivatives and simplifications are
-memoized per interned node.  A call given no table builds a fresh one; a
-table passed in (one per FunctionHandle) keeps growing, so it must not be
-shared across threads.  `evaluate` given an EvalMemo shares node values
-across the evaluations of one batch of roots; a memo belongs to one batch.
+`differentiate` hash-conses its output in a DerivativeTable, which interns
+only simplified nodes: structurally equal nodes become one object, and each
+derivative step is built simplified in one pass and memoized per node.  A
+call given no table builds a fresh one; a table passed in (one per
+FunctionHandle) keeps growing, so it must not be shared across threads.
+`evaluate` given an EvalMemo shares node values across the evaluations of
+one batch of roots; a memo belongs to one batch.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -375,21 +375,22 @@ def has_conditionals(e: Expr) -> bool:
 
 
 class DerivativeTable:
-    """Intern table of expression nodes with derivative and simplify memos.
+    """Intern table of simplified nodes, with simplify and derivative memos.
 
     `node(cls, *fields)` returns the table's one node of that structure, so
-    structurally equal subexpressions are one object; the derivative memo
-    (per interned node and variable) and the simplify memo (per interned
-    node) are keyed on those objects and hit across calls.  The table keeps
-    every node it interned alive, which keeps the ids valid while it lives.
+    structurally equal subexpressions are one object.  The builders (`sum`,
+    `neg`, `prod`, `quot`, `pow`, `unary`, `piecewise`) take simplified
+    children and apply their own node's simplification rules, so every node
+    of the table is its own simplification.  `simplify(e)` maps any e onto
+    the table, memoized per node of e; `derivatives` memoizes each step per
+    node and variable.  Nodes and inputs stay alive, so their ids stay valid.
     """
 
     def __init__(self):
         self._nodes: dict = {}  # structural key -> node
-        self._canon: dict = {}  # id(node) -> its interned node
-        self._inputs: list = []  # interned foreign nodes, kept alive for their ids
-        self.derivatives: dict = {}  # (id(node), variable) -> unsimplified derivative
-        self.simplified: dict = {}  # id(node) -> simplified node
+        self._inputs: list = []  # simplified foreign nodes, kept alive for their ids
+        self.simplified: dict = {}  # id(node) -> simplified node (itself for the table's own)
+        self.derivatives: dict = {}  # (id(node), variable) -> derivative
 
     def node(self, cls, *fields) -> Expr:
         # children are interned, so they key by identity; numbers key with
@@ -410,116 +411,109 @@ class DerivativeTable:
         got = self._nodes.get(key)
         if got is None:
             got = self._nodes[key] = cls(*fields)
-            self._canon[id(got)] = got
+            self.simplified[id(got)] = got
         return got
 
-    def intern(self, e: Expr) -> Expr:
-        """The interned node structurally equal to e."""
-        hit = self._canon.get(id(e))
-        if hit is not None:
-            return hit
-        fields = (getattr(e, f.name) for f in dataclasses.fields(e))
-        out = self.node(type(e), *map(self._intern_field, fields))
-        self._canon[id(e)] = out
-        self._inputs.append(e)
-        return out
+    def simplify(self, e: Expr) -> Expr:
+        """The table's simplified node of e."""
+        got = self.simplified.get(id(e))
+        if got is None:
+            got = self.simplified[id(e)] = _simplify_node(e, self)
+            self._inputs.append(e)
+        return got
 
-    def _intern_field(self, v):
-        if isinstance(v, Expr):
-            return self.intern(v)
-        if isinstance(v, tuple):
-            return tuple(map(self._intern_field, v))
-        return v
-
-
-def simplify(e: Expr) -> Expr:
-    """Identity pruning and constant folding (no CAS rewriting); the result is
-    hash-consed in a fresh DerivativeTable."""
-    t = DerivativeTable()
-    return _simplify(t.intern(e), t)
-
-
-def _simplify(e: Expr, t: DerivativeTable) -> Expr:
-    got = t.simplified.get(id(e))
-    if got is None:
-        got = t.simplified[id(e)] = _simplify_node(e, t)
-    return got
-
-
-def _simplify_node(e: Expr, t: DerivativeTable) -> Expr:
-    mk = t.node
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Sum):
-        terms = []
+    def sum(self, terms) -> Expr:
+        flat = []
         const = 0.0
-        for u in e.terms:
-            u = _simplify(u, t)
+        for u in terms:
             for v in u.terms if isinstance(u, Sum) else (u,):
                 if isinstance(v, Const):
                     const += v.value
-                elif isinstance(v, Neg) and isinstance(v.arg, Const):
-                    const -= v.arg.value
                 else:
-                    terms.append(v)
-        if const != 0.0 or not terms:
-            terms.append(mk(Const, const))
-        return terms[0] if len(terms) == 1 else mk(Sum, tuple(terms))
-    if isinstance(e, Neg):
-        a = _simplify(e.arg, t)
+                    flat.append(v)
+        if const != 0.0 or not flat:
+            flat.append(self.node(Const, const))
+        return flat[0] if len(flat) == 1 else self.node(Sum, tuple(flat))
+
+    def neg(self, a: Expr) -> Expr:
         if isinstance(a, Const):
-            return mk(Const, -a.value)
-        return a.arg if isinstance(a, Neg) else mk(Neg, a)
-    if isinstance(e, Prod):
-        factors = []
+            return self.node(Const, -a.value)
+        return a.arg if isinstance(a, Neg) else self.node(Neg, a)
+
+    def prod(self, factors) -> Expr:
+        flat = []
         const = 1.0
-        for u in e.factors:
-            u = _simplify(u, t)
+        for u in factors:
             for v in u.factors if isinstance(u, Prod) else (u,):
                 if isinstance(v, Const):
                     const *= v.value
                 else:
-                    factors.append(v)
+                    flat.append(v)
         if const == 0.0:
-            return mk(Const, 0.0)
-        if const != 1.0 or not factors:
-            factors.insert(0, mk(Const, const))
-        return factors[0] if len(factors) == 1 else mk(Prod, tuple(factors))
-    if isinstance(e, Quot):
-        num = _simplify(e.num, t)
-        den = _simplify(e.den, t)
+            return self.node(Const, 0.0)
+        if const != 1.0 or not flat:
+            flat.insert(0, self.node(Const, const))
+        return flat[0] if len(flat) == 1 else self.node(Prod, tuple(flat))
+
+    def quot(self, num: Expr, den: Expr) -> Expr:
         if isinstance(num, Const) and num.value == 0.0:
-            return mk(Const, 0.0)
+            return self.node(Const, 0.0)
         if isinstance(den, Const) and den.value == 1.0:
             return num
         if isinstance(num, Const) and isinstance(den, Const) and den.value != 0.0:
-            return mk(Const, num.value / den.value)
-        return mk(Quot, num, den)
-    if isinstance(e, Pow):
-        base = _simplify(e.base, t)
-        if e.exponent == 0.0:
-            return mk(Const, 1.0)
-        if e.exponent == 1.0:
+            return self.node(Const, num.value / den.value)
+        return self.node(Quot, num, den)
+
+    def pow(self, base: Expr, p: float) -> Expr:
+        if p == 0.0:
+            return self.node(Const, 1.0)
+        if p == 1.0:
             return base
-        if isinstance(base, Const):
-            if base.value > 0 or float(e.exponent).is_integer():
-                return mk(Const, float(base.value**e.exponent))
-        return mk(Pow, base, e.exponent)
-    if isinstance(e, Piecewise):
-        branches = tuple(_simplify(b, t) for b in e.branches)
+        if isinstance(base, Const) and (base.value > 0 or float(p).is_integer()):
+            return self.node(Const, float(base.value**p))
+        return self.node(Pow, base, p)
+
+    def unary(self, cls, a: Expr) -> Expr:
+        """exp, ln, sin, cos or flatexp of a, folded when a is a constant."""
+        if not isinstance(a, Const) or (cls is Ln and not a.value > 0):
+            return self.node(cls, a)
+        if cls is FlatExp:
+            return self.node(Const, math.exp(-1.0 / a.value) if a.value > 0 else 0.0)
+        if cls not in _FOLDS:
+            raise ExprError(f"cannot simplify node {cls.__name__}")
+        return self.node(Const, _FOLDS[cls](a.value))
+
+    def piecewise(self, scrutinee: Expr, breaks: tuple, branches: tuple) -> Expr:
         if all(b == branches[0] for b in branches[1:]):
             return branches[0]
-        return mk(Piecewise, _simplify(e.scrutinee, t), e.breaks, branches)
-    a = _simplify(e.arg, t)
-    if not isinstance(a, Const):
-        return mk(type(e), a)
-    if isinstance(e, Ln) and not a.value > 0:
-        return mk(Ln, a)
-    if isinstance(e, FlatExp):
-        return mk(Const, math.exp(-1.0 / a.value) if a.value > 0 else 0.0)
-    if type(e) not in _FOLDS:
-        raise ExprError(f"cannot simplify node {type(e).__name__}")
-    return mk(Const, _FOLDS[type(e)](a.value))
+        return self.node(Piecewise, scrutinee, breaks, branches)
+
+
+def simplify(e: Expr) -> Expr:
+    """Identity pruning and constant folding (no CAS rewriting), by the
+    builders of a fresh DerivativeTable; the result is its own simplification."""
+    return DerivativeTable().simplify(e)
+
+
+def _simplify_node(e: Expr, t: DerivativeTable) -> Expr:
+    s = t.simplify
+    if isinstance(e, Const):
+        return t.node(Const, e.value)
+    if isinstance(e, Var):
+        return t.node(Var, e.name)
+    if isinstance(e, Sum):
+        return t.sum([s(u) for u in e.terms])
+    if isinstance(e, Neg):
+        return t.neg(s(e.arg))
+    if isinstance(e, Prod):
+        return t.prod([s(u) for u in e.factors])
+    if isinstance(e, Quot):
+        return t.quot(s(e.num), s(e.den))
+    if isinstance(e, Pow):
+        return t.pow(s(e.base), e.exponent)
+    if isinstance(e, Piecewise):
+        return t.piecewise(s(e.scrutinee), e.breaks, tuple(map(s, e.branches)))
+    return t.unary(type(e), s(e.arg))
 
 
 MAX_DERIVATIVE_ORDER = 8
@@ -528,21 +522,22 @@ MAX_DERIVATIVE_ORDER = 8
 def differentiate(e: Expr, variable: str, order: int = 1, table: DerivativeTable | None = None) -> Expr:
     """Exact symbolic partial derivative of the given order.
 
-    Each order is one derivative step followed by `simplify`.  The result is
-    an interned node of `table` (a fresh one when None); a table passed in
-    memoizes every step, so later calls reuse earlier derivatives.
-    Piecewise and flatexp nodes differentiate branchwise; the result is exact
-    away from seam points (use has_conditionals to detect them and fall back
-    to finite differences there if needed).
+    e is simplified once; each order is then one pass that builds the
+    derivative of a simplified node with the table's builders, so each step
+    is simplified as it is built.  The result is a node of `table` (a fresh
+    one when None); a table passed in memoizes every step, so later calls
+    reuse earlier derivatives.  Piecewise and flatexp nodes differentiate branchwise; the
+    result is exact away from seam points (use has_conditionals to detect
+    them and fall back to finite differences there if needed).
     """
     if order < 1:
         raise ExprError(f"derivative order must be >= 1, got {order}")
     if order > MAX_DERIVATIVE_ORDER:
         raise ExprError(f"derivative order {order} exceeds the supported maximum {MAX_DERIVATIVE_ORDER}")
     t = DerivativeTable() if table is None else table
-    out = t.intern(e)
+    out = t.simplify(e)
     for _ in range(order):
-        out = _simplify(_d(out, variable, t), t)
+        out = _d(out, variable, t)
     return out
 
 
@@ -555,42 +550,38 @@ def _d(e: Expr, v: str, t: DerivativeTable) -> Expr:
 
 
 def _d_node(e: Expr, v: str, t: DerivativeTable) -> Expr:
-    mk = t.node
+    # e and its children are simplified nodes of t
     if isinstance(e, Const):
-        return mk(Const, 0.0)
+        return t.node(Const, 0.0)
     if isinstance(e, Var):
-        return mk(Const, 1.0 if e.name == v else 0.0)
+        return t.node(Const, 1.0 if e.name == v else 0.0)
     if isinstance(e, Sum):
-        return mk(Sum, tuple(_d(u, v, t) for u in e.terms))
+        return t.sum([_d(u, v, t) for u in e.terms])
     if isinstance(e, Neg):
-        return mk(Neg, _d(e.arg, v, t))
+        return t.neg(_d(e.arg, v, t))
     if isinstance(e, Prod):
-        terms = []
-        for i in range(len(e.factors)):
-            fs = list(e.factors)
-            fs[i] = _d(fs[i], v, t)
-            terms.append(mk(Prod, tuple(fs)))
-        return mk(Sum, tuple(terms))
+        fs = e.factors
+        return t.sum([t.prod(fs[:i] + (_d(f, v, t),) + fs[i + 1 :]) for i, f in enumerate(fs)])
     if isinstance(e, Quot):
         da, db = _d(e.num, v, t), _d(e.den, v, t)
-        num = mk(Sum, (mk(Prod, (da, e.den)), mk(Neg, mk(Prod, (e.num, db)))))
-        return mk(Quot, num, mk(Pow, e.den, 2.0))
+        num = t.sum([t.prod((da, e.den)), t.neg(t.prod((e.num, db)))])
+        return t.quot(num, t.pow(e.den, 2.0))
     if isinstance(e, Pow):
-        return mk(Prod, (mk(Const, e.exponent), mk(Pow, e.base, e.exponent - 1.0), _d(e.base, v, t)))
+        return t.prod((t.node(Const, e.exponent), t.pow(e.base, e.exponent - 1.0), _d(e.base, v, t)))
     if isinstance(e, Exp):
-        return mk(Prod, (e, _d(e.arg, v, t)))
+        return t.prod((e, _d(e.arg, v, t)))
     if isinstance(e, Ln):
-        return mk(Quot, _d(e.arg, v, t), e.arg)
+        return t.quot(_d(e.arg, v, t), e.arg)
     if isinstance(e, Sin):
-        return mk(Prod, (mk(Cos, e.arg), _d(e.arg, v, t)))
+        return t.prod((t.unary(Cos, e.arg), _d(e.arg, v, t)))
     if isinstance(e, Cos):
-        return mk(Neg, mk(Prod, (mk(Sin, e.arg), _d(e.arg, v, t))))
+        return t.neg(t.prod((t.unary(Sin, e.arg), _d(e.arg, v, t))))
     if isinstance(e, FlatExp):
         u = e.arg
-        smooth_part = mk(Prod, (e, mk(Quot, _d(u, v, t), mk(Pow, u, 2.0))))
-        return mk(Piecewise, u, (0.0,), (mk(Const, 0.0), smooth_part))
+        smooth_part = t.prod((e, t.quot(_d(u, v, t), t.pow(u, 2.0))))
+        return t.piecewise(u, (0.0,), (t.node(Const, 0.0), smooth_part))
     if isinstance(e, Piecewise):
-        return mk(Piecewise, e.scrutinee, e.breaks, tuple(_d(b, v, t) for b in e.branches))
+        return t.piecewise(e.scrutinee, e.breaks, tuple(_d(b, v, t) for b in e.branches))
     raise ExprError(f"cannot differentiate node {type(e).__name__}")
 
 

@@ -336,6 +336,23 @@ class TestDerivativeTable:
             tracemalloc.stop()
         assert peak < 16e6
 
+    def test_table_holds_only_the_simplified_nodes(self, monkeypatch):
+        # the derivatives lab reads (orders 2 and 4, 85 multi-indices) intern
+        # 43,372 nodes when each step is built unsimplified and then simplified
+        tables = []
+
+        def recording():
+            tables.append(exprlang.DerivativeTable())
+            return tables[-1]
+
+        monkeypatch.setattr(calculus, "DerivativeTable", recording)
+        f = FunctionHandle.from_def(self.fdef)
+        X = ball_points(Ball((0.0,) * 5, 0.9), 4)
+        f.max_entry_values(X, 2)
+        f.max_entry_values(X, 4)
+        assert len(tables) == 1
+        assert len(tables[0]._nodes) <= 20_000
+
     def test_each_handle_differentiates_for_itself(self, monkeypatch):
         calls = []
 

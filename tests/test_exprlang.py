@@ -1,19 +1,29 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from sosreg.calculus import multiindices
 from sosreg.exprlang import (
+    _nodes,
     Const,
+    Cos,
     DerivativeTable,
     EvalMemo,
+    Exp,
+    Expr,
     ExprError,
+    FlatExp,
     FunctionDef,
+    Ln,
     Neg,
+    Piecewise,
     ParseError,
     Pow,
     Prod,
     Quot,
+    Sin,
     Sum,
     Var,
     catalog_function,
@@ -25,6 +35,7 @@ from sosreg.exprlang import (
     parse_expression,
     parse_function_file,
     read_counts,
+    simplify,
     to_source,
 )
 from sosreg.geometry import Ball
@@ -138,12 +149,14 @@ class TestDifferentiate:
 class TestDerivativeTableAndMemo:
     def test_structurally_equal_nodes_are_one_object(self):
         t = DerivativeTable()
-        e = t.intern(parse_expression("x*y + x*y - 0*x"))
-        assert e == parse_expression("x*y + x*y - 0*x")
+        e = t.simplify(parse_expression("x*y + x*y - 0*x"))
+        assert e == parse_expression("x*y + x*y")
         assert e.terms[0] is e.terms[1]
         # zeros keep their sign: 1/-0.0 is not 1/0.0
         assert t.node(Const, 0.0) is not t.node(Const, -0.0)
-        assert t.node(Const, 2.0) is t.intern(Const(2.0))
+        assert t.node(Const, 2.0) is t.simplify(Const(2.0))
+        # the table's own nodes are their own simplification
+        assert t.simplify(e) is e
 
     def test_shared_table_reuses_derivatives(self):
         t = DerivativeTable()
@@ -161,6 +174,145 @@ class TestDerivativeTableAndMemo:
         for r in roots:
             assert np.array_equal(evaluate(r, env, memo=memo), evaluate(r, env))
         assert memo.values == {}
+
+
+def _d_reference(e, v, memo):
+    """The unsimplified derivative step that `simplify` used to follow: the
+    rules of `differentiate` with plain constructors."""
+    key = (id(e), v)
+    if key in memo:
+        return memo[key][0]
+    if isinstance(e, Const):
+        out = Const(0.0)
+    elif isinstance(e, Var):
+        out = Const(1.0 if e.name == v else 0.0)
+    elif isinstance(e, Sum):
+        out = Sum(tuple(_d_reference(u, v, memo) for u in e.terms))
+    elif isinstance(e, Neg):
+        out = Neg(_d_reference(e.arg, v, memo))
+    elif isinstance(e, Prod):
+        fs = e.factors
+        out = Sum(tuple(Prod(fs[:i] + (_d_reference(f, v, memo),) + fs[i + 1 :]) for i, f in enumerate(fs)))
+    elif isinstance(e, Quot):
+        da, db = _d_reference(e.num, v, memo), _d_reference(e.den, v, memo)
+        out = Quot(Sum((Prod((da, e.den)), Neg(Prod((e.num, db))))), Pow(e.den, 2.0))
+    elif isinstance(e, Pow):
+        out = Prod((Const(e.exponent), Pow(e.base, e.exponent - 1.0), _d_reference(e.base, v, memo)))
+    elif isinstance(e, Exp):
+        out = Prod((e, _d_reference(e.arg, v, memo)))
+    elif isinstance(e, Ln):
+        out = Quot(_d_reference(e.arg, v, memo), e.arg)
+    elif isinstance(e, Sin):
+        out = Prod((Cos(e.arg), _d_reference(e.arg, v, memo)))
+    elif isinstance(e, Cos):
+        out = Neg(Prod((Sin(e.arg), _d_reference(e.arg, v, memo))))
+    elif isinstance(e, FlatExp):
+        u = e.arg
+        out = Piecewise(u, (0.0,), (Const(0.0), Prod((e, Quot(_d_reference(u, v, memo), Pow(u, 2.0))))))
+    else:
+        out = Piecewise(e.scrutinee, e.breaks, tuple(_d_reference(b, v, memo) for b in e.branches))
+    memo[key] = (out, e)  # e kept alive for its id
+    return out
+
+
+def _two_pass(e, v, order, t, memo):
+    """The derivative step as it was: the unsimplified derivative, then a
+    simplification of it."""
+    for _ in range(order):
+        e = t.simplify(_d_reference(e, v, memo))
+    return e
+
+
+def _shape(e, ids, shapes):
+    """A number per structure: two nodes get one number iff they are == (each
+    distinct node is visited once, where == walks the expanded tree)."""
+    got = ids.get(id(e))
+    if got is None:
+        fields = []
+        for f in dataclasses.fields(e):
+            x = getattr(e, f.name)
+            if isinstance(x, Expr):
+                x = _shape(x, ids, shapes)
+            elif isinstance(x, tuple):
+                x = tuple(_shape(u, ids, shapes) if isinstance(u, Expr) else u for u in x)
+            fields.append(x)
+        got = ids[id(e)] = shapes.setdefault((type(e), *fields), len(shapes))
+    return got
+
+
+# every node type, each appearing under differentiation in some expression
+PARSED = (
+    "exp(x*y) * sin(x) - cos(y)^3",
+    "ln(1 + x^2 + y^2) / (2 + sin(x*y))",
+    "sqrt(x^2 + y^2 + 1) * flatexp(1 - x^2)",
+    "piecewise(x, 0, x^2*y, 0.5, exp(-y)*x, 1 - cos(x))",
+    "-(x - 2*y)^3 + x^-1 * y^-2",
+    "3*x*y - 0*x + 2 + (2*3)^2 * x + ln(-1) * y",
+    "flatexp(x*y) + flatexp(-1) * x + cos(x + y) / (1 + x^4)",
+    "x^0.5 * ln(y) - sin(exp(x) * y) * x^2",
+)
+
+
+class TestOnePassDerivatives:
+    """`differentiate` builds each step simplified; it must equal the old
+    unsimplified step followed by `simplify`, for every multi-index."""
+
+    @staticmethod
+    def _check(body, variables, max_order=4):
+        t, t_ref, memo = DerivativeTable(), DerivativeTable(), {}
+        ids, shapes, keep = {}, {}, []
+        for order in range(1, max_order + 1):
+            for alpha in multiindices(len(variables), order):
+                # axis by axis, as FunctionHandle.from_expr chains them
+                new = ref = body
+                for v, p in zip(variables, alpha):
+                    if p:
+                        new = differentiate(new, v, p, table=t)
+                        ref = _two_pass(ref, v, p, t_ref, memo)
+                assert _shape(new, ids, shapes) == _shape(ref, ids, shapes), (alpha, to_source(body))
+                again = simplify(new)
+                keep.append(again)  # ids stay keys of `ids` while it lives
+                assert _shape(again, ids, shapes) == _shape(new, ids, shapes)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_derivatives_equal_the_two_pass_step(self, name):
+        fdef = catalog_function(name)
+        self._check(fdef.body, fdef.variables)
+
+    def test_parsed_derivatives_equal_the_two_pass_step(self):
+        seen = set()
+        for src in PARSED:
+            e = parse_expression(src)
+            seen |= {type(n) for n in _nodes(e)}
+            self._check(e, ("x", "y"))
+        assert seen == {Const, Var, Sum, Neg, Prod, Quot, Pow, Exp, Ln, Sin, Cos, FlatExp, Piecewise}
+
+    @pytest.mark.parametrize(
+        ("src", "order", "printed"),
+        [
+            ("x^3*y", 1, "3*x^2*y"),
+            ("exp(2*x) - 1/x", 1, "2*exp(2*x) - -1/x^2"),
+            ("sin(x)*cos(x) + ln(x)", 2,
+             "(-sin(x))*cos(x) + cos(x)*(-sin(x)) + cos(x)*(-sin(x)) + sin(x)*(-cos(x)) + -1/x^2"),
+            ("flatexp(1 - x^2) + piecewise(x, 0, 2*x, x^2)", 1,
+             "piecewise(-(x^2) + 1, 0, 0, flatexp(-(x^2) + 1)*((-(2*x))/(-(x^2) + 1)^2)) + piecewise(x, 0, 2, 2*x)"),
+        ],
+    )
+    def test_simplified_forms(self, src, order, printed):
+        # the two-pass reference shares the builders, so it cannot pin where
+        # they put constants and signs; these forms can
+        assert to_source(differentiate(parse_expression(src), "x", order)) == printed
+
+    def test_nested_product_is_differentiated_flattened(self):
+        # the input is simplified before the first step, so a nested product
+        # differentiates as its flattened form; values agree with the old step
+        e = parse_expression("x*(x*x)")
+        d = differentiate(e, "x")
+        assert d == differentiate(parse_expression("x*x*x"), "x")
+        old = _two_pass(e, "x", 1, DerivativeTable(), {})
+        assert d != old
+        x = np.linspace(-2.0, 2.0, 9)
+        assert np.allclose(evaluate(d, {"x": x}), evaluate(old, {"x": x}), rtol=1e-15, atol=0.0)
 
 
 class TestCatalog:
