@@ -39,11 +39,80 @@ __all__ = [
 DEFAULT_CELL_SCALE = 1.0 / 200.0
 
 
-def _tree(points):
-    """scipy's cKDTree over the points, for every neighbour search of the cover,
-    partition and colouring; scipy loads here, at the first cover, not at import."""
-    from scipy.spatial import cKDTree
-    return cKDTree(points)
+class _Buckets:
+    """Which items may lie near a point: items with a reach, hashed into cubes.
+
+    The cube side is the largest reach.  Item i is entered in every cube that
+    meets the box |y - p_i|_inf <= reach_i, at most 3^n cubes (4^n where
+    rounding splits a box), so memory is O(items 3^n) however far apart the
+    items lie.  A cube's key mixes its coordinates' ranks among those the
+    items reach on each axis; where the mixed key could pass 2^62, the key so
+    far is first replaced by its rank among its values, so no key overflows
+    int64.  A query looks up the one cube of each point: `pairs` returns a
+    superset of the (query, item) pairs with |x - p_i| <= reach_i,
+    query-major, and each caller keeps its own exact test.
+    """
+
+    def __init__(self, points: np.ndarray, reach: np.ndarray):
+        self.side = side = float(np.max(reach))
+        first = np.floor((points - reach[:, None]) / side)
+        span = np.floor((points + reach[:, None]) / side) - first
+        steps = np.arange(int(np.max(span)) + 1)
+        offsets = np.array(list(np.ndindex((len(steps),) * points.shape[1])))
+        # the key of cube first_i + offsets[k] of item i, and whether item i reaches it
+        key, valid = np.zeros((len(points), len(offsets)), dtype=np.int64), True
+        self.tables, size = [], 1
+        for d in range(points.shape[1]):
+            reached = first[:, d, None] + steps
+            axis, folded = np.unique(reached), None
+            if size * len(axis) > 2**62:
+                folded, inverse = np.unique(key, return_inverse=True)
+                key, size = inverse.reshape(key.shape), len(folded)
+            key = key * len(axis) + np.searchsorted(axis, reached)[:, offsets[:, d]]
+            valid = valid & (offsets[:, d] <= span[:, d, None])
+            size *= len(axis)
+            self.tables.append((axis, folded))
+        item, k = np.nonzero(valid)
+        key = key[item, k]
+        order = np.argsort(key)
+        self.items, key = item[order], key[order]
+        cuts = np.flatnonzero(np.diff(key)) + 1
+        self.keys = key[np.concatenate([[0], cuts])]
+        self.starts = np.concatenate([[0], cuts, [len(key)]])
+
+    def pairs(self, X: np.ndarray) -> tuple:
+        """(query, item) index arrays of the items entered in each point's cube."""
+        key, found = np.zeros(len(X), dtype=np.int64), np.ones(len(X), dtype=bool)
+        for (axis, folded), col in zip(self.tables, np.floor(X / self.side).T):
+            if folded is not None:
+                key, found = _rank(folded, key, found)
+            a, found = _rank(axis, col, found)
+            key = key * len(axis) + a
+        at, found = _rank(self.keys, key, found)
+        start = self.starts[at]
+        count = np.where(found, self.starts[at + 1] - start, 0)
+        query = np.repeat(np.arange(len(X)), count)
+        return query, self.items[np.arange(len(query)) + np.repeat(start - np.cumsum(count) + count, count)]
+
+
+def _rank(table: np.ndarray, values: np.ndarray, found: np.ndarray) -> tuple:
+    """Positions of the values in a sorted table, and found cleared where a value is absent."""
+    at = np.searchsorted(table, values).clip(max=len(table) - 1)
+    return at, found & (table[at] == values)
+
+
+def _distances(A: np.ndarray, a: np.ndarray, B: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(A[a] - B[b], axis=1), bit for bit.  Below 8 columns the
+    norm adds the squares in order, as this sum a column at a time does; with
+    rows gathered by np.take it is several times faster on the many short rows
+    of chi_pairs and color_classes."""
+    diff = np.take(A, a, axis=0) - np.take(B, b, axis=0)
+    if diff.shape[1] >= 8:
+        return np.linalg.norm(diff, axis=1)
+    sq = diff[:, 0] * diff[:, 0]
+    for d in range(1, diff.shape[1]):
+        sq = sq + diff[:, d] * diff[:, d]
+    return np.sqrt(sq)
 
 
 @dataclass(frozen=True)
@@ -231,8 +300,12 @@ def build_cover(
     cand, rho = cand[order], rho[order]
 
     # accept in that order every candidate not within half the radius of an
-    # accepted cell; an acceptance marks the candidates it covers
-    tree = _tree(cand)
+    # accepted cell; an acceptance marks the candidates it covers, found in a
+    # box of the lattice, where slot holds each lattice point's place in order
+    step = 2.0 * region.radius / (per_axis - 1)
+    lattice = np.rint((cand - (np.asarray(region.center) - region.radius)) / step).astype(np.int64)
+    slot = np.full((per_axis,) * n, -1, dtype=np.int32)
+    slot[tuple(lattice.T)] = np.arange(len(cand))
     free = np.ones(len(cand), dtype=bool)
     cells: list = []
     i = 0
@@ -241,7 +314,9 @@ def build_cover(
         if not free[i]:
             break
         x, r = cand[i], s * float(rho[i])
-        near = np.asarray(tree.query_ball_point(x, r / 2.0 * (1.0 + 1e-9)), dtype=int)
+        m = int(r / 2.0 / step) + 1
+        box = slot[tuple(slice(max(k - m, 0), k + m + 1) for k in lattice[i].tolist())]
+        near = box[box >= 0]
         free[near[np.linalg.norm(cand[near] - x, axis=1) <= r / 2.0]] = False
         cells.append(CoverCell(nu=len(cells), center=tuple(x), radius=r, bump_scale=r))
         if len(cells) > max_cells:
@@ -340,8 +415,7 @@ class Partition:
         self.region = region
         self.centers = np.array([c.center for c in self.cells])
         self.radii = np.array([c.radius for c in self.cells])
-        self.tree = _tree(self.centers)
-        self.r_max = float(np.max(self.radii))
+        self.index = _Buckets(self.centers, self.radii * (1.0 + 1e-9))
         self.overlap_observed: int | None = None
 
     @property
@@ -351,19 +425,19 @@ class Partition:
     def chi_pairs(self, X) -> ChiPairs:
         """The bump values chi_nu(x) of every (point, cell) hit of one batch.
 
-        One vectorised pass: a dual KD-tree query lists the (cell, point)
-        pairs within the largest radius, the pairs with |x - c_nu| <= r_nu
-        are kept, and the bump is evaluated once on all of them.  The result
-        is the single geometric pass every evaluation reuses; indexed by a
-        cell it gives that cell's sorted point indices and chi values.
+        One vectorised pass: the partition's bucket index lists candidate
+        (point, cell) pairs, the pairs with |x - c_nu| <= r_nu are kept and
+        sorted stably by cell, and the bump is evaluated once on all of them.
+        The result is the single geometric pass every evaluation reuses;
+        indexed by a cell it gives that cell's sorted point indices and chi
+        values.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        near = self.tree.sparse_distance_matrix(_tree(X), self.r_max * (1.0 + 1e-9), output_type="ndarray")
-        order = np.lexsort((near["j"], near["i"]))
-        cell, idx = near["i"][order], near["j"][order]
-        u = np.linalg.norm(X[idx] - self.centers[cell], axis=1) / self.radii[cell]
-        inside = u <= 1.0
-        return ChiPairs(idx[inside], cell[inside], bump_profile(u[inside]), len(self.cells))
+        idx, cell = self.index.pairs(X)
+        u = _distances(X, idx, self.centers, cell) / self.radii[cell]
+        inside = np.flatnonzero(u <= 1.0)
+        hits = inside[np.argsort(cell[inside], kind="stable")]
+        return ChiPairs(idx[hits], cell[hits], bump_profile(u[hits]), len(self.cells))
 
     def chi_jets(self, X, idx, cell) -> tuple:
         """chi_cell at the points X[idx] with its gradient and Hessian in x.
@@ -486,25 +560,28 @@ def partition_derivative_report(partition: Partition, per_cell_samples: int = 64
 def color_classes(cells: list) -> list:
     """Greedy coloring of the "tripled balls intersect" graph.
 
-    Cells i and j are neighbours when |c_i - c_j| < 3 (r_i + r_j): one
-    `query_pairs` at 6 r_max lists the candidate pairs, one vectorised
-    filter keeps the neighbours, stored as symmetric CSR lists.  Cells are
+    Cells i and j are neighbours when |c_i - c_j| < 3 (r_i + r_j).  Cells are
     colored in the given order, each with the smallest color no neighbour
     holds; a color set before the call counts for the neighbours colored
-    before that cell's own turn.  Within each returned class the balls of
-    triple radius are pairwise disjoint.  Returns the cells with their color
-    fields set, ordered as given; the number of classes is len({c.color}).
+    before that cell's own turn.  A bucket index of the cells with reach
+    3 (r_i + r_max) lists candidate pairs, and one vectorised filter keeps, as
+    CSR lists, the neighbours that hold a color at each cell's turn: those
+    earlier in the order and those colored before the call.  Within each
+    returned class the balls of triple radius are pairwise disjoint.  Returns
+    the cells with their color fields set, ordered as given; the number of
+    classes is len({c.color}).
     """
     if not cells:
         return cells
     centers = np.array([c.center for c in cells])
     radii = np.array([c.radius for c in cells])
-    i, j = _tree(centers).query_pairs(6.0 * float(np.max(radii)), output_type="ndarray").T
-    near = np.linalg.norm(centers[i] - centers[j], axis=1) < 3.0 * (radii[i] + radii[j])
-    rows = np.concatenate([i[near], j[near]])
-    cols = np.concatenate([j[near], i[near]])[np.argsort(rows, kind="stable")]
-    starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(cells)))]).tolist()
     colors = np.array([-1 if c.color is None else c.color for c in cells])  # -1: uncolored
+    i, j = _Buckets(centers, 3.0 * (radii + np.max(radii)) * (1.0 + 1e-9)).pairs(centers)
+    colored = (j < i) | ((j > i) & (colors[j] >= 0))
+    i, j = i[colored], j[colored]
+    near = _distances(centers, i, centers, j) < 3.0 * (radii[i] + radii[j])
+    rows, cols = i[near], j[near]
+    starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(cells)))]).tolist()
     for k in range(len(cells)):
         used = set(colors[cols[starts[k] : starts[k + 1]]].tolist())
         color = 0

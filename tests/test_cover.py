@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,13 +11,14 @@ from sosreg.cover import (
     CoverCell,
     build_cover,
     build_partition,
+    bump_profile,
     color_classes,
     control_distance,
     control_distance_values,
     partition_derivative_report,
     verify_slowly_varying,
 )
-from sosreg.errors import CoverageHoleError, DomainError
+from sosreg.errors import CoverBudgetError, CoverageHoleError, DomainError
 from sosreg.exprlang import parse_expression
 from sosreg.geometry import Ball, ball_grid, ball_points, sphere_points
 
@@ -233,11 +235,10 @@ def isotropic_covers():
     ]
 
 
-def _cover_reference(f, p, region, s=1.0 / 200.0, floor=1e-3):
-    """build_cover's cells by the spatial-hash loop over every candidate it replaced."""
-    n = region.dim
+def _cover_candidates(f, p, region, s, floor):
+    """build_cover's candidates in acceptance order with their rho, and the
+    largest rho of its probe."""
     rho_probe = control_distance_values(f, ball_points(region, 512), p)
-    rho_max = float(np.max(rho_probe))
     live = rho_probe[rho_probe >= floor]
     spacing = s * max(float(np.min(live)), floor) / 2.0
     per_axis = int(np.ceil(2.0 * region.radius / spacing)) + 1
@@ -247,8 +248,14 @@ def _cover_reference(f, p, region, s=1.0 / 200.0, floor=1e-3):
     cand = cand[np.linalg.norm(cand - c, axis=1) <= region.radius]
     rho = control_distance_values(f, cand, p)
     cand, rho = cand[rho >= floor], rho[rho >= floor]
-    order = np.lexsort(tuple(cand[:, i] for i in range(n)) + (-rho,))
-    cand, rho = cand[order], rho[order]
+    order = np.lexsort(tuple(cand[:, i] for i in range(region.dim)) + (-rho,))
+    return cand[order], rho[order], float(np.max(rho_probe))
+
+
+def _cover_reference(f, p, region, s=1.0 / 200.0, floor=1e-3):
+    """build_cover's cells by the spatial-hash loop over every candidate it replaced."""
+    n = region.dim
+    cand, rho, rho_max = _cover_candidates(f, p, region, s, floor)
     cell_size = s * rho_max / 2.0
     buckets, centers, radii, cells = {}, [], [], []
     for x, rx in zip(cand, rho):
@@ -373,3 +380,131 @@ class TestChiPairs:
             assert np.array_equal(chi, part.chi(nu, X[ref]))
             np.add.at(tot, idxs, chi**2)
         assert np.array_equal(part.sum_chi_sq(X, pairs), tot)
+
+
+def _chi_pairs_brute(part, X):
+    """(idx, cell, chi) of chi_pairs from every (cell, point) pair at once."""
+    u = np.linalg.norm(X[None, :, :] - part.centers[:, None, :], axis=2) / part.radii[:, None]
+    cell, idx = np.nonzero(u <= 1.0)
+    return idx, cell, bump_profile(u[cell, idx])
+
+
+def _cover_brute(f, p, region, s=1.0 / 200.0, floor=1e-3):
+    """build_cover's cells by testing each candidate against every accepted cell."""
+    cand, rho, _ = _cover_candidates(f, p, region, s, floor)
+    centers, radii = np.empty((0, region.dim)), np.empty(0)
+    for x, rx in zip(cand, rho):
+        if not np.any(np.linalg.norm(centers - x, axis=1) <= radii / 2.0):
+            centers, radii = np.vstack([centers, x]), np.append(radii, s * float(rx))
+    return [CoverCell(nu=k, center=tuple(c), radius=float(r), bump_scale=float(r)) for k, (c, r) in
+            enumerate(zip(centers, radii))]
+
+
+def _dyadic_cells(dim, count, seed):
+    """Cells with centers on a 1/64 grid and radii from 1/16 to 5/8 (a factor of 10), so a
+    center plus its radius along an axis is exact: such a point lies at distance r exactly."""
+    rng = np.random.default_rng(seed)
+    centers = rng.integers(-64, 64, size=(count, dim)) / 64.0
+    radii = rng.choice([1 / 16, 1 / 8, 3 / 16, 1 / 4, 3 / 8, 1 / 2, 5 / 8], size=count)
+    radii[:2] = 1 / 16, 5 / 8
+    return [CoverCell(nu=k, center=tuple(c), radius=float(r), bump_scale=float(r))
+            for k, (c, r) in enumerate(zip(centers, radii))]
+
+
+def _probe_points(part, seed):
+    """Random points over and beyond the cover's bounding box, points on the faces of the
+    partition's buckets, and points at distance exactly r_nu from a center along each axis."""
+    rng = np.random.default_rng(seed)
+    n = part.dim
+    lo, hi = np.min(part.centers, axis=0) - 1.5, np.max(part.centers, axis=0) + 1.5
+    scattered = rng.uniform(lo, hi, size=(400, n))
+    side = part.index.side
+    on_faces = np.floor(rng.uniform(lo, hi, size=(200, n)) / side) * side
+    axis_steps = np.concatenate([np.eye(n), -np.eye(n)])
+    at_radius = (part.centers[:, None, :] + part.radii[:, None, None] * axis_steps[None]).reshape(-1, n)
+    return np.concatenate([scattered, on_faces, at_radius])
+
+
+class TestBucketIndex:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_chi_pairs_match_all_pairs(self, dim):
+        part = build_partition(_dyadic_cells(dim, 40, seed=dim))
+        X = _probe_points(part, seed=10 + dim)
+        pairs = part.chi_pairs(X)
+        idx, cell, chi = _chi_pairs_brute(part, X)
+        assert np.array_equal(pairs.idx, idx)
+        assert np.array_equal(pairs.cell, cell)
+        assert np.array_equal(pairs.chi, chi)
+        # the exact-distance points are hits with chi = 0 on the boundary
+        assert np.any(chi == 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_empty_batch_and_single_cell(self, dim):
+        part = build_partition(_dyadic_cells(dim, 12, seed=dim))
+        pairs = part.chi_pairs(np.empty((0, dim)))
+        assert len(pairs.idx) == len(pairs.cell) == len(pairs.chi) == 0
+        assert len(pairs) == 12
+        single = build_partition([CoverCell(nu=0, center=(0.25,) * dim, radius=0.5, bump_scale=0.5)])
+        X = _probe_points(single, seed=dim)
+        pairs = single.chi_pairs(X)
+        for got, want in zip((pairs.idx, pairs.cell, pairs.chi), _chi_pairs_brute(single, X)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_colors_match_per_pair_loop(self, dim):
+        cells = _dyadic_cells(dim, 60, seed=20 + dim)
+        assert [c.color for c in color_classes(cells)] == _color_reference(cells)
+
+    @pytest.mark.parametrize("src, variables, center, radius, variant", [
+        ("x^4", ("x",), (0.5,), 0.45, "reduced"),  # radii from 1.2e-3 to 1.3e-2
+        ("x^4 + y^4", ("x", "y"), (0.1, 0.0), 0.03, "reduced"),
+        ("x^2 + y^2 + z^2", ("x", "y", "z"), (3e-4, -2e-4, 1e-4), 0.015, "full"),
+    ])
+    def test_cover_matches_all_pairs(self, src, variables, center, radius, variant):
+        f, p, region = handle(src, variables), ControlDistanceParams(0.25, variant), Ball(center, radius)
+        cells = build_cover(f, p, region)
+        assert [(c.center, c.radius) for c in cells] == [(c.center, c.radius) for c in _cover_brute(f, p, region)]
+
+    def test_memory_and_keys_stay_small_over_a_wide_extent(self):
+        # 1-D: cells 10^7 bucket sides apart; 3-D: a cube corner to corner, where a
+        # key over the whole bounding box would need (10^7)^3 > 2^63 values
+        wide = [[CoverCell(nu=k, center=(1e5 * k,), radius=0.01, bump_scale=0.01) for k in range(11)],
+                [CoverCell(nu=k, center=tuple(1e5 * np.array(corner)), radius=0.01, bump_scale=0.01)
+                 for k, corner in enumerate(np.ndindex(2, 2, 2))]]
+        for cells in wide:
+            tracemalloc.start()
+            part = build_partition(cells)
+            X = np.concatenate([part.centers + 0.005, part.centers + 0.02, [[5e4] * part.dim]])
+            pairs = part.chi_pairs(X)
+            colors = [c.color for c in color_classes(cells)]
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 1_000_000
+            assert 0 <= part.index.keys[0] and part.index.keys[-1] < (4 * len(cells)) ** part.dim
+            for got, want in zip((pairs.idx, pairs.cell, pairs.chi), _chi_pairs_brute(part, X)):
+                assert np.array_equal(got, want)
+            assert np.array_equal(pairs.idx, np.arange(len(cells)))
+            assert colors == [0] * len(cells)
+
+    def test_keys_fold_where_they_could_overflow(self):
+        # 8-D cells with distinct coordinates on every axis: a key mixed from the
+        # coordinates' ranks would need about 240^8 > 2^62 values, so it is folded
+        rng = np.random.default_rng(8)
+        cells = [CoverCell(nu=k, center=tuple(c), radius=0.01, bump_scale=0.01)
+                 for k, c in enumerate(rng.uniform(-1e3, 1e3, size=(80, 8)))]
+        part = build_partition(cells)
+        assert any(folded is not None for _, folded in part.index.tables)
+        X = np.concatenate([part.centers + 0.003, rng.uniform(-1e3, 1e3, size=(50, 8))])
+        pairs = part.chi_pairs(X)
+        for got, want in zip((pairs.idx, pairs.cell, pairs.chi), _chi_pairs_brute(part, X)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(pairs.idx, np.arange(len(cells)))
+
+    def test_budget_fires_before_the_candidate_grid(self):
+        # rho = 1 on a 3-D ball of radius 100: a grid of 80,001^3 candidates
+        tracemalloc.start()
+        with pytest.raises(CoverBudgetError):
+            build_cover(handle("1", ("x", "y", "z")), ControlDistanceParams(0.25), Ball((0.0,) * 3, 100.0))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 10_000_000

@@ -1,4 +1,5 @@
-"""The import graph: numpy is imported eagerly, scipy only by the cover's neighbour searches."""
+"""The import graph: numpy is imported eagerly and scipy never, not even by the
+cover's neighbour searches, the partition, the colouring or the CLI."""
 
 import json
 import os
@@ -9,28 +10,47 @@ from pathlib import Path
 import sosreg
 
 PROBE = """
-import json, sys
+import contextlib, io, json, sys
 import sosreg, sosreg.cli, sosreg.calculus, sosreg.counterex, sosreg.cover, sosreg.monotone, sosreg.roots, sosreg.sos
 from sosreg.calculus import FunctionHandle
-from sosreg.cover import ControlDistanceParams, build_cover
+from sosreg.cover import ControlDistanceParams, build_cover, build_partition, color_classes
 from sosreg.exprlang import parse_expression
-from sosreg.geometry import Ball
+from sosreg.geometry import Ball, ball_points
+from sosreg.sos import DecomposeParams, decompose
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+seen = {}
 
-at_import = scipy_modules()
+def record(stage):
+    seen[stage] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+record("import")
+region = Ball((0.0, 0.0), 0.05)
 f = FunctionHandle.from_expr(parse_expression("x^2 + y^2"), ("x", "y"), domain=Ball((0.0, 0.0), 1.0))
-cells = build_cover(f, ControlDistanceParams(0.25), Ball((0.0, 0.0), 0.05))
-print(json.dumps({"at_import": at_import, "after_cover": scipy_modules(), "cells": len(cells)}))
+cells = build_cover(f, ControlDistanceParams(0.25), region)
+record("build_cover")
+part = build_partition(cells, region)
+record("build_partition")
+hits = len(part.chi_pairs(ball_points(region, 200)).idx)
+record("chi_pairs")
+colors = len({c.color for c in color_classes(cells)})
+record("color_classes")
+report = decompose(f, DecomposeParams(delta=0.25, eta=0.3, region=region))
+record("decompose")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = sosreg.cli.main(["decompose", "--function", "x^2 + y^2", "--region-radius", "0.05"])
+record("cli")
+print(json.dumps({"seen": seen, "cells": len(cells), "hits": hits, "colors": colors,
+                  "decomposed": report.passed, "cli": code}))
 """
 
 
-def test_scipy_loads_at_the_first_cover_not_at_import():
+def test_scipy_is_never_loaded():
     src = str(Path(sosreg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, check=True)
-    seen = json.loads(proc.stdout)
-    assert seen["at_import"] == []
-    assert seen["cells"] > 0
-    assert "scipy.spatial" in seen["after_cover"]
+    out = json.loads(proc.stdout)
+    stages = ("import", "build_cover", "build_partition", "chi_pairs", "color_classes", "decompose", "cli")
+    assert out["seen"] == {stage: [] for stage in stages}
+    assert out["cells"] > 0 and out["hits"] > 0 and out["colors"] > 0
+    assert out["decomposed"] is True
+    assert out["cli"] == 0
