@@ -281,7 +281,7 @@ def build_cover(
         return []
     r_min_est = s * max(float(np.min(live)), floor)
 
-    spacing = r_min_est / 2.0
+    spacing = min(r_min_est / 2.0, region.radius)  # keeps the ball's center on the grid
     per_axis = int(math.ceil(2.0 * region.radius / spacing)) + 1
     if per_axis**n > 64 * max_cells + 4096:
         raise CoverBudgetError(

@@ -431,19 +431,26 @@ class MinimizerProfile:
     """Newton-tracked fiberwise minimizer X(xi) over a cell cross-section.
 
     Solves d_y f(xi, y) = 0 on the fiber bracket by safeguarded Newton with
-    bisection fallback, starting every solve from the cell's center y = 0; no
-    solution is cached between calls.  Each Newton iteration reads g = d_y f
-    and g2 = d_y^2 f of the points still above `g_tol` from one order-2 jet of
-    f; the bracket ends and the first iterate share one call.  A missing sign
-    change means the minimum sits on the bracket boundary, which indicates the
-    case split constant c was chosen too large.  A point stops early, still
-    above `g_tol`, once its Newton step rounds to its iterate or its bracket
-    holds no float strictly inside.  Such points, and those still above
-    `g_tol` after `max_iter` iterations, keep their last iterate and are
-    added to `unconverged`, a running count over every solve of this profile.
+    bisection fallback, starting every solve from the cell's center y = 0.
+    Each Newton iteration reads g = d_y f and g2 = d_y^2 f of the points still
+    above `g_tol` from one order-2 jet of f; the bracket ends and the first
+    iterate share one call.  A missing sign change means the minimum sits on
+    the bracket boundary, which indicates the case split constant c was chosen
+    too large.  A point stops early, still above `g_tol`, once its Newton step
+    rounds to its iterate or its bracket holds no float strictly inside.  Such
+    points, and those still above `g_tol` after `max_iter` iterations, keep
+    their last iterate and are added to `unconverged`, a running count over
+    every solve request of this profile.
+
+    The last `memo_size` solved batches are kept by the exact bytes of xi: a
+    batch asked for again (the value, Hessian and max-entry reads of one
+    reduced-profile batch) gets a copy of its solution and adds its stalled
+    count again, with no fiber call.  A 0-dim cross-section's batch is solved
+    as one row.  The memo makes a profile unsafe to share between threads.
     """
 
     max_iter = 80
+    memo_size = 4
 
     def __init__(self, frame: _RotatedFrame, halfwidth: float, g_tol: float, cell_nu: int):
         self.frame = frame
@@ -451,6 +458,7 @@ class MinimizerProfile:
         self.g_tol = float(g_tol)
         self.cell_nu = cell_nu
         self.unconverged = 0
+        self._memo: dict = {}
 
     def solve(self, xi) -> float:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -459,9 +467,21 @@ class MinimizerProfile:
     def solve_many(self, Xi) -> np.ndarray:
         """Vectorized safeguarded Newton across a batch of cross-sections."""
         Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
-        N = Xi.shape[0]
+        N, k = Xi.shape
         if N == 0:
             return np.empty(0)
+        rows = N if k else 1  # every row of a 0-dim cross-section is the same problem
+        key = (rows, k, Xi.tobytes())
+        self._memo[key] = self._memo.pop(key, None) or self._newton(Xi[:rows])
+        if len(self._memo) > self.memo_size:
+            del self._memo[next(iter(self._memo))]
+        y, stalled = self._memo[key]
+        self.unconverged += stalled * (N // rows)
+        return np.tile(y, N // rows)
+
+    def _newton(self, Xi: np.ndarray) -> tuple:
+        """(y, the count of points left above `g_tol`) of one batch."""
+        N = Xi.shape[0]
         w = self.halfwidth
         starts = np.repeat([-w, w, 0.0], N)[:, None]
         g, g2 = self.frame.fiber(np.concatenate([np.tile(Xi, (3, 1)), starts], axis=1))
@@ -472,6 +492,7 @@ class MinimizerProfile:
             )
         lo, hi = np.full(N, -w), np.full(N, w)
         y = np.zeros(N)
+        stalled = 0
         live, gy, g2y = np.arange(N), g[2 * N :], g2[2 * N :]
         for _ in range(self.max_iter):
             todo = np.abs(gy) > self.g_tol
@@ -493,13 +514,12 @@ class MinimizerProfile:
                 # points cannot move any more
                 stuck = ((newton == yl) & (g2y > 0)) | (np.nextafter(a, b) >= b)
                 y[live[stuck]] = yl[stuck]
-                self.unconverged += int(np.count_nonzero(stuck))
+                stalled += int(np.count_nonzero(stuck))
                 live, gy = live[~stuck], gy[~stuck]
                 if live.size == 0:
                     break
             gy, g2y = self.frame.fiber(np.concatenate([Xi[live], y[live, None]], axis=1))
-        self.unconverged += int(np.count_nonzero(np.abs(gy) > self.g_tol))
-        return y
+        return y, stalled + int(np.count_nonzero(np.abs(gy) > self.g_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +567,8 @@ def _reduced_profile_handle(
 ) -> FunctionHandle:
     """F(xi) = f(xi, X(xi)) as a jet-backed handle over the (k-dim) cross-section.
 
-    Each call solves the fiber once per point.  On the graph Phi(xi) =
+    Each call asks the minimizer for its points, so a batch read again (its
+    values, then its Hessians) is solved once.  On the graph Phi(xi) =
     (xi, X(xi)) the fiber derivative f_y vanishes, so DF = f_xi o Phi and
     D^m F = D^(m-1) (f_xi o Phi) by Faa di Bruno on Phi, in the rotated frame;
     in particular D^2 F = f_xixi - f_xiy f_yxi / f_yy.  X's derivatives to
@@ -599,8 +620,8 @@ class FiberSplit:
     rule, and F the reduced profile f(xi, X(xi)): a jet-backed handle over
     the cross-section, or for a 1-D cell the constant f(X), clamped at 0.
     `h_ok` records whether H kept its lower bound on the samples that chose
-    `nodes`.  Built by :func:`reduced_profile`; every method solves the
-    fiber once per batch.
+    `nodes`.  Built by :func:`reduced_profile`; every method asks the
+    minimizer once per batch, and it solves only batches not in its memo.
     """
 
     kind = "caseII"

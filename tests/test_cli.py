@@ -39,6 +39,15 @@ class TestDecompose:
         assert payload["report"]["residual_sup"] <= 1e-8
         assert payload["config"]["delta"] == 0.25
 
+    def test_region_inside_one_cell(self, tmp_path):
+        # rho is about 100 everywhere, so one cell of radius 0.5 covers B(0, 0.001)
+        report = tmp_path / "dec.json"
+        code = run_cli(["decompose", "--function", "1e9 + x^2 + y^2", "--region-radius", "0.001",
+                        "--no-holder", "--report", str(report)])
+        assert code == 0
+        payload = json.loads(report.read_text())["report"]
+        assert payload["cell_count"] >= 1 and payload["passed"]
+
     def test_verify_shares_decompose_flags(self):
         flags = ["--function", "x^2", "--param", "a=1", "--region-radius", "0.1", "--region-center", "0,0",
                  "--dim", "2", "--delta", "0.2", "--eta", "0.3", "--s", "0.004", "--floor", "0.002",

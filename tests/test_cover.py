@@ -155,6 +155,13 @@ class TestCover:
             assert [(c.nu, c.center, c.radius, c.bump_scale) for c in cells] == \
                 [(c.nu, c.center, c.radius, c.bump_scale) for c in ref]
 
+    def test_one_cell_wider_than_the_region(self):
+        # unnormalised, rho = 576 gives cells of radius 2.88 over a ball of radius 0.06
+        region = Ball((0.0, 0.0), 0.06)
+        cells = build_cover(handle("x^2 + y^4", ("x", "y")), ControlDistanceParams(0.25), region)
+        assert len(cells) == 1 and cells[0].radius == pytest.approx(2.88)
+        assert build_partition(cells, region).check_unity(ball_points(region, 500)) < 1e-10
+
     def test_parabola_cover_covers_region(self):
         f = handle("x^2")
         region = Ball((0.0,), 1.0)
@@ -240,7 +247,7 @@ def _cover_candidates(f, p, region, s, floor):
     largest rho of its probe."""
     rho_probe = control_distance_values(f, ball_points(region, 512), p)
     live = rho_probe[rho_probe >= floor]
-    spacing = s * max(float(np.min(live)), floor) / 2.0
+    spacing = min(s * max(float(np.min(live)), floor) / 2.0, region.radius)
     per_axis = int(np.ceil(2.0 * region.radius / spacing)) + 1
     c = np.asarray(region.center)
     mesh = np.meshgrid(*[np.linspace(ci - region.radius, ci + region.radius, per_axis) for ci in c], indexing="ij")
