@@ -1,8 +1,9 @@
 """Numerical differential calculus on function handles.
 
 FunctionHandle wraps a scalar function of n variables with derivative access
-by multi-index, backed either by exact symbolic derivatives of an expression
-tree or by nested central differences with a fixed step schedule.  On top of
+by multi-index, backed either by exact derivatives of an expression tree
+(symbolic below SERIES_ORDER, Taylor series from it on) or by nested central
+differences with a fixed step schedule.  On top of
 it sit moduli of continuity, Hölder seminorm estimation, flatness tests, the
 positive directional-Hessian part, and checkers for the pointwise
 odd-by-even derivative controls and the Taylor-difference interpolation
@@ -17,12 +18,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DerivativeError, DomainError, NonnegativityError
 from .exprlang import (
     DerivativeTable, EvalMemo, Expr, FunctionDef, differentiate, evaluate, has_conditionals, read_counts,
+    taylor_series,
 )
 from .geometry import Ball, ball_points, sphere_points
 
@@ -111,6 +114,65 @@ def _tensor_layout(n: int, order: int) -> tuple:
     return tuple(where.items())
 
 
+# Expression handles read derivatives of this order and above from one Taylor
+# series pass per batch, and lower orders from symbolic tables.  On family_f
+# the order-4 table grows a 57-node body into 15,163 nodes; building, planning
+# and evaluating it took 0.35 s per fresh handle on a 516-point batch, against
+# 35-68 ms for the order-4 pass.  Orders 1 and 2 feed the decomposition's case
+# split, fiber solves and roots, and on the small batches those read again and
+# again the tables are faster: an order-2 read of x^2+y^2+z^2 on 4 to 40
+# points took 0.09-0.11 ms against 0.12-0.13 ms by series.
+SERIES_ORDER = 3
+
+
+@functools.lru_cache(maxsize=None)
+def _series_layout(n: int, order: int) -> tuple:
+    """Directions, interpolation matrix and row of each multi-index for the
+    Taylor-series pass of one order.
+
+    The directions are the multi-indices j with |j| = order.  The top
+    coefficient of f(x + t j) is sum_alpha D^alpha f(x) j^alpha / alpha! over
+    |alpha| = order; the inverse map, rows in `multiindices` order, is
+    computed exactly in rationals and returned as integer numerators over one
+    common denominator (54 at order 3, 384 at order 4), so integer top
+    coefficients give exact partials.  Its condition number is at most 17.7
+    for n <= 5 and order <= 4.
+    """
+    J = multiindices(n, order)
+    m = len(J)
+    # Gauss-Jordan on [P | I] with P[j][alpha] = j^alpha
+    rows = [
+        [Fraction(math.prod(b**a for a, b in zip(alpha, j))) for alpha in J] + [Fraction(int(r == c)) for c in range(m)]
+        for r, j in enumerate(J)
+    ]
+    for c in range(m):
+        p = next(r for r in range(c, m) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [x / pivot for x in rows[c]]
+        for r in range(m):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [a - f * b if b else a for a, b in zip(rows[r], rows[c])]
+    inverse = [[math.prod(map(math.factorial, alpha)) * x for x in row[m:]] for alpha, row in zip(J, rows)]
+    denominator = math.lcm(*(x.denominator for row in inverse for x in row))
+    numerators = np.array([[int(x * denominator) for x in row] for row in inverse], dtype=float)
+    directions = np.array(J, dtype=float)
+    numerators.setflags(write=False)
+    directions.setflags(write=False)
+    return directions, numerators, float(denominator), {alpha: k for k, alpha in enumerate(J)}
+
+
+class _SeriesRows:
+    """Batch memo of an order read by Taylor series: all its partials on the
+    batch, rows in `multiindices` order, filled by the first read."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = None
+
+
 def max_entries(T: np.ndarray) -> np.ndarray:
     """Max absolute entry of each point's tensor in a batch (N, n, ..., n)."""
     return np.max(np.abs(T), axis=tuple(range(1, T.ndim)), initial=0.0)
@@ -127,11 +189,13 @@ class FunctionHandle:
     full symmetric tensors; `gradient_values`, `hessian_values`,
     `max_entry_values` and `tensor` are views of one order of it.  Multi-index
     backends fill each tensor from `derivative_values`, once per multi-index;
-    when `batch_memo(order)` gives an EvalMemo (expression handles), all
-    multi-indices of the order share it.  The function a handle represents
-    never changes, but expression handles grow a private derivative table and
-    per-order batch plans as derivatives are requested, so one handle must not
-    be used from several threads at once.
+    when `batch_memo(order)` gives a memo (expression handles), all
+    multi-indices of the order share it: below SERIES_ORDER an EvalMemo of the
+    order's symbolic derivatives, from it on the order's partials from one
+    Taylor-series pass, which the first read runs.  The function a handle
+    represents never changes, but expression handles grow a private
+    derivative table and per-order batch plans as derivatives are requested,
+    so one handle must not be used from several threads at once.
     """
 
     def __init__(
@@ -168,13 +232,22 @@ class FunctionHandle:
         domain: Ball | None = None,
         label: str = "f",
     ) -> "FunctionHandle":
-        """Handle of an expression with exact symbolic derivatives.
+        """Handle of an expression with exact derivatives.
 
-        D^alpha f differentiates along the axes in order, one `differentiate`
-        call per differentiated axis on the derivative of the preceding axes.
-        Every call shares the handle's DerivativeTable, so a derivative is
-        built once per handle.  The batch plan of an order (the read counts of
-        all its multi-indices' expressions) is built on first use.
+        Orders below SERIES_ORDER are symbolic: D^alpha f differentiates along
+        the axes in order, one `differentiate` call per differentiated axis on
+        the derivative of the preceding axes.  Every call shares the handle's
+        DerivativeTable, so a derivative is built once per handle.  Such an
+        order's batch memo is an EvalMemo of the read counts of all its
+        multi-indices' expressions, built on first use.
+
+        Orders from SERIES_ORDER on come from one `taylor_series` pass of the
+        simplified body per batch, along the order's multi-index directions,
+        interpolated to the partials by `_series_layout`.  Their batch memo
+        holds the pass's partials; a read without one runs its own pass.
+        Both ways are exact in exact arithmetic, and the series agree with
+        the symbolic derivatives to rounding, about 1e-13 of each point's
+        largest entry.
         """
         variables = tuple(variables)
         n = len(variables)
@@ -182,6 +255,7 @@ class FunctionHandle:
         table = DerivativeTable()
         exprs: dict = {(0,) * n: body}
         plans: dict = {}
+        series_plan: list = []  # the simplified body and its read counts
 
         def expr_of(alpha):
             # not recursive: a self-referencing closure would leave the
@@ -195,8 +269,31 @@ class FunctionHandle:
                     got = exprs[head]
             return got
 
+        def series_rows(X, order):
+            if not series_plan:
+                root = table.simplify(body)
+                series_plan.extend((root, read_counts([root])))
+            directions, numerators, denominator, _ = _series_layout(n, order)
+            env = {v: [X[:, i], directions[:, i : i + 1]] + [None] * (order - 1) for i, v in enumerate(variables)}
+            top = taylor_series(series_plan[0], env, order, EvalMemo(series_plan[1]))[order]
+            top = np.broadcast_to(0.0 if top is None else top, (len(directions), X.shape[0]))
+            return (numerators @ top) / denominator
+
         def derivative_factory(alpha):
-            expr = expr_of(tuple(alpha))
+            alpha = tuple(alpha)
+            order = sum(alpha)
+            if order >= SERIES_ORDER:
+                row = _series_layout(n, order)[3][alpha]
+
+                def d_many(X, memo=None):
+                    if memo is None:
+                        memo = batch_memo(order)
+                    if memo.rows is None:
+                        memo.rows = series_rows(np.asarray(X, dtype=float), order)
+                    return memo.rows[row].copy()
+
+                return d_many
+            expr = expr_of(alpha)
 
             def d_many(X, memo=None):
                 X = np.asarray(X, dtype=float)
@@ -206,6 +303,8 @@ class FunctionHandle:
             return d_many
 
         def batch_memo(order):
+            if order >= SERIES_ORDER:
+                return _SeriesRows()
             if order not in plans:
                 plans[order] = read_counts([expr_of(a) for a in multiindices(n, order)])
             return EvalMemo(plans[order])
@@ -289,7 +388,7 @@ class FunctionHandle:
         with np.errstate(divide="ignore"):
             return np.log(self.values(X))
 
-    def derivative_values(self, X, alpha, memo: EvalMemo | None = None) -> np.ndarray:
+    def derivative_values(self, X, alpha, memo=None) -> np.ndarray:
         """D^alpha f on an (N, n) batch; `memo` is the batch memo of
         `batch_memo(|alpha|)` when the caller evaluates a whole order."""
         alpha = tuple(int(a) for a in alpha)
@@ -353,8 +452,8 @@ class FunctionHandle:
             out = np.maximum(out, np.abs(self.derivative_values(X, alpha, memo=memo)))
         return out
 
-    def batch_memo(self, order: int) -> EvalMemo | None:
-        """A fresh memo shared by all multi-indices of one order, or None."""
+    def batch_memo(self, order: int):
+        """A fresh memo shared by all multi-indices of one order on one batch, or None."""
         return None if self._batch_memo is None else self._batch_memo(order)
 
     def rescaled(self, value_scale: float, label: str | None = None) -> "FunctionHandle":
@@ -691,19 +790,15 @@ def verify_odd_even_control(
         i = int(np.argmin(fvals_raw))
         raise NonnegativityError(f"f({pts[i]}) = {fvals_raw[i]} < 0 on the sampled region")
 
-    line_d = {}
-    for p in (1, 2, 3, 4):
-        cols = []
-        for axis in range(n):
-            alpha = tuple(p if j == axis else 0 for j in range(n))
-            cols.append(f.derivative_values(pts, alpha))
-        line_d[p] = np.stack(cols, axis=1)
+    def axis_derivatives(X, p):
+        """(N, n) pure order-p derivatives along each axis, through one batch memo."""
+        memo = f.batch_memo(p)
+        cols = [f.derivative_values(X, [p * (j == axis) for j in range(n)], memo=memo) for axis in range(n)]
+        return np.stack(cols, axis=1)
 
-    sup_f4 = 0.0
+    line_d = {p: axis_derivatives(pts, p) for p in (1, 2, 3, 4)}
     sup_f = float(np.max(np.abs(f.values(wide))))
-    for axis in range(n):
-        alpha = tuple(4 if j == axis else 0 for j in range(n))
-        sup_f4 = max(sup_f4, float(np.max(np.abs(f.derivative_values(wide, alpha)))))
+    sup_f4 = float(np.max(np.abs(axis_derivatives(wide, 4))))
     M = 1.05 * max(1.0, sup_f, sup_f4)
 
     g = np.maximum(fvals_raw / M, 0.0)

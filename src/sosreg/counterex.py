@@ -173,26 +173,22 @@ def family_log_values(p: FamilyParams, X) -> np.ndarray:
 
 
 def build_family(p: FamilyParams) -> FunctionHandle:
-    """FunctionHandle on R^5 for the family, with exact log-space evaluation.
+    """FunctionHandle on R^5 for the family: the expression body, with exact
+    derivatives, and exact log-space evaluation.
 
-    Default profiles use the symbolic expression body (so symbolic
-    derivatives are available); custom profiles fall back to a
-    finite-difference-backed handle.
+    Only the default profiles (phi = flat_exp_sq, psi = power_tail(s')) have
+    an expression body; other profiles raise DomainError.
     """
-    default = p.phi.name == "flat_exp_sq" and p.psi.name.startswith("power_tail")
-    if default:
-        body = family_body(s_prime=p.s_prime, rho=p.rho_plateau)
-        fh = FunctionHandle.from_expr(
-            body, ("w", "x", "y", "z", "t"), domain=Ball(center=(0.0,) * 5, radius=1.5), label="family_f",
+    psi = LogProfile.power_tail(p.s_prime).name
+    if p.phi.name != "flat_exp_sq" or p.psi.name != psi:
+        raise DomainError(
+            f"build_family needs the default profiles phi = flat_exp_sq and psi = {psi}; "
+            f"got phi = {p.phi.name}, psi = {p.psi.name}"
         )
-    else:
-        def eval_many(X):
-            return np.exp(family_log_values(p, X))
-
-        fh = FunctionHandle.from_callable(
-            eval_many, arity=5, domain=Ball(center=(0.0,) * 5, radius=1.5),
-            vectorized=True, label="family_f",
-        )
+    body = family_body(s_prime=p.s_prime, rho=p.rho_plateau)
+    fh = FunctionHandle.from_expr(
+        body, ("w", "x", "y", "z", "t"), domain=Ball(center=(0.0,) * 5, radius=1.5), label="family_f",
+    )
     fh._log_eval_many = lambda X: family_log_values(p, X)
     return fh
 

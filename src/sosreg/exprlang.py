@@ -13,7 +13,8 @@ derivative step is built simplified in one pass and memoized per node.  A
 call given no table builds a fresh one; a table passed in (one per
 FunctionHandle) keeps growing, so it must not be shared across threads.
 `evaluate` given an EvalMemo shares node values across the evaluations of
-one batch of roots; a memo belongs to one batch.
+one batch of roots; a memo belongs to one batch.  `taylor_series` propagates
+truncated Taylor series along lines through the same DAG walk.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "parse_function_file",
     "to_source",
     "evaluate",
+    "taylor_series",
     "differentiate",
     "DerivativeTable",
     "EvalMemo",
@@ -357,6 +359,165 @@ def _eval_node(e: Expr, env, memo, left):
         out = np.select(conds, vals)
         return out if out.ndim else out[()]
     raise ExprError(f"cannot evaluate node {type(e).__name__}")
+
+
+def taylor_series(e: Expr, env: dict, degree: int, memo: EvalMemo | None = None) -> list:
+    """Coefficients [c_0, ..., c_degree] of e's Taylor series along a line.
+
+    env maps each variable to its own coefficient list, [x, v, None, ...] for
+    x + t v.  A coefficient is a scalar or an array, all broadcasting
+    together, or None for an exact zero, which is skipped, not stored.  Each
+    node applies the usual forward recurrences (Griewank, Utke & Walther,
+    Math. Comp. 69 (2000)); integer powers are products, so a zero base stays
+    exact, and a real power p at a zero base has c_k = 0 where p > k and NaN
+    elsewhere, as its symbolic k-th derivative evaluates there.  flatexp is
+    exp(-1/u) where u > 0 and 0 elsewhere, and piecewise takes each
+    coefficient from the branch its scrutinee's value selects, as the
+    branchwise symbolic derivatives do.  With `memo`, an EvalMemo of
+    read_counts([e]), each node's series is dropped after its last read.
+    """
+    with np.errstate(all="ignore"):
+        if memo is None:
+            return _series(e, env, degree, {}, None)
+        return _series(e, env, degree, memo.values, memo.left)
+
+
+def _series(e: Expr, env, degree: int, memo: dict, left):
+    key = id(e)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _series_node(e, env, degree, memo, left)
+    if left is not None:
+        n = left[key] - 1
+        left[key] = n
+        if not n:
+            del memo[key]
+    return out
+
+
+def _series_node(e: Expr, env, degree: int, memo, left) -> list:
+    def s(child):
+        return _series(child, env, degree, memo, left)
+
+    if isinstance(e, Const):
+        return [e.value] + [None] * degree
+    if isinstance(e, Var):
+        try:
+            return env[e.name]
+        except KeyError:
+            raise ExprError(f"unbound variable {e.name!r}") from None
+    if isinstance(e, Sum):
+        return [_total(cs) for cs in zip(*map(s, e.terms))]
+    if isinstance(e, Neg):
+        return [None if c is None else -c for c in s(e.arg)]
+    if isinstance(e, Prod):
+        out = s(e.factors[0])
+        for f in e.factors[1:]:
+            out = _cauchy(out, s(f))
+        return out
+    if isinstance(e, Quot):
+        return _divide(s(e.num), s(e.den))
+    if isinstance(e, Pow):
+        return _power(s(e.base), e.exponent)
+    if isinstance(e, Exp):
+        return _exp(s(e.arg))
+    if isinstance(e, Ln):
+        # ln(u)' = u' / u
+        u = s(e.arg)
+        du = [None if c is None else k * c for k, c in enumerate(u[1:], 1)]
+        return [np.log(u[0])] + [None if c is None else c / k for k, c in enumerate(_divide(du, u[:-1]), 1)]
+    if isinstance(e, (Sin, Cos)):
+        u = s(e.arg)
+        sin, cos = [np.sin(u[0])], [np.cos(u[0])]
+        for k in range(1, degree + 1):
+            sin.append(_conv(u, cos, k, lambda i: i / k))
+            cos.append(_conv(u, sin, k, lambda i: -i / k))
+        return sin if isinstance(e, Sin) else cos
+    if isinstance(e, FlatExp):
+        u = s(e.arg)
+        pos = u[0] > 0
+        w = _divide([-1.0] + [None] * degree, [np.where(pos, u[0], 1.0)] + u[1:])
+        return [None if c is None else np.where(pos, c, 0.0) for c in _exp(w)]
+    if isinstance(e, Piecewise):
+        scrutinee = s(e.scrutinee)[0]
+        out = []
+        for cs in zip(*map(s, e.branches)):
+            if all(c is None for c in cs):
+                out.append(None)
+                continue
+            # the first branch whose break the scrutinee does not exceed
+            acc = 0.0 if cs[-1] is None else cs[-1]
+            for b, c in zip(e.breaks[::-1], cs[-2::-1]):
+                acc = np.where(scrutinee <= b, 0.0 if c is None else c, acc)
+            out.append(acc)
+        return out
+    raise ExprError(f"cannot expand node {type(e).__name__}")
+
+
+def _total(cs):
+    acc = None
+    for c in cs:
+        if c is not None:
+            acc = c if acc is None else acc + c
+    return acc
+
+
+def _conv(a, b, k: int, weight=None, first: int = 1):
+    """Sum over i = first..k of weight(i) * a[i] * b[k - i], skipping zero
+    terms; None when every term is zero.  `b` may be shorter than k + 1 when
+    first >= 1, as in the recurrences that solve for b[k]."""
+    acc = None
+    for i in range(first, k + 1):
+        if a[i] is None or b[k - i] is None:
+            continue
+        w = 1.0 if weight is None else weight(i)
+        if w == 0.0:
+            continue
+        term = a[i] * b[k - i] if w == 1.0 else w * a[i] * b[k - i]
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _cauchy(a: list, b: list) -> list:
+    return [_conv(a, b, k, first=0) for k in range(len(a))]
+
+
+def _divide(a: list, b: list) -> list:
+    v: list = []
+    for k in range(len(a)):
+        c = _conv(b, v, k)
+        top = a[k] if c is None else (-c if a[k] is None else a[k] - c)
+        v.append(None if top is None else top / b[0])
+    return v
+
+
+def _exp(u: list) -> list:
+    v = [np.exp(u[0])]
+    for k in range(1, len(u)):
+        v.append(_conv(u, v, k, lambda i: i / k))
+    return v
+
+
+def _power(u: list, p: float) -> list:
+    if p == int(p):
+        one = [1.0] + [None] * (len(u) - 1)
+        out, m = None, abs(int(p))
+        while m:  # binary powering
+            if m & 1:
+                out = u if out is None else _cauchy(out, u)
+            m >>= 1
+            if m:
+                u = _cauchy(u, u)
+        if out is None:
+            return one
+        return out if p > 0 else _divide(one, out)
+    v = [np.power(u[0], p)]
+    zero = u[0] == 0
+    base = np.where(zero, 1.0, u[0])
+    for k in range(1, len(u)):
+        c = _conv(u, v, k, lambda i: (p * i - (k - i)) / k)
+        v.append(None if c is None else np.where(zero, 0.0 if p > k else np.nan, c / base))
+    return v
 
 
 def free_variables(e: Expr) -> set:

@@ -283,9 +283,9 @@ class TestDerivativeTable:
     fdef = catalog_function("family_f")
 
     def test_family_derivatives_equal_fresh_ones(self, monkeypatch):
-        # each multi-index of order <= 4: the handle's expression equals a fresh
-        # axis-by-axis differentiate, and its batch-memo values are bitwise
-        # those of a fresh-memo evaluate
+        # each multi-index of the symbolic orders 1 and 2: the handle's
+        # expression equals a fresh axis-by-axis differentiate, and its
+        # batch-memo values are bitwise those of a fresh-memo evaluate
         f = FunctionHandle.from_def(self.fdef)
         X = ball_points(Ball((0.0,) * 5, 0.9), 24)
         env = {v: X[:, i] for i, v in enumerate(self.fdef.variables)}
@@ -305,7 +305,7 @@ class TestDerivativeTable:
 
         chains = {(0,) * 5: self.fdef.body}
         monkeypatch.setattr(calculus, "evaluate", recording)
-        for order in range(1, 5):
+        for order in range(1, calculus.SERIES_ORDER):
             seen.clear()
             T = f.derivative_tensor(X, order)
             assert len(seen) == len(multiindices(5, order))
@@ -323,11 +323,11 @@ class TestDerivativeTable:
         assert memo.values == {} and not any(memo.left.values())
 
     def test_order_four_peak_memory(self):
-        # a memo keeping every node value of the 70 order-4 derivatives peaks
-        # near 60 MB at this size; freeing after the last read keeps it small
+        # the order-4 Taylor-series pass peaks near 30 MB at this size when it
+        # keeps every node's series; freeing after the last read keeps it small
         f = FunctionHandle.from_def(self.fdef)
         X = ball_points(Ball((0.0,) * 5, 1.0), 516)
-        f.max_entry_values(X[:1], 4)  # builds the derivatives and the plan
+        f.max_entry_values(X[:1], 4)  # builds the interpolation layout and the series plan
         tracemalloc.start()
         try:
             f.max_entry_values(X, 4)
@@ -336,22 +336,18 @@ class TestDerivativeTable:
             tracemalloc.stop()
         assert peak < 16e6
 
-    def test_table_holds_only_the_simplified_nodes(self, monkeypatch):
-        # the derivatives lab reads (orders 2 and 4, 85 multi-indices) intern
-        # 43,372 nodes when each step is built unsimplified and then simplified
-        tables = []
-
-        def recording():
-            tables.append(exprlang.DerivativeTable())
-            return tables[-1]
-
-        monkeypatch.setattr(calculus, "DerivativeTable", recording)
-        f = FunctionHandle.from_def(self.fdef)
-        X = ball_points(Ball((0.0,) * 5, 0.9), 4)
-        f.max_entry_values(X, 2)
-        f.max_entry_values(X, 4)
-        assert len(tables) == 1
-        assert len(tables[0]._nodes) <= 20_000
+    def test_table_holds_only_the_simplified_nodes(self):
+        # the 85 derivatives of orders 2 and 4, taken axis by axis through one
+        # table, intern 43,372 nodes when each step is built unsimplified and
+        # then simplified
+        table = exprlang.DerivativeTable()
+        for order in (2, 4):
+            for alpha in multiindices(5, order):
+                e = self.fdef.body
+                for v, p in zip(self.fdef.variables, alpha):
+                    if p:
+                        e = exprlang.differentiate(e, v, p, table=table)
+        assert len(table._nodes) <= 20_000
 
     def test_each_handle_differentiates_for_itself(self, monkeypatch):
         calls = []
@@ -368,3 +364,84 @@ class TestDerivativeTable:
             f.derivative_values(X, (1, 0, 0, 0))
             f.derivative_values(X, (1, 0, 0, 0))
             assert len(calls) == handles
+
+
+def _symbolic(fdef, alpha, X):
+    e = fdef.body
+    for v, p in zip(fdef.variables, alpha):
+        if p:
+            e = exprlang.differentiate(e, v, p)
+    env = {v: X[:, i] for i, v in enumerate(fdef.variables)}
+    return np.broadcast_to(exprlang.evaluate(e, env), (len(X),))
+
+
+# ln, sin, cos, quotients and negative integer powers, which no catalog entry has
+_MIXED = exprlang.FunctionDef(
+    "mixed", ("x", "y"), parse_expression("ln(2 + x^2 + x*y) * sin(y) / (3 + y) + cos(x*y)^3 + x^2.5 * (1 + y)^-2"),
+    Ball((0.0, 0.0), 1.0), sample_box=((0.1, 0.6), (-0.5, 0.5)),
+)
+
+
+class TestTaylorSeries:
+    @pytest.mark.parametrize("name", [*exprlang.catalog_names(), "mixed"])
+    def test_agrees_with_symbolic_derivatives(self, name):
+        fdef = _MIXED if name == "mixed" else catalog_function(name)
+        f = FunctionHandle.from_def(fdef)
+        rng = np.random.default_rng(5)
+        X = np.column_stack([rng.uniform(lo, hi, 40) for lo, hi in fdef.sample_box])
+        for order in range(calculus.SERIES_ORDER, 5):
+            T = f.derivative_tensor(X, order)
+            scale = np.max(np.abs(T.reshape(len(X), -1)), axis=1)
+            for alpha in multiindices(fdef.arity, order):
+                assert np.all(np.abs(T[_axes(alpha)] - _symbolic(fdef, alpha, X)) <= 1e-11 * scale)
+
+    def test_monomials_give_alpha_factorial(self):
+        variables = ("v", "w", "x", "y", "z")
+        X = ball_points(Ball((0.0,) * 5, 1.0), 16)
+        for order in range(calculus.SERIES_ORDER, 5):
+            for alpha in multiindices(5, order):
+                body = exprlang.Prod(tuple(exprlang.Pow(exprlang.Var(v), float(p)) for v, p in zip(variables, alpha)))
+                f = FunctionHandle.from_expr(body, variables)
+                assert np.all(f.derivative_values(X, alpha) == math.prod(map(math.factorial, alpha)))
+
+    def test_exact_zeros_beyond_the_seams(self):
+        f = handle("flatexp(x) * exp(y)", ("x", "y"))
+        bump = FunctionHandle.from_def(catalog_function("bump_h"))  # 1 on |t| <= 0.5, 0 for |t| >= 1
+        for g, X in ((f, [[-0.5, 0.1], [0.0, 0.3], [-2.0, -1.0]]), (bump, [[0.2], [-0.3], [1.0], [-1.4]])):
+            for order in range(calculus.SERIES_ORDER, 5):
+                assert np.all(g.derivative_tensor(np.array(X), order) == 0.0)
+
+    def test_real_power_at_a_zero_base(self):
+        X = np.array([[0.0], [0.3], [-0.2]])
+        assert handle("x^4.5").derivative_values(X[:1], (4,))[0] == 0.0
+        fdef = exprlang.FunctionDef("p", ("x",), parse_expression("x^2.5"), Ball((0.0,), 1.0))
+        f = FunctionHandle.from_def(fdef)
+        for order in range(calculus.SERIES_ORDER, 5):
+            sym = _symbolic(fdef, (order,), X)
+            got = f.derivative_values(X, (order,))
+            assert np.array_equal(np.isfinite(got), np.isfinite(sym)) and not np.isfinite(got[0])
+
+    def test_order_four_is_one_series_pass(self, monkeypatch):
+        # lab's fourth-order read: 70 multi-indices, no symbolic table beyond
+        # order 2 and one series pass for the whole batch
+        calls = {"differentiate": 0, "taylor_series": 0, "derivative_values": 0}
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(calculus, "differentiate")
+        counted(calculus, "taylor_series")
+        counted(FunctionHandle, "derivative_values")
+        f = FunctionHandle.from_def(catalog_function("family_f"))
+        X = ball_points(Ball((0.0,) * 5, 1.0), 64)
+        f.max_entry_values(X, 2)
+        assert calls["differentiate"] > 0 and calls["taylor_series"] == 0
+        calls.update(differentiate=0, derivative_values=0)
+        f.max_entry_values(X, 4)
+        assert calls == {"differentiate": 0, "taylor_series": 1, "derivative_values": 70}

@@ -85,6 +85,11 @@ class TestFamilyValues:
         )
         assert fam.value(W + [t]) == pytest.approx(expected, rel=1e-12)
 
+    def test_non_default_profiles_are_refused(self):
+        for p in (FamilyParams(psi=LogProfile.exact_sos_boundary(0.5)), FamilyParams(psi=LogProfile.power_tail(0.3))):
+            with pytest.raises(DomainError, match="default profiles"):
+                build_family(p)
+
     def test_log_values_consistent(self):
         p = FamilyParams()
         fam = build_family(p)
