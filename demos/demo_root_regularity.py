@@ -1,8 +1,8 @@
 """Square roots and powers of flat functions.
 
-Derivatives of f^gamma evaluate through the composition formula with
-partition terms generated by recursive differentiation; terms combine in log
-space so flat bases never overflow the f^(gamma-m) factors.  The demo checks
+Derivatives of f^gamma come from one jet of f through `power_jet`, Faa di
+Bruno over set partitions; each block carries its share of f^(gamma-m), so
+flat bases never overflow those factors.  The demo checks
 a hand-computed second derivative, shows the derivative-growth constants
 |grad^m f| <= C f^(0.9) for a flat profile, and estimates the largest Hölder
 exponent at which sqrt(f) keeps a stable order-2 seminorm.
@@ -15,12 +15,12 @@ import numpy as np
 from sosreg.calculus import FunctionHandle
 from sosreg.exprlang import catalog_function, parse_expression
 from sosreg.geometry import Ball
-from sosreg.roots import PowerHandle, power_derivative, verify_power_smoothness_chain, verify_root_regularity
+from sosreg.roots import PowerHandle, verify_power_smoothness_chain, verify_root_regularity
 
 # hand-checked value: d2 sqrt(x^4+1) at x = 1 equals 2 sqrt 2
 f = FunctionHandle.from_expr(parse_expression("x^4 + 1"), ("x",), domain=Ball((0.0,), 3.0))
 p = PowerHandle(f, 0.5)
-print(f"d2 sqrt(x^4+1)|_1 = {power_derivative(p, [1.0], (2,)):.12f}  (2*sqrt(2) = {2**1.5:.12f})")
+print(f"d2 sqrt(x^4+1)|_1 = {p.derivative([1.0], (2,)):.12f}  (2*sqrt(2) = {2**1.5:.12f})")
 
 # derivative-power chain for the flat profile exp(-1/t)
 flat = FunctionHandle.from_def(catalog_function("flat_exp"))

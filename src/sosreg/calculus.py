@@ -2,9 +2,10 @@
 
 FunctionHandle wraps a scalar function of n variables with derivative access
 by multi-index, backed either by exact derivatives of an expression tree
-(symbolic below SERIES_ORDER, Taylor series from it on) or by nested central
-differences with a fixed step schedule.  On top of
-it sit moduli of continuity, Hölder seminorm estimation, flatness tests, the
+(symbolic below SERIES_ORDER, Taylor series from it on) or by a jet function
+that returns every derivative tensor up to an order at once (powers of a
+handle, the reduced profiles of the fiber split).  On top of it sit moduli of
+continuity, Hölder seminorm estimation, flatness tests, the
 positive directional-Hessian part, and checkers for the pointwise
 odd-by-even derivative controls and the Taylor-difference interpolation
 bound used by the decomposition machinery.
@@ -44,46 +45,6 @@ __all__ = [
     "multiindices",
     "tensor_contract",
 ]
-
-# 4th-order-accurate central stencils for pure derivatives of order 1..4
-_STENCILS = {
-    1: ((-2, -1, 1, 2), (1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12)),
-    2: ((-2, -1, 0, 1, 2), (-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12)),
-    3: ((-3, -2, -1, 1, 2, 3), (1.0 / 8, -1.0, 13.0 / 8, -13.0 / 8, 1.0, -1.0 / 8)),
-    4: ((-3, -2, -1, 0, 1, 2, 3), (-1.0 / 6, 2.0, -13.0 / 2, 28.0 / 3, -13.0 / 2, 2.0, -1.0 / 6)),
-}
-
-
-def fd_step(order: int) -> float:
-    """Step schedule for order-p central stencils: h = 1e-3 * 2^(p-1)."""
-    return 1e-3 * 2.0 ** (order - 1)
-
-
-def fd_stencil(alpha, step) -> tuple:
-    """Offsets (m, n) and weights (m,) of the nested central stencil for D^alpha.
-
-    Each differentiated axis applies the 4th-order accurate stencil of its
-    order p with spacing step(p);
-    D^alpha g(x) ~= sum_i weights[i] * g(x + offsets[i]).
-    """
-    n = len(alpha)
-    offsets = [np.zeros(n)]
-    weights = [1.0]
-    for axis, p in enumerate(alpha):
-        if p == 0:
-            continue
-        offs, coefs = _STENCILS[p]
-        h = step(p)
-        new_offsets, new_weights = [], []
-        for base, wt in zip(offsets, weights):
-            for o, cf in zip(offs, coefs):
-                shifted = base.copy()
-                shifted[axis] += o * h
-                new_offsets.append(shifted)
-                new_weights.append(wt * cf / h**p)
-        offsets, weights = new_offsets, new_weights
-    return np.array(offsets), np.array(weights)
-
 
 def multiindices(n: int, order: int) -> list:
     """All multi-indices alpha in Z_+^n with |alpha| = order, lexicographic."""
@@ -163,14 +124,15 @@ def _series_layout(n: int, order: int) -> tuple:
     return directions, numerators, float(denominator), {alpha: k for k, alpha in enumerate(J)}
 
 
-class _SeriesRows:
-    """Batch memo of an order read by Taylor series: all its partials on the
-    batch, rows in `multiindices` order, filled by the first read."""
+class _OrderPartials:
+    """Batch memo of an order whose partials come all at once: they are
+    filled by the first read of the batch, as rows in `multiindices` order
+    (a Taylor-series pass) or as one symmetric tensor (a jet-backed handle)."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("partials",)
 
     def __init__(self):
-        self.rows = None
+        self.partials = None
 
 
 def max_entries(T: np.ndarray) -> np.ndarray:
@@ -181,21 +143,23 @@ def max_entries(T: np.ndarray) -> np.ndarray:
 class FunctionHandle:
     """Evaluable scalar function on a ball with derivative access by multi-index.
 
-    Construct via :meth:`from_def`, :meth:`from_expr` or :meth:`from_callable`.
-    A handle is backed either by one derivative function per multi-index
-    (`derivative_many_factory`) or, with that factory None, by a jet function
-    `jet_many(X, order)` that returns every derivative tensor up to `order` in
-    one call (the reduced profiles of the fiber split).  :meth:`jet` gives (f, Df, ..., D^m f) as
-    full symmetric tensors; `gradient_values`, `hessian_values`,
-    `max_entry_values` and `tensor` are views of one order of it.  Multi-index
-    backends fill each tensor from `derivative_values`, once per multi-index;
-    when `batch_memo(order)` gives a memo (expression handles), all
-    multi-indices of the order share it: below SERIES_ORDER an EvalMemo of the
-    order's symbolic derivatives, from it on the order's partials from one
-    Taylor-series pass, which the first read runs.  The function a handle
-    represents never changes, but expression handles grow a private
-    derivative table and per-order batch plans as derivatives are requested,
-    so one handle must not be used from several threads at once.
+    Construct via :meth:`from_def` or :meth:`from_expr`, or on the constructor
+    with a jet function `jet_many(X, order)` that returns every derivative
+    tensor up to `order` at once, in place of the per-multi-index
+    `derivative_many_factory` (roots.PowerHandle, the reduced profiles of the
+    fiber split).  :meth:`jet` gives (f, Df, ..., D^m f) as full symmetric
+    tensors; `gradient_values`, `hessian_values`, `max_entry_values` and
+    `tensor` are views of one order of it.  Multi-index backends fill each
+    tensor from `derivative_values`, once per multi-index; the multi-indices
+    of one order on one batch share the memo of `batch_memo(order)`, which
+    the first read fills: an EvalMemo of the order's symbolic derivatives
+    below SERIES_ORDER, the partials of one Taylor-series pass from it on,
+    and one jet's tensor for jet-backed handles.  `exact_derivatives` is
+    False where derivatives are exact only off a seam set or come through a
+    numerical solve; `holder_seminorm` then spaces its pairs wider.  The
+    function a handle represents never changes, but expression handles grow
+    a private derivative table and per-order batch plans, so one handle must
+    not be used from several threads at once.
     """
 
     def __init__(
@@ -247,7 +211,9 @@ class FunctionHandle:
         holds the pass's partials; a read without one runs its own pass.
         Both ways are exact in exact arithmetic, and the series agree with
         the symbolic derivatives to rounding, about 1e-13 of each point's
-        largest entry.
+        largest entry.  A direction whose series is not finite (a real power
+        of a zero base) spoils only the partials it shares support with: at
+        (0, 0.5), x^2.5 + y^4 reads D^(0,4) = 24 but NaN for D^(1,3) = 0.
         """
         variables = tuple(variables)
         n = len(variables)
@@ -277,7 +243,13 @@ class FunctionHandle:
             env = {v: [X[:, i], directions[:, i : i + 1]] + [None] * (order - 1) for i, v in enumerate(variables)}
             top = taylor_series(series_plan[0], env, order, EvalMemo(series_plan[1]))[order]
             top = np.broadcast_to(0.0 if top is None else top, (len(directions), X.shape[0]))
-            return (numerators @ top) / denominator
+            rows = (numerators @ top) / denominator
+            bad = ~np.isfinite(top).all(axis=0)
+            if bad.any():  # keep 0 * NaN of directions outside a partial's support
+                w = numerators[:, :, None]
+                with np.errstate(invalid="ignore"):
+                    rows[:, bad] = np.where(w != 0.0, w * top[:, bad], 0.0).sum(axis=1) / denominator
+            return rows
 
         def derivative_factory(alpha):
             alpha = tuple(alpha)
@@ -288,9 +260,9 @@ class FunctionHandle:
                 def d_many(X, memo=None):
                     if memo is None:
                         memo = batch_memo(order)
-                    if memo.rows is None:
-                        memo.rows = series_rows(np.asarray(X, dtype=float), order)
-                    return memo.rows[row].copy()
+                    if memo.partials is None:
+                        memo.partials = series_rows(np.asarray(X, dtype=float), order)
+                    return memo.partials[row].copy()
 
                 return d_many
             expr = expr_of(alpha)
@@ -304,7 +276,7 @@ class FunctionHandle:
 
         def batch_memo(order):
             if order >= SERIES_ORDER:
-                return _SeriesRows()
+                return _OrderPartials()
             if order not in plans:
                 plans[order] = read_counts([expr_of(a) for a in multiindices(n, order)])
             return EvalMemo(plans[order])
@@ -322,52 +294,6 @@ class FunctionHandle:
     @staticmethod
     def from_def(fdef: FunctionDef) -> "FunctionHandle":
         return FunctionHandle.from_expr(fdef.body, fdef.variables, domain=fdef.domain, label=fdef.name)
-
-    @staticmethod
-    def from_callable(
-        fn,
-        arity: int,
-        domain: Ball | None = None,
-        vectorized: bool = False,
-        label: str = "f",
-    ) -> "FunctionHandle":
-        """Wrap a plain callable; derivatives use nested central differences.
-
-        fn takes a 1-D point array (or an (N, n) array when vectorized=True).
-        Per-axis derivative orders up to 4 are supported.
-        """
-        domain = domain or Ball(center=(0.0,) * arity, radius=1.0)
-
-        def eval_many(X):
-            X = np.asarray(X, dtype=float)
-            if vectorized:
-                return np.asarray(fn(X), dtype=float)
-            return np.array([float(fn(x)) for x in X])
-
-        def derivative_factory(alpha):
-            alpha = tuple(alpha)
-            if any(a > 4 for a in alpha):
-                raise DerivativeError(
-                    f"finite-difference backend supports per-axis order <= 4, got {alpha}"
-                )
-            obs, wts = fd_stencil(alpha, fd_step)
-
-            def d_many(X):
-                X = np.asarray(X, dtype=float)
-                pts = (X[:, None, :] + obs[None, :, :]).reshape(-1, arity)
-                vals = eval_many(pts).reshape(X.shape[0], -1)
-                return vals @ wts
-
-            return d_many
-
-        return FunctionHandle(
-            arity=arity,
-            eval_many=eval_many,
-            derivative_many_factory=derivative_factory,
-            domain=domain,
-            label=label,
-            exact_derivatives=False,
-        )
 
     # -- evaluation ---------------------------------------------------------
 
@@ -399,7 +325,10 @@ class FunctionHandle:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self._jet_many is not None:
             axes = tuple(i for i, p in enumerate(alpha) for _ in range(p))
-            return self._jet_many(X, len(axes))[-1][(slice(None),) + axes]
+            memo = memo or _OrderPartials()
+            if memo.partials is None:
+                memo.partials = self._jet_many(X, len(axes))[-1]
+            return memo.partials[(slice(None),) + axes]
         if alpha not in self._derivative_cache:
             self._derivative_cache[alpha] = self._derivative_factory(alpha)
         d_many = self._derivative_cache[alpha]
@@ -454,6 +383,8 @@ class FunctionHandle:
 
     def batch_memo(self, order: int):
         """A fresh memo shared by all multi-indices of one order on one batch, or None."""
+        if self._jet_many is not None:
+            return _OrderPartials()
         return None if self._batch_memo is None else self._batch_memo(order)
 
     def rescaled(self, value_scale: float, label: str | None = None) -> "FunctionHandle":
@@ -653,6 +584,12 @@ def _pair_set(region: Ball, samples: int, h_min: float) -> tuple:
     return np.array(ys), np.array(zs)
 
 
+# Default smallest pair separation at order 1 for handles whose derivatives
+# are exact only off a seam set: a pair closer than this that straddles a seam
+# reads the jump across it, not the Hölder modulus.  It doubles per order.
+_SEAM_H_MIN = 1e-2
+
+
 def holder_seminorm(
     f: FunctionHandle,
     order: int,
@@ -675,7 +612,7 @@ def holder_seminorm(
     if region.dim != f.arity:
         raise DomainError("region dimension does not match function arity")
     if h_min is None:
-        h_min = 10.0 * fd_step(order) if not f.exact_derivatives else 1e-7
+        h_min = _SEAM_H_MIN * 2.0 ** (order - 1) if not f.exact_derivatives else 1e-7
 
     sup_pts = ball_points(region, max(64, samples))
     sup_norms = []

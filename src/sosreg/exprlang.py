@@ -19,6 +19,7 @@ truncated Taylor series along lines through the same DAG walk.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -370,8 +371,10 @@ def taylor_series(e: Expr, env: dict, degree: int, memo: EvalMemo | None = None)
     node applies the usual forward recurrences (Griewank, Utke & Walther,
     Math. Comp. 69 (2000)); integer powers are products, so a zero base stays
     exact, and a real power p at a zero base has c_k = 0 where p > k and NaN
-    elsewhere, as its symbolic k-th derivative evaluates there.  flatexp is
-    exp(-1/u) where u > 0 and 0 elsewhere, and piecewise takes each
+    elsewhere, as its symbolic k-th derivative evaluates there; for p > 0 it
+    is 0 also for k < p (degree + 1) where c_1..c_degree of the base vanish,
+    all a truncated series tells (sqrt(x^4 + y^4) at 0 stays NaN at order 3).
+    flatexp is exp(-1/u) where u > 0 and 0 elsewhere, and piecewise takes each
     coefficient from the branch its scrutinee's value selects, as the
     branchwise symbolic derivatives do.  With `memo`, an EvalMemo of
     read_counts([e]), each node's series is dropped after its last read.
@@ -514,9 +517,13 @@ def _power(u: list, p: float) -> list:
     v = [np.power(u[0], p)]
     zero = u[0] == 0
     base = np.where(zero, 1.0, u[0])
+    flat = np.nan  # c_k, k < p * len(u), at a zero base whose other coefficients vanish too
+    if p > 0 and np.any(zero):
+        flat = np.where(functools.reduce(np.logical_and, [c == 0 for c in u[1:] if c is not None], True), 0.0, np.nan)
     for k in range(1, len(u)):
         c = _conv(u, v, k, lambda i: (p * i - (k - i)) / k)
-        v.append(None if c is None else np.where(zero, 0.0 if p > k else np.nan, c / base))
+        at_zero = 0.0 if p > k else flat if k < p * len(u) else np.nan
+        v.append(None if c is None else np.where(zero, at_zero, c / base))
     return v
 
 
@@ -687,9 +694,9 @@ def differentiate(e: Expr, variable: str, order: int = 1, table: DerivativeTable
     derivative of a simplified node with the table's builders, so each step
     is simplified as it is built.  The result is a node of `table` (a fresh
     one when None); a table passed in memoizes every step, so later calls
-    reuse earlier derivatives.  Piecewise and flatexp nodes differentiate branchwise; the
-    result is exact away from seam points (use has_conditionals to detect
-    them and fall back to finite differences there if needed).
+    reuse earlier derivatives.  Piecewise and flatexp nodes differentiate
+    branchwise; the result is exact away from seam points, which
+    `has_conditionals` detects.
     """
     if order < 1:
         raise ExprError(f"derivative order must be >= 1, got {order}")

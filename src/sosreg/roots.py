@@ -4,8 +4,9 @@
 Bruno over the set partitions of the derivative slots, where a partition
 into m blocks contributes (gamma)_m prod_B f^(gamma/m - 1) D^|B| f.  Each
 block carries its share of f^(gamma-m), so the partial products stay finite
-on flat bases such as exp(-1/t).  PowerHandle reads one base jet per call,
-and the case-I root pieces of the decomposition use `power_jet` at 1/2.
+on flat bases such as exp(-1/t).  PowerHandle is the jet-backed handle of
+f^gamma, and the case-I root pieces of the decomposition use `power_jet`
+at 1/2.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .geometry import Ball, ball_points
 __all__ = [
     "PowerHandle",
     "power_jet",
-    "power_derivative",
     "falling_factorial",
     "verify_root_regularity",
     "verify_power_smoothness_chain",
@@ -83,57 +83,31 @@ def power_jet(J, gamma: float) -> tuple:
     return tuple(out)
 
 
-@dataclass
-class PowerHandle:
-    """f^gamma with derivatives up to a declared order cap, which need f > 0."""
+class PowerHandle(FunctionHandle):
+    """f^gamma as a jet-backed handle: values clip f at 0, and each jet maps
+    one base jet of its order through `power_jet`.  Derivatives need f > 0
+    and stop at the declared order cap."""
 
-    base: FunctionHandle
-    gamma: float
-    order_cap: int = 4
+    def __init__(self, base: FunctionHandle, gamma: float, order_cap: int = 4):
+        if gamma <= 0:
+            raise DomainError(f"exponent must be positive, got {gamma}")
 
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise DomainError(f"exponent must be positive, got {self.gamma}")
+        def jet_many(X, order):
+            if order > order_cap:
+                raise DerivativeError(f"order {order} exceeds the declared cap {order_cap} for this power handle")
+            J = base.jet(X, order)
+            if order:
+                _require_positive(X, J[0])
+            return power_jet(J, gamma)
 
-    @property
-    def arity(self) -> int:
-        return self.base.arity
-
-    def value(self, x) -> float:
-        return float(self.values(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-    def values(self, X) -> np.ndarray:
-        return np.maximum(self.base.values(X), 0.0) ** self.gamma
-
-    def jet(self, X, order: int) -> tuple:
-        """(f^gamma, D f^gamma, ..., D^order f^gamma) from one base jet."""
-        if order > self.order_cap:
-            raise DerivativeError(
-                f"order {order} exceeds the declared cap {self.order_cap} for this power handle"
-            )
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        J = self.base.jet(X, order)
-        if order:
-            _require_positive(X, J[0])
-        return power_jet(J, self.gamma)
-
-    def derivative_tensor(self, X, order: int) -> np.ndarray:
-        """All order-`order` partials of f^gamma as one (N, n, ..., n) tensor; f^gamma at order 0."""
-        return self.jet(X, order)[order] if order else self.values(X)
-
-    def derivative_values(self, X, alpha) -> np.ndarray:
-        axes = tuple(i for i, p in enumerate(alpha) for _ in range(int(p)))
-        return self.derivative_tensor(X, len(axes))[(slice(None),) + axes]
-
-    def as_function_handle(self, domain: Ball | None = None) -> FunctionHandle:
-        return FunctionHandle(
-            arity=self.arity,
-            eval_many=self.values,
+        super().__init__(
+            arity=base.arity,
+            eval_many=lambda X: np.maximum(base.values(X), 0.0) ** gamma,
             derivative_many_factory=None,
-            domain=domain or self.base.domain,
-            label=f"{self.base.label}^{self.gamma:g}",
-            exact_derivatives=self.base.exact_derivatives,
-            jet_many=self.jet,
+            domain=base.domain,
+            label=f"{base.label}^{gamma:g}",
+            exact_derivatives=base.exact_derivatives,
+            jet_many=jet_many,
         )
 
 
@@ -141,11 +115,6 @@ def _require_positive(X, fvals) -> None:
     if np.any(fvals <= 0.0):
         i = int(np.argmin(fvals))
         raise DomainError(f"power derivatives need f > 0; f({X[i].tolist()}) = {fvals[i]}")
-
-
-def power_derivative(p: PowerHandle, x, alpha) -> float:
-    """Evaluate D^alpha (f^gamma) at x through `power_jet`."""
-    return float(p.derivative_values(np.atleast_2d(np.asarray(x, dtype=float)), alpha)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +152,16 @@ def verify_root_regularity(
 ) -> RootRegularityReport:
     """Largest exponent with a refinement-stable order-M seminorm of sqrt(f).
 
-    The square root is evaluated through the power handle; regions touching
-    zeros of f are truncated away automatically (noted in the report).
-    Growth under pair doubling beyond 50% marks an exponent unstable.
+    The square root is a PowerHandle of f; `truncated` flags f <= floor on
+    the region, and an exponent whose samples meet f <= 0 reads unstable, as
+    does one whose seminorm grows by more than 50% under pair doubling.
     """
     if not (1.0 - 1.0 / (2.0 * M)) < s <= 1.0:
         raise DomainError(f"need s in (1 - 1/(2M), 1], got s={s} for M={M}")
     pts = ball_points(region, 256)
     vals = f.values(pts)
     truncated = bool(np.any(vals <= floor))
-    root = PowerHandle(f, 0.5, order_cap=max(M, 4)).as_function_handle(domain=region)
+    root = PowerHandle(f, 0.5, order_cap=max(M, 4))
 
     estimates: dict = {}
     stable: dict = {}

@@ -3,14 +3,19 @@
 Deliberately separate from the library's own numerics: extended-precision
 composed central differences for derivative checks, brute-force pair and
 grid searches for suprema, and plain quadrature.  Nothing here imports the
-routines it is used to check.
+routines it is used to check.  `fd_handle` puts nested central differences
+behind the public FunctionHandle constructor, for tests that pass a
+differenced function to the library's handle consumers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from sosreg.calculus import FunctionHandle
+from sosreg.errors import DerivativeError
 from sosreg.exprlang import evaluate
+from sosreg.geometry import Ball
 
 _OFFS = np.array([-2, -1, 1, 2], dtype=np.longdouble)
 _COEF = np.array([1, -8, 8, -1], dtype=np.longdouble) / np.longdouble(12)
@@ -63,6 +68,87 @@ def fd_callable_partial(fn, X, alpha, h=1e-3):
     W = np.array([w for _, w in stencil])
     pts = (X[:, None, :] + P[None, :, :]).reshape(-1, X.shape[1])
     return np.asarray(fn(pts), dtype=float).reshape(X.shape[0], -1) @ W
+
+
+# 4th-order-accurate central stencils for pure derivatives of order 1..4
+_STENCILS = {
+    1: ((-2, -1, 1, 2), (1.0 / 12, -8.0 / 12, 8.0 / 12, -1.0 / 12)),
+    2: ((-2, -1, 0, 1, 2), (-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12)),
+    3: ((-3, -2, -1, 1, 2, 3), (1.0 / 8, -1.0, 13.0 / 8, -13.0 / 8, 1.0, -1.0 / 8)),
+    4: ((-3, -2, -1, 0, 1, 2, 3), (-1.0 / 6, 2.0, -13.0 / 2, 28.0 / 3, -13.0 / 2, 2.0, -1.0 / 6)),
+}
+
+
+def fd_step(order: int) -> float:
+    """Step schedule for order-p central stencils: h = 1e-3 * 2^(p-1)."""
+    return 1e-3 * 2.0 ** (order - 1)
+
+
+def fd_stencil(alpha, step) -> tuple:
+    """Offsets (m, n) and weights (m,) of the nested central stencil for D^alpha.
+
+    Each differentiated axis applies the 4th-order accurate stencil of its
+    order p with spacing step(p);
+    D^alpha g(x) ~= sum_i weights[i] * g(x + offsets[i]).
+    """
+    n = len(alpha)
+    offsets = [np.zeros(n)]
+    weights = [1.0]
+    for axis, p in enumerate(alpha):
+        if p == 0:
+            continue
+        offs, coefs = _STENCILS[p]
+        h = step(p)
+        new_offsets, new_weights = [], []
+        for base, wt in zip(offsets, weights):
+            for o, cf in zip(offs, coefs):
+                shifted = base.copy()
+                shifted[axis] += o * h
+                new_offsets.append(shifted)
+                new_weights.append(wt * cf / h**p)
+        offsets, weights = new_offsets, new_weights
+    return np.array(offsets), np.array(weights)
+
+
+def fd_handle(fn, arity: int, domain: Ball | None = None, vectorized: bool = False, label: str = "f") -> FunctionHandle:
+    """Handle of a plain callable whose derivatives are nested central
+    differences on the `fd_step` schedule.
+
+    fn takes a 1-D point array (or an (N, n) array when vectorized=True).
+    Per-axis derivative orders up to 4 are supported.
+    """
+    domain = domain or Ball(center=(0.0,) * arity, radius=1.0)
+
+    def eval_many(X):
+        X = np.asarray(X, dtype=float)
+        if vectorized:
+            return np.asarray(fn(X), dtype=float)
+        return np.array([float(fn(x)) for x in X])
+
+    def derivative_factory(alpha):
+        alpha = tuple(alpha)
+        if any(a > 4 for a in alpha):
+            raise DerivativeError(
+                f"finite-difference backend supports per-axis order <= 4, got {alpha}"
+            )
+        obs, wts = fd_stencil(alpha, fd_step)
+
+        def d_many(X):
+            X = np.asarray(X, dtype=float)
+            pts = (X[:, None, :] + obs[None, :, :]).reshape(-1, arity)
+            vals = eval_many(pts).reshape(X.shape[0], -1)
+            return vals @ wts
+
+        return d_many
+
+    return FunctionHandle(
+        arity=arity,
+        eval_many=eval_many,
+        derivative_many_factory=derivative_factory,
+        domain=domain,
+        label=label,
+        exact_derivatives=False,
+    )
 
 
 def brute_pair_seminorm(values_fn, lo, hi, n_grid, exponent):

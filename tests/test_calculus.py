@@ -22,7 +22,7 @@ from sosreg.errors import DomainError, NonnegativityError
 from sosreg.exprlang import catalog_function, parse_expression
 from sosreg.geometry import Ball, ball_points
 
-from oracles import brute_direction_hessian_plus, brute_pair_seminorm
+from oracles import brute_direction_hessian_plus, brute_pair_seminorm, fd_handle
 
 
 def handle(src, variables=("x",), radius=3.0):
@@ -261,7 +261,8 @@ class TestFlatness:
 
 class TestFiniteDifferenceBackend:
     def test_matches_exact_on_polynomial(self):
-        fd = FunctionHandle.from_callable(
+        # self-check of the test-side finite-difference handle
+        fd = fd_handle(
             lambda x: float(x[0] ** 4 + x[0] * x[1]), arity=2, domain=Ball((0.0, 0.0), 2.0)
         )
         assert fd.derivative([0.5, 0.2], (2, 0)) == pytest.approx(3.0, abs=1e-6)
@@ -420,6 +421,25 @@ class TestTaylorSeries:
             sym = _symbolic(fdef, (order,), X)
             got = f.derivative_values(X, (order,))
             assert np.array_equal(np.isfinite(got), np.isfinite(sym)) and not np.isfinite(got[0])
+
+    def test_zero_base_spares_the_partials_off_its_directions(self):
+        # the series of x^2.5 at x = 0 is not finite along the directions
+        # that move x; the partials in y alone weight none of them
+        f = handle("x^2.5 + y^4", ("x", "y"))
+        X = np.array([[0.0, 0.5]])
+        assert f.derivative_values(X, (0, 4))[0] == 24.0
+        assert f.derivative_values(X, (0, 3))[0] == 12.0
+        # 0 symbolically, but interpolation cannot separate it from those directions
+        assert np.isnan(f.derivative_values(X, (1, 3))[0])
+
+    def test_zero_base_flat_only_to_its_degree_stays_non_finite(self):
+        # x^4 + y^4 has zero coefficients up to degree 3 along every line
+        # through 0 but is not 0 along any; the third derivatives of its
+        # square root are unbounded near 0 and read NaN, as symbolically
+        for src in ("sqrt(x^4 + y^4)", "(x^4)^0.25 + y"):
+            f = handle(src, ("x", "y"))
+            with np.errstate(all="ignore"):
+                assert not np.isfinite(f.max_entry_values(np.zeros((1, 2)), 3)).any()
 
     def test_order_four_is_one_series_pass(self, monkeypatch):
         # lab's fourth-order read: 70 multi-indices, no symbolic table beyond

@@ -142,8 +142,15 @@ class TestChecks:
         assert code == 2
 
     def test_roots_oracle(self, tmp_path):
+        # power_jet against the exact derivatives of Pow(x^4 + 1, 0.5)
         code = run_cli(["roots", "--function", "x^4 + 1", "--gamma", "0.5", "--order", "2",
                         "--region-radius", "0.8", "--report", str(tmp_path / "r.json")])
+        assert code == 0
+        assert json.loads((tmp_path / "r.json").read_text())["report"]["max_relative_exact_deviation"] <= 1e-10
+
+    def test_roots_oracle_on_a_flat_profile(self, tmp_path):
+        code = run_cli(["roots", "--function", "flat_exp", "--gamma", "0.25", "--order", "4",
+                        "--report", str(tmp_path / "r.json")])
         assert code == 0
 
 

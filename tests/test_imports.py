@@ -1,11 +1,16 @@
 """The import graph: numpy is imported eagerly and scipy never, not even by the
-cover's neighbour searches, the partition, the colouring or the CLI."""
+cover's neighbour searches, the partition, the colouring or the CLI; and every
+name a module exports exists."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import sosreg
 
@@ -54,3 +59,9 @@ def test_scipy_is_never_loaded():
     assert out["cells"] > 0 and out["hits"] > 0 and out["colors"] > 0
     assert out["decomposed"] is True
     assert out["cli"] == 0
+
+
+@pytest.mark.parametrize("module", ["sosreg"] + [f"sosreg.{m.name}" for m in pkgutil.iter_modules(sosreg.__path__)])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from sosreg.calculus import FunctionHandle, multiindices
+from sosreg.calculus import FunctionHandle, multiindices, verify_odd_even_control
 from sosreg.errors import DerivativeError, DomainError
 from sosreg.exprlang import Pow, Var, catalog_function, catalog_names, differentiate, evaluate, parse_expression
 from sosreg.geometry import Ball, ball_points
 from sosreg.roots import (
     PowerHandle,
     falling_factorial,
-    power_derivative,
     power_jet,
     verify_power_smoothness_chain,
     verify_root_regularity,
@@ -29,29 +28,29 @@ class TestPowerDerivative:
     def test_hand_computed_example(self):
         # d2 sqrt(x^4+1) at x=1: 12/(2 sqrt 2) - 16/(4 * 2^(3/2)) = 2 sqrt 2
         p = PowerHandle(handle("x^4 + 1"), 0.5)
-        assert power_derivative(p, [1.0], (2,)) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+        assert p.derivative([1.0], (2,)) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
     def test_identity_power(self):
         f = handle("x^4 + 1")
         p = PowerHandle(f, 1.0)
         for order in (1, 2, 3):
-            assert power_derivative(p, [0.7], (order,)) == pytest.approx(
+            assert p.derivative([0.7], (order,)) == pytest.approx(
                 f.derivative([0.7], (order,)), abs=1e-10
             )
 
     def test_constant_base(self):
         p = PowerHandle(handle("5"), 0.3)
-        assert power_derivative(p, [0.2], (2,)) == 0.0
+        assert p.derivative([0.2], (2,)) == 0.0
 
     def test_positive_base_required(self):
         p = PowerHandle(handle("x"), 0.5)
         with pytest.raises(DomainError):
-            power_derivative(p, [-0.5], (1,))
+            p.derivative([-0.5], (1,))
 
     def test_order_cap(self):
         p = PowerHandle(handle("x^2 + 1"), 0.5, order_cap=2)
         with pytest.raises(DerivativeError):
-            power_derivative(p, [0.3], (3,))
+            p.derivative([0.3], (3,))
 
     def test_falling_factorial_matches_symbolic(self):
         # d^k/dt^k t^gamma = gamma (gamma-1) ... (gamma-k+1) t^(gamma-k)
@@ -76,7 +75,7 @@ class TestPowerDerivative:
                 for _ in range(k):
                     d = differentiate(d, var)
             sym = evaluate(d, pt)
-            num = power_derivative(p, x, alpha)
+            num = p.derivative(x, alpha)
             assert num == pytest.approx(sym, abs=1e-9 * (1 + abs(sym)))
 
     def test_flat_base_log_space(self, flat_exp):
@@ -86,7 +85,7 @@ class TestPowerDerivative:
         p = PowerHandle(flat_exp, 0.25)
         for t in (0.05, 0.1, 0.3):
             sym = evaluate(d2, {"t": t})
-            assert power_derivative(p, [t], (2,)) == pytest.approx(sym, rel=1e-7)
+            assert p.derivative([t], (2,)) == pytest.approx(sym, rel=1e-7)
 
     def test_matches_nested_fd(self, flat_exp_sq):
         p = PowerHandle(flat_exp_sq, 0.5)
@@ -217,10 +216,21 @@ class TestPowerHandleValue:
         calls = []
         jet = f.jet
         f.jet = lambda X, order: calls.append(order) or jet(X, order)
-        h = PowerHandle(f, 0.5).as_function_handle()
+        h = PowerHandle(f, 0.5)
         T = h.derivative_tensor(np.array([[0.2, 0.3], [0.1, -0.4]]), 3)
         assert calls == [3]
         assert T.shape == (2, 2, 2, 2)
+
+
+    def test_order_reads_share_one_jet(self):
+        # verify_odd_even_control reads each order axis by axis through one
+        # batch memo: one base jet per order and batch, not one per axis
+        f = handle("x^2*y^2 + x^4 + 0.1", ("x", "y"))
+        calls = []
+        jet = f.jet
+        f.jet = lambda X, order: calls.append(order) or jet(X, order)
+        verify_odd_even_control(PowerHandle(f, 0.5), Ball((0.2, 0.1), 0.3), samples=200)
+        assert calls == [1, 2, 3, 4, 4, 1, 2, 3, 2]
 
 
 class TestRootRegularity:
@@ -328,9 +338,7 @@ class TestPowerSmoothnessChain:
         from sosreg.calculus import holder_seminorm
 
         for gamma in (0.5, 0.25):
-            ph = PowerHandle(flat_exp, gamma, order_cap=5).as_function_handle(
-                domain=Ball((0.55,), 0.4)
-            )
+            ph = PowerHandle(flat_exp, gamma, order_cap=5)
             est = holder_seminorm(ph, 4, 0.1, Ball((0.55,), 0.4), samples=120)
             assert math.isfinite(est.seminorm)
             assert all(math.isfinite(v) for v in est.sup_norms)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sosreg.calculus import FunctionHandle, fd_stencil, multiindices
+from sosreg.calculus import FunctionHandle, multiindices
 from sosreg.cover import ControlDistanceParams, CoverCell, build_cover, bump_jet, bump_profile
 from sosreg.errors import BoundaryRootError, ClassificationError, ConvergenceError, DomainError, QuadratureError
 from sosreg.exprlang import parse_expression
@@ -29,7 +29,7 @@ from sosreg.sos import (
     verify_decomposition,
 )
 
-from oracles import fd_callable_partial
+from oracles import fd_callable_partial, fd_handle, fd_stencil
 
 
 def handle(src, variables=("x",), radius=4.0):
@@ -475,8 +475,7 @@ class TestDecompose:
         pts = np.linspace(-0.9, 0.9, 200).reshape(-1, 1)
         rho = control_distance_values(f, pts, ControlDistanceParams(0.25))
         for grp in rep.roots[:6]:
-            gh = FunctionHandle.from_callable(grp.eval_many, arity=1, vectorized=True,
-                                              domain=params.region)
+            gh = fd_handle(grp.eval_many, arity=1, vectorized=True, domain=params.region)
             for order in (0, 1, 2):
                 vals = np.abs(gh.derivative_values(pts, (order,)))
                 # bump derivatives contribute 1/r = 1/(s rho) per order, so the
