@@ -29,6 +29,7 @@ from .exprlang import (
     taylor_series,
 )
 from .geometry import Ball, ball_points, sphere_points
+from .reporting import Report
 
 __all__ = [
     "FunctionHandle",
@@ -39,6 +40,7 @@ __all__ = [
     "max_entries",
     "holder_seminorm",
     "directional_hessian_plus",
+    "require_nonnegative",
     "verify_odd_even_control",
     "verify_interpolation_bound",
     "is_flat",
@@ -526,7 +528,7 @@ def log_ratios(log_num, log_den, exponent: float) -> np.ndarray:
 
 
 @dataclass
-class HolderEstimate:
+class HolderEstimate(Report):
     order: int
     exponent: float
     sup_norms: list
@@ -534,19 +536,6 @@ class HolderEstimate:
     pair_count: int
     min_separation: float
     worst_pair: tuple | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "exponent": self.exponent,
-            "sup_norms": [float(v) for v in self.sup_norms],
-            "seminorm": float(self.seminorm),
-            "pair_count": self.pair_count,
-            "min_separation": float(self.min_separation),
-            "worst_pair": None
-            if self.worst_pair is None
-            else [list(map(float, p)) for p in self.worst_pair],
-        }
 
 
 def _pair_set(region: Ball, samples: int, h_min: float) -> tuple:
@@ -676,7 +665,7 @@ def directional_hessian_plus_values(f: FunctionHandle, X) -> np.ndarray:
 
 
 @dataclass
-class LineInequalityReport:
+class LineInequalityReport(Report):
     """Worst ratios for the coordinate-line derivative controls.
 
     Lines 1..3 are |f'| <= (8/3) f^(3/4) + (8/3) f^(1/2) |f''|^(1/2),
@@ -684,6 +673,9 @@ class LineInequalityReport:
     `plus` variants use the positive part of f'' with constants 8 and 24.
     The n-dimensional gradient forms are reported with empirical constants.
     """
+
+    op = "odd_even_control"
+    derived = ("passed",)
 
     rescale: float
     worst_ratios: dict = field(default_factory=dict)
@@ -695,16 +687,14 @@ class LineInequalityReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def as_dict(self) -> dict:
-        return {
-            "op": "odd_even_control",
-            "rescale": float(self.rescale),
-            "worst_ratios": {k: float(v) for k, v in self.worst_ratios.items()},
-            "violations": self.violations,
-            "gradient_constants": {k: float(v) for k, v in self.gradient_constants.items()},
-            "samples": self.samples,
-            "passed": self.passed,
-        }
+
+def require_nonnegative(X: np.ndarray, vals: np.ndarray) -> None:
+    """NonnegativityError naming the first point where f < -1e-12 (1 + |f|);
+    values within that tolerance count as zeros."""
+    neg = vals < -1e-12 * (1.0 + np.abs(vals))
+    if np.any(neg):
+        i = int(np.argmax(neg))
+        raise NonnegativityError(f"f = {vals[i]:.6g} < 0 at the sampled point {tuple(X[i].tolist())}")
 
 
 def verify_odd_even_control(
@@ -722,10 +712,7 @@ def verify_odd_even_control(
     wide = ball_points(Ball(center=region.center, radius=min(1.5 * region.radius, f.domain.radius)), 2 * samples)
 
     fvals_raw = f.values(pts)
-    neg = fvals_raw < -1e-12 * (1.0 + np.abs(fvals_raw))
-    if np.any(neg):
-        i = int(np.argmin(fvals_raw))
-        raise NonnegativityError(f"f({pts[i]}) = {fvals_raw[i]} < 0 on the sampled region")
+    require_nonnegative(pts, fvals_raw)
 
     def axis_derivatives(X, p):
         """(N, n) pure order-p derivatives along each axis, through one batch memo."""
@@ -782,7 +769,9 @@ def verify_odd_even_control(
 
 
 @dataclass
-class InterpolationReport:
+class InterpolationReport(Report):
+    op = "interpolation_bound"
+
     m: int
     k: int
     diameter: float
@@ -792,20 +781,6 @@ class InterpolationReport:
     constant: float
     samples: int
     pairs: int
-
-    def as_dict(self) -> dict:
-        return {
-            "op": "interpolation_bound",
-            "m": self.m,
-            "k": self.k,
-            "diameter": float(self.diameter),
-            "max_grad_m": float(self.max_grad_m),
-            "taylor_difference_max": float(self.taylor_difference_max),
-            "max_grad_k": float(self.max_grad_k),
-            "constant": float(self.constant),
-            "samples": self.samples,
-            "pairs": self.pairs,
-        }
 
 
 def verify_interpolation_bound(
@@ -864,20 +839,13 @@ def verify_interpolation_bound(
 
 
 @dataclass
-class FlatnessReport:
+class FlatnessReport(Report):
+    op = "is_flat"
+
     flat: bool
     n_max: int
     failures: list
     derivative_flat: bool | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "op": "is_flat",
-            "flat": self.flat,
-            "n_max": self.n_max,
-            "failures": self.failures,
-            "derivative_flat": self.derivative_flat,
-        }
 
 
 _FLAT_FLOOR = 1e-14

@@ -180,7 +180,7 @@ def _cmd_decompose(args, cfg, verify_mode: bool = False) -> int:
         "seed": args.seed,
     }
     payload = _base_payload("verify" if verify_mode else "decompose", resolved)
-    payload["report"] = report.as_dict()
+    payload["report"] = report
     if verify_mode:
         grid_points = int(_resolve(args, cfg, "grid_points", 4000, cast=int))
         grid = ball_points(region, grid_points)
@@ -227,7 +227,7 @@ def _cmd_monotone(args, cfg) -> int:
         {"function": args.function, "s": s, "samples": rep.outer_samples, "t_min": rep.t_min,
          "region_radius": region.radius, "region_center": list(region.center), "seed": args.seed},
     )
-    payload["report"] = rep.as_dict()
+    payload["report"] = rep
     return _emit(payload, args, EXIT_CHECK_FAILED if rep.divergent else EXIT_PASS)
 
 
@@ -272,8 +272,8 @@ def _cmd_counterex(args, cfg) -> int:
             low = functional(p, "T", g, Modulus.omega(max(s0 - 0.08629, 1e-3)))
             high = functional(p, "T", g, Modulus.omega(min(s0 + 0.06371, 0.999)))
             payload["report"]["flip"] = {
-                "below": low.as_dict(),
-                "above": high.as_dict(),
+                "below": low,
+                "above": high,
                 "flips": (not low.divergent) and high.divergent,
             }
             code = EXIT_PASS if payload["report"]["flip"]["flips"] else EXIT_CHECK_FAILED
@@ -326,7 +326,7 @@ def _cmd_counterex(args, cfg) -> int:
             {"nu": nu, "c0": rep.coefficient_cap, "sphere_samples": rep.sphere_samples,
              "restarts": len(rep.restart_values), "seed": args.seed},
         )
-        payload["report"] = rep.as_dict()
+        payload["report"] = rep
         ok = rep.estimate > 0 and rep.stable if nu >= 1 else True
         return _emit(payload, args, EXIT_PASS if ok else EXIT_CHECK_FAILED)
 
@@ -369,7 +369,7 @@ def _cmd_check(args, cfg) -> int:
         {"function": args.function, "samples": samples, "region_radius": region.radius,
          "region_center": list(region.center), "seed": args.seed},
     )
-    payload["report"] = rep.as_dict()
+    payload["report"] = rep
     return _emit(payload, args, EXIT_PASS if ok else EXIT_CHECK_FAILED)
 
 

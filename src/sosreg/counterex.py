@@ -28,6 +28,7 @@ from .calculus import FunctionHandle, Modulus
 from .errors import DomainError
 from .exprlang import catalog_function, family_body
 from .geometry import Ball, sphere_points
+from .reporting import Report
 
 __all__ = [
     "LogProfile",
@@ -199,7 +200,9 @@ def build_family(p: FamilyParams) -> FunctionHandle:
 
 
 @dataclass
-class FunctionalReport:
+class FunctionalReport(Report):
+    op = "functional"
+
     name: str
     gamma: float
     modulus: str
@@ -208,19 +211,6 @@ class FunctionalReport:
     argmax_t: float
     divergent: bool
     t_min: float
-
-    def as_dict(self) -> dict:
-        return {
-            "op": "functional",
-            "name": self.name,
-            "gamma": float(self.gamma),
-            "modulus": self.modulus,
-            "log_sup": float(self.log_sup),
-            "sup": float(self.sup),
-            "argmax_t": float(self.argmax_t),
-            "divergent": self.divergent,
-            "t_min": float(self.t_min),
-        }
 
 
 def _dyadic_grid(t_min: float, per_octave: int = 8) -> np.ndarray:
@@ -392,8 +382,8 @@ def monotone_bounds(p: FamilyParams, m: Modulus, delta: float, t_min: float = 10
         "op": "monotone_bounds",
         "modulus": m.name,
         "delta": float(delta),
-        "lower": {k: v.as_dict() for k, v in lower.items()},
-        "upper": {k: v.as_dict() for k, v in upper.items()},
+        "lower": lower,
+        "upper": upper,
     }
     if any(v.divergent for v in lower.values()) or any(v.divergent for v in upper.values()):
         out["divergent"] = True
@@ -524,7 +514,9 @@ def _descend(theta, tau, Phi, L, c0: float, iterations: int) -> tuple:
 
 
 @dataclass
-class DeltaNuReport:
+class DeltaNuReport(Report):
+    op = "estimate_delta_nu"
+
     nu: int
     estimate: float
     pointwise_inf: float
@@ -533,19 +525,6 @@ class DeltaNuReport:
     coefficient_cap: float
     sphere_samples: int
     stalled: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "op": "estimate_delta_nu",
-            "nu": self.nu,
-            "estimate": float(self.estimate),
-            "pointwise_inf": float(self.pointwise_inf),
-            "restart_values": [float(v) for v in self.restart_values],
-            "stable": self.stable,
-            "coefficient_cap": float(self.coefficient_cap),
-            "sphere_samples": self.sphere_samples,
-            "stalled": self.stalled,
-        }
 
 
 def estimate_delta_nu(

@@ -21,6 +21,7 @@ import numpy as np
 from .calculus import FunctionHandle, directional_hessian_plus_values
 from .errors import CoverBudgetError, CoverageHoleError, DomainError
 from .geometry import Ball, ball_grid, ball_points, sphere_points
+from .reporting import Report
 
 __all__ = [
     "ControlDistanceParams",
@@ -137,20 +138,11 @@ class ControlDistanceParams:
 
 
 @dataclass
-class CoverCell:
+class CoverCell(Report):
     nu: int
     center: tuple
     radius: float
-    bump_scale: float
     color: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "center": [float(c) for c in self.center],
-            "radius": float(self.radius),
-            "color": self.color,
-        }
 
 
 def control_distance_values(f: FunctionHandle, X, p: ControlDistanceParams) -> np.ndarray:
@@ -180,7 +172,10 @@ def control_distance(f: FunctionHandle, x, p: ControlDistanceParams) -> float:
 
 
 @dataclass
-class SlowVariationReport:
+class SlowVariationReport(Report):
+    op = "slow_variation"
+    derived = ("passed",)
+
     delta: float
     bound: float
     worst_ratio: float
@@ -191,18 +186,6 @@ class SlowVariationReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "op": "slow_variation",
-            "delta": float(self.delta),
-            "bound": float(self.bound),
-            "worst_ratio": float(self.worst_ratio),
-            "violations": self.violations,
-            "pairs": self.pairs,
-            "rescale": float(self.rescale),
-            "passed": self.passed,
-        }
 
 
 def verify_slowly_varying(
@@ -318,7 +301,7 @@ def build_cover(
         box = slot[tuple(slice(max(k - m, 0), k + m + 1) for k in lattice[i].tolist())]
         near = box[box >= 0]
         free[near[np.linalg.norm(cand[near] - x, axis=1) <= r / 2.0]] = False
-        cells.append(CoverCell(nu=len(cells), center=tuple(x), radius=r, bump_scale=r))
+        cells.append(CoverCell(nu=len(cells), center=tuple(x), radius=r))
         if len(cells) > max_cells:
             raise CoverBudgetError(
                 f"cover exceeded {max_cells} cells (floor {floor} too small for this region)",

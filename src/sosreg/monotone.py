@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import FunctionHandle, Modulus, log_ratios
+from .calculus import FunctionHandle, Modulus, log_ratios, require_nonnegative
 from .errors import DomainError, NonnegativityError
 from .geometry import Ball, ball_points
+from .reporting import Report
 
 __all__ = [
     "MonotoneReport",
@@ -35,7 +36,9 @@ STABILITY_TOLERANCE = 0.05  # "finite" verdict: < 5% change under refinement
 
 
 @dataclass
-class MonotoneReport:
+class MonotoneReport(Report):
+    op = "monotone_functional"
+
     modulus: str
     estimate: float
     log_estimate: float
@@ -47,22 +50,6 @@ class MonotoneReport:
     rescale: float
     divergent: bool = False
     witness: tuple | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "op": "monotone_functional",
-            "modulus": self.modulus,
-            "estimate": float(self.estimate),
-            "log_estimate": float(self.log_estimate),
-            "maximizing_x": list(map(float, self.maximizing_x)),
-            "maximizing_y": list(map(float, self.maximizing_y)),
-            "outer_samples": self.outer_samples,
-            "inner_samples": self.inner_samples,
-            "t_min": float(self.t_min),
-            "rescale": float(self.rescale),
-            "divergent": self.divergent,
-            "witness": None if self.witness is None else [list(map(float, p)) for p in self.witness],
-        }
 
 
 def _inner_ball_grid(x: np.ndarray, count: int) -> np.ndarray:
@@ -76,10 +63,21 @@ def _inner_ball_grid(x: np.ndarray, count: int) -> np.ndarray:
     return ball_points(Ball(center=tuple(x / 2.0), radius=float(np.linalg.norm(x) / 2.0)), count)
 
 
+def _log_values(f: FunctionHandle, X: np.ndarray) -> np.ndarray:
+    """log f, -inf where f is zero to within the nonnegativity tolerance."""
+    with np.errstate(invalid="ignore"):
+        logs = f.log_values(X)
+    if np.any(np.isnan(logs)):
+        vals = f.values(X)
+        require_nonnegative(X, vals)
+        logs = np.where(np.isnan(logs) & (vals <= 0.0), -np.inf, logs)
+    return logs
+
+
 def _log_ratio(f: FunctionHandle, m: Modulus, scale_log: float, xs: np.ndarray, ys: np.ndarray):
     """log of f(y)/scale / omega(f(x)/scale) for paired sample arrays."""
-    log_fy = f.log_values(ys) - scale_log
-    log_fx = f.log_values(xs) - scale_log
+    log_fy = _log_values(f, ys) - scale_log
+    log_fx = _log_values(f, xs) - scale_log
     return log_ratios(log_fy, m.log_eval(np.minimum(log_fx, 0.0)), 1.0)
 
 
@@ -97,7 +95,9 @@ def monotone_functional(
     f is first rescaled by its sampled supremum so the modulus argument stays
     in [0,1]; the rescaling is reported.  A zero of f at a sampled x with a
     nonvanishing paired f(y) makes the functional infinite and is reported as
-    divergence with the witness pair.
+    divergence with the witness pair.  A sampled value below -1e-12 (1 + |f|)
+    raises NonnegativityError naming its point; values within that tolerance
+    count as zeros.
     """
     if t_min <= 0:
         raise DomainError("t_min must be positive")
@@ -108,9 +108,9 @@ def monotone_functional(
     if len(xs) == 0:
         raise DomainError("no outer samples outside the truncation radius")
 
-    sup_f = float(np.max(f.values(xs)))
-    if sup_f < 0:
-        raise NonnegativityError("f is negative on the sampled region")
+    fx = f.values(xs)
+    require_nonnegative(xs, fx)
+    sup_f = float(np.max(fx))
     scale_log = math.log(sup_f) if sup_f > 1.0 else 0.0
     rescale = math.exp(scale_log)
 
@@ -187,24 +187,15 @@ def monotone_functional(
 
 
 @dataclass
-class MonotonicityClassification:
+class MonotonicityClassification(Report):
+    op = "classify_monotonicity"
+
     s_grid: list
     c_max: float
     estimates: dict = field(default_factory=dict)
     finite: dict = field(default_factory=dict)
     nearly_monotone: bool = False
     holder_monotone: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "op": "classify_monotonicity",
-            "s_grid": [float(s) for s in self.s_grid],
-            "c_max": float(self.c_max),
-            "estimates": {f"{k:g}": float(v) for k, v in self.estimates.items()},
-            "finite": {f"{k:g}": bool(v) for k, v in self.finite.items()},
-            "nearly_monotone": self.nearly_monotone,
-            "holder_monotone": self.holder_monotone,
-        }
 
 
 def classify_monotonicity(
@@ -242,20 +233,13 @@ def classify_monotonicity(
 
 
 @dataclass
-class PowerBoundReport:
+class PowerBoundReport(Report):
+    op = "verify_power_bound"
+
     s: float
     s_prime: float
     constants: dict = field(default_factory=dict)
     stable: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "op": "verify_power_bound",
-            "s": float(self.s),
-            "s_prime": float(self.s_prime),
-            "constants": {str(k): float(v) for k, v in self.constants.items()},
-            "stable": {str(k): bool(v) for k, v in self.stable.items()},
-        }
 
 
 def verify_power_bound(

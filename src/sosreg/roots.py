@@ -20,6 +20,7 @@ import numpy as np
 from .calculus import FunctionHandle, _tensor_layout, holder_seminorm, log_ratios, max_entries
 from .errors import DerivativeError, DomainError
 from .geometry import Ball, ball_points
+from .reporting import Report
 
 __all__ = [
     "PowerHandle",
@@ -123,22 +124,14 @@ def _require_positive(X, fvals) -> None:
 
 
 @dataclass
-class RootRegularityReport:
+class RootRegularityReport(Report):
+    op = "root_regularity"
+
     order: int
     estimates: dict
     stable: dict
     best_exponent: float | None
     truncated: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "op": "root_regularity",
-            "order": self.order,
-            "estimates": {f"{k:g}": v.as_dict() for k, v in self.estimates.items()},
-            "stable": {f"{k:g}": bool(v) for k, v in self.stable.items()},
-            "best_exponent": self.best_exponent,
-            "truncated": self.truncated,
-        }
 
 
 def verify_root_regularity(
@@ -184,22 +177,14 @@ def verify_root_regularity(
 
 
 @dataclass
-class PowerChainReport:
+class PowerChainReport(Report):
+    op = "power_smoothness_chain"
+
     m_max: int
     s: float
     derivative_constants: dict
     power_sup: dict
     consistent: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "op": "power_smoothness_chain",
-            "m_max": self.m_max,
-            "s": float(self.s),
-            "derivative_constants": {str(k): float(v) for k, v in self.derivative_constants.items()},
-            "power_sup": {f"{k:g}": {str(m): float(v) for m, v in d.items()} for k, d in self.power_sup.items()},
-            "consistent": self.consistent,
-        }
 
 
 def verify_power_smoothness_chain(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .errors import (
     SosregError,
 )
 from .geometry import Ball, ball_points, sphere_points
+from .reporting import Report
 from .roots import power_jet
 
 __all__ = [
@@ -100,7 +101,10 @@ def delta_sequence(delta: float, eta: float, n: int) -> list:
 
 
 @dataclass
-class DiffIneqReport:
+class DiffIneqReport(Report):
+    op = "differential_inequalities"
+    derived = ("passed",)
+
     delta: float
     eta: float
     quartic_constant: float
@@ -117,19 +121,6 @@ class DiffIneqReport:
             and math.isfinite(self.quartic_constant)
             and math.isfinite(self.hessian_constant)
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "op": "differential_inequalities",
-            "delta": float(self.delta),
-            "eta": float(self.eta),
-            "quartic_constant": float(self.quartic_constant),
-            "hessian_constant": float(self.hessian_constant),
-            "quartic_stable": self.quartic_stable,
-            "hessian_stable": self.hessian_stable,
-            "samples": self.samples,
-            "passed": self.passed,
-        }
 
 
 def check_differential_inequalities(
@@ -360,13 +351,10 @@ class CellDecomposition:
 
     def as_dict(self) -> dict:
         out = {
-            "nu": self.cell.nu,
+            **self.cell.as_dict(),
             "case": self.case,
-            "color": self.cell.color,
-            "center": [float(v) for v in self.cell.center],
-            "radius": float(self.cell.radius),
-            "rho": float(self.rho),
-            "axis": None if self.axis is None else [float(v) for v in self.axis],
+            "rho": self.rho,
+            "axis": self.axis,
             "h_lower_ok": None if self.split is None else self.split.h_ok,
             "identity_error": self.identity_error,
             "recursive": self.sub_report is not None,
@@ -716,15 +704,7 @@ class FiberSplit:
         F = self._F_values(Xi, X)
         M = len(ys)
         H = self.H(np.tile(Xi, (M, 1)), np.repeat(ys, Xi.shape[0]), np.tile(X, M)).reshape(M, Xi.shape[0])
-        return {
-            "xi_shape": list(Xi.shape),
-            "xi": [[float(v) for v in row] for row in Xi],
-            "fiber_grid": [float(v) for v in ys],
-            "X": [float(v) for v in X],
-            "F": [float(v) for v in F],
-            "H_shape": list(H.shape),
-            "H": [[float(v) for v in row] for row in H],
-        }
+        return {"xi_shape": Xi.shape, "xi": Xi, "fiber_grid": ys, "X": X, "F": F, "H_shape": H.shape, "H": H}
 
 
 def reduced_profile(
@@ -926,7 +906,6 @@ class DecomposeParams:
     eta: float
     region: Ball
     s: float = 1.0 / 200.0
-    c: float | None = None
     floor: float = 1e-3
     tol: float = 1e-6
     max_cells: int = 200_000
@@ -934,8 +913,6 @@ class DecomposeParams:
     normalize: bool = True
     strict_inequalities: bool = False
     holder_pairs: int = 150
-    newton_tol: float = 1e-12
-    quad_nodes: int = 32
     identity_samples: int = 1000
     estimate_holder: bool = True
     ineq_samples: int = 600
@@ -945,10 +922,11 @@ class DecomposeParams:
             raise DomainError(f"delta must lie in (0, 1/2), got {self.delta}")
         if not 0.0 < self.eta < 0.5:
             raise DomainError(f"eta must lie in (0, 1/2), got {self.eta}")
-        if self.c is None:
-            self.c = self.s**2 / 8.0
-        if self.c > self.s**2 / 8.0 + 1e-18:
-            raise DomainError("case split constant c must be at most s^2/8")
+
+    @property
+    def c(self) -> float:
+        """The case split constant s^2/8."""
+        return self.s**2 / 8.0
 
 
 @dataclass
@@ -1002,31 +980,19 @@ class DecompositionReport:
         return acc
 
     def as_dict(self) -> dict:
-        return {
-            "op": "decompose",
-            "deltas": [float(d) for d in self.deltas],
-            "value_scale": float(self.value_scale),
-            "cell_count": len(self.cells),
-            "case_counts": self.case_counts,
-            "root_groups": [
-                {"label": g.label, "members": len(g.members), "scale": g.scale} for g in self.roots
-            ],
-            "inequalities": None if self.inequalities is None else self.inequalities.as_dict(),
-            "residual_sup": float(self.residual_sup),
-            "residual_mean": float(self.residual_mean),
-            "residual_points": self.residual_points,
-            "identity_error": float(self.identity_error),
-            "boundary_excluded_fraction": float(self.boundary_excluded_fraction),
-            "boundary_sup_f": float(self.boundary_sup_f),
-            "probe_sup_f": float(self.probe_sup_f),
-            "residual_bound": float(self.residual_bound),
-            "passed": self.passed,
-            "holder": {k: v.as_dict() for k, v in self.holder.items()},
-            "recursion_depth": self.recursion_depth,
-            "warnings": self.warnings,
-            "empty": self.empty,
-            "cells": [cd.as_dict() for cd in self.cells],
-        }
+        """Every field but the objects params, roots and partition, plus the
+        cell and case counts, one summary per root group and the pass rule."""
+        out = {"op": "decompose"}
+        out.update((fd.name, getattr(self, fd.name)) for fd in fields(self)
+                   if fd.name not in ("params", "roots", "partition"))
+        out.update(
+            cell_count=len(self.cells),
+            case_counts=self.case_counts,
+            root_groups=[{"label": g.label, "members": len(g.members), "scale": g.scale} for g in self.roots],
+            residual_bound=self.residual_bound,
+            passed=self.passed,
+        )
+        return out
 
 
 def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> DecompositionReport:
@@ -1103,9 +1069,7 @@ def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> De
             add_member(("caseI", cell.color), cell.nu, case_one_piece)
         else:
             cd.axis = tuple(axis)
-            split = cd.split = reduced_profile(
-                g, cell, axis, rho, params.delta, params.newton_tol, params.quad_nodes
-            )
+            split = cd.split = reduced_profile(g, cell, axis, rho, params.delta)
             if not split.h_ok:
                 report.warnings.append(f"cell {cell.nu}: fiber factor fell below its lower bound")
             add_member(("caseII", cell.color), cell.nu, split)
@@ -1120,7 +1084,6 @@ def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> De
                     delta=delta_sequence(params.delta, params.eta, 2)[1],
                     region=Ball(center=(0.0,) * k, radius=cell.radius),
                     verify_points=max(256, params.verify_points // 4),
-                    holder_pairs=max(40, params.holder_pairs // 4),
                     identity_samples=max(100, params.identity_samples // 4),
                     estimate_holder=False,
                     ineq_samples=max(60, params.ineq_samples // 8),
@@ -1277,5 +1240,5 @@ def verify_decomposition(f: FunctionHandle, report: DecompositionReport, grid) -
     out["empty"] = False
     out["residual_sup"] = float(np.max(res))
     out["residual_mean"] = float(np.mean(res))
-    out["holder"] = {k: v.as_dict() for k, v in report.holder.items()}
+    out["holder"] = report.holder
     return out

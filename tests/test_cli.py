@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -152,6 +153,63 @@ class TestChecks:
         code = run_cli(["roots", "--function", "flat_exp", "--gamma", "0.25", "--order", "4",
                         "--report", str(tmp_path / "r.json")])
         assert code == 0
+
+
+def _report(path):
+    payload = json.loads(path.read_text())
+    return payload, payload["report"]
+
+
+class TestReportShapes:
+    """The subcommands no other test runs: exit code, `op` and report keys."""
+
+    def test_verify(self, tmp_path):
+        code = run_cli(["verify", "--function", "x^2", "--region-radius", "0.5", "--verify-points", "300",
+                        "--grid-points", "300", "--report", str(tmp_path / "r.json")])
+        assert code == 0
+        payload, report = _report(tmp_path / "r.json")
+        assert set(payload) == {"command", "config", "exit_status", "report", "verification"}
+        assert payload["command"] == "verify" and payload["exit_status"] == 0
+        assert report["op"] == "decompose" and report["passed"] is True
+        assert set(report) == {
+            "op", "deltas", "value_scale", "cell_count", "case_counts", "root_groups", "inequalities",
+            "residual_sup", "residual_mean", "residual_points", "identity_error",
+            "boundary_excluded_fraction", "boundary_sup_f", "probe_sup_f", "residual_bound", "passed",
+            "holder", "recursion_depth", "warnings", "empty", "cells",
+        }
+        verification = payload["verification"]
+        assert verification["op"] == "verify_decomposition" and verification["empty"] is False
+        assert set(verification) == {"op", "grid_points", "evaluated_points", "excluded_points", "empty",
+                                     "residual_sup", "residual_mean", "holder"}
+        assert verification["residual_sup"] <= report["residual_bound"]
+
+    def test_counterex_delta_nu(self, tmp_path):
+        code = run_cli(["counterex", "delta-nu", "--restarts", "2", "--sphere-samples", "300",
+                        "--report", str(tmp_path / "r.json")])
+        assert code == 0
+        payload, report = _report(tmp_path / "r.json")
+        assert payload["command"] == "counterex delta-nu"
+        assert report["op"] == "estimate_delta_nu"
+        assert set(report) == {"op", "nu", "estimate", "pointwise_inf", "restart_values", "stable",
+                               "coefficient_cap", "sphere_samples", "stalled"}
+        assert report["nu"] == 1 and len(report["restart_values"]) == 2 and report["estimate"] > 0
+
+    def test_check_interp(self, tmp_path):
+        code = run_cli(["check", "interp", "--function", "x^2+y^4", "--samples", "100",
+                        "--report", str(tmp_path / "r.json")])
+        assert code == 0
+        payload, report = _report(tmp_path / "r.json")
+        assert payload["command"] == "check interp"
+        assert report["op"] == "interpolation_bound"
+        assert set(report) == {"op", "m", "k", "diameter", "max_grad_m", "taylor_difference_max",
+                               "max_grad_k", "constant", "samples", "pairs"}
+        assert (report["m"], report["k"]) == (1, 2) and math.isfinite(report["constant"])
+
+    def test_monotone_of_a_sign_changing_function_is_an_error(self, tmp_path, capsys):
+        code = run_cli(["monotone", "--function", "x", "--samples", "50", "--report", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "< 0 at the sampled point" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestCatalog:

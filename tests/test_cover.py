@@ -157,8 +157,8 @@ class TestCover:
         for cells, (src, variables, radius) in zip(isotropic_covers, _ISOTROPIC):
             ref = _cover_reference(handle(src, variables), ControlDistanceParams(0.25),
                                    Ball((0.0,) * len(variables), radius))
-            assert [(c.nu, c.center, c.radius, c.bump_scale) for c in cells] == \
-                [(c.nu, c.center, c.radius, c.bump_scale) for c in ref]
+            assert [(c.nu, c.center, c.radius) for c in cells] == \
+                [(c.nu, c.center, c.radius) for c in ref]
 
     def test_one_cell_wider_than_the_region(self):
         # unnormalised, rho = 576 gives cells of radius 2.88 over a ball of radius 0.06
@@ -178,15 +178,15 @@ class TestCover:
 
 class TestPartition:
     def test_single_cell_inner_plateau(self):
-        cells = [CoverCell(nu=0, center=(0.0,), radius=1.0, bump_scale=1.0)]
+        cells = [CoverCell(nu=0, center=(0.0,), radius=1.0)]
         part = build_partition(cells)
         inner = np.linspace(-0.45, 0.45, 101).reshape(-1, 1)
         assert np.allclose(part.phi(0, inner), 1.0)
 
     def test_two_overlapping_cells_unity(self):
         cells = [
-            CoverCell(nu=0, center=(0.0,), radius=1.0, bump_scale=1.0),
-            CoverCell(nu=1, center=(0.6,), radius=1.0, bump_scale=1.0),
+            CoverCell(nu=0, center=(0.0,), radius=1.0),
+            CoverCell(nu=1, center=(0.6,), radius=1.0),
         ]
         part = build_partition(cells)
         grid = np.linspace(-0.3, 0.9, 1000).reshape(-1, 1)
@@ -194,7 +194,7 @@ class TestPartition:
         assert np.max(np.abs(total - 1.0)) < 1e-10
 
     def test_coverage_hole_detected(self):
-        cells = [CoverCell(nu=0, center=(0.0,), radius=0.5, bump_scale=0.5)]
+        cells = [CoverCell(nu=0, center=(0.0,), radius=0.5)]
         part = build_partition(cells)
         with pytest.raises(CoverageHoleError):
             part.check_unity(np.array([[0.9]]))
@@ -203,7 +203,7 @@ class TestPartition:
         # doubling every radius halves the scaled first-derivative sup
         def scaled_sup(radius):
             cells = [
-                CoverCell(nu=i, center=(i * radius,), radius=radius, bump_scale=radius)
+                CoverCell(nu=i, center=(i * radius,), radius=radius)
                 for i in range(6)
             ]
             part = build_partition(cells)
@@ -219,7 +219,7 @@ class TestPartition:
         # central differences err by O(h^2): 1e-4 r suffices on the 1-D chain,
         # while on the 2-D cover it leaves 4.6e-6, so that case steps at 1e-5 r
         if case == "chain_1d":
-            cells, h_frac = [CoverCell(nu=i, center=(i * 0.5,), radius=0.5, bump_scale=0.5) for i in range(6)], 1e-4
+            cells, h_frac = [CoverCell(nu=i, center=(i * 0.5,), radius=0.5) for i in range(6)], 1e-4
         else:
             cells, h_frac = isotropic_covers[1], 1e-5
         part = build_partition(cells)
@@ -283,7 +283,7 @@ def _cover_reference(f, p, region, s=1.0 / 200.0, floor=1e-3):
         buckets.setdefault(key, []).append(len(centers))
         centers.append(x)
         radii.append(r)
-        cells.append(CoverCell(nu=len(cells), center=tuple(x), radius=r, bump_scale=r))
+        cells.append(CoverCell(nu=len(cells), center=tuple(x), radius=r))
     return cells
 
 
@@ -338,17 +338,17 @@ class TestColorClasses:
         assert [c.color for c in color_classes(cells)] == expected
 
     def test_disjoint_cells_single_class(self):
-        cells = [CoverCell(nu=i, center=(10.0 * i,), radius=0.1, bump_scale=0.1) for i in range(5)]
+        cells = [CoverCell(nu=i, center=(10.0 * i,), radius=0.1) for i in range(5)]
         cells = color_classes(cells)
         assert len({c.color for c in cells}) == 1
 
     def test_single_cell(self):
-        cells = color_classes([CoverCell(nu=0, center=(0.0,), radius=1.0, bump_scale=1.0)])
+        cells = color_classes([CoverCell(nu=0, center=(0.0,), radius=1.0)])
         assert cells[0].color == 0
 
     def test_chain_of_equal_cells(self):
         # triples of radius 3r at spacing r intersect out to distance 6r
-        cells = [CoverCell(nu=i, center=(0.01 * i,), radius=0.01, bump_scale=0.01) for i in range(100)]
+        cells = [CoverCell(nu=i, center=(0.01 * i,), radius=0.01) for i in range(100)]
         cells = color_classes(cells)
         n_colors = len({c.color for c in cells})
         assert n_colors == 7
@@ -408,7 +408,7 @@ def _cover_brute(f, p, region, s=1.0 / 200.0, floor=1e-3):
     for x, rx in zip(cand, rho):
         if not np.any(np.linalg.norm(centers - x, axis=1) <= radii / 2.0):
             centers, radii = np.vstack([centers, x]), np.append(radii, s * float(rx))
-    return [CoverCell(nu=k, center=tuple(c), radius=float(r), bump_scale=float(r)) for k, (c, r) in
+    return [CoverCell(nu=k, center=tuple(c), radius=float(r)) for k, (c, r) in
             enumerate(zip(centers, radii))]
 
 
@@ -419,7 +419,7 @@ def _dyadic_cells(dim, count, seed):
     centers = rng.integers(-64, 64, size=(count, dim)) / 64.0
     radii = rng.choice([1 / 16, 1 / 8, 3 / 16, 1 / 4, 3 / 8, 1 / 2, 5 / 8], size=count)
     radii[:2] = 1 / 16, 5 / 8
-    return [CoverCell(nu=k, center=tuple(c), radius=float(r), bump_scale=float(r))
+    return [CoverCell(nu=k, center=tuple(c), radius=float(r))
             for k, (c, r) in enumerate(zip(centers, radii))]
 
 
@@ -456,7 +456,7 @@ class TestBucketIndex:
         pairs = part.chi_pairs(np.empty((0, dim)))
         assert len(pairs.idx) == len(pairs.cell) == len(pairs.chi) == 0
         assert len(pairs) == 12
-        single = build_partition([CoverCell(nu=0, center=(0.25,) * dim, radius=0.5, bump_scale=0.5)])
+        single = build_partition([CoverCell(nu=0, center=(0.25,) * dim, radius=0.5)])
         X = _probe_points(single, seed=dim)
         pairs = single.chi_pairs(X)
         for got, want in zip((pairs.idx, pairs.cell, pairs.chi), _chi_pairs_brute(single, X)):
@@ -480,8 +480,8 @@ class TestBucketIndex:
     def test_memory_and_keys_stay_small_over_a_wide_extent(self):
         # 1-D: cells 10^7 bucket sides apart; 3-D: a cube corner to corner, where a
         # key over the whole bounding box would need (10^7)^3 > 2^63 values
-        wide = [[CoverCell(nu=k, center=(1e5 * k,), radius=0.01, bump_scale=0.01) for k in range(11)],
-                [CoverCell(nu=k, center=tuple(1e5 * np.array(corner)), radius=0.01, bump_scale=0.01)
+        wide = [[CoverCell(nu=k, center=(1e5 * k,), radius=0.01) for k in range(11)],
+                [CoverCell(nu=k, center=tuple(1e5 * np.array(corner)), radius=0.01)
                  for k, corner in enumerate(np.ndindex(2, 2, 2))]]
         for cells in wide:
             tracemalloc.start()
@@ -502,7 +502,7 @@ class TestBucketIndex:
         # 8-D cells with distinct coordinates on every axis: a key mixed from the
         # coordinates' ranks would need about 240^8 > 2^62 values, so it is folded
         rng = np.random.default_rng(8)
-        cells = [CoverCell(nu=k, center=tuple(c), radius=0.01, bump_scale=0.01)
+        cells = [CoverCell(nu=k, center=tuple(c), radius=0.01)
                  for k, c in enumerate(rng.uniform(-1e3, 1e3, size=(80, 8)))]
         part = build_partition(cells)
         assert any(folded is not None for _, folded in part.index.tables)

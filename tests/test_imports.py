@@ -65,3 +65,15 @@ def test_scipy_is_never_loaded():
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def test_reports_serialise_by_one_rule():
+    # a report's JSON form is Report.as_dict; only the two reports that leave
+    # fields out or add keys that are not fields write their own
+    own = {
+        f"{mod.__name__}.{name}"
+        for mod in map(importlib.import_module, [f"sosreg.{m.name}" for m in pkgutil.iter_modules(sosreg.__path__)])
+        for name, obj in vars(mod).items()
+        if isinstance(obj, type) and obj.__module__ == mod.__name__ and "as_dict" in vars(obj)
+    }
+    assert own == {"sosreg.reporting.Report", "sosreg.sos.DecompositionReport", "sosreg.sos.CellDecomposition"}

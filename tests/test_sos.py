@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -154,12 +153,12 @@ def test_rotated_frame_to_local_inverts_to_global():
 
 class TestClassifyCell:
     def test_constant_cell_case_one(self):
-        cell = CoverCell(nu=0, center=(0.2,), radius=0.005, bump_scale=0.005)
+        cell = CoverCell(nu=0, center=(0.2,), radius=0.005)
         case, axis, rho, terms = classify_cell(handle("1"), cell, 0.25, (1 / 200.0) ** 2 / 8)
         assert case == "I"
 
     def test_parabola_origin_case_two_with_axis(self):
-        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.006, bump_scale=0.006)
+        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.006)
         f = handle("x^2 + 0.25*y^2", ("x", "y"))
         case, axis, rho, terms = classify_cell(f, cell, 0.25, (1 / 200.0) ** 2 / 8)
         assert case == "II"
@@ -170,7 +169,7 @@ class TestClassifyCell:
     def test_quartic_dominant_signals_classification_error(self):
         # un-normalized x^4 + tiny constant: the fourth-derivative term
         # dominates rho and the Hessian vanishes at the center
-        cell = CoverCell(nu=0, center=(0.0,), radius=0.005, bump_scale=0.005)
+        cell = CoverCell(nu=0, center=(0.0,), radius=0.005)
         f = handle("x^4/12 + 0*x")
         with pytest.raises(ClassificationError):
             classify_cell(f, cell, 0.25, (1 / 200.0) ** 2 / 8)
@@ -183,7 +182,7 @@ class TestClassifyCell:
         pts = np.linspace(-1, 1, 101).reshape(-1, 1)
         c4 = float(np.max(f.max_entry_values(pts, 4) / f.values(pts) ** (delta / (2 + delta))))
         g = f.rescaled(c4 ** (-(2 + delta) / 2.0))
-        cell = CoverCell(nu=0, center=(0.0,), radius=0.005, bump_scale=0.005)
+        cell = CoverCell(nu=0, center=(0.0,), radius=0.005)
         case, *_ = classify_cell(g, cell, delta, (1 / 200.0) ** 2 / 8)
         assert case == "I"
 
@@ -197,14 +196,14 @@ def _profile(f, cell, axis, rho, newton_tol=1e-12):
 class TestMinimizerAndProfile:
     def test_parabola_minimizer_at_zero(self):
         f = handle("x^2")
-        cell = CoverCell(nu=0, center=(0.0,), radius=0.006, bump_scale=0.006)
+        cell = CoverCell(nu=0, center=(0.0,), radius=0.006)
         prof = _profile(f, cell, [1.0], rho=2 ** (1 / 2.5))
         assert prof.solve(np.zeros(0)) == pytest.approx(0.0, abs=1e-14)
 
     def test_affine_minimizer_of_shifted_quadratic(self):
         # f(xi, x) = xi^2 + (x - xi)^2 has X(xi) = xi
         f = handle("s^2 + (x - s)^2", ("s", "x"))
-        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01, bump_scale=0.01)
+        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01)
         prof = _profile(f, cell, [0.0, 1.0], rho=2 ** (1 / 2.5))
         for xi in (-0.005, 0.0, 0.004):
             assert prof.solve([xi]) == pytest.approx(xi, abs=1e-12)
@@ -212,7 +211,7 @@ class TestMinimizerAndProfile:
     def test_newton_non_convergence_is_counted(self):
         # with g_tol = 0 the iterates stall one rounding error away from the root
         f = handle("s^2 + (x - s)^2 + s*x^2", ("s", "x"))
-        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01, bump_scale=0.01)
+        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01)
         xi = np.linspace(-0.007, 0.007, 9)[:, None]
         for tol in (1e-12, 0.0):
             prof = _profile(f, cell, [0.0, 1.0], rho=2 ** (1 / 2.5), newton_tol=tol)
@@ -227,7 +226,7 @@ class TestMinimizerAndProfile:
         # with g_tol = 0 every point stays above tolerance, but a Newton step
         # that rounds to its iterate ends the solve instead of running max_iter
         f = handle("s^2 + (x - s)^2 + s*x^2", ("s", "x"))
-        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01, bump_scale=0.01)
+        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01)
         xi = np.linspace(-0.007, 0.007, 9)[:, None]
         prof = _profile(f, cell, [0.0, 1.0], rho=2 ** (1 / 2.5), newton_tol=0.0)
         calls = []
@@ -240,7 +239,7 @@ class TestMinimizerAndProfile:
 
     def test_repeated_batch_is_not_solved_again(self):
         f = handle("s^2 + (x - s)^2 + s*x^2", ("s", "x"))
-        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01, bump_scale=0.01)
+        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01)
         prof = _profile(f, cell, [0.0, 1.0], rho=2 ** (1 / 2.5))
         calls = []
         fiber = prof.frame.fiber
@@ -263,7 +262,7 @@ class TestMinimizerAndProfile:
     def test_empty_cross_section_is_solved_once(self):
         # with g_tol = 0 the one problem of a 1-D cell stalls, and each row counts it
         f = handle("(x - 0.001)^2 + x^3")
-        cell = CoverCell(nu=0, center=(0.0,), radius=0.006, bump_scale=0.006)
+        cell = CoverCell(nu=0, center=(0.0,), radius=0.006)
         runs = []
         for rows in (1, 7):
             prof = _profile(f, cell, [1.0], rho=2 ** (1 / 2.5), newton_tol=0.0)
@@ -289,7 +288,7 @@ class TestMinimizerAndProfile:
     def test_boundary_root_error(self):
         # strictly increasing fiber: the minimum sits on the bracket edge
         f = handle("x + 10 + 0*s", ("s", "x"))
-        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01, bump_scale=0.01)
+        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01)
         prof = _profile(f, cell, [0.0, 1.0], rho=1.0)
         with pytest.raises(BoundaryRootError):
             prof.solve([0.0])
@@ -297,7 +296,7 @@ class TestMinimizerAndProfile:
     def test_reduced_profile_parabola(self):
         # f = x^2: F = 0, H == 1, identity exact
         f = handle("x^2")
-        cell = CoverCell(nu=0, center=(0.0,), radius=0.006, bump_scale=0.006)
+        cell = CoverCell(nu=0, center=(0.0,), radius=0.006)
         rho = 2 ** (1 / 2.5)
         split = reduced_profile(f, cell, [1.0], rho=rho, delta=0.25)
         assert split.F == 0.0
@@ -309,7 +308,7 @@ class TestMinimizerAndProfile:
     def test_reduced_profile_shifted_quadratic(self):
         # f(xi, x) = xi^2 + (x - xi)^2: F(xi) = xi^2, H == 1
         f = handle("s^2 + (x - s)^2", ("s", "x"))
-        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01, bump_scale=0.01)
+        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01)
         rho = 2 ** (1 / 2.5)
         split = reduced_profile(f, cell, [0.0, 1.0], rho=rho, delta=0.25)
         F = split.F
@@ -348,7 +347,7 @@ def _check_against_richardson(F, X, h):
 
 
 def _level_profile(f, center, axis, radius):
-    cell = CoverCell(nu=0, center=center, radius=radius, bump_scale=radius)
+    cell = CoverCell(nu=0, center=center, radius=radius)
     split = reduced_profile(f, cell, axis, rho=1.0, delta=0.25)
     return split.F, split.minimizer
 
@@ -396,7 +395,7 @@ class TestJets:
     def test_one_parent_batch_per_newton_iteration(self):
         f = handle("x^2 + y^2 + z^2", ("x", "y", "z"))
         F1, p1 = _level_profile(f, (0.0, 0.0, 0.0), np.array([0.0, 0.6, 0.8]), 0.004)
-        cell = CoverCell(nu=1, center=(0.0005, 0.0003), radius=0.002, bump_scale=0.002)
+        cell = CoverCell(nu=1, center=(0.0005, 0.0003), radius=0.002)
         p2 = _profile(F1, cell, [0.6, 0.8], rho=1.0)
         parent, fiber_calls = [], []
         solve_many, fiber = p1.solve_many, p2.frame.fiber
@@ -584,15 +583,16 @@ class TestFiberQuadrature:
         assert cells
         for cd in cells:
             split = cd.split
-            assert 2 < split.nodes <= params.quad_nodes
+            assert 2 < split.nodes <= 32
             pts = ball_points(Ball(cd.cell.center, 0.98 * cd.cell.radius), 200)
             Xi, Y = split.frame.to_local(pts)
             # an unchecked factor integrates with its cap
             full = _fiber_factor(split.frame, Xi, Y, split.minimizer.solve_many(Xi), 32)
             assert np.max(np.abs(split.H(Xi, Y) - full)) <= 1e-12 * np.max(np.abs(full))
-        f = handle("x^2 + sin(y)^2", ("x", "y"))
-        with pytest.raises(QuadratureError, match=f"cell {cells[0].cell.nu}: .* at 2 nodes"):
-            decompose(f, replace(params, quad_nodes=2))
+        f = handle("x^2 + sin(y)^2", ("x", "y")).rescaled(sine_fiber_2d.value_scale)
+        cd = cells[0]
+        with pytest.raises(QuadratureError, match=f"cell {cd.cell.nu}: .* at 2 nodes"):
+            reduced_profile(f, cd.cell, cd.axis, cd.rho, params.delta, quad_nodes=2)
 
     def test_solve_count(self, counted_isotropic_3d):
         rep, points, reads = counted_isotropic_3d
@@ -719,7 +719,7 @@ class TestRootJet:
     def test_split_jet_on_a_curved_fiber(self):
         # X is curved and f_yy varies along the fiber, so every term of the jet is live
         f = handle("s^2 + (x - s)^2 + s*x^2 + x^3", ("s", "x"))
-        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01, bump_scale=0.01)
+        cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01)
         split = reduced_profile(f, cell, [0.0, 1.0], rho=1.0, delta=0.25)
         pts = ball_points(Ball(cell.center, 0.9 * cell.radius), 24)
         w, d1, d2 = split.jet(pts)
