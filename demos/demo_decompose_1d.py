@@ -48,5 +48,5 @@ for cd in report.cells:
 
 grid = np.linspace(-0.95, 0.95, 1200).reshape(-1, 1)
 stats = verify_decomposition(f, report, grid)
-print(f"\ndense verification: sup {stats['residual_sup']:.3e}, "
-      f"mean {stats['residual_mean']:.3e} over {stats['evaluated_points']} points")
+print(f"\ndense verification: sup {stats.residual_sup:.3e}, "
+      f"mean {stats.residual_mean:.3e} over {stats.evaluated_points} points")

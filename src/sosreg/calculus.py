@@ -639,24 +639,23 @@ def holder_seminorm(
 # ---------------------------------------------------------------------------
 
 
-def directional_hessian_plus(f: FunctionHandle, x) -> float:
-    """Positive part of the largest Hessian eigenvalue at x.
+def directional_hessian_plus_values(f: FunctionHandle, X) -> np.ndarray:
+    """Positive part of the largest Hessian eigenvalue at each point.
 
     Equals the supremum over unit directions of the positive part of the
     second directional derivative.
     """
-    H = f.hessian(x)
-    if not np.all(np.isfinite(H)):
-        raise DerivativeError(f"Hessian evaluated non-finite at {x}")
-    return max(0.0, float(np.linalg.eigvalsh(H)[-1]))
-
-
-def directional_hessian_plus_values(f: FunctionHandle, X) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     H = f.hessian_values(X)
-    if not np.all(np.isfinite(H)):
-        raise DerivativeError("Hessian evaluated non-finite on batch")
-    eig = np.linalg.eigvalsh(H)[:, -1]
-    return np.maximum(eig, 0.0)
+    finite = np.all(np.isfinite(H), axis=(1, 2))
+    if not np.all(finite):
+        raise DerivativeError(f"Hessian evaluated non-finite at {tuple(X[np.argmin(finite)].tolist())}")
+    return np.maximum(np.linalg.eigvalsh(H)[:, -1], 0.0)
+
+
+def directional_hessian_plus(f: FunctionHandle, x) -> float:
+    """`directional_hessian_plus_values` at the one point x."""
+    return float(directional_hessian_plus_values(f, [x])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +770,7 @@ def verify_odd_even_control(
 @dataclass
 class InterpolationReport(Report):
     op = "interpolation_bound"
+    derived = ("passed",)
 
     m: int
     k: int
@@ -781,6 +781,11 @@ class InterpolationReport(Report):
     constant: float
     samples: int
     pairs: int
+
+    @property
+    def passed(self) -> bool:
+        """The constant is finite: the two-term control holds with some C."""
+        return math.isfinite(self.constant)
 
 
 def verify_interpolation_bound(

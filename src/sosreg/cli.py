@@ -1,50 +1,33 @@
 """Command-line front end: reproducible runs with machine-readable reports.
 
-Subcommands: decompose, verify, monotone, roots, counterex {scan, threshold,
-delta-nu}, check {odd-even, interp, slow-vary, diff-ineq}, catalog.  Flags
-are long-form only; a key=value config file supplies defaults that explicit
-flags override.  Reports are JSON with the fully resolved configuration
-embedded; grids go to CSV.  Exit status: 0 on pass, 2 when a run completed
-but its mathematical check failed, 1 on configuration or runtime errors.
+Every subcommand (decompose, verify, monotone, roots, counterex {threshold,
+scan, delta-nu}, check {odd-even, interp, slow-vary, diff-ineq}, catalog) is
+one row of `COMMANDS`: its help, its flags as (name, type, default, help) and
+a run function returning its payload entries and whether it passed.  The
+parser, the resolution of every flag (explicit flag > key=value config file,
+keys spelled as the flags > default) and the report's `config` echo are built
+from that table.  Exit status: 0 on pass, 2 when a run completed but its
+check failed, 1 on usage, configuration or runtime errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calculus import (
-    FunctionHandle,
-    Modulus,
-    verify_interpolation_bound,
-    verify_odd_even_control,
-)
-from .counterex import (
-    FamilyParams,
-    estimate_delta_nu,
-    functional,
-    gamma_alpha,
-    sos_failure_criterion,
-)
+from .calculus import FunctionHandle, Modulus, verify_interpolation_bound, verify_odd_even_control
+from .counterex import FamilyParams, estimate_delta_nu, functional, gamma_alpha, sos_failure_criterion
 from .cover import ControlDistanceParams, verify_slowly_varying
 from .errors import SosregError
-from .exprlang import (
-    FunctionDef,
-    Pow,
-    catalog_formula,
-    catalog_function,
-    catalog_names,
-    free_variables,
-    parse_expression,
-    parse_function_file,
-)
+from .exprlang import (FunctionDef, Pow, catalog_formula, catalog_function, catalog_names, free_variables,
+                       parse_expression, parse_function_file)
 from .geometry import Ball, ball_points
 from .monotone import monotone_functional
-from .reporting import dump_json, write_csv
+from .reporting import dump_json, write_cells_jsonl, write_csv
 from .roots import PowerHandle
 from .sos import DecomposeParams, check_differential_inequalities, decompose, verify_decomposition
 
@@ -61,6 +44,22 @@ _CATALOG_NOTES = {
     "family_f": "five-variable counterexample family phi*L + psi + phi(r)*h(t/r)",
     "glaeser_stub": "construction hook exp(-1/g) with a user-supplied inner function g",
 }
+
+REQUIRED = object()  # default of a flag argparse requires on the command line
+OUTPUTS = ("report", "csv", "cells")  # paths, resolved like any flag but not echoed in `config`
+_SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+_ROOTS_TOLERANCE = 1e-5
+
+
+class Command(NamedTuple):
+    help: str
+    flags: tuple  # (name, type, default, help); type bool is a switch, list a repeatable flag
+    run: Callable  # resolved options -> (payload entries, passed); values it adds to the options are echoed
+
+
+def _floats(text: str) -> list:
+    return [float(v) for v in text.split(",")]
 
 
 def _load_config(path: str | None) -> dict:
@@ -79,444 +78,313 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(args, cfg: dict, key: str, default, cast=float):
-    """Explicit flag > config file > hard default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
-        raw = cfg[key]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
+def _from_config(name: str, kind, text: str):
+    try:
+        if kind is bool:
+            return _SWITCH_WORDS[text.lower()]
+        if kind is list:
+            return [item.strip() for item in text.split(",")]
+        return kind(text)
+    except (KeyError, ValueError):
+        raise SosregError(f"config key {name!r}: cannot read {text!r}") from None
 
 
-def _function_def(source: str, cfg_params: dict, dim: int | None = None) -> FunctionDef:
+def _resolve(args, cfg: dict, flags) -> dict:
+    """Explicit flag > config file > default, for every flag of a command."""
+    by_dest = {flag[0].replace("-", "_"): flag for flag in flags}
+    unknown = sorted(set(cfg) - set(by_dest))
+    if unknown:
+        raise SosregError(f"config key(s) {', '.join(unknown)} name no flag of this command")
+    resolved = {}
+    for dest, (name, kind, default, _) in by_dest.items():
+        value = getattr(args, dest)
+        if value is None and dest in cfg:
+            value = _from_config(name, kind, cfg[dest])
+        resolved[dest] = default if value is None else value
+    return resolved
+
+
+def _catalog_params(items) -> dict:
+    pairs = [item.partition("=") for item in items]
+    for key, sep, value in pairs:
+        if not value:
+            raise SosregError(f"--param expects key=value, got {key + sep!r}")
+    return {key: float(value) for key, _, value in pairs}
+
+
+def _function_def(o: dict, dim: int | None = None) -> FunctionDef:
+    """The function of --function: a catalog entry, the first definition of a file, or an expression."""
+    source, params = o["function"], _catalog_params(o["param"])
     if source in catalog_names():
-        return catalog_function(source, cfg_params)
+        return catalog_function(source, params)
     if os.path.exists(source):
         with open(source) as fh:
             defs = parse_function_file(fh.read())
         if not defs:
             raise SosregError(f"no definitions in function file {source}")
-        name = cfg_params.get("name") or next(iter(defs))
-        return defs[name]
+        return next(iter(defs.values()))
     body = parse_expression(source)
     variables = tuple(sorted(free_variables(body))) or ("x",)
     if dim is not None and len(variables) != dim:
-        raise SosregError(
-            f"expression has {len(variables)} free variable(s) {variables}, but --dim {dim} was given"
-        )
+        raise SosregError(f"expression has {len(variables)} free variable(s) {variables}, but --dim {dim} was given")
     return FunctionDef(source, variables, body, Ball(center=(0.0,) * len(variables), radius=16.0))
 
 
-def _region(args, cfg, dim: int) -> Ball:
-    radius = _resolve(args, cfg, "region_radius", 1.0)
-    center_text = _resolve(args, cfg, "region_center", None, cast=str)
-    if center_text:
-        center = tuple(float(v) for v in str(center_text).split(","))
-        if len(center) != dim:
-            raise SosregError(f"region-center has {len(center)} coordinates for dimension {dim}")
-    else:
-        center = (0.0,) * dim
-    return Ball(center=center, radius=radius)
-
-
-def _catalog_params(args) -> dict:
-    out = {}
-    for item in getattr(args, "param", None) or []:
-        key, _, value = item.partition("=")
-        if not value:
-            raise SosregError(f"--param expects key=value, got {item!r}")
-        out[key] = float(value)
-    return out
-
-
-def _emit(payload: dict, args, exit_code: int) -> int:
-    payload["exit_status"] = exit_code
-    dump_json(payload, getattr(args, "report", None))
-    return exit_code
-
-
-def _base_payload(command: str, resolved: dict) -> dict:
-    return {"command": command, "config": resolved}
+def _region(o: dict, dim: int) -> Ball:
+    """The ball of --region-radius and --region-center; the resolved centre is echoed."""
+    center = tuple(o["region_center"] or (0.0,) * dim)
+    if len(center) != dim:
+        raise SosregError(f"region-center has {len(center)} coordinates for dimension {dim}")
+    o["region_center"] = list(center)
+    return Ball(center=center, radius=o["region_radius"])
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations
+# Run functions: resolved options -> (payload entries, passed)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_decompose(args, cfg, verify_mode: bool = False) -> int:
-    f = FunctionHandle.from_def(_function_def(args.function, _catalog_params(args), getattr(args, "dim", None)))
-    region = _region(args, cfg, f.arity)
+def _decomposition(o: dict):
+    f = FunctionHandle.from_def(_function_def(o, o["dim"]))
+    region = _region(o, f.arity)
     params = DecomposeParams(
-        delta=_resolve(args, cfg, "delta", 0.25),
-        eta=_resolve(args, cfg, "eta", 0.3),
-        region=region,
-        s=_resolve(args, cfg, "s", 1.0 / 200.0),
-        floor=_resolve(args, cfg, "floor", 1e-3),
-        tol=_resolve(args, cfg, "tol", 1e-6),
-        verify_points=int(_resolve(args, cfg, "verify_points", 2000, cast=int)),
-        normalize=not args.no_normalize,
-        strict_inequalities=bool(args.strict),
-        estimate_holder=not args.no_holder,
-        max_cells=int(_resolve(args, cfg, "max_cells", 200_000, cast=int)),
+        region=region, normalize=not o["no_normalize"], strict_inequalities=o["strict"],
+        estimate_holder=not o["no_holder"],
+        **{key: o[key] for key in ("delta", "eta", "s", "floor", "tol", "verify_points", "max_cells")},
     )
     report = decompose(f, params)
-    resolved = {
-        "function": args.function,
-        "delta": params.delta,
-        "eta": params.eta,
-        "region_radius": region.radius,
-        "region_center": list(region.center),
-        "s": params.s,
-        "c": params.c,
-        "floor": params.floor,
-        "tol": params.tol,
-        "verify_points": params.verify_points,
-        "normalize": params.normalize,
-        "seed": args.seed,
-    }
-    payload = _base_payload("verify" if verify_mode else "decompose", resolved)
-    payload["report"] = report
-    if verify_mode:
-        grid_points = int(_resolve(args, cfg, "grid_points", 4000, cast=int))
-        grid = ball_points(region, grid_points)
-        verification = verify_decomposition(f, report, grid)
-        payload["verification"] = verification
-        # the independent grid must meet the report's own bound as well
-        ok = report.passed and not verification["empty"] and verification["residual_sup"] <= report.residual_bound
-    else:
-        ok = report.passed
-    if args.cells:
-        from .reporting import write_cells_jsonl
-
-        write_cells_jsonl(args.cells, [cd.cell for cd in report.cells])
-    if args.csv and verify_mode:
-        grid_pts = ball_points(region, min(2000, int(_resolve(args, cfg, "grid_points", 2000, cast=int))))
-        grid_residuals = np.abs(f.values(grid_pts) - report.sum_of_squares(grid_pts))
-        dim_labels = [f"x{i}" for i in range(f.arity)]
-        write_csv(args.csv, [*dim_labels, "residual"],
-                  [[*pt, r] for pt, r in zip(grid_pts.tolist(), grid_residuals.tolist())])
-    elif args.csv:
-        rows = [
-            [cd.cell.nu, *cd.cell.center, cd.cell.radius, cd.case, cd.cell.color]
-            for cd in report.cells
-        ]
-        dim_labels = [f"c{i}" for i in range(f.arity)]
-        write_csv(args.csv, ["nu", *dim_labels, "radius", "case", "color"], rows)
-    return _emit(payload, args, EXIT_PASS if ok else EXIT_CHECK_FAILED)
+    o.update(c=params.c, normalize=params.normalize)
+    if o["cells"]:
+        write_cells_jsonl(o["cells"], [cd.cell for cd in report.cells])
+    return f, region, report
 
 
-def _cmd_monotone(args, cfg) -> int:
-    f = FunctionHandle.from_def(_function_def(args.function, _catalog_params(args)))
-    region = _region(args, cfg, f.arity)
-    s = _resolve(args, cfg, "s", 0.5)
-    rep = monotone_functional(
-        f,
-        Modulus.omega(s),
-        outer_samples=int(_resolve(args, cfg, "samples", 200, cast=int)),
-        inner_samples=int(_resolve(args, cfg, "inner_samples", 64, cast=int)),
-        t_min=_resolve(args, cfg, "t_min", 1e-3),
-        region=region,
-    )
-    payload = _base_payload(
-        "monotone",
-        {"function": args.function, "s": s, "samples": rep.outer_samples, "t_min": rep.t_min,
-         "region_radius": region.radius, "region_center": list(region.center), "seed": args.seed},
-    )
-    payload["report"] = rep
-    return _emit(payload, args, EXIT_CHECK_FAILED if rep.divergent else EXIT_PASS)
+def _run_decompose(o: dict):
+    f, _, report = _decomposition(o)
+    if o["csv"]:
+        rows = [[cd.cell.nu, *cd.cell.center, cd.cell.radius, cd.case, cd.cell.color] for cd in report.cells]
+        write_csv(o["csv"], ["nu", *(f"c{i}" for i in range(f.arity)), "radius", "case", "color"], rows)
+    return {"report": report}, report.passed
 
 
-def _cmd_roots(args, cfg) -> int:
-    fdef = _function_def(args.function, _catalog_params(args))
+def _run_verify(o: dict):
+    f, region, report = _decomposition(o)
+    verification = verify_decomposition(f, report, ball_points(region, o["grid_points"]))
+    if o["csv"]:
+        pts = ball_points(region, min(2000, o["grid_points"]))
+        residuals = np.abs(f.values(pts) - report.sum_of_squares(pts))
+        write_csv(o["csv"], [*(f"x{i}" for i in range(f.arity)), "residual"],
+                  [[*pt, r] for pt, r in zip(pts.tolist(), residuals.tolist())])
+    return {"report": report, "verification": verification}, report.passed and verification.passed
+
+
+def _on_region(measure):
+    """Run function of a check that measures one report of f on the region."""
+    def run(o: dict):
+        f = FunctionHandle.from_def(_function_def(o))
+        report = measure(f, _region(o, f.arity), o)
+        return {"report": report}, report.passed
+    return run
+
+
+def _run_roots(o: dict):
+    fdef = _function_def(o)
     f = FunctionHandle.from_def(fdef)
-    region = _region(args, cfg, f.arity)
-    gamma = _resolve(args, cfg, "gamma", 0.5)
-    order = int(_resolve(args, cfg, "order", 2, cast=int))
-    pts = ball_points(region, int(_resolve(args, cfg, "samples", 100, cast=int)))
+    pts = ball_points(_region(o, f.arity), o["samples"])
     pts = pts[f.values(pts) > 1e-12]
+    o["points"] = int(len(pts))
+    order = o["order"]
     # power_jet against the exact derivatives of the expression f^gamma
-    direct = PowerHandle(f, gamma, order_cap=max(order, 4)).derivative_tensor(pts, order)
-    oracle = FunctionHandle.from_expr(Pow(fdef.body, gamma), fdef.variables).derivative_tensor(pts, order)
+    direct = PowerHandle(f, o["gamma"], order_cap=max(order, 4)).derivative_tensor(pts, order)
+    oracle = FunctionHandle.from_expr(Pow(fdef.body, o["gamma"]), fdef.variables).derivative_tensor(pts, order)
     worst = float(np.max(np.abs(direct - oracle) / (1.0 + np.abs(direct))))
-    sup = float(np.max(np.abs(direct)))
-    payload = _base_payload(
-        "roots",
-        {"function": args.function, "gamma": gamma, "order": order, "points": int(len(pts)),
-         "seed": args.seed},
-    )
-    payload["report"] = {
-        "max_abs_derivative": sup,
-        "max_relative_exact_deviation": worst,
-        "tolerance": 1e-5,
-    }
-    return _emit(payload, args, EXIT_PASS if worst <= 1e-5 else EXIT_CHECK_FAILED)
+    report = {"max_abs_derivative": float(np.max(np.abs(direct))), "max_relative_exact_deviation": worst,
+              "tolerance": _ROOTS_TOLERANCE}
+    return {"report": report}, worst <= _ROOTS_TOLERANCE
 
 
-def _cmd_counterex(args, cfg) -> int:
-    sub = args.counterex_command
-    if sub == "threshold":
-        alpha = _resolve(args, cfg, "gamma_alpha", 1.0)
-        g = gamma_alpha(alpha)
-        s0 = g ** (-2.0)
-        print(f"s0 = {s0:.5f}")
-        payload = _base_payload("counterex threshold", {"gamma_alpha": alpha, "seed": args.seed})
-        payload["report"] = {"gamma": g, "s0": s0, "printed": f"{s0:.5f}"}
-        code = EXIT_PASS
-        if args.verify_flip:
-            p = FamilyParams()
-            low = functional(p, "T", g, Modulus.omega(max(s0 - 0.08629, 1e-3)))
-            high = functional(p, "T", g, Modulus.omega(min(s0 + 0.06371, 0.999)))
-            payload["report"]["flip"] = {
-                "below": low,
-                "above": high,
-                "flips": (not low.divergent) and high.divergent,
-            }
-            code = EXIT_PASS if payload["report"]["flip"]["flips"] else EXIT_CHECK_FAILED
-        return _emit(payload, args, code)
-
-    if sub == "scan":
-        raw = _resolve(args, cfg, "s_range", "0.3:0.9:0.1", cast=str)
-        try:
-            a, b, step = (float(v) for v in str(raw).split(":"))
-        except ValueError:
-            raise SosregError(f"--s-range expects a:b:step, got {raw!r}") from None
-        beta = _resolve(args, cfg, "beta", 0.75)
-        rho = _resolve(args, cfg, "rho", 0.5)
-        s_prime = _resolve(args, cfg, "s_prime", 0.5)
-        p = FamilyParams(s_prime=s_prime, rho_plateau=rho)
-        g1 = gamma_alpha(1.0)
-        sos_verdict = sos_failure_criterion(p, beta)["verdict"]
-        rows = []
-        s = a
-        while s <= b + 1e-12:
-            m = Modulus.omega(s)
-            Sv = functional(p, "S", 0.5, m)
-            Tv = functional(p, "T", g1, m)
-            rows.append(
-                [round(s, 10), beta, rho, Sv.sup, Tv.sup, sos_verdict,
-                 "divergent" if (Sv.divergent or Tv.divergent) else "finite"]
-            )
-            s += step
-        header = ["s", "beta", "rho", "S", "T", "verdictSOS", "verdictMonotone"]
-        if args.csv:
-            write_csv(args.csv, header, rows)
-        payload = _base_payload(
-            "counterex scan",
-            {"s_range": raw, "beta": beta, "rho": rho, "s_prime": s_prime, "seed": args.seed},
-        )
-        payload["report"] = {"header": header, "rows": rows}
-        return _emit(payload, args, EXIT_PASS)
-
-    if sub == "delta-nu":
-        nu = int(_resolve(args, cfg, "nu", 1, cast=int))
-        rep = estimate_delta_nu(
-            nu,
-            c0=_resolve(args, cfg, "c0", 3.0),
-            sphere_samples=int(_resolve(args, cfg, "sphere_samples", 2000, cast=int)),
-            restarts=int(_resolve(args, cfg, "restarts", 20, cast=int)),
-            seed=int(args.seed),
-        )
-        payload = _base_payload(
-            "counterex delta-nu",
-            {"nu": nu, "c0": rep.coefficient_cap, "sphere_samples": rep.sphere_samples,
-             "restarts": len(rep.restart_values), "seed": args.seed},
-        )
-        payload["report"] = rep
-        ok = rep.estimate > 0 and rep.stable if nu >= 1 else True
-        return _emit(payload, args, EXIT_PASS if ok else EXIT_CHECK_FAILED)
-
-    raise SosregError(f"unknown counterex subcommand {sub!r}")
+def _run_threshold(o: dict):
+    g = gamma_alpha(o["gamma_alpha"])
+    s0 = g ** (-2.0)
+    print(f"s0 = {s0:.5f}")
+    report = {"gamma": g, "s0": s0, "printed": f"{s0:.5f}"}
+    if not o["verify_flip"]:
+        return {"report": report}, True
+    p = FamilyParams()
+    low = functional(p, "T", g, Modulus.omega(max(s0 - 0.08629, 1e-3)))
+    high = functional(p, "T", g, Modulus.omega(min(s0 + 0.06371, 0.999)))
+    report["flip"] = {"below": low, "above": high, "flips": (not low.divergent) and high.divergent}
+    return {"report": report}, report["flip"]["flips"]
 
 
-def _cmd_check(args, cfg) -> int:
-    sub = args.check_command
-    f = FunctionHandle.from_def(_function_def(args.function, _catalog_params(args)))
-    region = _region(args, cfg, f.arity)
-    samples = int(_resolve(args, cfg, "samples", 2000, cast=int))
-    if sub == "odd-even":
-        rep = verify_odd_even_control(f, region, samples=samples)
-        ok = rep.passed
-    elif sub == "interp":
-        rep = verify_interpolation_bound(
-            f, region,
-            m=int(_resolve(args, cfg, "m", 1, cast=int)),
-            k=int(_resolve(args, cfg, "k", 2, cast=int)),
-        )
-        ok = math.isfinite(rep.constant)
-    elif sub == "slow-vary":
-        rep = verify_slowly_varying(
-            f, ControlDistanceParams(delta=_resolve(args, cfg, "delta", 0.25)), region, samples=samples
-        )
-        ok = rep.passed
-    elif sub == "diff-ineq":
-        rep = check_differential_inequalities(
-            f,
-            delta=_resolve(args, cfg, "delta", 0.25),
-            eta=_resolve(args, cfg, "eta", 0.3),
-            region=region,
-            samples=samples,
-        )
-        ok = rep.passed
-    else:
-        raise SosregError(f"unknown check subcommand {sub!r}")
-    payload = _base_payload(
-        f"check {sub}",
-        {"function": args.function, "samples": samples, "region_radius": region.radius,
-         "region_center": list(region.center), "seed": args.seed},
-    )
-    payload["report"] = rep
-    return _emit(payload, args, EXIT_PASS if ok else EXIT_CHECK_FAILED)
-
-
-def _cmd_catalog(args, cfg) -> int:
+def _run_scan(o: dict):
+    try:
+        a, b, step = (float(v) for v in o["s_range"].split(":"))
+    except ValueError:
+        raise SosregError(f"--s-range expects a:b:step, got {o['s_range']!r}") from None
+    p = FamilyParams(s_prime=o["s_prime"], rho_plateau=o["rho"])
+    g1 = gamma_alpha(1.0)
+    sos_verdict = sos_failure_criterion(p, o["beta"])["verdict"]
     rows = []
-    for name in catalog_names():
-        formula = catalog_formula(name)
-        note = _CATALOG_NOTES.get(name, "")
-        rows.append({"name": name, "formula": formula, "notes": note})
-        print(f"{name:14s} {note}")
-        print(f"{'':14s} {formula}")
-    payload = _base_payload("catalog", {"seed": args.seed})
-    payload["report"] = {"entries": rows}
-    if args.report:
-        dump_json(payload, args.report)
-    return EXIT_PASS
+    s = a
+    while s <= b + 1e-12:
+        m = Modulus.omega(s)
+        Sv = functional(p, "S", 0.5, m)
+        Tv = functional(p, "T", g1, m)
+        rows.append([round(s, 10), o["beta"], o["rho"], Sv.sup, Tv.sup, sos_verdict,
+                     "divergent" if (Sv.divergent or Tv.divergent) else "finite"])
+        s += step
+    header = ["s", "beta", "rho", "S", "T", "verdictSOS", "verdictMonotone"]
+    if o["csv"]:
+        write_csv(o["csv"], header, rows)
+    return {"report": {"header": header, "rows": rows}}, True
+
+
+def _run_delta_nu(o: dict):
+    report = estimate_delta_nu(o["nu"], c0=o["c0"], sphere_samples=o["sphere_samples"],
+                               restarts=o["restarts"], seed=o["seed"])
+    return {"report": report}, report.passed
+
+
+def _run_catalog(o: dict):
+    rows = [{"name": name, "formula": catalog_formula(name), "notes": _CATALOG_NOTES.get(name, "")}
+            for name in catalog_names()]
+    for row in rows:
+        print(f"{row['name']:14s} {row['notes']}\n{'':14s} {row['formula']}")
+    return {"report": {"entries": rows}}, True
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# The command table
 # ---------------------------------------------------------------------------
 
+_COMMON = (("report", str, None, "write the JSON report to this path (default: stdout)"),)
+_FUNCTION = (
+    ("function", str, REQUIRED, "catalog name, expression, or function file (its first definition)"),
+    ("param", list, (), "catalog parameter key=value (repeatable)"),
+    ("region-radius", float, 1.0, "radius of the region ball"),
+    ("region-center", _floats, None, "comma-separated centre of the region ball (default: origin)"),
+)
+_SAMPLES = ("samples", int, 2000, "sample points")
+_DELTA = ("delta", float, 0.25, "cover scale delta in (0, 1/2)")
+_ETA = ("eta", float, 0.3, "case-split margin eta in (0, 1/2)")
+_CSV = ("csv", str, None, "write the cells (decompose), grid residuals (verify) or rows (scan) to this CSV path")
+_DECOMPOSE = (
+    *_FUNCTION,
+    ("dim", int, None, "number of free variables the expression must have"),
+    _DELTA,
+    _ETA,
+    ("s", float, 1.0 / 200.0, "cell scale s in (0, 1/200]; the case split uses c = s^2/8"),
+    ("floor", float, 1e-3, "control-distance floor of the cover"),
+    ("tol", float, 1e-6, "relative residual tolerance"),
+    ("verify-points", int, 2000, "residual sample points"),
+    ("max-cells", int, 200_000, "cover cell budget"),
+    ("strict", bool, False, "fail on differential-inequality violation"),
+    ("no-normalize", bool, False, "skip rescaling f when its quartic constant exceeds 1"),
+    ("no-holder", bool, False, "skip root Hölder estimation"),
+    ("cells", str, None, "write cover cells as JSON lines to this path"),
+    _CSV,
+)
 
-def _add_common(sp):
-    sp.add_argument("--report", help="write the JSON report to this path")
-    sp.add_argument("--csv", help="write grid/cell output to this CSV path")
-    sp.add_argument("--seed", type=int, default=0, help="seed fixing every stochastic choice")
-    sp.add_argument("--config", help="key=value config file; explicit flags override")
+COMMANDS = {
+    "decompose": Command("decompose a nonnegative function into squares", _DECOMPOSE, _run_decompose),
+    "verify": Command("decompose and verify on a denser grid", (
+        *_DECOMPOSE, ("grid-points", int, 4000, "points of the independent verification grid")), _run_verify),
+    "monotone": Command("weak-monotonicity functional of a function", (
+        *_FUNCTION,
+        ("s", float, 0.5, "exponent of the modulus omega_s"),
+        ("samples", int, 200, "outer sample points x"),
+        ("inner-samples", int, 64, "inner sample points y per x"),
+        ("t-min", float, 1e-3, "smallest |x| sampled"),
+    ), _on_region(lambda f, region, o: monotone_functional(
+        f, Modulus.omega(o["s"]), outer_samples=o["samples"], inner_samples=o["inner_samples"],
+        t_min=o["t_min"], region=region))),
+    "roots": Command("power derivatives against the exact derivatives of f^gamma", (
+        *_FUNCTION,
+        ("gamma", float, 0.5, "exponent of the power f^gamma"),
+        ("order", int, 2, "derivative order compared"),
+        ("samples", int, 100, "sample points before dropping zeros of f"),
+    ), _run_roots),
+    "counterex threshold": Command("print the Hölder-monotone threshold", (
+        ("gamma-alpha", float, 1.0, "alpha of gamma_alpha"),
+        ("verify-flip", bool, False, "check that the T functional flips across the threshold"),
+    ), _run_threshold),
+    "counterex scan": Command("sweep s against the S/T functionals", (
+        ("s-range", str, "0.3:0.9:0.1", "a:b:step"),
+        ("beta", float, 0.75, "exponent beta of the SOS failure criterion"),
+        ("rho", float, 0.5, "plateau radius of the family"),
+        ("s-prime", float, 0.5, "exponent s' of the family"),
+        _CSV,
+    ), _run_scan),
+    "counterex delta-nu": Command("distance of the quartic from nu squares of quadratics", (
+        ("nu", int, 1, "number of squares, 0..4"),
+        ("c0", float, 3.0, "coefficient cap"),
+        ("sphere-samples", int, 2000, "sample points on the unit sphere"),
+        ("restarts", int, 20, "descent restarts"),
+        ("seed", int, 0, "seed of the restart draws"),
+    ), _run_delta_nu),
+    "check odd-even": Command("odd-by-even derivative controls", (*_FUNCTION, _SAMPLES), _on_region(
+        lambda f, region, o: verify_odd_even_control(f, region, samples=o["samples"]))),
+    "check interp": Command("interpolation bound for intermediate derivatives", (
+        *_FUNCTION,
+        ("samples", int, 200, "sample points"),
+        ("m", int, 1, "intermediate order m"),
+        ("k", int, 2, "top order k"),
+    ), _on_region(lambda f, region, o: verify_interpolation_bound(
+        f, region, m=o["m"], k=o["k"], samples=o["samples"]))),
+    "check slow-vary": Command("slow variation of the control distance", (*_FUNCTION, _SAMPLES, _DELTA), _on_region(
+        lambda f, region, o: verify_slowly_varying(
+            f, ControlDistanceParams(delta=o["delta"]), region, samples=o["samples"]))),
+    "check diff-ineq": Command("differential inequalities of the decomposition", (
+        *_FUNCTION, _SAMPLES, _DELTA, _ETA), _on_region(lambda f, region, o: check_differential_inequalities(
+            f, delta=o["delta"], eta=o["eta"], region=region, samples=o["samples"]))),
+    "catalog": Command("list the function catalog", (), _run_catalog),
+}
+
+_GROUP_HELP = {"counterex": "counterexample family laboratory", "check": "verify a supporting inequality"}
 
 
-def _add_function(sp):
-    sp.add_argument("--function", required=True, help="catalog name, expression, or function file")
-    sp.add_argument("--param", action="append", help="catalog parameter key=value (repeatable)")
-    sp.add_argument("--region-radius", type=float, dest="region_radius")
-    sp.add_argument("--region-center", dest="region_center")
-
-
-def _add_decompose(sp):
-    """The flags shared by `decompose` and `verify`."""
-    _add_function(sp)
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--eta", type=float)
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--floor", type=float)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--verify-points", type=int, dest="verify_points")
-    sp.add_argument("--max-cells", type=int, dest="max_cells")
-    sp.add_argument("--strict", action="store_true", help="fail on differential-inequality violation")
-    sp.add_argument("--no-normalize", action="store_true")
-    sp.add_argument("--no-holder", action="store_true", help="skip root Hölder estimation")
-    sp.add_argument("--cells", help="write cover cells as JSON lines to this path")
-    _add_common(sp)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors are configuration errors (exit 1), not failed checks."""
+        raise SosregError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sosreg",
-        description="Constructive sum-of-squares decompositions and their supporting checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("decompose", help="decompose a nonnegative function into squares")
-    _add_decompose(sp)
-
-    sp = sub.add_parser("verify", help="decompose and verify on a denser grid")
-    _add_decompose(sp)
-    sp.add_argument("--grid-points", type=int, dest="grid_points")
-
-    sp = sub.add_parser("monotone", help="weak-monotonicity functional of a function")
-    _add_function(sp)
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--inner-samples", type=int, dest="inner_samples")
-    sp.add_argument("--t-min", type=float, dest="t_min")
-    _add_common(sp)
-
-    sp = sub.add_parser("roots", help="power derivatives against the exact derivatives of f^gamma")
-    _add_function(sp)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--order", type=int)
-    sp.add_argument("--samples", type=int)
-    _add_common(sp)
-
-    sp = sub.add_parser("counterex", help="counterexample family laboratory")
-    csub = sp.add_subparsers(dest="counterex_command", required=True)
-    spt = csub.add_parser("threshold", help="print the Hölder-monotone threshold")
-    spt.add_argument("--gamma-alpha", type=float, dest="gamma_alpha")
-    spt.add_argument("--verify-flip", action="store_true")
-    _add_common(spt)
-    sps = csub.add_parser("scan", help="sweep s against the S/T functionals")
-    sps.add_argument("--s-range", dest="s_range", help="a:b:step")
-    sps.add_argument("--beta", type=float)
-    sps.add_argument("--rho", type=float)
-    sps.add_argument("--s-prime", type=float, dest="s_prime")
-    _add_common(sps)
-    spd = csub.add_parser("delta-nu", help="distance of the quartic from nu squares of quadratics")
-    spd.add_argument("--nu", type=int)
-    spd.add_argument("--c0", type=float)
-    spd.add_argument("--sphere-samples", type=int, dest="sphere_samples")
-    spd.add_argument("--restarts", type=int)
-    _add_common(spd)
-
-    sp = sub.add_parser("check", help="verify a supporting inequality")
-    ksub = sp.add_subparsers(dest="check_command", required=True)
-    for name, extras in (
-        ("odd-even", ()),
-        ("interp", ("m", "k")),
-        ("slow-vary", ("delta",)),
-        ("diff-ineq", ("delta", "eta")),
-    ):
-        spc = ksub.add_parser(name)
-        _add_function(spc)
-        spc.add_argument("--samples", type=int)
-        for extra in extras:
-            spc.add_argument(f"--{extra}", type=float if extra not in ("m", "k") else int)
-        _add_common(spc)
-
-    sp = sub.add_parser("catalog", help="list the function catalog")
-    _add_common(sp)
+    parser = _Parser(prog="sosreg", description="Constructive sum-of-squares decompositions and their checks.")
+    top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for key, cmd in COMMANDS.items():
+        group, _, leaf = key.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = top.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
+                dest="command", required=True)
+        sp = (groups[group] if group else top).add_parser(leaf, help=cmd.help)
+        sp.set_defaults(command=key)
+        for name, kind, default, text in (*cmd.flags, *_COMMON):
+            if kind not in (bool, list) and default not in (None, REQUIRED):
+                text = f"{text} (default: {default})"
+            if kind is bool:
+                sp.add_argument(f"--{name}", action="store_true", default=None, help=text)
+            elif kind is list:
+                sp.add_argument(f"--{name}", action="append", help=text)
+            else:
+                sp.add_argument(f"--{name}", type=kind, required=default is REQUIRED, help=text)
+        sp.add_argument("--config", help="key=value file of flag values; explicit flags override")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _load_config(getattr(args, "config", None))
-        if args.command == "decompose":
-            return _cmd_decompose(args, cfg)
-        if args.command == "verify":
-            return _cmd_decompose(args, cfg, verify_mode=True)
-        if args.command == "monotone":
-            return _cmd_monotone(args, cfg)
-        if args.command == "roots":
-            return _cmd_roots(args, cfg)
-        if args.command == "counterex":
-            return _cmd_counterex(args, cfg)
-        if args.command == "check":
-            return _cmd_check(args, cfg)
-        if args.command == "catalog":
-            return _cmd_catalog(args, cfg)
-        raise SosregError(f"unknown command {args.command!r}")
-    except SosregError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as err:
+        args = build_parser().parse_args(argv)
+        cmd = COMMANDS[args.command]
+        o = _resolve(args, _load_config(args.config), (*cmd.flags, *_COMMON))
+        entries, passed = cmd.run(o)
+        code = EXIT_PASS if passed else EXIT_CHECK_FAILED
+        config = {k: v for k, v in o.items() if k not in OUTPUTS}
+        dump_json({"command": args.command, "config": config, **entries, "exit_status": code}, o["report"])
+        return code
+    except (SosregError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -516,6 +516,7 @@ def _descend(theta, tau, Phi, L, c0: float, iterations: int) -> tuple:
 @dataclass
 class DeltaNuReport(Report):
     op = "estimate_delta_nu"
+    derived = ("passed",)
 
     nu: int
     estimate: float
@@ -525,6 +526,11 @@ class DeltaNuReport(Report):
     coefficient_cap: float
     sphere_samples: int
     stalled: bool
+
+    @property
+    def passed(self) -> bool:
+        """nu = 0, or a positive distance that is stable across restarts."""
+        return self.nu == 0 or (self.estimate > 0 and self.stable)
 
 
 def estimate_delta_nu(

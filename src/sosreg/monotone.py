@@ -38,6 +38,7 @@ STABILITY_TOLERANCE = 0.05  # "finite" verdict: < 5% change under refinement
 @dataclass
 class MonotoneReport(Report):
     op = "monotone_functional"
+    derived = ("passed",)
 
     modulus: str
     estimate: float
@@ -50,6 +51,11 @@ class MonotoneReport(Report):
     rescale: float
     divergent: bool = False
     witness: tuple | None = None
+
+    @property
+    def passed(self) -> bool:
+        """The functional is finite: no sampled pair witnessed divergence."""
+        return not self.divergent
 
 
 def _inner_ball_grid(x: np.ndarray, count: int) -> np.ndarray:

@@ -63,6 +63,7 @@ __all__ = [
     "DecompositionReport",
     "CellDecomposition",
     "DiffIneqReport",
+    "VerificationReport",
     "MinimizerProfile",
     "track_implicit_root",
     "implicit_second_derivative",
@@ -1216,29 +1217,41 @@ def root_holder_estimate(
     )
 
 
-def verify_decomposition(f: FunctionHandle, report: DecompositionReport, grid) -> dict:
+@dataclass
+class VerificationReport(Report):
+    """Residuals of a decomposition on an independent grid, judged by the
+    decomposition's own residual_bound."""
+
+    op = "verify_decomposition"
+    derived = ("passed",)
+
+    grid_points: int
+    evaluated_points: int
+    excluded_points: int
+    residual_bound: float
+    empty: bool = False
+    residual_sup: float = math.nan
+    residual_mean: float = math.nan
+    holder: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        """Some grid point was evaluated and the residuals stay within residual_bound."""
+        return not self.empty and self.residual_sup <= self.residual_bound
+
+
+def verify_decomposition(f: FunctionHandle, report: DecompositionReport, grid) -> VerificationReport:
     """Residual statistics of |f - sum g_l^2| over grid points with
     rho >= floor, plus Hölder estimates of each root at order 2 and the
     last recursion exponent."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     g = f.rescaled(report.value_scale) if report.value_scale != 1.0 else f
-    cdp = ControlDistanceParams(delta=report.params.delta, variant="full")
-    rho = control_distance_values(g, grid, cdp)
+    rho = control_distance_values(g, grid, ControlDistanceParams(delta=report.params.delta, variant="full"))
     live = grid[rho >= report.params.floor]
-    out = {
-        "op": "verify_decomposition",
-        "grid_points": int(len(grid)),
-        "evaluated_points": int(len(live)),
-        "excluded_points": int(len(grid) - len(live)),
-    }
-    if not len(live):
-        out["empty"] = True
-        out["residual_sup"] = math.nan
-        out["residual_mean"] = math.nan
-        return out
-    res = np.abs(f.values(live) - report.sum_of_squares(live))
-    out["empty"] = False
-    out["residual_sup"] = float(np.max(res))
-    out["residual_mean"] = float(np.mean(res))
-    out["holder"] = report.holder
+    out = VerificationReport(grid_points=len(grid), evaluated_points=len(live), excluded_points=len(grid) - len(live),
+                             residual_bound=report.residual_bound, empty=not len(live))
+    if len(live):
+        res = np.abs(f.values(live) - report.sum_of_squares(live))
+        out.residual_sup, out.residual_mean = float(np.max(res)), float(np.mean(res))
+        out.holder = report.holder
     return out

@@ -18,7 +18,7 @@ from sosreg.calculus import (
     verify_interpolation_bound,
     verify_odd_even_control,
 )
-from sosreg.errors import DomainError, NonnegativityError
+from sosreg.errors import DerivativeError, DomainError, NonnegativityError
 from sosreg.exprlang import catalog_function, parse_expression
 from sosreg.geometry import Ball, ball_points
 
@@ -183,6 +183,10 @@ class TestDirectionalHessian:
     def test_negative_definite(self):
         f = handle("-(x^2) - y^2", ("x", "y"))
         assert directional_hessian_plus(f, [0.0, 0.0]) == 0.0
+
+    def test_non_finite_names_the_point(self):
+        with pytest.raises(DerivativeError, match=r"non-finite at \(0.0, 0.0\)"):
+            directional_hessian_plus(handle("ln(x^2 + y^2)", ("x", "y")), [0.0, 0.0])
 
     @pytest.mark.parametrize("src,vars", [
         ("x^2 + 3*x*y - y^2", ("x", "y")),

@@ -1,11 +1,10 @@
 import json
-import math
 import subprocess
 import sys
 
 import pytest
 
-from sosreg.cli import build_parser, main
+from sosreg.cli import COMMANDS, OUTPUTS, build_parser, main
 
 
 def run_cli(args):
@@ -54,7 +53,7 @@ class TestDecompose:
                  "--dim", "2", "--delta", "0.2", "--eta", "0.3", "--s", "0.004", "--floor", "0.002",
                  "--tol", "1e-7", "--verify-points", "300", "--max-cells", "1000", "--strict",
                  "--no-normalize", "--no-holder", "--cells", "c.jsonl", "--report", "r.json",
-                 "--csv", "o.csv", "--seed", "3", "--config", "k.cfg"]
+                 "--csv", "o.csv", "--config", "k.cfg"]
         parser = build_parser()
         dec = vars(parser.parse_args(["decompose"] + flags))
         ver = vars(parser.parse_args(["verify"] + flags + ["--grid-points", "500"]))
@@ -82,8 +81,7 @@ class TestDeterminism:
     def test_reports_identical_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["monotone", "--function", "flat_exp", "--s", "0.5", "--samples", "50",
-                "--t-min", "0.05", "--region-center", "0.5", "--region-radius", "0.45",
-                "--seed", "3"]
+                "--t-min", "0.05", "--region-center", "0.5", "--region-radius", "0.45"]
         assert run_cli(args + ["--report", str(a)]) == 0
         assert run_cli(args + ["--report", str(b)]) == 0
         assert a.read_text() == b.read_text()
@@ -108,6 +106,82 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not a pair\n")
         assert run_cli(["monotone", "--function", "flat_exp", "--config", str(cfg)]) == 1
+
+    def test_config_sets_switches(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("no-holder = true\nno_normalize = on\nverify-points = 300\n")
+        report = tmp_path / "r.json"
+        argv = ["decompose", "--function", "x^2", "--region-radius", "0.5", "--config", str(cfg),
+                "--report", str(report)]
+        assert run_cli(argv) == 0
+        payload = json.loads(report.read_text())
+        assert payload["config"]["no_holder"] and payload["config"]["no_normalize"]
+        assert payload["config"]["normalize"] is False and payload["report"]["holder"] == {}
+        # x^2 breaks the Hessian inequality, which strict mode turns into an error
+        cfg.write_text("strict = yes\n")
+        assert run_cli(argv) == 1
+        assert "strict mode is on" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,named", [("delt = 0.3\n", "delt"), ("seed = 3\n", "seed"),
+                                            ("strict = maybe\n", "strict")])
+    def test_unknown_or_unreadable_key_is_config_error(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        report = tmp_path / "r.json"
+        assert run_cli(["decompose", "--function", "x^2", "--config", str(cfg), "--report", str(report)]) == 1
+        assert named in capsys.readouterr().err
+        assert not report.exists()
+
+
+# a non-default value for every flag of COMMANDS but the output paths
+NON_DEFAULT = {
+    "function": "1 + x^2 + y^2", "param": "a=1", "region-radius": "0.1", "region-center": "0.05,0",
+    "dim": "2", "delta": "0.2", "eta": "0.25", "s": "0.004", "floor": "0.002", "tol": "1e-5",
+    "verify-points": "200", "max-cells": "5000", "strict": True, "no-normalize": True, "no-holder": True,
+    "grid-points": "200", "samples": "60", "inner-samples": "16", "t-min": "0.01", "gamma": "0.25",
+    "order": "3", "gamma-alpha": "0.8", "verify-flip": True, "s-range": "0.5:0.6:0.1", "beta": "0.7",
+    "rho": "0.4", "s-prime": "0.4", "nu": "2", "c0": "2.5", "sphere-samples": "200", "restarts": "2",
+    "seed": "1", "m": "2", "k": "3",
+}
+
+
+@pytest.mark.parametrize("key", list(COMMANDS))
+def test_every_flag_is_resolved_and_echoed(key, tmp_path):
+    """Each flag set on the command line and in a config file gives one `config` echo holding it."""
+    flags = [flag for flag in COMMANDS[key].flags if flag[0] not in OUTPUTS]
+    argv, lines = key.split(), []
+    for name, _, _, _ in flags:
+        value = NON_DEFAULT[name]
+        argv += [f"--{name}"] if value is True else [f"--{name}", value]
+        lines.append(f"{name} = {'yes' if value is True else value}")
+    by_flags, by_config = tmp_path / "flags.json", tmp_path / "config.json"
+    (tmp_path / "run.cfg").write_text("\n".join(lines) + "\n")
+    code = run_cli(argv + ["--report", str(by_flags)])
+    required = ["--function", NON_DEFAULT["function"]] if any(f[0] == "function" for f in flags) else []
+    assert run_cli(key.split() + required + ["--config", str(tmp_path / "run.cfg"),
+                                             "--report", str(by_config)]) == code
+    config = json.loads(by_flags.read_text())["config"]
+    assert json.loads(by_config.read_text())["config"] == config
+    for name, _, default, _ in flags:
+        assert config[name.replace("-", "_")] not in (default, None), name
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [["decompose"], ["decompose", "--function", "x^2", "--bogus", "0.3"],
+                                      ["monotone", "--function", "x^2", "--seed", "3"], ["counterex"]])
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.startswith("error: sosreg")
+
+    def test_function_file_uses_its_first_definition(self, tmp_path):
+        path = tmp_path / "defs.txt"
+        path.write_text("# two definitions\ndef a(x, y) = x^2 + y^4\ndef b(x, y) = x^4\n")
+        reports = []
+        for source in (str(path), "x^2 + y^4"):
+            assert run_cli(["check", "interp", "--function", source, "--samples", "50",
+                            "--report", str(tmp_path / "r.json")]) == 0
+            reports.append(json.loads((tmp_path / "r.json").read_text())["report"])
+        assert reports[0] == reports[1]
 
 
 class TestScan:
@@ -180,8 +254,8 @@ class TestReportShapes:
         verification = payload["verification"]
         assert verification["op"] == "verify_decomposition" and verification["empty"] is False
         assert set(verification) == {"op", "grid_points", "evaluated_points", "excluded_points", "empty",
-                                     "residual_sup", "residual_mean", "holder"}
-        assert verification["residual_sup"] <= report["residual_bound"]
+                                     "residual_sup", "residual_mean", "residual_bound", "passed", "holder"}
+        assert verification["residual_bound"] == report["residual_bound"] and verification["passed"] is True
 
     def test_counterex_delta_nu(self, tmp_path):
         code = run_cli(["counterex", "delta-nu", "--restarts", "2", "--sphere-samples", "300",
@@ -191,8 +265,8 @@ class TestReportShapes:
         assert payload["command"] == "counterex delta-nu"
         assert report["op"] == "estimate_delta_nu"
         assert set(report) == {"op", "nu", "estimate", "pointwise_inf", "restart_values", "stable",
-                               "coefficient_cap", "sphere_samples", "stalled"}
-        assert report["nu"] == 1 and len(report["restart_values"]) == 2 and report["estimate"] > 0
+                               "coefficient_cap", "sphere_samples", "stalled", "passed"}
+        assert report["nu"] == 1 and len(report["restart_values"]) == 2 and report["passed"] is True
 
     def test_check_interp(self, tmp_path):
         code = run_cli(["check", "interp", "--function", "x^2+y^4", "--samples", "100",
@@ -202,8 +276,9 @@ class TestReportShapes:
         assert payload["command"] == "check interp"
         assert report["op"] == "interpolation_bound"
         assert set(report) == {"op", "m", "k", "diameter", "max_grad_m", "taylor_difference_max",
-                               "max_grad_k", "constant", "samples", "pairs"}
-        assert (report["m"], report["k"]) == (1, 2) and math.isfinite(report["constant"])
+                               "max_grad_k", "constant", "samples", "pairs", "passed"}
+        assert (report["m"], report["k"]) == (1, 2) and report["passed"] is True
+        assert report["samples"] == payload["config"]["samples"] == 100
 
     def test_monotone_of_a_sign_changing_function_is_an_error(self, tmp_path, capsys):
         code = run_cli(["monotone", "--function", "x", "--samples", "50", "--report", str(tmp_path / "r.json")])

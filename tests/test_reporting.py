@@ -16,7 +16,7 @@ from sosreg.geometry import Ball
 from sosreg.monotone import MonotonicityClassification, MonotoneReport, PowerBoundReport
 from sosreg.reporting import Report, dump_json, to_jsonable
 from sosreg.roots import PowerChainReport, RootRegularityReport
-from sosreg.sos import CellDecomposition, DecomposeParams, DecompositionReport, DiffIneqReport
+from sosreg.sos import CellDecomposition, DecomposeParams, DecompositionReport, DiffIneqReport, VerificationReport
 
 # op and JSON keys of each report class, as the CLI and library have written them
 KEYS = {
@@ -25,14 +25,14 @@ KEYS = {
     LineInequalityReport: ("odd_even_control", {"rescale", "worst_ratios", "violations", "gradient_constants",
                                                 "samples", "passed"}),
     InterpolationReport: ("interpolation_bound", {"m", "k", "diameter", "max_grad_m", "taylor_difference_max",
-                                                  "max_grad_k", "constant", "samples", "pairs"}),
+                                                  "max_grad_k", "constant", "samples", "pairs", "passed"}),
     FlatnessReport: ("is_flat", {"flat", "n_max", "failures", "derivative_flat"}),
     SlowVariationReport: ("slow_variation", {"delta", "bound", "worst_ratio", "violations", "pairs", "rescale",
                                              "passed"}),
     CoverCell: (None, {"nu", "center", "radius", "color"}),
     MonotoneReport: ("monotone_functional", {"modulus", "estimate", "log_estimate", "maximizing_x",
                                              "maximizing_y", "outer_samples", "inner_samples", "t_min",
-                                             "rescale", "divergent", "witness"}),
+                                             "rescale", "divergent", "witness", "passed"}),
     MonotonicityClassification: ("classify_monotonicity", {"s_grid", "c_max", "estimates", "finite",
                                                            "nearly_monotone", "holder_monotone"}),
     PowerBoundReport: ("verify_power_bound", {"s", "s_prime", "constants", "stable"}),
@@ -42,9 +42,12 @@ KEYS = {
     FunctionalReport: ("functional", {"name", "gamma", "modulus", "log_sup", "sup", "argmax_t", "divergent",
                                       "t_min"}),
     DeltaNuReport: ("estimate_delta_nu", {"nu", "estimate", "pointwise_inf", "restart_values", "stable",
-                                          "coefficient_cap", "sphere_samples", "stalled"}),
+                                          "coefficient_cap", "sphere_samples", "stalled", "passed"}),
     DiffIneqReport: ("differential_inequalities", {"delta", "eta", "quartic_constant", "hessian_constant",
                                                    "quartic_stable", "hessian_stable", "samples", "passed"}),
+    VerificationReport: ("verify_decomposition", {"grid_points", "evaluated_points", "excluded_points",
+                                                  "residual_bound", "empty", "residual_sup", "residual_mean",
+                                                  "holder", "passed"}),
 }
 
 

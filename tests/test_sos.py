@@ -626,8 +626,8 @@ class TestVerifyDecomposition:
                                            verify_points=400, estimate_holder=False))
         grid = np.linspace(-0.95, 0.95, 400).reshape(-1, 1)
         out = verify_decomposition(f, rep, grid)
-        assert not out["empty"]
-        assert out["residual_sup"] <= 1e-8
+        assert not out.empty and out.passed
+        assert out.residual_sup <= 1e-8
 
     def test_grid_entirely_excluded(self):
         f = handle("x^2")
@@ -637,7 +637,7 @@ class TestVerifyDecomposition:
         # force exclusion with an impossible floor
         rep.params.floor = 1e9
         out = verify_decomposition(f, rep, np.linspace(-0.5, 0.5, 50).reshape(-1, 1))
-        assert out["empty"]
+        assert out.empty and not out.passed
 
 
 def _decomposed(src, variables, region):
