@@ -28,7 +28,7 @@ from .exprlang import (
     DerivativeTable, EvalMemo, Expr, FunctionDef, differentiate, evaluate, has_conditionals, read_counts,
     taylor_series,
 )
-from .geometry import Ball, ball_points, sphere_points
+from .geometry import Ball, ball_points, row_norms, sphere_points
 from .reporting import Report
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "verify_interpolation_bound",
     "is_flat",
     "multiindices",
-    "tensor_contract",
 ]
 
 def multiindices(n: int, order: int) -> list:
@@ -57,14 +56,6 @@ def multiindices(n: int, order: int) -> list:
         for tail in multiindices(n - 1, order - head):
             out.append((head,) + tail)
     return out
-
-
-def tensor_contract(tensor: np.ndarray, v: np.ndarray, times: int) -> float:
-    """Contract the last `times` axes of a symmetric derivative tensor with v."""
-    out = tensor
-    for _ in range(times):
-        out = np.tensordot(out, v, axes=([-1], [0]))
-    return float(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,8 +141,8 @@ class FunctionHandle:
     tensor up to `order` at once, in place of the per-multi-index
     `derivative_many_factory` (roots.PowerHandle, the reduced profiles of the
     fiber split).  :meth:`jet` gives (f, Df, ..., D^m f) as full symmetric
-    tensors; `gradient_values`, `hessian_values`, `max_entry_values` and
-    `tensor` are views of one order of it.  Multi-index backends fill each
+    tensors; `gradient_values`, `hessian_values` and `max_entry_values` are
+    views of one order of it.  Multi-index backends fill each
     tensor from `derivative_values`, once per multi-index; the multi-indices
     of one order on one batch share the memo of `batch_memo(order)`, which
     the first read fills: an EvalMemo of the order's symbolic derivatives
@@ -368,10 +359,6 @@ class FunctionHandle:
     def hessian(self, x) -> np.ndarray:
         return self.hessian_values(np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
-    def tensor(self, x, order: int) -> np.ndarray:
-        """Full symmetric derivative tensor of the given order at one point."""
-        return self.derivative_tensor(np.atleast_2d(np.asarray(x, dtype=float)), order)[0]
-
     def max_entry_values(self, X, order: int) -> np.ndarray:
         """Max absolute derivative-tensor entry of the given order, pointwise."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -541,36 +528,31 @@ class HolderEstimate(Report):
 def _pair_set(region: Ball, samples: int, h_min: float) -> tuple:
     """Deterministic nested pair family (y_i, z_i) with |y - z| >= h_min.
 
-    Pairs combine a fixed set of low-discrepancy anchors with direction and
-    dyadic-radius ladders; the ladder deepens as `samples` grows, so doubling
-    the count extends rather than reshuffles the family.
+    Candidate k pairs anchor k mod 48 of a fixed low-discrepancy set with
+    direction 7k + level (mod 32) at radius max(h_min, 2^-(level mod 12) R),
+    level = k // 48, reflected through the anchor when it leaves the region;
+    the first `samples` of the first 100 samples + 1001 candidates that stay
+    inside and h_min apart are kept, so more samples extend the family.
     """
-    n = region.dim
     anchors = ball_points(region, 48)
-    dirs = sphere_points(32, n) if n > 1 else np.array([[1.0], [-1.0]] * 16)
-    radii_levels = 12
-    ys, zs = [], []
-    k = 0
-    level = 0
-    while len(ys) < samples:
-        i = k % len(anchors)
-        y = anchors[i]
+    dirs = sphere_points(32, region.dim) if region.dim > 1 else np.array([[1.0], [-1.0]] * 16)
+    center = np.asarray(region.center)
+    limit = 100 * samples + 1001
+    count = min(2 * samples + len(anchors), limit)
+    while True:
+        k = np.arange(count)
+        level = k // len(anchors)
+        ys = anchors[k % len(anchors)]
         d = dirs[(k * 7 + level) % len(dirs)]
-        frac = 2.0 ** (-(level % radii_levels))
-        r = max(h_min, frac * region.radius)
-        z = y + r * d
-        # reflect back inside the region if the offset exits it
-        if not region.contains(z):
-            z = y - r * d
-        if region.contains(z) and np.linalg.norm(z - y) >= h_min * (1 - 1e-12):
-            ys.append(y)
-            zs.append(z)
-        k += 1
-        if k % len(anchors) == 0:
-            level += 1
-        if k > 100 * samples + 1000:
-            break
-    return np.array(ys), np.array(zs)
+        r = np.maximum(h_min, 2.0 ** (-(level % 12)) * region.radius)[:, None]
+        zs = ys + r * d
+        out = row_norms(zs - center) > region.radius
+        zs[out] = ys[out] - r[out] * d[out]
+        kept = np.flatnonzero((row_norms(zs - center) <= region.radius)
+                              & (row_norms(zs - ys) >= h_min * (1 - 1e-12)))[:samples]
+        if len(kept) == samples or count == limit:
+            return ys[kept], zs[kept]
+        count = min(2 * count, limit)
 
 
 # Default smallest pair separation at order 1 for handles whose derivatives
@@ -795,30 +777,27 @@ def verify_interpolation_bound(
 
     Computes max_z |grad^m f(z)|, the maximum over sampled pairs (t1, t2) of
     the order-(m-1) Taylor difference
-    |f(t1) - sum_{j<m} [(t1-t2).grad]^j f(t2) / j!|,
+    |f(t1) - sum_{j<m} [(t1-t2).grad]^j f(t2) / j!|, from one values batch at
+    the t1 and one jet at the distinct t2 (the pair family's anchors),
     and max |grad^k f|; reports the smallest constant C with
     max |grad^m f| <= C * (T / ell^m + T^(1-m/k) * Mk^(m/k)), ell = diameter.
     """
     if m < 1 or k < m:
         raise DomainError(f"need k >= m >= 1, got m={m}, k={k}")
-    if B.radius <= 0:
-        raise DomainError("degenerate ball")
     pts = ball_points(B, max(samples, 16))
     max_m = float(np.max(f.max_entry_values(pts, m)))
     max_k = float(np.max(f.max_entry_values(pts, k)))
 
     t1s, t2s = _pair_set(B, pairs, h_min=0.0)
-    taylor_max = 0.0
-    tensors: dict = {}
-    for t1, t2 in zip(t1s, t2s):
-        v = t1 - t2
-        key = tuple(np.round(t2, 12))
-        if key not in tensors:
-            tensors[key] = [f.tensor(t2, j) for j in range(m)]
-        acc = float(f.value(t1))
-        for j in range(m):
-            acc -= tensor_contract(tensors[key][j], v, j) / math.factorial(j)
-        taylor_max = max(taylor_max, abs(acc))
+    anchors, which = np.unique(t2s, axis=0, return_inverse=True)
+    v = t1s - t2s
+    acc = f.values(t1s)
+    for j, T in enumerate(f.jet(anchors, m - 1)):
+        T = T[which]
+        for _ in range(j):
+            T = np.einsum("p...i,pi->p...", T, v)
+        acc = acc - T / math.factorial(j)
+    taylor_max = float(np.fmax.reduce(np.abs(acc), initial=0.0))
 
     ell = 2.0 * B.radius
     denom = taylor_max / ell**m

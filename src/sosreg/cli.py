@@ -20,15 +20,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .calculus import FunctionHandle, Modulus, verify_interpolation_bound, verify_odd_even_control
-from .counterex import FamilyParams, estimate_delta_nu, functional, gamma_alpha, sos_failure_criterion
+from .counterex import FamilyParams, estimate_delta_nu, monotone_scan, threshold_report
 from .cover import ControlDistanceParams, verify_slowly_varying
 from .errors import SosregError
-from .exprlang import (FunctionDef, Pow, catalog_formula, catalog_function, catalog_names, free_variables,
+from .exprlang import (FunctionDef, catalog_formula, catalog_function, catalog_names, free_variables,
                        parse_expression, parse_function_file)
 from .geometry import Ball, ball_points
 from .monotone import monotone_functional
 from .reporting import dump_json, write_cells_jsonl, write_csv
-from .roots import PowerHandle
+from .roots import check_power_jet
 from .sos import DecomposeParams, check_differential_inequalities, decompose, verify_decomposition
 
 EXIT_PASS = 0
@@ -49,7 +49,6 @@ REQUIRED = object()  # default of a flag argparse requires on the command line
 OUTPUTS = ("report", "csv", "cells")  # paths, resolved like any flag but not echoed in `config`
 _SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                  "0": False, "false": False, "no": False, "off": False}
-_ROOTS_TOLERANCE = 1e-5
 
 
 class Command(NamedTuple):
@@ -189,32 +188,16 @@ def _on_region(measure):
 
 def _run_roots(o: dict):
     fdef = _function_def(o)
-    f = FunctionHandle.from_def(fdef)
-    pts = ball_points(_region(o, f.arity), o["samples"])
-    pts = pts[f.values(pts) > 1e-12]
-    o["points"] = int(len(pts))
-    order = o["order"]
-    # power_jet against the exact derivatives of the expression f^gamma
-    direct = PowerHandle(f, o["gamma"], order_cap=max(order, 4)).derivative_tensor(pts, order)
-    oracle = FunctionHandle.from_expr(Pow(fdef.body, o["gamma"]), fdef.variables).derivative_tensor(pts, order)
-    worst = float(np.max(np.abs(direct - oracle) / (1.0 + np.abs(direct))))
-    report = {"max_abs_derivative": float(np.max(np.abs(direct))), "max_relative_exact_deviation": worst,
-              "tolerance": _ROOTS_TOLERANCE}
-    return {"report": report}, worst <= _ROOTS_TOLERANCE
+    report = check_power_jet(fdef, o["gamma"], o["order"], ball_points(_region(o, len(fdef.variables)), o["samples"]))
+    return {"report": report}, report.passed
 
 
 def _run_threshold(o: dict):
-    g = gamma_alpha(o["gamma_alpha"])
-    s0 = g ** (-2.0)
-    print(f"s0 = {s0:.5f}")
-    report = {"gamma": g, "s0": s0, "printed": f"{s0:.5f}"}
-    if not o["verify_flip"]:
-        return {"report": report}, True
-    p = FamilyParams()
-    low = functional(p, "T", g, Modulus.omega(max(s0 - 0.08629, 1e-3)))
-    high = functional(p, "T", g, Modulus.omega(min(s0 + 0.06371, 0.999)))
-    report["flip"] = {"below": low, "above": high, "flips": (not low.divergent) and high.divergent}
-    return {"report": report}, report["flip"]["flips"]
+    report = threshold_report(o["gamma_alpha"], o["verify_flip"])
+    print(f"s0 = {report.printed}")
+    if not report.in_unit_interval:
+        print("no threshold lies in (0, 1)")
+    return {"report": report}, report.passed
 
 
 def _run_scan(o: dict):
@@ -222,22 +205,14 @@ def _run_scan(o: dict):
         a, b, step = (float(v) for v in o["s_range"].split(":"))
     except ValueError:
         raise SosregError(f"--s-range expects a:b:step, got {o['s_range']!r}") from None
-    p = FamilyParams(s_prime=o["s_prime"], rho_plateau=o["rho"])
-    g1 = gamma_alpha(1.0)
-    sos_verdict = sos_failure_criterion(p, o["beta"])["verdict"]
-    rows = []
-    s = a
+    s_values, s = [], a
     while s <= b + 1e-12:
-        m = Modulus.omega(s)
-        Sv = functional(p, "S", 0.5, m)
-        Tv = functional(p, "T", g1, m)
-        rows.append([round(s, 10), o["beta"], o["rho"], Sv.sup, Tv.sup, sos_verdict,
-                     "divergent" if (Sv.divergent or Tv.divergent) else "finite"])
+        s_values.append(s)
         s += step
-    header = ["s", "beta", "rho", "S", "T", "verdictSOS", "verdictMonotone"]
+    report = monotone_scan(FamilyParams(s_prime=o["s_prime"], rho_plateau=o["rho"]), o["beta"], s_values)
     if o["csv"]:
-        write_csv(o["csv"], header, rows)
-    return {"report": {"header": header, "rows": rows}}, True
+        write_csv(o["csv"], report.header, report.rows)
+    return {"report": report}, report.passed
 
 
 def _run_delta_nu(o: dict):
@@ -351,15 +326,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="sosreg", description="Constructive sum-of-squares decompositions and their checks.")
+    parser = _Parser(prog="sosreg", description="Constructive sum-of-squares decompositions and their checks.",
+                     allow_abbrev=False)
     top = parser.add_subparsers(dest="command", required=True)
     groups = {}
     for key, cmd in COMMANDS.items():
         group, _, leaf = key.rpartition(" ")
         if group and group not in groups:
-            groups[group] = top.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
+            groups[group] = top.add_parser(group, help=_GROUP_HELP[group], allow_abbrev=False).add_subparsers(
                 dest="command", required=True)
-        sp = (groups[group] if group else top).add_parser(leaf, help=cmd.help)
+        sp = (groups[group] if group else top).add_parser(leaf, help=cmd.help, allow_abbrev=False)
         sp.set_defaults(command=key)
         for name, kind, default, text in (*cmd.flags, *_COMMON):
             if kind not in (bool, list) and default not in (None, REQUIRED):

@@ -38,6 +38,10 @@ __all__ = [
     "functional",
     "gamma_alpha",
     "holder_monotone_threshold",
+    "threshold_report",
+    "ThresholdReport",
+    "monotone_scan",
+    "ScanReport",
     "monotone_bounds",
     "witness_pair_ratios",
     "boundary_pair_supremum",
@@ -283,6 +287,67 @@ def holder_monotone_threshold() -> float:
     return gamma_alpha(1.0) ** (-2.0)
 
 
+@dataclass
+class ThresholdReport(Report):
+    """s0 = gamma_alpha^(-2) and, when verified, the T(gamma_alpha) functional
+    just below and above it; a verification fails without s0 in (0, 1)."""
+
+    op = "holder_monotone_threshold"
+    derived = ("in_unit_interval", "passed")
+
+    gamma: float
+    s0: float
+    printed: str
+    flip: dict | None = None
+
+    @property
+    def in_unit_interval(self) -> bool:
+        return 0.0 < self.s0 < 1.0
+
+    @property
+    def passed(self) -> bool:
+        return self.flip is None or self.flip["flips"]
+
+
+def threshold_report(alpha: float, verify_flip: bool = False) -> ThresholdReport:
+    """The threshold of gamma_alpha, optionally checked to separate a finite T
+    functional of the default family at s0 - 0.08629 from a divergent one at
+    s0 + 0.06371."""
+    g = gamma_alpha(alpha)
+    out = ThresholdReport(gamma=g, s0=g ** (-2.0), printed=f"{g ** (-2.0):.5f}")
+    if verify_flip and out.in_unit_interval:
+        low, high = (functional(FamilyParams(), "T", g, Modulus.omega(s))
+                     for s in (max(out.s0 - 0.08629, 1e-3), min(out.s0 + 0.06371, 0.999)))
+        out.flip = {"below": low, "above": high, "flips": not low.divergent and high.divergent}
+    elif verify_flip:
+        out.flip = {"below": None, "above": None, "flips": False}
+    return out
+
+
+@dataclass
+class ScanReport(Report):
+    """S(1/2) and T(gamma_1) across s beside the SOS failure verdict: a sweep
+    that measures and passes once it completes."""
+
+    op = "monotone_scan"
+    derived = ("passed",)
+
+    header: list
+    rows: list
+    passed = True
+
+
+def monotone_scan(p: FamilyParams, beta: float, s_values) -> ScanReport:
+    """One row (s, beta, rho, S, T, SOS verdict, monotone verdict) per s."""
+    sos_verdict = sos_failure_criterion(p, beta)["verdict"]
+    rows = []
+    for s in s_values:
+        S, T = (functional(p, name, g, Modulus.omega(s)) for name, g in (("S", 0.5), ("T", gamma_alpha(1.0))))
+        rows.append([round(s, 10), beta, p.rho_plateau, S.sup, T.sup, sos_verdict,
+                     "divergent" if (S.divergent or T.divergent) else "finite"])
+    return ScanReport(header=["s", "beta", "rho", "S", "T", "verdictSOS", "verdictMonotone"], rows=rows)
+
+
 # ---------------------------------------------------------------------------
 # Two-sided monotonicity bounds
 # ---------------------------------------------------------------------------
@@ -300,20 +365,13 @@ def witness_pair_ratios(p: FamilyParams, m: Modulus, t_grid, direction=None):
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
 
-    out = {}
     P1 = np.concatenate([np.zeros((len(t_grid), 4)), t_grid[:, None]], axis=1)
     Q1 = np.concatenate([np.outer(t_grid / 2.0, direction), (t_grid / 2.0)[:, None]], axis=1)
-    log_fp = family_log_values(p, P1)
-    log_fq = family_log_values(p, Q1)
-    out["pair1"] = log_fq - m.log_eval(np.minimum(log_fp, 0.0))
-
     g1 = 0.5 + 1.0 / math.sqrt(2.0)
     P2 = np.concatenate([np.outer(t_grid, direction), t_grid[:, None]], axis=1)
     Q2 = np.concatenate([np.outer(t_grid / 2.0, direction), (g1 * t_grid)[:, None]], axis=1)
-    log_fp2 = family_log_values(p, P2)
-    log_fq2 = family_log_values(p, Q2)
-    out["pair2"] = log_fq2 - m.log_eval(np.minimum(log_fp2, 0.0))
-    return out
+    return {key: family_log_values(p, Q) - m.log_eval(np.minimum(family_log_values(p, P), 0.0))
+            for key, P, Q in (("pair1", P1, Q1), ("pair2", P2, Q2))}
 
 
 def boundary_pair_supremum(
@@ -327,6 +385,10 @@ def boundary_pair_supremum(
     """Supremum of f(Q)/omega(f(P)) restricted to boundary pairs with V
     parallel to W: P = (r w_hat, t), Q on the circle
     (z - r/2)^2 + (u - t/2)^2 = (r^2 + t^2)/4 in the (w_hat, t) plane.
+
+    The P and the Q are evaluated as one batch each; the reported pair is
+    the first best in (direction, ratio, angle, t) order, NaN samples are
+    skipped.
     """
     ts = _dyadic_grid(t_min, per_octave=6)
     ratios = np.asarray(ratio_grid, dtype=float) if ratio_grid is not None else np.array(
@@ -335,27 +397,29 @@ def boundary_pair_supremum(
     thetas = np.linspace(0.0, 2.0 * math.pi, angle_count, endpoint=False)
     dirs = sphere_points(directions, 4)
 
+    # every (direction, ratio, angle, t) at once, dropping the P outside the unit ball
+    r = ratios[:, None] * ts
+    R = np.sqrt(r**2 + ts**2)
+    keep = R <= 1.0
+    t = np.broadcast_to(ts, r.shape)
+    P = np.concatenate([r[None, :, :, None] * dirs[:, None, None, :],
+                        np.broadcast_to(t[None, :, :, None], (len(dirs), *r.shape, 1))], axis=-1)
+    z = r[:, None, :] / 2.0 + R[:, None, :] / 2.0 * np.cos(thetas)[:, None]
+    u = t[:, None, :] / 2.0 + R[:, None, :] / 2.0 * np.sin(thetas)[:, None]
+    Q = np.concatenate([z[None, ..., None] * dirs[:, None, None, None, :],
+                        np.broadcast_to(u[None, ..., None], (len(dirs), *u.shape, 1))], axis=-1)
+    keep_p = np.broadcast_to(keep, P.shape[:-1])
+    keep_q = np.broadcast_to(keep[:, None, :], Q.shape[:-1])
+    omega_p = np.zeros(P.shape[:-1])
+    omega_p[keep_p] = m.log_eval(np.minimum(family_log_values(p, P[keep_p]), 0.0))
+    logs = np.full(Q.shape[:-1], -math.inf)
+    logs[keep_q] = family_log_values(p, Q[keep_q]) - np.broadcast_to(omega_p[:, :, None, :], logs.shape)[keep_q]
+    logs[np.isnan(logs)] = -math.inf
+
     best = {"log_sup": -math.inf, "P": None, "Q": None}
-    for w_hat in dirs:
-        for ratio in ratios:
-            r = ratio * ts
-            t = ts
-            keep = np.sqrt(r**2 + t**2) <= 1.0
-            if not np.any(keep):
-                continue
-            r, t = r[keep], t[keep]
-            R = np.sqrt(r**2 + t**2)
-            P = np.concatenate([np.outer(r, w_hat), t[:, None]], axis=1)
-            log_fp = family_log_values(p, P)
-            omega_p = m.log_eval(np.minimum(log_fp, 0.0))
-            for th in thetas:
-                z = r / 2.0 + R / 2.0 * math.cos(th)
-                u = t / 2.0 + R / 2.0 * math.sin(th)
-                Q = np.concatenate([np.outer(z, w_hat), u[:, None]], axis=1)
-                logs = family_log_values(p, Q) - omega_p
-                i = int(np.argmax(logs))
-                if logs[i] > best["log_sup"]:
-                    best = {"log_sup": float(logs[i]), "P": P[i].tolist(), "Q": Q[i].tolist()}
+    k = np.unravel_index(np.argmax(logs), logs.shape)
+    if logs[k] > -math.inf:
+        best = {"log_sup": float(logs[k]), "P": P[k[:2] + k[3:]].tolist(), "Q": Q[k].tolist()}
     best["sup"] = float(np.exp(min(best["log_sup"], 700.0)))
     return best
 
@@ -378,29 +442,16 @@ def monotone_bounds(p: FamilyParams, m: Modulus, delta: float, t_min: float = 10
         f"S(1/2+{delta:g})": functional(p, "S", 0.5 + delta, m, t_min=t_min),
         f"T({g_rho:.5f}+{delta:g})": functional(p, "T", g_rho + delta, m, t_min=t_min),
     }
-    out = {
-        "op": "monotone_bounds",
-        "modulus": m.name,
-        "delta": float(delta),
-        "lower": lower,
-        "upper": upper,
-    }
-    if any(v.divergent for v in lower.values()) or any(v.divergent for v in upper.values()):
-        out["divergent"] = True
-        out["sandwich_holds"] = None
-        return out
-    out["divergent"] = False
+    out = {"op": "monotone_bounds", "modulus": m.name, "delta": delta, "lower": lower, "upper": upper,
+           "divergent": any(v.divergent for v in (*lower.values(), *upper.values()))}
+    if out["divergent"]:
+        return {**out, "sandwich_holds": None}
     est = boundary_pair_supremum(p, m, t_min=t_min)
-    out["estimate"] = est
-    lower_log = max(v.log_sup for v in lower.values())
-    upper_log = max(v.log_sup for v in upper.values())
-    c_fit = est["log_sup"] - lower_log
-    C_fit = est["log_sup"] - upper_log
-    out["fitted_log_c_lower"] = float(c_fit)
-    out["fitted_log_C_upper"] = float(C_fit)
+    c_fit = est["log_sup"] - max(v.log_sup for v in lower.values())
+    C_fit = est["log_sup"] - max(v.log_sup for v in upper.values())
     # sandwich up to fitted constants: both fits within a factor 10^3
-    out["sandwich_holds"] = bool(abs(c_fit) <= 3.0 * math.log(10.0) and abs(C_fit) <= 3.0 * math.log(10.0))
-    return out
+    return {**out, "estimate": est, "fitted_log_c_lower": c_fit, "fitted_log_C_upper": C_fit,
+            "sandwich_holds": abs(c_fit) <= 3.0 * math.log(10.0) and abs(C_fit) <= 3.0 * math.log(10.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +482,8 @@ def sos_failure_criterion(p: FamilyParams, beta: float, t_grid=None) -> dict:
         verdict = "does-not-trigger"
     else:
         verdict = "inconclusive"
-    return {
-        "op": "sos_failure_criterion",
-        "beta": float(beta),
-        "verdict": verdict,
-        "log_ratio_first": float(log_ratio[0]),
-        "log_ratio_peak": float(log_ratio[peak]),
-        "log_ratio_last": float(log_ratio[-1]),
-        "t_min": float(np.min(grid)),
-    }
+    return {"op": "sos_failure_criterion", "beta": beta, "verdict": verdict, "log_ratio_first": log_ratio[0],
+            "log_ratio_peak": log_ratio[peak], "log_ratio_last": log_ratio[-1], "t_min": np.min(grid)}
 
 
 # ---------------------------------------------------------------------------

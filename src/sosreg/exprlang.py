@@ -86,42 +86,6 @@ class Expr:
 
     __slots__ = ()
 
-    def __add__(self, other):
-        return Sum((self, _as_expr(other)))
-
-    def __radd__(self, other):
-        return Sum((_as_expr(other), self))
-
-    def __sub__(self, other):
-        return Sum((self, Neg(_as_expr(other))))
-
-    def __rsub__(self, other):
-        return Sum((_as_expr(other), Neg(self)))
-
-    def __mul__(self, other):
-        return Prod((self, _as_expr(other)))
-
-    def __rmul__(self, other):
-        return Prod((_as_expr(other), self))
-
-    def __truediv__(self, other):
-        return Quot(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Quot(_as_expr(other), self)
-
-    def __pow__(self, p):
-        return Pow(self, float(p))
-
-    def __neg__(self):
-        return Neg(self)
-
-
-def _as_expr(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    return Const(float(x))
-
 
 @dataclass(frozen=True, slots=True)
 class Const(Expr):

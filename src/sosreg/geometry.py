@@ -68,6 +68,12 @@ def halton(n: int, dim: int) -> np.ndarray:
     return np.stack([_radical_inverse(n, b) for b in _primes(dim)]).T
 
 
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, rounded as `np.linalg.norm` rounds one vector
+    (a dot product, not an axis sum): a batch reproduces a loop bit for bit."""
+    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+
+
 def ball_points(ball: Ball, n: int, inner_radius: float = 0.0) -> np.ndarray:
     """Deterministic low-discrepancy points in the (possibly annular) ball.
 

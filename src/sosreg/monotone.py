@@ -20,7 +20,7 @@ import numpy as np
 
 from .calculus import FunctionHandle, Modulus, log_ratios, require_nonnegative
 from .errors import DomainError, NonnegativityError
-from .geometry import Ball, ball_points
+from .geometry import Ball, ball_points, row_norms
 from .reporting import Report
 
 __all__ = [
@@ -58,15 +58,15 @@ class MonotoneReport(Report):
         return not self.divergent
 
 
-def _inner_ball_grid(x: np.ndarray, count: int) -> np.ndarray:
-    """Nested grid on B(x/2, |x|/2).  In one dimension this is the interval
-    (0, x); in higher dimensions a low-discrepancy ball grid."""
-    n = x.size
-    if n == 1:
-        # dyadic-refinable 1-D grid on (0, x): k/(count+1), k = 1..count
-        fracs = np.arange(1, count + 1) / (count + 1.0)
-        return (fracs * x[0]).reshape(-1, 1)
-    return ball_points(Ball(center=tuple(x / 2.0), radius=float(np.linalg.norm(x) / 2.0)), count)
+def _inner_ball_grids(xs: np.ndarray, count: int) -> np.ndarray:
+    """Nested grid on every B(x/2, |x|/2), as one (N, count, n) array.  In one
+    dimension this is the interval (0, x) at k/(count+1), k = 1..count; in
+    higher dimensions the unit ball's low-discrepancy grid, scaled by |x|/2
+    and centred at x/2."""
+    if xs.shape[1] == 1:
+        return (np.arange(1, count + 1) / (count + 1.0) * xs)[:, :, None]
+    unit = ball_points(Ball(center=(0.0,) * xs.shape[1], radius=1.0), count)
+    return xs[:, None, :] / 2.0 + unit * (row_norms(xs) / 2.0)[:, None, None]
 
 
 def _log_values(f: FunctionHandle, X: np.ndarray) -> np.ndarray:
@@ -80,11 +80,15 @@ def _log_values(f: FunctionHandle, X: np.ndarray) -> np.ndarray:
     return logs
 
 
-def _log_ratio(f: FunctionHandle, m: Modulus, scale_log: float, xs: np.ndarray, ys: np.ndarray):
-    """log of f(y)/scale / omega(f(x)/scale) for paired sample arrays."""
-    log_fy = _log_values(f, ys) - scale_log
-    log_fx = _log_values(f, xs) - scale_log
-    return log_ratios(log_fy, m.log_eval(np.minimum(log_fx, 0.0)), 1.0)
+def _ascent_candidates(x: np.ndarray, y: np.ndarray, step: float) -> tuple:
+    """Coordinate moves of x, then of y, by +-step along each axis, then the
+    joint dilations of (x, y) by 1 +- step/|x| that stay positive."""
+    moves = np.kron(np.eye(x.size), [[step], [-step]])
+    nx = float(np.linalg.norm(x))
+    lam = 1.0 + np.array([1.0, -1.0]) * step / nx if nx > 0 else np.empty(0)
+    lam = lam[lam > 0][:, None]
+    return (np.concatenate([x + moves, np.broadcast_to(x, moves.shape), lam * x]),
+            np.concatenate([np.broadcast_to(y, moves.shape), y + moves, lam * y]))
 
 
 def monotone_functional(
@@ -99,18 +103,29 @@ def monotone_functional(
     """Estimate sup f(y) / omega(f(x)) over x in the region, y in B(x/2,|x|/2).
 
     f is first rescaled by its sampled supremum so the modulus argument stays
-    in [0,1]; the rescaling is reported.  A zero of f at a sampled x with a
-    nonvanishing paired f(y) makes the functional infinite and is reported as
-    divergence with the witness pair.  A sampled value below -1e-12 (1 + |f|)
-    raises NonnegativityError naming its point; values within that tolerance
-    count as zeros.
+    in [0,1]; the rescaling is reported.  The outer samples are the first
+    `outer_samples` points of the region's nested grid with |x| >= t_min,
+    truncated about the origin, where B_x degenerates.  Every outer sample
+    and its inner grid are evaluated as one batch; the first best finite pair
+    seeds a coordinate ascent that evaluates each step's feasible candidates
+    as one batch and moves to the first best of those that improve on it.
+    A zero of f at a sampled x with a nonvanishing paired f(y) makes the
+    functional infinite and is reported as divergence with the witness pair
+    of the last such x.  NaN ratios are skipped.  A sampled value below
+    -1e-12 (1 + |f|) raises NonnegativityError naming its point; values
+    within that tolerance count as zeros.
     """
     if t_min <= 0:
         raise DomainError("t_min must be positive")
     region = region or Ball(center=(0.0,) * f.arity, radius=1.0)
-    n = f.arity
 
-    xs = ball_points(region, outer_samples, inner_radius=t_min)
+    # the first outer_samples points of the region's nested grid with
+    # |x| >= t_min: B_x shrinks to the origin as x does
+    for count in outer_samples * 2 ** np.arange(7):
+        grid = ball_points(region, int(count))
+        xs = grid[np.linalg.norm(grid, axis=1) >= t_min][:outer_samples]
+        if len(xs) == outer_samples:
+            break
     if len(xs) == 0:
         raise DomainError("no outer samples outside the truncation radius")
 
@@ -120,59 +135,39 @@ def monotone_functional(
     scale_log = math.log(sup_f) if sup_f > 1.0 else 0.0
     rescale = math.exp(scale_log)
 
-    best_log = -math.inf
-    best_pair = (tuple(xs[0]), tuple(xs[0]))
-    divergent = False
-    witness = None
-    for x in xs:
-        ys = _inner_ball_grid(x, inner_samples)
-        logs = _log_ratio(f, m, scale_log, np.repeat(x[None, :], len(ys), axis=0), ys)
-        i = int(np.argmax(logs))
-        if logs[i] == math.inf:
-            divergent = True
-            witness = (tuple(x), tuple(ys[i]))
-            continue
-        if logs[i] > best_log:
-            best_log = logs[i]
-            best_pair = (tuple(x), tuple(ys[i]))
+    def log_ratio(log_fx, Y):
+        """log of f(y)/scale / omega(f(x)/scale) for the points Y, paired
+        with log f(x) along the leading axes."""
+        log_fy = _log_values(f, Y.reshape(-1, Y.shape[-1])).reshape(Y.shape[:-1]) - scale_log
+        log_den = m.log_eval(np.minimum(log_fx - scale_log, 0.0))
+        out = log_ratios(log_fy, log_den, 1.0)
+        return np.where(np.isnan(out), -math.inf, out)
+
+    ys = _inner_ball_grids(xs, inner_samples)
+    logs = log_ratio(_log_values(f, xs)[:, None], ys)
+    cols = np.argmax(logs, axis=1)
+    row_max = logs[np.arange(len(xs)), cols]
+    inf_rows = np.flatnonzero(row_max == math.inf)
+    witness = (tuple(xs[inf_rows[-1]]), tuple(ys[inf_rows[-1], cols[inf_rows[-1]]])) if inf_rows.size else None
+    row_max[inf_rows] = -math.inf
+    j = int(np.argmax(row_max))
+    best_log = row_max[j]
+    x, y = (xs[j], ys[j, cols[j]]) if best_log > -math.inf else (xs[0], xs[0])
 
     # deterministic ascent from the best grid pair: coordinate moves on x and
     # y plus joint dilations (the ball constraint is dilation invariant)
-    x = np.array(best_pair[0])
-    y = np.array(best_pair[1])
     step = 0.25 * float(np.linalg.norm(x))
-
-    def feasible(cx, cy):
-        if np.linalg.norm(cx - np.asarray(region.center)) > region.radius * (1 + 1e-12):
-            return False
-        if np.linalg.norm(cx) < t_min:
-            return False
-        return np.linalg.norm(cy - cx / 2.0) <= np.linalg.norm(cx) / 2.0 * (1 + 1e-12)
-
     for _ in range(ascent_steps):
-        improved = False
-        candidates = []
-        for idx in (0, 1):
-            for axis in range(n):
-                for sgn in (1.0, -1.0):
-                    cx, cy = x.copy(), y.copy()
-                    (cx if idx == 0 else cy)[axis] += sgn * step
-                    candidates.append((cx, cy))
-        nx = float(np.linalg.norm(x))
-        if nx > 0:
-            for sgn in (1.0, -1.0):
-                lam = 1.0 + sgn * step / nx
-                if lam > 0:
-                    candidates.append((lam * x, lam * y))
-        for cx, cy in candidates:
-            if not feasible(cx, cy):
-                continue
-            val = _log_ratio(f, m, scale_log, cx[None, :], cy[None, :])[0]
-            if val > best_log and val < math.inf:
-                best_log = val
-                x, y = cx, cy
-                improved = True
-        if not improved:
+        cx, cy = _ascent_candidates(x, y, step)
+        norm_cx = row_norms(cx)
+        ok = ((row_norms(cx - np.asarray(region.center)) <= region.radius * (1 + 1e-12)) & (norm_cx >= t_min)
+              & (row_norms(cy - cx / 2.0) <= norm_cx / 2.0 * (1 + 1e-12)))
+        vals = log_ratio(_log_values(f, cx[ok]), cy[ok]) if np.any(ok) else np.empty(0)
+        better = (vals > best_log) & (vals < math.inf)
+        if np.any(better):
+            k = int(np.argmax(np.where(better, vals, -math.inf)))
+            best_log, x, y = vals[k], cx[ok][k], cy[ok][k]
+        else:
             step *= 0.5
             if step < 1e-12:
                 break
@@ -187,7 +182,7 @@ def monotone_functional(
         inner_samples=inner_samples,
         t_min=t_min,
         rescale=rescale,
-        divergent=divergent,
+        divergent=witness is not None,
         witness=witness,
     )
 

@@ -19,11 +19,14 @@ import numpy as np
 
 from .calculus import FunctionHandle, _tensor_layout, holder_seminorm, log_ratios, max_entries
 from .errors import DerivativeError, DomainError
+from .exprlang import FunctionDef, Pow
 from .geometry import Ball, ball_points
 from .reporting import Report
 
 __all__ = [
     "PowerHandle",
+    "PowerJetCheckReport",
+    "check_power_jet",
     "power_jet",
     "falling_factorial",
     "verify_root_regularity",
@@ -110,6 +113,38 @@ class PowerHandle(FunctionHandle):
             exact_derivatives=base.exact_derivatives,
             jet_many=jet_many,
         )
+
+
+@dataclass
+class PowerJetCheckReport(Report):
+    """`power_jet` of f^gamma against the exact derivatives of the expression
+    f^gamma: every entry must agree to the tolerance, relative to 1 + |entry|."""
+
+    op = "power_jet_check"
+    derived = ("passed",)
+
+    gamma: float
+    order: int
+    points: int
+    max_abs_derivative: float
+    max_relative_exact_deviation: float
+    tolerance: float = 1e-5
+
+    @property
+    def passed(self) -> bool:
+        return self.max_relative_exact_deviation <= self.tolerance
+
+
+def check_power_jet(fdef: FunctionDef, gamma: float, order: int, pts) -> PowerJetCheckReport:
+    """Order-`order` tensors of PowerHandle(f, gamma) against those of the
+    expression Pow(f, gamma), at the points where f > 1e-12."""
+    f = FunctionHandle.from_def(fdef)
+    pts = pts[f.values(pts) > 1e-12]
+    direct = PowerHandle(f, gamma, order_cap=max(order, 4)).derivative_tensor(pts, order)
+    exact = FunctionHandle.from_expr(Pow(fdef.body, gamma), fdef.variables).derivative_tensor(pts, order)
+    return PowerJetCheckReport(
+        gamma, order, len(pts), float(np.max(np.abs(direct))),
+        float(np.max(np.abs(direct - exact) / (1.0 + np.abs(direct)))))
 
 
 def _require_positive(X, fvals) -> None:

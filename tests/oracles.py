@@ -15,7 +15,7 @@ import numpy as np
 from sosreg.calculus import FunctionHandle
 from sosreg.errors import DerivativeError
 from sosreg.exprlang import evaluate
-from sosreg.geometry import Ball
+from sosreg.geometry import Ball, ball_points, sphere_points
 
 _OFFS = np.array([-2, -1, 1, 2], dtype=np.longdouble)
 _COEF = np.array([1, -8, 8, -1], dtype=np.longdouble) / np.longdouble(12)
@@ -183,3 +183,50 @@ def brute_direction_hessian_plus(hessian, n_dirs=1000, seed=5, polish_iters=200)
         v = M @ v
         v /= np.linalg.norm(v)
     return max(0.0, float(v @ H @ v))
+
+
+def running_max_monotone_1d(fn, s, lo, hi, t_min, scale, n_grid=400_001, extra=()):
+    """The omega_s-monotone functional of a positive 1-D profile on [lo, hi], 0 <= lo.
+
+    In one dimension B_x = [0, x], so sup_{y in B_x} f(y) is a running maximum
+    over one fine grid of (0, hi], here joined with the points `extra` (the
+    exact minima of a profile whose dips are narrower than the grid spacing).
+    Returns max over the grid's x in [lo, hi] with x >= t_min of
+    M(x) / omega_s(f(x)) for f / scale, omega_s(t) = t^s, in log space.
+    """
+    if not 0.0 < s < 1.0 or lo < 0.0:
+        raise ValueError("the oracle covers 0 < s < 1 on a region in [0, inf)")
+    xs = np.union1d(np.linspace(0.0, hi, n_grid)[1:], np.asarray(extra, dtype=float))
+    with np.errstate(divide="ignore", over="ignore"):
+        log_f = np.log(np.asarray(fn(xs), dtype=float)) - np.log(scale)
+    keep = (xs >= lo) & (xs >= t_min)
+    return float(np.exp(np.max(np.maximum.accumulate(log_f)[keep] - s * log_f[keep])))
+
+
+def pair_set_loop(region, samples, h_min):
+    """The pair family of `calculus._pair_set` built one candidate at a time:
+    anchor k mod 48, direction 7k + level mod 32, radius max(h_min,
+    2^-(level mod 12) R) with level = k // 48, reflected through the anchor
+    when it leaves the region, kept when inside and at least h_min apart;
+    candidates stop after 100 samples + 1001."""
+    n = region.dim
+    anchors = ball_points(region, 48)
+    dirs = sphere_points(32, n) if n > 1 else np.array([[1.0], [-1.0]] * 16)
+    ys, zs = [], []
+    k = level = 0
+    while len(ys) < samples:
+        y = anchors[k % len(anchors)]
+        d = dirs[(k * 7 + level) % len(dirs)]
+        r = max(h_min, 2.0 ** (-(level % 12)) * region.radius)
+        z = y + r * d
+        if not region.contains(z):
+            z = y - r * d
+        if region.contains(z) and np.linalg.norm(z - y) >= h_min * (1 - 1e-12):
+            ys.append(y)
+            zs.append(z)
+        k += 1
+        if k % len(anchors) == 0:
+            level += 1
+        if k > 100 * samples + 1000:
+            break
+    return np.array(ys).reshape(-1, n), np.array(zs).reshape(-1, n)

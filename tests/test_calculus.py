@@ -22,7 +22,7 @@ from sosreg.errors import DerivativeError, DomainError, NonnegativityError
 from sosreg.exprlang import catalog_function, parse_expression
 from sosreg.geometry import Ball, ball_points
 
-from oracles import brute_direction_hessian_plus, brute_pair_seminorm, fd_handle
+from oracles import brute_direction_hessian_plus, brute_pair_seminorm, fd_handle, pair_set_loop
 
 
 def handle(src, variables=("x",), radius=3.0):
@@ -242,6 +242,35 @@ class TestInterpolationBound:
     def test_order_validation(self):
         with pytest.raises(DomainError):
             verify_interpolation_bound(handle("x^2"), Ball((0.0,), 1.0), 3, 2)
+
+    def test_handle_calls_do_not_grow_with_pairs(self, monkeypatch):
+        # one values batch at the pairs, one jet at the anchors and the two
+        # max-entry reads, whatever the number of pairs
+        def calls(pairs):
+            f = handle("x^3*y + y^4 + x^2", ("x", "y"))
+            seen = []
+            inner, reads = f._eval_many, calculus.FunctionHandle.derivative_values
+            f._eval_many = lambda X: seen.append("values") or inner(X)
+            monkeypatch.setattr(calculus.FunctionHandle, "derivative_values",
+                                lambda self, X, alpha, memo=None: seen.append(alpha) or reads(self, X, alpha, memo))
+            verify_interpolation_bound(f, Ball((0.1, 0.0), 0.8), 3, 4, pairs=pairs)
+            monkeypatch.undo()
+            return seen
+
+        assert calls(50) == calls(1000)
+        assert calls(50).count("values") <= 3
+
+
+class TestPairSet:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("h_min", [0.0, 1e-7, 0.05, 0.3, 1.18, 1.3])
+    @pytest.mark.parametrize("samples", [1, 50, 777])
+    def test_equals_the_candidate_loop(self, dim, h_min, samples):
+        # bit for bit, including the runs that stop at the candidate limit
+        region = Ball((0.1,) * dim, 0.6)
+        ys, zs = calculus._pair_set(region, samples, h_min)
+        ref_ys, ref_zs = pair_set_loop(region, samples, h_min)
+        assert np.array_equal(ys, ref_ys) and np.array_equal(zs, ref_zs)
 
 
 class TestFlatness:

@@ -26,6 +26,18 @@ class TestThreshold:
         payload = json.loads(report.read_text())
         assert payload["report"]["flip"]["flips"] is True
 
+    def test_no_threshold_in_the_unit_interval(self, capsys, tmp_path):
+        # gamma_alpha(2) < 1 puts s0 = 1.52786 outside (0, 1): nothing to flip
+        report = tmp_path / "flip.json"
+        code = run_cli(["counterex", "threshold", "--gamma-alpha", "2", "--verify-flip", "--report", str(report)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        assert captured.out.splitlines() == ["s0 = 1.52786", "no threshold lies in (0, 1)"]
+        payload = json.loads(report.read_text())["report"]
+        assert payload["op"] == "holder_monotone_threshold"
+        assert payload["in_unit_interval"] is False and payload["passed"] is False
+        assert payload["flip"]["flips"] is False
+
 
 class TestDecompose:
     def test_parabola_passes(self, tmp_path):
@@ -173,6 +185,14 @@ class TestUsage:
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith("error: sosreg")
 
+    @pytest.mark.parametrize("argv", [["check", "slow-vary", "--function", "x^2", "--samp", "50"],
+                                      ["decompose", "--function", "x^2", "--delt", "0.3"],
+                                      ["counterex", "threshold", "--gamma", "2"]])
+    def test_a_flag_prefix_is_a_usage_error(self, argv, capsys):
+        # the config file reads exact names only, and so does the command line
+        assert run_cli(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_function_file_uses_its_first_definition(self, tmp_path):
         path = tmp_path / "defs.txt"
         path.write_text("# two definitions\ndef a(x, y) = x^2 + y^4\ndef b(x, y) = x^4\n")
@@ -279,6 +299,23 @@ class TestReportShapes:
                                "max_grad_k", "constant", "samples", "pairs", "passed"}
         assert (report["m"], report["k"]) == (1, 2) and report["passed"] is True
         assert report["samples"] == payload["config"]["samples"] == 100
+
+    def test_roots(self, tmp_path):
+        code = run_cli(["roots", "--function", "x^4 + 1", "--samples", "40", "--report", str(tmp_path / "r.json")])
+        assert code == 0
+        payload, report = _report(tmp_path / "r.json")
+        assert report["op"] == "power_jet_check"
+        assert set(report) == {"op", "gamma", "order", "points", "max_abs_derivative",
+                               "max_relative_exact_deviation", "tolerance", "passed"}
+        assert report["points"] == 40 and report["passed"] is True
+
+    def test_counterex_scan(self, tmp_path):
+        code = run_cli(["counterex", "scan", "--s-range", "0.5:0.6:0.1", "--report", str(tmp_path / "r.json")])
+        assert code == 0
+        payload, report = _report(tmp_path / "r.json")
+        assert report["op"] == "monotone_scan"
+        assert set(report) == {"op", "header", "rows", "passed"}
+        assert len(report["rows"]) == 2 and report["passed"] is True
 
     def test_monotone_of_a_sign_changing_function_is_an_error(self, tmp_path, capsys):
         code = run_cli(["monotone", "--function", "x", "--samples", "50", "--report", str(tmp_path / "r.json")])

@@ -20,8 +20,10 @@ from sosreg.counterex import (
     gamma_alpha,
     holder_monotone_threshold,
     monotone_bounds,
+    monotone_scan,
     quartic_values,
     sos_failure_criterion,
+    threshold_report,
     witness_pair_ratios,
 )
 from sosreg.errors import DomainError
@@ -185,6 +187,43 @@ class TestWitnessPairs:
         sup = boundary_pair_supremum(p, m)
         assert np.max(wr["pair1"]) <= sup["log_sup"] + 1e-9
         assert np.max(wr["pair2"]) <= sup["log_sup"] + 1e-9
+
+
+    def test_boundary_pairs_in_two_batches(self, monkeypatch):
+        # one batch of the P and one of the Q
+        batches = []
+        inner = counterex.family_log_values
+        monkeypatch.setattr(counterex, "family_log_values", lambda p, X: batches.append(len(X)) or inner(p, X))
+        sup = boundary_pair_supremum(FamilyParams(), Modulus.omega(0.6))
+        assert len(batches) <= 2
+        assert math.isfinite(sup["log_sup"]) and len(sup["P"]) == len(sup["Q"]) == 5
+
+
+class TestThresholdReport:
+    def test_flip_at_gamma_one(self):
+        report = threshold_report(1.0, verify_flip=True)
+        assert report.printed == "0.68629" and report.in_unit_interval
+        assert report.flip["flips"] and report.passed
+
+    def test_unverified_report_passes(self):
+        report = threshold_report(1.0)
+        assert report.flip is None and report.passed
+
+    def test_no_threshold_in_the_unit_interval(self):
+        # gamma_2 = (1 + sqrt 5)/4 < 1 puts s0 at 1.52786, beyond every omega_s
+        report = threshold_report(2.0, verify_flip=True)
+        assert report.printed == "1.52786" and not report.in_unit_interval
+        assert report.flip == {"below": None, "above": None, "flips": False}
+        assert not report.passed
+
+
+class TestMonotoneScan:
+    def test_rows_and_verdicts(self):
+        report = monotone_scan(FamilyParams(), 0.75, [0.5, 0.65])
+        assert report.header == ["s", "beta", "rho", "S", "T", "verdictSOS", "verdictMonotone"]
+        assert [row[0] for row in report.rows] == [0.5, 0.65]
+        assert {row[5] for row in report.rows} == {sos_failure_criterion(FamilyParams(), 0.75)["verdict"]}
+        assert report.passed
 
 
 class TestMonotoneBounds:
