@@ -39,7 +39,7 @@ for cd in report.cells:
         print(f"\nthe origin cell (nu={cd.cell.nu}):")
         print(f"  center {cd.cell.center}, radius {cd.cell.radius:.4f}")
         split = cd.split
-        x_local = split.minimizer.solve(np.zeros(0))
+        x_local = split.minimizer.solve_many(np.zeros((1, 0)))[0]
         x_global = cd.cell.center[0] + x_local
         print(f"  fiber minimizer at {x_global:.2e} in global coordinates (true minimum at 0)")
         print(f"  reduced profile constant F = {split.F:.2e} (true value 0)")

@@ -20,7 +20,7 @@ from sosreg.roots import PowerHandle, verify_power_smoothness_chain, verify_root
 # hand-checked value: d2 sqrt(x^4+1) at x = 1 equals 2 sqrt 2
 f = FunctionHandle.from_expr(parse_expression("x^4 + 1"), ("x",), domain=Ball((0.0,), 3.0))
 p = PowerHandle(f, 0.5)
-print(f"d2 sqrt(x^4+1)|_1 = {p.derivative([1.0], (2,)):.12f}  (2*sqrt(2) = {2**1.5:.12f})")
+print(f"d2 sqrt(x^4+1)|_1 = {p.derivative_values([1.0], (2,))[0]:.12f}  (2*sqrt(2) = {2**1.5:.12f})")
 
 # derivative-power chain for the flat profile exp(-1/t)
 flat = FunctionHandle.from_def(catalog_function("flat_exp"))

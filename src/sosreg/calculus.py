@@ -35,11 +35,10 @@ __all__ = [
     "FunctionHandle",
     "Modulus",
     "HolderEstimate",
-    "modulus_eval",
     "log_ratios",
     "max_entries",
     "holder_seminorm",
-    "directional_hessian_plus",
+    "directional_hessian_plus_values",
     "require_nonnegative",
     "verify_odd_even_control",
     "verify_interpolation_bound",
@@ -140,7 +139,10 @@ class FunctionHandle:
     with a jet function `jet_many(X, order)` that returns every derivative
     tensor up to `order` at once, in place of the per-multi-index
     `derivative_many_factory` (roots.PowerHandle, the reduced profiles of the
-    fiber split).  :meth:`jet` gives (f, Df, ..., D^m f) as full symmetric
+    fiber split).  Every method evaluates a batch, and all read their points
+    by one rule: an (N, n) array is N points, and a 1-D array is N points of
+    a one-variable handle and one point otherwise; a single point is a batch
+    of one.  :meth:`jet` gives (f, Df, ..., D^m f) as full symmetric
     tensors; `gradient_values`, `hessian_values` and `max_entry_values` are
     views of one order of it.  Multi-index backends fill each
     tensor from `derivative_values`, once per multi-index; the multi-indices
@@ -290,18 +292,20 @@ class FunctionHandle:
 
     # -- evaluation ---------------------------------------------------------
 
-    def values(self, X) -> np.ndarray:
+    def _points(self, X) -> np.ndarray:
+        """X as an (N, n) batch: a 1-D array is N points of a one-variable
+        handle and one point otherwise."""
         X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(1, -1) if self.arity > 1 else X.reshape(-1, 1)
-        return self._eval_many(X)
+        if X.ndim < 2:
+            X = X.reshape(-1, 1) if self.arity == 1 else X.reshape(1, -1)
+        return X
 
-    def value(self, x) -> float:
-        return float(self.values(np.atleast_2d(np.asarray(x, dtype=float)))[0])
+    def values(self, X) -> np.ndarray:
+        return self._eval_many(self._points(X))
 
     def log_values(self, X) -> np.ndarray:
         """log f on the given points; -inf where f vanishes."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = self._points(X)
         if self._log_eval_many is not None:
             return self._log_eval_many(X)
         with np.errstate(divide="ignore"):
@@ -315,7 +319,7 @@ class FunctionHandle:
             raise DerivativeError(f"multi-index {alpha} does not match arity {self.arity}")
         if sum(alpha) == 0:
             return self.values(X)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = self._points(X)
         if self._jet_many is not None:
             axes = tuple(i for i, p in enumerate(alpha) for _ in range(p))
             memo = memo or _OrderPartials()
@@ -327,12 +331,9 @@ class FunctionHandle:
         d_many = self._derivative_cache[alpha]
         return d_many(X) if memo is None else d_many(X, memo)
 
-    def derivative(self, x, alpha) -> float:
-        return float(self.derivative_values(np.atleast_2d(np.asarray(x, dtype=float)), alpha)[0])
-
     def derivative_tensor(self, X, order: int) -> np.ndarray:
         """All order-`order` partials as one symmetric (N, n, ..., n) tensor; f itself at order 0."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = self._points(X)
         if order == 0:
             return self.values(X)
         if self._jet_many is not None:
@@ -345,7 +346,7 @@ class FunctionHandle:
 
     def jet(self, X, order: int) -> tuple:
         """(f, Df, ..., D^order f) on an (N, n) batch, shapes (N,), (N, n), (N, n, n), ..."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = self._points(X)
         if self._jet_many is not None:
             return tuple(self._jet_many(X, order))
         return tuple(self.derivative_tensor(X, m) for m in range(order + 1))
@@ -356,12 +357,9 @@ class FunctionHandle:
     def hessian_values(self, X) -> np.ndarray:
         return self.derivative_tensor(X, 2)
 
-    def hessian(self, x) -> np.ndarray:
-        return self.hessian_values(np.atleast_2d(np.asarray(x, dtype=float)))[0]
-
     def max_entry_values(self, X, order: int) -> np.ndarray:
         """Max absolute derivative-tensor entry of the given order, pointwise."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = self._points(X)
         if order and self._jet_many is not None:
             return max_entries(self._jet_many(X, order)[order])
         out = np.zeros(X.shape[0])
@@ -376,14 +374,14 @@ class FunctionHandle:
             return _OrderPartials()
         return None if self._batch_memo is None else self._batch_memo(order)
 
-    def rescaled(self, value_scale: float, label: str | None = None) -> "FunctionHandle":
-        """Handle for value_scale * f (derivatives scale linearly)."""
+    def rescaled(self, value_scale: float) -> "FunctionHandle":
+        """Handle for value_scale * f (derivatives scale linearly), labelled "a*label"."""
         a = float(value_scale)
         if a <= 0:
             raise ValueError("value_scale must be positive")
 
         def eval_many(X):
-            return a * self._eval_many(np.atleast_2d(np.asarray(X, dtype=float)))
+            return a * self._eval_many(X)
 
         derivative_factory = jet_many = None
         if self._jet_many is not None:
@@ -411,7 +409,7 @@ class FunctionHandle:
             derivative_many_factory=derivative_factory,
             domain=self.domain,
             log_eval_many=log_many,
-            label=label or f"{a:g}*{self.label}",
+            label=f"{a:g}*{self.label}",
             exact_derivatives=self.exact_derivatives,
             jet_many=jet_many,
             batch_memo=self._batch_memo,
@@ -492,11 +490,6 @@ class Modulus:
         return float(out) if out.ndim == 0 else out
 
 
-def modulus_eval(m: Modulus, t: float) -> float:
-    """Evaluate a modulus of continuity at t in [0,1]."""
-    return m.eval(float(t))
-
-
 def log_ratios(log_num, log_den, exponent: float) -> np.ndarray:
     """Elementwise log(num / den^exponent) from log num and log den, exponent > 0.
 
@@ -567,14 +560,14 @@ def holder_seminorm(
     exponent: float,
     region: Ball,
     samples: int = 400,
-    h_min: float | None = None,
 ) -> HolderEstimate:
     """Sampled Hölder seminorm of the order-`order` derivatives on the region.
 
     Returns the max over pair samples (y, z), |y-z| >= h_min, of
     max_{|alpha|=order} |D^a f(y) - D^a f(z)| / |y-z|^exponent, together with
-    sup norms of all lower-order derivatives.  The true seminorm is a limsup;
-    callers should check stability under sample refinement.
+    sup norms of all lower-order derivatives.  h_min is 1e-7 for exact
+    derivatives and _SEAM_H_MIN * 2^(order-1) otherwise.  The true seminorm
+    is a limsup; callers should check stability under sample refinement.
     """
     if not 0.0 < exponent <= 1.0:
         raise DomainError(f"Hölder exponent must lie in (0,1], got {exponent}")
@@ -582,8 +575,7 @@ def holder_seminorm(
         raise DomainError("need at least 2 pair samples")
     if region.dim != f.arity:
         raise DomainError("region dimension does not match function arity")
-    if h_min is None:
-        h_min = _SEAM_H_MIN * 2.0 ** (order - 1) if not f.exact_derivatives else 1e-7
+    h_min = _SEAM_H_MIN * 2.0 ** (order - 1) if not f.exact_derivatives else 1e-7
 
     sup_pts = ball_points(region, max(64, samples))
     sup_norms = []
@@ -627,17 +619,12 @@ def directional_hessian_plus_values(f: FunctionHandle, X) -> np.ndarray:
     Equals the supremum over unit directions of the positive part of the
     second directional derivative.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = f._points(X)
     H = f.hessian_values(X)
     finite = np.all(np.isfinite(H), axis=(1, 2))
     if not np.all(finite):
         raise DerivativeError(f"Hessian evaluated non-finite at {tuple(X[np.argmin(finite)].tolist())}")
     return np.maximum(np.linalg.eigvalsh(H)[:, -1], 0.0)
-
-
-def directional_hessian_plus(f: FunctionHandle, x) -> float:
-    """`directional_hessian_plus_values` at the one point x."""
-    return float(directional_hessian_plus_values(f, [x])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -840,13 +827,13 @@ def is_flat(
     n_max: int = 8,
     t_grid=None,
     check_derivatives: bool = False,
-    directions: int = 4,
 ) -> FlatnessReport:
     """Monotone-decay test for vanishing to infinite order at the origin.
 
     For each N <= n_max checks that t -> t^(-N) * max_dirs |f(t*dir)| is
-    nonincreasing along the descending grid within the 1e-14 noise floor.
-    Optionally repeats for all first partial derivatives.
+    nonincreasing along the descending grid within the 1e-14 noise floor,
+    over +-1 in one variable and 4 sphere points otherwise.  Optionally
+    repeats for all first partial derivatives.
     """
     if t_grid is None:
         t_grid = [2.0 ** (-j) for j in range(1, 11)]
@@ -859,7 +846,7 @@ def is_flat(
     if f.arity == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
-        dirs = sphere_points(directions, f.arity)
+        dirs = sphere_points(4, f.arity)
 
     def profile(value_fn):
         return np.array([np.max(np.abs(value_fn(t * dirs))) for t in t_grid])

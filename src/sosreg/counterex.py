@@ -26,7 +26,7 @@ import numpy as np
 
 from .calculus import FunctionHandle, Modulus
 from .errors import DomainError
-from .exprlang import catalog_function, family_body
+from .exprlang import family_body
 from .geometry import Ball, sphere_points
 from .reporting import Report
 
@@ -102,37 +102,33 @@ class LogProfile:
 class FamilyParams:
     """Parameters of the counterexample family.
 
-    phi defaults to exp(-1/t^2); psi defaults to the smooth closed-form tail
-    phi(t/2)^(1/s') t^(4/s'); the plateau h_rho is 1 on [0, rho] and vanishes
-    beyond 1; the radial coupling is the identity (the h argument is t/r).
+    phi is exp(-1/t^2), a class attribute and not a field; psi defaults to
+    the smooth closed-form tail phi(t/2)^(1/s') t^(4/s'); the plateau h_rho
+    is 1 on [0, rho] and vanishes beyond 1; the radial coupling is the
+    identity (the h argument is t/r).
     """
+
+    phi = LogProfile.flat_exp_sq()
 
     s_prime: float = 0.5
     rho_plateau: float = 0.5
-    phi: LogProfile = None
     psi: LogProfile = None
 
     def __post_init__(self):
         if not 0.0 < self.rho_plateau < 1.0:
             raise DomainError(f"rho_plateau must lie in (0,1), got {self.rho_plateau}")
-        if self.phi is None:
-            self.phi = LogProfile.flat_exp_sq()
         if self.psi is None:
             self.psi = LogProfile.power_tail(self.s_prime)
         self.check_tail()
 
-    def check_tail(self, t_grid=None):
-        """psi(t) = o(phi(t) t^4) on a dyadic grid, in log space."""
-        if t_grid is None:
-            t_grid = 2.0 ** (-np.arange(0.5, 9.0, 0.5))
+    def check_tail(self):
+        """psi(t) = o(phi(t) t^4) on the grid t = 2^(-k/2), k = 1..17, in log space."""
+        t_grid = 2.0 ** (-np.arange(0.5, 9.0, 0.5))
         gap = self.psi.log(t_grid) - (self.phi.log(t_grid) + 4.0 * np.log(t_grid))
         if not (np.all(np.diff(gap) < 1e-9) and gap[-1] < gap[0] - math.log(10.0)):
             raise DomainError(
                 "psi must be o(phi(t) t^4) as t -> 0; the sampled log gap does not decrease"
             )
-
-
-_QUARTIC = catalog_function("quartic_L")
 
 
 def quartic_values(W) -> np.ndarray:
@@ -181,15 +177,13 @@ def build_family(p: FamilyParams) -> FunctionHandle:
     """FunctionHandle on R^5 for the family: the expression body, with exact
     derivatives, and exact log-space evaluation.
 
-    Only the default profiles (phi = flat_exp_sq, psi = power_tail(s')) have
-    an expression body; other profiles raise DomainError.
+    Only the default profile psi = power_tail(s') has an expression body;
+    another psi raises DomainError.
     """
     psi = LogProfile.power_tail(p.s_prime).name
-    if p.phi.name != "flat_exp_sq" or p.psi.name != psi:
-        raise DomainError(
-            f"build_family needs the default profiles phi = flat_exp_sq and psi = {psi}; "
-            f"got phi = {p.phi.name}, psi = {p.psi.name}"
-        )
+    if p.psi.name != psi:
+        raise DomainError(f"build_family needs the default profiles phi = flat_exp_sq and psi = {psi}; "
+                          f"got psi = {p.psi.name}")
     body = family_body(s_prime=p.s_prime, rho=p.rho_plateau)
     fh = FunctionHandle.from_expr(
         body, ("w", "x", "y", "z", "t"), domain=Ball(center=(0.0,) * 5, radius=1.5), label="family_f",
@@ -217,6 +211,9 @@ class FunctionalReport(Report):
     t_min: float
 
 
+_T_MIN = 10 ** (-2.5)  # floor of the dyadic t grids of the functionals and criteria
+
+
 def _dyadic_grid(t_min: float, per_octave: int = 8) -> np.ndarray:
     k = math.ceil(-math.log2(t_min)) * per_octave
     return 2.0 ** (-np.arange(0, k + 1) / per_octave)
@@ -224,8 +221,6 @@ def _dyadic_grid(t_min: float, per_octave: int = 8) -> np.ndarray:
 
 def _functional_logs(p: FamilyParams, name: str, gamma: float, m: Modulus, t_grid: np.ndarray):
     log_t = np.log(t_grid)
-    if name in ("R", "S") and p.psi is None:
-        raise DomainError(f"functional {name} needs a psi profile")
     if name == "R":
         vals = p.psi.log(t_grid) - p.phi.log(t_grid) + p.phi.log(gamma * t_grid)
         args = p.psi.log(t_grid)
@@ -240,22 +235,16 @@ def _functional_logs(p: FamilyParams, name: str, gamma: float, m: Modulus, t_gri
     return vals - m.log_eval(np.minimum(args, 0.0))
 
 
-def functional(
-    p: FamilyParams,
-    name: str,
-    gamma: float,
-    m: Modulus,
-    t_grid=None,
-    t_min: float = 10 ** (-2.5),
-) -> FunctionalReport:
-    """Grid supremum of R, S or T in log space, with a divergence verdict.
+def functional(p: FamilyParams, name: str, gamma: float, m: Modulus) -> FunctionalReport:
+    """Grid supremum of R, S or T in log space on the dyadic grid down to
+    t = 10^-2.5, with a divergence verdict.
 
     Divergent means the log-supremum grows by more than log 10 when the
-    grid floor t_min is divided by 4.
+    grid floor is divided by 4.
     """
     if gamma <= 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
-    grid = np.asarray(t_grid, dtype=float) if t_grid is not None else _dyadic_grid(t_min)
+    grid = _dyadic_grid(_T_MIN)
     logs = _functional_logs(p, name, gamma, m, grid)
     i = int(np.argmax(logs))
     fine_grid = _dyadic_grid(float(np.min(grid)) / 4.0)
@@ -353,17 +342,15 @@ def monotone_scan(p: FamilyParams, beta: float, s_values) -> ScanReport:
 # ---------------------------------------------------------------------------
 
 
-def witness_pair_ratios(p: FamilyParams, m: Modulus, t_grid, direction=None):
-    """log f(Q)/omega(f(P)) for the two analytic boundary pairs.
+def witness_pair_ratios(p: FamilyParams, m: Modulus, t_grid):
+    """log f(Q)/omega(f(P)) for the two analytic boundary pairs, W along the
+    unit direction (1, 1, 1, 1)/2.
 
     Pair 1: P = (0, t), Q = (W, t/2) with |W| = t/2 (the S(1/2) shape).
     Pair 2: P = (W, |W|), Q = (W/2, (1/2 + 1/sqrt 2)|W|) (the T(gamma_1) shape).
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if direction is None:
-        direction = np.array([0.5, 0.5, 0.5, 0.5])
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    direction = np.full(4, 0.5)
 
     P1 = np.concatenate([np.zeros((len(t_grid), 4)), t_grid[:, None]], axis=1)
     Q1 = np.concatenate([np.outer(t_grid / 2.0, direction), (t_grid / 2.0)[:, None]], axis=1)
@@ -374,28 +361,21 @@ def witness_pair_ratios(p: FamilyParams, m: Modulus, t_grid, direction=None):
             for key, P, Q in (("pair1", P1, Q1), ("pair2", P2, Q2))}
 
 
-def boundary_pair_supremum(
-    p: FamilyParams,
-    m: Modulus,
-    t_min: float = 10 ** (-2.5),
-    ratio_grid=None,
-    angle_count: int = 48,
-    directions: int = 6,
-) -> dict:
+def boundary_pair_supremum(p: FamilyParams, m: Modulus) -> dict:
     """Supremum of f(Q)/omega(f(P)) restricted to boundary pairs with V
     parallel to W: P = (r w_hat, t), Q on the circle
     (z - r/2)^2 + (u - t/2)^2 = (r^2 + t^2)/4 in the (w_hat, t) plane.
 
-    The P and the Q are evaluated as one batch each; the reported pair is
-    the first best in (direction, ratio, angle, t) order, NaN samples are
-    skipped.
+    The samples are 6 sphere points w_hat, the ratios r/t in 0, 1/4, 1/2,
+    1, 2, 4, 48 angles on the circle and the dyadic t grid down to 10^-2.5,
+    6 points per octave.  The P and the Q are evaluated as one batch each;
+    the reported pair is the first best in (direction, ratio, angle, t)
+    order, NaN samples are skipped.
     """
-    ts = _dyadic_grid(t_min, per_octave=6)
-    ratios = np.asarray(ratio_grid, dtype=float) if ratio_grid is not None else np.array(
-        [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
-    )
-    thetas = np.linspace(0.0, 2.0 * math.pi, angle_count, endpoint=False)
-    dirs = sphere_points(directions, 4)
+    ts = _dyadic_grid(_T_MIN, per_octave=6)
+    ratios = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
+    thetas = np.linspace(0.0, 2.0 * math.pi, 48, endpoint=False)
+    dirs = sphere_points(6, 4)
 
     # every (direction, ratio, angle, t) at once, dropping the P outside the unit ball
     r = ratios[:, None] * ts
@@ -416,37 +396,36 @@ def boundary_pair_supremum(
     logs[keep_q] = family_log_values(p, Q[keep_q]) - np.broadcast_to(omega_p[:, :, None, :], logs.shape)[keep_q]
     logs[np.isnan(logs)] = -math.inf
 
-    best = {"log_sup": -math.inf, "P": None, "Q": None}
     k = np.unravel_index(np.argmax(logs), logs.shape)
-    if logs[k] > -math.inf:
-        best = {"log_sup": float(logs[k]), "P": P[k[:2] + k[3:]].tolist(), "Q": Q[k].tolist()}
-    best["sup"] = float(np.exp(min(best["log_sup"], 700.0)))
-    return best
+    found = logs[k] > -math.inf
+    return {"log_sup": logs[k], "P": P[k[:2] + k[3:]] if found else None, "Q": Q[k] if found else None,
+            "sup": np.exp(min(logs[k], 700.0))}
 
 
-def monotone_bounds(p: FamilyParams, m: Modulus, delta: float, t_min: float = 10 ** (-2.5)) -> dict:
+def monotone_bounds(p: FamilyParams, m: Modulus, delta: float) -> dict:
     """Evaluate the lower functionals S(1/2), T(gamma_1), the upper
-    functionals R(1+d), S(1/2+d), T(gamma_rho+d), and an independent
-    boundary-pair estimate of the weak-monotonicity functional; report
-    whether lower <= estimate <= upper holds up to fitted constants."""
+    functionals R(1+d), S(1/2+d), T(gamma_rho+d), all down to t = 10^-2.5,
+    and an independent boundary-pair estimate of the weak-monotonicity
+    functional; report whether lower <= estimate <= upper holds up to
+    fitted constants."""
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0,1), got {delta}")
     g1 = gamma_alpha(1.0)
     g_rho = gamma_alpha(p.rho_plateau)
     lower = {
-        "S(1/2)": functional(p, "S", 0.5, m, t_min=t_min),
-        f"T({g1:.5f})": functional(p, "T", g1, m, t_min=t_min),
+        "S(1/2)": functional(p, "S", 0.5, m),
+        f"T({g1:.5f})": functional(p, "T", g1, m),
     }
     upper = {
-        f"R(1+{delta:g})": functional(p, "R", 1.0 + delta, m, t_min=t_min),
-        f"S(1/2+{delta:g})": functional(p, "S", 0.5 + delta, m, t_min=t_min),
-        f"T({g_rho:.5f}+{delta:g})": functional(p, "T", g_rho + delta, m, t_min=t_min),
+        f"R(1+{delta:g})": functional(p, "R", 1.0 + delta, m),
+        f"S(1/2+{delta:g})": functional(p, "S", 0.5 + delta, m),
+        f"T({g_rho:.5f}+{delta:g})": functional(p, "T", g_rho + delta, m),
     }
     out = {"op": "monotone_bounds", "modulus": m.name, "delta": delta, "lower": lower, "upper": upper,
            "divergent": any(v.divergent for v in (*lower.values(), *upper.values()))}
     if out["divergent"]:
         return {**out, "sandwich_holds": None}
-    est = boundary_pair_supremum(p, m, t_min=t_min)
+    est = boundary_pair_supremum(p, m)
     c_fit = est["log_sup"] - max(v.log_sup for v in lower.values())
     C_fit = est["log_sup"] - max(v.log_sup for v in upper.values())
     # sandwich up to fitted constants: both fits within a factor 10^3
@@ -459,16 +438,17 @@ def monotone_bounds(p: FamilyParams, m: Modulus, delta: float, t_min: float = 10
 # ---------------------------------------------------------------------------
 
 
-def sos_failure_criterion(p: FamilyParams, beta: float, t_grid=None) -> dict:
+def sos_failure_criterion(p: FamilyParams, beta: float) -> dict:
     """Verdict on limsup psi(t) / (phi(t)^(4/beta) t^(16/beta)) as t -> 0.
 
-    Ratio decreasing to 0 (in log space, across the dyadic grid) certifies
+    Ratio decreasing to 0 (in log space, across the dyadic grid down to
+    t = 10^-2.5) certifies
     that the family is not a finite sum of squares of C^(2,beta) functions;
     ratio growing without bound means the test does not trigger.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0,1), got {beta}")
-    grid = np.sort(np.asarray(t_grid, dtype=float))[::-1] if t_grid is not None else _dyadic_grid(10 ** (-2.5))
+    grid = _dyadic_grid(_T_MIN)
     log_ratio = p.psi.log(grid) - (4.0 / beta) * p.phi.log(grid) - (16.0 / beta) * np.log(grid)
     # judge the asymptotic regime: the tail of the grid past the ratio's peak
     peak = int(np.argmax(log_ratio))
@@ -649,14 +629,14 @@ def estimate_delta_nu(
     )
 
 
-def crucial_lower_bound(delta_nu_est: float, beta: float, tau_grid, big_c: float = 1.0) -> list:
-    """Tabulate (delta_nu / C)^(2/(4-beta)) * tau^(-beta/(8-2beta)) over tau_grid:
+def crucial_lower_bound(delta_nu_est: float, beta: float, tau_grid) -> list:
+    """Tabulate delta_nu^(2/(4-beta)) * tau^(-beta/(8-2beta)) over tau_grid:
     the required blowup of the C^(2,beta)-norm of any nu-term square
-    decomposition of L + tau as tau -> 0."""
+    decomposition of L + tau as tau -> 0, up to the constant of the bound."""
     if delta_nu_est <= 0:
         raise DomainError("delta_nu estimate must be positive")
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie in (0,1), got {beta}")
-    amp = (delta_nu_est / big_c) ** (2.0 / (4.0 - beta))
+    amp = delta_nu_est ** (2.0 / (4.0 - beta))
     expo = -beta / (8.0 - 2.0 * beta)
     return [(float(tau), float(amp * tau**expo)) for tau in tau_grid]

@@ -28,7 +28,6 @@ __all__ = [
     "CoverCell",
     "Partition",
     "ChiPairs",
-    "control_distance",
     "control_distance_values",
     "verify_slowly_varying",
     "build_cover",
@@ -146,8 +145,8 @@ class CoverCell(Report):
 
 
 def control_distance_values(f: FunctionHandle, X, p: ControlDistanceParams) -> np.ndarray:
-    """Vectorized control distance on an (N, n) batch of points."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    """max{ f^(1/(4+2d)), [directional Hessian]_+^(1/(2+2d)), |grad^4 f|^(1/2d) }
+    on a batch of points (the last term in the full variant only)."""
     d = p.delta
     fvals = np.maximum(f.values(X), 0.0)
     term_f = fvals ** (1.0 / (4.0 + 2.0 * d))
@@ -159,11 +158,6 @@ def control_distance_values(f: FunctionHandle, X, p: ControlDistanceParams) -> n
     if not np.all(np.isfinite(rho)):
         raise DomainError("control distance evaluated non-finite")
     return rho
-
-
-def control_distance(f: FunctionHandle, x, p: ControlDistanceParams) -> float:
-    """max{ f^(1/(4+2d)), [directional Hessian]_+^(1/(2+2d)), |grad^4 f|^(1/2d) } at x."""
-    return float(control_distance_values(f, np.atleast_2d(np.asarray(x, dtype=float)), p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +393,6 @@ class Partition:
         self.centers = np.array([c.center for c in self.cells])
         self.radii = np.array([c.radius for c in self.cells])
         self.index = _Buckets(self.centers, self.radii * (1.0 + 1e-9))
-        self.overlap_observed: int | None = None
 
     @property
     def dim(self) -> int:
@@ -497,10 +490,10 @@ class Partition:
         return float(np.max(np.abs(acc - 1.0)))
 
     def observe_overlap(self, X) -> int:
+        """The most bumps that cover one of the points."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         counts = np.bincount(self.chi_pairs(X).idx, minlength=X.shape[0])
-        self.overlap_observed = int(np.max(counts)) if counts.size else 0
-        return self.overlap_observed
+        return int(np.max(counts)) if counts.size else 0
 
 
 def build_partition(cells: list, region: Ball | None = None) -> Partition:

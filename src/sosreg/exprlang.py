@@ -1004,16 +1004,12 @@ class FunctionDef:
     variables: tuple
     body: Expr
     domain: Ball
-    smoothness_order: int = 8
-    nonnegative: bool = False
     sample_box: tuple | None = None
 
     def __post_init__(self):
         extra = free_variables(self.body) - set(self.variables)
         if extra:
             raise ExprError(f"body of {self.name!r} uses undeclared variables {sorted(extra)}")
-        if self.smoothness_order < 4:
-            raise ExprError("declared smoothness order must be >= 4")
 
     @property
     def arity(self) -> int:
@@ -1148,7 +1144,6 @@ def glaeser_stub_with(g: Expr, variables: tuple) -> FunctionDef:
         variables=tuple(variables),
         body=FlatExp(g),
         domain=Ball(center=(0.0,) * len(variables), radius=1.0),
-        nonnegative=True,
         sample_box=((0.55, 0.95),) * len(variables),
     )
 
@@ -1191,7 +1186,6 @@ def catalog_function(name: str, params: dict | None = None) -> FunctionDef:
             variables=("x", "y", "z"),
             body=_motzkin_body(lam),
             domain=Ball(center=(0.0, 0.0, 0.0), radius=2.0),
-            nonnegative=True,
             sample_box=((-1.0, 1.0),) * 3,
         )
     if name == "quartic_L":
@@ -1200,7 +1194,6 @@ def catalog_function(name: str, params: dict | None = None) -> FunctionDef:
             variables=("w", "x", "y", "z"),
             body=_quartic_body(),
             domain=Ball(center=(0.0,) * 4, radius=2.0),
-            nonnegative=True,
             sample_box=((-1.0, 1.0),) * 4,
         )
     if name == "flat_exp_sq":
@@ -1209,7 +1202,6 @@ def catalog_function(name: str, params: dict | None = None) -> FunctionDef:
             variables=("t",),
             body=FlatExp(Pow(Var("t"), 2.0)),
             domain=Ball(center=(0.0,), radius=1.0),
-            nonnegative=True,
             # below t ~ 0.5 the derivative growth rate outpaces what double
             # precision finite differences can certify at order four
             sample_box=((0.55, 0.95),),
@@ -1220,7 +1212,6 @@ def catalog_function(name: str, params: dict | None = None) -> FunctionDef:
             variables=("t",),
             body=FlatExp(Var("t")),
             domain=Ball(center=(0.5,), radius=0.5),
-            nonnegative=True,
             sample_box=((0.3, 0.95),),
         )
     if name == "bump_h":
@@ -1230,7 +1221,6 @@ def catalog_function(name: str, params: dict | None = None) -> FunctionDef:
             variables=("t",),
             body=bump_plateau_expr("t", rho),
             domain=Ball(center=(0.0,), radius=1.5),
-            nonnegative=True,
             # keep test samples inside one smooth piece, away from the seams
             sample_box=((rho + 0.12, 0.88),),
         )
@@ -1242,7 +1232,6 @@ def catalog_function(name: str, params: dict | None = None) -> FunctionDef:
             variables=("w", "x", "y", "z", "t"),
             body=family_body(s_prime=s_prime, rho=rho),
             domain=Ball(center=(0.0,) * 5, radius=1.0),
-            nonnegative=True,
             # r ~ 0.6 and t in the vanished plateau piece: every stencil point
             # stays in one smooth branch and derivative growth stays tame
             sample_box=((0.28, 0.36), (0.28, 0.36), (0.28, 0.36), (0.28, 0.36), (0.8, 0.95)),
@@ -1251,5 +1240,6 @@ def catalog_function(name: str, params: dict | None = None) -> FunctionDef:
     return glaeser_stub_with(Pow(Var("t"), 2.0), ("t",))
 
 
-def catalog_formula(name: str, params: dict | None = None) -> str:
-    return to_source(catalog_function(name, params).body)
+def catalog_formula(name: str) -> str:
+    """Source text of a catalog entry's body at its default parameters."""
+    return to_source(catalog_function(name).body)

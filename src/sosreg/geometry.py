@@ -74,8 +74,8 @@ def row_norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
 
 
-def ball_points(ball: Ball, n: int, inner_radius: float = 0.0) -> np.ndarray:
-    """Deterministic low-discrepancy points in the (possibly annular) ball.
+def ball_points(ball: Ball, n: int) -> np.ndarray:
+    """Deterministic low-discrepancy points in the ball.
 
     Points are taken from a Halton sequence in the bounding cube and filtered,
     so doubling n yields a superset of the previous point set.
@@ -86,8 +86,7 @@ def ball_points(ball: Ball, n: int, inner_radius: float = 0.0) -> np.ndarray:
     while True:
         cube = halton(m, dim)
         cand = c + (2.0 * cube - 1.0) * ball.radius
-        d = np.linalg.norm(cand - c, axis=1)
-        mask = (d <= ball.radius) & (d >= inner_radius)
+        mask = np.linalg.norm(cand - c, axis=1) <= ball.radius
         if mask.sum() >= n:
             return cand[mask][:n]
         m *= 2

@@ -202,13 +202,12 @@ class MonotonicityClassification(Report):
 def classify_monotonicity(
     f: FunctionHandle,
     s_grid,
-    c_max: float = 1e6,
     outer_samples: int = 150,
     inner_samples: int = 48,
     t_min: float = 1e-2,
     region: Ball | None = None,
 ) -> MonotonicityClassification:
-    """Flag each omega_s as finite (<= c_max and refinement-stable) or divergent.
+    """Flag each omega_s as finite (<= c_max = 1e6 and refinement-stable) or divergent.
 
     Nearly monotone = every s in the grid finite; Hölder monotone = some s
     finite.  Refinement doubles both sample counts and halves t_min; the
@@ -218,7 +217,7 @@ def classify_monotonicity(
     s_grid = list(s_grid)
     if not s_grid:
         raise DomainError("s_grid must be nonempty")
-    out = MonotonicityClassification(s_grid=s_grid, c_max=c_max)
+    out = MonotonicityClassification(s_grid=s_grid, c_max=1e6)
     for s in s_grid:
         m = Modulus.omega(s)
         base = monotone_functional(f, m, outer_samples, inner_samples, t_min, region)
@@ -227,7 +226,7 @@ def classify_monotonicity(
         out.estimates[s] = float(np.exp(min(est, 700.0)))
         grow = fine.log_estimate - base.log_estimate
         stable = (not fine.divergent) and (not base.divergent) and grow < math.log(1.0 + STABILITY_TOLERANCE)
-        out.finite[s] = bool(stable and est <= math.log(c_max))
+        out.finite[s] = bool(stable and est <= math.log(out.c_max))
     out.nearly_monotone = all(out.finite.values())
     out.holder_monotone = any(out.finite.values())
     return out

@@ -176,11 +176,10 @@ def verify_root_regularity(
     delta_search,
     region: Ball,
     samples: int = 250,
-    floor: float = 1e-12,
 ) -> RootRegularityReport:
     """Largest exponent with a refinement-stable order-M seminorm of sqrt(f).
 
-    The square root is a PowerHandle of f; `truncated` flags f <= floor on
+    The square root is a PowerHandle of f; `truncated` flags f <= 1e-12 on
     the region, and an exponent whose samples meet f <= 0 reads unstable, as
     does one whose seminorm grows by more than 50% under pair doubling.
     """
@@ -188,7 +187,7 @@ def verify_root_regularity(
         raise DomainError(f"need s in (1 - 1/(2M), 1], got s={s} for M={M}")
     pts = ball_points(region, 256)
     vals = f.values(pts)
-    truncated = bool(np.any(vals <= floor))
+    truncated = bool(np.any(vals <= 1e-12))
     root = PowerHandle(f, 0.5, order_cap=max(M, 4))
 
     estimates: dict = {}
@@ -229,7 +228,6 @@ def verify_power_smoothness_chain(
     region: Ball,
     samples: int = 300,
     s: float = 0.9,
-    bound_cap: float = 1e6,
 ) -> PowerChainReport:
     """Check |grad^m f| <= C f^s empirically, then boundedness of grad^m(f^gamma).
 
@@ -237,8 +235,8 @@ def verify_power_smoothness_chain(
     `power_jet`; the power derivatives need f > 0 on the samples.
 
     Consistency means: whenever the derivative-power constants are finite and
-    stable, the power derivatives stay bounded on the sampled region for
-    every exponent in the grid.
+    stable, the power derivatives stay bounded, by 1e6, on the sampled region
+    for every exponent in the grid.
     """
     pts = ball_points(region, samples)
     log_f = f.log_values(pts)
@@ -259,9 +257,7 @@ def verify_power_smoothness_chain(
         }
 
     premise = all(math.isfinite(c) for c in constants.values())
-    conclusion = all(
-        v <= bound_cap for sup in power_sup.values() for v in sup.values()
-    )
+    conclusion = all(v <= 1e6 for sup in power_sup.values() for v in sup.values())
     return PowerChainReport(
         m_max=m_max,
         s=s,

@@ -52,7 +52,6 @@ from .roots import power_jet
 __all__ = [
     "delta_sequence",
     "check_differential_inequalities",
-    "classify_cell",
     "classify_cells",
     "reduced_profile",
     "FiberSplit",
@@ -166,47 +165,84 @@ def check_differential_inequalities(
 # ---------------------------------------------------------------------------
 
 
+def _bracketed_newton(step, y, g, g1, lo, hi, tol: float, max_iter: int) -> tuple:
+    """Safeguarded Newton with bisection, for a batch of roots of g at once.
+
+    Point i has the bracket [lo_i, hi_i], with g < 0 below its root and
+    g > 0 above it, and starts at y_i, where g and g1 = g' were evaluated.
+    Each iteration moves the bracket end on g's side to the iterate, then
+    takes the Newton step, or bisects when that step is not finite, leaves
+    the open bracket or has g' <= 0.  `step(live, y_live)` returns (g, g')
+    at the iterates of the points `live` still moving: one call per
+    iteration.  A point stops once |g| <= tol, or, still above tol, once
+    its Newton step rounds to its iterate or its bracket holds no float
+    strictly inside; the others stop after `max_iter` iterations.  Returns
+    (y, the last g of each point), so |g| > tol marks the points that did
+    not converge.
+    """
+    y, lo, hi, last = (np.array(a, dtype=float) for a in (y, lo, hi, g))
+    live = np.arange(len(y))
+    for _ in range(max_iter):
+        todo = np.abs(g) > tol
+        live, g, g1 = live[todo], g[todo], g1[todo]
+        if live.size == 0:
+            break
+        yl = y[live]
+        neg = g < 0
+        lo[live] = np.where(neg, yl, lo[live])
+        hi[live] = np.where(neg, hi[live], yl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = yl - g / g1
+        a, b = lo[live], hi[live]
+        bad = ~np.isfinite(newton) | (newton <= a) | (newton >= b) | (g1 <= 0)
+        y[live] = np.where(bad, 0.5 * (a + b), newton)
+        if bad.any():
+            # yl is a bracket end, so a Newton correction below rounding is
+            # bad, as is every step in a bracket with no float inside; such
+            # points cannot move any more
+            stuck = ((newton == yl) & (g1 > 0)) | (np.nextafter(a, b) >= b)
+            y[live[stuck]] = yl[stuck]
+            live = live[~stuck]
+            if live.size == 0:
+                break
+        g, g1 = step(live, y[live])
+        last[live] = g
+    return y, last
+
+
 def track_implicit_root(
     H: FunctionHandle, x_prime, lo: float, hi: float, tol: float = 1e-13
 ) -> float:
-    """Root y of H(x', y) = 0 on [lo, hi] by safeguarded Newton with bisection.
+    """Root y of H(x', y) = 0 on [lo, hi] by `_bracketed_newton`, started at
+    the midpoint with H negated when it falls across the bracket.
 
-    Requires a sign change of H(x', .) across the bracket; raises ConvergenceError
-    when |H| > tol after 100 iterations or once the iterate stops moving.
+    Requires a sign change of H(x', .) across the bracket; raises
+    ConvergenceError when |H| > tol after MinimizerProfile.max_iter
+    iterations or once the iterate stops moving.
     """
     x_prime = tuple(float(v) for v in np.atleast_1d(x_prime))
-    dn = (0,) * len(x_prime) + (1,)
 
-    def val(y):
-        return H.value(x_prime + (y,))
+    def at(ys):
+        """(H, H_y) at the points (x', y)."""
+        h, dh = H.jet(np.column_stack([np.tile(x_prime, (len(ys), 1)), ys]), 1)
+        return h, dh[:, -1]
 
-    def dval(y):
-        return H.derivative(x_prime + (y,), dn)
-
-    flo, fhi = val(lo), val(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
+    ends = sorted((lo, hi))
+    mid = 0.5 * (lo + hi)
+    h, dh = at(np.array([*ends, mid]))
+    for end, h_end in zip(ends, h):
+        if h_end == 0.0:
+            return end
+    if h[0] * h[1] > 0:
         raise BoundaryRootError(f"no sign change of H on [{lo}, {hi}] at x'={x_prime}")
-    a, b = (lo, hi) if flo < 0 else (hi, lo)
-    y = 0.5 * (lo + hi)
-    for _ in range(100):
-        fy = val(y)
-        if abs(fy) <= tol:
-            return float(y)
-        a, b = (y, b) if fy < 0 else (a, y)
-        dy = dval(y)
-        y_new = y - fy / dy if dy != 0.0 else math.nan
-        if not min(a, b) < y_new < max(a, b):  # no step, or it leaves the bracket: bisect
-            y_new = 0.5 * (a + b)
-        if y_new == y:
-            break
-        y = y_new
-    raise ConvergenceError(
-        f"no root of H to |H| <= {tol} at x'={x_prime} on [{lo}, {hi}]: last |H| = {abs(fy)}"
-    )
+    sign = 1.0 if h[0] < 0 else -1.0
+    y, last = _bracketed_newton(lambda _, ys: tuple(sign * v for v in at(ys)), [mid], sign * h[2:], sign * dh[2:],
+                               ends[:1], ends[1:], tol, MinimizerProfile.max_iter)
+    if abs(last[0]) > tol:
+        raise ConvergenceError(
+            f"no root of H to |H| <= {tol} at x'={x_prime} on [{lo}, {hi}]: last |H| = {abs(float(last[0]))}"
+        )
+    return float(y[0])
 
 
 def implicit_second_derivative(H: FunctionHandle, point) -> np.ndarray:
@@ -403,14 +439,6 @@ def classify_cells(f: FunctionHandle, cells: list, delta: float, c: float) -> tu
     return case_one, rho, terms, axes
 
 
-def classify_cell(f: FunctionHandle, cell: CoverCell, delta: float, c: float):
-    """(case, axis, rho, terms) of one cell by :func:`classify_cells`; axis is None in case I."""
-    case_one, rho, terms, axes = classify_cells(f, [cell], delta, c)
-    if case_one[0]:
-        return "I", None, float(rho[0]), tuple(terms[0])
-    return "II", axes[0], float(rho[0]), tuple(terms[0])
-
-
 # ---------------------------------------------------------------------------
 # Fiber minimizer
 # ---------------------------------------------------------------------------
@@ -419,17 +447,16 @@ def classify_cell(f: FunctionHandle, cell: CoverCell, delta: float, c: float):
 class MinimizerProfile:
     """Newton-tracked fiberwise minimizer X(xi) over a cell cross-section.
 
-    Solves d_y f(xi, y) = 0 on the fiber bracket by safeguarded Newton with
-    bisection fallback, starting every solve from the cell's center y = 0.
-    Each Newton iteration reads g = d_y f and g2 = d_y^2 f of the points still
-    above `g_tol` from one order-2 jet of f; the bracket ends and the first
-    iterate share one call.  A missing sign change means the minimum sits on
-    the bracket boundary, which indicates the case split constant c was chosen
-    too large.  A point stops early, still above `g_tol`, once its Newton step
-    rounds to its iterate or its bracket holds no float strictly inside.  Such
-    points, and those still above `g_tol` after `max_iter` iterations, keep
-    their last iterate and are added to `unconverged`, a running count over
-    every solve request of this profile.
+    Solves g = d_y f(xi, y) = 0 on the fiber bracket [-halfwidth, halfwidth]
+    by `_bracketed_newton`, starting every solve from the cell's center
+    y = 0.  Each Newton iteration reads g and g' = d_y^2 f of the points still
+    above `g_tol` from one order-2 jet of f (`frame.fiber`); the bracket ends
+    and the first iterate share one call.  A missing sign change means the
+    minimum sits on the bracket boundary, which indicates the case split
+    constant c was chosen too large.  The points the solver leaves above
+    `g_tol`, after `max_iter` iterations or once they cannot move, keep their
+    last iterate and are added to `unconverged`, a running count over every
+    solve request of this profile.
 
     The last `memo_size` solved batches are kept by the exact bytes of xi: a
     batch asked for again (the value, Hessian and max-entry reads of one
@@ -448,10 +475,6 @@ class MinimizerProfile:
         self.cell_nu = cell_nu
         self.unconverged = 0
         self._memo: dict = {}
-
-    def solve(self, xi) -> float:
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        return float(self.solve_many(xi[None, :])[0])
 
     def solve_many(self, Xi) -> np.ndarray:
         """Vectorized safeguarded Newton across a batch of cross-sections."""
@@ -479,36 +502,11 @@ class MinimizerProfile:
                 f"cell {self.cell_nu}: fiber minimum on the bracket boundary "
                 "(case split constant c too large)"
             )
-        lo, hi = np.full(N, -w), np.full(N, w)
-        y = np.zeros(N)
-        stalled = 0
-        live, gy, g2y = np.arange(N), g[2 * N :], g2[2 * N :]
-        for _ in range(self.max_iter):
-            todo = np.abs(gy) > self.g_tol
-            live, gy, g2y = live[todo], gy[todo], g2y[todo]
-            if live.size == 0:
-                break
-            yl = y[live]
-            neg = gy < 0
-            lo[live] = np.where(neg, yl, lo[live])
-            hi[live] = np.where(neg, hi[live], yl)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = yl - gy / g2y
-            a, b = lo[live], hi[live]
-            bad = ~np.isfinite(newton) | (newton <= a) | (newton >= b) | (g2y <= 0)
-            y[live] = np.where(bad, 0.5 * (a + b), newton)
-            if bad.any():
-                # yl is a bracket end, so a Newton correction below rounding is
-                # bad, as is every step in a bracket with no float inside; such
-                # points cannot move any more
-                stuck = ((newton == yl) & (g2y > 0)) | (np.nextafter(a, b) >= b)
-                y[live[stuck]] = yl[stuck]
-                stalled += int(np.count_nonzero(stuck))
-                live, gy = live[~stuck], gy[~stuck]
-                if live.size == 0:
-                    break
-            gy, g2y = self.frame.fiber(np.concatenate([Xi[live], y[live, None]], axis=1))
-        return y, stalled + int(np.count_nonzero(np.abs(gy) > self.g_tol))
+        y, last = _bracketed_newton(
+            lambda live, y_live: self.frame.fiber(np.concatenate([Xi[live], y_live[:, None]], axis=1)),
+            np.zeros(N), g[2 * N :], g2[2 * N :], np.full(N, -w), np.full(N, w), self.g_tol, self.max_iter,
+        )
+        return y, int(np.count_nonzero(np.abs(last) > self.g_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -689,9 +687,10 @@ class FiberSplit:
         recon = self._F_values(Xi, Xstar) + h * (Y - Xstar) ** 2
         return float(np.max(np.abs(self.frame.f.values(pts) - recon)))
 
-    def sampled_tables(self, resolution: int = 9) -> dict:
-        """Grid tables of the minimizer X, reduced profile F and fiber factor
-        H over the cell, with shape metadata, for serialized reports."""
+    def sampled_tables(self) -> dict:
+        """Tables of the minimizer X, reduced profile F and fiber factor H on
+        9-point grids over the cell, with shape metadata, for serialized reports."""
+        resolution = 9
         k = self.frame.n - 1
         r = 0.9 * self.cell.radius
         if k == 0:
@@ -714,12 +713,11 @@ def reduced_profile(
     axis,
     rho: float,
     delta: float,
-    newton_tol: float = 1e-12,
     quad_nodes: int = 32,
 ) -> FiberSplit:
     """The case-II split of a cell along the unit direction `axis`.
 
-    The fiber Newton solves stop at |f_y| <= newton_tol * rho^(2+2d).  On 16
+    The fiber Newton solves stop at |f_y| <= 1e-12 * rho^(2+2d).  On 16
     cell samples and one fiber solve, H's node count is chosen: the smallest
     n in 2, 4, ..., `quad_nodes` (the cap, last) whose rule agrees with the
     one before it (the 1-node rule for n = 2) to a relative 1e-9 in the sup
@@ -729,7 +727,7 @@ def reduced_profile(
     """
     R = rotation_with_last_axis(np.asarray(axis, dtype=float))
     frame = _RotatedFrame(f, np.asarray(cell.center), R)
-    g_tol = newton_tol * rho ** (2.0 + 2.0 * delta)
+    g_tol = 1e-12 * rho ** (2.0 + 2.0 * delta)
     minimizer = MinimizerProfile(frame, halfwidth=cell.radius, g_tol=g_tol, cell_nu=cell.nu)
     k = f.arity - 1
 
@@ -757,8 +755,7 @@ def reduced_profile(
     if k > 0:
         F = _reduced_profile_handle(frame, minimizer, k, cell.radius, label=f"{f.label}|cell{cell.nu}")
     else:
-        y_star = minimizer.solve(np.zeros(0))
-        F = max(float(f.value(frame.to_global(np.array([[y_star]]))[0])), 0.0)
+        F = max(float(frame.values(minimizer.solve_many(np.zeros((1, 0)))[:, None])[0]), 0.0)
     return FiberSplit(cell, minimizer, n, F, h_ok)
 
 
@@ -913,7 +910,6 @@ class DecomposeParams:
     verify_points: int = 2000
     normalize: bool = True
     strict_inequalities: bool = False
-    holder_pairs: int = 150
     identity_samples: int = 1000
     estimate_holder: bool = True
     ineq_samples: int = 600
@@ -1128,9 +1124,7 @@ def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> De
     if params.estimate_holder and report.roots:
         exponent = deltas[-1]
         for grp in report.roots:
-            report.holder[grp.label] = root_holder_estimate(
-                grp, exponent, samples=params.holder_pairs
-            )
+            report.holder[grp.label] = root_holder_estimate(grp, exponent)
     return report
 
 

@@ -9,11 +9,10 @@ import sosreg.exprlang as exprlang
 from sosreg.calculus import (
     FunctionHandle,
     Modulus,
-    directional_hessian_plus,
+    directional_hessian_plus_values,
     holder_seminorm,
     is_flat,
     log_ratios,
-    modulus_eval,
     multiindices,
     verify_interpolation_bound,
     verify_odd_even_control,
@@ -31,9 +30,30 @@ def handle(src, variables=("x",), radius=3.0):
     )
 
 
+class TestOneInputRule:
+    """A 1-D array is N points of a one-variable handle and one point otherwise."""
+
+    def test_flat_batch_reads_as_a_column(self):
+        f = handle("x^3 + sin(x)")
+        flat = np.array([0.1, 0.2, 0.3])
+        col = flat[:, None]
+        pairs = [(f.values(flat), f.values(col)), (f.derivative_values(flat, (1,)), f.derivative_values(col, (1,))),
+                 (f.hessian_values(flat), f.hessian_values(col))]
+        pairs += list(zip(f.jet(flat, 2), f.jet(col, 2)))
+        pairs += [(f.max_entry_values(flat, m), f.max_entry_values(col, m)) for m in range(5)]
+        for a, b in pairs:
+            assert a.shape[0] == 3 and np.array_equal(a, b)
+
+    def test_flat_array_is_one_point_of_several_variables(self):
+        f = handle("x^2 + 3*y", ("x", "y"))
+        assert np.array_equal(f.values([0.5, 1.0]), [3.25])
+        assert np.array_equal(f.derivative_values([0.5, 1.0], (1, 0)), [1.0])
+        assert f.hessian_values([0.5, 1.0]).shape == (1, 2, 2)
+
+
 class TestModulus:
     def test_power_case(self):
-        assert modulus_eval(Modulus.omega(0.5), 0.25) == pytest.approx(0.5)
+        assert Modulus.omega(0.5).eval(0.25) == pytest.approx(0.5)
 
     def test_duality_of_endpoints(self):
         m1, m0 = Modulus.omega(1.0), Modulus.omega(0.0)
@@ -174,19 +194,19 @@ class TestHolderSeminorm:
 class TestDirectionalHessian:
     def test_isotropic(self):
         f = handle("x^2 + y^2", ("x", "y"))
-        assert directional_hessian_plus(f, [0.3, -0.4]) == pytest.approx(2.0)
+        assert directional_hessian_plus_values(f, [0.3, -0.4])[0] == pytest.approx(2.0)
 
     def test_saddle(self):
         f = handle("x^2 - y^2", ("x", "y"))
-        assert directional_hessian_plus(f, [0.0, 0.0]) == pytest.approx(2.0)
+        assert directional_hessian_plus_values(f, [0.0, 0.0])[0] == pytest.approx(2.0)
 
     def test_negative_definite(self):
         f = handle("-(x^2) - y^2", ("x", "y"))
-        assert directional_hessian_plus(f, [0.0, 0.0]) == 0.0
+        assert directional_hessian_plus_values(f, [0.0, 0.0])[0] == 0.0
 
     def test_non_finite_names_the_point(self):
         with pytest.raises(DerivativeError, match=r"non-finite at \(0.0, 0.0\)"):
-            directional_hessian_plus(handle("ln(x^2 + y^2)", ("x", "y")), [0.0, 0.0])
+            directional_hessian_plus_values(handle("ln(x^2 + y^2)", ("x", "y")), [0.0, 0.0])
 
     @pytest.mark.parametrize("src,vars", [
         ("x^2 + 3*x*y - y^2", ("x", "y")),
@@ -196,8 +216,8 @@ class TestDirectionalHessian:
     def test_matches_brute_force_directions(self, src, vars):
         f = handle(src, vars)
         x = np.full(len(vars), 0.3)
-        direct = directional_hessian_plus(f, x)
-        oracle = brute_direction_hessian_plus(f.hessian(x), n_dirs=1000)
+        direct = directional_hessian_plus_values(f, x)[0]
+        oracle = brute_direction_hessian_plus(f.hessian_values(x)[0], n_dirs=1000)
         assert direct == pytest.approx(oracle, abs=1e-8)
 
 
@@ -298,15 +318,15 @@ class TestFiniteDifferenceBackend:
         fd = fd_handle(
             lambda x: float(x[0] ** 4 + x[0] * x[1]), arity=2, domain=Ball((0.0, 0.0), 2.0)
         )
-        assert fd.derivative([0.5, 0.2], (2, 0)) == pytest.approx(3.0, abs=1e-6)
-        assert fd.derivative([0.5, 0.2], (1, 1)) == pytest.approx(1.0, abs=1e-6)
-        assert fd.derivative([0.5, 0.2], (0, 0)) == pytest.approx(0.5**4 + 0.1)
+        assert fd.derivative_values([0.5, 0.2], (2, 0))[0] == pytest.approx(3.0, abs=1e-6)
+        assert fd.derivative_values([0.5, 0.2], (1, 1))[0] == pytest.approx(1.0, abs=1e-6)
+        assert fd.derivative_values([0.5, 0.2], (0, 0))[0] == pytest.approx(0.5**4 + 0.1)
 
     def test_rescaled_handle(self):
         f = handle("x^2")
         g = f.rescaled(3.0)
-        assert g.value([0.5]) == pytest.approx(0.75)
-        assert g.derivative([0.5], (2,)) == pytest.approx(6.0)
+        assert g.values([0.5])[0] == pytest.approx(0.75)
+        assert g.derivative_values([0.5], (2,))[0] == pytest.approx(6.0)
 
 
 def _axes(alpha):

@@ -67,14 +67,14 @@ class TestFamilyValues:
         p = FamilyParams()
         fam = build_family(p)
         t = 0.3
-        assert fam.value([0, 0, 0, 0, t]) == pytest.approx(
+        assert fam.values([0, 0, 0, 0, t])[0] == pytest.approx(
             float(np.exp(p.psi.log(np.array([t]))[0])), rel=1e-12
         )
 
     def test_at_zero_time_equals_phi_r(self):
         fam = build_family(FamilyParams())
         r = 0.4
-        assert fam.value([r, 0, 0, 0, 0.0]) == pytest.approx(math.exp(-1 / r**2), rel=1e-12)
+        assert fam.values([r, 0, 0, 0, 0.0])[0] == pytest.approx(math.exp(-1 / r**2), rel=1e-12)
 
     def test_plateau_vanishes_for_large_time(self):
         p = FamilyParams()
@@ -85,7 +85,7 @@ class TestFamilyValues:
         expected = math.exp(-1 / t**2) * quartic_values([W])[0] + float(
             np.exp(p.psi.log(np.array([t]))[0])
         )
-        assert fam.value(W + [t]) == pytest.approx(expected, rel=1e-12)
+        assert fam.values(W + [t])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_non_default_profiles_are_refused(self):
         for p in (FamilyParams(psi=LogProfile.exact_sos_boundary(0.5)), FamilyParams(psi=LogProfile.power_tail(0.3))):
@@ -96,7 +96,7 @@ class TestFamilyValues:
         p = FamilyParams()
         fam = build_family(p)
         x = [0.1, 0.05, 0.02, 0.08, 0.07]
-        assert math.exp(fam.log_values([x])[0]) == pytest.approx(fam.value(x), rel=1e-10)
+        assert math.exp(fam.log_values([x])[0]) == pytest.approx(fam.values(x)[0], rel=1e-10)
 
     def test_quartic_homogeneity(self):
         rng = np.random.default_rng(4)

@@ -13,7 +13,6 @@ from sosreg.cover import (
     build_partition,
     bump_profile,
     color_classes,
-    control_distance,
     control_distance_values,
     partition_derivative_report,
     verify_slowly_varying,
@@ -33,16 +32,16 @@ def handle(src, variables=("x",), radius=3.0):
 
 class TestControlDistance:
     def test_zero_function(self):
-        assert control_distance(handle("0"), [0.1], ControlDistanceParams(0.5)) == 0.0
+        assert control_distance_values(handle("0"), [0.1], ControlDistanceParams(0.5))[0] == 0.0
 
     def test_parabola_at_origin(self):
         # terms {0, 2^(1/3), 0}
-        v = control_distance(handle("x^2"), [0.0], ControlDistanceParams(0.5))
+        v = control_distance_values(handle("x^2"), [0.0], ControlDistanceParams(0.5))[0]
         assert v == pytest.approx(2.0 ** (1.0 / 3.0))
 
     def test_quartic_at_one(self):
         # max{1^(1/5), 12^(1/3), 24^(1/1)} = 24 for delta = 1/2
-        v = control_distance(handle("x^4"), [1.0], ControlDistanceParams(0.5))
+        v = control_distance_values(handle("x^4"), [1.0], ControlDistanceParams(0.5))[0]
         assert v == pytest.approx(24.0)
 
     def test_full_dominates_reduced(self):
@@ -88,6 +87,16 @@ class TestSlowVariation:
         )
         assert rep.passed
         assert rep.rescale >= 1.0
+
+    def test_violation_with_exact_derivatives(self):
+        # sin(1e6 x) has period 6.3e-6, shorter than the pair steps r(x)/200
+        f = handle("x^2*(1 + 0.9*sin(1000000*x))")
+        p, region = ControlDistanceParams(0.45), Ball((0.01,), 0.5)
+        rep = verify_slowly_varying(f, p, region, 1500)
+        assert not rep.passed and len(rep.violations) == 1
+        assert rep.worst_ratio == pytest.approx(0.975, abs=5e-4) and rep.bound == pytest.approx(0.868, abs=5e-4)
+        worst, violations, pairs = _slow_variation_loop(f, p, region, 1500)
+        assert (rep.worst_ratio, rep.violations, rep.pairs) == (worst, violations, pairs)
 
 
 def _slow_variation_loop(f, p, region, samples):

@@ -13,7 +13,7 @@ from sosreg.sos import (
     DecomposeParams,
     MinimizerProfile,
     check_differential_inequalities,
-    classify_cell,
+    classify_cells,
     decompose,
     delta_sequence,
     implicit_second_derivative,
@@ -105,7 +105,7 @@ class TestImplicitFunctionHelpers:
     def test_tracked_root_residual(self):
         H = handle("x^3 + s*x - s^2", ("s", "x"))
         root = track_implicit_root(H, [0.5], 0.0, 1.0)
-        assert abs(H.value((0.5, root))) < 1e-12
+        assert abs(H.values((0.5, root))[0]) < 1e-12
 
     def test_no_sign_change(self):
         H = handle("x^2 + 1 + 0*s", ("s", "x"))
@@ -134,6 +134,11 @@ class TestImplicitFunctionHelpers:
         fd = (-roots[0] + 16 * roots[1] - 30 * roots[2] + 16 * roots[3] - roots[4]) / (12 * h * h)
         assert d2 == pytest.approx(fd, abs=1e-6)
 
+    def test_falling_function_and_reversed_bracket(self):
+        # H = s^2 - x falls across the bracket, which is given high end first
+        H = handle("s^2 - x", ("s", "x"))
+        assert track_implicit_root(H, [0.3], 1.0, -1.0) == pytest.approx(0.09, abs=1e-13)
+
     def test_explicit_quadratic_zero_set(self):
         # H = y - s^2 has implicit Hessian 2
         H = handle("x - s^2", ("s", "x"))
@@ -154,14 +159,14 @@ def test_rotated_frame_to_local_inverts_to_global():
 class TestClassifyCell:
     def test_constant_cell_case_one(self):
         cell = CoverCell(nu=0, center=(0.2,), radius=0.005)
-        case, axis, rho, terms = classify_cell(handle("1"), cell, 0.25, (1 / 200.0) ** 2 / 8)
-        assert case == "I"
+        (case_one,), *_ = classify_cells(handle("1"), [cell], 0.25, (1 / 200.0) ** 2 / 8)
+        assert case_one
 
     def test_parabola_origin_case_two_with_axis(self):
         cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.006)
         f = handle("x^2 + 0.25*y^2", ("x", "y"))
-        case, axis, rho, terms = classify_cell(f, cell, 0.25, (1 / 200.0) ** 2 / 8)
-        assert case == "II"
+        (case_one,), (rho,), _, (axis,) = classify_cells(f, [cell], 0.25, (1 / 200.0) ** 2 / 8)
+        assert not case_one
         # top eigendirection is the x axis
         assert abs(axis[0]) == pytest.approx(1.0)
         assert rho == pytest.approx(2.0 ** (1.0 / 2.5))
@@ -172,7 +177,7 @@ class TestClassifyCell:
         cell = CoverCell(nu=0, center=(0.0,), radius=0.005)
         f = handle("x^4/12 + 0*x")
         with pytest.raises(ClassificationError):
-            classify_cell(f, cell, 0.25, (1 / 200.0) ** 2 / 8)
+            classify_cells(f, [cell], 0.25, (1 / 200.0) ** 2 / 8)
 
     def test_shifted_quartic_case_one_after_normalization(self):
         # f = x^4 + 1 at a cell centered at 0 is case I once the fourth
@@ -183,8 +188,8 @@ class TestClassifyCell:
         c4 = float(np.max(f.max_entry_values(pts, 4) / f.values(pts) ** (delta / (2 + delta))))
         g = f.rescaled(c4 ** (-(2 + delta) / 2.0))
         cell = CoverCell(nu=0, center=(0.0,), radius=0.005)
-        case, *_ = classify_cell(g, cell, delta, (1 / 200.0) ** 2 / 8)
-        assert case == "I"
+        (case_one,), *_ = classify_cells(g, [cell], delta, (1 / 200.0) ** 2 / 8)
+        assert case_one
 
 
 def _profile(f, cell, axis, rho, newton_tol=1e-12):
@@ -198,7 +203,7 @@ class TestMinimizerAndProfile:
         f = handle("x^2")
         cell = CoverCell(nu=0, center=(0.0,), radius=0.006)
         prof = _profile(f, cell, [1.0], rho=2 ** (1 / 2.5))
-        assert prof.solve(np.zeros(0)) == pytest.approx(0.0, abs=1e-14)
+        assert prof.solve_many(np.zeros((1, 0)))[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_affine_minimizer_of_shifted_quadratic(self):
         # f(xi, x) = xi^2 + (x - xi)^2 has X(xi) = xi
@@ -206,7 +211,7 @@ class TestMinimizerAndProfile:
         cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01)
         prof = _profile(f, cell, [0.0, 1.0], rho=2 ** (1 / 2.5))
         for xi in (-0.005, 0.0, 0.004):
-            assert prof.solve([xi]) == pytest.approx(xi, abs=1e-12)
+            assert prof.solve_many([[xi]])[0] == pytest.approx(xi, abs=1e-12)
 
     def test_newton_non_convergence_is_counted(self):
         # with g_tol = 0 the iterates stall one rounding error away from the root
@@ -291,7 +296,7 @@ class TestMinimizerAndProfile:
         cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.01)
         prof = _profile(f, cell, [0.0, 1.0], rho=1.0)
         with pytest.raises(BoundaryRootError):
-            prof.solve([0.0])
+            prof.solve_many([[0.0]])
 
     def test_reduced_profile_parabola(self):
         # f = x^2: F = 0, H == 1, identity exact
