@@ -46,7 +46,7 @@ for cd in report.cells:
         h_val = split.H(np.zeros((1, 0)), np.array([0.003]))[0]
         print(f"  fiber factor H = {h_val:.12f} (true value 1: no leading 1/2)")
 
-grid = np.linspace(-0.95, 0.95, 1200).reshape(-1, 1)
+grid = np.linspace(-0.95, 0.95, 1200)
 stats = verify_decomposition(f, report, grid)
 print(f"\ndense verification: sup {stats.residual_sup:.3e}, "
       f"mean {stats.residual_mean:.3e} over {stats.evaluated_points} points")

@@ -28,7 +28,7 @@ from .exprlang import (
     DerivativeTable, EvalMemo, Expr, FunctionDef, differentiate, evaluate, has_conditionals, read_counts,
     taylor_series,
 )
-from .geometry import Ball, ball_points, row_norms, sphere_points
+from .geometry import Ball, as_points, ball_points, row_norms, sphere_points
 from .reporting import Report
 
 __all__ = [
@@ -139,22 +139,20 @@ class FunctionHandle:
     with a jet function `jet_many(X, order)` that returns every derivative
     tensor up to `order` at once, in place of the per-multi-index
     `derivative_many_factory` (roots.PowerHandle, the reduced profiles of the
-    fiber split).  Every method evaluates a batch, and all read their points
-    by one rule: an (N, n) array is N points, and a 1-D array is N points of
-    a one-variable handle and one point otherwise; a single point is a batch
-    of one.  :meth:`jet` gives (f, Df, ..., D^m f) as full symmetric
-    tensors; `gradient_values`, `hessian_values` and `max_entry_values` are
-    views of one order of it.  Multi-index backends fill each
-    tensor from `derivative_values`, once per multi-index; the multi-indices
-    of one order on one batch share the memo of `batch_memo(order)`, which
-    the first read fills: an EvalMemo of the order's symbolic derivatives
-    below SERIES_ORDER, the partials of one Taylor-series pass from it on,
-    and one jet's tensor for jet-backed handles.  `exact_derivatives` is
-    False where derivatives are exact only off a seam set or come through a
-    numerical solve; `holder_seminorm` then spaces its pairs wider.  The
-    function a handle represents never changes, but expression handles grow
-    a private derivative table and per-order batch plans, so one handle must
-    not be used from several threads at once.
+    fiber split).  Every method evaluates a batch and reads its points by
+    `geometry.as_points` with the handle's arity.  :meth:`jet` gives
+    (f, Df, ..., D^m f) as full symmetric tensors; `gradient_values`,
+    `hessian_values` and `max_entry_values` are views of one order of it.
+    Multi-index backends fill each tensor from `derivative_values`, once per
+    multi-index; the multi-indices of one order on one batch share the memo
+    of `batch_memo(order)`, which the first read fills: an EvalMemo of the
+    order's symbolic derivatives below SERIES_ORDER, the partials of one
+    Taylor-series pass from it on, and one jet's tensor for jet-backed
+    handles.  `exact_derivatives` is False where derivatives are exact only off
+    a seam set or come through a numerical solve; `holder_seminorm` then
+    spaces its pairs wider.  The function a handle represents never changes,
+    but expression handles grow a private derivative table and per-order batch
+    plans, so one handle must not be used from several threads at once.
     """
 
     def __init__(
@@ -292,20 +290,12 @@ class FunctionHandle:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _points(self, X) -> np.ndarray:
-        """X as an (N, n) batch: a 1-D array is N points of a one-variable
-        handle and one point otherwise."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim < 2:
-            X = X.reshape(-1, 1) if self.arity == 1 else X.reshape(1, -1)
-        return X
-
     def values(self, X) -> np.ndarray:
-        return self._eval_many(self._points(X))
+        return self._eval_many(as_points(X, self.arity))
 
     def log_values(self, X) -> np.ndarray:
         """log f on the given points; -inf where f vanishes."""
-        X = self._points(X)
+        X = as_points(X, self.arity)
         if self._log_eval_many is not None:
             return self._log_eval_many(X)
         with np.errstate(divide="ignore"):
@@ -319,7 +309,7 @@ class FunctionHandle:
             raise DerivativeError(f"multi-index {alpha} does not match arity {self.arity}")
         if sum(alpha) == 0:
             return self.values(X)
-        X = self._points(X)
+        X = as_points(X, self.arity)
         if self._jet_many is not None:
             axes = tuple(i for i, p in enumerate(alpha) for _ in range(p))
             memo = memo or _OrderPartials()
@@ -333,7 +323,7 @@ class FunctionHandle:
 
     def derivative_tensor(self, X, order: int) -> np.ndarray:
         """All order-`order` partials as one symmetric (N, n, ..., n) tensor; f itself at order 0."""
-        X = self._points(X)
+        X = as_points(X, self.arity)
         if order == 0:
             return self.values(X)
         if self._jet_many is not None:
@@ -346,7 +336,7 @@ class FunctionHandle:
 
     def jet(self, X, order: int) -> tuple:
         """(f, Df, ..., D^order f) on an (N, n) batch, shapes (N,), (N, n), (N, n, n), ..."""
-        X = self._points(X)
+        X = as_points(X, self.arity)
         if self._jet_many is not None:
             return tuple(self._jet_many(X, order))
         return tuple(self.derivative_tensor(X, m) for m in range(order + 1))
@@ -359,7 +349,7 @@ class FunctionHandle:
 
     def max_entry_values(self, X, order: int) -> np.ndarray:
         """Max absolute derivative-tensor entry of the given order, pointwise."""
-        X = self._points(X)
+        X = as_points(X, self.arity)
         if order and self._jet_many is not None:
             return max_entries(self._jet_many(X, order)[order])
         out = np.zeros(X.shape[0])
@@ -619,7 +609,7 @@ def directional_hessian_plus_values(f: FunctionHandle, X) -> np.ndarray:
     Equals the supremum over unit directions of the positive part of the
     second directional derivative.
     """
-    X = f._points(X)
+    X = as_points(X, f.arity)
     H = f.hessian_values(X)
     finite = np.all(np.isfinite(H), axis=(1, 2))
     if not np.all(finite):

@@ -27,7 +27,7 @@ import numpy as np
 from .calculus import FunctionHandle, Modulus
 from .errors import DomainError
 from .exprlang import family_body
-from .geometry import Ball, sphere_points
+from .geometry import Ball, as_points, sphere_points
 from .reporting import Report
 
 __all__ = [
@@ -133,7 +133,7 @@ class FamilyParams:
 
 def quartic_values(W) -> np.ndarray:
     """L on an (N, 4) batch."""
-    W = np.atleast_2d(np.asarray(W, dtype=float))
+    W = as_points(W, 4)
     w, x, y, z = W[:, 0], W[:, 1], W[:, 2], W[:, 3]
     return w**4 + x**2 * y**2 + y**2 * z**2 + z**2 * x**2 - 2.0 * w * x * y * z
 
@@ -155,7 +155,7 @@ def _plateau_log(u: np.ndarray, rho: float) -> np.ndarray:
 
 def family_log_values(p: FamilyParams, X) -> np.ndarray:
     """log f on an (N, 5) batch of (w, x, y, z, t), exact for tiny values."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = as_points(X, 5)
     W, t = X[:, :4], X[:, 4]
     r = np.linalg.norm(W, axis=1)
     L = np.maximum(quartic_values(W), 0.0)

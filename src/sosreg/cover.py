@@ -20,7 +20,7 @@ import numpy as np
 
 from .calculus import FunctionHandle, directional_hessian_plus_values
 from .errors import CoverBudgetError, CoverageHoleError, DomainError
-from .geometry import Ball, ball_grid, ball_points, sphere_points
+from .geometry import Ball, as_points, ball_grid, ball_points, sphere_points
 from .reporting import Report
 
 __all__ = [
@@ -382,7 +382,8 @@ class Partition:
     """Squared partition of unity subordinate to a cover.
 
     Phi_nu = chi_nu / sqrt(sum_mu chi_mu^2) with chi_nu the radial bump of the
-    cell, so sum Phi_nu^2 = 1 identically on the covered region.
+    cell, so sum Phi_nu^2 = 1 identically on the covered region.  The batch
+    readers read their points by `geometry.as_points` with the partition's dim.
     """
 
     def __init__(self, cells: list, region: Ball | None = None):
@@ -408,7 +409,7 @@ class Partition:
         indexed by a cell it gives that cell's sorted point indices and chi
         values.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = as_points(X, self.dim)
         idx, cell = self.index.pairs(X)
         u = _distances(X, idx, self.centers, cell) / self.radii[cell]
         inside = np.flatnonzero(u <= 1.0)
@@ -462,17 +463,17 @@ class Partition:
         return Dq, D2q
 
     def chi(self, nu: int, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = as_points(X, self.dim)
         u = np.linalg.norm(X - self.centers[nu], axis=1) / self.radii[nu]
         return bump_profile(u)
 
     def sum_chi_sq(self, X, pairs: ChiPairs | None = None) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = as_points(X, self.dim)
         pairs = pairs if pairs is not None else self.chi_pairs(X)
         return np.bincount(pairs.idx, weights=pairs.chi**2, minlength=X.shape[0])
 
     def phi(self, nu: int, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = as_points(X, self.dim)
         tot = self.sum_chi_sq(X)
         chi = self.chi(nu, X)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -480,7 +481,7 @@ class Partition:
 
     def check_unity(self, X) -> float:
         """Max |sum Phi^2 - 1| on the points; raises on a coverage hole."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = as_points(X, self.dim)
         pairs = self.chi_pairs(X)
         tot = self.sum_chi_sq(X, pairs)
         if np.any(tot == 0.0):
@@ -491,7 +492,7 @@ class Partition:
 
     def observe_overlap(self, X) -> int:
         """The most bumps that cover one of the points."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = as_points(X, self.dim)
         counts = np.bincount(self.chi_pairs(X).idx, minlength=X.shape[0])
         return int(np.max(counts)) if counts.size else 0
 

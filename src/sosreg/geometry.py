@@ -7,6 +7,19 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .errors import DomainError
+
+
+def as_points(X, dim: int) -> np.ndarray:
+    """X as an (N, dim) batch: a 1-D array is N points when dim == 1 and one point
+    otherwise.  Any other shape raises DomainError."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim < 2:
+        X = X.reshape(-1, 1) if dim == 1 else X.reshape(1, -1)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise DomainError(f"expected points of dimension {dim}, got an array of shape {X.shape}")
+    return X
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -24,12 +37,9 @@ class Ball:
     def dim(self) -> int:
         return len(self.center)
 
-    def contains(self, x, slack: float = 0.0):
-        x = np.asarray(x, dtype=float)
-        c = np.asarray(self.center)
-        if x.ndim == 1:
-            return float(np.linalg.norm(x - c)) <= self.radius + slack
-        return np.linalg.norm(x - c, axis=-1) <= self.radius + slack
+    def contains(self, x, slack: float = 0.0) -> np.ndarray:
+        """Whether each point of x, read by `as_points`, lies in the ball widened by slack."""
+        return np.linalg.norm(as_points(x, self.dim) - np.asarray(self.center), axis=-1) <= self.radius + slack
 
 
 def _primes(count: int) -> list:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .calculus import FunctionHandle, HolderEstimate, log_ratios
+from .calculus import FunctionHandle, HolderEstimate, directional_hessian_plus_values, log_ratios
 from .cover import (
     ControlDistanceParams,
     CoverCell,
@@ -45,7 +45,7 @@ from .errors import (
     QuadratureError,
     SosregError,
 )
-from .geometry import Ball, ball_points, sphere_points
+from .geometry import Ball, as_points, ball_points, sphere_points
 from .reporting import Report
 from .roots import power_jet
 
@@ -128,13 +128,11 @@ def check_differential_inequalities(
 ) -> DiffIneqReport:
     """Empirical constants in |grad^4 f| <= C f^(d/(2+d)) and
     [directional Hessian]_+ <= C f^eta, with a refinement-stability flag."""
-    from .cover import directional_hessian_plus_values as dhp
-
     def constants(pts):
         with np.errstate(divide="ignore"):
             log_f = np.log(np.maximum(f.values(pts), 0.0))
             log_q = np.log(f.max_entry_values(pts, 4))
-            log_h = np.log(dhp(f, pts))
+            log_h = np.log(directional_hessian_plus_values(f, pts))
         sups = [np.fmax.reduce(log_ratios(log_q, log_f, delta / (2.0 + delta)), initial=-np.inf),
                 np.fmax.reduce(log_ratios(log_h, log_f, eta), initial=-np.inf)]
         return tuple(math.exp(b) if b < 700 else math.inf for b in sups)
@@ -252,7 +250,7 @@ def implicit_second_derivative(H: FunctionHandle, point) -> np.ndarray:
     d2h/dx_i dx_j = -H_ij/H_n + (H_j H_in + H_i H_jn)/H_n^2
                     - H_i H_j H_nn/H_n^3.
     """
-    _, (h2,) = _implicit_jet(H.jet(np.atleast_2d(np.asarray(point, dtype=float)), 2), 2)
+    _, (h2,) = _implicit_jet(H.jet(point, 2), 2)
     return h2[0]
 
 
@@ -343,12 +341,11 @@ class _RotatedFrame:
         self.n = f.arity
 
     def to_global(self, V) -> np.ndarray:
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        return self.base + V @ self.R.T
+        return self.base + as_points(V, self.n) @ self.R.T
 
     def to_local(self, X) -> tuple:
         """(xi, y) with x = base + R (xi, y): the inverse of `to_global`."""
-        V = (np.atleast_2d(np.asarray(X, dtype=float)) - self.base) @ self.R
+        V = (as_points(X, self.n) - self.base) @ self.R
         return V[:, :-1], V[:, -1]
 
     def values(self, V) -> np.ndarray:
@@ -478,7 +475,7 @@ class MinimizerProfile:
 
     def solve_many(self, Xi) -> np.ndarray:
         """Vectorized safeguarded Newton across a batch of cross-sections."""
-        Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
+        Xi = as_points(Xi, self.frame.n - 1)
         N, k = Xi.shape
         if N == 0:
             return np.empty(0)
@@ -536,7 +533,7 @@ def _fiber_factor(frame: _RotatedFrame, Xi, Y, X: np.ndarray, nodes: int) -> np.
     """H(xi, y) = int_0^1 (1-t) d^2_y f(xi, (1-t) X(xi) + t y) dt by the
     n-node Gauss-Legendre rule, X the minimizer at xi (without a leading 1/2,
     so that f = F + H * (y - X)^2 holds exactly)."""
-    Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
+    Xi = as_points(Xi, frame.n - 1)
     Y = np.atleast_1d(np.asarray(Y, dtype=float))
     t, tw = _fiber_rule(nodes)
     return frame.fiber_d2(_quadrature_points(Xi, Y, X, t)).reshape(len(Xi), nodes) @ tw
@@ -580,7 +577,6 @@ def _reduced_profile_handle(
     def jet_many(Xi, order):
         if order > 4:
             raise DomainError(f"reduced profile supports derivative orders <= 4, got {order}")
-        Xi = np.atleast_2d(np.asarray(Xi, dtype=float))
         blocks = [jet_block(Xi[i : i + _BLOCK], order) for i in range(0, max(len(Xi), 1), _BLOCK)]
         return [np.concatenate(parts) for parts in zip(*blocks)]
 
@@ -787,11 +783,10 @@ class _ConstPiece:
         self.value = max(float(value), 0.0)
 
     def weights(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.full(X.shape[0], math.sqrt(self.value))
+        return np.full(len(X), math.sqrt(self.value))
 
     def jet(self, X) -> tuple:
-        N, n = np.atleast_2d(np.asarray(X, dtype=float)).shape
+        N, n = X.shape
         return self.weights(X), np.zeros((N, n)), np.zeros((N, n, n))
 
 
@@ -818,6 +813,7 @@ class RootGroup:
 
     Supports within the group are pairwise disjoint, so
     g_l(x) = sum_nu Phi_nu(x) w_nu(x) has a single active term per point.
+    `eval_many` and `jet` read points by `geometry.as_points` with its arity.
     """
 
     def __init__(self, label: str, partition: Partition, members: list, scale: float = 1.0):
@@ -849,7 +845,7 @@ class RootGroup:
         ]
 
     def eval_many(self, X, pairs=None, tot=None) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = as_points(X, self.arity)
         if pairs is None:
             pairs = self.partition.chi_pairs(X)
         if tot is None:
@@ -870,7 +866,7 @@ class RootGroup:
         (w, Dw, D^2 w); `Partition.sqrt_quotient_jet` differentiates S and the
         quotient.  Points outside the cover get zeros.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = as_points(X, self.arity)
         N, n = X.shape
         part = self.partition
         pairs = part.chi_pairs(X)
@@ -965,8 +961,8 @@ class DecompositionReport:
         return out
 
     def sum_of_squares(self, X) -> np.ndarray:
-        """Evaluate sum_l g_l(x)^2 on a batch of points."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """sum_l g_l(x)^2 on points read by `geometry.as_points` with the region's dim."""
+        X = as_points(X, self.params.region.dim)
         if self.empty or self.partition is None:
             return np.zeros(X.shape[0])
         pairs = self.partition.chi_pairs(X)
@@ -992,7 +988,7 @@ class DecompositionReport:
         return out
 
 
-def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> DecompositionReport:
+def decompose(f: FunctionHandle, params: DecomposeParams) -> DecompositionReport:
     """Decompose a nonnegative function into a finite sum of squares.
 
     Builds the control-distance cover and squared partition, emits per-cell
@@ -1085,7 +1081,7 @@ def decompose(f: FunctionHandle, params: DecomposeParams, _level: int = 0) -> De
                     estimate_holder=False,
                     ineq_samples=max(60, params.ineq_samples // 8),
                 )
-                sub_report = decompose(split.F, sub_params, _level=_level + 1)
+                sub_report = decompose(split.F, sub_params)
                 cd.sub_report = sub_report
                 max_depth = max(max_depth, 1 + sub_report.recursion_depth)
                 for sub_g in sub_report.roots:
@@ -1237,8 +1233,9 @@ class VerificationReport(Report):
 def verify_decomposition(f: FunctionHandle, report: DecompositionReport, grid) -> VerificationReport:
     """Residual statistics of |f - sum g_l^2| over grid points with
     rho >= floor, plus Hölder estimates of each root at order 2 and the
-    last recursion exponent."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    last recursion exponent.  The grid is read by `geometry.as_points` with
+    f's arity."""
+    grid = as_points(grid, f.arity)
     g = f.rescaled(report.value_scale) if report.value_scale != 1.0 else f
     rho = control_distance_values(g, grid, ControlDistanceParams(delta=report.params.delta, variant="full"))
     live = grid[rho >= report.params.floor]

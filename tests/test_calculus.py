@@ -50,6 +50,14 @@ class TestOneInputRule:
         assert np.array_equal(f.derivative_values([0.5, 1.0], (1, 0)), [1.0])
         assert f.hessian_values([0.5, 1.0]).shape == (1, 2, 2)
 
+    @pytest.mark.parametrize("X", [[[0.1, 0.2, 5.0]], [[0.1]], [0.1, 0.2, 5.0], np.zeros((2, 2, 2))])
+    def test_wrong_width_raises(self, X):
+        f = handle("x^2 + y^2", ("x", "y"))
+        for read in (f.values, f.hessian_values, lambda X: f.jet(X, 2),
+                     lambda X: f.derivative_values(X, (1, 0)), lambda X: directional_hessian_plus_values(f, X)):
+            with pytest.raises(DomainError, match="dimension 2"):
+                read(X)
+
 
 class TestModulus:
     def test_power_case(self):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from sosreg.geometry import halton, sphere_points
+from sosreg.errors import DomainError
+from sosreg import geometry
+from sosreg.geometry import Ball, halton, sphere_points
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
@@ -26,3 +28,21 @@ def test_sphere_points_match_the_ndtri_construction(n, dim):
     got = sphere_points(n, dim)
     assert np.allclose(got, ref, rtol=0, atol=1e-15)
     assert np.allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+def test_as_points_reads_one_rule():
+    assert np.array_equal(geometry.as_points([0.5, 2.0], 1), [[0.5], [2.0]])
+    assert np.array_equal(geometry.as_points([0.5, 2.0], 2), [[0.5, 2.0]])
+    assert np.array_equal(geometry.as_points(0.5, 1), [[0.5]])
+    assert geometry.as_points(np.zeros((3, 0)), 0).shape == (3, 0)
+    for X, dim in (([[0.1, 0.2, 5.0]], 2), ([[0.1]], 2), ([0.5, 2.0], 3), (np.zeros((2, 2, 2)), 2)):
+        with pytest.raises(DomainError, match=f"dimension {dim}"):
+            geometry.as_points(X, dim)
+
+
+def test_ball_contains_reads_points_by_the_rule():
+    assert np.array_equal(Ball((0.0,), 1.0).contains([0.5, 2.0]), [True, False])
+    assert np.array_equal(Ball((0.0, 0.0), 1.0).contains([0.6, 0.8]), [True])
+    assert np.array_equal(Ball((0.0, 0.0), 1.0).contains([[0.6, 0.8], [0.8, 0.8]]), [True, False])
+    with pytest.raises(DomainError):
+        Ball((0.0, 0.0), 1.0).contains([[0.1, 0.2, 0.3]])

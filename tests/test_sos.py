@@ -645,6 +645,50 @@ class TestVerifyDecomposition:
         assert out.empty and not out.passed
 
 
+class TestOneDimensionalBatches:
+    """A one-variable decomposition reads a 1-D array as N points, as its column."""
+
+    @pytest.fixture(scope="class")
+    def shifted_parabola(self):
+        f = handle("x^2+1")
+        rep = decompose(f, DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0,), 0.05),
+                                           verify_points=300, estimate_holder=False))
+        assert rep.case_counts == {"I": 16, "II": 0}
+        return f, rep
+
+    def test_flat_batch_reads_as_a_column(self, shifted_parabola):
+        _, rep = shifted_parabola
+        flat = np.array([0.01, 0.02])
+        col = flat[:, None]
+        part, g = rep.partition, rep.roots[0]
+        a, b = part.chi_pairs(flat), part.chi_pairs(col)
+        assert len(b.idx) == 4
+        pairs = [(a.idx, b.idx), (a.cell, b.cell), (a.chi, b.chi)]
+        pairs += [(read(flat), read(col)) for read in (rep.sum_of_squares, part.sum_chi_sq, part.check_unity,
+                                                        part.observe_overlap, g.eval_many)]
+        pairs += [(part.phi(nu, flat), part.phi(nu, col)) for nu in np.unique(b.cell)]
+        pairs += [(part.chi(nu, flat), part.chi(nu, col)) for nu in np.unique(b.cell)]
+        pairs += list(zip(g.jet(flat), g.jet(col)))
+        for x, y in pairs:
+            assert np.shape(x) == np.shape(y) and np.array_equal(x, y)
+        assert np.allclose(rep.sum_of_squares(flat), [1.0001, 1.0004], rtol=0, atol=1e-12)
+        assert part.observe_overlap(flat) == 2
+
+    def test_verify_reads_the_flat_grid(self, shifted_parabola):
+        f, rep = shifted_parabola
+        out = verify_decomposition(f, rep, [0.01, 0.02])
+        assert out.grid_points == 2 and out.passed
+
+    def test_wrong_width_raises(self, isotropic_2d):
+        X = np.zeros((4, 3))
+        with pytest.raises(DomainError, match="dimension 2"):
+            isotropic_2d.partition.sum_chi_sq(X)
+        with pytest.raises(DomainError, match="dimension 2"):
+            isotropic_2d.roots[0].jet(X)
+        with pytest.raises(DomainError, match="dimension 2"):
+            isotropic_2d.sum_of_squares(X[:, :1])
+
+
 def _decomposed(src, variables, region):
     f = handle(src, variables)
     return decompose(f, DecomposeParams(delta=0.25, eta=0.3, region=region, floor=1e-3, tol=1e-6,
