@@ -188,8 +188,9 @@ class FunctionHandle:
         variables: tuple,
         domain: Ball | None = None,
         label: str = "f",
+        log_eval_many=None,
     ) -> "FunctionHandle":
-        """Handle of an expression with exact derivatives.
+        """Handle of an expression with exact derivatives; `log_eval_many`, if given, computes log f.
 
         Orders below SERIES_ORDER are symbolic: D^alpha f differentiates along
         the axes in order, one `differentiate` call per differentiated axis on
@@ -279,6 +280,7 @@ class FunctionHandle:
             eval_many=derivative_factory((0,) * n),
             derivative_many_factory=derivative_factory,
             domain=domain,
+            log_eval_many=log_eval_many,
             label=label,
             exact_derivatives=not has_conditionals(body),
             batch_memo=batch_memo,

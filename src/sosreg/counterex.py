@@ -185,11 +185,10 @@ def build_family(p: FamilyParams) -> FunctionHandle:
         raise DomainError(f"build_family needs the default profiles phi = flat_exp_sq and psi = {psi}; "
                           f"got psi = {p.psi.name}")
     body = family_body(s_prime=p.s_prime, rho=p.rho_plateau)
-    fh = FunctionHandle.from_expr(
+    return FunctionHandle.from_expr(
         body, ("w", "x", "y", "z", "t"), domain=Ball(center=(0.0,) * 5, radius=1.5), label="family_f",
+        log_eval_many=lambda X: family_log_values(p, X),
     )
-    fh._log_eval_many = lambda X: family_log_values(p, X)
-    return fh
 
 
 # ---------------------------------------------------------------------------

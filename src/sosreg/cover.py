@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_CELL_SCALE = 1.0 / 200.0
+MAX_PAIRS = 2**27  # candidate pairs one bucket query may list; known runs list at most 45,195,947
 
 
 class _Buckets:
@@ -81,7 +82,8 @@ class _Buckets:
         self.starts = np.concatenate([[0], cuts, [len(key)]])
 
     def pairs(self, X: np.ndarray) -> tuple:
-        """(query, item) index arrays of the items entered in each point's cube."""
+        """(query, item) index arrays of the items entered in each point's cube;
+        raises CoverBudgetError, before allocating them, above MAX_PAIRS pairs."""
         key, found = np.zeros(len(X), dtype=np.int64), np.ones(len(X), dtype=bool)
         for (axis, folded), col in zip(self.tables, np.floor(X / self.side).T):
             if folded is not None:
@@ -91,6 +93,10 @@ class _Buckets:
         at, found = _rank(self.keys, key, found)
         start = self.starts[at]
         count = np.where(found, self.starts[at + 1] - start, 0)
+        total = int(count.sum())
+        if total > MAX_PAIRS:
+            raise CoverBudgetError(f"bucket index would list {total} candidate pairs, over the budget of "
+                                   f"{MAX_PAIRS}; raise floor or shrink the region", count=total)
         query = np.repeat(np.arange(len(X)), count)
         return query, self.items[np.arange(len(query)) + np.repeat(start - np.cumsum(count) + count, count)]
 
@@ -356,15 +362,15 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class ChiPairs:
     """Bump values of one point batch, stored sparsely and cell-major.
 
-    Hit h pairs point idx[h] with cell cell[h] and holds chi[h] =
-    chi_cell(x_idx); hits are sorted by cell, then point.  As a sequence over
-    the cells, entry nu is the (point indices, chi values) view of cell nu's
-    hits, empty where the cell's ball holds no point of the batch.
+    Hit h pairs point idx[h] with cell cell[h] and holds chi[h] = chi_cell(x_idx); hits are
+    sorted by cell, then point, so cell nu's hits are the range starts[nu]:starts[nu + 1] of the
+    ndarray `starts`, by which a `RootGroup` gathers its members' hits.  As a sequence over the
+    cells, entry nu is that range's (point indices, chi values), empty where no point hits the cell.
     """
 
     def __init__(self, idx: np.ndarray, cell: np.ndarray, chi: np.ndarray, n_cells: int):
         self.idx, self.cell, self.chi = idx, cell, chi
-        self.starts = np.concatenate([[0], np.cumsum(np.bincount(cell, minlength=n_cells))]).tolist()
+        self.starts = np.concatenate([[0], np.cumsum(np.bincount(cell, minlength=n_cells))])
 
     def __len__(self) -> int:
         return len(self.starts) - 1
@@ -374,8 +380,7 @@ class ChiPairs:
         return self.idx[a:b], self.chi[a:b]
 
     def __iter__(self):
-        for a, b in zip(self.starts[:-1], self.starts[1:]):
-            yield self.idx[a:b], self.chi[a:b]
+        return (self[nu] for nu in range(len(self)))
 
 
 class Partition:

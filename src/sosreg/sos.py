@@ -813,13 +813,20 @@ class RootGroup:
 
     Supports within the group are pairwise disjoint, so
     g_l(x) = sum_nu Phi_nu(x) w_nu(x) has a single active term per point.
+    A group is built once: `members` is the tuple of (cell index nu, piece) sorted by cell, `cells`
+    their cells, and each distinct piece's member cells pick its hits out of a batch's `ChiPairs`.
     `eval_many` and `jet` read points by `geometry.as_points` with its arity.
     """
 
     def __init__(self, label: str, partition: Partition, members: list, scale: float = 1.0):
         self.label = label
         self.partition = partition
-        self.members = members  # list of (cell index nu, piece)
+        self.members = tuple(sorted(members, key=lambda m: m[0]))
+        self.cells = np.array([nu for nu, _ in self.members], dtype=int)
+        pieces: dict = {}
+        for nu, piece in self.members:
+            pieces.setdefault(id(piece), (piece, []))[1].append(nu)
+        self._pieces = [(piece, np.array(nus)) for piece, nus in pieces.values()]
         self.scale = float(scale)
 
     @property
@@ -829,20 +836,17 @@ class RootGroup:
     def _batches(self, pairs) -> list:
         """(piece, point indices, cell indices, chi) over the members' hits
         with chi > 0, one batch per distinct piece object, so members that
-        share a piece (every case-I cell) are evaluated in one call."""
-        pieces: dict = {}
-        batch = [pieces.setdefault(id(piece), (len(pieces), piece))[0] for _, piece in self.members]
-        batch_of_cell = np.full(len(pairs), -1)
-        batch_of_cell[[nu for nu, _ in self.members]] = batch
-        b = batch_of_cell[pairs.cell]
-        live = np.flatnonzero((b >= 0) & (pairs.chi > 0))
-        live = live[np.argsort(b[live], kind="stable")]
-        ends = np.cumsum(np.bincount(b[live], minlength=len(pieces))).tolist()
-        return [
-            (piece, pairs.idx[hits], pairs.cell[hits], pairs.chi[hits])
-            for (_, piece), hits in zip(pieces.values(), np.split(live, ends[:-1]))
-            if hits.size
-        ]
+        share a piece (every case-I cell) are evaluated in one call.  A piece's
+        hits are its cells' ranges pairs.starts[nu]:pairs.starts[nu + 1], in cell order."""
+        out = []
+        for piece, nus in self._pieces:
+            a = pairs.starts[nus]
+            n = pairs.starts[nus + 1] - a
+            hits = np.repeat(a - np.cumsum(n) + n, n) + np.arange(n.sum())
+            hits = hits[pairs.chi[hits] > 0]
+            if hits.size:
+                out.append((piece, pairs.idx[hits], pairs.cell[hits], pairs.chi[hits]))
+        return out
 
     def eval_many(self, X, pairs=None, tot=None) -> np.ndarray:
         X = as_points(X, self.arity)
@@ -1040,13 +1044,10 @@ def decompose(f: FunctionHandle, params: DecomposeParams) -> DecompositionReport
     color_classes(cells)
     report.partition = partition
 
-    groups: dict = {}
+    groups: dict = {}  # label -> [(cell index nu, piece)]
 
     def add_member(key_parts, nu, piece):
-        label = ":".join(str(k) for k in key_parts)
-        if label not in groups:
-            groups[label] = RootGroup(label, partition, [], scale=root_scale)
-        groups[label].members.append((nu, piece))
+        groups.setdefault(":".join(str(k) for k in key_parts), []).append((nu, piece))
 
     case_one, rho_c, terms_c, axes_c = classify_cells(g, cells, params.delta, params.c)
 
@@ -1094,7 +1095,7 @@ def decompose(f: FunctionHandle, params: DecomposeParams) -> DecompositionReport
             identity_worst = max(identity_worst, cd.identity_error)
         report.cells.append(cd)
 
-    report.roots = [groups[k] for k in sorted(groups)]
+    report.roots = [RootGroup(label, partition, groups[label], root_scale) for label in sorted(groups)]
     report.recursion_depth = max_depth
     report.identity_error = identity_worst
 
@@ -1161,7 +1162,7 @@ def root_holder_estimate(
     offsets = ball_points(Ball(center=(0.0,) * n, radius=1.0), 16)
 
     # worst-first order: max |D^2 g| over each cell's in-region ring anchors
-    nus = np.array([nu for nu, _ in group.members])
+    nus = group.cells
     ring = p_frac[:: len(sep_fracs), None] * p_dir[:: len(sep_fracs)]
     anchors = (partition.centers[nus][:, None, :] + partition.radii[nus][:, None, None] * ring).reshape(-1, n)
     owner = np.repeat(np.arange(len(nus)), len(ring))

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import sosreg.cover as cover
 from sosreg.cli import COMMANDS, OUTPUTS, build_parser, main
 
 
@@ -77,6 +78,13 @@ class TestDecompose:
     def test_wrong_dim_is_config_error(self, capsys):
         code = run_cli(["decompose", "--function", "x^2 + y^2", "--dim", "1"])
         assert code == 1
+
+    def test_pair_budget_is_a_runtime_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(cover, "MAX_PAIRS", 100)
+        code = run_cli(["decompose", "--function", "x^2 + y^2", "--region-radius", "0.05", "--no-holder"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bucket index would list") and "candidate pairs" in err
 
     def test_cells_csv(self, tmp_path):
         csv_path = tmp_path / "cells.csv"

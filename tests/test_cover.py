@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import sosreg.cover as cover
 from sosreg.calculus import FunctionHandle
 from sosreg.cover import (
     ControlDistanceParams,
@@ -361,6 +362,17 @@ class TestColorClasses:
         cells = color_classes(cells)
         n_colors = len({c.color for c in cells})
         assert n_colors == 7
+
+    def test_pair_budget_stops_the_colouring(self, monkeypatch):
+        # every cell's reach 3 (r + r_max) = 0.06 holds every centre, so the
+        # bucket index lists exactly 5 x 5 candidate pairs
+        cells = [CoverCell(nu=i, center=(0.001 * i, 0.0), radius=0.01) for i in range(5)]
+        monkeypatch.setattr(cover, "MAX_PAIRS", 25)
+        color_classes(cells)
+        monkeypatch.setattr(cover, "MAX_PAIRS", 24)
+        with pytest.raises(CoverBudgetError, match="raise floor or shrink the region") as err:
+            color_classes(cells)
+        assert err.value.count == 25
 
     def test_within_class_triples_disjoint(self):
         f = handle("1")

@@ -462,6 +462,9 @@ class TestDecompose:
         pts = np.linspace(-0.99, 0.99, 500).reshape(-1, 1)
         pairs = rep.partition.chi_pairs(pts)
         for grp in rep.roots:
+            # a group is a value: its members a tuple sorted by cell, its cells those cells
+            assert isinstance(grp.members, tuple)
+            assert list(grp.cells) == [nu for nu, _ in grp.members] == sorted({nu for nu, _ in grp.members})
             active = np.zeros(len(pts), dtype=int)
             for nu, piece in grp.members:
                 idxs, chi = pairs[nu]
@@ -788,6 +791,21 @@ class TestRootJet:
         assert isotropic_3d.recursion_depth == 2 and len(groups) >= 3
         for grp in groups:
             _check_jet(grp, isotropic_3d.partition)
+
+    def test_group_is_built_from_members_in_any_order(self, isotropic_2d):
+        grp = max((g for g in isotropic_2d.roots if g.label.startswith("caseI:")), key=lambda g: len(g.members))
+        members = list(grp.members)
+        np.random.default_rng(0).shuffle(members)
+        assert len(members) >= 3 and members != list(grp.members)
+        shuffled = RootGroup(grp.label, isotropic_2d.partition, members, grp.scale)
+        assert shuffled.members == grp.members and np.array_equal(shuffled.cells, grp.cells)
+        part = isotropic_2d.partition
+        pts = np.concatenate([ball_points(Ball(part.cells[nu].center, 0.9 * part.cells[nu].radius), 12)
+                              for nu in grp.cells])
+        assert np.all(grp.eval_many(pts) != 0.0)
+        assert np.array_equal(shuffled.eval_many(pts), grp.eval_many(pts))
+        for got, want in zip(shuffled.jet(pts), grp.jet(pts)):
+            assert np.array_equal(got, want)
 
     def test_parabola_constant_group(self, parabola_1d):
         (grp,) = [g for g in parabola_1d.roots if g.label.endswith(":const")]
