@@ -351,14 +351,7 @@ class FunctionHandle:
 
     def max_entry_values(self, X, order: int) -> np.ndarray:
         """Max absolute derivative-tensor entry of the given order, pointwise."""
-        X = as_points(X, self.arity)
-        if order and self._jet_many is not None:
-            return max_entries(self._jet_many(X, order)[order])
-        out = np.zeros(X.shape[0])
-        memo = self.batch_memo(order)
-        for alpha in multiindices(self.arity, order):
-            out = np.maximum(out, np.abs(self.derivative_values(X, alpha, memo=memo)))
-        return out
+        return max_entries(self.derivative_tensor(X, order))
 
     def batch_memo(self, order: int):
         """A fresh memo shared by all multi-indices of one order on one batch, or None."""
@@ -558,46 +551,51 @@ def holder_seminorm(
     Returns the max over pair samples (y, z), |y-z| >= h_min, of
     max_{|alpha|=order} |D^a f(y) - D^a f(z)| / |y-z|^exponent, together with
     sup norms of all lower-order derivatives.  h_min is 1e-7 for exact
-    derivatives and _SEAM_H_MIN * 2^(order-1) otherwise.  The true seminorm
-    is a limsup; callers should check stability under sample refinement.
+    derivatives and _SEAM_H_MIN * 2^(order-1) otherwise.  The sup norms are
+    read by one jet at the first max(64, samples) nested ball points, the
+    pair tensors by one read at the first `samples` pairs of `_pair_set`, so
+    more samples extend both families.  The true seminorm is a limsup;
+    callers should check stability under sample refinement.
     """
-    if not 0.0 < exponent <= 1.0:
-        raise DomainError(f"Hölder exponent must lie in (0,1], got {exponent}")
+    return _holder_probe(f, order, region, samples)(exponent)
+
+
+def _holder_probe(f: FunctionHandle, order: int, region: Ball, samples: int):
+    """The reads of `holder_seminorm`, which no exponent changes (the pair
+    tensors at the stacked ends [ys; zs]), and its estimate as a function
+    of the exponent."""
     if samples < 2:
         raise DomainError("need at least 2 pair samples")
     if region.dim != f.arity:
         raise DomainError("region dimension does not match function arity")
     h_min = _SEAM_H_MIN * 2.0 ** (order - 1) if not f.exact_derivatives else 1e-7
 
-    sup_pts = ball_points(region, max(64, samples))
     sup_norms = []
-    for ell in range(order + 1):
-        vals = f.max_entry_values(sup_pts, ell)
+    for ell, T in enumerate(f.jet(ball_points(region, max(64, samples)), order)):
+        vals = max_entries(T)
         if not np.all(np.isfinite(vals)):
             raise DerivativeError(f"derivative of order {ell} evaluated non-finite on region")
         sup_norms.append(float(np.max(vals)))
 
     ys, zs = _pair_set(region, samples, h_min)
     sep = np.linalg.norm(ys - zs, axis=1)
-    best = 0.0
-    worst = None
-    Ty, Tz = f.derivative_tensor(ys, order), f.derivative_tensor(zs, order)
-    for alpha in multiindices(f.arity, order):
-        at = (slice(None),) + tuple(i for i, p in enumerate(alpha) for _ in range(p))
-        quot = np.abs(Ty[at] - Tz[at]) / sep**exponent
-        i = int(np.argmax(quot))
-        if quot[i] > best:
-            best = float(quot[i])
-            worst = (tuple(ys[i]), tuple(zs[i]))
-    return HolderEstimate(
-        order=order,
-        exponent=exponent,
-        sup_norms=sup_norms,
-        seminorm=best,
-        pair_count=len(ys),
-        min_separation=float(np.min(sep)),
-        worst_pair=worst,
-    )
+    Ty, Tz = np.split(f.derivative_tensor(np.concatenate([ys, zs]), order), 2)
+
+    def estimate(exponent: float) -> HolderEstimate:
+        if not 0.0 < exponent <= 1.0:
+            raise DomainError(f"Hölder exponent must lie in (0,1], got {exponent}")
+        best, worst = 0.0, None
+        for alpha in multiindices(f.arity, order):
+            at = (slice(None),) + tuple(i for i, p in enumerate(alpha) for _ in range(p))
+            quot = np.abs(Ty[at] - Tz[at]) / sep**exponent
+            i = int(np.argmax(quot))
+            if quot[i] > best:
+                best = float(quot[i])
+                worst = (tuple(ys[i]), tuple(zs[i]))
+        return HolderEstimate(order=order, exponent=exponent, sup_norms=list(sup_norms), seminorm=best,
+                              pair_count=len(ys), min_separation=float(np.min(sep)), worst_pair=worst)
+
+    return estimate
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +610,11 @@ def directional_hessian_plus_values(f: FunctionHandle, X) -> np.ndarray:
     second directional derivative.
     """
     X = as_points(X, f.arity)
-    H = f.hessian_values(X)
+    return _hessian_plus(f.hessian_values(X), X)
+
+
+def _hessian_plus(H: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Positive part of the largest eigenvalue of each Hessian H at X."""
     finite = np.all(np.isfinite(H), axis=(1, 2))
     if not np.all(finite):
         raise DerivativeError(f"Hessian evaluated non-finite at {tuple(X[np.argmin(finite)].tolist())}")
@@ -665,27 +667,26 @@ def verify_odd_even_control(
     The function is divided by M = 1.05 * max(1, sup f, sup |d^4 f| along
     coordinate lines) so the checked function g = f / M satisfies g <= 1 and
     |g''''| <= 1 on the sampled region, as the controls require; M is
-    estimated on an enlarged sample set and reported.
+    estimated on an enlarged sample set and reported.  The samples are read
+    by one order-3 jet, the enlarged set by one order-4 jet.
     """
-    n = f.arity
     pts = ball_points(region, samples)
     wide = ball_points(Ball(center=region.center, radius=min(1.5 * region.radius, f.domain.radius)), 2 * samples)
 
-    fvals_raw = f.values(pts)
-    require_nonnegative(pts, fvals_raw)
+    J = f.jet(pts, 3)
+    require_nonnegative(pts, J[0])
 
-    def axis_derivatives(X, p):
-        """(N, n) pure order-p derivatives along each axis, through one batch memo."""
-        memo = f.batch_memo(p)
-        cols = [f.derivative_values(X, [p * (j == axis) for j in range(n)], memo=memo) for axis in range(n)]
-        return np.stack(cols, axis=1)
+    def axis_lines(T):
+        """(N, n) pure derivatives along each axis: the diagonal of each point's tensor."""
+        return np.einsum(T, [0] + [1] * (T.ndim - 1), [0, 1])
 
-    line_d = {p: axis_derivatives(pts, p) for p in (1, 2, 3, 4)}
-    sup_f = float(np.max(np.abs(f.values(wide))))
-    sup_f4 = float(np.max(np.abs(axis_derivatives(wide, 4))))
+    J_wide = f.jet(wide, 4)
+    sup_f = float(np.max(np.abs(J_wide[0])))
+    sup_f4 = float(np.max(np.abs(axis_lines(J_wide[4]))))
     M = 1.05 * max(1.0, sup_f, sup_f4)
 
-    g = np.maximum(fvals_raw / M, 0.0)
+    g = np.maximum(J[0] / M, 0.0)
+    lines = [axis_lines(T) / M for T in J[1:]]
     report = LineInequalityReport(rescale=M, samples=len(pts))
 
     def record(name, lhs, rhs):
@@ -696,10 +697,8 @@ def verify_odd_even_control(
         if ratio[i] > 1.0 + 1e-9:
             report.violations.append({"line": name, "point": [float(v) for v in pts[i]], "ratio": float(ratio[i])})
 
-    for axis in range(n):
-        g1 = line_d[1][:, axis] / M
-        g2 = line_d[2][:, axis] / M
-        g3 = line_d[3][:, axis] / M
+    for axis in range(f.arity):
+        g1, g2, g3 = (L[:, axis] for L in lines)
         g2p = np.maximum(g2, 0.0)
         tag = f"axis{axis}"
         record(f"{tag}.first_odd", np.abs(g1), (8.0 / 3.0) * g ** 0.75 + (8.0 / 3.0) * np.sqrt(g) * np.sqrt(np.abs(g2)))
@@ -709,10 +708,10 @@ def verify_odd_even_control(
         record(f"{tag}.third_odd_plus", np.abs(g3), 24.0 * g ** 0.25 + 8.0 * np.sqrt(g2p))
 
     # n-dimensional forms: report empirical constants, no pass/fail
-    grad = np.linalg.norm(f.gradient_values(pts), axis=1) / M
-    hess_max = f.max_entry_values(pts, 2) / M
-    third_max = f.max_entry_values(pts, 3) / M
-    hplus = directional_hessian_plus_values(f, pts) / M
+    grad = np.linalg.norm(J[1], axis=1) / M
+    hess_max = max_entries(J[2]) / M
+    third_max = max_entries(J[3]) / M
+    hplus = _hessian_plus(J[2], pts) / M
     with np.errstate(invalid="ignore", divide="ignore"):
         c1 = grad / (g ** 0.75 + np.sqrt(g) * np.sqrt(hess_max))
         c3 = third_max / (g ** 0.25 + np.sqrt(hess_max))
@@ -825,7 +824,8 @@ def is_flat(
     For each N <= n_max checks that t -> t^(-N) * max_dirs |f(t*dir)| is
     nonincreasing along the descending grid within the 1e-14 noise floor,
     over +-1 in one variable and 4 sphere points otherwise.  Optionally
-    repeats for all first partial derivatives.
+    repeats for all first partial derivatives.  The points t*dir of every t
+    are read as one batch, by one values read and one gradient read.
     """
     if t_grid is None:
         t_grid = [2.0 ** (-j) for j in range(1, 11)]
@@ -835,31 +835,28 @@ def is_flat(
     if not f.domain.contains(np.zeros(f.arity), slack=1e-12):
         raise DomainError("origin must be interior to the domain")
 
-    if f.arity == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        dirs = sphere_points(4, f.arity)
+    dirs = np.array([[1.0], [-1.0]]) if f.arity == 1 else sphere_points(4, f.arity)
+    P = np.concatenate([t * dirs for t in t_grid])
 
-    def profile(value_fn):
-        return np.array([np.max(np.abs(value_fn(t * dirs))) for t in t_grid])
+    def profile(vals):
+        return np.max(np.abs(vals).reshape(len(t_grid), len(dirs)), axis=1)
 
     def check(vals):
         fails = []
         for N in range(1, n_max + 1):
             seq = vals / np.array(t_grid) ** N
-            for i in range(1, len(seq)):
-                if seq[i] > seq[i - 1] * (1 + 1e-9) + _FLAT_FLOOR:
-                    fails.append({"N": N, "t": t_grid[i], "value": float(seq[i])})
-                    break
+            up = np.flatnonzero(seq[1:] > seq[:-1] * (1 + 1e-9) + _FLAT_FLOOR) + 1
+            if up.size:
+                fails.append({"N": N, "t": t_grid[up[0]], "value": float(seq[up[0]])})
         return fails
 
-    failures = check(profile(f.values))
+    failures = check(profile(f.values(P)))
     deriv_flat = None
     if check_derivatives:
         deriv_flat = True
+        grad = f.gradient_values(P)
         for axis in range(f.arity):
-            alpha = tuple(1 if j == axis else 0 for j in range(f.arity))
-            fails = check(profile(lambda P, a=alpha: f.derivative_values(P, a)))
+            fails = check(profile(grad[:, axis]))
             if fails:
                 deriv_flat = False
                 failures.extend({"derivative_axis": axis, **fl} for fl in fails)

@@ -214,6 +214,8 @@ _T_MIN = 10 ** (-2.5)  # floor of the dyadic t grids of the functionals and crit
 
 
 def _dyadic_grid(t_min: float, per_octave: int = 8) -> np.ndarray:
+    """2^(-k/per_octave) for k = 0, 1, ... down to the first whole octave
+    at or below t_min; a smaller t_min extends the same grid."""
     k = math.ceil(-math.log2(t_min)) * per_octave
     return 2.0 ** (-np.arange(0, k + 1) / per_octave)
 
@@ -239,16 +241,16 @@ def functional(p: FamilyParams, name: str, gamma: float, m: Modulus) -> Function
     t = 10^-2.5, with a divergence verdict.
 
     Divergent means the log-supremum grows by more than log 10 when the
-    grid floor is divided by 4.
+    grid floor is divided by 4.  Only that finer grid is evaluated: the
+    reported grid is its prefix down to the floor.
     """
     if gamma <= 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
     grid = _dyadic_grid(_T_MIN)
-    logs = _functional_logs(p, name, gamma, m, grid)
+    fine = _functional_logs(p, name, gamma, m, _dyadic_grid(float(grid[-1]) / 4.0))
+    logs = fine[: len(grid)]
     i = int(np.argmax(logs))
-    fine_grid = _dyadic_grid(float(np.min(grid)) / 4.0)
-    fine = float(np.max(_functional_logs(p, name, gamma, m, fine_grid)))
-    divergent = fine > logs[i] + math.log(10.0)
+    divergent = float(np.max(fine)) > logs[i] + math.log(10.0)
     return FunctionalReport(
         name=name,
         gamma=gamma,

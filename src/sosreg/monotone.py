@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import FunctionHandle, Modulus, log_ratios, require_nonnegative
+from .calculus import FunctionHandle, Modulus, log_ratios, max_entries, require_nonnegative
 from .errors import DomainError, NonnegativityError
 from .geometry import Ball, ball_points, row_norms
 from .reporting import Report
@@ -210,9 +210,11 @@ def classify_monotonicity(
     """Flag each omega_s as finite (<= c_max = 1e6 and refinement-stable) or divergent.
 
     Nearly monotone = every s in the grid finite; Hölder monotone = some s
-    finite.  Refinement doubles both sample counts and halves t_min; the
-    nested sampling makes the estimate nondecreasing, so stability means the
-    refined estimate grew by less than 5%.
+    finite.  Refinement is a second run with both sample counts doubled and
+    t_min halved; stability means the refined estimate grew by less than 5%.
+    The refined estimate can also be lower: in one dimension the inner grids
+    k/(count+1) of the two runs are not nested, and each run's ascent may
+    stop at a different local maximum.
     """
     s_grid = list(s_grid)
     if not s_grid:
@@ -252,36 +254,32 @@ def verify_power_bound(
 ) -> PowerBoundReport:
     """Empirical constants in |grad^m f| <= Gamma * f^((s')^m) for m <= m_max.
 
-    Requires 0 < s' < s < 1 and f <= 1 on the region (callers assert f is
-    flat and positive away from the origin; samples with f = 0 but a nonzero
-    derivative are a precondition violation).
+    One order-m_max jet and one log f are read on 2 * `samples` nested ball
+    points; the constants are their suprema, and each is stable when it
+    exceeds the supremum over the first `samples` points by less than 5%.
+    Requires 0 < s' < s < 1 and f <= 1 on every point read (callers assert
+    f is flat and positive away from the origin; samples with f = 0 but a
+    nonzero derivative are a precondition violation).
     """
     if not 0.0 < s_prime < s < 1.0:
         raise DomainError(f"need 0 < s' < s < 1, got s'={s_prime}, s={s}")
-    pts = ball_points(region, samples)
-    fvals = f.values(pts)
-    if np.any(fvals > 1.0 + 1e-12):
+    pts = ball_points(region, 2 * samples)
+    J = f.jet(pts, m_max)
+    if np.any(J[0] > 1.0 + 1e-12):
         raise DomainError("f must be <= 1 on the region (rescale first)")
     log_f = f.log_values(pts)
 
     report = PowerBoundReport(s=s, s_prime=s_prime)
     for m in range(1, m_max + 1):
-        exponent = s_prime**m
-
-        def worst(points, logs):
-            with np.errstate(divide="ignore"):
-                ratios = log_ratios(np.log(f.max_entry_values(points, m)), logs, exponent)
-            vanishing = (logs == -math.inf) & (ratios == math.inf)
-            if np.any(vanishing):
-                raise NonnegativityError(
-                    f"f vanishes at {points[np.argmax(vanishing)]} with a nonzero order-{m} derivative; "
-                    "shrink the region away from the flat point"
-                )
-            return np.fmax.reduce(ratios, initial=-math.inf)
-
-        base = worst(pts, log_f)
-        fine_pts = ball_points(region, 2 * samples)
-        fine = worst(fine_pts, f.log_values(fine_pts))
+        with np.errstate(divide="ignore"):
+            ratios = log_ratios(np.log(max_entries(J[m])), log_f, s_prime**m)
+        vanishing = (log_f == -math.inf) & (ratios == math.inf)
+        if np.any(vanishing):
+            raise NonnegativityError(
+                f"f vanishes at {pts[np.argmax(vanishing)]} with a nonzero order-{m} derivative; "
+                "shrink the region away from the flat point"
+            )
+        base, fine = (np.fmax.reduce(ratios[:n], initial=-math.inf) for n in (samples, 2 * samples))
         report.constants[m] = float(np.exp(min(fine, 700.0)))
         report.stable[m] = bool(fine - base < math.log(1.0 + STABILITY_TOLERANCE))
     return report

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import FunctionHandle, _tensor_layout, holder_seminorm, log_ratios, max_entries
+from .calculus import FunctionHandle, _holder_probe, _tensor_layout, log_ratios, max_entries
 from .errors import DerivativeError, DomainError
 from .exprlang import FunctionDef, Pow
 from .geometry import Ball, ball_points
@@ -181,22 +181,20 @@ def verify_root_regularity(
 
     The square root is a PowerHandle of f; `truncated` flags f <= 1e-12 on
     the region, and an exponent whose samples meet f <= 0 reads unstable, as
-    does one whose seminorm grows by more than 50% under pair doubling.
+    does one whose seminorm grows by more than 50% under pair doubling.  The
+    derivatives are read once at `samples` pairs and once at 2 * `samples`
+    (a family extending the first); every exponent reuses both reads.
     """
     if not (1.0 - 1.0 / (2.0 * M)) < s <= 1.0:
         raise DomainError(f"need s in (1 - 1/(2M), 1], got s={s} for M={M}")
-    pts = ball_points(region, 256)
-    vals = f.values(pts)
-    truncated = bool(np.any(vals <= 1e-12))
+    truncated = bool(np.any(f.values(ball_points(region, 256)) <= 1e-12))
     root = PowerHandle(f, 0.5, order_cap=max(M, 4))
 
-    estimates: dict = {}
-    stable: dict = {}
-    best = None
+    estimates, stable, best, probes = {}, {}, None, []
     for dlt in sorted(delta_search):
         try:
-            coarse = holder_seminorm(root, M, dlt, region, samples=samples)
-            fine = holder_seminorm(root, M, dlt, region, samples=2 * samples)
+            probes = probes or [_holder_probe(root, M, region, n) for n in (samples, 2 * samples)]
+            coarse, fine = (probe(dlt) for probe in probes)
         except DomainError:
             stable[dlt] = False
             continue

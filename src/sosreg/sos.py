@@ -115,47 +115,38 @@ class DiffIneqReport(Report):
 
     @property
     def passed(self) -> bool:
-        return (
-            self.quartic_stable
-            and self.hessian_stable
-            and math.isfinite(self.quartic_constant)
-            and math.isfinite(self.hessian_constant)
-        )
+        """Both constants are refinement-stable, which requires them finite."""
+        return self.quartic_stable and self.hessian_stable
 
 
 def check_differential_inequalities(
     f: FunctionHandle, delta: float, eta: float, region: Ball, samples: int = 600
 ) -> DiffIneqReport:
     """Empirical constants in |grad^4 f| <= C f^(d/(2+d)) and
-    [directional Hessian]_+ <= C f^eta, with a refinement-stability flag."""
-    def constants(pts):
-        with np.errstate(divide="ignore"):
-            log_f = np.log(np.maximum(f.values(pts), 0.0))
-            log_q = np.log(f.max_entry_values(pts, 4))
-            log_h = np.log(directional_hessian_plus_values(f, pts))
-        sups = [np.fmax.reduce(log_ratios(log_q, log_f, delta / (2.0 + delta)), initial=-np.inf),
-                np.fmax.reduce(log_ratios(log_h, log_f, eta), initial=-np.inf)]
+    [directional Hessian]_+ <= C f^eta, with a refinement-stability flag.
+
+    One batch of 2 * `samples` nested ball points is evaluated; the reported
+    constants are its suprema, and the coarse ones it is checked against are
+    the suprema over its first `samples` points."""
+    pts = ball_points(region, 2 * samples)
+    with np.errstate(divide="ignore"):
+        log_f = np.log(np.maximum(f.values(pts), 0.0))
+        log_q = np.log(f.max_entry_values(pts, 4))
+        log_h = np.log(directional_hessian_plus_values(f, pts))
+    ratios = (log_ratios(log_q, log_f, delta / (2.0 + delta)), log_ratios(log_h, log_f, eta))
+
+    def constants(n):
+        sups = (np.fmax.reduce(r[:n], initial=-np.inf) for r in ratios)
         return tuple(math.exp(b) if b < 700 else math.inf for b in sups)
 
-    base = constants(ball_points(region, samples))
-    fine = constants(ball_points(region, 2 * samples))
+    base, fine = constants(samples), constants(2 * samples)
 
     def stable(a, b):
-        if not (math.isfinite(a) and math.isfinite(b)):
-            return False
-        if b == 0.0:
-            return True
-        return b <= a * 1.05 + 1e-12
+        return math.isfinite(a) and math.isfinite(b) and (b == 0.0 or b <= a * 1.05 + 1e-12)
 
-    return DiffIneqReport(
-        delta=delta,
-        eta=eta,
-        quartic_constant=fine[0] if fine[0] > 0 else 0.0,
-        hessian_constant=fine[1] if fine[1] > 0 else 0.0,
-        quartic_stable=stable(base[0], fine[0]),
-        hessian_stable=stable(base[1], fine[1]),
-        samples=2 * samples,
-    )
+    return DiffIneqReport(delta=delta, eta=eta, quartic_constant=fine[0], hessian_constant=fine[1],
+                          quartic_stable=stable(base[0], fine[0]), hessian_stable=stable(base[1], fine[1]),
+                          samples=2 * samples)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +365,10 @@ class _RotatedFrame:
 
 @dataclass
 class CellDecomposition:
+    """One cell's case, control distance rho and its value/Hessian/quartic
+    terms; a case-II cell adds its axis, its `FiberSplit` and the split's
+    identity error, and above one variable its remainder profile's report."""
+
     cell: CoverCell
     case: str
     rho: float
@@ -900,6 +895,14 @@ class RootGroup:
 
 @dataclass
 class DecomposeParams:
+    """Parameters of `decompose`: the Hölder exponent delta and the recursion's
+    eta, the cover scale s (case split constant c = s^2/8), the control
+    distance floor, the residual tolerance and the sample counts of its
+    checks.  A case-II remainder profile is decomposed with the next delta,
+    on the cell's ball, and with these fields rescaled per level:
+    verify_points // 4 (at least 256), identity_samples // 4 (at least 100),
+    ineq_samples // 8 (at least 60) and estimate_holder off."""
+
     delta: float
     eta: float
     region: Ball

@@ -227,3 +227,11 @@ class TestPowerBound:
     def test_scale_precondition(self):
         with pytest.raises(DomainError):
             verify_power_bound(handle("4*x"), 0.9, 0.5, 1, Ball((0.5,), 0.4))
+
+    def test_scale_precondition_covers_every_point_read(self):
+        # x^2 stays below 0.976 on the first 50 points but reaches 1.0075 on
+        # the 100 the constants are read at
+        f, region = handle("x^2"), Ball((0.5,), 0.52)
+        assert np.max(f.values(ball_points(region, 50))) < 1.0 < np.max(f.values(ball_points(region, 100)))
+        with pytest.raises(DomainError, match="f must be <= 1"):
+            verify_power_bound(f, 0.9, 0.5, 1, region, samples=50)

@@ -223,14 +223,14 @@ class TestPowerHandleValue:
 
 
     def test_order_reads_share_one_jet(self):
-        # verify_odd_even_control reads each order axis by axis through one
-        # batch memo: one base jet per order and batch, not one per axis
+        # verify_odd_even_control reads each point set by one jet: order 3
+        # at the samples and order 4 at the enlarged set, not one per order
         f = handle("x^2*y^2 + x^4 + 0.1", ("x", "y"))
         calls = []
         jet = f.jet
         f.jet = lambda X, order: calls.append(order) or jet(X, order)
         verify_odd_even_control(PowerHandle(f, 0.5), Ball((0.2, 0.1), 0.3), samples=200)
-        assert calls == [1, 2, 3, 4, 4, 1, 2, 3, 2]
+        assert calls == [3, 4]
 
 
 class TestRootRegularity:
