@@ -561,27 +561,33 @@ def holder_seminorm(
 
 
 def _holder_probe(f: FunctionHandle, order: int, region: Ball, samples: int):
-    """The reads of `holder_seminorm`, which no exponent changes (the pair
-    tensors at the stacked ends [ys; zs]), and its estimate as a function
-    of the exponent."""
-    if samples < 2:
-        raise DomainError("need at least 2 pair samples")
+    """Every read of `holder_seminorm`, none of which an exponent changes: the
+    sup norms by one jet at the first max(64, samples) ball points, then the
+    reads of `_pair_probe`; and its estimate as a function of the exponent."""
     if region.dim != f.arity:
         raise DomainError("region dimension does not match function arity")
-    h_min = _SEAM_H_MIN * 2.0 ** (order - 1) if not f.exact_derivatives else 1e-7
-
     sup_norms = []
     for ell, T in enumerate(f.jet(ball_points(region, max(64, samples)), order)):
         vals = max_entries(T)
         if not np.all(np.isfinite(vals)):
             raise DerivativeError(f"derivative of order {ell} evaluated non-finite on region")
         sup_norms.append(float(np.max(vals)))
+    estimate = _pair_probe(f, order, region, samples)
+    return lambda exponent: estimate(exponent, sup_norms)
 
+
+def _pair_probe(f: FunctionHandle, order: int, region: Ball, samples: int):
+    """The pair tensors of `holder_seminorm`, read once at the stacked ends
+    [ys; zs] of its first `samples` pairs, and its estimate as a function of
+    the exponent and of the sup norms to report with it."""
+    if samples < 2:
+        raise DomainError("need at least 2 pair samples")
+    h_min = _SEAM_H_MIN * 2.0 ** (order - 1) if not f.exact_derivatives else 1e-7
     ys, zs = _pair_set(region, samples, h_min)
     sep = np.linalg.norm(ys - zs, axis=1)
     Ty, Tz = np.split(f.derivative_tensor(np.concatenate([ys, zs]), order), 2)
 
-    def estimate(exponent: float) -> HolderEstimate:
+    def estimate(exponent: float, sup_norms: list) -> HolderEstimate:
         if not 0.0 < exponent <= 1.0:
             raise DomainError(f"Hölder exponent must lie in (0,1], got {exponent}")
         best, worst = 0.0, None

@@ -359,6 +359,16 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, :, None] * b[:, None, :]
 
 
+def _scatter(idx: np.ndarray, rows: np.ndarray, N: int) -> np.ndarray:
+    """Sums of the hit rows rows[h] by point idx[h] into N rows: one bincount, which
+    adds in hit order as np.add.at into zeros does, so the sums are bitwise the same."""
+    if rows.ndim == 1:
+        return np.bincount(idx, weights=rows, minlength=N)
+    m = math.prod(rows.shape[1:])
+    flat = (idx[:, None] * m + np.arange(m)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=N * m).reshape((N,) + rows.shape[1:])
+
+
 class ChiPairs:
     """Bump values of one point batch, stored sparsely and cell-major.
 
@@ -439,20 +449,20 @@ class Partition:
         d2 = (b2 / r**2)[:, None, None] * ee + (b1 / (r * safe))[:, None, None] * (np.eye(self.dim) - ee)
         return b, d1, d2
 
-    def sqrt_quotient_jet(self, X, pairs: ChiPairs, tot, P, dP, d2P, scale: float) -> tuple:
-        """(Dq, D^2 q) of q = scale * P / sqrt(S), S = sum_mu chi_mu^2, on the batch X.
+    def sqrt_quotient_jet(self, pairs: ChiPairs, chi_jets: tuple, tot, P, dP, d2P, scale: float) -> tuple:
+        """(Dq, D^2 q) of q = scale * P / sqrt(S), S = sum_mu chi_mu^2, on one batch.
 
-        (P, dP, d2P) is the numerator's jet, `pairs` the batch's chi_pairs and
-        `tot` its S.  S is differentiated from the closed-form bump jets; the
+        (P, dP, d2P) is the numerator's jet, `pairs` the batch's chi_pairs,
+        `chi_jets` their hit-wise bump jets (`chi_jets` at pairs.idx, pairs.cell)
+        and `tot` the batch's S.  S is differentiated from those bump jets; the
         quotient uses the logarithmic derivatives DS/S and D^2 S/S, which stay
         finite where a lone bump tail covers the point.  Points outside the
         cover get zeros.
         """
-        N, n = X.shape
-        chi, d1, d2 = self.chi_jets(X, pairs.idx, pairs.cell)
-        dS, d2S = np.zeros((N, n)), np.zeros((N, n, n))
-        np.add.at(dS, pairs.idx, 2.0 * chi[:, None] * d1)
-        np.add.at(d2S, pairs.idx, 2.0 * (_outer(d1, d1) + chi[:, None, None] * d2))
+        N = len(tot)
+        chi, d1, d2 = chi_jets
+        dS = _scatter(pairs.idx, 2.0 * chi[:, None] * d1, N)
+        d2S = _scatter(pairs.idx, 2.0 * (_outer(d1, d1) + chi[:, None, None] * d2), N)
         covered = tot > 0
         S = np.where(covered, tot, 1.0)
         q = np.where(covered, scale / np.sqrt(S), 0.0)
@@ -525,7 +535,8 @@ def partition_derivative_report(partition: Partition, per_cell_samples: int = 64
     nus = np.repeat(picked, per_cell_samples)
     pairs = partition.chi_pairs(X)
     chi, d_chi, d2_chi = partition.chi_jets(X, np.arange(len(X)), nus)
-    d1, d2 = partition.sqrt_quotient_jet(X, pairs, partition.sum_chi_sq(X, pairs), chi, d_chi, d2_chi, 1.0)
+    hit_jets = partition.chi_jets(X, pairs.idx, pairs.cell)
+    d1, d2 = partition.sqrt_quotient_jet(pairs, hit_jets, partition.sum_chi_sq(X, pairs), chi, d_chi, d2_chi, 1.0)
     r = partition.radii[nus]
     return {
         "scaled_sup_order1": float(np.max(np.max(np.abs(d1), axis=1) * r)),

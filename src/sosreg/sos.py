@@ -32,6 +32,7 @@ from .cover import (
     CoverCell,
     Partition,
     _outer,
+    _scatter,
     build_cover,
     build_partition,
     color_classes,
@@ -828,20 +829,22 @@ class RootGroup:
     def arity(self) -> int:
         return self.partition.dim
 
-    def _batches(self, pairs) -> list:
-        """(piece, point indices, cell indices, chi) over the members' hits
-        with chi > 0, one batch per distinct piece object, so members that
-        share a piece (every case-I cell) are evaluated in one call.  A piece's
-        hits are its cells' ranges pairs.starts[nu]:pairs.starts[nu + 1], in cell order."""
-        out = []
+    def _batches(self, pairs) -> tuple:
+        """(hits, spans): the positions in `pairs` of the members' hits with chi > 0,
+        grouped by distinct piece object, and each group's (piece, slice of hits), so
+        members that share a piece (every case-I cell) are evaluated in one call.  A
+        piece's hits are its cells' ranges pairs.starts[nu]:pairs.starts[nu + 1], in cell order."""
+        hits, spans, end = [], [], 0
         for piece, nus in self._pieces:
             a = pairs.starts[nus]
             n = pairs.starts[nus + 1] - a
-            hits = np.repeat(a - np.cumsum(n) + n, n) + np.arange(n.sum())
-            hits = hits[pairs.chi[hits] > 0]
-            if hits.size:
-                out.append((piece, pairs.idx[hits], pairs.cell[hits], pairs.chi[hits]))
-        return out
+            h = np.repeat(a - np.cumsum(n) + n, n) + np.arange(n.sum())
+            h = h[pairs.chi[h] > 0]
+            hits.append(h)
+            if h.size:
+                spans.append((piece, slice(end, end + h.size)))
+                end += h.size
+        return np.concatenate(hits), spans
 
     def eval_many(self, X, pairs=None, tot=None) -> np.ndarray:
         X = as_points(X, self.arity)
@@ -849,9 +852,12 @@ class RootGroup:
             pairs = self.partition.chi_pairs(X)
         if tot is None:
             tot = self.partition.sum_chi_sq(X, pairs)
-        out = np.zeros(X.shape[0])
-        for piece, ids, _, chi in self._batches(pairs):
-            np.add.at(out, ids, chi * piece.weights(X[ids]))
+        hits, spans = self._batches(pairs)
+        ids = pairs.idx[hits]
+        w = np.empty(len(hits))
+        for piece, at in spans:
+            w[at] = piece.weights(X[ids[at]])
+        out = _scatter(ids, pairs.chi[hits] * w, len(X))
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.where(tot > 0, out / np.sqrt(np.where(tot > 0, tot, 1.0)), 0.0)
         return self.scale * out
@@ -860,10 +866,11 @@ class RootGroup:
         """(g, Dg, D^2 g) on an (N, n) batch: shapes (N,), (N, n), (N, n, n).
 
         g = scale * P / sqrt(S) with P = sum_nu chi_nu w_nu over the members and
-        S = sum_mu chi_mu^2 over every cell.  P is differentiated by the
-        Leibniz rule from the closed-form bump derivatives and each piece's own
-        (w, Dw, D^2 w); `Partition.sqrt_quotient_jet` differentiates S and the
-        quotient.  Points outside the cover get zeros.
+        S = sum_mu chi_mu^2 over every cell.  The bump jets of the batch's hits are
+        computed once (`Partition.chi_jets`): P is differentiated by the Leibniz rule
+        from the members' rows of them and each piece's own (w, Dw, D^2 w), and
+        `Partition.sqrt_quotient_jet` differentiates S and the quotient from all of
+        them.  Points outside the cover get zeros.
         """
         X = as_points(X, self.arity)
         N, n = X.shape
@@ -871,18 +878,18 @@ class RootGroup:
         pairs = part.chi_pairs(X)
         tot = part.sum_chi_sq(X, pairs)
         g = self.eval_many(X, pairs, tot)
-
-        P, dP, d2P = np.zeros(N), np.zeros((N, n)), np.zeros((N, n, n))
-        for piece, ids, nus, _ in self._batches(pairs):
-            c0, c1, c2 = part.chi_jets(X, ids, nus)
-            w0, w1, w2 = piece.jet(X[ids])
-            np.add.at(P, ids, c0 * w0)
-            np.add.at(dP, ids, c1 * w0[:, None] + c0[:, None] * w1)
-            np.add.at(
-                d2P, ids,
-                c2 * w0[:, None, None] + _outer(c1, w1) + _outer(w1, c1) + c0[:, None, None] * w2,
-            )
-        return (g,) + part.sqrt_quotient_jet(X, pairs, tot, P, dP, d2P, self.scale)
+        chi_jets = part.chi_jets(X, pairs.idx, pairs.cell)
+        hits, spans = self._batches(pairs)
+        ids = pairs.idx[hits]
+        H = len(hits)
+        w0, w1, w2 = np.empty(H), np.empty((H, n)), np.empty((H, n, n))
+        for piece, at in spans:
+            w0[at], w1[at], w2[at] = piece.jet(X[ids[at]])
+        c0, c1, c2 = (c[hits] for c in chi_jets)
+        P = _scatter(ids, c0 * w0, N)
+        dP = _scatter(ids, c1 * w0[:, None] + c0[:, None] * w1, N)
+        d2P = _scatter(ids, c2 * w0[:, None, None] + _outer(c1, w1) + _outer(w1, c1) + c0[:, None, None] * w2, N)
+        return (g,) + part.sqrt_quotient_jet(pairs, chi_jets, tot, P, dP, d2P, self.scale)
 
     def __call__(self, X):
         return self.eval_many(X)
@@ -1128,6 +1135,20 @@ def decompose(f: FunctionHandle, params: DecomposeParams) -> DecompositionReport
     return report
 
 
+@functools.lru_cache(maxsize=None)
+def _probe_layout(n: int) -> tuple:
+    """(ring, ring_dirs, offsets): one cell's probe, scaled to the unit ball.  Ring
+    anchor a is ring[a] = frac * ring_dirs[a], fractions 0.45..0.9 fastest along 8
+    directions (2 in 1-D); `offsets` are the 16 roam anchors."""
+    dirs = sphere_points(8, n) if n > 1 else np.array([[1.0], [-1.0]])
+    ring_dirs = np.repeat(dirs, 4, axis=0)
+    layout = (np.tile([0.45, 0.6, 0.75, 0.9], len(dirs))[:, None] * ring_dirs, ring_dirs,
+              ball_points(Ball(center=(0.0,) * n, radius=1.0), 16))
+    for a in layout:
+        a.flags.writeable = False  # shared by every caller through the cache
+    return layout
+
+
 def root_holder_estimate(
     group: RootGroup, exponent: float, samples: int = 150
 ) -> HolderEstimate:
@@ -1144,9 +1165,11 @@ def root_holder_estimate(
     ring anchors inside the region, so a coarse budget already probes the
     extremal cells.  Pairs with an endpoint outside `partition.region` are left
     out: the cover is truncated at the region's edge and f = sum g^2 is only
-    claimed inside it.  Derivatives are exact (RootGroup.jet), taken at the
-    pair endpoints only; `sup_norms` are the maxima of |g|, |Dg| and |D^2 g|
-    entries over those endpoints and `pair_count` counts the pairs kept.
+    claimed inside it.  Derivatives are exact (RootGroup.jet), each probe point
+    read once: the ring anchors' jets are those of the first-lap pair starts,
+    and one more read takes the pair ends and later laps' starts.  `sup_norms`
+    are the maxima of |g|, |Dg| and |D^2 g| entries over the kept pairs'
+    endpoints and `pair_count` counts the pairs kept.
     """
     partition = group.partition
     n = partition.dim
@@ -1155,48 +1178,43 @@ def root_holder_estimate(
     def inside(P):
         return np.ones(len(P), dtype=bool) if region is None else region.contains(P)
 
-    ring_fracs = (0.45, 0.6, 0.75, 0.9)
-    sep_fracs = (0.25, 0.125, 0.0625, 0.03125)
-    ring_dirs = sphere_points(8, n) if n > 1 else np.array([[1.0], [-1.0]])
-    # one cell's probe: (direction, ring fraction, separation), separation fastest
-    p_dir = np.repeat(ring_dirs, len(ring_fracs) * len(sep_fracs), axis=0)
-    p_frac = np.tile(np.repeat(ring_fracs, len(sep_fracs)), len(ring_dirs))
-    p_sep = np.tile(sep_fracs, len(ring_dirs) * len(ring_fracs))
-    offsets = ball_points(Ball(center=(0.0,) * n, radius=1.0), 16)
+    ring, ring_dirs, offsets = _probe_layout(n)
+    sep_fracs = np.array([0.25, 0.125, 0.0625, 0.03125])
 
     # worst-first order: max |D^2 g| over each cell's in-region ring anchors
     nus = group.cells
-    ring = p_frac[:: len(sep_fracs), None] * p_dir[:: len(sep_fracs)]
     anchors = (partition.centers[nus][:, None, :] + partition.radii[nus][:, None, None] * ring).reshape(-1, n)
-    owner = np.repeat(np.arange(len(nus)), len(ring))
     keep = inside(anchors)
-    score = np.zeros(len(nus))
-    if np.any(keep):
-        _, _, d2 = group.jet(anchors[keep])
-        np.maximum.at(score, owner[keep], np.max(np.abs(d2), axis=(1, 2)))
-    ordered = nus[np.argsort(-score, kind="stable")]
+    anchor_jet = group.jet(anchors[keep])
+    worst = np.zeros(len(anchors))
+    worst[keep] = np.max(np.abs(anchor_jet[2]), axis=(1, 2))
+    order = np.argsort(-worst.reshape(len(nus), -1).max(axis=1), kind="stable")
 
-    # pair k probes cell k // len(probe) (cycling); laps after the first
-    # roam the cell with low-discrepancy anchors
+    # pair k probes cell k // probe_len (cycling), ring anchor a with separations
+    # fastest; laps after the first roam the cell with low-discrepancy anchors
     k = np.arange(samples)
-    probe_len = len(p_sep)
-    cell = ordered[(k // probe_len) % len(ordered)]
-    lap = k // (probe_len * len(ordered))
-    j = k % probe_len
-    center, radius = partition.centers[cell], partition.radii[cell][:, None]
-    ring_anchor = center + p_frac[j, None] * radius * p_dir[j]
-    roam_anchor = center + 0.9 * radius * offsets[lap % len(offsets)]
-    ys = np.where((lap > 0)[:, None], roam_anchor, ring_anchor)
-    seps = p_sep[j] * radius[:, 0]
-    zs = ys + seps[:, None] * p_dir[j]
-    kept = inside(ys) & inside(zs)
-    ys, zs, seps = ys[kept], zs[kept], seps[kept]
+    probe_len = len(ring) * len(sep_fracs)
+    pos = order[(k // probe_len) % len(nus)]
+    lap = k // (probe_len * len(nus))
+    a = (k % probe_len) // len(sep_fracs)
+    first = lap == 0
+    anchor = pos * len(ring) + a
+    center, radius = partition.centers[nus[pos]], partition.radii[nus[pos]]
+    ys = np.where(first[:, None], anchors[anchor], center + 0.9 * radius[:, None] * offsets[lap % len(offsets)])
+    seps = sep_fracs[k % len(sep_fracs)] * radius
+    zs = ys + seps[:, None] * ring_dirs[a]
+    kept = np.where(first, keep[anchor], inside(ys)) & inside(zs)
+    ys, zs, seps, first, anchor = ys[kept], zs[kept], seps[kept], first[kept], anchor[kept]
     P = len(ys)
     if P == 0:
         return HolderEstimate(order=2, exponent=exponent, sup_norms=[0.0, 0.0, 0.0], seminorm=0.0,
                               pair_count=0, min_separation=math.nan)
 
-    g, d1, d2 = group.jet(np.concatenate([ys, zs]))
+    # rows of [anchor jet; fresh jet at [later-lap starts; zs]] for [ys; zs]
+    A, R = int(np.count_nonzero(keep)), int(np.count_nonzero(~first))
+    at = np.concatenate([np.where(first, np.cumsum(keep)[anchor] - 1, A + np.cumsum(~first) - 1), A + R + np.arange(P)])
+    fresh = group.jet(np.concatenate([ys[~first], zs]))
+    g, d1, d2 = (np.concatenate(v)[at] for v in zip(anchor_jet, fresh))
     sup_norms = [float(np.max(np.abs(v))) for v in (g, d1, d2)]
     quot = np.max(np.abs(d2[:P] - d2[P:]), axis=(1, 2)) / seps**exponent
     i = int(np.argmax(quot))

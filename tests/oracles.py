@@ -230,3 +230,63 @@ def pair_set_loop(region, samples, h_min):
         if k > 100 * samples + 1000:
             break
     return np.array(ys).reshape(-1, n), np.array(zs).reshape(-1, n)
+
+
+def root_holder_two_reads(group, exponent, samples):
+    """The order-2 root Hölder probe of `sos.root_holder_estimate`, built one
+    pair at a time and read in two batches: one `group.jet` at the in-region
+    ring anchors c + r (f d), whose max |D^2 g| entries order the cells
+    worst-first, and one at the stacked ends [ys; zs] of the kept pairs.
+
+    A cell's probe is (direction d, ring fraction f, separation s) for 8
+    directions (2 in 1-D), f in 0.45..0.9 and s in r/4..r/32, s fastest.
+    Pair k probes cell k // len(probe) of that order (cycling); its start is
+    the ring anchor c + r (f d) on the first lap and c + 0.9 r o_lap, o the
+    16 roam offsets of the unit ball, on later laps, and its end is the start
+    plus s d.  A pair is kept when both ends lie in the partition's region.
+    Returns the estimate's fields and the two reads' row counts.
+    """
+    part = group.partition
+    n = part.dim
+    dirs = sphere_points(8, n) if n > 1 else np.array([[1.0], [-1.0]])
+    fracs, seps = (0.45, 0.6, 0.75, 0.9), (0.25, 0.125, 0.0625, 0.03125)
+    offsets = ball_points(Ball(center=(0.0,) * n, radius=1.0), 16)
+    region = part.region
+
+    def inside(P):
+        return np.ones(len(P), dtype=bool) if region is None else region.contains(P)
+
+    ring = [(d, f) for d in dirs for f in fracs]
+    anchors = np.array([part.centers[nu] + part.radii[nu] * (f * d) for nu in group.cells for d, f in ring])
+    keep = inside(anchors)
+    d2 = np.zeros(len(anchors))
+    if np.any(keep):
+        d2[keep] = np.max(np.abs(group.jet(anchors[keep])[2]), axis=(1, 2))
+    score = [max(d2[i * len(ring):(i + 1) * len(ring)]) for i in range(len(group.cells))]
+    order = sorted(range(len(group.cells)), key=lambda i: -score[i])
+
+    probe = [(d, f, s) for d in dirs for f in fracs for s in seps]
+    ys, zs, sep, roam = [], [], [], []
+    for k in range(samples):
+        nu = group.cells[order[(k // len(probe)) % len(order)]]
+        lap = k // (len(probe) * len(order))
+        d, f, s = probe[k % len(probe)]
+        c, r = part.centers[nu], part.radii[nu]
+        y = c + r * (f * d) if lap == 0 else c + 0.9 * r * offsets[lap % len(offsets)]
+        ys.append(y)
+        zs.append(y + (s * r) * d)
+        sep.append(s * r)
+        roam.append(lap > 0)
+    ys, zs = np.array(ys).reshape(-1, n), np.array(zs).reshape(-1, n)
+    kept = inside(ys) & inside(zs)
+    ys, zs, sep = ys[kept], zs[kept], np.array(sep)[kept]
+    out = {"pair_count": len(ys), "anchor_rows": int(np.count_nonzero(keep)),
+           "roam_starts": int(np.count_nonzero(np.array(roam, dtype=bool)[kept]))}
+    if not len(ys):
+        return dict(out, sup_norms=[0.0, 0.0, 0.0], seminorm=0.0, min_separation=float("nan"), worst_pair=None)
+    jet = group.jet(np.concatenate([ys, zs]))
+    P = len(ys)
+    quot = np.max(np.abs(jet[2][:P] - jet[2][P:]), axis=(1, 2)) / sep**exponent
+    i = int(np.argmax(quot))
+    return dict(out, sup_norms=[float(np.max(np.abs(v))) for v in jet], seminorm=float(quot[i]),
+                min_separation=float(np.min(sep)), worst_pair=(tuple(ys[i]), tuple(zs[i])))

@@ -6,7 +6,8 @@ prefix, and a check that needs several derivative orders at one point set
 reads them by one jet.  The `reads` fixture records the outermost
 FunctionHandle reads of a call as (method, rows, order); every coarse
 estimate is checked against an oracle that evaluates the coarse family on
-its own.
+its own.  The root Hölder probe reads each of its points once; its reads
+are logged at `RootGroup.jet`.
 """
 
 import math
@@ -30,7 +31,9 @@ from sosreg.exprlang import parse_expression
 from sosreg.geometry import Ball, as_points, ball_points, sphere_points
 from sosreg.monotone import STABILITY_TOLERANCE, verify_power_bound
 from sosreg.roots import PowerHandle, verify_root_regularity
-from sosreg.sos import check_differential_inequalities
+from sosreg.sos import DecomposeParams, RootGroup, check_differential_inequalities, decompose, root_holder_estimate
+
+from oracles import root_holder_two_reads
 
 READS = ("values", "log_values", "derivative_values", "derivative_tensor", "jet",
          "gradient_values", "hessian_values", "max_entry_values")
@@ -176,7 +179,9 @@ class TestRootRegularity:
         rep = verify_root_regularity(flat_exp, s=0.9, M=2, delta_search=deltas, region=region, samples=60)
         assert [r for r in reads if r[0] == "derivative_tensor"] == [("derivative_tensor", 120, 2),
                                                                     ("derivative_tensor", 240, 2)]
-        assert len(reads) == 5
+        # the values check for truncation and the fine probe's sup-norm jet; the
+        # coarse probe reads no sup norms, the fine jet's nested points cover them
+        assert reads[0] == ("values", 256) and ("jet", 120, 2) in reads and len(reads) == 4
         reads.clear()
 
         root = PowerHandle(flat_exp, 0.5, order_cap=4)
@@ -192,6 +197,34 @@ class TestRootRegularity:
         rep = verify_root_regularity(handle("x^2"), s=0.8, M=1, delta_search=[0.3, 0.5],
                                      region=Ball((0.0,), 1.0), samples=50)
         assert rep.stable == {0.3: False, 0.5: False} and rep.estimates == {}
+
+
+class TestRootHolderProbe:
+    @pytest.mark.parametrize("src, label", [("x^2 + y^2", "caseI:0"), ("x^2 + sin(y)^2", "rem:17:caseI:0")])
+    def test_two_reads_per_estimate(self, monkeypatch, src, label):
+        rep = decompose(handle(src, ("x", "y")), DecomposeParams(
+            delta=0.25, eta=0.3, region=Ball((0.0, 0.0), 0.05), estimate_holder=False))
+        (grp,) = [g for g in rep.roots if g.label == label]
+        counts = [root_holder_two_reads(grp, rep.deltas[-1], samples) for samples in (150, 960)]
+        seen, depth = [], [0]
+
+        def jet(self, X, _orig=RootGroup.jet):
+            if not depth[0]:
+                seen.append(len(X))
+            depth[0] += 1
+            try:
+                return _orig(self, X)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(RootGroup, "jet", jet)
+        for samples, want in zip((150, 960), counts):
+            seen.clear()
+            est = root_holder_estimate(grp, rep.deltas[-1], samples=samples)
+            # the anchors that order the cells, then the later laps' starts and every pair end
+            assert est.pair_count == want["pair_count"]
+            assert seen == [want["anchor_rows"], want["roam_starts"] + want["pair_count"]]
+        assert counts[0]["roam_starts"] < counts[1]["roam_starts"]
 
 
 class TestOddEvenControl:

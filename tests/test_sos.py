@@ -28,7 +28,7 @@ from sosreg.sos import (
     verify_decomposition,
 )
 
-from oracles import fd_callable_partial, fd_handle, fd_stencil
+from oracles import fd_callable_partial, fd_handle, fd_stencil, root_holder_two_reads
 
 
 def handle(src, variables=("x",), radius=4.0):
@@ -828,3 +828,33 @@ class TestRootJet:
             assert fine.seminorm / base.seminorm - 1.0 < 0.5, label
             inside = rep.partition.region.contains(np.array(fine.worst_pair))
             assert np.all(inside)
+
+
+class TestRootHolderProbe:
+    """`root_holder_estimate` reads each probe point once: the ring anchors'
+    jets are those of the first-lap pair starts.  The two-read probe of the
+    oracle, which reads the anchors and then every pair end again, gives the
+    same pairs and the same estimate up to rounding."""
+
+    @pytest.fixture(scope="class")
+    def groups(self, isotropic_3d, sine_fiber_2d):
+        plain = _decomposed("x^2 + y^2", ("x", "y"), Ball((0.0, 0.0), 0.05))
+        picked = {}
+        for key, rep, label in [("caseI-2d", plain, "caseI:0"), ("caseII-sine", sine_fiber_2d, "caseII:17"),
+                                ("lifted-sine", sine_fiber_2d, "rem:17:caseI:0"),
+                                ("lifted-3d", isotropic_3d, "rem:109:rem:4:caseI:0")]:
+            (grp,) = [g for g in rep.roots if g.label == label]
+            picked[key] = (grp, rep.deltas[-1])
+        return picked
+
+    @pytest.mark.parametrize("samples", [150, 240, 960])
+    @pytest.mark.parametrize("key", ["caseI-2d", "caseII-sine", "lifted-sine", "lifted-3d"])
+    def test_matches_the_two_read_probe(self, groups, key, samples):
+        grp, exponent = groups[key]
+        got = root_holder_estimate(grp, exponent, samples=samples)
+        want = root_holder_two_reads(grp, exponent, samples)
+        assert got.pair_count == want["pair_count"] > 0
+        assert got.min_separation == want["min_separation"]
+        assert got.worst_pair == want["worst_pair"]
+        assert got.seminorm == pytest.approx(want["seminorm"], rel=1e-11, abs=0.0)
+        assert got.sup_norms == pytest.approx(want["sup_norms"], rel=1e-11, abs=0.0)
