@@ -562,8 +562,11 @@ def holder_seminorm(
 
 def _holder_probe(f: FunctionHandle, order: int, region: Ball, samples: int):
     """Every read of `holder_seminorm`, none of which an exponent changes: the
-    sup norms by one jet at the first max(64, samples) ball points, then the
-    reads of `_pair_probe`; and its estimate as a function of the exponent."""
+    sup norms by one jet at the first max(64, samples) ball points, and the
+    pair tensors by one read at the stacked ends [ys; zs] of the first
+    `samples` pairs; and its estimate as a function of the exponent and of a
+    pair count, which takes the first `pairs` pairs (all by default), the
+    family of `holder_seminorm` at that many samples."""
     if region.dim != f.arity:
         raise DomainError("region dimension does not match function arity")
     sup_norms = []
@@ -572,34 +575,26 @@ def _holder_probe(f: FunctionHandle, order: int, region: Ball, samples: int):
         if not np.all(np.isfinite(vals)):
             raise DerivativeError(f"derivative of order {ell} evaluated non-finite on region")
         sup_norms.append(float(np.max(vals)))
-    estimate = _pair_probe(f, order, region, samples)
-    return lambda exponent: estimate(exponent, sup_norms)
-
-
-def _pair_probe(f: FunctionHandle, order: int, region: Ball, samples: int):
-    """The pair tensors of `holder_seminorm`, read once at the stacked ends
-    [ys; zs] of its first `samples` pairs, and its estimate as a function of
-    the exponent and of the sup norms to report with it."""
-    if samples < 2:
-        raise DomainError("need at least 2 pair samples")
     h_min = _SEAM_H_MIN * 2.0 ** (order - 1) if not f.exact_derivatives else 1e-7
     ys, zs = _pair_set(region, samples, h_min)
     sep = np.linalg.norm(ys - zs, axis=1)
     Ty, Tz = np.split(f.derivative_tensor(np.concatenate([ys, zs]), order), 2)
 
-    def estimate(exponent: float, sup_norms: list) -> HolderEstimate:
+    def estimate(exponent: float, pairs: int = samples) -> HolderEstimate:
+        if pairs < 2:
+            raise DomainError("need at least 2 pair samples")
         if not 0.0 < exponent <= 1.0:
             raise DomainError(f"Hölder exponent must lie in (0,1], got {exponent}")
-        best, worst = 0.0, None
+        best, worst, kept = 0.0, None, sep[:pairs]
         for alpha in multiindices(f.arity, order):
-            at = (slice(None),) + tuple(i for i, p in enumerate(alpha) for _ in range(p))
-            quot = np.abs(Ty[at] - Tz[at]) / sep**exponent
+            at = (slice(pairs),) + tuple(i for i, p in enumerate(alpha) for _ in range(p))
+            quot = np.abs(Ty[at] - Tz[at]) / kept**exponent
             i = int(np.argmax(quot))
             if quot[i] > best:
                 best = float(quot[i])
                 worst = (tuple(ys[i]), tuple(zs[i]))
         return HolderEstimate(order=order, exponent=exponent, sup_norms=list(sup_norms), seminorm=best,
-                              pair_count=len(ys), min_separation=float(np.min(sep)), worst_pair=worst)
+                              pair_count=len(kept), min_separation=float(np.min(kept)), worst_pair=worst)
 
     return estimate
 

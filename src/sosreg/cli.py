@@ -23,7 +23,7 @@ from .calculus import FunctionHandle, Modulus, verify_interpolation_bound, verif
 from .counterex import FamilyParams, estimate_delta_nu, monotone_scan, threshold_report
 from .cover import ControlDistanceParams, verify_slowly_varying
 from .errors import SosregError
-from .exprlang import (FunctionDef, catalog_formula, catalog_function, catalog_names, free_variables,
+from .exprlang import (FunctionDef, catalog_formula, catalog_function, catalog_names, catalog_note, free_variables,
                        parse_expression, parse_function_file)
 from .geometry import Ball, ball_points
 from .monotone import monotone_functional
@@ -34,16 +34,6 @@ from .sos import DecomposeParams, check_differential_inequalities, decompose, ve
 EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
-
-_CATALOG_NOTES = {
-    "motzkin_M": "nonnegative sextic in 3 variables; not a sum of squares of polynomials",
-    "quartic_L": "nonnegative quartic in 4 variables; not a sum of squares of quadratic forms",
-    "flat_exp_sq": "exp(-1/t^2): flat at 0, positive elsewhere",
-    "flat_exp": "exp(-1/t) for t > 0, 0 otherwise; flat one-sided profile",
-    "bump_h": "smooth even plateau: 1 on [0, rho], 0 outside (-1, 1)",
-    "family_f": "five-variable counterexample family phi*L + psi + phi(r)*h(t/r)",
-    "glaeser_stub": "construction hook exp(-1/g) with a user-supplied inner function g",
-}
 
 REQUIRED = object()  # default of a flag argparse requires on the command line
 OUTPUTS = ("report", "csv", "cells")  # paths, resolved like any flag but not echoed in `config`
@@ -222,7 +212,7 @@ def _run_delta_nu(o: dict):
 
 
 def _run_catalog(o: dict):
-    rows = [{"name": name, "formula": catalog_formula(name), "notes": _CATALOG_NOTES.get(name, "")}
+    rows = [{"name": name, "formula": catalog_formula(name), "notes": catalog_note(name)}
             for name in catalog_names()]
     for row in rows:
         print(f"{row['name']:14s} {row['notes']}\n{'':14s} {row['formula']}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .calculus import FunctionHandle, Modulus
 from .errors import DomainError
-from .exprlang import family_body
+from .exprlang import catalog_function
 from .geometry import Ball, as_points, sphere_points
 from .reporting import Report
 
@@ -184,7 +184,7 @@ def build_family(p: FamilyParams) -> FunctionHandle:
     if p.psi.name != psi:
         raise DomainError(f"build_family needs the default profiles phi = flat_exp_sq and psi = {psi}; "
                           f"got psi = {p.psi.name}")
-    body = family_body(s_prime=p.s_prime, rho=p.rho_plateau)
+    body = catalog_function("family_f", {"s_prime": p.s_prime, "rho": p.rho_plateau}).body
     return FunctionHandle.from_expr(
         body, ("w", "x", "y", "z", "t"), domain=Ball(center=(0.0,) * 5, radius=1.5), label="family_f",
         log_eval_many=lambda X: family_log_values(p, X),

@@ -150,17 +150,23 @@ class CoverCell(Report):
     color: int | None = None
 
 
+def control_terms(fvals, hess_plus, quartic, delta: float) -> np.ndarray:
+    """(N, k) terms of the control distance: f_+^(1/(4+2d)), (lambda_+)_+^(1/(2+2d))
+    for the top Hessian eigenvalue lambda_+ and, when `quartic` (max |D^4 f|) is
+    given, quartic^(1/2d)."""
+    terms = [np.maximum(fvals, 0.0) ** (1.0 / (4.0 + 2.0 * delta)),
+             np.maximum(hess_plus, 0.0) ** (1.0 / (2.0 + 2.0 * delta))]
+    if quartic is not None:
+        terms.append(quartic ** (1.0 / (2.0 * delta)))
+    return np.stack(terms, axis=1)
+
+
 def control_distance_values(f: FunctionHandle, X, p: ControlDistanceParams) -> np.ndarray:
     """max{ f^(1/(4+2d)), [directional Hessian]_+^(1/(2+2d)), |grad^4 f|^(1/2d) }
     on a batch of points (the last term in the full variant only)."""
-    d = p.delta
-    fvals = np.maximum(f.values(X), 0.0)
-    term_f = fvals ** (1.0 / (4.0 + 2.0 * d))
-    term_h = directional_hessian_plus_values(f, X) ** (1.0 / (2.0 + 2.0 * d))
-    rho = np.maximum(term_f, term_h)
-    if p.variant == "full":
-        term_4 = f.max_entry_values(X, 4) ** (1.0 / (2.0 * d))
-        rho = np.maximum(rho, term_4)
+    fvals, hess_plus = f.values(X), directional_hessian_plus_values(f, X)
+    quartic = f.max_entry_values(X, 4) if p.variant == "full" else None
+    rho = np.max(control_terms(fvals, hess_plus, quartic, p.delta), axis=1)
     if not np.all(np.isfinite(rho)):
         raise DomainError("control distance evaluated non-finite")
     return rho

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -735,10 +737,8 @@ def to_source(e: Expr) -> str:
 # precedence levels: 0 sum, 1 product, 2 unary minus, 3 power, 4 atom
 def _print(e: Expr, parent_prec: int) -> str:
     if isinstance(e, Const):
-        if e.value < 0:
-            s = "-" + _fmt_number(-e.value)
-            return f"({s})" if parent_prec > 2 else s
-        return _fmt_number(e.value)
+        s = _fmt_number(e.value)
+        return f"({s})" if e.value < 0 and parent_prec > 2 else s
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Sum):
@@ -761,17 +761,14 @@ def _print(e: Expr, parent_prec: int) -> str:
         s = _print(e.num, 2) + "/" + _print(e.den, 3)
         return f"({s})" if parent_prec > 1 else s
     if isinstance(e, Pow):
-        p = e.exponent
-        ps = _fmt_number(p) if p >= 0 else "-" + _fmt_number(-p)
-        s = _print(e.base, 4) + "^" + ps
+        s = _print(e.base, 4) + "^" + _fmt_number(e.exponent)
         return f"({s})" if parent_prec > 3 else s
-    for cls, name in ((Exp, "exp"), (Ln, "ln"), (Sin, "sin"), (Cos, "cos"), (FlatExp, "flatexp")):
-        if isinstance(e, cls):
-            return f"{name}({_print(e.arg, 0)})"
+    if type(e) in _UNARY_NAMES:
+        return f"{_UNARY_NAMES[type(e)]}({_print(e.arg, 0)})"
     if isinstance(e, Piecewise):
         args = [_print(e.scrutinee, 0)]
         for b, br in zip(e.breaks, e.branches[:-1]):
-            args.append(_fmt_number(b) if b >= 0 else "-" + _fmt_number(-b))
+            args.append(_fmt_number(b))
             args.append(_print(br, 0))
         args.append(_print(e.branches[-1], 0))
         return "piecewise(" + ", ".join(args) + ")"
@@ -786,7 +783,9 @@ def _print(e: Expr, parent_prec: int) -> str:
 #   base   := number | ident | ident '(' expr (',' expr)* ')' | '(' expr ')' | '-' base
 # ---------------------------------------------------------------------------
 
-_FUNCTIONS = {"exp": 1, "ln": 1, "sin": 1, "cos": 1, "sqrt": 1, "flatexp": 1, "piecewise": None}
+# the unary builtins; sqrt(u) parses as u^0.5 and piecewise takes its own argument list
+_UNARY = {"exp": Exp, "ln": Ln, "sin": Sin, "cos": Cos, "flatexp": FlatExp}
+_UNARY_NAMES = {cls: name for name, cls in _UNARY.items()}
 
 
 class _Token:
@@ -928,7 +927,7 @@ class _Parser:
             self.next()
             if self.peek().kind != "(":
                 return Var(t.text)
-            if t.text not in _FUNCTIONS:
+            if t.text not in _UNARY and t.text not in ("sqrt", "piecewise"):
                 raise ParseError(f"unknown function identifier {t.text!r}", t.line, t.col)
             self.next()
             args = [self.parse_expr()]
@@ -936,28 +935,17 @@ class _Parser:
                 self.next()
                 args.append(self.parse_expr())
             self.expect(")")
-            arity = _FUNCTIONS[t.text]
-            if arity is not None and len(args) != arity:
-                raise ParseError(
-                    f"{t.text} expects {arity} argument(s), got {len(args)}", t.line, t.col
-                )
+            if t.text != "piecewise" and len(args) != 1:
+                raise ParseError(f"{t.text} expects 1 argument(s), got {len(args)}", t.line, t.col)
             return _build_call(t.text, args, t)
         raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
 
 
 def _build_call(name: str, args: list, tok: _Token) -> Expr:
-    if name == "exp":
-        return Exp(args[0])
-    if name == "ln":
-        return Ln(args[0])
-    if name == "sin":
-        return Sin(args[0])
-    if name == "cos":
-        return Cos(args[0])
+    if name in _UNARY:
+        return _UNARY[name](args[0])
     if name == "sqrt":
         return Pow(args[0], 0.5)
-    if name == "flatexp":
-        return FlatExp(args[0])
     # piecewise(scrutinee, break0, branch0, ..., last_branch)
     if len(args) < 2 or len(args) % 2 != 0:
         raise ParseError(
@@ -1056,85 +1044,64 @@ def parse_function_file(text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _smooth_step(v: Expr) -> Expr:
-    """q(v) = E(v) / (E(v) + E(1-v)) with E = flatexp: 0 at v<=0, 1 at v>=1, C^inf."""
-    ev = FlatExp(v)
-    e1v = FlatExp(Sum((Const(1.0), Neg(v))))
-    return Quot(ev, Sum((ev, e1v)))
+class _Entry(NamedTuple):
+    variables: tuple
+    source: str  # the body; each {formula} in it is a formula in the parameters
+    params: dict  # name -> (default, allowed interval "[lo,hi]" or "(lo,hi)")
+    domain: Ball
+    sample_box: tuple  # per-variable (lo, hi) of interior samples; a bound may be a formula in the parameters
+    note: str
 
 
-def bump_plateau_expr(var: str, rho: float) -> Expr:
-    """Even C^inf plateau in one variable: 1 on [0, rho], 0 outside (-1, 1).
+# the smooth step q(V) = E(V)/(E(V) + E(1 - V)), E = flatexp: 0 at V <= 0, 1 at V >= 1, C^inf
+_STEP = "flatexp(V)/(flatexp(V) + flatexp(1 - V))"
+# even C^inf plateau in s on its scrutinee U = s^2 (abs-free): 1 where |s| <= rho,
+# 0 where |s| >= 1, the smooth step of (1 - |s|)/(1 - rho) between
+_PLATEAU = "piecewise(U, {rho*rho}, 1, 1, " + _STEP.replace("V", "(1 - (U)^0.5)/{1 - rho}") + ", 0)"
+_QUARTIC = "w^4 + x^2*y^2 + y^2*z^2 + z^2*x^2 - 2*w*x*y*z"
 
-    Built on the scrutinee u = var^2 so the expression is abs-free; the
-    transition on rho < |var| < 1 is the flatexp quotient q((1-|var|)/(1-rho)).
-    """
-    if not 0.0 < rho < 1.0:
-        raise ExprError(f"plateau parameter must lie in (0,1), got {rho}")
-    t = Var(var)
-    u = Pow(t, 2.0)
-    absval = Pow(u, 0.5)
-    v = Quot(Sum((Const(1.0), Neg(absval))), Const(1.0 - rho))
-    return Piecewise(u, (rho * rho, 1.0), (Const(1.0), _smooth_step(v), Const(0.0)))
-
-
-def _motzkin_body(lam: float) -> Expr:
-    x, y, z = Var("x"), Var("y"), Var("z")
-    return Sum(
-        (
-            Pow(z, 6.0),
-            Prod(
-                (
-                    Pow(x, 2.0),
-                    Pow(y, 2.0),
-                    Sum((Pow(x, 2.0), Pow(y, 2.0), Neg(Prod((Const(3.0 * lam), Pow(z, 2.0)))))),
-                )
-            ),
-        )
-    )
-
-
-def _quartic_body() -> Expr:
-    w, x, y, z = Var("w"), Var("x"), Var("y"), Var("z")
-    return Sum(
-        (
-            Pow(w, 4.0),
-            Prod((Pow(x, 2.0), Pow(y, 2.0))),
-            Prod((Pow(y, 2.0), Pow(z, 2.0))),
-            Prod((Pow(z, 2.0), Pow(x, 2.0))),
-            Neg(Prod((Const(2.0), w, x, y, z))),
-        )
-    )
-
-
-def family_body(s_prime: float = 0.5, rho: float = 0.5) -> Expr:
-    """Five-variable family phi(t)*L(w,x,y,z) + psi(t) + phi(r)*h_rho(t/r).
-
-    phi(t) = flatexp(t^2), psi(t) = phi(t/2)^(1/s') * t^(4/s') (even form via
-    t^2 powers), r = |(w,x,y,z)|; the plateau argument is guarded through the
-    scrutinee u = t^2/r^2, which lands in the vanishing branch as r -> 0.
-    """
-    if not 0.0 < s_prime < 1.0:
-        raise ExprError(f"s_prime must lie in (0,1), got {s_prime}")
-    if not 0.0 < rho < 1.0:
-        raise ExprError(f"rho must lie in (0,1), got {rho}")
-    w, x, y, z, t = (Var(v) for v in "wxyzt")
-    t2 = Pow(t, 2.0)
-    r2 = Sum((Pow(w, 2.0), Pow(x, 2.0), Pow(y, 2.0), Pow(z, 2.0)))
-    phi_t = FlatExp(t2)
-    # phi(t/2) = exp(-4/t^2) = flatexp(t^2/4)
-    psi = Prod(
-        (
-            Pow(FlatExp(Quot(t2, Const(4.0))), 1.0 / s_prime),
-            Pow(t2, 2.0 / s_prime),
-        )
-    )
-    phi_r = FlatExp(r2)
-    u = Quot(t2, r2)
-    absval = Pow(u, 0.5)
-    v = Quot(Sum((Const(1.0), Neg(absval))), Const(1.0 - rho))
-    h = Piecewise(u, (rho * rho, 1.0), (Const(1.0), _smooth_step(v), Const(0.0)))
-    return Sum((Prod((phi_t, _quartic_body())), psi, Prod((phi_r, h))))
+_CATALOG = {
+    "motzkin_M": _Entry(
+        ("x", "y", "z"), "z^6 + x^2*y^2*(x^2 + y^2 - {3*lam}*z^2)",
+        {"lam": (1.0, "[0,1]")}, Ball((0.0,) * 3, 2.0), ((-1.0, 1.0),) * 3,
+        "nonnegative sextic in 3 variables; not a sum of squares of polynomials"),
+    "quartic_L": _Entry(
+        ("w", "x", "y", "z"), _QUARTIC,
+        {}, Ball((0.0,) * 4, 2.0), ((-1.0, 1.0),) * 4,
+        "nonnegative quartic in 4 variables; not a sum of squares of quadratic forms"),
+    # below t ~ 0.5 the derivative growth rate outpaces what double
+    # precision finite differences can certify at order four
+    "flat_exp_sq": _Entry(
+        ("t",), "flatexp(t^2)",
+        {}, Ball((0.0,), 1.0), ((0.55, 0.95),),
+        "exp(-1/t^2): flat at 0, positive elsewhere"),
+    "flat_exp": _Entry(
+        ("t",), "flatexp(t)",
+        {}, Ball((0.5,), 0.5), ((0.3, 0.95),),
+        "exp(-1/t) for t > 0, 0 otherwise; flat one-sided profile"),
+    # the samples keep inside one smooth piece, away from the seams
+    "bump_h": _Entry(
+        ("t",), _PLATEAU.replace("U", "t^2"),
+        {"rho": (0.5, "(0,1)")}, Ball((0.0,), 1.5), (("rho + 0.12", 0.88),),
+        "smooth even plateau: 1 on [0, rho], 0 outside (-1, 1)"),
+    # phi(t) L(w,x,y,z) + psi(t) + phi(r) h_rho(t/r) with phi(t) = flatexp(t^2),
+    # psi(t) = phi(t/2)^(1/s') t^(4/s') and r = |(w,x,y,z)|; the plateau's
+    # scrutinee t^2/r^2 lands in its vanishing branch as r -> 0.  The samples,
+    # r ~ 0.6 and t in the vanished plateau piece, keep every stencil point in
+    # one smooth branch, where derivative growth stays tame
+    "family_f": _Entry(
+        ("w", "x", "y", "z", "t"),
+        f"flatexp(t^2)*({_QUARTIC}) + flatexp(t^2/4)^{{1/s_prime}}*(t^2)^{{2/s_prime}}"
+        " + flatexp(w^2 + x^2 + y^2 + z^2)*" + _PLATEAU.replace("U", "t^2/(w^2 + x^2 + y^2 + z^2)"),
+        {"s_prime": (0.5, "(0,1)"), "rho": (0.5, "(0,1)")}, Ball((0.0,) * 5, 1.0),
+        ((0.28, 0.36),) * 4 + ((0.8, 0.95),),
+        "five-variable counterexample family phi*L + psi + phi(r)*h(t/r)"),
+    # glaeser_stub_with at g = t^2
+    "glaeser_stub": _Entry(
+        ("t",), "flatexp(t^2)",
+        {}, Ball((0.0,), 1.0), ((0.55, 0.95),),
+        "construction hook exp(-1/g) with a user-supplied inner function g"),
+}
 
 
 def glaeser_stub_with(g: Expr, variables: tuple) -> FunctionDef:
@@ -1148,98 +1115,42 @@ def glaeser_stub_with(g: Expr, variables: tuple) -> FunctionDef:
     )
 
 
-_CATALOG_PARAMS = {
-    "motzkin_M": ("lam",),
-    "quartic_L": (),
-    "flat_exp_sq": (),
-    "flat_exp": (),
-    "bump_h": ("rho",),
-    "family_f": ("s_prime", "rho"),
-    "glaeser_stub": (),
-}
-
-
 def catalog_names() -> tuple:
-    return tuple(_CATALOG_PARAMS)
+    return tuple(_CATALOG)
+
+
+def _value(formula: str, params: dict) -> float:
+    return float(evaluate(parse_expression(formula), params))
 
 
 def catalog_function(name: str, params: dict | None = None) -> FunctionDef:
-    """Return a catalog entry by name.
+    """A catalog entry at the given parameters, the defaults for the others.
 
-    Entries: motzkin_M(lam), quartic_L, flat_exp_sq, flat_exp, bump_h(rho),
-    family_f(s_prime, rho), glaeser_stub.
+    Each parameter must lie in its interval.  The body is the entry's source
+    with each {formula} replaced by the repr of its value, parsed, so the
+    constants are the floats the formulas compute.
     """
-    params = dict(params or {})
-    if name not in _CATALOG_PARAMS:
-        raise ExprError(f"unknown catalog name {name!r}; known: {', '.join(_CATALOG_PARAMS)}")
-    allowed = _CATALOG_PARAMS[name]
-    unknown = set(params) - set(allowed)
+    if name not in _CATALOG:
+        raise ExprError(f"unknown catalog name {name!r}; known: {', '.join(_CATALOG)}")
+    entry, params = _CATALOG[name], dict(params or {})
+    unknown = set(params) - set(entry.params)
     if unknown:
         raise ExprError(f"{name} does not accept parameter(s) {sorted(unknown)}")
-
-    if name == "motzkin_M":
-        lam = float(params.get("lam", 1.0))
-        if not 0.0 <= lam <= 1.0:
-            raise ExprError(f"motzkin_M requires lam in [0,1], got {lam}")
-        return FunctionDef(
-            name="motzkin_M",
-            variables=("x", "y", "z"),
-            body=_motzkin_body(lam),
-            domain=Ball(center=(0.0, 0.0, 0.0), radius=2.0),
-            sample_box=((-1.0, 1.0),) * 3,
-        )
-    if name == "quartic_L":
-        return FunctionDef(
-            name="quartic_L",
-            variables=("w", "x", "y", "z"),
-            body=_quartic_body(),
-            domain=Ball(center=(0.0,) * 4, radius=2.0),
-            sample_box=((-1.0, 1.0),) * 4,
-        )
-    if name == "flat_exp_sq":
-        return FunctionDef(
-            name="flat_exp_sq",
-            variables=("t",),
-            body=FlatExp(Pow(Var("t"), 2.0)),
-            domain=Ball(center=(0.0,), radius=1.0),
-            # below t ~ 0.5 the derivative growth rate outpaces what double
-            # precision finite differences can certify at order four
-            sample_box=((0.55, 0.95),),
-        )
-    if name == "flat_exp":
-        return FunctionDef(
-            name="flat_exp",
-            variables=("t",),
-            body=FlatExp(Var("t")),
-            domain=Ball(center=(0.5,), radius=0.5),
-            sample_box=((0.3, 0.95),),
-        )
-    if name == "bump_h":
-        rho = float(params.get("rho", 0.5))
-        return FunctionDef(
-            name="bump_h",
-            variables=("t",),
-            body=bump_plateau_expr("t", rho),
-            domain=Ball(center=(0.0,), radius=1.5),
-            # keep test samples inside one smooth piece, away from the seams
-            sample_box=((rho + 0.12, 0.88),),
-        )
-    if name == "family_f":
-        s_prime = float(params.get("s_prime", 0.5))
-        rho = float(params.get("rho", 0.5))
-        return FunctionDef(
-            name="family_f",
-            variables=("w", "x", "y", "z", "t"),
-            body=family_body(s_prime=s_prime, rho=rho),
-            domain=Ball(center=(0.0,) * 5, radius=1.0),
-            # r ~ 0.6 and t in the vanished plateau piece: every stencil point
-            # stays in one smooth branch and derivative growth stays tame
-            sample_box=((0.28, 0.36), (0.28, 0.36), (0.28, 0.36), (0.28, 0.36), (0.8, 0.95)),
-        )
-    # glaeser_stub: default inner function g(t) = t^2; see glaeser_stub_with
-    return glaeser_stub_with(Pow(Var("t"), 2.0), ("t",))
+    for key, (default, interval) in entry.params.items():
+        value = params[key] = float(params.get(key, default))
+        lo, hi = (float(b) for b in interval[1:-1].split(","))
+        if not ((lo <= value <= hi) if interval[0] == "[" else (lo < value < hi)):
+            raise ExprError(f"{name} requires {key} in {interval}, got {value}")
+    source = re.sub(r"\{([^}]*)\}", lambda m: repr(_value(m[1], params)), entry.source)
+    box = tuple(tuple(_value(b, params) if isinstance(b, str) else b for b in pair) for pair in entry.sample_box)
+    return FunctionDef(name, entry.variables, parse_expression(source), entry.domain, box)
 
 
 def catalog_formula(name: str) -> str:
     """Source text of a catalog entry's body at its default parameters."""
     return to_source(catalog_function(name).body)
+
+
+def catalog_note(name: str) -> str:
+    """One line on what a catalog entry is."""
+    return _CATALOG[name].note

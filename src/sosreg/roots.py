@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import FunctionHandle, _holder_probe, _pair_probe, _tensor_layout, log_ratios, max_entries
+from .calculus import FunctionHandle, _holder_probe, _tensor_layout, log_ratios, max_entries
 from .errors import DerivativeError, DomainError
 from .exprlang import FunctionDef, Pow
 from .geometry import Ball, ball_points
@@ -182,20 +182,20 @@ def verify_root_regularity(
     The square root is a PowerHandle of f; `truncated` flags f <= 1e-12 on
     the region, and an exponent whose samples meet f <= 0 reads unstable, as
     does one whose seminorm grows by more than 50% under pair doubling.  The
-    derivatives are read once at `samples` pairs and once at 2 * `samples`
-    (a family extending the first); every exponent reuses both reads.  Only
-    the fine estimate reads sup norms: its nested ball points cover the coarse ones.
+    derivatives are read once, at 2 * `samples` pairs; the coarse seminorm
+    takes the first `samples` of them, which are the family at `samples`.
+    Every exponent reuses the read.
     """
     if not (1.0 - 1.0 / (2.0 * M)) < s <= 1.0:
         raise DomainError(f"need s in (1 - 1/(2M), 1], got s={s} for M={M}")
     truncated = bool(np.any(f.values(ball_points(region, 256)) <= 1e-12))
     root = PowerHandle(f, 0.5, order_cap=max(M, 4))
 
-    estimates, stable, best, probes = {}, {}, None, []
+    estimates, stable, best, estimate = {}, {}, None, None
     for dlt in sorted(delta_search):
         try:
-            probes = probes or [_pair_probe(root, M, region, samples), _holder_probe(root, M, region, 2 * samples)]
-            coarse, fine = probes[0](dlt, []), probes[1](dlt)
+            estimate = estimate or _holder_probe(root, M, region, 2 * samples)
+            coarse, fine = estimate(dlt, samples), estimate(dlt)
         except DomainError:
             stable[dlt] = False
             continue

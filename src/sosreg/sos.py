@@ -37,6 +37,7 @@ from .cover import (
     build_partition,
     color_classes,
     control_distance_values,
+    control_terms,
 )
 from .errors import (
     BoundaryRootError,
@@ -408,16 +409,11 @@ def classify_cells(f: FunctionHandle, cells: list, delta: float, c: float) -> tu
 
     Returns (case_one (N,) bool, rho (N,), terms (N, 3) as value/Hessian/quartic, axes (N, n)).
     """
-    d = delta
     fval, _, H, _, D4 = f.jet(np.array([cell.center for cell in cells]), 4)
     eigvals, eigvecs = np.linalg.eigh(H)
-    terms = np.stack([
-        np.maximum(fval, 0.0) ** (1.0 / (4.0 + 2.0 * d)),
-        np.maximum(eigvals[:, -1], 0.0) ** (1.0 / (2.0 + 2.0 * d)),
-        np.max(np.abs(D4), axis=(1, 2, 3, 4)) ** (1.0 / (2.0 * d)),
-    ], axis=1)
+    terms = control_terms(fval, eigvals[:, -1], np.max(np.abs(D4), axis=(1, 2, 3, 4)), delta)
     rho = np.max(terms, axis=1)
-    case_one = np.maximum(fval, 0.0) >= c * rho ** (4.0 + 2.0 * d)
+    case_one = np.maximum(fval, 0.0) >= c * rho ** (4.0 + 2.0 * delta)
     bad = np.flatnonzero(~case_one & (terms[:, 1] < rho * (1.0 - 1e-9)))
     if bad.size:
         i = int(bad[0])

@@ -177,11 +177,10 @@ class TestRootRegularity:
         region = Ball((0.5,), 0.45)
         deltas = [0.05, 0.1, 0.2, 1.5]  # 1.5 is no Hoelder exponent: unstable
         rep = verify_root_regularity(flat_exp, s=0.9, M=2, delta_search=deltas, region=region, samples=60)
-        assert [r for r in reads if r[0] == "derivative_tensor"] == [("derivative_tensor", 120, 2),
-                                                                    ("derivative_tensor", 240, 2)]
-        # the values check for truncation and the fine probe's sup-norm jet; the
-        # coarse probe reads no sup norms, the fine jet's nested points cover them
-        assert reads[0] == ("values", 256) and ("jet", 120, 2) in reads and len(reads) == 4
+        assert [r for r in reads if r[0] == "derivative_tensor"] == [("derivative_tensor", 240, 2)]
+        # the values check for truncation and the probe's sup-norm jet; the
+        # coarse seminorm takes the first 60 of the 120 pairs the probe reads
+        assert reads[0] == ("values", 256) and ("jet", 120, 2) in reads and len(reads) == 3
         reads.clear()
 
         root = PowerHandle(flat_exp, 0.5, order_cap=4)
