@@ -37,7 +37,8 @@ __all__ = [
 ]
 
 DEFAULT_CELL_SCALE = 1.0 / 200.0
-MAX_PAIRS = 2**27  # candidate pairs one bucket query may list; known runs list at most 45,195,947
+MAX_PAIRS = 2**27  # candidate pairs one listing may hold: a chi_pairs batch or a colouring block
+_BLOCK_PAIRS = 2**14  # candidate pairs color_classes lists per block of cells
 
 
 class _Buckets:
@@ -81,9 +82,9 @@ class _Buckets:
         self.keys = key[np.concatenate([[0], cuts])]
         self.starts = np.concatenate([[0], cuts, [len(key)]])
 
-    def pairs(self, X: np.ndarray) -> tuple:
-        """(query, item) index arrays of the items entered in each point's cube;
-        raises CoverBudgetError, before allocating them, above MAX_PAIRS pairs."""
+    def counts(self, X: np.ndarray) -> tuple:
+        """(start, count): where the items entered in each point's cube begin
+        in `items`, and how many there are."""
         key, found = np.zeros(len(X), dtype=np.int64), np.ones(len(X), dtype=bool)
         for (axis, folded), col in zip(self.tables, np.floor(X / self.side).T):
             if folded is not None:
@@ -92,7 +93,12 @@ class _Buckets:
             key = key * len(axis) + a
         at, found = _rank(self.keys, key, found)
         start = self.starts[at]
-        count = np.where(found, self.starts[at + 1] - start, 0)
+        return start, np.where(found, self.starts[at + 1] - start, 0)
+
+    def pairs(self, X: np.ndarray) -> tuple:
+        """(query, item) index arrays of the items entered in each point's cube;
+        raises CoverBudgetError, before allocating them, above MAX_PAIRS pairs."""
+        start, count = self.counts(X)
         total = int(count.sum())
         if total > MAX_PAIRS:
             raise CoverBudgetError(f"bucket index would list {total} candidate pairs, over the budget of "
@@ -562,31 +568,39 @@ def color_classes(cells: list) -> list:
     Cells i and j are neighbours when |c_i - c_j| < 3 (r_i + r_j).  Cells are
     colored in the given order, each with the smallest color no neighbour
     holds; a color set before the call counts for the neighbours colored
-    before that cell's own turn.  A bucket index of the cells with reach
-    3 (r_i + r_max) lists candidate pairs, and one vectorised filter keeps, as
-    CSR lists, the neighbours that hold a color at each cell's turn: those
-    earlier in the order and those colored before the call.  Within each
-    returned class the balls of triple radius are pairwise disjoint.  Returns
-    the cells with their color fields set, ordered as given; the number of
-    classes is len({c.color}).
+    before that cell's own turn.  A bucket index with reach 3 (r_i + r_max)
+    counts each cell's candidates; consecutive blocks of cells, each of at
+    most _BLOCK_PAIRS candidates or of one cell, list theirs and keep as CSR
+    lists the neighbours that hold a color at each cell's turn: earlier cells,
+    whose colors are final, and later cells colored before the call.  So the
+    memory is one block's and the colors are those of one pass over all pairs.
+    Within each class the balls of triple radius are pairwise disjoint.
+    Returns the cells, ordered as given, with their color fields set.
     """
     if not cells:
         return cells
     centers = np.array([c.center for c in cells])
     radii = np.array([c.radius for c in cells])
     colors = np.array([-1 if c.color is None else c.color for c in cells])  # -1: uncolored
-    i, j = _Buckets(centers, 3.0 * (radii + np.max(radii)) * (1.0 + 1e-9)).pairs(centers)
-    colored = (j < i) | ((j > i) & (colors[j] >= 0))
-    i, j = i[colored], j[colored]
-    near = _distances(centers, i, centers, j) < 3.0 * (radii[i] + radii[j])
-    rows, cols = i[near], j[near]
-    starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(cells)))]).tolist()
-    for k in range(len(cells)):
-        used = set(colors[cols[starts[k] : starts[k + 1]]].tolist())
-        color = 0
-        while color in used:
-            color += 1
-        colors[k] = color
+    index = _Buckets(centers, 3.0 * (radii + np.max(radii)) * (1.0 + 1e-9))
+    listed = np.concatenate([[0], np.cumsum(index.counts(centers)[1])])  # candidates before each cell
+    a = 0
+    while a < len(cells):
+        b = max(a + 1, int(np.searchsorted(listed, listed[a] + _BLOCK_PAIRS, side="right")) - 1)
+        i, j = index.pairs(centers[a:b])
+        i = i + a
+        colored = (j < i) | ((j > i) & (colors[j] >= 0))
+        i, j = i[colored], j[colored]
+        near = _distances(centers, i, centers, j) < 3.0 * (radii[i] + radii[j])
+        rows, cols = i[near] - a, j[near]
+        starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=b - a))]).tolist()
+        for k in range(b - a):
+            used = set(colors[cols[starts[k] : starts[k + 1]]].tolist())
+            color = 0
+            while color in used:
+                color += 1
+            colors[a + k] = color
+        a = b
     for cell, color in zip(cells, colors.tolist()):
         cell.color = color
     return cells

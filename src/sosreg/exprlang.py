@@ -508,6 +508,24 @@ def has_conditionals(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _node_key(cls, fields) -> tuple:
+    """The structural key of node cls(*fields) whose children are interned:
+    children key by identity; numbers key with their sign, since 0.0 == -0.0
+    but 1/-0.0 differs."""
+    a = fields[0]
+    if cls is Sum or cls is Prod:
+        return (cls, *map(id, a))
+    if cls is Const:
+        return (cls, a, math.copysign(1.0, a))
+    if cls is Var:
+        return (cls, a)
+    if cls is Pow:
+        return (cls, id(a), fields[1], math.copysign(1.0, fields[1]))
+    if cls is Piecewise:
+        return (cls, id(a), fields[1], *map(id, fields[2]))
+    return (cls, *map(id, fields))
+
+
 class DerivativeTable:
     """Intern table of simplified nodes, with simplify and derivative memos.
 
@@ -527,21 +545,7 @@ class DerivativeTable:
         self.derivatives: dict = {}  # (id(node), variable) -> derivative
 
     def node(self, cls, *fields) -> Expr:
-        # children are interned, so they key by identity; numbers key with
-        # their sign, since 0.0 == -0.0 but 1/-0.0 differs
-        a = fields[0]
-        if cls is Sum or cls is Prod:
-            key = (cls, *map(id, a))
-        elif cls is Const:
-            key = (cls, a, math.copysign(1.0, a))
-        elif cls is Var:
-            key = (cls, a)
-        elif cls is Pow:
-            key = (cls, id(a), fields[1], math.copysign(1.0, fields[1]))
-        elif cls is Piecewise:
-            key = (cls, id(a), fields[1], *map(id, fields[2]))
-        else:
-            key = (cls, *map(id, fields))
+        key = _node_key(cls, fields)
         got = self._nodes.get(key)
         if got is None:
             got = self._nodes[key] = cls(*fields)
@@ -855,6 +859,10 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.nodes: dict = {}  # structural key -> node, so equal subtrees are one object
+
+    def node(self, cls, *fields) -> Expr:
+        return self.nodes.setdefault(_node_key(cls, fields), cls(*fields))
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -880,8 +888,8 @@ class _Parser:
                 t = self.peek()
                 raise ParseError("unexpected '+'", t.line, t.col)
             rhs = self.parse_term()
-            terms.append(Neg(rhs) if op.kind == "-" else rhs)
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            terms.append(self.node(Neg, rhs) if op.kind == "-" else rhs)
+        return terms[0] if len(terms) == 1 else self.node(Sum, tuple(terms))
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
@@ -889,9 +897,9 @@ class _Parser:
             op = self.next()
             rhs = self.parse_factor()
             if op.kind == "*":
-                node = Prod((node, rhs)) if not isinstance(node, Prod) else Prod(node.factors + (rhs,))
+                node = self.node(Prod, node.factors + (rhs,) if isinstance(node, Prod) else (node, rhs))
             else:
-                node = Quot(node, rhs)
+                node = self.node(Quot, node, rhs)
         return node
 
     def parse_factor(self) -> Expr:
@@ -903,21 +911,21 @@ class _Parser:
                 self.next()
                 sign = -1.0
             t = self.expect("number")
-            node = Pow(node, sign * float(t.text))
+            node = self.node(Pow, node, sign * float(t.text))
         return node
 
     def parse_base(self) -> Expr:
         t = self.peek()
         if t.kind == "number":
             self.next()
-            return Const(float(t.text))
+            return self.node(Const, float(t.text))
         if t.kind == "-":
             self.next()
             inner = self.parse_base()
             # normalize so that printed negative constants round-trip structurally
             if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Neg(inner)
+                return self.node(Const, -inner.value)
+            return self.node(Neg, inner)
         if t.kind == "(":
             self.next()
             node = self.parse_expr()
@@ -926,7 +934,7 @@ class _Parser:
         if t.kind == "ident":
             self.next()
             if self.peek().kind != "(":
-                return Var(t.text)
+                return self.node(Var, t.text)
             if t.text not in _UNARY and t.text not in ("sqrt", "piecewise"):
                 raise ParseError(f"unknown function identifier {t.text!r}", t.line, t.col)
             self.next()
@@ -937,15 +945,15 @@ class _Parser:
             self.expect(")")
             if t.text != "piecewise" and len(args) != 1:
                 raise ParseError(f"{t.text} expects 1 argument(s), got {len(args)}", t.line, t.col)
-            return _build_call(t.text, args, t)
+            return _build_call(self.node, t.text, args, t)
         raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
 
 
-def _build_call(name: str, args: list, tok: _Token) -> Expr:
+def _build_call(node, name: str, args: list, tok: _Token) -> Expr:
     if name in _UNARY:
-        return _UNARY[name](args[0])
+        return node(_UNARY[name], args[0])
     if name == "sqrt":
-        return Pow(args[0], 0.5)
+        return node(Pow, args[0], 0.5)
     # piecewise(scrutinee, break0, branch0, ..., last_branch)
     if len(args) < 2 or len(args) % 2 != 0:
         raise ParseError(
@@ -962,11 +970,11 @@ def _build_call(name: str, args: list, tok: _Token) -> Expr:
         breaks.append(b.value)
         branches.append(rest[i + 1])
     branches.append(rest[-1])
-    return Piecewise(scrutinee, tuple(breaks), tuple(branches))
+    return node(Piecewise, scrutinee, tuple(breaks), tuple(branches))
 
 
 def parse_expression(source: str) -> Expr:
-    """Parse source text into an expression tree."""
+    """Parse source text into an expression tree whose structurally equal subtrees are one node."""
     parser = _Parser(_tokenize(source))
     node = parser.parse_expr()
     t = parser.peek()
@@ -1119,16 +1127,22 @@ def catalog_names() -> tuple:
     return tuple(_CATALOG)
 
 
-def _value(formula: str, params: dict) -> float:
-    return float(evaluate(parse_expression(formula), params))
+def _value(name: str, formula: str, params: dict) -> float:
+    body = parse_expression(formula)
+    value = float(evaluate(body, params))
+    if not math.isfinite(value):
+        used = ", ".join(f"{k} = {params[k]} in {_CATALOG[name].params[k][1]}" for k in sorted(free_variables(body)))
+        raise ExprError(f"{name}: {formula} is {value} at {used}; choose a value it is finite at")
+    return value
 
 
 def catalog_function(name: str, params: dict | None = None) -> FunctionDef:
     """A catalog entry at the given parameters, the defaults for the others.
 
-    Each parameter must lie in its interval.  The body is the entry's source
-    with each {formula} replaced by the repr of its value, parsed, so the
-    constants are the floats the formulas compute.
+    Each parameter must lie in its interval, and each formula in the
+    parameters must be finite there.  The body is the entry's source with
+    each {formula} replaced by the repr of its value, parsed, so the constants
+    are the floats the formulas compute.
     """
     if name not in _CATALOG:
         raise ExprError(f"unknown catalog name {name!r}; known: {', '.join(_CATALOG)}")
@@ -1141,8 +1155,8 @@ def catalog_function(name: str, params: dict | None = None) -> FunctionDef:
         lo, hi = (float(b) for b in interval[1:-1].split(","))
         if not ((lo <= value <= hi) if interval[0] == "[" else (lo < value < hi)):
             raise ExprError(f"{name} requires {key} in {interval}, got {value}")
-    source = re.sub(r"\{([^}]*)\}", lambda m: repr(_value(m[1], params)), entry.source)
-    box = tuple(tuple(_value(b, params) if isinstance(b, str) else b for b in pair) for pair in entry.sample_box)
+    source = re.sub(r"\{([^}]*)\}", lambda m: repr(_value(name, m[1], params)), entry.source)
+    box = tuple(tuple(_value(name, b, params) if isinstance(b, str) else b for b in pair) for pair in entry.sample_box)
     return FunctionDef(name, entry.variables, parse_expression(source), entry.domain, box)
 
 

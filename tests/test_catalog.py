@@ -1,12 +1,14 @@
 """The function catalog: pinned bodies, metadata, listing and parameter checks."""
 
+import math
 import re
 from pathlib import Path
 
 import pytest
 
+import sosreg.exprlang as exprlang
 from sosreg.cli import main
-from sosreg.exprlang import ExprError, catalog_function, catalog_names, parse_expression, to_source
+from sosreg.exprlang import ExprError, ParseError, catalog_function, catalog_names, parse_expression, to_source
 from sosreg.geometry import Ball
 
 LISTING = Path(__file__).parent / "data" / "catalog_stdout.txt"
@@ -62,6 +64,25 @@ def test_body_prints_as_pinned_and_round_trips(name, params):
     assert parse_expression(to_source(body)) == body
 
 
+@pytest.mark.parametrize("name", list(METADATA))
+def test_body_shares_equal_subtrees(name, monkeypatch):
+    body = catalog_function(name).body
+    monkeypatch.setattr(exprlang._Parser, "node", lambda parser, cls, *fields: cls(*fields))
+    plain = catalog_function(name).body
+    assert body == plain
+    assert len(exprlang._nodes(body)) <= len(exprlang._nodes(plain))
+    if name == "family_f":
+        # the hand-built tree had 57 distinct nodes, the parse without sharing 128
+        assert len(exprlang._nodes(body)) <= 57 < len(exprlang._nodes(plain))
+
+
+def test_shared_constants_keep_their_sign_of_zero():
+    body = parse_expression("0*x + -0*x")
+    zero, negative_zero = (term.factors[0].value for term in body.terms)
+    assert (math.copysign(1.0, zero), math.copysign(1.0, negative_zero)) == (1.0, -1.0)
+    assert body.terms[0].factors[1] is body.terms[1].factors[1]
+
+
 def test_every_entry_is_pinned_at_its_defaults():
     assert {name for name, params in BODIES if not params} == set(catalog_names()) == set(METADATA)
 
@@ -108,3 +129,10 @@ def test_closed_interval_ends():
 def test_unknown_parameter():
     with pytest.raises(ExprError, match=r"quartic_L does not accept parameter\(s\) \['lam'\]"):
         catalog_function("quartic_L", {"lam": 0.5})
+
+
+@pytest.mark.parametrize("s_prime", [1e-320, 1e-308])  # 1/s_prime, then 2/s_prime overflow
+def test_formula_overflow_names_the_parameter(s_prime):
+    with pytest.raises(ExprError, match=re.escape(f"s_prime = {s_prime} in (0,1)")) as err:
+        catalog_function("family_f", {"s_prime": s_prime})
+    assert not isinstance(err.value, ParseError)

@@ -340,7 +340,8 @@ class TestColorClasses:
     def test_matches_per_pair_loop(self, isotropic_covers):
         for cells in isotropic_covers:
             cells = [replace(c, color=None) for c in cells]
-            assert [c.color for c in color_classes(cells)] == _color_reference(cells)
+            expected = _color_reference(cells)  # before color_classes sets the colors it reads
+            assert [c.color for c in color_classes(cells)] == expected
 
     def test_precolored_cells_match_per_pair_loop(self, isotropic_covers):
         cells = [replace(c, color=c.nu % 5 if c.nu % 7 == 0 else None) for c in isotropic_covers[0]]
@@ -373,6 +374,32 @@ class TestColorClasses:
         with pytest.raises(CoverBudgetError, match="raise floor or shrink the region") as err:
             color_classes(cells)
         assert err.value.count == 25
+
+    @pytest.mark.parametrize("budget", [1, 500])
+    def test_blocks_color_as_one_pass(self, monkeypatch, isotropic_covers, budget):
+        # every cell of these covers has 60 to 575 candidates: budget 1 makes
+        # each cell a block, 500 blocks of 1 to 8 cells; the pre-colored cells
+        # (every 7th) fall on both sides of block edges
+        covers = [[replace(c, color=None) for c in cells] for cells in isotropic_covers]
+        covers.append([replace(c, color=c.nu % 5 if c.nu % 7 == 0 else None) for c in isotropic_covers[0]])
+        covers += [_dyadic_cells(dim, 60, seed=20 + dim) for dim in (1, 2, 3)]
+        blocks, listing = [], cover._Buckets.pairs
+        monkeypatch.setattr(cover._Buckets, "pairs", lambda index, X: blocks.append(len(X)) or listing(index, X))
+        monkeypatch.setattr(cover, "_BLOCK_PAIRS", budget)
+        for cells in covers:
+            expected, blocks[:] = _color_reference(cells), []
+            assert [c.color for c in color_classes(cells)] == expected
+            assert len(blocks) >= 7 and sum(blocks) == len(cells)
+            assert max(blocks) == 1 if budget == 1 else max(blocks) > 1
+
+    def test_memory_is_one_blocks(self, isotropic_covers):
+        # all 839,594 candidate pairs of the x^2+y^2 cover listed at once peak at 22.7 MB
+        cells = [replace(c, color=None) for c in isotropic_covers[1]]
+        tracemalloc.start()
+        color_classes(cells)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 6_000_000
 
     def test_within_class_triples_disjoint(self):
         f = handle("1")
@@ -486,7 +513,8 @@ class TestBucketIndex:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_colors_match_per_pair_loop(self, dim):
         cells = _dyadic_cells(dim, 60, seed=20 + dim)
-        assert [c.color for c in color_classes(cells)] == _color_reference(cells)
+        expected = _color_reference(cells)
+        assert [c.color for c in color_classes(cells)] == expected
 
     @pytest.mark.parametrize("src, variables, center, radius, variant", [
         ("x^4", ("x",), (0.5,), 0.45, "reduced"),  # radii from 1.2e-3 to 1.3e-2
