@@ -343,6 +343,10 @@ class FunctionHandle:
             return tuple(self._jet_many(X, order))
         return tuple(self.derivative_tensor(X, m) for m in range(order + 1))
 
+    @property
+    def jet_backed(self) -> bool:
+        return self._jet_many is not None
+
     def gradient_values(self, X) -> np.ndarray:
         return self.derivative_tensor(X, 1)
 

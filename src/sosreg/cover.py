@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import FunctionHandle, directional_hessian_plus_values
+from .calculus import FunctionHandle, _hessian_plus, directional_hessian_plus_values, max_entries
 from .errors import CoverBudgetError, CoverageHoleError, DomainError
 from .geometry import Ball, as_points, ball_grid, ball_points, sphere_points
 from .reporting import Report
@@ -66,7 +66,8 @@ class _Buckets:
         self.tables, size = [], 1
         for d in range(points.shape[1]):
             reached = first[:, d, None] + steps
-            axis, folded = np.unique(reached), None
+            axis, folded = np.sort(reached, axis=None), None
+            axis = axis[np.r_[True, axis[1:] != axis[:-1]]]  # np.unique, without importing numpy.ma
             if size * len(axis) > 2**62:
                 folded, inverse = np.unique(key, return_inverse=True)
                 key, size = inverse.reshape(key.shape), len(folded)
@@ -170,8 +171,13 @@ def control_terms(fvals, hess_plus, quartic, delta: float) -> np.ndarray:
 def control_distance_values(f: FunctionHandle, X, p: ControlDistanceParams) -> np.ndarray:
     """max{ f^(1/(4+2d)), [directional Hessian]_+^(1/(2+2d)), |grad^4 f|^(1/2d) }
     on a batch of points (the last term in the full variant only)."""
-    fvals, hess_plus = f.values(X), directional_hessian_plus_values(f, X)
-    quartic = f.max_entry_values(X, 4) if p.variant == "full" else None
+    if f.jet_backed:  # one jet holds every order; an expression handle's jet would add orders 1 and 3
+        X = as_points(X, f.arity)
+        J = f.jet(X, 4 if p.variant == "full" else 2)
+        fvals, hess_plus, quartic = J[0], _hessian_plus(J[2], X), max_entries(J[4]) if p.variant == "full" else None
+    else:
+        fvals, hess_plus = f.values(X), directional_hessian_plus_values(f, X)
+        quartic = f.max_entry_values(X, 4) if p.variant == "full" else None
     rho = np.max(control_terms(fvals, hess_plus, quartic, p.delta), axis=1)
     if not np.all(np.isfinite(rho)):
         raise DomainError("control distance evaluated non-finite")

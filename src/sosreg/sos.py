@@ -447,11 +447,11 @@ class MinimizerProfile:
     last iterate and are added to `unconverged`, a running count over every
     solve request of this profile.
 
-    The last `memo_size` solved batches are kept by the exact bytes of xi: a
-    batch asked for again (the value, Hessian and max-entry reads of one
-    reduced-profile batch) gets a copy of its solution and adds its stalled
-    count again, with no fiber call.  A 0-dim cross-section's batch is solved
-    as one row.  The memo makes a profile unsafe to share between threads.
+    The last `memo_size` solved batches are kept by the exact bytes of xi: a batch
+    asked again (a profile's values after its control distances, say) gets a copy
+    of its solution and adds its stalled count again, with no fiber call.  A 0-dim
+    cross-section's batch is solved as one row.  The memo makes a profile unsafe
+    to share between threads.
     """
 
     max_iter = 80
@@ -753,12 +753,19 @@ def reduced_profile(
 
 
 class _CaseIPiece:
-    """w = sqrt(f); one instance serves every case-I cell of a decomposition."""
+    """w = sqrt(f); one instance serves every case-I cell of a decomposition and a level's pass reads it once."""
 
     kind = "caseI"
 
     def __init__(self, f: FunctionHandle):
         self.f = f
+
+    def read(self, X, rows, pairs, reads) -> np.ndarray:
+        if self not in reads:  # at every row of the batch that some bump reaches
+            at = np.flatnonzero(np.bincount(pairs.idx[pairs.chi > 0], minlength=len(X)))
+            reads[self] = np.empty(len(X))
+            reads[self][at] = self.weights(X[at])
+        return reads[self][rows]
 
     def weights(self, X) -> np.ndarray:
         return np.sqrt(np.maximum(self.f.values(X), 0.0))
@@ -783,19 +790,26 @@ class _ConstPiece:
 
 
 class _LiftedPiece:
+    """Root `index` of a case-II cell's sub-report, lifted through the cell's frame.  The cell's
+    lifted pieces share their hits: a level's pass reads all `roots` by one pass at xi."""
+
     kind = "residue_lift"
 
-    def __init__(self, frame: _RotatedFrame, sub_root: "RootGroup"):
-        self.frame = frame
-        self.sub_root = sub_root
+    def __init__(self, frame: _RotatedFrame, roots: list, index: int):
+        self.frame, self.roots, self.index = frame, roots, index
 
     def weights(self, X) -> np.ndarray:
-        return self.sub_root.eval_many(self.frame.to_local(X)[0])
+        return self.roots[self.index].eval_many(self.frame.to_local(X)[0])
+
+    def read(self, X, rows, pairs, reads) -> np.ndarray:
+        if id(self.roots) not in reads:
+            reads[id(self.roots)] = _root_rows(self.roots, self.frame.to_local(X[rows])[0])
+        return reads[id(self.roots)][self.index]
 
     def jet(self, X) -> tuple:
         """The sub-root's jet at the frame's xi, pulled back to x through R[:, :-1]."""
         P = self.frame.R[:, :-1]
-        w, w1, w2 = self.sub_root.jet(self.frame.to_local(X)[0])
+        w, w1, w2 = self.roots[self.index].jet(self.frame.to_local(X)[0])
         return w, w1 @ P.T, P @ w2 @ P.T
 
 
@@ -842,17 +856,19 @@ class RootGroup:
                 end += h.size
         return np.concatenate(hits), spans
 
-    def eval_many(self, X, pairs=None, tot=None) -> np.ndarray:
+    def eval_many(self, X, pairs=None, tot=None, reads=None) -> np.ndarray:
+        """g on a batch.  Alone it reads the bumps and its pieces itself; in a level's pass (`_root_rows`)
+        it takes its `pairs` and `tot`, and the pieces groups share `read` their rows into `reads`."""
         X = as_points(X, self.arity)
         if pairs is None:
             pairs = self.partition.chi_pairs(X)
-        if tot is None:
             tot = self.partition.sum_chi_sq(X, pairs)
         hits, spans = self._batches(pairs)
         ids = pairs.idx[hits]
         w = np.empty(len(hits))
         for piece, at in spans:
-            w[at] = piece.weights(X[ids[at]])
+            read = None if reads is None else getattr(piece, "read", None)  # a piece that groups share
+            w[at] = piece.weights(X[ids[at]]) if read is None else read(X, ids[at], pairs, reads)
         out = _scatter(ids, pairs.chi[hits] * w, len(X))
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.where(tot > 0, out / np.sqrt(np.where(tot > 0, tot, 1.0)), 0.0)
@@ -889,6 +905,13 @@ class RootGroup:
 
     def __call__(self, X):
         return self.eval_many(X)
+
+
+def _root_rows(roots: list, X) -> list:
+    """[g(X) for g in roots], one level's groups, from one `chi_pairs`, `sum_chi_sq` and dict of `reads`."""
+    pairs = roots[0].partition.chi_pairs(X)
+    tot, reads = roots[0].partition.sum_chi_sq(X, pairs), {}
+    return [g.eval_many(X, pairs, tot, reads) for g in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -971,15 +994,12 @@ class DecompositionReport:
         return out
 
     def sum_of_squares(self, X) -> np.ndarray:
-        """sum_l g_l(x)^2 on points read by `geometry.as_points` with the region's dim."""
+        """sum_l g_l(x)^2, added in group order, on points read by `geometry.as_points` with the
+        region's dim; one pass per level (`_root_rows`) reads each batch's bumps and pieces once."""
         X = as_points(X, self.params.region.dim)
-        if self.empty or self.partition is None:
-            return np.zeros(X.shape[0])
-        pairs = self.partition.chi_pairs(X)
-        tot = self.partition.sum_chi_sq(X, pairs)
         acc = np.zeros(X.shape[0])
-        for g in self.roots:
-            acc += g.eval_many(X, pairs=pairs, tot=tot) ** 2
+        for g in _root_rows(self.roots, X) if self.roots else ():
+            acc += g**2
         return acc
 
     def as_dict(self) -> dict:
@@ -1091,8 +1111,8 @@ def decompose(f: FunctionHandle, params: DecomposeParams) -> DecompositionReport
                 sub_report = decompose(split.F, sub_params)
                 cd.sub_report = sub_report
                 max_depth = max(max_depth, 1 + sub_report.recursion_depth)
-                for sub_g in sub_report.roots:
-                    add_member(("rem", cell.color, sub_g.label), cell.nu, _LiftedPiece(split.frame, sub_g))
+                for j, sub in enumerate(sub_report.roots):
+                    add_member(("rem", cell.color, sub.label), cell.nu, _LiftedPiece(split.frame, sub_report.roots, j))
                 if sub_report.empty:
                     report.warnings.append(
                         f"cell {cell.nu}: remainder profile entirely below the floor; dropped"

@@ -1,6 +1,6 @@
 """The import graph: numpy is imported eagerly and scipy never, not even by the
-cover's neighbour searches, the partition, the colouring or the CLI; and every
-name a module exports exists."""
+cover's neighbour searches, the partition, the colouring or the CLI; building a
+partition leaves numpy.ma unloaded; and every name a module exports exists."""
 
 import importlib
 import json
@@ -59,6 +59,33 @@ def test_scipy_is_never_loaded():
     assert out["cells"] > 0 and out["hits"] > 0 and out["colors"] > 0
     assert out["decomposed"] is True
     assert out["cli"] == 0
+
+
+BUCKETS_PROBE = """
+import json, sys
+import numpy as np
+from sosreg.cover import CoverCell, Partition
+
+rng = np.random.default_rng(3)
+centers, radii = rng.uniform(-1.0, 1.0, (300, 3)), rng.uniform(0.01, 0.3, 300)
+part = Partition([CoverCell(nu=i, center=tuple(c), radius=float(r)) for i, (c, r) in enumerate(zip(centers, radii))])
+loaded = "numpy.ma" in sys.modules
+# each axis table holds the distinct cube indices the items reach on that axis
+index, reach = part.index, part.radii * (1.0 + 1e-9)
+first = np.floor((part.centers - reach[:, None]) / index.side)
+steps = np.arange(int(np.max(np.floor((part.centers + reach[:, None]) / index.side) - first)) + 1)
+want = [np.unique(first[:, d, None] + steps) for d in range(3)]
+same = [axis.dtype == w.dtype and axis.tobytes() == w.tobytes() for (axis, _), w in zip(index.tables, want)]
+print(json.dumps({"numpy.ma": loaded, "same": same}))
+"""
+
+
+def test_partition_leaves_numpy_ma_unloaded():
+    # np.unique of floats asks numpy.ma whether its input is masked, which imports it
+    src = str(Path(sosreg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", BUCKETS_PROBE], capture_output=True, text=True, env=env, check=True)
+    assert json.loads(proc.stdout) == {"numpy.ma": False, "same": [True, True, True]}
 
 
 @pytest.mark.parametrize("module", ["sosreg"] + [f"sosreg.{m.name}" for m in pkgutil.iter_modules(sosreg.__path__)])

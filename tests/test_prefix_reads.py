@@ -3,11 +3,12 @@
 A check that compares a coarse sampled supremum with its nested refinement
 evaluates the fine family once and takes the coarse estimate from its
 prefix, and a check that needs several derivative orders at one point set
-reads them by one jet.  The `reads` fixture records the outermost
-FunctionHandle reads of a call as (method, rows, order); every coarse
-estimate is checked against an oracle that evaluates the coarse family on
-its own.  The root Hölder probe reads each of its points once; its reads
-are logged at `RootGroup.jet`.
+reads them by one jet, as does the control distance of a jet-backed handle.
+The `reads` fixture records the outermost FunctionHandle reads of a call as
+(method, rows, order); every coarse estimate is checked against an oracle
+that evaluates the coarse family on its own.  The root Hölder probe reads
+each of its points once; its reads are logged at `RootGroup.jet`.  The sum
+of squares reads each batch's bumps and root pieces once per partition level.
 """
 
 import math
@@ -27,11 +28,15 @@ from sosreg.calculus import (
     verify_odd_even_control,
 )
 from sosreg.counterex import FamilyParams, functional, gamma_alpha
+from sosreg.cover import ControlDistanceParams, CoverCell, Partition, control_distance_values, control_terms
 from sosreg.exprlang import parse_expression
 from sosreg.geometry import Ball, as_points, ball_points, sphere_points
 from sosreg.monotone import STABILITY_TOLERANCE, verify_power_bound
 from sosreg.roots import PowerHandle, verify_root_regularity
-from sosreg.sos import DecomposeParams, RootGroup, check_differential_inequalities, decompose, root_holder_estimate
+from sosreg.sos import (
+    DecomposeParams, RootGroup, _CaseIPiece, check_differential_inequalities, decompose, reduced_profile,
+    root_holder_estimate,
+)
 
 from oracles import root_holder_two_reads
 
@@ -224,6 +229,66 @@ class TestRootHolderProbe:
             assert est.pair_count == want["pair_count"]
             assert seen == [want["anchor_rows"], want["roam_starts"] + want["pair_count"]]
         assert counts[0]["roam_starts"] < counts[1]["roam_starts"]
+
+
+class TestSumOfSquares:
+    """The sum of squares reads each batch once per partition level: one
+    `chi_pairs` per level, one case-I read per level and one `eval_many` per group."""
+
+    def test_one_pass_per_level(self, monkeypatch):
+        rep = decompose(handle("x^2 + y^2 + z^2", ("x", "y", "z")), DecomposeParams(
+            delta=0.25, eta=0.3, region=Ball((0.0, 0.0, 0.0), 0.015), verify_points=500, estimate_holder=False))
+        levels, todo = {}, [rep]
+        while todo:
+            sub = todo.pop()
+            levels[sub.partition] = sub
+            todo += [cd.sub_report for cd in sub.cells if cd.sub_report is not None and not cd.sub_report.empty]
+        case_one = {p: lvl for lvl in levels.values() for g in lvl.roots for _, p in g.members if p.kind == "caseI"}
+        assert rep.recursion_depth == 2 and len(case_one) == len(levels) > 2
+
+        log = []
+        for owner, name in ((Partition, "chi_pairs"), (_CaseIPiece, "weights"), (RootGroup, "eval_many")):
+            def logged(self, X, *args, _orig=getattr(owner, name), **kwargs):
+                log.append((self, len(X)))
+                return _orig(self, X, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, logged)
+        pts = ball_points(rep.params.region, 600)
+        rep.sum_of_squares(pts)
+        parts = [p for p, _ in log if isinstance(p, Partition)]
+        reads = [p for p, _ in log if isinstance(p, _CaseIPiece)]
+        groups = [g for g, _ in log if isinstance(g, RootGroup)]
+        assert log[0] == (rep.partition, len(pts))
+        assert len(set(parts)) == len(parts) and {levels[p].recursion_depth for p in parts} == {0, 1, 2}
+        assert len(set(reads)) == len(reads) and {case_one[p].partition for p in reads} <= set(parts)
+        assert sorted(map(id, groups)) == sorted(id(g) for p in parts for g in levels[p].roots)
+        # group by group, each case-I group reads the top level's case-I piece on its own
+        top = [g for g in rep.roots if g.label.startswith("caseI:")]
+        log.clear()
+        for g in top:
+            g.eval_many(pts)
+        assert sum(isinstance(p, _CaseIPiece) for p, _ in log) == len(top) > 1
+
+
+class TestControlDistance:
+    @pytest.mark.parametrize("variant", ["full", "reduced"])
+    def test_one_jet_on_a_reduced_profile(self, reads, monkeypatch, variant):
+        f = handle("x^2 + 2*y^2 + z^2 + x*y*z", ("x", "y", "z"))
+        cell = CoverCell(nu=0, center=(0.0, 0.0, 0.0), radius=0.01)
+        F = reduced_profile(f, cell, [0.0, 0.0, 1.0], rho=1.0, delta=0.25).F
+        F2 = reduced_profile(F, CoverCell(nu=0, center=(0.0, 0.0), radius=0.005), [0.0, 1.0], rho=1.0, delta=0.25).F
+        p = ControlDistanceParams(0.25, variant)
+        for G in (F, F2):
+            X = ball_points(Ball((0.0,) * G.arity, 0.9 * G.domain.radius), 40)
+            jets = []  # G's own jet calls; a profile of a profile reads its parent's inside them
+            monkeypatch.setattr(G, "_jet_many",
+                                lambda X, order, _jm=G._jet_many, _log=jets: _log.append(order) or _jm(X, order))
+            reads.clear()
+            rho = control_distance_values(G, X, p)
+            assert jets == [4 if variant == "full" else 2] and reads == [("jet", 40, jets[0])]
+            quartic = G.max_entry_values(X, 4) if variant == "full" else None
+            want = np.max(control_terms(G.values(X), directional_hessian_plus_values(G, X), quartic, 0.25), axis=1)
+            assert np.array_equal(rho, want)
 
 
 class TestOddEvenControl:

@@ -577,6 +577,27 @@ def sine_fiber_2d():
     return decompose(handle("x^2 + sin(y)^2", ("x", "y")), params)
 
 
+class TestSumOfSquares:
+    """One pass per level gives the sum of squares bit for bit as adding
+    g.eval_many(X)^2 one group at a time, each group reading alone."""
+
+    @pytest.fixture(scope="class")
+    def quartic_2d(self):
+        return decompose(handle("x^2 + y^4", ("x", "y")),
+                         DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0, 0.0), 0.01), estimate_holder=False))
+
+    @pytest.mark.parametrize("name", ["isotropic_3d", "quartic_2d"])
+    def test_one_pass_equals_group_by_group(self, request, name):
+        rep = request.getfixturevalue(name)
+        assert rep.recursion_depth == (2 if name == "isotropic_3d" else 1)
+        pts = ball_points(rep.params.region, 800)
+        want = np.zeros(len(pts))
+        for g in rep.roots:
+            want += g.eval_many(pts) ** 2
+        assert np.array_equal(rep.sum_of_squares(pts), want)
+        assert np.max(np.abs(want - np.sum(pts**2 if name == "isotropic_3d" else pts**[2, 4], axis=1))) <= 1e-6
+
+
 class TestFiberQuadrature:
     def test_polynomial_fibers_choose_two_nodes(self, isotropic_3d):
         nodes = {}
