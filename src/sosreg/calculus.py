@@ -203,11 +203,13 @@ class FunctionHandle:
         simplified body per batch, along the order's multi-index directions,
         interpolated to the partials by `_series_layout`.  Their batch memo
         holds the pass's partials; a read without one runs its own pass.
-        Both ways are exact in exact arithmetic, and the series agree with
-        the symbolic derivatives to rounding, about 1e-13 of each point's
-        largest entry.  A direction whose series is not finite (a real power
-        of a zero base) spoils only the partials it shares support with: at
-        (0, 0.5), x^2.5 + y^4 reads D^(0,4) = 24 but NaN for D^(1,3) = 0.
+        Values are the same DAG walk at degree 0 (`evaluate`), so they are the
+        passes' c_0 wherever simplifying keeps the body's arithmetic as
+        written (every catalog body).  The series agree with the symbolic
+        derivatives to rounding, about 1e-13 of each point's largest entry.
+        A direction whose series is not finite (a real power of a zero base)
+        spoils only the partials it shares support with: at (0, 0.5),
+        x^2.5 + y^4 reads D^(0,4) = 24 but NaN for D^(1,3) = 0.
         """
         variables = tuple(variables)
         n = len(variables)

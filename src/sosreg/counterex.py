@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import FunctionHandle, Modulus
+from .cover import _transition
 from .errors import DomainError
 from .exprlang import catalog_function
 from .geometry import Ball, as_points, sphere_points
@@ -144,12 +145,8 @@ def _plateau_log(u: np.ndarray, rho: float) -> np.ndarray:
     out = np.full(u.shape, -np.inf)
     out[u <= rho] = 0.0
     mid = (u > rho) & (u < 1.0)
-    if np.any(mid):
-        v = (1.0 - u[mid]) / (1.0 - rho)
-        with np.errstate(all="ignore"):
-            ev = np.exp(-1.0 / v)
-            e1 = np.exp(-1.0 / (1.0 - v))
-            out[mid] = np.log(ev / (ev + e1))
+    with np.errstate(divide="ignore"):
+        out[mid] = np.log(_transition((1.0 - u[mid]) / (1.0 - rho)))
     return out
 
 

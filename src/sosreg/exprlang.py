@@ -12,9 +12,11 @@ only simplified nodes: structurally equal nodes become one object, and each
 derivative step is built simplified in one pass and memoized per node.  A
 call given no table builds a fresh one; a table passed in (one per
 FunctionHandle) keeps growing, so it must not be shared across threads.
-`evaluate` given an EvalMemo shares node values across the evaluations of
-one batch of roots; a memo belongs to one batch.  `taylor_series` propagates
-truncated Taylor series along lines through the same DAG walk.
+One DAG walk computes numbers: `taylor_series` propagates truncated Taylor
+series along lines, and `evaluate` is its degree-0 case, so each node type's
+numeric rule is written once.  Given an EvalMemo, either shares node series
+across the evaluations of one batch of roots; a memo belongs to one batch
+and one degree.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import SosregError
 from .geometry import Ball
 
 __all__ = [
@@ -65,7 +68,7 @@ __all__ = [
 ]
 
 
-class ExprError(Exception):
+class ExprError(SosregError):
     """Base error for the expression language."""
 
 
@@ -184,8 +187,8 @@ class Piecewise(Expr):
             raise ExprError("piecewise breakpoints must be increasing")
 
 
-_UFUNCS = {Exp: np.exp, Ln: np.log, Sin: np.sin, Cos: np.cos}
-_FOLDS = {Exp: math.exp, Ln: math.log, Sin: math.sin, Cos: math.cos}
+_FOLDS = {Exp: math.exp, Ln: math.log, Sin: math.sin, Cos: math.cos,
+          FlatExp: lambda u: math.exp(-1.0 / u) if u > 0 else 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +199,25 @@ _FOLDS = {Exp: math.exp, Ln: math.log, Sin: math.sin, Cos: math.cos}
 def evaluate(e: Expr, env: dict, memo: EvalMemo | None = None):
     """Evaluate e with variables bound to scalars or numpy arrays.
 
-    Shared subtrees (expressions are DAGs after differentiation) evaluate
-    once per call.  With `memo`, an EvalMemo made from the read counts of a
-    batch of roots that contains e, values also carry over to the batch's
-    other roots in the same environment, and each value is dropped after its
-    last read.  Intermediate overflow/invalid warnings are suppressed:
-    out-of-branch values of piecewise nodes and the guarded flatexp primitive
-    legitimately produce inf/NaN that never reach the selected result.
+    The value is c_0 of e's degree-0 Taylor series: each variable is the
+    one-coefficient series [value], and `taylor_series` walks the DAG, so a
+    value and the series of higher degree share each node's numeric rule.
+    Scalars keep numpy's arithmetic (a division by zero reads inf) and their
+    dtype (longdouble stays longdouble); a scalar result is a numpy scalar.
+    With `memo`, an EvalMemo made from the read counts of a batch of roots
+    that contains e, values carry over to the batch's other roots in the same
+    environment; the memo holds each node's coefficient list and drops it
+    after its last read, so one memo serves one degree.
     """
-    with np.errstate(all="ignore"):
-        if memo is None:
-            return _eval(e, env, {}, None)
-        return _eval(e, env, memo.values, memo.left)
+    c0 = taylor_series(e, {name: [np.asarray(value)] for name, value in env.items()}, 0, memo)[0]
+    return c0[()] if isinstance(c0, np.ndarray) and not c0.ndim else c0
 
 
 class EvalMemo:
-    """Node values shared by the evaluations of one batch of roots.
+    """Node series shared by the evaluations of one batch of roots at one degree.
 
     `left` starts as `read_counts(roots)` and counts the reads still to come;
-    a value is dropped at its last read, so the memo holds only values that
+    a series is dropped at its last read, so the memo holds only series that
     a later read of the batch needs.
     """
 
@@ -265,69 +268,6 @@ def read_counts(roots) -> dict:
     return dict(reads)
 
 
-def _eval(e: Expr, env, memo: dict, left):
-    key = id(e)
-    out = memo.get(key)
-    if out is None:
-        out = _eval_node(e, env, memo, left)
-        memo[key] = out
-    if left is not None:
-        n = left[key] - 1
-        left[key] = n
-        if not n:
-            del memo[key]
-    return out
-
-
-def _eval_node(e: Expr, env, memo, left):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise ExprError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, Sum):
-        acc = _eval(e.terms[0], env, memo, left)
-        for t in e.terms[1:]:
-            acc = acc + _eval(t, env, memo, left)
-        return acc
-    if isinstance(e, Neg):
-        return -_eval(e.arg, env, memo, left)
-    if isinstance(e, Prod):
-        acc = _eval(e.factors[0], env, memo, left)
-        for f in e.factors[1:]:
-            acc = acc * _eval(f, env, memo, left)
-        return acc
-    if isinstance(e, Quot):
-        return _eval(e.num, env, memo, left) / _eval(e.den, env, memo, left)
-    if isinstance(e, Pow):
-        b = _eval(e.base, env, memo, left)
-        p = e.exponent
-        if p == int(p):
-            return np.power(b, int(p))
-        return np.power(b, p)
-    ufunc = _UFUNCS.get(type(e))
-    if ufunc is not None:
-        return ufunc(_eval(e.arg, env, memo, left))
-    if isinstance(e, FlatExp):
-        # dtype preserved: callers may evaluate in extended precision
-        u = np.asarray(_eval(e.arg, env, memo, left))
-        out = np.where(u > 0, np.exp(-1.0 / np.where(u > 0, u, u.dtype.type(1.0))), u.dtype.type(0.0))
-        return out if out.ndim else out[()]
-    if isinstance(e, Piecewise):
-        s = np.asarray(_eval(e.scrutinee, env, memo, left))
-        vals = [np.asarray(_eval(b, env, memo, left)) for b in e.branches]
-        shape = np.broadcast_shapes(s.shape, *(v.shape for v in vals))
-        s = np.broadcast_to(s, shape)
-        vals = [np.broadcast_to(v, shape) for v in vals]
-        conds = [s <= b for b in e.breaks]
-        conds.append(np.ones(shape, dtype=bool))  # NaN scrutinee falls to the last branch
-        out = np.select(conds, vals)
-        return out if out.ndim else out[()]
-    raise ExprError(f"cannot evaluate node {type(e).__name__}")
-
-
 def taylor_series(e: Expr, env: dict, degree: int, memo: EvalMemo | None = None) -> list:
     """Coefficients [c_0, ..., c_degree] of e's Taylor series along a line.
 
@@ -342,8 +282,10 @@ def taylor_series(e: Expr, env: dict, degree: int, memo: EvalMemo | None = None)
     all a truncated series tells (sqrt(x^4 + y^4) at 0 stays NaN at order 3).
     flatexp is exp(-1/u) where u > 0 and 0 elsewhere, and piecewise takes each
     coefficient from the branch its scrutinee's value selects, as the
-    branchwise symbolic derivatives do.  With `memo`, an EvalMemo of
-    read_counts([e]), each node's series is dropped after its last read.
+    branchwise symbolic derivatives do.  This is the package's one numeric
+    DAG walk; `evaluate` is its degree-0 case.  With `memo`, an EvalMemo of
+    read_counts([e]), each node's series is dropped after its last read; the
+    memo's series have this call's degree, so one memo serves one degree.
     """
     with np.errstate(all="ignore"):
         if memo is None:
@@ -368,8 +310,8 @@ def _series_node(e: Expr, env, degree: int, memo, left) -> list:
     def s(child):
         return _series(child, env, degree, memo, left)
 
-    if isinstance(e, Const):
-        return [e.value] + [None] * degree
+    if isinstance(e, Const):  # a numpy scalar: division by zero reads inf, as on arrays
+        return [np.float64(e.value)] + [None] * degree
     if isinstance(e, Var):
         try:
             return env[e.name]
@@ -448,7 +390,10 @@ def _conv(a, b, k: int, weight=None, first: int = 1):
 
 
 def _cauchy(a: list, b: list) -> list:
-    return [_conv(a, b, k, first=0) for k in range(len(a))]
+    out = [a[0] * b[0]]  # c_0 is never None: a constant, a variable's value or a node's value
+    for k in range(1, len(a)):
+        out.append(_conv(a, b, k, first=0))
+    return out
 
 
 def _divide(a: list, b: list) -> list:
@@ -470,16 +415,14 @@ def _exp(u: list) -> list:
 def _power(u: list, p: float) -> list:
     if p == int(p):
         one = [1.0] + [None] * (len(u) - 1)
-        out, m = None, abs(int(p))
+        out, m = one, abs(int(p))
         while m:  # binary powering
             if m & 1:
-                out = u if out is None else _cauchy(out, u)
+                out = u if out is one else _cauchy(out, u)
             m >>= 1
             if m:
                 u = _cauchy(u, u)
-        if out is None:
-            return one
-        return out if p > 0 else _divide(one, out)
+        return out if p >= 0 else _divide(one, out)
     v = [np.power(u[0], p)]
     zero = u[0] == 0
     base = np.where(zero, 1.0, u[0])
@@ -608,18 +551,24 @@ class DerivativeTable:
         if p == 1.0:
             return base
         if isinstance(base, Const) and (base.value > 0 or float(p).is_integer()):
-            return self.node(Const, float(base.value**p))
+            return self._fold(Pow, (base, p), lambda: base.value**p)
         return self.node(Pow, base, p)
 
     def unary(self, cls, a: Expr) -> Expr:
         """exp, ln, sin, cos or flatexp of a, folded when a is a constant."""
         if not isinstance(a, Const) or (cls is Ln and not a.value > 0):
             return self.node(cls, a)
-        if cls is FlatExp:
-            return self.node(Const, math.exp(-1.0 / a.value) if a.value > 0 else 0.0)
         if cls not in _FOLDS:
             raise ExprError(f"cannot simplify node {cls.__name__}")
-        return self.node(Const, _FOLDS[cls](a.value))
+        return self._fold(cls, (a,), lambda: _FOLDS[cls](a.value))
+
+    def _fold(self, cls, fields, fold) -> Expr:
+        """Const fold(), or where float arithmetic fails (exp(800) overflows)
+        the unfolded cls(*fields), which evaluates to numpy's inf or NaN."""
+        try:
+            return self.node(Const, float(fold()))
+        except (ArithmeticError, ValueError):
+            return self.node(cls, *fields)
 
     def piecewise(self, scrutinee: Expr, breaks: tuple, branches: tuple) -> Expr:
         if all(b == branches[0] for b in branches[1:]):
@@ -1012,8 +961,7 @@ class FunctionDef:
         return len(self.variables)
 
     def __call__(self, *args):
-        env = dict(zip(self.variables, args))
-        return evaluate(self.body, env)
+        return evaluate(self.body, dict(zip(self.variables, args)))
 
 
 def parse_function_file(text: str) -> dict:

@@ -79,6 +79,18 @@ class TestDecompose:
         code = run_cli(["decompose", "--function", "x^2 + y^2", "--dim", "1"])
         assert code == 1
 
+    def test_syntax_error_is_reported_without_traceback(self):
+        proc = subprocess.run([sys.executable, "-m", "sosreg.cli", "decompose", "--function", "x +* y"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: unexpected token '*' (line 1, column 4)\n"
+
+    def test_overflowing_constant_reaches_the_checks(self, capsys):
+        # 1e200^2 overflows when folded; it stays a power and evaluates to inf
+        code = run_cli(["decompose", "--function", "1e200^2*x^2", "--region-radius", "0.5"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: Hessian evaluated non-finite at (-0.5,)\n"
+
     def test_pair_budget_is_a_runtime_error(self, monkeypatch, capsys):
         monkeypatch.setattr(cover, "MAX_PAIRS", 100)
         code = run_cli(["decompose", "--function", "x^2 + y^2", "--region-radius", "0.05", "--no-holder"])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,9 +37,10 @@ from sosreg.exprlang import (
     parse_function_file,
     read_counts,
     simplify,
+    taylor_series,
     to_source,
 )
-from sosreg.geometry import Ball
+from sosreg.geometry import Ball, ball_points
 
 from oracles import fd_partial_richardson
 
@@ -144,6 +146,46 @@ class TestDifferentiate:
         a = evaluate(dxy, pts)
         b = evaluate(dyx, pts)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+class TestEvaluate:
+    """`evaluate` is the degree-0 case of the one DAG walk, `taylor_series`."""
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_values_are_the_series_constant_term(self, name):
+        fdef = catalog_function(name)
+        lo, hi = np.array(fdef.sample_box).T
+        rng = np.random.default_rng(5)
+        X = lo + (hi - lo) * rng.random((64, fdef.arity))
+        D = rng.normal(size=X.shape)
+        env = {v: X[:, i] for i, v in enumerate(fdef.variables)}
+        lines = {v: [X[:, i], D[:, i], None, None] for i, v in enumerate(fdef.variables)}
+        values = evaluate(fdef.body, env)
+        assert values.dtype == np.float64
+        assert values.tobytes() == taylor_series(fdef.body, lines, 3)[0].tobytes()
+
+    def test_longdouble_stays_longdouble(self):
+        fdef = catalog_function("family_f")
+        X = ball_points(fdef.domain, 16).astype(np.longdouble)
+        vals = evaluate(fdef.body, {v: X[:, i] for i, v in enumerate(fdef.variables)})
+        assert vals.dtype == np.longdouble
+        assert type(evaluate(fdef.body, dict(zip(fdef.variables, X[3])))) is np.longdouble
+
+    def test_unbound_variable(self):
+        with pytest.raises(ExprError, match="unbound variable 'y'"):
+            evaluate(parse_expression("x + y"), {"x": 1.0})
+
+    @pytest.mark.parametrize(("src", "value"), [
+        ("exp(800)", math.inf), ("1e200^2", math.inf), ("(-1e200)^3", -math.inf), ("sin(1e400)", math.nan),
+        ("0^-1", math.inf),
+    ])
+    def test_folds_that_fail_stay_unfolded(self, src, value):
+        # float arithmetic overflows or raises on these constants; the node
+        # stays, and evaluation reads what numpy gives
+        e = simplify(parse_expression(src))
+        assert not isinstance(e, Const)
+        assert np.array_equal(evaluate(e, {}), value, equal_nan=True)
+        assert np.array_equal(evaluate(simplify(parse_expression(f"{src}*x^2")), {"x": 1.0}), value, equal_nan=True)
 
 
 class TestDerivativeTableAndMemo:
@@ -365,6 +407,9 @@ class TestCatalog:
         assert 0.0 < h(0.7) < 1.0
         assert h(1.0) == 0.0
         assert h(1.3) == 0.0
+        assert h(math.nan) == 0.0  # a NaN scrutinee falls to the last branch
+        # scalar inputs give numpy scalars, not 0-d arrays
+        assert all(type(h(t)) is np.float64 for t in (0.0, 0.7, 1.3))
         # even and monotone on [0, inf)
         ts = np.linspace(0.0, 1.2, 200)
         vals = evaluate(h.body, {"t": ts})
@@ -387,6 +432,11 @@ class TestCatalog:
         stub = glaeser_stub_with(parse_expression("t^4"), ("t",))
         assert stub(0.0) == 0.0
         assert stub(0.5) == pytest.approx(math.exp(-16.0))
+        # flatexp(u) is exactly 0 at u <= 0, without warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = glaeser_stub_with(parse_expression("t"), ("t",))(np.array([-np.inf, -1.0, -0.0, 0.0]))
+        assert np.array_equal(vals, np.zeros(4)) and not np.signbit(vals).any()
 
     def test_free_variable_validation(self):
         with pytest.raises(ExprError):
