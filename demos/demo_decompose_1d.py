@@ -34,17 +34,16 @@ print(f"root groups (the g_l): {len(report.roots)}")
 print(f"exact-split worst error on case II cells: {report.identity_error:.3e}")
 print(f"residual sup |f - sum g_l^2| on the probe grid: {report.residual_sup:.3e}")
 
-for cd in report.cells:
-    if cd.case == "II":
-        print(f"\nthe origin cell (nu={cd.cell.nu}):")
-        print(f"  center {cd.cell.center}, radius {cd.cell.radius:.4f}")
-        split = cd.split
-        x_local = split.minimizer.solve_many(np.zeros((1, 0)))[0]
-        x_global = cd.cell.center[0] + x_local
-        print(f"  fiber minimizer at {x_global:.2e} in global coordinates (true minimum at 0)")
-        print(f"  reduced profile constant F = {split.F:.2e} (true value 0)")
-        h_val = split.H(np.zeros((1, 0)), np.array([0.003]))[0]
-        print(f"  fiber factor H = {h_val:.12f} (true value 1: no leading 1/2)")
+for cd in report.case_ii:
+    print(f"\nthe origin cell (nu={cd.cell.nu}):")
+    print(f"  center {cd.cell.center}, radius {cd.cell.radius:.4f}")
+    split = cd.split
+    x_local = split.minimizer.solve_many(np.zeros((1, 0)))[0]
+    x_global = cd.cell.center[0] + x_local
+    print(f"  fiber minimizer at {x_global:.2e} in global coordinates (true minimum at 0)")
+    print(f"  reduced profile constant F = {split.F:.2e} (true value 0)")
+    h_val = split.H(np.zeros((1, 0)), np.array([0.003]))[0]
+    print(f"  fiber factor H = {h_val:.12f} (true value 1: no leading 1/2)")
 
 grid = np.linspace(-0.95, 0.95, 1200)
 stats = verify_decomposition(f, report, grid)

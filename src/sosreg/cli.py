@@ -144,14 +144,15 @@ def _decomposition(o: dict):
     report = decompose(f, params)
     o.update(c=params.c, normalize=params.normalize)
     if o["cells"]:
-        write_cells_jsonl(o["cells"], [cd.cell for cd in report.cells])
+        write_cells_jsonl(o["cells"], report.cells)
     return f, region, report
 
 
 def _run_decompose(o: dict):
     f, _, report = _decomposition(o)
     if o["csv"]:
-        rows = [[cd.cell.nu, *cd.cell.center, cd.cell.radius, cd.case, cd.cell.color] for cd in report.cells]
+        rows = [[c.nu, *c.center, c.radius, "I" if one else "II", c.color]
+                for c, one in zip(report.cells, report.case_one.tolist())]
         write_csv(o["csv"], ["nu", *(f"c{i}" for i in range(f.arity)), "radius", "case", "color"], rows)
     return {"report": report}, report.passed
 

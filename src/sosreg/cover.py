@@ -572,31 +572,29 @@ def color_classes(cells: list) -> list:
     """Greedy coloring of the "tripled balls intersect" graph.
 
     Cells i and j are neighbours when |c_i - c_j| < 3 (r_i + r_j).  Cells are
-    colored in the given order, each with the smallest color no neighbour
-    holds; a color set before the call counts for the neighbours colored
-    before that cell's own turn.  A bucket index with reach 3 (r_i + r_max)
-    counts each cell's candidates; consecutive blocks of cells, each of at
-    most _BLOCK_PAIRS candidates or of one cell, list theirs and keep as CSR
-    lists the neighbours that hold a color at each cell's turn: earlier cells,
-    whose colors are final, and later cells colored before the call.  So the
-    memory is one block's and the colors are those of one pass over all pairs.
-    Within each class the balls of triple radius are pairwise disjoint.
-    Returns the cells, ordered as given, with their color fields set.
+    colored in the given order, each with the smallest color no earlier
+    neighbour holds; colors set before the call are ignored and overwritten.
+    A bucket index with reach 3 (r_i + r_max) counts each cell's candidates;
+    consecutive blocks of cells, each of at most _BLOCK_PAIRS candidates or of
+    one cell, list theirs and keep as CSR lists each cell's earlier
+    neighbours, whose colors are final.  So the memory is one block's and the
+    colors are those of one pass over all pairs.  Within each class the balls
+    of triple radius are pairwise disjoint.  Returns the cells, ordered as
+    given, with their color fields set.
     """
     if not cells:
         return cells
     centers = np.array([c.center for c in cells])
     radii = np.array([c.radius for c in cells])
-    colors = np.array([-1 if c.color is None else c.color for c in cells])  # -1: uncolored
+    colors = np.empty(len(cells), dtype=int)
     index = _Buckets(centers, 3.0 * (radii + np.max(radii)) * (1.0 + 1e-9))
     listed = np.concatenate([[0], np.cumsum(index.counts(centers)[1])])  # candidates before each cell
     a = 0
     while a < len(cells):
         b = max(a + 1, int(np.searchsorted(listed, listed[a] + _BLOCK_PAIRS, side="right")) - 1)
         i, j = index.pairs(centers[a:b])
-        i = i + a
-        colored = (j < i) | ((j > i) & (colors[j] >= 0))
-        i, j = i[colored], j[colored]
+        earlier = j < i + a
+        i, j = i[earlier] + a, j[earlier]
         near = _distances(centers, i, centers, j) < 3.0 * (radii[i] + radii[j])
         rows, cols = i[near] - a, j[near]
         starts = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=b - a))]).tolist()

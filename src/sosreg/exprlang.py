@@ -678,6 +678,8 @@ def _d_node(e: Expr, v: str, t: DerivativeTable) -> Expr:
 
 
 def _fmt_number(x: float) -> str:
+    if math.isinf(x):  # 1e999 parses back to inf; "inf" would parse as a variable
+        return "-1e999" if x < 0 else "1e999"
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
     return repr(float(x))

@@ -367,37 +367,25 @@ class _RotatedFrame:
 
 @dataclass
 class CellDecomposition:
-    """One cell's case, control distance rho and its value/Hessian/quartic
-    terms; a case-II cell adds its axis, its `FiberSplit` and the split's
-    identity error, and above one variable its remainder profile's report."""
+    """A case-II cell: its control distance rho, its axis, its `FiberSplit`
+    and the split's identity error, and above one variable its remainder
+    profile's report.  A case-I cell has no record: its root is Phi_nu sqrt(f)."""
 
     cell: CoverCell
-    case: str
     rho: float
-    rho_terms: tuple
-    axis: tuple | None = None
-    split: "FiberSplit | None" = None
+    axis: tuple
+    split: "FiberSplit"
+    identity_error: float
     sub_report: "DecompositionReport | None" = None
-    identity_error: float | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            **self.cell.as_dict(),
-            "case": self.case,
-            "rho": self.rho,
-            "axis": self.axis,
-            "h_lower_ok": None if self.split is None else self.split.h_ok,
-            "identity_error": self.identity_error,
-            "recursive": self.sub_report is not None,
-        }
-        if self.split is not None:
-            out["quad_nodes"] = self.split.nodes
-            out["tables"] = self.split.sampled_tables()
-        return out
+        return {"nu": self.cell.nu, "axis": self.axis, "h_lower_ok": self.split.h_ok,
+                "identity_error": self.identity_error, "recursive": self.sub_report is not None,
+                "quad_nodes": self.split.nodes, "tables": self.split.sampled_tables()}
 
 
 def classify_cells(f: FunctionHandle, cells: list, delta: float, c: float) -> tuple:
-    """Case labels at the cell centers, from one order-4 jet of f there.
+    """The cells' cases, control distances and axes, from one order-4 jet of f at their centers.
 
     A cell is case I when f(center) >= c * rho^(4+2d), rho the largest of the
     value, Hessian and quartic terms; otherwise it is case II and its axis is
@@ -407,7 +395,8 @@ def classify_cells(f: FunctionHandle, cells: list, delta: float, c: float) -> tu
     which the pipeline's normalization is supposed to prevent, and a
     ClassificationError signals the inconsistency.
 
-    Returns (case_one (N,) bool, rho (N,), terms (N, 3) as value/Hessian/quartic, axes (N, n)).
+    Returns (case_one (N,) bool, rho (N,), axes (N, n)); every row has an
+    axis, and `decompose` reads those of the case-II rows.
     """
     fval, _, H, _, D4 = f.jet(np.array([cell.center for cell in cells]), 4)
     eigvals, eigvecs = np.linalg.eigh(H)
@@ -425,7 +414,7 @@ def classify_cells(f: FunctionHandle, cells: list, delta: float, c: float) -> tu
     axes = eigvecs[:, :, -1]
     first = np.argmax(np.abs(axes) > 1e-12, axis=1)
     axes = axes * np.where(axes[np.arange(len(axes)), first] < 0, -1.0, 1.0)[:, None]
-    return case_one, rho, terms, axes
+    return case_one, rho, axes
 
 
 # ---------------------------------------------------------------------------
@@ -957,10 +946,18 @@ class DecomposeParams:
 
 @dataclass
 class DecompositionReport:
+    """A decomposition of one level.  `cells` is the cover's `CoverCell` list, in
+    order; the columns `case_one` and `rho` hold each cell's case and control
+    distance, and `case_ii` the `CellDecomposition` of each case-II cell, in cell
+    order.  `roots` are the groups g_l and `holder` their Hölder estimates."""
+
     params: DecomposeParams
     deltas: list
     value_scale: float
     cells: list = field(default_factory=list)
+    case_one: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    rho: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    case_ii: list = field(default_factory=list)
     roots: list = field(default_factory=list)
     partition: Partition | None = None
     inequalities: DiffIneqReport | None = None
@@ -988,10 +985,7 @@ class DecompositionReport:
 
     @property
     def case_counts(self) -> dict:
-        out = {"I": 0, "II": 0}
-        for cd in self.cells:
-            out[cd.case] += 1
-        return out
+        return {"I": len(self.cells) - len(self.case_ii), "II": len(self.case_ii)}
 
     def sum_of_squares(self, X) -> np.ndarray:
         """sum_l g_l(x)^2, added in group order, on points read by `geometry.as_points` with the
@@ -1003,12 +997,17 @@ class DecompositionReport:
         return acc
 
     def as_dict(self) -> dict:
-        """Every field but the objects params, roots and partition, plus the
-        cell and case counts, one summary per root group and the pass rule."""
+        """Every field but the objects params, roots and partition, with `cells`
+        as columns (center, radius, color, case and rho, row nu) that take in
+        `case_one` and `rho`, plus the cell and case counts, one summary per
+        root group and the pass rule."""
         out = {"op": "decompose"}
         out.update((fd.name, getattr(self, fd.name)) for fd in fields(self)
-                   if fd.name not in ("params", "roots", "partition"))
+                   if fd.name not in ("params", "roots", "partition", "case_one", "rho"))
         out.update(
+            cells={"center": np.array([c.center for c in self.cells]), "radius": [c.radius for c in self.cells],
+                   "color": [c.color for c in self.cells], "case": np.where(self.case_one, "I", "II"),
+                   "rho": self.rho},
             cell_count=len(self.cells),
             case_counts=self.case_counts,
             root_groups=[{"label": g.label, "members": len(g.members), "scale": g.scale} for g in self.roots],
@@ -1067,63 +1066,53 @@ def decompose(f: FunctionHandle, params: DecomposeParams) -> DecompositionReport
         return report
 
     partition = build_partition(cells, region=params.region)
-    color_classes(cells)
-    report.partition = partition
+    report.cells, report.partition = color_classes(cells), partition
 
-    groups: dict = {}  # label -> [(cell index nu, piece)]
+    case_one, rho, axes = classify_cells(g, cells, params.delta, params.c)
+    report.case_one, report.rho = case_one, rho
+    colors = np.array([cell.color for cell in cells])
+    case_one_piece = _CaseIPiece(g)
+    groups: dict = {  # label -> [(cell index nu, piece)]
+        f"caseI:{c}": [(nu, case_one_piece) for nu in np.flatnonzero(case_one & (colors == c)).tolist()]
+        for c in np.unique(colors[case_one]).tolist()
+    }
 
     def add_member(key_parts, nu, piece):
         groups.setdefault(":".join(str(k) for k in key_parts), []).append((nu, piece))
 
-    case_one, rho_c, terms_c, axes_c = classify_cells(g, cells, params.delta, params.c)
+    for nu in np.flatnonzero(~case_one).tolist():
+        cell, r, axis = cells[nu], float(rho[nu]), axes[nu]
+        split = reduced_profile(g, cell, axis, r, params.delta)
+        if not split.h_ok:
+            report.warnings.append(f"cell {nu}: fiber factor fell below its lower bound")
+        add_member(("caseII", cell.color), nu, split)
 
-    case_one_piece = _CaseIPiece(g)
-    max_depth = 0
-    identity_worst = 0.0
-    for ci, cell in enumerate(cells):
-        terms = tuple(float(t) for t in terms_c[ci])
-        rho = float(rho_c[ci])
-        case, axis = ("I", None) if case_one[ci] else ("II", axes_c[ci])
-        cd = CellDecomposition(cell=cell, case=case, rho=rho, rho_terms=terms)
-        if case == "I":
-            add_member(("caseI", cell.color), cell.nu, case_one_piece)
+        k = n - 1
+        sub_report = None
+        if k == 0:
+            add_member(("rem", cell.color, "const"), nu, _ConstPiece(split.F))
         else:
-            cd.axis = tuple(axis)
-            split = cd.split = reduced_profile(g, cell, axis, rho, params.delta)
-            if not split.h_ok:
-                report.warnings.append(f"cell {cell.nu}: fiber factor fell below its lower bound")
-            add_member(("caseII", cell.color), cell.nu, split)
-
-            k = n - 1
-            if k == 0:
-                add_member(("rem", cell.color, "const"), cell.nu, _ConstPiece(split.F))
-            else:
-                sub_params = replace(
-                    params,
-                    # one step of the exponent recursion per recursion level
-                    delta=delta_sequence(params.delta, params.eta, 2)[1],
-                    region=Ball(center=(0.0,) * k, radius=cell.radius),
-                    verify_points=max(256, params.verify_points // 4),
-                    identity_samples=max(100, params.identity_samples // 4),
-                    estimate_holder=False,
-                    ineq_samples=max(60, params.ineq_samples // 8),
-                )
-                sub_report = decompose(split.F, sub_params)
-                cd.sub_report = sub_report
-                max_depth = max(max_depth, 1 + sub_report.recursion_depth)
-                for j, sub in enumerate(sub_report.roots):
-                    add_member(("rem", cell.color, sub.label), cell.nu, _LiftedPiece(split.frame, sub_report.roots, j))
-                if sub_report.empty:
-                    report.warnings.append(
-                        f"cell {cell.nu}: remainder profile entirely below the floor; dropped"
-                    )
-            cd.identity_error = split.identity_error(params.identity_samples) / max(a, 1e-300)
-            identity_worst = max(identity_worst, cd.identity_error)
-        report.cells.append(cd)
+            sub_params = replace(
+                params,
+                # one step of the exponent recursion per recursion level
+                delta=delta_sequence(params.delta, params.eta, 2)[1],
+                region=Ball(center=(0.0,) * k, radius=cell.radius),
+                verify_points=max(256, params.verify_points // 4),
+                identity_samples=max(100, params.identity_samples // 4),
+                estimate_holder=False,
+                ineq_samples=max(60, params.ineq_samples // 8),
+            )
+            sub_report = decompose(split.F, sub_params)
+            for j, sub in enumerate(sub_report.roots):
+                add_member(("rem", cell.color, sub.label), nu, _LiftedPiece(split.frame, sub_report.roots, j))
+            if sub_report.empty:
+                report.warnings.append(f"cell {nu}: remainder profile entirely below the floor; dropped")
+        identity_error = split.identity_error(params.identity_samples) / max(a, 1e-300)
+        report.case_ii.append(CellDecomposition(cell, r, tuple(axis), split, identity_error, sub_report))
 
     report.roots = [RootGroup(label, partition, groups[label], root_scale) for label in sorted(groups)]
-    report.recursion_depth = max_depth
-    report.identity_error = identity_worst
+    report.recursion_depth = max([0, *(1 + cd.sub_report.recursion_depth for cd in report.case_ii if cd.sub_report)])
+    report.identity_error = max([0.0, *(cd.identity_error for cd in report.case_ii)])
 
     # residual statistics on the truncated probe grid
     live = probe[~excluded]
@@ -1136,8 +1125,8 @@ def decompose(f: FunctionHandle, params: DecomposeParams) -> DecompositionReport
     else:
         report.warnings.append("verification grid entirely inside the floor region")
         report.residual_points = 0
-    for cd in report.cells:
-        if cd.split is not None and cd.split.minimizer.unconverged:
+    for cd in report.case_ii:
+        if cd.split.minimizer.unconverged:
             m = cd.split.minimizer
             report.warnings.append(
                 f"cell {cd.cell.nu}: {m.unconverged} fiber Newton solves stopped above "

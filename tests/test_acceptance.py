@@ -124,7 +124,7 @@ def test_criterion_02_decomposition_residual(decomposition_runs):
 
 def test_criterion_03_case_two_exact_identity(decomposition_runs):
     rep = decomposition_runs["isotropic_2d"]["report"]
-    case_two = [cd for cd in rep.cells if cd.case == "II"]
+    case_two = rep.case_ii
     worst = max(cd.identity_error for cd in case_two) if case_two else math.nan
     samples = rep.params.identity_samples
     ok = bool(case_two) and worst <= 1e-10 and samples >= 1000

@@ -289,7 +289,7 @@ class TestReportShapes:
             "op", "deltas", "value_scale", "cell_count", "case_counts", "root_groups", "inequalities",
             "residual_sup", "residual_mean", "residual_points", "identity_error",
             "boundary_excluded_fraction", "boundary_sup_f", "probe_sup_f", "residual_bound", "passed",
-            "holder", "recursion_depth", "warnings", "empty", "cells",
+            "holder", "recursion_depth", "warnings", "empty", "cells", "case_ii",
         }
         verification = payload["verification"]
         assert verification["op"] == "verify_decomposition" and verification["empty"] is False

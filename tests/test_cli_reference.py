@@ -32,6 +32,8 @@ REFERENCE = {
     "monotone": ["monotone", "--function", "flat_exp", "--samples", "50"],
     "roots": ["roots", "--function", "x^4+1"],
     "decompose": ["decompose", "--function", "x^2", "--region-radius", "0.5", "--verify-points", "300"],
+    "decompose_2d": ["decompose", "--function", "x^2+y^2", "--region-radius", "0.02", "--verify-points", "300",
+                     "--no-holder"],
     "verify": ["verify", "--function", "x^2", "--region-radius", "0.5", "--verify-points", "300",
                "--grid-points", "300"],
     "catalog": ["catalog"],

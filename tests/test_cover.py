@@ -343,10 +343,10 @@ class TestColorClasses:
             expected = _color_reference(cells)  # before color_classes sets the colors it reads
             assert [c.color for c in color_classes(cells)] == expected
 
-    def test_precolored_cells_match_per_pair_loop(self, isotropic_covers):
-        cells = [replace(c, color=c.nu % 5 if c.nu % 7 == 0 else None) for c in isotropic_covers[0]]
+    def test_colors_set_before_the_call_are_ignored(self, isotropic_covers):
+        cells = [replace(c, color=None) for c in isotropic_covers[0]]
         expected = _color_reference(cells)
-        assert [c.color for c in color_classes(cells)] == expected
+        assert [c.color for c in color_classes([replace(c, color=c.nu % 5) for c in cells])] == expected
 
     def test_disjoint_cells_single_class(self):
         cells = [CoverCell(nu=i, center=(10.0 * i,), radius=0.1) for i in range(5)]
@@ -378,10 +378,8 @@ class TestColorClasses:
     @pytest.mark.parametrize("budget", [1, 500])
     def test_blocks_color_as_one_pass(self, monkeypatch, isotropic_covers, budget):
         # every cell of these covers has 60 to 575 candidates: budget 1 makes
-        # each cell a block, 500 blocks of 1 to 8 cells; the pre-colored cells
-        # (every 7th) fall on both sides of block edges
+        # each cell a block, 500 blocks of 1 to 8 cells
         covers = [[replace(c, color=None) for c in cells] for cells in isotropic_covers]
-        covers.append([replace(c, color=c.nu % 5 if c.nu % 7 == 0 else None) for c in isotropic_covers[0]])
         covers += [_dyadic_cells(dim, 60, seed=20 + dim) for dim in (1, 2, 3)]
         blocks, listing = [], cover._Buckets.pairs
         monkeypatch.setattr(cover._Buckets, "pairs", lambda index, X: blocks.append(len(X)) or listing(index, X))

@@ -83,6 +83,9 @@ class TestParse:
             "flatexp(t^2)",
             "piecewise(t^2, 0.25, 1, 0)",
             "ln(x)/x^0.5",
+            "1e400*x",  # infinite constants print as 1e999
+            "x^1e400",
+            "-1e400*x",
         ],
     )
     def test_print_parse_round_trip(self, src):

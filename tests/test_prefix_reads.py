@@ -242,7 +242,7 @@ class TestSumOfSquares:
         while todo:
             sub = todo.pop()
             levels[sub.partition] = sub
-            todo += [cd.sub_report for cd in sub.cells if cd.sub_report is not None and not cd.sub_report.empty]
+            todo += [cd.sub_report for cd in sub.case_ii if cd.sub_report is not None and not cd.sub_report.empty]
         case_one = {p: lvl for lvl in levels.values() for g in lvl.roots for _, p in g.members if p.kind == "caseI"}
         assert rep.recursion_depth == 2 and len(case_one) == len(levels) > 2
 

@@ -82,28 +82,27 @@ def _decomposition():
 
 def test_decomposition_keys():
     rep = _decomposition()
-    cell = CoverCell(nu=3, center=(0.1, 0.2), radius=0.01, color=1)
-    rep.cells = [CellDecomposition(cell=cell, case="I", rho=0.5, rho_terms=(0.5, 0.1, 0.0))]
+    rep.cells = [CoverCell(nu=0, center=(0.1, 0.2), radius=0.01, color=1)]
+    rep.case_one, rep.rho = np.array([True]), np.array([0.5])
     out = to_jsonable(rep)
     assert set(out) == {
         "op", "deltas", "value_scale", "cell_count", "case_counts", "root_groups", "inequalities",
         "residual_sup", "residual_mean", "residual_points", "identity_error", "boundary_excluded_fraction",
         "boundary_sup_f", "probe_sup_f", "residual_bound", "passed", "holder", "recursion_depth", "warnings",
-        "empty", "cells",
+        "empty", "cells", "case_ii",
     }
     assert out["op"] == "decompose" and out["cell_count"] == 1 and out["case_counts"] == {"I": 1, "II": 0}
     assert out["residual_sup"] == "nan" and out["passed"] is False
-    assert out["cells"] == [{"nu": 3, "case": "I", "color": 1, "center": [0.1, 0.2], "radius": 0.01, "rho": 0.5,
-                             "axis": None, "h_lower_ok": None, "identity_error": None, "recursive": False}]
+    assert out["cells"] == {"center": [[0.1, 0.2]], "radius": [0.01], "color": [1], "case": ["I"], "rho": [0.5]}
+    assert out["case_ii"] == []
 
 
 def test_case_ii_cell_keys():
     split = SimpleNamespace(h_ok=np.bool_(True), nodes=2, sampled_tables=lambda: {"H": np.ones((2, 1))})
-    cd = CellDecomposition(cell=CoverCell(nu=0, center=(0.0,), radius=0.01), case="II", rho=0.5,
-                           rho_terms=(), axis=(1.0,), split=split)
+    cd = CellDecomposition(cell=CoverCell(nu=0, center=(0.0,), radius=0.01), rho=0.5, axis=(1.0,), split=split,
+                           identity_error=0.0)
     out = to_jsonable(cd)
-    assert set(out) == {"nu", "case", "color", "center", "radius", "rho", "axis", "h_lower_ok", "identity_error",
-                        "recursive", "quad_nodes", "tables"}
+    assert set(out) == {"nu", "axis", "h_lower_ok", "identity_error", "recursive", "quad_nodes", "tables"}
     assert out["h_lower_ok"] is True and out["quad_nodes"] == 2 and out["tables"] == {"H": [[1.0], [1.0]]}
 
 

@@ -9,6 +9,7 @@ from sosreg.cover import ControlDistanceParams, CoverCell, build_cover, bump_jet
 from sosreg.errors import BoundaryRootError, ClassificationError, ConvergenceError, DomainError, QuadratureError
 from sosreg.exprlang import parse_expression
 from sosreg.geometry import Ball, ball_points
+from sosreg.reporting import to_jsonable
 from sosreg.sos import (
     DecomposeParams,
     MinimizerProfile,
@@ -165,7 +166,7 @@ class TestClassifyCell:
     def test_parabola_origin_case_two_with_axis(self):
         cell = CoverCell(nu=0, center=(0.0, 0.0), radius=0.006)
         f = handle("x^2 + 0.25*y^2", ("x", "y"))
-        (case_one,), (rho,), _, (axis,) = classify_cells(f, [cell], 0.25, (1 / 200.0) ** 2 / 8)
+        (case_one,), (rho,), (axis,) = classify_cells(f, [cell], 0.25, (1 / 200.0) ** 2 / 8)
         assert not case_one
         # top eigendirection is the x axis
         assert abs(axis[0]) == pytest.approx(1.0)
@@ -285,7 +286,7 @@ class TestMinimizerAndProfile:
         monkeypatch.setattr(MinimizerProfile, "max_iter", 0)
         rep = decompose(handle("x^2"), DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0003,), 1.0),
                                                        verify_points=400, estimate_holder=False))
-        (cd,) = [cd for cd in rep.cells if cd.case == "II"]
+        (cd,) = rep.case_ii
         assert cd.split.minimizer.unconverged > 0
         assert any(w.startswith(f"cell {cd.cell.nu}: {cd.split.minimizer.unconverged} fiber Newton solves")
                    for w in rep.warnings)
@@ -526,9 +527,7 @@ class TestDecompose:
         rep = decompose(f, DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0, 0.0), 0.06),
                                            verify_points=600, estimate_holder=False))
         checked = 0
-        for cd in rep.cells:
-            if cd.case != "II":
-                continue
+        for cd in rep.case_ii:
             xis = np.linspace(-0.7, 0.7, 9).reshape(-1, 1) * cd.cell.radius
             f2 = cd.split.F.derivative_values(xis, (2,))
             parent_plus = 2.0  # sup of the positive Hessian part of x^2+y^2
@@ -537,13 +536,44 @@ class TestDecompose:
         assert checked >= 1
 
 
+class TestReportColumns:
+    """The report's JSON lists the cells as columns, row nu, and one record per case-II cell."""
+
+    def test_columns_rebuild_every_cell(self):
+        rep = decompose(handle("x^2 + y^2", ("x", "y")), DecomposeParams(
+            delta=0.25, eta=0.3, region=Ball((0.0, 0.0), 0.02), verify_points=300, estimate_holder=False))
+        out = to_jsonable(rep)
+        cols = out["cells"]
+        assert set(cols) == {"center", "radius", "color", "case", "rho"}
+        assert all(len(col) == len(rep.cells) == out["cell_count"] for col in cols.values())
+        rows = [{"nu": nu, **{k: col[nu] for k, col in cols.items()}} for nu in range(len(rep.cells))]
+        assert rows == [{**to_jsonable(cell), "case": "I" if one else "II", "rho": rho}
+                        for cell, one, rho in zip(rep.cells, rep.case_one, rep.rho)]
+
+        assert [cd.cell.nu for cd in rep.case_ii] == np.flatnonzero(~rep.case_one).tolist()
+        assert sum(cd.sub_report is not None for cd in rep.case_ii) == 2
+        for record, cd in zip(out["case_ii"], rep.case_ii, strict=True):
+            assert cd.cell is rep.cells[cd.cell.nu] and cd.rho == rows[cd.cell.nu]["rho"]
+            assert record == to_jsonable({
+                "nu": cd.cell.nu, "axis": cd.axis, "h_lower_ok": cd.split.h_ok, "identity_error": cd.identity_error,
+                "recursive": cd.sub_report is not None, "quad_nodes": cd.split.nodes,
+                "tables": cd.split.sampled_tables(),
+            })
+
+    def test_empty_report_has_empty_columns(self):
+        rep = decompose(handle("0"), DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0,), 1.0),
+                                                     estimate_holder=False))
+        out = to_jsonable(rep)
+        assert out["cells"] == dict.fromkeys(("center", "radius", "color", "case", "rho"), [])
+        assert out["case_ii"] == [] and out["case_counts"] == {"I": 0, "II": 0}
+
+
 def _case_ii_cells(rep, depth=0):
     """(depth, cell decomposition) of every case-II cell, recursing into sub-reports."""
-    for cd in rep.cells:
-        if cd.case == "II":
-            yield depth, cd
-            if cd.sub_report is not None:
-                yield from _case_ii_cells(cd.sub_report, depth + 1)
+    for cd in rep.case_ii:
+        yield depth, cd
+        if cd.sub_report is not None:
+            yield from _case_ii_cells(cd.sub_report, depth + 1)
 
 
 @pytest.fixture(scope="module")
@@ -608,7 +638,7 @@ class TestFiberQuadrature:
 
     def test_transcendental_fiber_chooses_more_nodes(self, sine_fiber_2d):
         params = sine_fiber_2d.params
-        cells = [cd for cd in sine_fiber_2d.cells if cd.case == "II"]
+        cells = sine_fiber_2d.case_ii
         assert cells
         for cd in cells:
             split = cd.split
@@ -632,7 +662,7 @@ class TestFiberQuadrature:
 
     def test_one_fiber_solve_per_batch(self, counted_isotropic_3d, monkeypatch):
         rep, _, _ = counted_isotropic_3d
-        parent, cd = next((p, c) for p in rep.cells if p.sub_report is not None
+        parent, cd = next((p, c) for p in rep.case_ii if p.sub_report is not None
                           for _, c in _case_ii_cells(p.sub_report))
         callers = []
         solve_many = MinimizerProfile.solve_many
