@@ -148,11 +148,13 @@ class FunctionHandle:
     of `batch_memo(order)`, which the first read fills: an EvalMemo of the
     order's symbolic derivatives below SERIES_ORDER, the partials of one
     Taylor-series pass from it on, and one jet's tensor for jet-backed
-    handles.  `exact_derivatives` is False where derivatives are exact only off
-    a seam set or come through a numerical solve; `holder_seminorm` then
-    spaces its pairs wider.  The function a handle represents never changes,
-    but expression handles grow a private derivative table and per-order batch
-    plans, so one handle must not be used from several threads at once.
+    handles.  :meth:`line_series` reads f along lines with no tensor, by one
+    series pass for an expression.  `exact_derivatives` is False where
+    derivatives are exact only off a seam set or come through a numerical
+    solve; `holder_seminorm` then spaces its pairs wider.  The function a
+    handle represents never changes, but expression handles grow a private
+    derivative table and per-order batch plans, so one handle must not be
+    used from several threads at once.
     """
 
     def __init__(
@@ -166,6 +168,7 @@ class FunctionHandle:
         exact_derivatives: bool = True,
         jet_many=None,
         batch_memo=None,
+        line_series=None,
     ):
         if (derivative_many_factory is None) == (jet_many is None):
             raise ValueError("give exactly one of derivative_many_factory and jet_many")
@@ -174,6 +177,7 @@ class FunctionHandle:
         self._derivative_factory = derivative_many_factory
         self._jet_many = jet_many
         self._batch_memo = batch_memo
+        self._line_series = line_series
         self._derivative_cache: dict = {}
         self.domain = domain
         self._log_eval_many = log_eval_many
@@ -199,14 +203,15 @@ class FunctionHandle:
         order's batch memo is an EvalMemo of the read counts of all its
         multi-indices' expressions, built on first use.
 
-        Orders from SERIES_ORDER on come from one `taylor_series` pass of the
-        simplified body per batch, along the order's multi-index directions,
-        interpolated to the partials by `_series_layout`.  Their batch memo
-        holds the pass's partials; a read without one runs its own pass.
-        Values are the same DAG walk at degree 0 (`evaluate`), so they are the
-        passes' c_0 wherever simplifying keeps the body's arithmetic as
-        written (every catalog body).  The series agree with the symbolic
-        derivatives to rounding, about 1e-13 of each point's largest entry.
+        A `line_series` is one `taylor_series` pass of the simplified body with
+        each variable [x_i, r_i, None, ...].  Orders from SERIES_ORDER on are
+        the top coefficients of one pass per batch along the order's
+        multi-index directions, interpolated to the partials by
+        `_series_layout`, held by their batch memo (a read without one runs its
+        own pass).  Values walk the body as written (`evaluate`), so c_0 can
+        differ from them in the last bit where simplifying reassociates it
+        (x*(y*z), no catalog body).  The series agree with the symbolic
+        derivatives to about 1e-13 of each point's largest entry.
         A direction whose series is not finite (a real power of a zero base)
         spoils only the partials it shares support with: at (0, 0.5),
         x^2.5 + y^4 reads D^(0,4) = 24 but NaN for D^(1,3) = 0.
@@ -231,14 +236,19 @@ class FunctionHandle:
                     got = exprs[head]
             return got
 
-        def series_rows(X, order):
+        def line_series(X, directions, degree):
             if not series_plan:
                 root = table.simplify(body)
                 series_plan.extend((root, read_counts([root])))
+            r = directions if directions.ndim == 1 else directions.T[:, :, None]
+            env = {v: ([X[:, i], r[i]] + [None] * (degree - 1))[: degree + 1] for i, v in enumerate(variables)}
+            shape = directions.shape[:-1] + X.shape[:1]
+            return [np.broadcast_to(0.0 if c is None else c, shape)
+                    for c in taylor_series(series_plan[0], env, degree, EvalMemo(series_plan[1]))]
+
+        def series_rows(X, order):
             directions, numerators, denominator, _ = _series_layout(n, order)
-            env = {v: [X[:, i], directions[:, i : i + 1]] + [None] * (order - 1) for i, v in enumerate(variables)}
-            top = taylor_series(series_plan[0], env, order, EvalMemo(series_plan[1]))[order]
-            top = np.broadcast_to(0.0 if top is None else top, (len(directions), X.shape[0]))
+            top = line_series(X, directions, order)[order]
             rows = (numerators @ top) / denominator
             bad = ~np.isfinite(top).all(axis=0)
             if bad.any():  # keep 0 * NaN of directions outside a partial's support
@@ -286,6 +296,7 @@ class FunctionHandle:
             label=label,
             exact_derivatives=not has_conditionals(body),
             batch_memo=batch_memo,
+            line_series=line_series,
         )
 
     @staticmethod
@@ -344,6 +355,20 @@ class FunctionHandle:
         if self._jet_many is not None:
             return tuple(self._jet_many(X, order))
         return tuple(self.derivative_tensor(X, m) for m in range(order + 1))
+
+    def line_series(self, X, directions, degree: int) -> list:
+        """[c_0, ..., c_degree] of f(x + t r) on an (N, n) batch, each (N,) for one direction
+        r (n,) and (D, N) for D directions (D, n), read-only from a series pass; c_k =
+        D^k f[r, ..., r] / k!, contracted from the jet where the handle has no series."""
+        X = as_points(X, self.arity)
+        r = np.asarray(directions, dtype=float)
+        if self._line_series is not None:
+            return self._line_series(X, r, degree)
+        rs, rk, out = r.reshape(-1, self.arity), np.ones((r.size // self.arity, 1)), []
+        for k, T in enumerate(self.jet(X, degree)):
+            out.append((T.reshape(len(X), -1) @ rk.T).T.reshape(r.shape[:-1] + X.shape[:1]) / math.factorial(k))
+            rk = (rk[:, :, None] * rs[:, None, :]).reshape(len(rs), -1)
+        return out
 
     @property
     def jet_backed(self) -> bool:
@@ -404,6 +429,7 @@ class FunctionHandle:
             exact_derivatives=self.exact_derivatives,
             jet_many=jet_many,
             batch_memo=self._batch_memo,
+            line_series=lambda X, r, degree: [a * c for c in self.line_series(X, r, degree)],
         )
 
 

@@ -214,9 +214,8 @@ def track_implicit_root(
     x_prime = tuple(float(v) for v in np.atleast_1d(x_prime))
 
     def at(ys):
-        """(H, H_y) at the points (x', y)."""
-        h, dh = H.jet(np.column_stack([np.tile(x_prime, (len(ys), 1)), ys]), 1)
-        return h, dh[:, -1]
+        """(H, H_y) at the points (x', y), from one degree-1 series along y."""
+        return H.line_series(np.column_stack([np.tile(x_prime, (len(ys), 1)), ys]), np.eye(H.arity)[-1], 1)
 
     ends = sorted((lo, hi))
     mid = 0.5 * (lo + hi)
@@ -350,14 +349,14 @@ class _RotatedFrame:
         return [J[0]] + [_pull(T, self.R, m) for m, T in enumerate(J[1:], 1)]
 
     def fiber(self, V) -> tuple:
-        """(g . r, r . H . r): first and second fiber derivatives from one order-2 jet."""
-        _, g, H = self.f.jet(self.to_global(V), 2)
-        r = self.R[:, -1]
-        return g @ r, (H @ r) @ r
+        """(d_y f, d_y^2 f) at the points: c_1 and 2 c_2 of one degree-2
+        `line_series` of f along the fiber direction r; no tensor is built."""
+        _, c1, c2 = self.f.line_series(self.to_global(V), self.R[:, -1], 2)
+        return c1, 2.0 * c2
 
     def fiber_d2(self, V) -> np.ndarray:
-        r = self.R[:, -1]
-        return (self.f.hessian_values(self.to_global(V)) @ r) @ r
+        """d_y^2 f at the points, 2 c_2 of one degree-2 `line_series` along r."""
+        return 2.0 * self.f.line_series(self.to_global(V), self.R[:, -1], 2)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +427,7 @@ class MinimizerProfile:
     Solves g = d_y f(xi, y) = 0 on the fiber bracket [-halfwidth, halfwidth]
     by `_bracketed_newton`, starting every solve from the cell's center
     y = 0.  Each Newton iteration reads g and g' = d_y^2 f of the points still
-    above `g_tol` from one order-2 jet of f (`frame.fiber`); the bracket ends
+    above `g_tol` from one degree-2 line series of f (`frame.fiber`); the bracket ends
     and the first iterate share one call.  A missing sign change means the
     minimum sits on the bracket boundary, which indicates the case split
     constant c was chosen too large.  The points the solver leaves above

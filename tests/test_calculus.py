@@ -526,3 +526,97 @@ class TestTaylorSeries:
         calls.update(differentiate=0, derivative_values=0)
         f.max_entry_values(X, 4)
         assert calls == {"differentiate": 0, "taylor_series": 1, "derivative_values": 70}
+
+
+def _contracted(J, r) -> list:
+    """c_k = D^k f[r, ..., r] / k! of one direction r from the jet J."""
+    out = []
+    for k, T in enumerate(J):
+        for _ in range(k):
+            T = T @ r
+        out.append(T / math.factorial(k))
+    return out
+
+
+def _directions(n: int, count: int, seed: int) -> np.ndarray:
+    d = np.random.default_rng(seed).normal(size=(count, n))
+    return d / np.linalg.norm(d, axis=1)[:, None]
+
+
+class TestLineSeries:
+    def _assert_agrees(self, f, X, R, degree, rel=1e-12):
+        """f's line series along each row of R, read all at once and one
+        direction at a time, against the contraction of f's own jet."""
+        J = f.jet(X, degree)
+        together = f.line_series(X, R, degree)
+        assert len(together) == degree + 1
+        for d, r in enumerate(R):
+            alone = f.line_series(X, r, degree)
+            for k, want in enumerate(_contracted(J, r)):
+                scale = calculus.max_entries(J[k]) if k else np.abs(J[0])
+                assert together[k].shape == (len(R), len(X)) and alone[k].shape == (len(X),)
+                for got in (together[k][d], alone[k]):
+                    assert np.all(np.abs(got - want) <= rel * scale), (k, d)
+
+    @pytest.mark.parametrize("name", [*exprlang.catalog_names(), "mixed"])
+    def test_agrees_with_the_jet_contraction(self, name):
+        # catalog bodies include flatexp, piecewise (bump_h), and 1-D to 5-D handles
+        fdef = _MIXED if name == "mixed" else catalog_function(name)
+        f = FunctionHandle.from_def(fdef)
+        rng = np.random.default_rng(7)
+        X = np.column_stack([rng.uniform(lo, hi, 30) for lo, hi in fdef.sample_box])
+        self._assert_agrees(f, X, _directions(fdef.arity, 3, 11), 4)
+
+    def test_rescaled_handle_scales_the_base_series(self):
+        f = handle("exp(x*y) + x^3*z - sin(y*z)", ("x", "y", "z"))
+        g = f.rescaled(2.5)
+        X = ball_points(Ball((0.1, -0.2, 0.3), 0.5), 20)
+        R = _directions(3, 4, 2)
+        for a, b in zip(g.line_series(X, R, 3), f.line_series(X, R, 3)):
+            assert np.array_equal(a, 2.5 * b)
+        self._assert_agrees(g, X, R, 3)
+
+    def test_jet_backed_power_handle(self):
+        from sosreg.roots import PowerHandle
+
+        src = "1 + x^2 + y*z + z^2"
+        p = PowerHandle(handle(src, ("x", "y", "z")), 0.5)
+        X = ball_points(Ball((0.1, -0.2, 0.3), 0.5), 20)
+        R = _directions(3, 3, 4)
+        self._assert_agrees(p, X, R, 4)
+        # and against the series of the expression sqrt(f) itself
+        for a, b in zip(p.line_series(X, R, 4), handle(f"({src})^0.5", ("x", "y", "z")).line_series(X, R, 4)):
+            assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b)))
+
+    def test_jet_backed_reduced_profile(self):
+        from sosreg.cover import CoverCell
+        from sosreg.sos import reduced_profile
+
+        # x^2 + y^2 + z^2 along the fiber (0.6, 0, 0.8) reduces to F(xi) = |xi|^2
+        f = handle("x^2 + y^2 + z^2", ("x", "y", "z"))
+        F = reduced_profile(f, CoverCell(nu=0, center=(0.0, 0.0, 0.0), radius=0.004), [0.6, 0.0, 0.8],
+                            rho=1.0, delta=0.25).F
+        Xi = ball_points(Ball((0.0, 0.0), 0.003), 12)
+        R = _directions(2, 3, 5)
+        self._assert_agrees(F, Xi, R, 2)
+        c0, c1, c2 = F.line_series(Xi, R, 2)
+        assert np.allclose(c0, np.sum(Xi**2, axis=1), rtol=1e-9, atol=1e-15)
+        assert np.allclose(c1, 2.0 * R @ Xi.T, rtol=1e-9, atol=1e-15)
+        assert np.allclose(c2, 1.0, atol=1e-12)
+
+    def test_constant_coefficients_fill_the_batch(self):
+        f = handle("2 + x", ("x", "y"))
+        X = np.array([[0.1, 0.2], [0.3, 0.4]])
+        c0, c1, c2 = f.line_series(X, np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]), 2)
+        assert np.array_equal(c0, np.tile([2.1, 2.3], (3, 1)))
+        assert np.array_equal(c1, [[1.0, 1.0], [0.0, 0.0], [0.6, 0.6]])
+        assert np.array_equal(c2, np.zeros((3, 2)))
+
+    def test_real_power_at_a_zero_base(self):
+        # x^2.5 at 0: the coefficients below 2.5 are 0, c_3 is not finite
+        f = handle("x^2.5 + y^4", ("x", "y"))
+        X = np.array([[0.0, 0.5]])
+        with np.errstate(all="ignore"):
+            got = f.line_series(X, np.array([[1.0, 0.0], [0.0, 1.0]]), 3)
+        assert [c[0, 0] for c in got[:3]] == [0.0625, 0.0, 0.0] and np.isnan(got[3][0, 0])
+        assert [c[1, 0] for c in got] == [0.0625, 0.5, 1.5, 2.0]

@@ -398,6 +398,26 @@ class TestJets:
         assert np.allclose(d2, 2.0, atol=1e-12)
         assert np.max(np.abs(d3)) <= 1e-12 and np.max(np.abs(d4)) <= 1e-12
 
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_fiber_reads_build_no_tensors(self, scale, monkeypatch):
+        # the Newton solves and H read f along the fiber by line series alone
+        f = handle("x^2 + y^2 + z^2 + x*y*z", ("x", "y", "z"))
+        f = f.rescaled(scale) if scale != 1.0 else f
+        split = reduced_profile(f, CoverCell(nu=0, center=(0.0, 0.0, 0.0), radius=0.004), [0.6, 0.0, 0.8],
+                                rho=1.0, delta=0.25)
+        orders = []
+        tensor = FunctionHandle.derivative_tensor
+        monkeypatch.setattr(FunctionHandle, "derivative_tensor",
+                            lambda self, X, order: orders.append(order) or tensor(self, X, order))
+        Xi = ball_points(Ball((0.0, 0.0), 0.003), 20)
+        Y = np.linspace(-0.003, 0.003, 20)
+        X = split.minimizer.solve_many(Xi)
+        h = split.H(Xi, Y)
+        assert orders == []
+        assert np.all(np.abs(split.frame.fiber(np.column_stack([Xi, X]))[0]) <= 1e-12) and np.all(h > 0.0)
+        split.F.jet(Xi, 2)  # a full jet of the reduced profile does read tensors of f
+        assert orders
+
     def test_one_parent_batch_per_newton_iteration(self):
         f = handle("x^2 + y^2 + z^2", ("x", "y", "z"))
         F1, p1 = _level_profile(f, (0.0, 0.0, 0.0), np.array([0.0, 0.6, 0.8]), 0.004)
