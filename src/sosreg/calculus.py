@@ -127,6 +127,18 @@ class _OrderPartials:
         self.partials = None
 
 
+def jet_line_series(J, directions: np.ndarray) -> list:
+    """[c_0, ..., c_m] of f(x + t r) contracted from the jet J = (f, Df, ..., D^m f) of an
+    N-point batch: c_k = D^k f[r, ..., r] / k!, each (N,) for one direction r (n,) and
+    (D, N) for D directions (D, n)."""
+    N, n = len(J[0]), directions.shape[-1]
+    rs, rk, out = directions.reshape(-1, n), np.ones((directions.size // n, 1)), []
+    for k, T in enumerate(J):
+        out.append((T.reshape(N, -1) @ rk.T).T.reshape(directions.shape[:-1] + (N,)) / math.factorial(k))
+        rk = (rk[:, :, None] * rs[:, None, :]).reshape(len(rs), -1)
+    return out
+
+
 def max_entries(T: np.ndarray) -> np.ndarray:
     """Max absolute entry of each point's tensor in a batch (N, n, ..., n)."""
     return np.max(np.abs(T), axis=tuple(range(1, T.ndim)), initial=0.0)
@@ -148,13 +160,16 @@ class FunctionHandle:
     of `batch_memo(order)`, which the first read fills: an EvalMemo of the
     order's symbolic derivatives below SERIES_ORDER, the partials of one
     Taylor-series pass from it on, and one jet's tensor for jet-backed
-    handles.  :meth:`line_series` reads f along lines with no tensor, by one
-    series pass for an expression.  `exact_derivatives` is False where
-    derivatives are exact only off a seam set or come through a numerical
-    solve; `holder_seminorm` then spaces its pairs wider.  The function a
-    handle represents never changes, but expression handles grow a private
-    derivative table and per-order batch plans, so one handle must not be
-    used from several threads at once.
+    handles.  :meth:`line_series` reads f along lines with no tensor where the
+    handle has a `line_series` of its own: one series pass for an
+    expression, the scaled series of its base for a `rescaled` handle, and a
+    directional read of the parent up to degree 2 for a reduced profile.  A
+    jet-backed handle without one (PowerHandle) contracts its jet.
+    `exact_derivatives` is False where derivatives are exact only off a seam
+    set or come through a numerical solve; `holder_seminorm` then spaces its
+    pairs wider.  The function a handle represents never changes, but
+    expression handles grow a private derivative table and per-order batch
+    plans, so one handle must not be used from several threads at once.
     """
 
     def __init__(
@@ -358,17 +373,15 @@ class FunctionHandle:
 
     def line_series(self, X, directions, degree: int) -> list:
         """[c_0, ..., c_degree] of f(x + t r) on an (N, n) batch, each (N,) for one direction
-        r (n,) and (D, N) for D directions (D, n), read-only from a series pass; c_k =
-        D^k f[r, ..., r] / k!, contracted from the jet where the handle has no series."""
+        r (n,) and (D, N) for D directions (D, n); c_k = D^k f[r, ..., r] / k!.  The handle's
+        own `line_series` answers where it has one (one series pass for an expression, a
+        directional read of the parent for a reduced profile; coefficients may be read-only
+        views); otherwise `jet_line_series` contracts the handle's jet."""
         X = as_points(X, self.arity)
         r = np.asarray(directions, dtype=float)
         if self._line_series is not None:
             return self._line_series(X, r, degree)
-        rs, rk, out = r.reshape(-1, self.arity), np.ones((r.size // self.arity, 1)), []
-        for k, T in enumerate(self.jet(X, degree)):
-            out.append((T.reshape(len(X), -1) @ rk.T).T.reshape(r.shape[:-1] + X.shape[:1]) / math.factorial(k))
-            rk = (rk[:, :, None] * rs[:, None, :]).reshape(len(rs), -1)
-        return out
+        return jet_line_series(self.jet(X, degree), r)
 
     @property
     def jet_backed(self) -> bool:

@@ -61,7 +61,9 @@ def to_jsonable(obj):
 
 
 def dump_json(payload: dict, path: str | None = None) -> str:
-    text = json.dumps(to_jsonable(payload), indent=2, sort_keys=True)
+    """The payload as one line of compact JSON with sorted keys, to `path` or stdout;
+    returns the text.  Without indentation `json.dumps` runs its C encoder."""
+    text = json.dumps(to_jsonable(payload), separators=(",", ":"), sort_keys=True)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .calculus import FunctionHandle, HolderEstimate, directional_hessian_plus_values, log_ratios
+from .calculus import FunctionHandle, HolderEstimate, directional_hessian_plus_values, jet_line_series, log_ratios
 from .cover import (
     ControlDistanceParams,
     CoverCell,
@@ -354,10 +354,6 @@ class _RotatedFrame:
         _, c1, c2 = self.f.line_series(self.to_global(V), self.R[:, -1], 2)
         return c1, 2.0 * c2
 
-    def fiber_d2(self, V) -> np.ndarray:
-        """d_y^2 f at the points, 2 c_2 of one degree-2 `line_series` along r."""
-        return 2.0 * self.f.line_series(self.to_global(V), self.R[:, -1], 2)[2]
-
 
 # ---------------------------------------------------------------------------
 # Cell classification
@@ -428,7 +424,9 @@ class MinimizerProfile:
     by `_bracketed_newton`, starting every solve from the cell's center
     y = 0.  Each Newton iteration reads g and g' = d_y^2 f of the points still
     above `g_tol` from one degree-2 line series of f (`frame.fiber`); the bracket ends
-    and the first iterate share one call.  A missing sign change means the
+    and the first iterate share one call.  Where f is itself a reduced profile, that
+    series is read from f's parent along a few directions, so no level's solve
+    builds a derivative tensor.  A missing sign change means the
     minimum sits on the bracket boundary, which indicates the case split
     constant c was chosen too large.  The points the solver leaves above
     `g_tol`, after `max_iter` iterations or once they cannot move, keep their
@@ -516,10 +514,17 @@ def _fiber_factor(frame: _RotatedFrame, Xi, Y, X: np.ndarray, nodes: int) -> np.
     Xi = as_points(Xi, frame.n - 1)
     Y = np.atleast_1d(np.asarray(Y, dtype=float))
     t, tw = _fiber_rule(nodes)
-    return frame.fiber_d2(_quadrature_points(Xi, Y, X, t)).reshape(len(Xi), nodes) @ tw
+    return frame.fiber(_quadrature_points(Xi, Y, X, t))[1].reshape(len(Xi), nodes) @ tw
 
 
-_BLOCK = 8192  # points per fiber solve of a reduced profile; bounds the parent's jet tensors
+_BLOCK = 8192  # points per fiber solve of a reduced profile; bounds the parent's jet tensors and series
+
+
+def _in_blocks(read, Xi: np.ndarray, axis: int, *args) -> list:
+    """read(block, *args) over blocks of at most _BLOCK points of Xi, each output
+    array joined along its point `axis`."""
+    parts = [read(Xi[i : i + _BLOCK], *args) for i in range(0, max(len(Xi), 1), _BLOCK)]
+    return [np.concatenate(p, axis=axis) for p in zip(*parts)]
 
 
 def _reduced_profile_handle(
@@ -529,7 +534,8 @@ def _reduced_profile_handle(
     radius: float,
     label: str,
 ) -> FunctionHandle:
-    """F(xi) = f(xi, X(xi)) as a jet-backed handle over the (k-dim) cross-section.
+    """F(xi) = f(xi, X(xi)) as a jet-backed handle over the (k-dim) cross-section,
+    with its own `line_series` up to degree 2.
 
     Each call asks the minimizer for its points, so a batch read again (its
     values, then its Hessians) is solved once.  On the graph Phi(xi) =
@@ -538,8 +544,16 @@ def _reduced_profile_handle(
     in particular D^2 F = f_xixi - f_xiy f_yxi / f_yy.  X's derivatives to
     order 3 come in closed form from differentiating f_y o Phi = 0.  An
     order-m jet of F thus needs only the order-m jet of f, so jets compose
-    across recursion levels; orders up to 4 are supported.  Batches are
-    solved in blocks of at most _BLOCK points.
+    across recursion levels; orders up to 4 are supported.
+
+    Along a direction r of the cross-section, with u = R[:, :k] r and e =
+    R[:, -1], the series of F is read from one degree-2 `line_series` of f at
+    Phi(xi) along the columns of R, u and u + e: c_0 = f, c_1 = r . (c_1 along
+    R[:, :k]), and with f_uy = c_2(u + e) - c_2(u) - c_2(e), c_2 = c_2(u) -
+    f_uy^2 / (4 c_2(e)), which is D^2 F[r, r] / 2.  So a Newton solve on F reads
+    no tensor at any level: F's parent answers by its own series in turn.
+    Degrees above 2 contract F's jet.  Batches are solved in blocks of at
+    most _BLOCK points.
     """
 
     def jet_block(Xi, order):
@@ -557,8 +571,27 @@ def _reduced_profile_handle(
     def jet_many(Xi, order):
         if order > 4:
             raise DomainError(f"reduced profile supports derivative orders <= 4, got {order}")
-        blocks = [jet_block(Xi[i : i + _BLOCK], order) for i in range(0, max(len(Xi), 1), _BLOCK)]
-        return [np.concatenate(parts) for parts in zip(*blocks)]
+        return _in_blocks(jet_block, Xi, 0, order)
+
+    def series_block(Xi, rs, degree):
+        # F's series along the D rows of rs, each (D, N), from f's along R's columns, u and u + e
+        R, D = frame.R, len(rs)
+        u = rs @ R[:, :k].T
+        V = np.concatenate([Xi, minimizer.solve_many(Xi)[:, None]], axis=1)
+        c = frame.f.line_series(frame.to_global(V), np.concatenate([R.T, u, u + R[:, -1]]), degree)
+        out = [np.broadcast_to(c[0][0], (D, len(Xi)))]
+        if degree >= 1:
+            out.append(rs @ c[1][:k])
+        if degree == 2:
+            cu, cue, ce = c[2][k + 1 : k + 1 + D], c[2][k + 1 + D :], c[2][k]
+            out.append(cu - (cue - cu - ce) ** 2 / (4.0 * ce))
+        return out
+
+    def line_series(Xi, r, degree):
+        if degree > 2:
+            return jet_line_series(jet_many(Xi, degree), r)
+        rows = _in_blocks(series_block, Xi, 1, r.reshape(-1, k), degree)
+        return [c.reshape(r.shape[:-1] + Xi.shape[:1]) for c in rows]
 
     def eval_many(Xi):
         return jet_many(Xi, 0)[0]
@@ -571,6 +604,7 @@ def _reduced_profile_handle(
         domain=Ball(center=(0.0,) * k, radius=radius),
         label=label,
         exact_derivatives=False,
+        line_series=line_series,
     )
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sosreg.calculus import FunctionHandle, multiindices
+from sosreg.calculus import FunctionHandle, jet_line_series, multiindices
 from sosreg.cover import ControlDistanceParams, CoverCell, build_cover, bump_jet, bump_profile
 from sosreg.errors import BoundaryRootError, ClassificationError, ConvergenceError, DomainError, QuadratureError
 from sosreg.exprlang import parse_expression
@@ -433,6 +433,89 @@ class TestJets:
         assert parent == fiber_calls
         assert parent[:2] == [3 * N, N]
         assert all(a >= b for a, b in zip(parent[1:], parent[2:]))
+
+
+def _cubic_3d(scale=1.0):
+    # not isotropic: the graph's cross derivative f_uy = u . D^2 f e is the xyz term's, not 0
+    f = handle("x^2 + y^2 + z^2 + x*y*z", ("x", "y", "z"))
+    return f.rescaled(scale) if scale != 1.0 else f
+
+
+def _cubic_level_one(scale=1.0):
+    axis = np.array([0.3, 0.5, 0.8]) / np.linalg.norm([0.3, 0.5, 0.8])
+    return reduced_profile(_cubic_3d(scale), CoverCell(nu=0, center=(0.0, 0.0, 0.0), radius=0.3), axis,
+                           rho=1.0, delta=0.25)
+
+
+def _cubic_level_two():
+    F1 = _cubic_level_one().F
+    return reduced_profile(F1, CoverCell(nu=1, center=(0.05, 0.03), radius=0.1), [0.6, 0.8], rho=1.0, delta=0.25)
+
+
+class TestProfileLineSeries:
+    """A reduced profile's own line series against the contraction of its jet."""
+
+    @staticmethod
+    def _check(F, X, directions):
+        for degree in (0, 1, 2):
+            got = F.line_series(X, directions, degree)
+            want = jet_line_series(F.jet(X, degree), np.asarray(directions, dtype=float))
+            scale = np.max([np.abs(w).reshape(-1, len(X)).max(axis=0) for w in want], axis=0)
+            assert len(got) == degree + 1
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.all(np.abs(g - w) <= 1e-12 * scale)
+
+    @staticmethod
+    def _directions(k):
+        rng = np.random.default_rng(7)
+        return rng.normal(size=(4, k))
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_level_one(self, scale):
+        split = _cubic_level_one(scale)
+        Xi = ball_points(Ball((0.0, 0.0), 0.2), 30)
+        R = self._directions(2)
+        self._check(split.F, Xi, R)
+        for r in R:
+            self._check(split.F, Xi, r)
+        # the cross term is live: D^2 F differs from the xi block of the rotated Hessian
+        V = np.column_stack([Xi, split.minimizer.solve_many(Xi)])
+        assert np.max(np.abs(split.F.jet(Xi, 2)[2] - split.frame.jet(V, 2)[2][:, :2, :2])) > 1e-3 * scale
+
+    def test_level_two(self):
+        split = _cubic_level_two()
+        Xi = np.linspace(-0.08, 0.08, 9)[:, None]
+        R = np.array([[1.0], [-0.5], [2.0]])
+        self._check(split.F, Xi, R)
+        for r in R:
+            self._check(split.F, Xi, r)
+
+    def test_degree_three_contracts_the_jet(self):
+        F = _cubic_level_one().F
+        Xi = ball_points(Ball((0.0, 0.0), 0.2), 12)
+        for r in (self._directions(2), np.array([0.6, -0.8])):
+            got = F.line_series(Xi, r, 3)
+            for g, w in zip(got, jet_line_series(F.jet(Xi, 3), r)):
+                assert np.array_equal(g, w)
+
+    def test_level_two_split_reads_no_tensors(self, monkeypatch):
+        tensors, rotated = [], []
+        tensor, frame_jet = FunctionHandle.derivative_tensor, _RotatedFrame.jet
+        monkeypatch.setattr(FunctionHandle, "derivative_tensor",
+                            lambda self, X, order: tensors.append(order) or tensor(self, X, order))
+        monkeypatch.setattr(_RotatedFrame, "jet",
+                            lambda self, V, order: rotated.append(order) or frame_jet(self, V, order))
+        split = _cubic_level_two()
+        Xi = np.linspace(-0.07, 0.07, 11)[:, None]
+        Y = np.linspace(-0.07, 0.07, 11)
+        X = split.minimizer.solve_many(Xi)
+        h = split.H(Xi, Y)
+        assert tensors == [] and rotated == []
+        assert np.all(np.abs(split.frame.fiber(np.column_stack([Xi, X]))[0]) <= split.minimizer.g_tol)
+        assert np.all(h > 0.0)
+        split.F.jet(Xi, 2)  # a full jet of the level-2 profile reads tensors at every level
+        assert tensors and rotated
 
 
 class TestDecompose:
