@@ -116,15 +116,15 @@ def _rank(table: np.ndarray, values: np.ndarray, found: np.ndarray) -> tuple:
 
 def _distances(A: np.ndarray, a: np.ndarray, B: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.norm(A[a] - B[b], axis=1), bit for bit.  Below 8 columns the
-    norm adds the squares in order, as this sum a column at a time does; with
-    rows gathered by np.take it is several times faster on the many short rows
-    of chi_pairs and color_classes."""
-    diff = np.take(A, a, axis=0) - np.take(B, b, axis=0)
-    if diff.shape[1] >= 8:
-        return np.linalg.norm(diff, axis=1)
-    sq = diff[:, 0] * diff[:, 0]
-    for d in range(1, diff.shape[1]):
-        sq = sq + diff[:, d] * diff[:, d]
+    norm adds the squares in order, as this sum a column at a time does.  Each
+    column is gathered by np.take and subtracted on its own, which is several
+    times faster on the many short rows of chi_pairs and color_classes and
+    never holds the gathered (C, n) rows."""
+    if A.shape[1] >= 8:
+        return np.linalg.norm(np.take(A, a, axis=0) - np.take(B, b, axis=0), axis=1)
+    for d in range(A.shape[1]):
+        diff = np.take(A[:, d], a) - np.take(B[:, d], b)
+        sq = diff * diff if d == 0 else sq + diff * diff
     return np.sqrt(sq)
 
 
@@ -380,11 +380,10 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _scatter(idx: np.ndarray, rows: np.ndarray, N: int) -> np.ndarray:
     """Sums of the hit rows rows[h] by point idx[h] into N rows: one bincount, which
     adds in hit order as np.add.at into zeros does, so the sums are bitwise the same."""
-    if rows.ndim == 1:
-        return np.bincount(idx, weights=rows, minlength=N)
     m = math.prod(rows.shape[1:])
-    flat = (idx[:, None] * m + np.arange(m)).ravel()
-    return np.bincount(flat, weights=rows.ravel(), minlength=N * m).reshape((N,) + rows.shape[1:])
+    flat = idx if rows.ndim == 1 else (idx[:, None] * m + np.arange(m)).ravel()
+    out = np.bincount(flat, weights=rows.ravel(), minlength=N * m)
+    return out.astype(float, copy=False).reshape((N,) + rows.shape[1:])  # float also with no hits
 
 
 class ChiPairs:
@@ -392,8 +391,9 @@ class ChiPairs:
 
     Hit h pairs point idx[h] with cell cell[h] and holds chi[h] = chi_cell(x_idx); hits are
     sorted by cell, then point, so cell nu's hits are the range starts[nu]:starts[nu + 1] of the
-    ndarray `starts`, by which a `RootGroup` gathers its members' hits.  As a sequence over the
-    cells, entry nu is that range's (point indices, chi values), empty where no point hits the cell.
+    ndarray `starts`, by which one gather of a level's pass (`sos._Level`) lists every root group's
+    hits.  As a sequence over the cells, entry nu is that range's (point indices, chi values),
+    empty where no point hits the cell.
     """
 
     def __init__(self, idx: np.ndarray, cell: np.ndarray, chi: np.ndarray, n_cells: int):
@@ -446,7 +446,8 @@ class Partition:
         idx, cell = self.index.pairs(X)
         u = _distances(X, idx, self.centers, cell) / self.radii[cell]
         inside = np.flatnonzero(u <= 1.0)
-        hits = inside[np.argsort(cell[inside], kind="stable")]
+        # a stable sort of cell indices of at most 16 bits is a radix sort
+        hits = inside[np.argsort(cell[inside].astype(np.min_scalar_type(len(self.cells) - 1)), kind="stable")]
         return ChiPairs(idx[hits], cell[hits], bump_profile(u[hits]), len(self.cells))
 
     def chi_jets(self, X, idx, cell) -> tuple:

@@ -782,12 +782,12 @@ class _CaseIPiece:
     def __init__(self, f: FunctionHandle):
         self.f = f
 
-    def read(self, X, rows, pairs, reads) -> np.ndarray:
-        if self not in reads:  # at every row of the batch that some bump reaches
-            at = np.flatnonzero(np.bincount(pairs.idx[pairs.chi > 0], minlength=len(X)))
-            reads[self] = np.empty(len(X))
-            reads[self][at] = self.weights(X[at])
-        return reads[self][rows]
+    def read(self, level: _Level, at: slice) -> np.ndarray:
+        if self not in level.reads:  # at every row of the batch that some bump reaches
+            rows = np.flatnonzero(level.tot > 0)
+            level.reads[self] = np.empty(len(level.X))
+            level.reads[self][rows] = self.weights(level.X[rows])
+        return level.reads[self][level.ids[at]]
 
     def weights(self, X) -> np.ndarray:
         return np.sqrt(np.maximum(self.f.values(X), 0.0))
@@ -813,7 +813,7 @@ class _ConstPiece:
 
 class _LiftedPiece:
     """Root `index` of a case-II cell's sub-report, lifted through the cell's frame.  The cell's
-    lifted pieces share their hits: a level's pass reads all `roots` by one pass at xi."""
+    lifted pieces share their hits: a level's pass reads all `roots` by one sub-level pass at xi."""
 
     kind = "residue_lift"
 
@@ -823,10 +823,12 @@ class _LiftedPiece:
     def weights(self, X) -> np.ndarray:
         return self.roots[self.index].eval_many(self.frame.to_local(X)[0])
 
-    def read(self, X, rows, pairs, reads) -> np.ndarray:
-        if id(self.roots) not in reads:
-            reads[id(self.roots)] = _root_rows(self.roots, self.frame.to_local(X[rows])[0])
-        return reads[id(self.roots)][self.index]
+    def read(self, level: _Level, at: slice) -> np.ndarray:
+        if id(self.roots) not in level.reads:
+            sub = _Level(self.roots, self.frame.to_local(level.X[level.ids[at]])[0], {})
+            level.reads[id(self.roots)] = sub, sub.values()
+        sub, values = level.reads[id(self.roots)]
+        return sub.dense(self.index, values[self.index])
 
     def jet(self, X) -> tuple:
         """The sub-root's jet at the frame's xi, pulled back to x through R[:, :-1]."""
@@ -835,15 +837,59 @@ class _LiftedPiece:
         return w, w1 @ P.T, P @ w2 @ P.T
 
 
+class _Level:
+    """One read of a batch X by the root groups `roots` of a partition level: one `chi_pairs`, its
+    S = sum_mu chi_mu^2, and one gather over `ChiPairs.starts` of every group's live hits (chi > 0,
+    S > 0) in group order, by cell within a group: their positions `hits` in the pairs, points `ids`,
+    `chi` and sqrt(S) `root_s`.  Member m of the groups owns hits cuts[m]:cuts[m + 1], group k's
+    members start at first[k].  `reads` holds the rows the groups' pieces share; None (a group
+    read alone) has each piece read its own `weights`."""
+
+    def __init__(self, roots: list, X: np.ndarray, reads: dict | None):
+        self.roots, self.X, self.reads = roots, X, reads
+        self.pairs = pairs = roots[0].partition.chi_pairs(X)
+        self.tot = roots[0].partition.sum_chi_sq(X, pairs)
+        cells = np.concatenate([g.cells for g in roots])
+        a = pairs.starts[cells]
+        n = pairs.starts[cells + 1] - a
+        hits = np.repeat(a - np.cumsum(n) + n, n) + np.arange(n.sum())
+        live = ((pairs.chi > 0) & (self.tot[pairs.idx] > 0))[hits]
+        self.hits = hits[live]
+        self.ids, self.chi = pairs.idx[self.hits], pairs.chi[self.hits]
+        self.root_s = np.sqrt(self.tot)[self.ids]
+        member = np.repeat(np.arange(len(cells)), n)[live]
+        self.cuts = np.searchsorted(member, np.arange(len(cells) + 1)).tolist()
+        self.first = np.cumsum([0] + [len(g.members) for g in roots]).tolist()
+
+    def span(self, k: int) -> slice:
+        """Group k's hits."""
+        return slice(self.cuts[self.first[k]], self.cuts[self.first[k + 1]])
+
+    def runs(self, k: int) -> list:
+        """(piece, slice of hits) of each run of group k's members that share a piece and have hits."""
+        cuts, m = self.cuts, self.first[k]
+        return [(piece, slice(cuts[m + a], cuts[m + b])) for piece, a, b in self.roots[k].runs
+                if cuts[m + b] > cuts[m + a]]
+
+    def values(self) -> list:
+        """Each group's g at its own hits, by one `eval_many` per group."""
+        return [g.eval_many(self.X, self, k) for k, g in enumerate(self.roots)]
+
+    def dense(self, k: int, g: np.ndarray) -> np.ndarray:
+        """Group k's values g at its hits spread over the batch, zero elsewhere."""
+        return _scatter(self.ids[self.span(k)], g, len(self.X))
+
+
 class RootGroup:
     """One square-root function g_l: a color class of cells sharing a bump
     partition, each contributing Phi_nu times its per-cell weight.
 
-    Supports within the group are pairwise disjoint, so
-    g_l(x) = sum_nu Phi_nu(x) w_nu(x) has a single active term per point.
-    A group is built once: `members` is the tuple of (cell index nu, piece) sorted by cell, `cells`
-    their cells, and each distinct piece's member cells pick its hits out of a batch's `ChiPairs`.
-    `eval_many` and `jet` read points by `geometry.as_points` with its arity.
+    Supports within the group are pairwise disjoint, so g_l(x) = sum_nu Phi_nu(x) w_nu(x) has a
+    single active term per point, and g_l is read at the group's own hits only.  A group is built
+    once: `members` is the tuple of (cell index nu, piece) sorted by cell, `cells` their cells and
+    `runs` the (piece, first, end) ranges of consecutive members sharing a piece, so the members
+    sharing one (every case-I cell) are read in one call.  `eval_many` and `jet` read points by
+    `geometry.as_points` with its arity.
     """
 
     def __init__(self, label: str, partition: Partition, members: list, scale: float = 1.0):
@@ -851,50 +897,31 @@ class RootGroup:
         self.partition = partition
         self.members = tuple(sorted(members, key=lambda m: m[0]))
         self.cells = np.array([nu for nu, _ in self.members], dtype=int)
-        pieces: dict = {}
-        for nu, piece in self.members:
-            pieces.setdefault(id(piece), (piece, []))[1].append(nu)
-        self._pieces = [(piece, np.array(nus)) for piece, nus in pieces.values()]
+        pieces = [piece for _, piece in self.members]
+        new = [m for m in range(len(pieces)) if m == 0 or pieces[m] is not pieces[m - 1]]
+        self.runs = [(pieces[a], a, b) for a, b in zip(new, new[1:] + [len(pieces)])]
         self.scale = float(scale)
 
     @property
     def arity(self) -> int:
         return self.partition.dim
 
-    def _batches(self, pairs) -> tuple:
-        """(hits, spans): the positions in `pairs` of the members' hits with chi > 0,
-        grouped by distinct piece object, and each group's (piece, slice of hits), so
-        members that share a piece (every case-I cell) are evaluated in one call.  A
-        piece's hits are its cells' ranges pairs.starts[nu]:pairs.starts[nu + 1], in cell order."""
-        hits, spans, end = [], [], 0
-        for piece, nus in self._pieces:
-            a = pairs.starts[nus]
-            n = pairs.starts[nus + 1] - a
-            h = np.repeat(a - np.cumsum(n) + n, n) + np.arange(n.sum())
-            h = h[pairs.chi[h] > 0]
-            hits.append(h)
-            if h.size:
-                spans.append((piece, slice(end, end + h.size)))
-                end += h.size
-        return np.concatenate(hits), spans
-
-    def eval_many(self, X, pairs=None, tot=None, reads=None) -> np.ndarray:
-        """g on a batch.  Alone it reads the bumps and its pieces itself; in a level's pass (`_root_rows`)
-        it takes its `pairs` and `tot`, and the pieces groups share `read` their rows into `reads`."""
-        X = as_points(X, self.arity)
-        if pairs is None:
-            pairs = self.partition.chi_pairs(X)
-            tot = self.partition.sum_chi_sq(X, pairs)
-        hits, spans = self._batches(pairs)
-        ids = pairs.idx[hits]
-        w = np.empty(len(hits))
-        for piece, at in spans:
-            read = None if reads is None else getattr(piece, "read", None)  # a piece that groups share
-            w[at] = piece.weights(X[ids[at]]) if read is None else read(X, ids[at], pairs, reads)
-        out = _scatter(ids, pairs.chi[hits] * w, len(X))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(tot > 0, out / np.sqrt(np.where(tot > 0, tot, 1.0)), 0.0)
-        return self.scale * out
+    def eval_many(self, X, level: _Level | None = None, k: int = 0) -> np.ndarray:
+        """g on a batch.  Alone it reads X by a `_Level` of this group only, with no shared reads,
+        and returns g at every point.  As group k of `level`, a pass over X, it returns
+        scale * chi w / sqrt(S) at its own hits `level.span(k)` only."""
+        alone = level is None
+        if alone:
+            X = as_points(X, self.arity)
+            level = _Level([self], X, None)
+        at = level.span(k)
+        w = np.empty(at.stop - at.start)
+        for piece, run in level.runs(k):
+            read = None if level.reads is None else getattr(piece, "read", None)  # a piece groups share
+            w[run.start - at.start : run.stop - at.start] = (
+                read(level, run) if read else piece.weights(level.X[level.ids[run]]))
+        g = self.scale * (level.chi[at] * w / level.root_s[at])
+        return level.dense(k, g) if alone else g
 
     def jet(self, X) -> tuple:
         """(g, Dg, D^2 g) on an (N, n) batch: shapes (N,), (N, n), (N, n, n).
@@ -909,31 +936,22 @@ class RootGroup:
         X = as_points(X, self.arity)
         N, n = X.shape
         part = self.partition
-        pairs = part.chi_pairs(X)
-        tot = part.sum_chi_sq(X, pairs)
-        g = self.eval_many(X, pairs, tot)
+        level = _Level([self], X, None)
+        g = level.dense(0, self.eval_many(X, level))
+        pairs, hits, ids = level.pairs, level.hits, level.ids
         chi_jets = part.chi_jets(X, pairs.idx, pairs.cell)
-        hits, spans = self._batches(pairs)
-        ids = pairs.idx[hits]
         H = len(hits)
         w0, w1, w2 = np.empty(H), np.empty((H, n)), np.empty((H, n, n))
-        for piece, at in spans:
+        for piece, at in level.runs(0):
             w0[at], w1[at], w2[at] = piece.jet(X[ids[at]])
         c0, c1, c2 = (c[hits] for c in chi_jets)
         P = _scatter(ids, c0 * w0, N)
         dP = _scatter(ids, c1 * w0[:, None] + c0[:, None] * w1, N)
         d2P = _scatter(ids, c2 * w0[:, None, None] + _outer(c1, w1) + _outer(w1, c1) + c0[:, None, None] * w2, N)
-        return (g,) + part.sqrt_quotient_jet(pairs, chi_jets, tot, P, dP, d2P, self.scale)
+        return (g,) + part.sqrt_quotient_jet(pairs, chi_jets, level.tot, P, dP, d2P, self.scale)
 
     def __call__(self, X):
         return self.eval_many(X)
-
-
-def _root_rows(roots: list, X) -> list:
-    """[g(X) for g in roots], one level's groups, from one `chi_pairs`, `sum_chi_sq` and dict of `reads`."""
-    pairs = roots[0].partition.chi_pairs(X)
-    tot, reads = roots[0].partition.sum_chi_sq(X, pairs), {}
-    return [g.eval_many(X, pairs, tot, reads) for g in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -1021,13 +1039,14 @@ class DecompositionReport:
         return {"I": len(self.cells) - len(self.case_ii), "II": len(self.case_ii)}
 
     def sum_of_squares(self, X) -> np.ndarray:
-        """sum_l g_l(x)^2, added in group order, on points read by `geometry.as_points` with the
-        region's dim; one pass per level (`_root_rows`) reads each batch's bumps and pieces once."""
+        """sum_l g_l(x)^2 on points read by `geometry.as_points` with the region's dim.  One pass per
+        level (`_Level`) reads each batch's bumps and pieces once, and one bincount adds the squares
+        of all groups' hits in group order, so each point's sum is that of adding g_l^2 group by group."""
         X = as_points(X, self.params.region.dim)
-        acc = np.zeros(X.shape[0])
-        for g in _root_rows(self.roots, X) if self.roots else ():
-            acc += g**2
-        return acc
+        if not self.roots:
+            return np.zeros(len(X))
+        level = _Level(self.roots, X, {})
+        return _scatter(level.ids, np.concatenate(level.values()) ** 2, len(X))
 
     def as_dict(self) -> dict:
         """Every field but the objects params, roots and partition, with `cells`

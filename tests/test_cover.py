@@ -439,6 +439,35 @@ class TestChiPairs:
             np.add.at(tot, idxs, chi**2)
         assert np.array_equal(part.sum_chi_sq(X, pairs), tot)
 
+    @pytest.mark.parametrize("count", [255, 256, 257, 65535, 65536, 65537])
+    def test_cell_sort_across_the_small_index_types(self, count):
+        # cells shuffled along a line, so the bucket index lists each point's cells out of
+        # cell order, and one point near every center, so the sort moves hits over all indices
+        rng = np.random.default_rng(count)
+        centers = rng.permutation(count) * 0.5
+        part = build_partition([CoverCell(nu=k, center=(c,), radius=0.6) for k, c in enumerate(centers)])
+        X = (centers + rng.uniform(-0.6, 0.6, size=count))[:, None]
+        pairs = part.chi_pairs(X)
+        idx, cell = part.index.pairs(X)
+        u = np.linalg.norm(X[idx] - part.centers[cell], axis=1) / part.radii[cell]
+        inside = np.flatnonzero(u <= 1.0)
+        order = inside[np.lexsort((idx[inside], cell[inside]))]
+        assert np.array_equal(pairs.idx, idx[order]) and np.array_equal(pairs.cell, cell[order])
+        assert np.array_equal(pairs.chi, bump_profile(u[order]))
+        assert np.array_equal(pairs.starts, np.searchsorted(cell[order], np.arange(count + 1)))
+        assert np.all(np.diff(pairs.starts) > 0) and len(pairs.idx) > 2 * count
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_distances_are_the_norm_bit_for_bit(dim):
+    # rows of magnitudes from 1e-8 to 1e8, so a sum in another order would round differently
+    rng = np.random.default_rng(dim)
+    A = rng.normal(size=(60, dim)) * 10.0 ** rng.integers(-8, 9, size=(60, dim))
+    B = rng.normal(size=(40, dim)) * 10.0 ** rng.integers(-8, 9, size=(40, dim))
+    a, b = rng.integers(0, 60, size=5000), rng.integers(0, 40, size=5000)
+    got = cover._distances(A, a, B, b)
+    assert got.shape == (5000,) and np.array_equal(got, np.linalg.norm(A[a] - B[b], axis=1))
+
 
 def _chi_pairs_brute(part, X):
     """(idx, cell, chi) of chi_pairs from every (cell, point) pair at once."""

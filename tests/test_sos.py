@@ -730,6 +730,22 @@ class TestSumOfSquares:
         assert np.array_equal(rep.sum_of_squares(pts), want)
         assert np.max(np.abs(want - np.sum(pts**2 if name == "isotropic_3d" else pts**[2, 4], axis=1))) <= 1e-6
 
+    @pytest.mark.parametrize("batch", ["empty", "outside", "one_cell"])
+    def test_batches_most_groups_miss(self, isotropic_3d, batch):
+        rep = isotropic_3d
+        cell = rep.case_ii[0].cell  # its lifted groups read a sub-level
+        pts = {"empty": np.empty((0, 3)), "outside": np.array([[0.0, 0.0, 10.0 * rep.params.region.radius]]),
+               "one_cell": ball_points(Ball(cell.center, 0.2 * cell.radius), 40)}[batch]
+        rows = [g.eval_many(pts) for g in rep.roots]
+        got = rep.sum_of_squares(pts)
+        assert all(r.dtype == got.dtype == np.float64 and r.shape == got.shape == (len(pts),) for r in rows)
+        want = np.zeros(len(pts))
+        for r in rows:
+            want += r**2
+        assert np.array_equal(got, want)
+        live = sum(bool(np.any(r != 0.0)) for r in rows)
+        assert live == 0 if batch != "one_cell" else 2 < live < len(rows) / 4
+
 
 class TestFiberQuadrature:
     def test_polynomial_fibers_choose_two_nodes(self, isotropic_3d):
