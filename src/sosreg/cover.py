@@ -38,7 +38,7 @@ __all__ = [
 
 DEFAULT_CELL_SCALE = 1.0 / 200.0
 MAX_PAIRS = 2**27  # candidate pairs one listing may hold: a chi_pairs batch or a colouring block
-_BLOCK_PAIRS = 2**14  # candidate pairs color_classes lists per block of cells
+_BLOCK_PAIRS = 2**14  # candidate pairs one block lists: a build_cover acceptance batch or a color_classes block
 
 
 class _Buckets:
@@ -266,7 +266,13 @@ def build_cover(
 
     Candidate centers on a regular grid are sorted by rho descending and
     accepted when not already within half the radius of an accepted cell, a
-    constructive stand-in for a bounded-overlap cube decomposition.
+    constructive stand-in for a bounded-overlap cube decomposition.  Batches
+    of at most max(1, _BLOCK_PAIRS // (2m + 1)^n) consecutive free candidates,
+    m the lattice half-width of the first's box (the widest), are decided by
+    one gather of the later candidates within half of each member's radius
+    and one ordered pass over the pairs inside the batch, so the cells are
+    those of the one-at-a-time greedy loop, bit for bit.  Above max_cells
+    cells it raises CoverBudgetError with count max_cells + 1.
     """
     if not 0.0 < s <= DEFAULT_CELL_SCALE + 1e-15:
         raise DomainError(f"cell scale s must lie in (0, 1/200], got {s}")
@@ -300,33 +306,53 @@ def build_cover(
     order = np.lexsort(tuple(cand[:, i] for i in range(n)) + (-rho,))
     cand, rho = cand[order], rho[order]
 
-    # accept in that order every candidate not within half the radius of an
-    # accepted cell; an acceptance marks the candidates it covers, found in a
-    # box of the lattice, where slot holds each lattice point's place in order
+    # slot holds each lattice point's place in order, -1 off the candidates;
+    # a batch's members are the first free candidates among the next
+    # _BLOCK_PAIRS in order, so a scan never reads more than that
     step = 2.0 * region.radius / (per_axis - 1)
     lattice = np.rint((cand - (np.asarray(region.center) - region.radius)) / step).astype(np.int64)
     slot = np.full((per_axis,) * n, -1, dtype=np.int32)
     slot[tuple(lattice.T)] = np.arange(len(cand))
+    slot, strides = slot.ravel(), per_axis ** np.arange(n - 1, -1, -1)
     free = np.ones(len(cand), dtype=bool)
-    cells: list = []
-    i = 0
+    accepted, count, i = [np.empty(0, dtype=np.int64)], 0, 0
     while i < len(cand):
-        i += int(np.argmax(free[i:]))
-        if not free[i]:
-            break
-        x, r = cand[i], s * float(rho[i])
-        m = int(r / 2.0 / step) + 1
-        box = slot[tuple(slice(max(k - m, 0), k + m + 1) for k in lattice[i].tolist())]
-        near = box[box >= 0]
-        free[near[np.linalg.norm(cand[near] - x, axis=1) <= r / 2.0]] = False
-        cells.append(CoverCell(nu=len(cells), center=tuple(x), radius=r))
-        if len(cells) > max_cells:
+        window = np.flatnonzero(free[i : i + _BLOCK_PAIRS]) + i
+        if not len(window):
+            i += _BLOCK_PAIRS
+            continue
+        m = int(s * float(rho[window[0]]) / 2.0 / step) + 1  # the batch's widest box: rho descends
+        members = window[: max(1, _BLOCK_PAIRS // (2 * m + 1) ** n)]
+        width = min(2 * m + 1, per_axis)
+        offsets = np.indices((width,) * n).reshape(n, -1).T
+        lat = lattice[members]
+        lo = np.maximum(lat - m, 0)
+        inside = np.all(offsets <= (np.minimum(lat + m, per_axis - 1) - lo)[:, None, :], axis=2)
+        owner, k = np.nonzero(inside)  # member-major
+        near = slot[(lo @ strides)[owner] + (offsets @ strides)[k]]
+        later = near > members[owner]
+        owner, near = owner[later], near[later]
+        covers = _distances(cand, near, cand, members[owner]) <= (s * rho[members] / 2.0)[owner]
+        owner, near = owner[covers], near[covers]
+        at = np.searchsorted(members, near).clip(max=len(members) - 1)
+        mutual = members[at] == near
+        taken = [False] * len(members)
+        for a, b in zip(owner[mutual].tolist(), at[mutual].tolist()):
+            if not taken[a]:  # pairs come member by member, so a is decided here
+                taken[b] = True
+        keep = ~np.array(taken)
+        free[near[keep[owner]]] = False
+        accepted.append(members[keep])
+        count += len(accepted[-1])
+        if count > max_cells:
             raise CoverBudgetError(
                 f"cover exceeded {max_cells} cells (floor {floor} too small for this region)",
-                count=len(cells),
+                count=max_cells + 1,
             )
-        i += 1
-    return cells
+        i = int(members[-1]) + 1
+    accepted = np.concatenate(accepted)
+    return [CoverCell(nu=nu, center=tuple(x), radius=r)
+            for nu, (x, r) in enumerate(zip(cand[accepted].tolist(), (s * rho[accepted]).tolist()))]
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +530,7 @@ class Partition:
     def sum_chi_sq(self, X, pairs: ChiPairs | None = None) -> np.ndarray:
         X = as_points(X, self.dim)
         pairs = pairs if pairs is not None else self.chi_pairs(X)
-        return np.bincount(pairs.idx, weights=pairs.chi**2, minlength=X.shape[0])
+        return _scatter(pairs.idx, pairs.chi**2, X.shape[0])
 
     def phi(self, nu: int, X) -> np.ndarray:
         X = as_points(X, self.dim)

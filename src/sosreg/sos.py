@@ -1126,7 +1126,7 @@ def decompose(f: FunctionHandle, params: DecomposeParams) -> DecompositionReport
     case_one_piece = _CaseIPiece(g)
     groups: dict = {  # label -> [(cell index nu, piece)]
         f"caseI:{c}": [(nu, case_one_piece) for nu in np.flatnonzero(case_one & (colors == c)).tolist()]
-        for c in np.unique(colors[case_one]).tolist()
+        for c in np.flatnonzero(np.bincount(colors[case_one])).tolist()
     }
 
     def add_member(key_parts, nu, piece):

@@ -170,6 +170,43 @@ class TestCover:
             assert [(c.nu, c.center, c.radius) for c in cells] == \
                 [(c.nu, c.center, c.radius) for c in ref]
 
+    @pytest.mark.parametrize("src, variables, center, radius, variant", [
+        ("x^4", ("x",), (0.5,), 0.45, "reduced"),  # radii from 1.2e-3 to 1.3e-2
+        ("x^4 + y^4", ("x", "y"), (0.1, 0.0), 0.03, "reduced"),
+        ("x^2 + y^2 + z^2", ("x", "y", "z"), (3e-4, -2e-4, 1e-4), 0.015, "full"),
+    ])
+    def test_batches_accept_as_one_pass(self, monkeypatch, src, variables, center, radius, variant):
+        # budget 1 makes every batch one candidate; under 37 the 1-D batches grow
+        # from 1 member to 7 as the lattice half-width falls from 11 to 2 along
+        # the order; at half-width 2 the 2-D and 3-D boxes hold 25 and 125
+        # lattice points, so 300 gives them batches of 12 and 2 members
+        f, p, region = handle(src, variables), ControlDistanceParams(0.25, variant), Ball(center, radius)
+        expected = [(c.nu, c.center, c.radius) for c in _cover_brute(f, p, region)]
+        for budget in (1, 37, 300, cover._BLOCK_PAIRS):
+            monkeypatch.setattr(cover, "_BLOCK_PAIRS", budget)
+            assert [(c.nu, c.center, c.radius) for c in build_cover(f, p, region)] == expected
+
+    def test_batches_match_the_spatial_hash_loop(self, monkeypatch):
+        # the default budget is test_matches_spatial_hash_loop's
+        for src, variables, radius in _ISOTROPIC:
+            f, p, region = handle(src, variables), ControlDistanceParams(0.25), Ball((0.0,) * len(variables), radius)
+            expected = [(c.nu, c.center, c.radius) for c in _cover_reference(f, p, region)]
+            for budget in (1, 37, 300):
+                monkeypatch.setattr(cover, "_BLOCK_PAIRS", budget)
+                assert [(c.nu, c.center, c.radius) for c in build_cover(f, p, region)] == expected
+
+    @pytest.mark.parametrize("budget", [1, 37, None])
+    def test_cell_budget_counts_one_cell_past_it(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(cover, "_BLOCK_PAIRS", budget)
+        f, p, region = handle("x^4"), ControlDistanceParams(0.25, "reduced"), Ball((0.5,), 0.45)
+        total = len(build_cover(f, p, region))
+        for k in (0, 1, 2, total // 2, total - 1):
+            with pytest.raises(CoverBudgetError, match=f"cover exceeded {k} cells") as err:
+                build_cover(f, p, region, max_cells=k)
+            assert err.value.count == k + 1
+        assert len(build_cover(f, p, region, max_cells=total)) == total
+
     def test_one_cell_wider_than_the_region(self):
         # unnormalised, rho = 576 gives cells of radius 2.88 over a ball of radius 0.06
         region = Ball((0.0, 0.0), 0.06)
@@ -238,6 +275,19 @@ class TestPartition:
         assert rep["scaled_sup_order1"] == pytest.approx(fd[1], rel=1e-6)
         # the exact order-2 sup also covers the mixed entries
         assert rep["scaled_sup_order2"] >= fd[2] * (1.0 - 1e-4)
+
+    def test_sum_chi_sq_is_float_on_every_batch(self, isotropic_covers):
+        # np.bincount with no weighted hits returns integers
+        single = build_partition([CoverCell(nu=0, center=(0.0,), radius=1.0)])
+        for X, want in (([[5.0]], [0.0]), (np.empty((0, 1)), []), ([[5.0], [0.2], [-7.0]], [0.0, 1.0, 0.0])):
+            tot = single.sum_chi_sq(X)
+            assert tot.dtype == np.float64 and np.array_equal(tot, want)
+        part = build_partition(isotropic_covers[1])
+        X = ball_points(Ball((0.0, 0.0), 0.13), 400)
+        pairs = part.chi_pairs(X)
+        want = np.bincount(pairs.idx, weights=pairs.chi**2, minlength=len(X))
+        assert np.any(want == 0.0) and np.any(want > 0.0)
+        assert part.sum_chi_sq(X).tobytes() == want.tobytes()
 
     def test_empty_cover_rejected(self):
         with pytest.raises(DomainError):

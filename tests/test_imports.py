@@ -1,6 +1,7 @@
 """The import graph: numpy is imported eagerly and scipy never, not even by the
 cover's neighbour searches, the partition, the colouring or the CLI; building a
-partition leaves numpy.ma unloaded; and every name a module exports exists."""
+partition or running a decomposition leaves numpy.ma unloaded; and every name
+a module exports exists."""
 
 import importlib
 import json
@@ -86,6 +87,31 @@ def test_partition_leaves_numpy_ma_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", BUCKETS_PROBE], capture_output=True, text=True, env=env, check=True)
     assert json.loads(proc.stdout) == {"numpy.ma": False, "same": [True, True, True]}
+
+
+DECOMPOSE_PROBE = """
+import json, sys
+from sosreg.calculus import FunctionHandle
+from sosreg.exprlang import parse_expression
+from sosreg.geometry import Ball
+from sosreg.sos import DecomposeParams, decompose
+
+region = Ball((0.0, 0.0), 0.05)
+f = FunctionHandle.from_expr(parse_expression("x^2 + y^2"), ("x", "y"), domain=Ball((0.0, 0.0), 1.0))
+report = decompose(f, DecomposeParams(delta=0.25, eta=0.3, region=region))
+print(json.dumps({"numpy.ma": "numpy.ma" in sys.modules, "case_one": int(report.case_one.sum()),
+                  "passed": report.passed}))
+"""
+
+
+def test_decompose_leaves_numpy_ma_unloaded():
+    # np.unique asks numpy.ma whether its input is masked, even for the integer colours of case I
+    src = str(Path(sosreg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", DECOMPOSE_PROBE], capture_output=True, text=True, env=env, check=True)
+    out = json.loads(proc.stdout)
+    assert out["numpy.ma"] is False
+    assert out["case_one"] > 0 and out["passed"] is True
 
 
 @pytest.mark.parametrize("module", ["sosreg"] + [f"sosreg.{m.name}" for m in pkgutil.iter_modules(sosreg.__path__)])
