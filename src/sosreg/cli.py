@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -51,6 +52,14 @@ def _floats(text: str) -> list:
     return [float(v) for v in text.split(",")]
 
 
+def _count(text: str) -> int:
+    """A sample or restart count, at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -76,6 +85,8 @@ def _from_config(name: str, kind, text: str):
         return kind(text)
     except (KeyError, ValueError):
         raise SosregError(f"config key {name!r}: cannot read {text!r}") from None
+    except argparse.ArgumentTypeError as err:
+        raise SosregError(f"config key {name!r}: {err}") from None
 
 
 def _resolve(args, cfg: dict, flags) -> dict:
@@ -231,20 +242,21 @@ _FUNCTION = (
     ("region-radius", float, 1.0, "radius of the region ball"),
     ("region-center", _floats, None, "comma-separated centre of the region ball (default: origin)"),
 )
-_SAMPLES = ("samples", int, 2000, "sample points")
+_SAMPLES = ("samples", _count, 2000, "sample points")
 _DELTA = ("delta", float, 0.25, "cover scale delta in (0, 1/2)")
 _ETA = ("eta", float, 0.3, "case-split margin eta in (0, 1/2)")
 _CSV = ("csv", str, None, "write the cells (decompose), grid residuals (verify) or rows (scan) to this CSV path")
+_DEFAULTS = {fd.name: fd.default for fd in fields(DecomposeParams)}
 _DECOMPOSE = (
     *_FUNCTION,
     ("dim", int, None, "number of free variables the expression must have"),
     _DELTA,
     _ETA,
-    ("s", float, 1.0 / 200.0, "cell scale s in (0, 1/200]; the case split uses c = s^2/8"),
-    ("floor", float, 1e-3, "control-distance floor of the cover"),
-    ("tol", float, 1e-6, "relative residual tolerance"),
-    ("verify-points", int, 2000, "residual sample points"),
-    ("max-cells", int, 200_000, "cover cell budget"),
+    ("s", float, _DEFAULTS["s"], "cell scale s in (0, 1/200]; the case split uses c = s^2/8"),
+    ("floor", float, _DEFAULTS["floor"], "control-distance floor of the cover"),
+    ("tol", float, _DEFAULTS["tol"], "relative residual tolerance"),
+    ("verify-points", int, _DEFAULTS["verify_points"], "residual sample points"),
+    ("max-cells", int, _DEFAULTS["max_cells"], "cover cell budget"),
     ("strict", bool, False, "fail on differential-inequality violation"),
     ("no-normalize", bool, False, "skip rescaling f when its quartic constant exceeds 1"),
     ("no-holder", bool, False, "skip root Hölder estimation"),
@@ -259,8 +271,8 @@ COMMANDS = {
     "monotone": Command("weak-monotonicity functional of a function", (
         *_FUNCTION,
         ("s", float, 0.5, "exponent of the modulus omega_s"),
-        ("samples", int, 200, "outer sample points x"),
-        ("inner-samples", int, 64, "inner sample points y per x"),
+        ("samples", _count, 200, "outer sample points x"),
+        ("inner-samples", _count, 64, "inner sample points y per x"),
         ("t-min", float, 1e-3, "smallest |x| sampled"),
     ), _on_region(lambda f, region, o: monotone_functional(
         f, Modulus.omega(o["s"]), outer_samples=o["samples"], inner_samples=o["inner_samples"],
@@ -269,7 +281,7 @@ COMMANDS = {
         *_FUNCTION,
         ("gamma", float, 0.5, "exponent of the power f^gamma"),
         ("order", int, 2, "derivative order compared"),
-        ("samples", int, 100, "sample points before dropping zeros of f"),
+        ("samples", _count, 100, "sample points before dropping zeros of f"),
     ), _run_roots),
     "counterex threshold": Command("print the Hölder-monotone threshold", (
         ("gamma-alpha", float, 1.0, "alpha of gamma_alpha"),
@@ -285,15 +297,15 @@ COMMANDS = {
     "counterex delta-nu": Command("distance of the quartic from nu squares of quadratics", (
         ("nu", int, 1, "number of squares, 0..4"),
         ("c0", float, 3.0, "coefficient cap"),
-        ("sphere-samples", int, 2000, "sample points on the unit sphere"),
-        ("restarts", int, 20, "descent restarts"),
+        ("sphere-samples", _count, 2000, "sample points on the unit sphere"),
+        ("restarts", _count, 20, "descent restarts"),
         ("seed", int, 0, "seed of the restart draws"),
     ), _run_delta_nu),
     "check odd-even": Command("odd-by-even derivative controls", (*_FUNCTION, _SAMPLES), _on_region(
         lambda f, region, o: verify_odd_even_control(f, region, samples=o["samples"]))),
     "check interp": Command("interpolation bound for intermediate derivatives", (
         *_FUNCTION,
-        ("samples", int, 200, "sample points"),
+        ("samples", _count, 200, "sample points"),
         ("m", int, 1, "intermediate order m"),
         ("k", int, 2, "top order k"),
     ), _on_region(lambda f, region, o: verify_interpolation_bound(

@@ -540,21 +540,21 @@ class Partition:
             return np.where(chi > 0, chi / np.sqrt(np.where(tot > 0, tot, 1.0)), 0.0)
 
     def check_unity(self, X) -> float:
-        """Max |sum Phi^2 - 1| on the points; raises on a coverage hole."""
+        """Max |sum Phi^2 - 1| on the points, 0 on an empty batch; raises on a coverage hole."""
         X = as_points(X, self.dim)
         pairs = self.chi_pairs(X)
         tot = self.sum_chi_sq(X, pairs)
         if np.any(tot == 0.0):
             i = int(np.argmin(tot))
             raise CoverageHoleError(f"no bump covers the point {X[i].tolist()}")
-        acc = np.bincount(pairs.idx, weights=pairs.chi**2 / tot[pairs.idx], minlength=X.shape[0])
-        return float(np.max(np.abs(acc - 1.0)))
+        acc = _scatter(pairs.idx, pairs.chi**2 / tot[pairs.idx], len(X))
+        return float(np.max(np.abs(acc - 1.0), initial=0.0))
 
     def observe_overlap(self, X) -> int:
         """The most bumps that cover one of the points."""
         X = as_points(X, self.dim)
         counts = np.bincount(self.chi_pairs(X).idx, minlength=X.shape[0])
-        return int(np.max(counts)) if counts.size else 0
+        return int(np.max(counts, initial=0))
 
 
 def build_partition(cells: list, region: Ball | None = None) -> Partition:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .calculus import FunctionHandle, HolderEstimate, directional_hessian_plus_values, jet_line_series, log_ratios
 from .cover import (
+    DEFAULT_CELL_SCALE,
     ControlDistanceParams,
     CoverCell,
     Partition,
@@ -117,8 +118,8 @@ class DiffIneqReport(Report):
 
     @property
     def passed(self) -> bool:
-        """Both constants are refinement-stable, which requires them finite."""
-        return self.quartic_stable and self.hessian_stable
+        """Both constants are refinement-stable, which requires them finite, on a non-empty sample."""
+        return self.samples > 0 and self.quartic_stable and self.hessian_stable
 
 
 def check_differential_inequalities(
@@ -621,8 +622,6 @@ class FiberSplit:
     minimizer once per batch, and it solves only batches not in its memo.
     """
 
-    kind = "caseII"
-
     def __init__(self, cell: CoverCell, minimizer: MinimizerProfile, nodes: int, F, h_ok: bool):
         self.cell = cell
         self.frame = minimizer.frame
@@ -648,6 +647,9 @@ class FiberSplit:
         Xi, Y = self.frame.to_local(X)
         Xstar = self.minimizer.solve_many(Xi)
         return (Y - Xstar) * np.sqrt(np.maximum(self.H(Xi, Y, Xstar), 0.0))
+
+    def read(self, level: _Level, at: slice) -> np.ndarray:
+        return self.weights(level.X[level.ids[at]])
 
     def jet(self, X) -> tuple:
         """(w, Dw, D^2 w) in closed form, from one fiber solve and one order-4
@@ -775,22 +777,17 @@ def reduced_profile(
 
 
 class _CaseIPiece:
-    """w = sqrt(f); one instance serves every case-I cell of a decomposition and a level's pass reads it once."""
-
-    kind = "caseI"
+    """w = sqrt(f) on every case-I cell; a level fills it once, at each row some bump reaches."""
 
     def __init__(self, f: FunctionHandle):
         self.f = f
 
     def read(self, level: _Level, at: slice) -> np.ndarray:
-        if self not in level.reads:  # at every row of the batch that some bump reaches
+        if self not in level.reads:
             rows = np.flatnonzero(level.tot > 0)
             level.reads[self] = np.empty(len(level.X))
-            level.reads[self][rows] = self.weights(level.X[rows])
+            level.reads[self][rows] = np.sqrt(np.maximum(self.f.values(level.X[rows]), 0.0))
         return level.reads[self][level.ids[at]]
-
-    def weights(self, X) -> np.ndarray:
-        return np.sqrt(np.maximum(self.f.values(X), 0.0))
 
     def jet(self, X) -> tuple:
         """(w, Dw, D^2 w) from f's order-2 jet; zero where f <= 0."""
@@ -798,37 +795,32 @@ class _CaseIPiece:
 
 
 class _ConstPiece:
-    kind = "residue_const"
+    """w = sqrt(F) for the constant reduced profile F of a 1-D case-II cell, clamped at 0."""
 
     def __init__(self, value: float):
-        self.value = max(float(value), 0.0)
+        self.root = math.sqrt(max(float(value), 0.0))
 
-    def weights(self, X) -> np.ndarray:
-        return np.full(len(X), math.sqrt(self.value))
+    def read(self, level: _Level, at: slice) -> float:
+        return self.root
 
     def jet(self, X) -> tuple:
         N, n = X.shape
-        return self.weights(X), np.zeros((N, n)), np.zeros((N, n, n))
+        return np.full(N, self.root), np.zeros((N, n)), np.zeros((N, n, n))
 
 
 class _LiftedPiece:
     """Root `index` of a case-II cell's sub-report, lifted through the cell's frame.  The cell's
-    lifted pieces share their hits: a level's pass reads all `roots` by one sub-level pass at xi."""
-
-    kind = "residue_lift"
+    lifted pieces share their hits, so a level reads them on one sub-level of all `roots` at xi,
+    where each piece evaluates its own sub-root."""
 
     def __init__(self, frame: _RotatedFrame, roots: list, index: int):
         self.frame, self.roots, self.index = frame, roots, index
 
-    def weights(self, X) -> np.ndarray:
-        return self.roots[self.index].eval_many(self.frame.to_local(X)[0])
-
     def read(self, level: _Level, at: slice) -> np.ndarray:
         if id(self.roots) not in level.reads:
-            sub = _Level(self.roots, self.frame.to_local(level.X[level.ids[at]])[0], {})
-            level.reads[id(self.roots)] = sub, sub.values()
-        sub, values = level.reads[id(self.roots)]
-        return sub.dense(self.index, values[self.index])
+            level.reads[id(self.roots)] = _Level(self.roots, self.frame.to_local(level.X[level.ids[at]])[0])
+        sub = level.reads[id(self.roots)]
+        return sub.dense(self.index, self.roots[self.index].eval_many(sub.X, sub, self.index))
 
     def jet(self, X) -> tuple:
         """The sub-root's jet at the frame's xi, pulled back to x through R[:, :-1]."""
@@ -842,11 +834,11 @@ class _Level:
     S = sum_mu chi_mu^2, and one gather over `ChiPairs.starts` of every group's live hits (chi > 0,
     S > 0) in group order, by cell within a group: their positions `hits` in the pairs, points `ids`,
     `chi` and sqrt(S) `root_s`.  Member m of the groups owns hits cuts[m]:cuts[m + 1], group k's
-    members start at first[k].  `reads` holds the rows the groups' pieces share; None (a group
-    read alone) has each piece read its own `weights`."""
+    members start at first[k].  `reads` holds what the groups' pieces share, filled by the first
+    `read` that needs it.  A group read alone is a level of its own."""
 
-    def __init__(self, roots: list, X: np.ndarray, reads: dict | None):
-        self.roots, self.X, self.reads = roots, X, reads
+    def __init__(self, roots: list, X: np.ndarray):
+        self.roots, self.X, self.reads = roots, X, {}
         self.pairs = pairs = roots[0].partition.chi_pairs(X)
         self.tot = roots[0].partition.sum_chi_sq(X, pairs)
         cells = np.concatenate([g.cells for g in roots])
@@ -871,10 +863,6 @@ class _Level:
         return [(piece, slice(cuts[m + a], cuts[m + b])) for piece, a, b in self.roots[k].runs
                 if cuts[m + b] > cuts[m + a]]
 
-    def values(self) -> list:
-        """Each group's g at its own hits, by one `eval_many` per group."""
-        return [g.eval_many(self.X, self, k) for k, g in enumerate(self.roots)]
-
     def dense(self, k: int, g: np.ndarray) -> np.ndarray:
         """Group k's values g at its hits spread over the batch, zero elsewhere."""
         return _scatter(self.ids[self.span(k)], g, len(self.X))
@@ -888,8 +876,8 @@ class RootGroup:
     single active term per point, and g_l is read at the group's own hits only.  A group is built
     once: `members` is the tuple of (cell index nu, piece) sorted by cell, `cells` their cells and
     `runs` the (piece, first, end) ranges of consecutive members sharing a piece, so the members
-    sharing one (every case-I cell) are read in one call.  `eval_many` and `jet` read points by
-    `geometry.as_points` with its arity.
+    sharing one (every case-I cell) are read by one `read(level, at)`, w at the hits `at` of a
+    `_Level`; a piece's `jet(X)` is (w, Dw, D^2 w).  Points are read by `geometry.as_points`.
     """
 
     def __init__(self, label: str, partition: Partition, members: list, scale: float = 1.0):
@@ -907,19 +895,15 @@ class RootGroup:
         return self.partition.dim
 
     def eval_many(self, X, level: _Level | None = None, k: int = 0) -> np.ndarray:
-        """g on a batch.  Alone it reads X by a `_Level` of this group only, with no shared reads,
-        and returns g at every point.  As group k of `level`, a pass over X, it returns
-        scale * chi w / sqrt(S) at its own hits `level.span(k)` only."""
+        """g on a batch.  Alone it reads X by a `_Level` of this group only and returns g at every
+        point.  As group k of `level`, a pass over X, it returns scale * chi w / sqrt(S) at its own
+        hits `level.span(k)` only."""
         alone = level is None
-        if alone:
-            X = as_points(X, self.arity)
-            level = _Level([self], X, None)
+        level = level or _Level([self], as_points(X, self.arity))
         at = level.span(k)
         w = np.empty(at.stop - at.start)
         for piece, run in level.runs(k):
-            read = None if level.reads is None else getattr(piece, "read", None)  # a piece groups share
-            w[run.start - at.start : run.stop - at.start] = (
-                read(level, run) if read else piece.weights(level.X[level.ids[run]]))
+            w[run.start - at.start : run.stop - at.start] = piece.read(level, run)
         g = self.scale * (level.chi[at] * w / level.root_s[at])
         return level.dense(k, g) if alone else g
 
@@ -936,7 +920,7 @@ class RootGroup:
         X = as_points(X, self.arity)
         N, n = X.shape
         part = self.partition
-        level = _Level([self], X, None)
+        level = _Level([self], X)
         g = level.dense(0, self.eval_many(X, level))
         pairs, hits, ids = level.pairs, level.hits, level.ids
         chi_jets = part.chi_jets(X, pairs.idx, pairs.cell)
@@ -972,7 +956,7 @@ class DecomposeParams:
     delta: float
     eta: float
     region: Ball
-    s: float = 1.0 / 200.0
+    s: float = DEFAULT_CELL_SCALE
     floor: float = 1e-3
     tol: float = 1e-6
     max_cells: int = 200_000
@@ -1045,8 +1029,9 @@ class DecompositionReport:
         X = as_points(X, self.params.region.dim)
         if not self.roots:
             return np.zeros(len(X))
-        level = _Level(self.roots, X, {})
-        return _scatter(level.ids, np.concatenate(level.values()) ** 2, len(X))
+        level = _Level(self.roots, X)
+        g = np.concatenate([root.eval_many(X, level, k) for k, root in enumerate(self.roots)])
+        return _scatter(level.ids, g**2, len(X))
 
     def as_dict(self) -> dict:
         """Every field but the objects params, roots and partition, with `cells`

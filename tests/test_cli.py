@@ -205,6 +205,23 @@ class TestUsage:
         assert run_cli(argv) == 1
         assert capsys.readouterr().err.startswith("error: sosreg")
 
+    @pytest.mark.parametrize("argv", [["check", "odd-even", "--function", "x^2", "--samples", "0"],
+                                      ["check", "slow-vary", "--function", "x^2", "--samples", "0"],
+                                      ["check", "diff-ineq", "--function", "x^2+y^2", "--samples", "0"],
+                                      ["roots", "--function", "x^4+1", "--samples", "0"],
+                                      ["monotone", "--function", "flat_exp", "--inner-samples", "0"],
+                                      ["counterex", "delta-nu", "--restarts", "0"],
+                                      ["counterex", "delta-nu", "--sphere-samples", "0"]])
+    def test_a_zero_count_is_a_usage_error(self, argv, tmp_path, capsys):
+        flag, report = argv[-2], tmp_path / "r.json"
+        assert run_cli(argv + ["--report", str(report)]) == 1
+        assert f"argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = 0\n")
+        assert run_cli(argv[:-2] + ["--config", str(cfg), "--report", str(report)]) == 1
+        assert f"config key '{flag[2:]}': must be at least 1, got 0" in capsys.readouterr().err
+        assert not report.exists()
+
     @pytest.mark.parametrize("argv", [["check", "slow-vary", "--function", "x^2", "--samp", "50"],
                                       ["decompose", "--function", "x^2", "--delt", "0.3"],
                                       ["counterex", "threshold", "--gamma", "2"]])

@@ -289,6 +289,25 @@ class TestPartition:
         assert np.any(want == 0.0) and np.any(want > 0.0)
         assert part.sum_chi_sq(X).tobytes() == want.tobytes()
 
+    def test_batch_readers_on_empty_uncovered_and_covered_batches(self, isotropic_covers):
+        single = build_partition([CoverCell(nu=0, center=(0.0,), radius=1.0)])
+        empty = np.empty((0, 1))
+        assert single.check_unity(empty) == 0.0 and single.observe_overlap(empty) == 0
+        assert single.sum_chi_sq(empty).shape == (0,)
+        # a point that no bump reaches
+        with pytest.raises(CoverageHoleError, match=r"\[5\.0\]"):
+            single.check_unity([[0.2], [5.0]])
+        assert single.observe_overlap([[5.0]]) == 0 and single.sum_chi_sq([[5.0]]).tolist() == [0.0]
+        # a covered batch keeps the bits of one bincount per sum
+        part = build_partition(isotropic_covers[1])
+        X = ball_points(Ball((0.0, 0.0), 0.1), 400)
+        pairs = part.chi_pairs(X)
+        tot = np.bincount(pairs.idx, weights=pairs.chi**2, minlength=len(X))
+        acc = np.bincount(pairs.idx, weights=pairs.chi**2 / tot[pairs.idx], minlength=len(X))
+        assert part.check_unity(X) == float(np.max(np.abs(acc - 1.0))) < 1e-10
+        assert part.observe_overlap(X) == np.bincount(pairs.idx).max() > 1
+        assert part.sum_chi_sq(X).tobytes() == tot.tobytes()
+
     def test_empty_cover_rejected(self):
         with pytest.raises(DomainError):
             build_partition([])

@@ -233,7 +233,7 @@ class TestRootHolderProbe:
 
 class TestSumOfSquares:
     """The sum of squares reads each batch once per partition level: one
-    `chi_pairs` per level, one case-I read per level and one `eval_many` per group."""
+    `chi_pairs` per level, one case-I fill per level and one `eval_many` per group."""
 
     def test_one_pass_per_level(self, monkeypatch):
         rep = decompose(handle("x^2 + y^2 + z^2", ("x", "y", "z")), DecomposeParams(
@@ -243,16 +243,24 @@ class TestSumOfSquares:
             sub = todo.pop()
             levels[sub.partition] = sub
             todo += [cd.sub_report for cd in sub.case_ii if cd.sub_report is not None and not cd.sub_report.empty]
-        case_one = {p: lvl for lvl in levels.values() for g in lvl.roots for _, p in g.members if p.kind == "caseI"}
+        case_one = {p: lvl for lvl in levels.values() for g in lvl.roots for _, p in g.members
+                    if isinstance(p, _CaseIPiece)}
         assert rep.recursion_depth == 2 and len(case_one) == len(levels) > 2
 
         log = []
-        for owner, name in ((Partition, "chi_pairs"), (_CaseIPiece, "weights"), (RootGroup, "eval_many")):
+        for owner, name in ((Partition, "chi_pairs"), (RootGroup, "eval_many")):
             def logged(self, X, *args, _orig=getattr(owner, name), **kwargs):
                 log.append((self, len(X)))
                 return _orig(self, X, *args, **kwargs)
 
             monkeypatch.setattr(owner, name, logged)
+
+        def read(self, level, at, _orig=_CaseIPiece.read):
+            if self not in level.reads:  # a fill of sqrt(f) that the level's groups share
+                log.append((self, len(level.X)))
+            return _orig(self, level, at)
+
+        monkeypatch.setattr(_CaseIPiece, "read", read)
         pts = ball_points(rep.params.region, 600)
         rep.sum_of_squares(pts)
         parts = [p for p, _ in log if isinstance(p, Partition)]

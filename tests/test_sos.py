@@ -101,6 +101,11 @@ class TestDifferentialInequalities:
         rep = check_differential_inequalities(handle("x^2"), 0.25, 0.5, Ball((0.0,), 1.0))
         assert not rep.passed
 
+    def test_no_samples_does_not_pass(self):
+        # an empty sample gives the constants 0, which are stable, but measures nothing
+        rep = check_differential_inequalities(handle("3"), 0.25, 0.3, Ball((0.0,), 1.0), samples=0)
+        assert rep.samples == 0 and rep.quartic_stable and rep.hessian_stable and not rep.passed
+
 
 class TestImplicitFunctionHelpers:
     def test_tracked_root_residual(self):
