@@ -130,12 +130,14 @@ class _OrderPartials:
 def jet_line_series(J, directions: np.ndarray) -> list:
     """[c_0, ..., c_m] of f(x + t r) contracted from the jet J = (f, Df, ..., D^m f) of an
     N-point batch: c_k = D^k f[r, ..., r] / k!, each (N,) for one direction r (n,) and
-    (D, N) for D directions (D, n)."""
+    (D, N) for D directions (D, n) or for D directions per point (D, N, n)."""
     N, n = len(J[0]), directions.shape[-1]
-    rs, rk, out = directions.reshape(-1, n), np.ones((directions.size // n, 1)), []
+    r = directions if directions.ndim == 3 else directions.reshape(-1, 1, n)
+    shape = directions.shape[:-1] + (N,) if directions.ndim < 3 else directions.shape[:-1]
+    rk, out = np.ones(r.shape[:2] + (1,)), []
     for k, T in enumerate(J):
-        out.append((T.reshape(N, -1) @ rk.T).T.reshape(directions.shape[:-1] + (N,)) / math.factorial(k))
-        rk = (rk[:, :, None] * rs[:, None, :]).reshape(len(rs), -1)
+        out.append(np.sum(T.reshape(N, -1) * rk, axis=-1).reshape(shape) / math.factorial(k))
+        rk = (rk[..., None] * r[..., None, :]).reshape(r.shape[:2] + (-1,))
     return out
 
 
@@ -160,11 +162,12 @@ class FunctionHandle:
     of `batch_memo(order)`, which the first read fills: an EvalMemo of the
     order's symbolic derivatives below SERIES_ORDER, the partials of one
     Taylor-series pass from it on, and one jet's tensor for jet-backed
-    handles.  :meth:`line_series` reads f along lines with no tensor where the
-    handle has a `line_series` of its own: one series pass for an
-    expression, the scaled series of its base for a `rescaled` handle, and a
-    directional read of the parent up to degree 2 for a reduced profile.  A
-    jet-backed handle without one (PowerHandle) contracts its jet.
+    handles.  :meth:`line_series` reads f along lines, shared by the batch or one
+    per point, with no tensor where the handle has a `line_series` of its own:
+    one series pass for an expression, the scaled series of its base for a
+    `rescaled` handle, and two directional reads of the parent up to degree 4
+    for a reduced profile, whose jet is itself read by series.  A jet-backed
+    handle without one (PowerHandle) contracts its jet.
     `exact_derivatives` is False where derivatives are exact only off a seam
     set or come through a numerical solve; `holder_seminorm` then spaces its
     pairs wider.  The function a handle represents never changes, but
@@ -219,14 +222,15 @@ class FunctionHandle:
         multi-indices' expressions, built on first use.
 
         A `line_series` is one `taylor_series` pass of the simplified body with
-        each variable [x_i, r_i, None, ...].  Orders from SERIES_ORDER on are
-        the top coefficients of one pass per batch along the order's
-        multi-index directions, interpolated to the partials by
-        `_series_layout`, held by their batch memo (a read without one runs its
-        own pass).  Values walk the body as written (`evaluate`), so c_0 can
-        differ from them in the last bit where simplifying reassociates it
-        (x*(y*z), no catalog body).  The series agree with the symbolic
-        derivatives to about 1e-13 of each point's largest entry.
+        each variable [x_i, r_i, None, ...], r_i one entry per direction, or per
+        direction and point.  Orders from SERIES_ORDER on are the top
+        coefficients of one pass per batch along the order's multi-index
+        directions, interpolated to the partials by `_series_layout`, held by
+        their batch memo (a read without one runs its own pass).  Values walk
+        the body as written (`evaluate`), so c_0 can differ from them in the
+        last bit where simplifying reassociates it (x*(y*z), no catalog body).
+        The series agree with the symbolic derivatives to about 1e-13 of each
+        point's largest entry.
         A direction whose series is not finite (a real power of a zero base)
         spoils only the partials it shares support with: at (0, 0.5),
         x^2.5 + y^4 reads D^(0,4) = 24 but NaN for D^(1,3) = 0.
@@ -255,9 +259,10 @@ class FunctionHandle:
             if not series_plan:
                 root = table.simplify(body)
                 series_plan.extend((root, read_counts([root])))
-            r = directions if directions.ndim == 1 else directions.T[:, :, None]
+            if directions.ndim == 2:  # shared by every point
+                directions = directions[:, None, :]
+            r, shape = np.moveaxis(directions, -1, 0), np.broadcast_shapes(directions.shape[:-1], X.shape[:1])
             env = {v: ([X[:, i], r[i]] + [None] * (degree - 1))[: degree + 1] for i, v in enumerate(variables)}
-            shape = directions.shape[:-1] + X.shape[:1]
             return [np.broadcast_to(0.0 if c is None else c, shape)
                     for c in taylor_series(series_plan[0], env, degree, EvalMemo(series_plan[1]))]
 
@@ -373,10 +378,11 @@ class FunctionHandle:
 
     def line_series(self, X, directions, degree: int) -> list:
         """[c_0, ..., c_degree] of f(x + t r) on an (N, n) batch, each (N,) for one direction
-        r (n,) and (D, N) for D directions (D, n); c_k = D^k f[r, ..., r] / k!.  The handle's
-        own `line_series` answers where it has one (one series pass for an expression, a
-        directional read of the parent for a reduced profile; coefficients may be read-only
-        views); otherwise `jet_line_series` contracts the handle's jet."""
+        r (n,) and (D, N) for D directions (D, n) or for D directions per point (D, N, n);
+        c_k = D^k f[r, ..., r] / k!.  The handle's own `line_series` answers where it has
+        one (one series pass for an expression, directional reads of the parent for a
+        reduced profile; coefficients may be read-only views); otherwise `jet_line_series`
+        contracts the handle's jet."""
         X = as_points(X, self.arity)
         r = np.asarray(directions, dtype=float)
         if self._line_series is not None:

@@ -255,7 +255,7 @@ _DECOMPOSE = (
     ("s", float, _DEFAULTS["s"], "cell scale s in (0, 1/200]; the case split uses c = s^2/8"),
     ("floor", float, _DEFAULTS["floor"], "control-distance floor of the cover"),
     ("tol", float, _DEFAULTS["tol"], "relative residual tolerance"),
-    ("verify-points", int, _DEFAULTS["verify_points"], "residual sample points"),
+    ("verify-points", _count, _DEFAULTS["verify_points"], "residual sample points; at least 512 are sampled"),
     ("max-cells", int, _DEFAULTS["max_cells"], "cover cell budget"),
     ("strict", bool, False, "fail on differential-inequality violation"),
     ("no-normalize", bool, False, "skip rescaling f when its quartic constant exceeds 1"),

@@ -26,7 +26,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .calculus import FunctionHandle, HolderEstimate, directional_hessian_plus_values, jet_line_series, log_ratios
+from .calculus import (
+    FunctionHandle, HolderEstimate, _series_layout, _tensor_layout, directional_hessian_plus_values, log_ratios,
+)
 from .cover import (
     DEFAULT_CELL_SCALE,
     ControlDistanceParams,
@@ -243,8 +245,7 @@ def implicit_second_derivative(H: FunctionHandle, point) -> np.ndarray:
     d2h/dx_i dx_j = -H_ij/H_n + (H_j H_in + H_i H_jn)/H_n^2
                     - H_i H_j H_nn/H_n^3.
     """
-    _, (h2,) = _implicit_jet(H.jet(point, 2), 2)
-    return h2[0]
+    return _implicit_jet(H.jet(point, 2))[1][0]
 
 
 def _pull(T: np.ndarray, P: np.ndarray, axes: int) -> np.ndarray:
@@ -257,50 +258,18 @@ def _pull(T: np.ndarray, P: np.ndarray, axes: int) -> np.ndarray:
     return T
 
 
-def _times(a: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """a (N, *L) times T (N, k, ..., k): the (N, *L, k, ..., k) outer products."""
-    lead = a.ndim - 1
-    return a.reshape(a.shape + (1,) * (T.ndim - 1)) * T.reshape(T.shape[:1] + (1,) * lead + T.shape[1:])
-
-
-def _sym3(c: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    """c_i X2_jl + c_j X2_il + c_l X2_ij for c (N, *L, k) and X2 (N, k, k)."""
-    t = _times(c, X2)
-    return t + np.swapaxes(t, -3, -2) + np.moveaxis(t, -3, -1)
-
-
-def _compose(U, P: np.ndarray, Xs: list, j: int) -> np.ndarray:
-    """D^j (u o Phi) for Phi(xi) = (xi, X(xi)) and j <= 3, by Faa di Bruno.
-
-    U[m] is D^m u at Phi(xi), shape (N, *L, n, ..., n) with y the last
-    coordinate; P = D Phi is (N, n, k) and D^m Phi = e_y X_m for m >= 2, with
-    Xs = [X_2, ...] the higher derivatives of X known so far.  The term
-    u_y X_j is left out while X_j is unknown, which is how X_j is solved for.
-    """
-    out = _pull(U[j], P, j)
-    if j == 3:
-        out = out + _sym3(_pull(U[2][..., -1], P, 1), Xs[0])
-    if 2 <= j <= len(Xs) + 1:
-        out = out + _times(U[1][..., -1], Xs[j - 2])
-    return out
-
-
-def _implicit_jet(U, order: int) -> tuple:
-    """Derivatives of X(xi) defined by u(xi, X(xi)) = 0, from u's jet U.
+def _implicit_jet(U) -> tuple:
+    """D Phi and D^2 X for X(xi) defined by u(xi, X(xi)) = 0 and Phi(xi) = (xi, X(xi)).
 
     U[m] is D^m u at the graph points, (N, n, ..., n) with y the last
-    coordinate, for m = 1..order (U[0] is not read).  Returns P = D Phi, whose
-    last row is DX, and [X_2, ..., X_order]: differentiating u o Phi = 0 j
-    times gives u_y X_j = -(the other terms of D^j (u o Phi)).
+    coordinate, for m = 1, 2 (U[0] is not read).  Returns P = D Phi, whose
+    last row is DX, and X_2: differentiating u o Phi = 0 twice gives
+    u_y X_2 = -P^T D^2 u P.
     """
     uy = U[1][:, -1]
     N, k = uy.shape[0], U[1].shape[1] - 1
     P = np.concatenate([np.broadcast_to(np.eye(k), (N, k, k)), (-U[1][:, :k] / uy[:, None])[:, None, :]], axis=1)
-    Xs: list = []
-    for j in range(2, order + 1):
-        rest = _compose(U, P, Xs, j)
-        Xs.append(-rest / uy.reshape((N,) + (1,) * (rest.ndim - 1)))
-    return P, Xs
+    return P, -_pull(U[2], P, 2) / uy[:, None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -518,14 +487,33 @@ def _fiber_factor(frame: _RotatedFrame, Xi, Y, X: np.ndarray, nodes: int) -> np.
     return frame.fiber(_quadrature_points(Xi, Y, X, t))[1].reshape(len(Xi), nodes) @ tw
 
 
-_BLOCK = 8192  # points per fiber solve of a reduced profile; bounds the parent's jet tensors and series
+_BLOCK = 8192  # points per fiber solve of a reduced profile; bounds the parent's series passes
 
 
-def _in_blocks(read, Xi: np.ndarray, axis: int, *args) -> list:
-    """read(block, *args) over blocks of at most _BLOCK points of Xi, each output
-    array joined along its point `axis`."""
-    parts = [read(Xi[i : i + _BLOCK], *args) for i in range(0, max(len(Xi), 1), _BLOCK)]
-    return [np.concatenate(p, axis=axis) for p in zip(*parts)]
+def _blocks(N: int) -> list:
+    """Slices of at most _BLOCK points covering a batch of N (one empty slice for N = 0)."""
+    return [slice(i, i + _BLOCK) for i in range(0, max(N, 1), _BLOCK)]
+
+
+@functools.lru_cache(maxsize=None)
+def _jet_layout(k: int, order: int) -> tuple:
+    """(rays, per order m (rows, weights, denominator, index)): a jet to `order`
+    from the series along the rays, the order-m partials weights @ c_m[rows] /
+    denominator, each flat tensor entry its partial's row in `index`.  The rays
+    are `_series_layout`'s directions j, each once as its primitive j / g, so
+    c_m(j) = g^m c_m(j / g) and the weights are its numerators times g^m."""
+    rays: dict = {}
+    per_order = []
+    for m in range(1, order + 1):
+        J, numerators, denominator, _ = _series_layout(k, m)
+        J = J.astype(int)
+        g = np.gcd.reduce(J, axis=1)
+        index = np.empty(k**m, dtype=int)
+        for row, (_, where) in enumerate(_tensor_layout(k, m)):
+            index[where] = row
+        rows = [rays.setdefault(tuple(j // gj), len(rays)) for j, gj in zip(J, g)]
+        per_order.append((rows, numerators * g**m, denominator, index))
+    return np.array(list(rays), dtype=float), per_order
 
 
 def _reduced_profile_handle(
@@ -536,66 +524,66 @@ def _reduced_profile_handle(
     label: str,
 ) -> FunctionHandle:
     """F(xi) = f(xi, X(xi)) as a jet-backed handle over the (k-dim) cross-section,
-    with its own `line_series` up to degree 2.
+    read by its own `line_series` up to degree 4 from f's at the graph point
+    p = Phi(xi); the minimizer solves a batch read again (values, then jet) once.
 
-    Each call asks the minimizer for its points, so a batch read again (its
-    values, then its Hessians) is solved once.  On the graph Phi(xi) =
-    (xi, X(xi)) the fiber derivative f_y vanishes, so DF = f_xi o Phi and
-    D^m F = D^(m-1) (f_xi o Phi) by Faa di Bruno on Phi, in the rotated frame;
-    in particular D^2 F = f_xixi - f_xiy f_yxi / f_yy.  X's derivatives to
-    order 3 come in closed form from differentiating f_y o Phi = 0.  An
-    order-m jet of F thus needs only the order-m jet of f, so jets compose
-    across recursion levels; orders up to 4 are supported.
-
-    Along a direction r of the cross-section, with u = R[:, :k] r and e =
-    R[:, -1], the series of F is read from one degree-2 `line_series` of f at
-    Phi(xi) along the columns of R, u and u + e: c_0 = f, c_1 = r . (c_1 along
-    R[:, :k]), and with f_uy = c_2(u + e) - c_2(u) - c_2(e), c_2 = c_2(u) -
-    f_uy^2 / (4 c_2(e)), which is D^2 F[r, r] / 2.  So a Newton solve on F reads
-    no tensor at any level: F's parent answers by its own series in turn.
-    Degrees above 2 contract F's jet.  Batches are solved in blocks of at
-    most _BLOCK points.
+    Along r, with u = R[:, :k] r and e = R[:, -1], one degree-2 series of f along
+    u, u + e and e gives c_0, c_1 = c_1(u) (f_e = 0 on the graph) and c_2 =
+    c_2(u) - f_ue^2 / (4 c_2(e)), f_ue = c_2(u + e) - c_2(u) - c_2(e).  One more,
+    to degree 4 along w = u + X_1 e (X_1 = -f_ue / (2 c_2(e)), X's slope), w + e,
+    w - e and e, gives c_3 = c_3(w) and c_4 = c_4(w) - f_wwe^2 / (16 c_2(e)),
+    f_wwe = c_3(w + e) - c_3(w - e) - 2 c_3(e).  An O(t^j) error in X moves F
+    only at O(t^2j), so X_2 enters only there and X_3 never (Taylor-mode
+    differentiation of an implicit function; Griewank & Walther, Evaluating
+    Derivatives, ch. 13).  The w are one per point, and a parent profile answers
+    by this same rule, so no level builds a derivative tensor.  The jet of
+    orders 1..4 is one such read along the rays of `_jet_layout`.  Batches are
+    solved in blocks of at most _BLOCK points.
     """
+    R = frame.R
 
-    def jet_block(Xi, order):
-        V = np.concatenate([Xi, minimizer.solve_many(Xi)[:, None]], axis=1)
-        J = frame.jet(V, order)
-        F = [J[0]]
-        if order >= 1:
-            F.append(J[1][:, :k])
-        if order >= 2:
-            P, Xs = _implicit_jet([None] + [T[:, -1] for T in J[2:]], order - 1)
-            G = [None] + [T[:, :k] for T in J[2:]]
-            F += [_compose(G, P, Xs, j) for j in range(1, order)]
-        return F
-
-    def jet_many(Xi, order):
-        if order > 4:
-            raise DomainError(f"reduced profile supports derivative orders <= 4, got {order}")
-        return _in_blocks(jet_block, Xi, 0, order)
+    def graph(Xi):
+        return frame.to_global(np.concatenate([Xi, minimizer.solve_many(Xi)[:, None]], axis=1))
 
     def series_block(Xi, rs, degree):
-        # F's series along the D rows of rs, each (D, N), from f's along R's columns, u and u + e
-        R, D = frame.R, len(rs)
+        # F's series along rs (D, N, k), each (D, N)
         u = rs @ R[:, :k].T
-        V = np.concatenate([Xi, minimizer.solve_many(Xi)[:, None]], axis=1)
-        c = frame.f.line_series(frame.to_global(V), np.concatenate([R.T, u, u + R[:, -1]]), degree)
-        out = [np.broadcast_to(c[0][0], (D, len(Xi)))]
-        if degree >= 1:
-            out.append(rs @ c[1][:k])
-        if degree == 2:
-            cu, cue, ce = c[2][k + 1 : k + 1 + D], c[2][k + 1 + D :], c[2][k]
-            out.append(cu - (cue - cu - ce) ** 2 / (4.0 * ce))
+        D, e, P = len(u), np.broadcast_to(R[:, -1], (1,) + u.shape[1:]), graph(Xi)
+        c = frame.f.line_series(P, np.concatenate([u, u + e, e]), min(degree, 2))
+        out = [c[m][:D] for m in range(min(degree, 1) + 1)]
+        if degree >= 2:
+            ce, fue = c[2][2 * D], c[2][D : 2 * D] - c[2][:D] - c[2][2 * D]
+            out.append(c[2][:D] - fue**2 / (4.0 * ce))
+        if degree >= 3:
+            w = u - (fue / (2.0 * ce))[..., None] * e
+            c = frame.f.line_series(P, np.concatenate([w, w + e, w - e, e]), degree)
+            out.append(c[3][:D])
+        if degree == 4:
+            fwwe = c[3][D : 2 * D] - c[3][2 * D : 3 * D] - 2.0 * c[3][3 * D]
+            out.append(c[4][:D] - fwwe**2 / (16.0 * ce))
         return out
 
     def line_series(Xi, r, degree):
-        if degree > 2:
-            return jet_line_series(jet_many(Xi, degree), r)
-        rows = _in_blocks(series_block, Xi, 1, r.reshape(-1, k), degree)
-        return [c.reshape(r.shape[:-1] + Xi.shape[:1]) for c in rows]
+        if degree > 4:
+            raise DomainError(f"reduced profile supports derivative orders <= 4, got {degree}")
+        N = len(Xi)
+        rs = r if r.ndim == 3 else np.broadcast_to(r.reshape(-1, 1, k), (r.size // k, N, k))
+        parts = [series_block(Xi[b], rs[:, b], degree) for b in _blocks(N)]
+        return [np.concatenate(c, axis=1).reshape(rs.shape[:-1] if r.ndim > 1 else (N,)) for c in zip(*parts)]
+
+    def jet_many(Xi, order):
+        if order == 0:
+            return [eval_many(Xi)]
+        rays, per_order = _jet_layout(k, order)
+        c = line_series(Xi, rays, order)
+        J = [c[0][0]]
+        for m, (rows, weights, denominator, index) in enumerate(per_order, 1):
+            partials = weights @ c[m][rows] / denominator
+            J.append(partials[index].T.reshape((len(Xi),) + (k,) * m))
+        return J
 
     def eval_many(Xi):
-        return jet_many(Xi, 0)[0]
+        return np.concatenate([frame.f.values(graph(Xi[b])) for b in _blocks(len(Xi))])
 
     return FunctionHandle(
         arity=k,
@@ -669,7 +657,7 @@ class FiberSplit:
         Xstar = self.minimizer.solve_many(Xi)
         graph = np.concatenate([Xi, Xstar[:, None]], axis=1)
         J = self.frame.jet(np.concatenate([graph, _quadrature_points(Xi, Y, Xstar, t)]), 4)
-        P, (X2,) = _implicit_jet([None, J[2][:N, -1], J[3][:N, -1]], 2)
+        P, X2 = _implicit_jet([None, J[2][:N, -1], J[3][:N, -1]])
         DX = P[:, -1]
         DPsi = np.zeros((N, len(t), k + 1, k + 1))
         DPsi[..., :k, :k] = np.eye(k)
@@ -948,10 +936,11 @@ class DecomposeParams:
     """Parameters of `decompose`: the Hölder exponent delta and the recursion's
     eta, the cover scale s (case split constant c = s^2/8), the control
     distance floor, the residual tolerance and the sample counts of its
-    checks.  A case-II remainder profile is decomposed with the next delta,
-    on the cell's ball, and with these fields rescaled per level:
-    verify_points // 4 (at least 256), identity_samples // 4 (at least 100),
-    ineq_samples // 8 (at least 60) and estimate_holder off."""
+    checks; the residual check samples max(verify_points, 512) points.  A
+    case-II remainder profile is decomposed with the next delta, on the
+    cell's ball, and with these fields rescaled per level: verify_points // 4
+    (at least 256), identity_samples // 4 (at least 100), ineq_samples // 8
+    (at least 60) and estimate_holder off."""
 
     delta: float
     eta: float

@@ -290,3 +290,83 @@ def root_holder_two_reads(group, exponent, samples):
     i = int(np.argmax(quot))
     return dict(out, sup_norms=[float(np.max(np.abs(v))) for v in jet], seminorm=float(quot[i]),
                 min_separation=float(np.min(sep)), worst_pair=(tuple(ys[i]), tuple(zs[i])))
+
+
+def _pull(T, P, axes):
+    """Contract each of the last `axes` axes of the batch T (N, ..., n) with
+    P, of shape (n, k) or (N, n, k): out[..., i, j] = T[..., a, b] P[a, i] P[b, j]."""
+    N, n, k = T.shape[0], P.shape[-2], P.shape[-1]
+    for _ in range(axes):
+        T = (T.reshape(N, -1, n) @ P).reshape(T.shape[:-1] + (k,))
+        T = np.moveaxis(T, -1, T.ndim - axes)
+    return T
+
+
+def _times(a, T):
+    """a (N, *L) times T (N, k, ..., k): the (N, *L, k, ..., k) outer products."""
+    lead = a.ndim - 1
+    return a.reshape(a.shape + (1,) * (T.ndim - 1)) * T.reshape(T.shape[:1] + (1,) * lead + T.shape[1:])
+
+
+def _sym3(c, X2):
+    """c_i X2_jl + c_j X2_il + c_l X2_ij for c (N, *L, k) and X2 (N, k, k)."""
+    t = _times(c, X2)
+    return t + np.swapaxes(t, -3, -2) + np.moveaxis(t, -3, -1)
+
+
+def _compose(U, P, Xs, j):
+    """D^j (u o Phi) for Phi(xi) = (xi, X(xi)) and j <= 3, by Faa di Bruno.
+
+    U[m] is D^m u at Phi(xi), shape (N, *L, n, ..., n) with y the last
+    coordinate; P = D Phi is (N, n, k) and D^m Phi = e_y X_m for m >= 2, with
+    Xs = [X_2, ...] the higher derivatives of X known so far.  The term
+    u_y X_j is left out while X_j is unknown, which is how X_j is solved for.
+    """
+    out = _pull(U[j], P, j)
+    if j == 3:
+        out = out + _sym3(_pull(U[2][..., -1], P, 1), Xs[0])
+    if 2 <= j <= len(Xs) + 1:
+        out = out + _times(U[1][..., -1], Xs[j - 2])
+    return out
+
+
+def _implicit_jet(U, order):
+    """P = D Phi and [X_2, ..., X_order] of X(xi) defined by u(xi, X(xi)) = 0,
+    from u's jet U (U[0] is not read): differentiating u o Phi = 0 j times
+    gives u_y X_j = -(the other terms of D^j (u o Phi))."""
+    uy = U[1][:, -1]
+    N, k = uy.shape[0], U[1].shape[1] - 1
+    P = np.concatenate([np.broadcast_to(np.eye(k), (N, k, k)), (-U[1][:, :k] / uy[:, None])[:, None, :]], axis=1)
+    Xs = []
+    for j in range(2, order + 1):
+        rest = _compose(U, P, Xs, j)
+        Xs.append(-rest / uy.reshape((N,) + (1,) * (rest.ndim - 1)))
+    return P, Xs
+
+
+def profile_jet_by_tensors(splits, Xi, order):
+    """(F, DF, ..., D^order F), order <= 4, of the reduced profile of splits[-1]
+    composed from full derivative tensors.
+
+    The parent's jet at the graph points Phi(xi) = (xi, X(xi)) is rotated into
+    the split's frame; on the graph f_y vanishes, so DF = f_xi o Phi and
+    D^m F = D^(m-1) (f_xi o Phi) by Faa di Bruno on Phi, X's derivatives
+    coming from differentiating f_y o Phi = 0.  `splits` is the chain of
+    splits whose profiles are each the next one's parent, outermost first:
+    the outermost parent's jet is its handle's own, and every inner parent's
+    is composed here in turn.  Only the minimizers' solves are the library's.
+    """
+    *outer, split = splits
+    assert not outer or split.frame.f is outer[-1].F
+    frame, k = split.frame, Xi.shape[1]
+    X = frame.to_global(np.concatenate([Xi, split.minimizer.solve_many(Xi)[:, None]], axis=1))
+    J = profile_jet_by_tensors(outer, X, order) if outer else frame.f.jet(X, order)
+    J = [J[0]] + [_pull(T, frame.R, m) for m, T in enumerate(J[1:], 1)]
+    F = [J[0]]
+    if order >= 1:
+        F.append(J[1][:, :k])
+    if order >= 2:
+        P, Xs = _implicit_jet([None] + [T[:, -1] for T in J[2:]], order - 1)
+        G = [None] + [T[:, :k] for T in J[2:]]
+        F += [_compose(G, P, Xs, j) for j in range(1, order)]
+    return F

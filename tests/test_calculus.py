@@ -576,6 +576,19 @@ class TestLineSeries:
             assert np.array_equal(a, 2.5 * b)
         self._assert_agrees(g, X, R, 3)
 
+    def test_directions_per_point_match_a_loop(self):
+        # D directions for each point, read at once, against each point read alone
+        f = handle("exp(x*y) + x^3*z - sin(y*z)", ("x", "y", "z"))
+        X = ball_points(Ball((0.1, -0.2, 0.3), 0.5), 20)
+        R = np.random.default_rng(3).normal(size=(4, len(X), 3))
+        together = f.line_series(X, R, 4)
+        assert [c.shape for c in together] == [(4, len(X))] * 5
+        for p in range(len(X)):
+            for a, b in zip(together, f.line_series(X[p : p + 1], R[:, p], 4)):
+                assert np.array_equal(a[:, p], b[:, 0])
+        for a, b in zip(calculus.jet_line_series(f.jet(X, 4), R), together):
+            assert np.all(np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b)))
+
     def test_jet_backed_power_handle(self):
         from sosreg.roots import PowerHandle
 

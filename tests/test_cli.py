@@ -209,6 +209,7 @@ class TestUsage:
                                       ["check", "slow-vary", "--function", "x^2", "--samples", "0"],
                                       ["check", "diff-ineq", "--function", "x^2+y^2", "--samples", "0"],
                                       ["roots", "--function", "x^4+1", "--samples", "0"],
+                                      ["decompose", "--function", "x^2", "--verify-points", "0"],
                                       ["monotone", "--function", "flat_exp", "--inner-samples", "0"],
                                       ["counterex", "delta-nu", "--restarts", "0"],
                                       ["counterex", "delta-nu", "--sphere-samples", "0"]])
@@ -221,6 +222,11 @@ class TestUsage:
         assert run_cli(argv[:-2] + ["--config", str(cfg), "--report", str(report)]) == 1
         assert f"config key '{flag[2:]}': must be at least 1, got 0" in capsys.readouterr().err
         assert not report.exists()
+
+    def test_help_states_the_verify_points_floor(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["decompose", "--help"])
+        assert "at least 512 are sampled" in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("argv", [["check", "slow-vary", "--function", "x^2", "--samp", "50"],
                                       ["decompose", "--function", "x^2", "--delt", "0.3"],

@@ -20,6 +20,14 @@ def test_halton_prefixes_nested():
     assert np.array_equal(halton(64, 3)[:32], halton(32, 3))
 
 
+def test_halton_is_memoized_read_only():
+    a = halton(100, 3)
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+    assert np.array_equal(halton(100, 3), a)
+
+
 @pytest.mark.parametrize(("n", "dim"), [(2000, 4), (10000, 4), (8, 2), (32, 3)])
 def test_sphere_points_match_the_ndtri_construction(n, dim):
     ndtri = pytest.importorskip("scipy.special").ndtri

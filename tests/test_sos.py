@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sosreg.calculus import FunctionHandle, jet_line_series, multiindices
+from sosreg.calculus import FunctionHandle, jet_line_series, max_entries, multiindices
 from sosreg.cover import ControlDistanceParams, CoverCell, build_cover, bump_jet, bump_profile
 from sosreg.errors import BoundaryRootError, ClassificationError, ConvergenceError, DomainError, QuadratureError
 from sosreg.exprlang import parse_expression
@@ -29,7 +29,7 @@ from sosreg.sos import (
     verify_decomposition,
 )
 
-from oracles import fd_callable_partial, fd_handle, fd_stencil, root_holder_two_reads
+from oracles import fd_callable_partial, fd_handle, fd_stencil, profile_jet_by_tensors, root_holder_two_reads
 
 
 def handle(src, variables=("x",), radius=4.0):
@@ -420,8 +420,8 @@ class TestJets:
         h = split.H(Xi, Y)
         assert orders == []
         assert np.all(np.abs(split.frame.fiber(np.column_stack([Xi, X]))[0]) <= 1e-12) and np.all(h > 0.0)
-        split.F.jet(Xi, 2)  # a full jet of the reduced profile does read tensors of f
-        assert orders
+        split.F.jet(Xi, 4)  # and so does a full jet of the reduced profile
+        assert orders == []
 
     def test_one_parent_batch_per_newton_iteration(self):
         f = handle("x^2 + y^2 + z^2", ("x", "y", "z"))
@@ -452,9 +452,21 @@ def _cubic_level_one(scale=1.0):
                            rho=1.0, delta=0.25)
 
 
-def _cubic_level_two():
-    F1 = _cubic_level_one().F
+def _cubic_level_two(level_one=None):
+    F1 = (level_one or _cubic_level_one()).F
     return reduced_profile(F1, CoverCell(nu=1, center=(0.05, 0.03), radius=0.1), [0.6, 0.8], rho=1.0, delta=0.25)
+
+
+def _cubic_4d_levels():
+    # the splits of a 4-D cubic down to its 1-D level-3 profile, outermost first
+    f = handle("x^2 + y^2 + z^2 + w^2 + x*y*z - y*z*w", ("x", "y", "z", "w"))
+    axis = np.array([0.2, 0.4, 0.5, 0.7]) / np.linalg.norm([0.2, 0.4, 0.5, 0.7])
+    splits = [reduced_profile(f, CoverCell(nu=0, center=(0.0,) * 4, radius=0.3), axis, rho=1.0, delta=0.25)]
+    for nu, center, radius, axis in ((1, (0.05, 0.03, -0.02), 0.1, [0.48, 0.6, 0.64]),
+                                     (2, (0.02, 0.01), 0.05, [0.8, 0.6])):
+        cell = CoverCell(nu=nu, center=center, radius=radius)
+        splits.append(reduced_profile(splits[-1].F, cell, axis, rho=1.0, delta=0.25))
+    return splits
 
 
 class TestProfileLineSeries:
@@ -462,13 +474,17 @@ class TestProfileLineSeries:
 
     @staticmethod
     def _check(F, X, directions):
-        for degree in (0, 1, 2):
+        for degree in range(5):
             got = F.line_series(X, directions, degree)
             want = jet_line_series(F.jet(X, degree), np.asarray(directions, dtype=float))
             scale = np.max([np.abs(w).reshape(-1, len(X)).max(axis=0) for w in want], axis=0)
             assert len(got) == degree + 1
             for g, w in zip(got, want):
                 assert g.shape == w.shape
+                assert np.all(np.abs(g - w) <= 1e-12 * scale)
+        if np.ndim(directions) == 2:  # the same directions given to every point
+            per_point = np.repeat(np.asarray(directions, dtype=float)[:, None], len(X), axis=1)
+            for g, w in zip(F.line_series(X, per_point, 4), F.line_series(X, directions, 4)):
                 assert np.all(np.abs(g - w) <= 1e-12 * scale)
 
     @staticmethod
@@ -496,13 +512,19 @@ class TestProfileLineSeries:
         for r in R:
             self._check(split.F, Xi, r)
 
-    def test_degree_three_contracts_the_jet(self):
-        F = _cubic_level_one().F
-        Xi = ball_points(Ball((0.0, 0.0), 0.2), 12)
-        for r in (self._directions(2), np.array([0.6, -0.8])):
-            got = F.line_series(Xi, r, 3)
-            for g, w in zip(got, jet_line_series(F.jet(Xi, 3), r)):
-                assert np.array_equal(g, w)
+    def test_jets_match_the_tensor_oracle(self):
+        # levels 1 and 2 of the 3-D cubic and levels 1 to 3 of a 4-D cubic, against the
+        # parent's full tensors rotated and composed through every level
+        one, levels = _cubic_level_one(), _cubic_4d_levels()
+        chains = [[one], [one, _cubic_level_two(one)]] + [levels[: i + 1] for i in range(3)]
+        for splits in chains:
+            k = splits[-1].frame.n - 1
+            Xi = ball_points(Ball((0.0,) * k, 0.8 * splits[-1].cell.radius), 12)
+            got, want = splits[-1].F.jet(Xi, 4), profile_jet_by_tensors(splits, Xi, 4)
+            scale = np.max([max_entries(w) if m else np.abs(w) for m, w in enumerate(want)], axis=0)
+            for m, (g, w) in enumerate(zip(got, want)):
+                assert g.shape == w.shape
+                assert np.all(np.abs(g - w) <= 1e-12 * scale[(slice(None),) + (None,) * m]), (len(splits), m)
 
     def test_level_two_split_reads_no_tensors(self, monkeypatch):
         tensors, rotated = [], []
@@ -519,8 +541,8 @@ class TestProfileLineSeries:
         assert tensors == [] and rotated == []
         assert np.all(np.abs(split.frame.fiber(np.column_stack([Xi, X]))[0]) <= split.minimizer.g_tol)
         assert np.all(h > 0.0)
-        split.F.jet(Xi, 2)  # a full jet of the level-2 profile reads tensors at every level
-        assert tensors and rotated
+        split.F.jet(Xi, 4)  # nor does a full jet of the level-2 profile, at any level
+        assert tensors == [] and rotated == []
 
 
 class TestDecompose:
