@@ -263,8 +263,11 @@ class FunctionHandle:
                 directions = directions[:, None, :]
             r, shape = np.moveaxis(directions, -1, 0), np.broadcast_shapes(directions.shape[:-1], X.shape[:1])
             env = {v: ([X[:, i], r[i]] + [None] * (degree - 1))[: degree + 1] for i, v in enumerate(variables)}
-            return [np.broadcast_to(0.0 if c is None else c, shape)
-                    for c in taylor_series(series_plan[0], env, degree, EvalMemo(series_plan[1]))]
+            out = [c.view() if np.shape(c) == shape else np.broadcast_to(0.0 if c is None else c, shape)
+                   for c in taylor_series(series_plan[0], env, degree, EvalMemo(series_plan[1]))]
+            for c in out:  # a view of the walk's own array is read-only, as a broadcast is
+                c.setflags(write=False)
+            return out
 
         def series_rows(X, order):
             directions, numerators, denominator, _ = _series_layout(n, order)

@@ -479,38 +479,47 @@ def _monomials(W: np.ndarray) -> np.ndarray:
 
 
 def _misfit(theta: np.ndarray, Phi: np.ndarray, L: np.ndarray) -> tuple:
-    """(r, q): the misfit r = L - sum_l Q_l^2 at the samples and the forms q (nu, P)."""
+    """(r, q): the misfit r = L - sum_l Q_l^2 at the samples, its squares added row by row
+    as np.sum(q * q, axis=0) adds them, and the forms q (nu, P)."""
     q = theta.reshape(-1, 10) @ Phi.T
-    return L - np.sum(q * q, axis=0), q
+    return L - sum((ql * ql for ql in q[1:]), q[0] * q[0]), q
 
 
-def _smoothed(theta: np.ndarray, tau: float, Phi: np.ndarray, L: np.ndarray, grad: bool = False):
-    """The descent target at scale tau, an annealed softmax of m = r^2:
-    max m + tau log mean exp((m - max m) / tau).  With grad, also its exact
-    gradient, Phi^T (-4 softmax(m / tau) r q_l) for each theta_l."""
-    r, q = _misfit(theta, Phi, L)
+def _softmax(r: np.ndarray, tau: float) -> tuple:
+    """(val, e, mean) of the descent target, val = max m + tau log mean e with m = r^2, e = exp((m - max m) / tau)."""
     m = r * r
     top = m.max()
     e = np.exp((m - top) / tau)
     mean = e.sum() / e.size + 1e-300
-    val = top + tau * math.log(mean)
-    if not grad:
-        return val
-    weight = e / (e.size * mean)  # d val / d m
-    return val, ((-4.0 * weight * r * q) @ Phi).ravel()
+    return top + tau * math.log(mean), e, mean
+
+
+def _gradient(r, q, e, mean, Phi) -> np.ndarray:
+    """The exact gradient of `_softmax`'s val, Phi^T (-4 softmax(m / tau) r q_l) for each theta_l."""
+    return ((-4.0 * (e / (e.size * mean)) * r * q) @ Phi).ravel()
+
+
+def _smoothed(theta: np.ndarray, tau: float, Phi: np.ndarray, L: np.ndarray, grad: bool = False):
+    """`_softmax`'s val at theta and, with grad, its `_gradient`: the oracle of `_descend`'s steps."""
+    r, q = _misfit(theta, Phi, L)
+    val, e, mean = _softmax(r, tau)
+    return (val, _gradient(r, q, e, mean, Phi)) if grad else val
 
 
 def _descend(theta, tau, Phi, L, c0: float, iterations: int) -> tuple:
-    """(theta, stalled) after the descent of one restart of
-    `estimate_delta_nu` from theta at softmax scale tau."""
+    """(theta, stalled) after one restart of `estimate_delta_nu` from theta at softmax scale tau.
+    A gradient step reuses the accepted iterate's misfit and, until an anneal, its `_softmax`."""
     step = 0.1
     stalled = True
+    r, q = _misfit(theta, Phi, L)
+    val, e, mean = _softmax(r, tau)
     i = 0
     while i < iterations:
         if i and i % 40 == 0:
             tau = max(tau * 0.4, 1e-9)
             step = max(step, 1e-3)
-        val, grad = _smoothed(theta, tau, Phi, L, grad=True)
+            val, e, mean = _softmax(r, tau)
+        grad = _gradient(r, q, e, mean, Phi)
         gn = np.linalg.norm(grad)
         if gn == 0:
             break
@@ -518,8 +527,9 @@ def _descend(theta, tau, Phi, L, c0: float, iterations: int) -> tuple:
         improved = False
         for _ in range(40):
             cand = np.minimum(np.maximum(theta - step * grad / gn, -c0), c0)
-            if _smoothed(cand, tau, Phi, L) < val:
-                theta = cand
+            cr, cq = _misfit(cand, Phi, L)
+            if (cs := _softmax(cr, tau))[0] < val:
+                theta, r, q, (val, e, mean) = cand, cr, cq, cs
                 improved = True
                 break
             step *= 0.5
@@ -570,12 +580,13 @@ def estimate_delta_nu(
     matrices (10*nu parameters, box |coef| <= c0) minimizing the max over
     sphere samples of the squared misfit.  Each step follows the exact
     gradient of a softmax-smoothed max (`_smoothed`) with a halving line
-    search; the softmax scale is annealed by 0.4 every 40 steps.  A search
-    that fails from the reset step 1e-6 leaves theta, the scale, the
-    gradient and the start step as they were, so every step up to the next
-    anneal would repeat the same failed search: those steps are skipped,
-    which changes no iterate and no result.  The reported estimate is the
-    square root of the best achieved max.
+    search; the softmax scale is annealed by 0.4 every 40 steps.  A step reuses the
+    misfit and softmax weights that the accepting search computed for its iterate
+    (after an anneal, only the misfit), so each iterate is evaluated once.  A search
+    that fails from the reset step 1e-6 leaves theta, the scale, the gradient and
+    the start step as they were, so every step up to the next anneal would repeat
+    the same failed search: those steps are skipped, which changes no iterate and
+    no result.  The reported estimate is the square root of the best achieved max.
     pointwise_inf records the minimum |L - sum Q^2| over samples at the best
     parameters, which vanishes on the coordinate axes where the quartic
     itself vanishes.

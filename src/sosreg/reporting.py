@@ -49,8 +49,9 @@ def to_jsonable(obj):
         return obj
     if isinstance(obj, np.generic):
         return to_jsonable(obj.item())
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, np.ndarray):  # one tolist() when no entry needs spelling out
+        plain = obj.dtype.kind in "biuU" or obj.dtype.kind == "f" and np.isfinite(obj).all()
+        return obj.tolist() if plain else [to_jsonable(v) for v in obj.tolist()]
     if hasattr(obj, "as_dict"):
         return to_jsonable(obj.as_dict())
     if isinstance(obj, dict):

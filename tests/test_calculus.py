@@ -473,6 +473,26 @@ class TestTaylorSeries:
             for order in range(calculus.SERIES_ORDER, 5):
                 assert np.all(g.derivative_tensor(np.array(X), order) == 0.0)
 
+    @pytest.mark.parametrize("src", ["x", "2 + x", "exp(x*y) + x^3*z - sin(y*z)"])
+    def test_coefficients_are_read_only_broadcasts(self, src):
+        # each coefficient equals the broadcast of the walk's raw one and is
+        # read-only, whether broadcast or a view of the walk's own array; the
+        # body x returns X[:, 0] itself as c_0
+        f = handle(src, ("x", "y", "z"))
+        root = exprlang.DerivativeTable().simplify(parse_expression(src))
+        X = ball_points(Ball((0.1, -0.2, 0.3), 0.5), 20)
+        for R in (_directions(3, 4, 2), np.random.default_rng(3).normal(size=(4, len(X), 3))):
+            r = np.moveaxis(R if R.ndim == 3 else R[:, None, :], -1, 0)
+            env = {v: [X[:, i], r[i], None, None] for i, v in enumerate("xyz")}
+            raw = exprlang.taylor_series(root, env, 3, exprlang.EvalMemo(exprlang.read_counts([root])))
+            got = f.line_series(X, R, 3)
+            for a, c in zip(got, raw):
+                assert np.array_equal(a, np.broadcast_to(0.0 if c is None else c, (4, len(X))))
+                assert a.shape == (4, len(X)) and not a.flags.writeable
+            if src == "x":  # c_0 and c_1 read X's and R's own memory
+                assert np.shares_memory(got[0], X) and np.shares_memory(got[1], R)
+        assert X.flags.writeable and R.flags.writeable
+
     def test_real_power_at_a_zero_base(self):
         X = np.array([[0.0], [0.3], [-0.2]])
         assert handle("x^4.5").derivative_values(X[:1], (4,))[0] == 0.0

@@ -142,3 +142,21 @@ def test_non_finite_floats_print_as_strings(tmp_path):
                                           argmax_t=0.5, divergent=np.bool_(True), t_min=0.01)}, str(path))
     report = json.loads(path.read_text())["report"]
     assert report["sup"] == "inf" and report["divergent"] is True and report["op"] == "functional"
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([0.5, -0.0, 1e-300, -2.5e17]),
+    np.array([[1.0, math.nan], [-math.inf, math.inf]]),
+    np.array([[0.25, -0.0], [3.0, 7.5]]),
+    np.array([[True, False]]),
+    np.array([[1, -2], [3, 2**40]]),
+    np.arange(4, dtype=np.uint8),
+    np.array(["a", "bc"]),
+    np.zeros((0, 3)),
+], ids=["finite", "non_finite_2d", "finite_2d", "bool", "int", "uint8", "str", "empty"])
+def test_arrays_convert_as_their_entries_do(arr):
+    # whole-array tolist() where every entry is already a JSON type, the
+    # per-element rule elsewhere: the same values and JSON text (which tells
+    # 1 from 1.0 and true, and -0.0 from 0.0)
+    got, per_element = to_jsonable(arr), [to_jsonable(v) for v in arr.tolist()]
+    assert got == per_element and json.dumps(got) == json.dumps(per_element)
