@@ -39,6 +39,8 @@ __all__ = [
 DEFAULT_CELL_SCALE = 1.0 / 200.0
 MAX_PAIRS = 2**27  # candidate pairs one listing may hold: a chi_pairs batch or a colouring block
 _BLOCK_PAIRS = 2**14  # candidate pairs one block lists: a build_cover acceptance batch or a color_classes block
+RADIUS_PROBE = 512  # build_cover's radius probe: the first points of the region's nested `ball_points`
+_read_probes: dict = {}  # (f, p, region) -> rho at its radius probe, read by `decompose` for its next build_cover
 
 
 class _Buckets:
@@ -272,17 +274,20 @@ def build_cover(
     one gather of the later candidates within half of each member's radius
     and one ordered pass over the pairs inside the batch, so the cells are
     those of the one-at-a-time greedy loop, bit for bit.  Above max_cells
-    cells it raises CoverBudgetError with count max_cells + 1.
+    cells it raises CoverBudgetError with count max_cells + 1.  The grid
+    spacing is half the smallest radius s*rho above the floor on the radius
+    probe, the region's first RADIUS_PROBE `ball_points`, which it reads
+    unless its caller left their values in `_read_probes`.
     """
+    rho_probe = _read_probes.pop((f, p, region), None)  # taken first: no entry outlives the call
     if not 0.0 < s <= DEFAULT_CELL_SCALE + 1e-15:
         raise DomainError(f"cell scale s must lie in (0, 1/200], got {s}")
     if floor <= 0:
         raise DomainError("floor must be positive")
     n = region.dim
 
-    # probe to learn the radius range on the region
-    probe = ball_points(region, 512)
-    rho_probe = control_distance_values(f, probe, p)
+    if rho_probe is None:  # probe to learn the radius range on the region
+        rho_probe = control_distance_values(f, ball_points(region, RADIUS_PROBE), p)
     live = rho_probe[rho_probe >= floor]
     if live.size == 0:
         return []

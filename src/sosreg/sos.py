@@ -31,10 +31,12 @@ from .calculus import (
 )
 from .cover import (
     DEFAULT_CELL_SCALE,
+    RADIUS_PROBE,
     ControlDistanceParams,
     CoverCell,
     Partition,
     _outer,
+    _read_probes,
     _scatter,
     build_cover,
     build_partition,
@@ -390,13 +392,15 @@ def classify_cells(f: FunctionHandle, cells: list, delta: float, c: float) -> tu
 class MinimizerProfile:
     """Newton-tracked fiberwise minimizer X(xi) over a cell cross-section.
 
-    Solves g = d_y f(xi, y) = 0 on the fiber bracket [-halfwidth, halfwidth]
-    by `_bracketed_newton`, starting every solve from the cell's center
-    y = 0.  Each Newton iteration reads g and g' = d_y^2 f of the points still
-    above `g_tol` from one degree-2 line series of f (`frame.fiber`); the bracket ends
-    and the first iterate share one call.  Where f is itself a reduced profile, that
-    series is read from f's parent along a few directions, so no level's solve
-    builds a derivative tensor.  A missing sign change means the
+    Solves g = d_y f(xi, y) = 0 on the fiber bracket [-halfwidth, halfwidth] by
+    `_bracketed_newton`, starting every solve at the center's root X(0), the predictor step of
+    numerical continuation.  The first solve request solves the center first, from y = 0, with
+    no memo slot and nothing added to `unconverged`; a 0-dim cross-section's one problem is the
+    center's, solved from y = 0.  Each Newton iteration reads g and g' = d_y^2 f of the points
+    still above `g_tol` from one degree-2 line series of f (`frame.fiber`); the bracket ends and
+    the start share one call, which ends the solve where X is constant.  Where f is itself a
+    reduced profile, that series is read from f's parent along a few directions, so no level's
+    solve builds a derivative tensor.  A missing sign change means the
     minimum sits on the bracket boundary, which indicates the case split
     constant c was chosen too large.  The points the solver leaves above
     `g_tol`, after `max_iter` iterations or once they cannot move, keep their
@@ -406,8 +410,8 @@ class MinimizerProfile:
     The last `memo_size` solved batches are kept by the exact bytes of xi: a batch
     asked again (a profile's values after its control distances, say) gets a copy
     of its solution and adds its stalled count again, with no fiber call.  A 0-dim
-    cross-section's batch is solved as one row.  The memo makes a profile unsafe
-    to share between threads.
+    cross-section's batch is solved as one row.  The memo and the start make a
+    profile unsafe to share between threads.
     """
 
     max_iter = 80
@@ -420,6 +424,7 @@ class MinimizerProfile:
         self.cell_nu = cell_nu
         self.unconverged = 0
         self._memo: dict = {}
+        self._start = None  # the center's root, solved by the first `_newton`
 
     def solve_many(self, Xi) -> np.ndarray:
         """Vectorized safeguarded Newton across a batch of cross-sections."""
@@ -437,10 +442,13 @@ class MinimizerProfile:
         return np.tile(y, N // rows)
 
     def _newton(self, Xi: np.ndarray) -> tuple:
-        """(y, the count of points left above `g_tol`) of one batch."""
-        N = Xi.shape[0]
+        """(y, the count of points left above `g_tol`) of one batch, started at the center's root."""
+        N, k = Xi.shape
+        if self._start is None:  # solve the center first, from y = 0, unless it is the only problem (k = 0)
+            self._start = 0.0
+            self._start = float(self._newton(np.zeros((1, k)))[0][0]) if k else 0.0
         w = self.halfwidth
-        starts = np.repeat([-w, w, 0.0], N)[:, None]
+        starts = np.repeat([-w, w, self._start], N)[:, None]
         g, g2 = self.frame.fiber(np.concatenate([np.tile(Xi, (3, 1)), starts], axis=1))
         if np.any(g[:N] > self.g_tol) or np.any(g[N : 2 * N] < -self.g_tol):
             raise BoundaryRootError(
@@ -449,7 +457,7 @@ class MinimizerProfile:
             )
         y, last = _bracketed_newton(
             lambda live, y_live: self.frame.fiber(np.concatenate([Xi[live], y_live[:, None]], axis=1)),
-            np.zeros(N), g[2 * N :], g2[2 * N :], np.full(N, -w), np.full(N, w), self.g_tol, self.max_iter,
+            np.full(N, self._start), g[2 * N :], g2[2 * N :], np.full(N, -w), np.full(N, w), self.g_tol, self.max_iter,
         )
         return y, int(np.count_nonzero(np.abs(last) > self.g_tol))
 
@@ -529,10 +537,11 @@ def _reduced_profile_handle(
 
     Along r, with u = R[:, :k] r and e = R[:, -1], one degree-2 series of f along
     u, u + e and e gives c_0, c_1 = c_1(u) (f_e = 0 on the graph) and c_2 =
-    c_2(u) - f_ue^2 / (4 c_2(e)), f_ue = c_2(u + e) - c_2(u) - c_2(e).  One more,
-    to degree 4 along w = u + X_1 e (X_1 = -f_ue / (2 c_2(e)), X's slope), w + e,
-    w - e and e, gives c_3 = c_3(w) and c_4 = c_4(w) - f_wwe^2 / (16 c_2(e)),
-    f_wwe = c_3(w + e) - c_3(w - e) - 2 c_3(e).  An O(t^j) error in X moves F
+    c_2(u) - f_ue^2 / (4 c_2(e)), f_ue = c_2(u + e) - c_2(u) - c_2(e).  One more
+    along w = u + X_1 e (X_1 = -f_ue / (2 c_2(e)), X's slope) gives c_3 = c_3(w),
+    and to degree 4, along w + e, w - e and e as well, c_4 = c_4(w) - f_wwe^2 /
+    (16 c_2(e)), f_wwe = c_3(w + e) - c_3(w - e) - 2 c_3(e).  A jet reads w +- e
+    only along the rays its order-4 partials use.  An O(t^j) error in X moves F
     only at O(t^2j), so X_2 enters only there and X_3 never (Taylor-mode
     differentiation of an implicit function; Griewank & Walther, Evaluating
     Derivatives, ch. 13).  The w are one per point, and a parent profile answers
@@ -545,8 +554,8 @@ def _reduced_profile_handle(
     def graph(Xi):
         return frame.to_global(np.concatenate([Xi, minimizer.solve_many(Xi)[:, None]], axis=1))
 
-    def series_block(Xi, rs, degree):
-        # F's series along rs (D, N, k), each (D, N)
+    def series_block(Xi, rs, degree, quartic):
+        # F's series along rs (D, N, k), each (D, N); c_4 is corrected along rs[quartic] alone
         u = rs @ R[:, :k].T
         D, e, P = len(u), np.broadcast_to(R[:, -1], (1,) + u.shape[1:]), graph(Xi)
         c = frame.f.line_series(P, np.concatenate([u, u + e, e]), min(degree, 2))
@@ -556,26 +565,28 @@ def _reduced_profile_handle(
             out.append(c[2][:D] - fue**2 / (4.0 * ce))
         if degree >= 3:
             w = u - (fue / (2.0 * ce))[..., None] * e
-            c = frame.f.line_series(P, np.concatenate([w, w + e, w - e, e]), degree)
+            q = w[quartic]
+            c = frame.f.line_series(P, np.concatenate([w, q + e, q - e, e] if degree == 4 else [w]), degree)
             out.append(c[3][:D])
         if degree == 4:
-            fwwe = c[3][D : 2 * D] - c[3][2 * D : 3 * D] - 2.0 * c[3][3 * D]
-            out.append(c[4][:D] - fwwe**2 / (16.0 * ce))
+            fwwe = c[3][D : D + len(q)] - c[3][D + len(q) : -1] - 2.0 * c[3][-1]
+            out.append(np.array(c[4][:D]))
+            out[4][quartic] -= fwwe**2 / (16.0 * ce)
         return out
 
-    def line_series(Xi, r, degree):
+    def line_series(Xi, r, degree, quartic=slice(None)):
         if degree > 4:
             raise DomainError(f"reduced profile supports derivative orders <= 4, got {degree}")
         N = len(Xi)
         rs = r if r.ndim == 3 else np.broadcast_to(r.reshape(-1, 1, k), (r.size // k, N, k))
-        parts = [series_block(Xi[b], rs[:, b], degree) for b in _blocks(N)]
+        parts = [series_block(Xi[b], rs[:, b], degree, quartic) for b in _blocks(N)]
         return [np.concatenate(c, axis=1).reshape(rs.shape[:-1] if r.ndim > 1 else (N,)) for c in zip(*parts)]
 
     def jet_many(Xi, order):
         if order == 0:
             return [eval_many(Xi)]
         rays, per_order = _jet_layout(k, order)
-        c = line_series(Xi, rays, order)
+        c = line_series(Xi, rays, order, sorted(set(per_order[-1][0])))  # c_4 only where order 4 reads it
         J = [c[0][0]]
         for m, (rows, weights, denominator, index) in enumerate(per_order, 1):
             partials = weights @ c[m][rows] / denominator
@@ -717,7 +728,8 @@ def reduced_profile(
 ) -> FiberSplit:
     """The case-II split of a cell along the unit direction `axis`.
 
-    The fiber Newton solves stop at |f_y| <= 1e-12 * rho^(2+2d).  On 16
+    The fiber Newton solves stop at |f_y| <= 1e-12 * rho^(2+2d) and start at
+    the minimizer over the cell's center, solved once (`MinimizerProfile`).  On 16
     cell samples and one fiber solve, H's node count is chosen: the smallest
     n in 2, 4, ..., `quad_nodes` (the cap, last) whose rule agrees with the
     one before it (the 1-node rule for n = 2) to a relative 1e-9 in the sup
@@ -1050,7 +1062,8 @@ def decompose(f: FunctionHandle, params: DecomposeParams) -> DecompositionReport
     roots by the case dichotomy, recursively decomposes case II remainder
     profiles over one fewer variable with the next exponent of the recursion,
     and groups roots by color class.  Residuals, the exact-identity check and
-    Hölder estimates of the grouped roots are evaluated before returning.
+    Hölder estimates of the grouped roots are evaluated before returning.  The boundary
+    probe's control distances are read first, once: the cover's radius probe is their prefix.
     """
     n = f.arity
     deltas = delta_sequence(params.delta, params.eta, max(n, 1))
@@ -1075,11 +1088,11 @@ def decompose(f: FunctionHandle, params: DecomposeParams) -> DecompositionReport
     root_scale = 1.0 / math.sqrt(a)
 
     cdp = ControlDistanceParams(delta=params.delta, variant="full")
-    cells = build_cover(g, cdp, params.region, s=params.s, floor=params.floor, max_cells=params.max_cells)
-
-    # boundary layer bookkeeping on a probe grid
-    probe = ball_points(params.region, max(params.verify_points, 512))
+    # boundary layer bookkeeping on a probe grid, whose prefix is the cover's radius probe
+    probe = ball_points(params.region, max(params.verify_points, RADIUS_PROBE))
     rho_probe = control_distance_values(g, probe, cdp)
+    _read_probes[g, cdp, params.region] = rho_probe[:RADIUS_PROBE]
+    cells = build_cover(g, cdp, params.region, s=params.s, floor=params.floor, max_cells=params.max_cells)
     excluded = rho_probe < params.floor
     f_probe = f.values(probe)
     report.boundary_excluded_fraction = float(np.mean(excluded))

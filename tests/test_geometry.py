@@ -20,6 +20,15 @@ def test_halton_prefixes_nested():
     assert np.array_equal(halton(64, 3)[:32], halton(32, 3))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_ball_points_prefixes_nested(dim):
+    # the cover's radius probe is the first 512 points of decompose's boundary probe
+    region = Ball(tuple(0.1 * np.arange(1, dim + 1)), 0.03)
+    first = geometry.ball_points(region, 512)
+    for n in (512, 513, 750, 2000, 3000):
+        assert np.array_equal(geometry.ball_points(region, n)[:512], first)
+
+
 def test_halton_is_memoized_read_only():
     a = halton(100, 3)
     assert not a.flags.writeable

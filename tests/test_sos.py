@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sosreg.cover as cover
 from sosreg.calculus import FunctionHandle, jet_line_series, max_entries, multiindices
 from sosreg.cover import ControlDistanceParams, CoverCell, build_cover, bump_jet, bump_profile
 from sosreg.errors import BoundaryRootError, ClassificationError, ConvergenceError, DomainError, QuadratureError
@@ -424,20 +425,54 @@ class TestJets:
         assert orders == []
 
     def test_one_parent_batch_per_newton_iteration(self):
-        f = handle("x^2 + y^2 + z^2", ("x", "y", "z"))
-        F1, p1 = _level_profile(f, (0.0, 0.0, 0.0), np.array([0.0, 0.6, 0.8]), 0.004)
-        cell = CoverCell(nu=1, center=(0.0005, 0.0003), radius=0.002)
-        p2 = _profile(F1, cell, [0.6, 0.8], rho=1.0)
+        # level 1 along z leaves F1(s, x) = s^2 + (x - s)^2 + s x^2, whose level-2 minimizer X(s) = s/(1+s) moves
+        f = handle("s^2 + (x - s)^2 + s*x^2 + z^2", ("s", "x", "z"))
+        F1, p1 = _level_profile(f, (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.004)
+        p2 = _profile(F1, CoverCell(nu=1, center=(0.0, 0.0), radius=0.002), [0.0, 1.0], rho=1.0)
         parent, fiber_calls = [], []
         solve_many, fiber = p1.solve_many, p2.frame.fiber
         p1.solve_many = lambda Xi: parent.append(len(Xi)) or solve_many(Xi)
         p2.frame.fiber = lambda V: fiber_calls.append(len(V)) or fiber(V)
         N = 7
-        p2.solve_many(np.linspace(-0.001, 0.001, N)[:, None])
-        # bracket ends plus first iterate, then one batch of the unconverged points per iteration
+        s = np.linspace(-0.001, 0.001, N)
+        assert np.max(np.abs(p2.solve_many(s[:, None]) - s / (1 + s))) <= 1e-15
         assert parent == fiber_calls
-        assert parent[:2] == [3 * N, N]
-        assert all(a >= b for a, b in zip(parent[1:], parent[2:]))
+        # the center's solve (bracket ends and y = 0, where f_x = 0), then the batch's bracket ends
+        # and start at the center's root, then one batch of the unconverged points per iteration
+        assert parent[:2] == [3, 3 * N]
+        assert 0 < len(parent[2:]) and all(a >= b for a, b in zip([N] + parent[2:], parent[2:]))
+
+    def test_constant_minimizer_solves_in_the_first_read(self):
+        # every fiber minimizer of x^2 + y^2 + z^2 is constant over its cross-section, so every
+        # solve after a profile's center solve stops at the start its first fiber read checks
+        stack, solves = [], []
+        newton, fiber = MinimizerProfile._newton, _RotatedFrame.fiber
+
+        def counted_newton(self, Xi):
+            solves.append([self, 0, bool(stack) and stack[-1][0] is self])  # profile, fiber reads, center?
+            stack.append(solves[-1])
+            try:
+                return newton(self, Xi)
+            finally:
+                stack.pop()
+
+        def counted_fiber(self, V):
+            if stack and stack[-1][0].frame is self:
+                stack[-1][1] += 1
+            return fiber(self, V)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(MinimizerProfile, "_newton", counted_newton)
+            mp.setattr(_RotatedFrame, "fiber", counted_fiber)
+            rep = decompose(handle("x^2 + y^2 + z^2", ("x", "y", "z")),
+                            DecomposeParams(delta=0.25, eta=0.3, region=Ball((3e-4, -2e-4, 1e-4), 0.015),
+                                            estimate_holder=False))
+        assert rep.recursion_depth == 2
+        # a 1-D cell's one problem is its center's: it has no center solve of its own
+        solves = [s for s in solves if s[0].frame.n > 1]
+        centers = [reads for _, reads, center in solves if center]
+        assert len(centers) == len({id(m) for m, _, _ in solves}) > 1 and max(centers) > 1  # off-axis centers iterate
+        assert [reads for _, reads, center in solves if not center] == [1] * (len(solves) - len(centers))
 
 
 def _cubic_3d(scale=1.0):
@@ -570,6 +605,20 @@ class TestDecompose:
         assert rep.identity_error <= 1e-10
         assert rep.recursion_depth == 1
         assert rep.case_counts["II"] >= 1
+
+    def test_cover_takes_the_boundary_probe_prefix(self, monkeypatch):
+        # decompose reads its boundary probe once; the cover's radius probe is its prefix
+        f = handle("x^2 + y^2", ("x", "y"))  # no normalization: the cover is built on f itself
+        region = Ball((0.01, 0.0), 0.1)
+        alone = build_cover(f, ControlDistanceParams(delta=0.25, variant="full"), region)
+        reads = []
+        read = cover.control_distance_values
+        monkeypatch.setattr(cover, "control_distance_values", lambda g, X, p: reads.append(len(X)) or read(g, X, p))
+        rep = decompose(f, DecomposeParams(delta=0.25, eta=0.3, region=region, verify_points=1200,
+                                           estimate_holder=False))
+        assert rep.value_scale == 1.0 and len(reads) >= 2  # the top level's candidates and a sub-level's
+        assert cover.RADIUS_PROBE not in reads and cover._read_probes == {}
+        assert [(c.center, c.radius) for c in rep.cells] == [(c.center, c.radius) for c in alone]
 
     def test_empty_cover_below_floor(self):
         f = handle("0")
@@ -802,9 +851,11 @@ class TestFiberQuadrature:
     def test_solve_count(self, counted_isotropic_3d):
         rep, points, reads = counted_isotropic_3d
         assert rep.recursion_depth == 2 and rep.passed
-        assert points <= 67_000
-        # the Newton iterations of the top level; a batch read again is not solved again
-        assert reads <= 150_000
+        # measured 33,641 points and 73,595 reads, each bound about 7-9% above its count
+        assert points <= 36_000
+        # the Newton iterations of the top level, each solve started at its profile's center
+        # root; a batch read again is not solved again
+        assert reads <= 80_000
 
     def test_one_fiber_solve_per_batch(self, counted_isotropic_3d, monkeypatch):
         rep, _, _ = counted_isotropic_3d
