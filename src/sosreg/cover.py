@@ -380,27 +380,21 @@ def bump_profile(u: np.ndarray) -> np.ndarray:
     return np.where(u <= 0.5, 1.0, np.where(u >= 1.0, 0.0, _transition(2.0 * (1.0 - u))))
 
 
-def bump_jet(u: np.ndarray) -> tuple:
-    """(b, b', b'') of the bump profile b = bump_profile in closed form.
+def bump_slopes(u: np.ndarray) -> tuple:
+    """(b', b'') of the bump profile b = bump_profile at u in the band 1/2 < u < 1.
 
-    On 1/2 < u < 1, b(u) = q(v) with v = 2(1 - u) and q(v) = sigmoid(s(v)),
-    s(v) = 1/(1-v) - 1/v, so q' = q(1-q) s' and q'' = q(1-q)((1-2q) s'^2 + s'');
-    the derivatives vanish identically outside that interval.
+    Off the band b is constant, so b' and b'' vanish and are never evaluated there.  On it
+    b(u) = q(v) with v = 2(1 - u) and q(v) = sigmoid(s(v)), s(v) = 1/(1-v) - 1/v, so
+    q' = q(1-q) s' and q'' = q(1-q)((1-2q) s'^2 + s''), and d/du = -2 d/dv.
     """
-    u = np.asarray(u, dtype=float)
-    b = bump_profile(u)
-    mid = (u > 0.5) & (u < 1.0)
-    v = np.where(mid, 2.0 * (1.0 - u), 0.5)
+    v = 2.0 * (1.0 - u)
     s = 1.0 / (1.0 - v) - 1.0 / v
     e = np.exp(-np.abs(s))
     q = np.where(s >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     qq = e / (1.0 + e) ** 2  # q (1 - q) without cancellation
     s1 = 1.0 / (1.0 - v) ** 2 + 1.0 / v**2
     s2 = 2.0 / (1.0 - v) ** 3 - 2.0 / v**3
-    # chain rule through v = 2(1 - u): d/du = -2 d/dv
-    b1 = np.where(mid, -2.0 * qq * s1, 0.0)
-    b2 = np.where(mid, 4.0 * qq * ((1.0 - 2.0 * q) * s1**2 + s2), 0.0)
-    return b, b1, b2
+    return -2.0 * qq * s1, 4.0 * qq * ((1.0 - 2.0 * q) * s1**2 + s2)
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -420,15 +414,16 @@ def _scatter(idx: np.ndarray, rows: np.ndarray, N: int) -> np.ndarray:
 class ChiPairs:
     """Bump values of one point batch, stored sparsely and cell-major.
 
-    Hit h pairs point idx[h] with cell cell[h] and holds chi[h] = chi_cell(x_idx); hits are
-    sorted by cell, then point, so cell nu's hits are the range starts[nu]:starts[nu + 1] of the
-    ndarray `starts`, by which one gather of a level's pass (`sos._Level`) lists every root group's
-    hits.  As a sequence over the cells, entry nu is that range's (point indices, chi values),
-    empty where no point hits the cell.
+    Hit h pairs point idx[h] with cell cell[h] and holds chi[h] = chi_cell(x_idx) and the
+    distance dist[h] = |x_idx - c_cell| it was read at; hits are sorted by cell, then point, so
+    cell nu's hits are the range starts[nu]:starts[nu + 1] of the ndarray `starts`, by which one
+    gather of a level's pass (`sos._Level`) lists every root group's hits.  As a sequence over
+    the cells, entry nu is that range's (point indices, chi values), empty where no point hits
+    the cell.
     """
 
-    def __init__(self, idx: np.ndarray, cell: np.ndarray, chi: np.ndarray, n_cells: int):
-        self.idx, self.cell, self.chi = idx, cell, chi
+    def __init__(self, idx: np.ndarray, cell: np.ndarray, chi: np.ndarray, dist: np.ndarray, n_cells: int):
+        self.idx, self.cell, self.chi, self.dist = idx, cell, chi, dist
         self.starts = np.concatenate([[0], np.cumsum(np.bincount(cell, minlength=n_cells))])
 
     def __len__(self) -> int:
@@ -445,9 +440,10 @@ class ChiPairs:
 class Partition:
     """Squared partition of unity subordinate to a cover.
 
-    Phi_nu = chi_nu / sqrt(sum_mu chi_mu^2) with chi_nu the radial bump of the
-    cell, so sum Phi_nu^2 = 1 identically on the covered region.  The batch
-    readers read their points by `geometry.as_points` with the partition's dim.
+    Phi_nu = chi_nu / sqrt(sum_mu chi_mu^2) with chi_nu = b(|x - c_nu| / r_nu) the radial bump
+    of the cell, so sum Phi_nu^2 = 1 identically on the covered region.  Values are read by
+    `chi_pairs`, one pass per batch, and derivatives of such quotients by `quotient_jet`, from
+    that pass's hits.  The batch readers read their points by `geometry.as_points` with its dim.
     """
 
     def __init__(self, cells: list, region: Ball | None = None):
@@ -471,60 +467,70 @@ class Partition:
         sorted stably by cell, and the bump is evaluated once on all of them.
         The result is the single geometric pass every evaluation reuses;
         indexed by a cell it gives that cell's sorted point indices and chi
-        values.
+        values, and it keeps each hit's distance for `quotient_jet`.
         """
         X = as_points(X, self.dim)
         idx, cell = self.index.pairs(X)
-        u = _distances(X, idx, self.centers, cell) / self.radii[cell]
+        dist = _distances(X, idx, self.centers, cell)
+        u = dist / self.radii[cell]
         inside = np.flatnonzero(u <= 1.0)
         # a stable sort of cell indices of at most 16 bits is a radix sort
         hits = inside[np.argsort(cell[inside].astype(np.min_scalar_type(len(self.cells) - 1)), kind="stable")]
-        return ChiPairs(idx[hits], cell[hits], bump_profile(u[hits]), len(self.cells))
+        dist = dist[hits]  # the candidates' distances are freed before the bump's temporaries
+        return ChiPairs(idx[hits], cell[hits], bump_profile(u[hits]), dist, len(self.cells))
 
-    def chi_jets(self, X, idx, cell) -> tuple:
-        """chi_cell at the points X[idx] with its gradient and Hessian in x.
+    def quotient_jet(self, X, pairs: ChiPairs, tot, hits, w_jet: tuple, scale: float = 1.0) -> tuple:
+        """(Dq, D^2 q) of q = scale * chi w / sqrt(S), S = sum_mu chi_mu^2, on the batch X.
 
-        Hit-wise arrays of shapes (H,), (H, n), (H, n, n) for chi = b(|x - c| / r):
-        D chi = b' e / r and D^2 chi = b'' e e^T / r^2 + b' (I - e e^T) / (r |x - c|)
-        with e the unit vector from the cell center.
+        `pairs` is the batch's chi_pairs and `tot` its S.  `hits` are positions in `pairs`, at
+        most one per point and each with S > 0 at its point; chi is that hit's bump and w_jet
+        holds (w, Dw, D^2 w) at the hits' points, in hit order.  Those points' rows are placed
+        by index; every other row is zero.
+
+        A bump chi = b(rho / r), rho = |d|, d = x - c, is radial: with a1 = b' / (r rho) and
+        a2 = (b'' / r^2 - a1) / rho^2, D chi = a1 d and D^2 chi = a2 d d^T + a1 I, and b' = b'' = 0
+        off the band 1/2 < rho / r < 1.  So DS = sum 2 chi a1 d and D^2 S = sum 2 (a1^2 + chi a2)
+        d d^T + (sum 2 chi a1) I over the band hits, from the stored chi and rho, a column at a
+        time; the bump's own jet is formed at `hits` alone.  The quotient uses the logarithmic
+        derivatives DS/S and D^2 S/S, which stay finite where a lone bump tail covers the point.
         """
-        diff = X[idx] - self.centers[cell]
-        r = self.radii[cell]
-        dist = np.linalg.norm(diff, axis=1)
-        b, b1, b2 = bump_jet(dist / r)
-        safe = np.where(dist > 0, dist, 1.0)  # b' = 0 near the center
-        e = diff / safe[:, None]
-        ee = e[:, :, None] * e[:, None, :]
-        d1 = (b1 / r)[:, None] * e
-        d2 = (b2 / r**2)[:, None, None] * ee + (b1 / (r * safe))[:, None, None] * (np.eye(self.dim) - ee)
-        return b, d1, d2
+        N, n = X.shape
+        r = self.radii[pairs.cell]
+        u = pairs.dist / r
+        band = np.flatnonzero((u > 0.5) & (u < 1.0))
+        b1, b2 = bump_slopes(u[band])
+        rho, r = pairs.dist[band], r[band]
+        a1, a2 = np.zeros(len(u)), np.zeros(len(u))  # by hit, zero off the band
+        a1[band] = bend = b1 / (r * rho)
+        a2[band] = curve = (b2 / r**2 - bend) / rho**2
+        at, chi = pairs.idx[band], pairs.chi[band]
+        slope, bow = 2.0 * chi * bend, 2.0 * (bend * bend + chi * curve)
+        ids = pairs.idx[hits]
+        S = tot[ids]
 
-    def sqrt_quotient_jet(self, pairs: ChiPairs, chi_jets: tuple, tot, P, dP, d2P, scale: float) -> tuple:
-        """(Dq, D^2 q) of q = scale * P / sqrt(S), S = sum_mu chi_mu^2, on one batch.
+        def log_sum(weights):  # sum over each point's band hits, divided by S, at the hits' points
+            return np.bincount(at, weights=weights, minlength=N)[ids] / S
 
-        (P, dP, d2P) is the numerator's jet, `pairs` the batch's chi_pairs,
-        `chi_jets` their hit-wise bump jets (`chi_jets` at pairs.idx, pairs.cell)
-        and `tot` the batch's S.  S is differentiated from those bump jets; the
-        quotient uses the logarithmic derivatives DS/S and D^2 S/S, which stay
-        finite where a lone bump tail covers the point.  Points outside the
-        cover get zeros.
-        """
-        N = len(tot)
-        chi, d1, d2 = chi_jets
-        dS = _scatter(pairs.idx, 2.0 * chi[:, None] * d1, N)
-        d2S = _scatter(pairs.idx, 2.0 * (_outer(d1, d1) + chi[:, None, None] * d2), N)
-        covered = tot > 0
-        S = np.where(covered, tot, 1.0)
-        q = np.where(covered, scale / np.sqrt(S), 0.0)
-        L1 = dS / S[:, None]
-        L2 = d2S / S[:, None, None]
+        d = [np.take(X[:, i], at) - np.take(self.centers[:, i], pairs.cell[band]) for i in range(n)]
+        L1, iso = [log_sum(slope * d[i]) for i in range(n)], log_sum(slope)
+        # the bump's own jet (c0, c1, c2) at the hits
+        dh = [np.take(X[:, i], ids) - np.take(self.centers[:, i], pairs.cell[hits]) for i in range(n)]
+        c0, h1, h2 = pairs.chi[hits], a1[hits], a2[hits]
+        c1 = [h1 * dh[i] for i in range(n)]
+        w0, w1, w2 = w_jet
+        P = c0 * w0
+        dP = [c1[i] * w0 + c0 * w1[:, i] for i in range(n)]
+        q = scale / np.sqrt(S)
+        Dq, D2q = np.zeros((N, n)), np.zeros((N, n, n))
         # D S^(-1/2) = S^(-1/2) (-L1/2), D^2 S^(-1/2) = S^(-1/2) (3/4 L1 L1^T - L2/2)
-        Dq = q[:, None] * (dP - 0.5 * P[:, None] * L1)
-        D2q = q[:, None, None] * (
-            d2P
-            - 0.5 * (_outer(dP, L1) + _outer(L1, dP))
-            + P[:, None, None] * (0.75 * _outer(L1, L1) - 0.5 * L2)
-        )
+        for i in range(n):
+            Dq[ids, i] = q * (dP[i] - 0.5 * P * L1[i])
+            for j in range(i, n):
+                L2 = log_sum(bow * d[i] * d[j]) + (iso if i == j else 0.0)
+                c2 = h2 * dh[i] * dh[j] + (h1 if i == j else 0.0)
+                d2P = c2 * w0 + c1[i] * w1[:, j] + w1[:, i] * c1[j] + c0 * w2[:, i, j]
+                D2q[ids, i, j] = D2q[ids, j, i] = q * (
+                    d2P - 0.5 * (dP[i] * L1[j] + L1[i] * dP[j]) + P * (0.75 * L1[i] * L1[j] - 0.5 * L2))
         return Dq, D2q
 
     def chi(self, nu: int, X) -> np.ndarray:
@@ -572,21 +578,22 @@ def partition_derivative_report(partition: Partition, per_cell_samples: int = 64
     """Sup of |D^alpha Phi_nu| * r_nu^|alpha| over all |alpha| = 1 and all |alpha| = 2.
 
     Exact derivatives at `per_cell_samples` points in the ball of radius
-    0.98 r_nu around each of at most `max_cells` evenly spaced cells: the
-    bump jet of chi_nu (`Partition.chi_jets`) through the quotient step
-    Phi_nu = chi_nu / sqrt(sum chi^2) (`Partition.sqrt_quotient_jet`).  The
-    scaled sup should be bounded by a constant independent of the cell.
+    0.98 r_nu around each of at most `max_cells` evenly spaced cells, from
+    one `chi_pairs` of all of them: `Partition.quotient_jet` with w = 1 at
+    each point's hit of its own cell.  The scaled sup should be bounded by a
+    constant independent of the cell.
     """
     picked = np.arange(0, len(partition.cells), max(1, len(partition.cells) // max_cells))[:max_cells]
     X = np.concatenate([
         ball_points(Ball(center=tuple(partition.centers[nu]), radius=0.98 * partition.radii[nu]), per_cell_samples)
         for nu in picked
     ])
+    N, n = X.shape
     nus = np.repeat(picked, per_cell_samples)
     pairs = partition.chi_pairs(X)
-    chi, d_chi, d2_chi = partition.chi_jets(X, np.arange(len(X)), nus)
-    hit_jets = partition.chi_jets(X, pairs.idx, pairs.cell)
-    d1, d2 = partition.sqrt_quotient_jet(pairs, hit_jets, partition.sum_chi_sq(X, pairs), chi, d_chi, d2_chi, 1.0)
+    hits = np.searchsorted(pairs.cell * N + pairs.idx, nus * N + np.arange(N))  # hits are sorted by cell, then point
+    one = (np.ones(N), np.zeros((N, n)), np.zeros((N, n, n)))
+    d1, d2 = partition.quotient_jet(X, pairs, partition.sum_chi_sq(X, pairs), hits, one)  # rows: hit i's point is i
     r = partition.radii[nus]
     return {
         "scaled_sup_order1": float(np.max(np.max(np.abs(d1), axis=1) * r)),

@@ -910,29 +910,22 @@ class RootGroup:
     def jet(self, X) -> tuple:
         """(g, Dg, D^2 g) on an (N, n) batch: shapes (N,), (N, n), (N, n, n).
 
-        g = scale * P / sqrt(S) with P = sum_nu chi_nu w_nu over the members and
-        S = sum_mu chi_mu^2 over every cell.  The bump jets of the batch's hits are
-        computed once (`Partition.chi_jets`): P is differentiated by the Leibniz rule
-        from the members' rows of them and each piece's own (w, Dw, D^2 w), and
-        `Partition.sqrt_quotient_jet` differentiates S and the quotient from all of
-        them.  Points outside the cover get zeros.
+        g = scale * chi_nu w_nu / sqrt(S) at the group's own live hits, at most one per point
+        since the members' supports are disjoint, with S = sum_mu chi_mu^2 over every cell.
+        One `_Level` reads the batch; each piece gives its (w, Dw, D^2 w) at its hits, and
+        `Partition.quotient_jet` differentiates the quotient there from the level's
+        `chi_pairs` and places each hit's row at its point.  Points the group does not reach
+        get zeros.
         """
         X = as_points(X, self.arity)
         N, n = X.shape
-        part = self.partition
         level = _Level([self], X)
         g = level.dense(0, self.eval_many(X, level))
-        pairs, hits, ids = level.pairs, level.hits, level.ids
-        chi_jets = part.chi_jets(X, pairs.idx, pairs.cell)
-        H = len(hits)
+        H = len(level.hits)
         w0, w1, w2 = np.empty(H), np.empty((H, n)), np.empty((H, n, n))
         for piece, at in level.runs(0):
-            w0[at], w1[at], w2[at] = piece.jet(X[ids[at]])
-        c0, c1, c2 = (c[hits] for c in chi_jets)
-        P = _scatter(ids, c0 * w0, N)
-        dP = _scatter(ids, c1 * w0[:, None] + c0[:, None] * w1, N)
-        d2P = _scatter(ids, c2 * w0[:, None, None] + _outer(c1, w1) + _outer(w1, c1) + c0[:, None, None] * w2, N)
-        return (g,) + part.sqrt_quotient_jet(pairs, chi_jets, level.tot, P, dP, d2P, self.scale)
+            w0[at], w1[at], w2[at] = piece.jet(X[level.ids[at]])
+        return (g,) + self.partition.quotient_jet(X, level.pairs, level.tot, level.hits, (w0, w1, w2), self.scale)
 
     def __call__(self, X):
         return self.eval_many(X)

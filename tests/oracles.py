@@ -3,7 +3,8 @@
 Deliberately separate from the library's own numerics: extended-precision
 composed central differences for derivative checks, brute-force pair and
 grid searches for suprema, and plain quadrature.  Nothing here imports the
-routines it is used to check.  `fd_handle` puts nested central differences
+routines it is used to check, except where an oracle says which library
+routine it takes as given.  `fd_handle` puts nested central differences
 behind the public FunctionHandle constructor, for tests that pass a
 differenced function to the library's handle consumers.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from sosreg.calculus import FunctionHandle
+from sosreg.cover import bump_profile, bump_slopes
 from sosreg.errors import DerivativeError
 from sosreg.exprlang import evaluate
 from sosreg.geometry import Ball, ball_points, sphere_points
@@ -290,6 +292,92 @@ def root_holder_two_reads(group, exponent, samples):
     i = int(np.argmax(quot))
     return dict(out, sup_norms=[float(np.max(np.abs(v))) for v in jet], seminorm=float(quot[i]),
                 min_separation=float(np.min(sep)), worst_pair=(tuple(ys[i]), tuple(zs[i])))
+
+
+def chi_jets(partition, X, idx, cell):
+    """chi_cell at the points X[idx] with its gradient and Hessian in x, as full tensors.
+
+    Hit-wise arrays of shapes (H,), (H, n), (H, n, n) for chi = b(|x - c| / r):
+    D chi = b' e / r and D^2 chi = b'' e e^T / r^2 + b' (I - e e^T) / (r |x - c|)
+    with e the unit vector from the cell center.  The profile b and its slopes
+    b', b'' (zero off the band 1/2 < u < 1) are the library's `cover.bump_profile`
+    and `cover.bump_slopes`.
+    """
+    diff = X[idx] - partition.centers[cell]
+    r = partition.radii[cell]
+    dist = np.linalg.norm(diff, axis=1)
+    u = dist / r
+    band = (u > 0.5) & (u < 1.0)
+    b1, b2 = np.zeros(len(u)), np.zeros(len(u))
+    b1[band], b2[band] = bump_slopes(u[band])
+    safe = np.where(dist > 0, dist, 1.0)  # b' = 0 near the center
+    e = diff / safe[:, None]
+    ee = e[:, :, None] * e[:, None, :]
+    d1 = (b1 / r)[:, None] * e
+    d2 = (b2 / r**2)[:, None, None] * ee + (b1 / (r * safe))[:, None, None] * (np.eye(X.shape[1]) - ee)
+    return bump_profile(u), d1, d2
+
+
+def sqrt_quotient_jet(idx, jets, tot, P, dP, d2P, scale):
+    """(Dq, D^2 q) of q = scale * P / sqrt(S), S = sum_mu chi_mu^2, on one batch.
+
+    (P, dP, d2P) is the numerator's jet at every point, `jets` the full bump jets
+    (`chi_jets`) of every hit, hit h at the point idx[h], and `tot` the batch's S.
+    DS and D^2 S are summed from those jets by np.add.at; the quotient uses the
+    logarithmic derivatives DS/S and D^2 S/S.  Points outside the cover get zeros.
+    """
+    N, n = dP.shape
+    chi, d1, d2 = jets
+    dS, d2S = np.zeros((N, n)), np.zeros((N, n, n))
+    np.add.at(dS, idx, 2.0 * chi[:, None] * d1)
+    np.add.at(d2S, idx, 2.0 * (d1[:, :, None] * d1[:, None, :] + chi[:, None, None] * d2))
+    covered = tot > 0
+    S = np.where(covered, tot, 1.0)
+    q = np.where(covered, scale / np.sqrt(S), 0.0)
+    L1, L2 = dS / S[:, None], d2S / S[:, None, None]
+
+    def outer(a, b):
+        return a[:, :, None] * b[:, None, :]
+
+    Dq = q[:, None] * (dP - 0.5 * P[:, None] * L1)
+    D2q = q[:, None, None] * (d2P - 0.5 * (outer(dP, L1) + outer(L1, dP))
+                              + P[:, None, None] * (0.75 * outer(L1, L1) - 0.5 * L2))
+    return Dq, D2q
+
+
+def root_jet_by_tensors(group, X):
+    """(g, Dg, D^2 g) of a root group g = scale * P / sqrt(S), P = sum_nu chi_nu w_nu over
+    its members, composed from full tensors.
+
+    Every (point, cell) hit of the partition's `chi_pairs` gets its full bump jet
+    (`chi_jets`).  The members' hits with chi > 0 and S > 0 add chi w, by the
+    Leibniz rule with each piece's own (w, Dw, D^2 w), into P by np.add.at, and
+    `sqrt_quotient_jet` differentiates S and the quotient.  The pieces' jets are
+    the library's.
+    """
+    part = group.partition
+    X = np.asarray(X, dtype=float).reshape(-1, part.dim)
+    N, n = X.shape
+    pairs = part.chi_pairs(X)
+    tot = np.zeros(N)
+    np.add.at(tot, pairs.idx, pairs.chi**2)
+    jets = chi_jets(part, X, pairs.idx, pairs.cell)
+    P, dP, d2P = np.zeros(N), np.zeros((N, n)), np.zeros((N, n, n))
+    live = (pairs.chi > 0) & (tot[pairs.idx] > 0)
+    pieces = {id(piece): piece for _, piece in group.members}
+    for key, piece in pieces.items():
+        cells = [nu for nu, p in group.members if id(p) == key]
+        h = np.flatnonzero(live & np.isin(pairs.cell, cells))
+        if not len(h):
+            continue
+        w0, w1, w2 = piece.jet(X[pairs.idx[h]])
+        c0, c1, c2 = (c[h] for c in jets)
+        np.add.at(P, pairs.idx[h], c0 * w0)
+        np.add.at(dP, pairs.idx[h], c1 * w0[:, None] + c0[:, None] * w1)
+        np.add.at(d2P, pairs.idx[h], c2 * w0[:, None, None] + c1[:, :, None] * w1[:, None, :]
+                  + w1[:, :, None] * c1[:, None, :] + c0[:, None, None] * w2)
+    g = np.where(tot > 0, group.scale * P / np.sqrt(np.where(tot > 0, tot, 1.0)), 0.0)
+    return (g,) + sqrt_quotient_jet(pairs.idx, jets, tot, P, dP, d2P, group.scale)
 
 
 def _pull(T, P, axes):

@@ -8,7 +8,11 @@ The files are written by this module run as a script:
     PYTHONPATH=src python tests/test_cli_reference.py
 
 Regenerating them changes what the reports are pinned to, so a change that
-does it must say why.
+does it must say why.  With `--diff` the script writes nothing and prints,
+for each file, every leaf of the new report that differs from the pinned one:
+its path, the pinned value, the new value and, for numbers, the relative change:
+
+    PYTHONPATH=src python tests/test_cli_reference.py --diff
 """
 
 import json
@@ -46,6 +50,24 @@ def _pinned(argv, path: Path) -> dict:
     return {k: payload[k] for k in ("exit_status", "report", "verification") if k in payload}
 
 
+def _differing_leaves(want, got, path: str = ""):
+    """(path, pinned, new) of every leaf where `got` differs from `want`; a list of another
+    length, or a key on one side only (None on the other), is one leaf."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in sorted(set(want) | set(got)):
+            yield from _differing_leaves(want.get(key), got.get(key), f"{path}.{key}" if path else key)
+    elif isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+        for i, (a, b) in enumerate(zip(want, got)):
+            yield from _differing_leaves(a, b, f"{path}[{i}]")
+    elif want != got:
+        yield path, want, got
+
+
+def _relative_change(want, got) -> str:
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (want, got))
+    return f"{abs(got - want) / abs(want):.1e}" if numbers and want != 0 else "-"
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE))
 def test_report_matches_reference(name, tmp_path):
     want = json.loads((DATA / f"{name}.json").read_text())
@@ -53,11 +75,20 @@ def test_report_matches_reference(name, tmp_path):
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
     import tempfile
 
+    diff = sys.argv[1:] == ["--diff"]
     DATA.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in REFERENCE.items():
-            pinned = _pinned(argv, Path(tmp) / "report.json")
+            with contextlib.redirect_stdout(io.StringIO()):  # the commands' own output
+                pinned = _pinned(argv, Path(tmp) / "report.json")
+            if diff:
+                want = json.loads((DATA / f"{name}.json").read_text())
+                for path, old, new in _differing_leaves(want, pinned):
+                    print(f"{name}.json {path}: {old!r} -> {new!r} (relative change {_relative_change(old, new)})")
+                continue
             (DATA / f"{name}.json").write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")
             print(f"{name}: exit {pinned['exit_status']}", file=sys.stderr)

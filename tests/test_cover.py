@@ -22,7 +22,7 @@ from sosreg.errors import CoverBudgetError, CoverageHoleError, DomainError
 from sosreg.exprlang import parse_expression
 from sosreg.geometry import Ball, ball_grid, ball_points, sphere_points
 
-from oracles import fd_handle
+from oracles import chi_jets, fd_handle, sqrt_quotient_jet
 
 
 def handle(src, variables=("x",), radius=3.0):
@@ -275,6 +275,26 @@ class TestPartition:
         assert rep["scaled_sup_order1"] == pytest.approx(fd[1], rel=1e-6)
         # the exact order-2 sup also covers the mixed entries
         assert rep["scaled_sup_order2"] >= fd[2] * (1.0 - 1e-4)
+
+    @pytest.mark.parametrize("case", ["chain_1d", "isotropic_2d", "isotropic_3d"])
+    def test_derivative_report_matches_the_tensor_composition(self, case, isotropic_covers):
+        # the sampled cells' own full bump jets through the quotient, S summed from every
+        # hit's full bump jet, as the report was computed before its radial form
+        cells = {"chain_1d": [CoverCell(nu=i, center=(i * 0.5,), radius=0.5) for i in range(6)],
+                 "isotropic_2d": isotropic_covers[1], "isotropic_3d": isotropic_covers[0]}[case]
+        part = build_partition(cells)
+        rep = partition_derivative_report(part, per_cell_samples=48, max_cells=12)
+        picked = np.arange(0, len(cells), max(1, len(cells) // 12))[:12]
+        X = np.concatenate([ball_points(Ball(tuple(part.centers[nu]), 0.98 * part.radii[nu]), 48) for nu in picked])
+        nus = np.repeat(picked, 48)
+        pairs = part.chi_pairs(X)
+        own = chi_jets(part, X, np.arange(len(X)), nus)
+        d1, d2 = sqrt_quotient_jet(pairs.idx, chi_jets(part, X, pairs.idx, pairs.cell), part.sum_chi_sq(X, pairs),
+                                   *own, 1.0)
+        r = part.radii[nus]
+        assert rep["cells_checked"] == len(picked)
+        assert rep["scaled_sup_order1"] == pytest.approx(np.max(np.max(np.abs(d1), axis=1) * r), rel=1e-13)
+        assert rep["scaled_sup_order2"] == pytest.approx(np.max(np.max(np.abs(d2), axis=(1, 2)) * r**2), rel=1e-13)
 
     def test_sum_chi_sq_is_float_on_every_batch(self, isotropic_covers):
         # np.bincount with no weighted hits returns integers

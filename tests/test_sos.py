@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,10 +7,10 @@ import pytest
 
 import sosreg.cover as cover
 from sosreg.calculus import FunctionHandle, jet_line_series, max_entries, multiindices
-from sosreg.cover import ControlDistanceParams, CoverCell, build_cover, bump_jet, bump_profile
+from sosreg.cover import ControlDistanceParams, CoverCell, build_cover, bump_profile, bump_slopes
 from sosreg.errors import BoundaryRootError, ClassificationError, ConvergenceError, DomainError, QuadratureError
 from sosreg.exprlang import parse_expression
-from sosreg.geometry import Ball, ball_points
+from sosreg.geometry import Ball, ball_points, sphere_points
 from sosreg.reporting import to_jsonable
 from sosreg.sos import (
     DecomposeParams,
@@ -21,6 +22,7 @@ from sosreg.sos import (
     implicit_second_derivative,
     RootGroup,
     _ConstPiece,
+    _Level,
     _RotatedFrame,
     _fiber_factor,
     reduced_profile,
@@ -30,7 +32,15 @@ from sosreg.sos import (
     verify_decomposition,
 )
 
-from oracles import fd_callable_partial, fd_handle, fd_stencil, profile_jet_by_tensors, root_holder_two_reads
+from oracles import (
+    chi_jets,
+    fd_callable_partial,
+    fd_handle,
+    fd_stencil,
+    profile_jet_by_tensors,
+    root_holder_two_reads,
+    root_jet_by_tensors,
+)
 
 
 def handle(src, variables=("x",), radius=4.0):
@@ -985,15 +995,15 @@ class TestRootJet:
     def test_bump_jet_matches_fd_of_profile(self):
         u = np.linspace(0.3, 1.1, 1601)
         u = u[(np.abs(u - 0.5) > 1e-3) & (np.abs(u - 1.0) > 1e-3)]
-        b, b1, b2 = bump_jet(u)
+        band = (u > 0.5) & (u < 1.0)
+        b1, b2 = bump_slopes(u[band])
         h = 1e-5
         fd1 = (bump_profile(u + h) - bump_profile(u - h)) / (2 * h)
         fd2 = (bump_profile(u + h) - 2 * bump_profile(u) + bump_profile(u - h)) / h**2
-        assert np.array_equal(b, bump_profile(u))
-        assert np.max(np.abs(b1 - fd1)) <= 1e-7 * np.max(np.abs(b1))
-        assert np.max(np.abs(b2 - fd2)) <= 1e-5 * np.max(np.abs(b2))
-        outside = (u < 0.5) | (u > 1.0)
-        assert np.all(b1[outside] == 0.0) and np.all(b2[outside] == 0.0)
+        assert np.max(np.abs(b1 - fd1[band])) <= 1e-7 * np.max(np.abs(b1))
+        assert np.max(np.abs(b2 - fd2[band])) <= 1e-5 * np.max(np.abs(b2))
+        # off the band the profile is flat, so its slopes are never evaluated there
+        assert np.all(fd1[~band] == 0.0) and np.all(fd2[~band] == 0.0)
 
     @pytest.mark.parametrize("prefix", ["caseI:", "caseII:", "rem:"])
     def test_isotropic_groups_match_fd(self, isotropic_2d, prefix):
@@ -1106,3 +1116,116 @@ class TestRootHolderProbe:
         assert got.worst_pair == want["worst_pair"]
         assert got.seminorm == pytest.approx(want["seminorm"], rel=1e-11, abs=0.0)
         assert got.sup_norms == pytest.approx(want["sup_norms"], rel=1e-11, abs=0.0)
+
+
+def _at_u(part, nu, target, sign):
+    """A point of cell nu on one of its axes, on the side `sign`, whose u = |x - c| / r reads
+    exactly `target` as `chi_pairs` reads it, or None where rounding leaves none nearby."""
+    c, r = part.centers[nu], part.radii[nu]
+    for axis in range(part.dim):
+        t = target * r
+        for _ in range(8):
+            x = c.copy()
+            x[axis] += sign * t
+            u = np.linalg.norm((x - c)[None], axis=1)[0] / r  # as chi_pairs sums the squares
+            if u == target:
+                return x
+            t = np.nextafter(t, np.inf if u < target else -np.inf)
+    return None
+
+
+def _probe_points(grp):
+    """Ring anchors of the group's first cells, their centres and hits of them at u within 1e-12
+    of 1, hits of the first cells that have one at u = 1/2 exactly, and points outside the
+    cover; with the radius of each point's cell (the largest radius for the points outside)."""
+    part, n = grp.partition, grp.arity
+    dirs = np.eye(n) if n == 1 else sphere_points(8, n)
+    out, radii = [], []
+    for nu in grp.cells[:4]:
+        c, r = part.centers[nu], part.radii[nu]
+        out += [c + r * f * d for d in dirs for f in (0.45, 0.6, 0.75, 0.9)] + [c.copy()]
+        out += [c + sign * (1.0 - 5e-13) * r * np.eye(n)[0] for sign in (1.0, -1.0)]
+        radii += [r] * (len(out) - len(radii))
+    halves = ((x, part.radii[nu]) for nu in grp.cells for sign in (1.0, -1.0)
+              if (x := _at_u(part, nu, 0.5, sign)) is not None)
+    for x, r in itertools.islice(halves, 4):
+        out.append(x)
+        radii.append(r)
+    far = part.centers.max(axis=0) + 10.0 * part.radii.max()
+    out += [far, -far, far * np.r_[1.0, -np.ones(n - 1)]]
+    return np.array(out), np.array(radii + [part.radii.max()] * 3)
+
+
+class TestRadialJets:
+    """`RootGroup.jet` sums S's derivatives from two scalars per band hit and forms the full
+    bump jet only at the group's own hits; it matches the tensor-form composition of
+    `oracles.root_jet_by_tensors`, and rests on each point having at most one live hit per group."""
+
+    @pytest.fixture(scope="class")
+    def groups(self, parabola_1d, isotropic_3d, sine_fiber_2d):
+        plain = _decomposed("x^2 + y^2", ("x", "y"), Ball((0.0, 0.0), 0.05))
+        picked = {}
+        for key, rep, label in [("parabola-1d", parabola_1d, "caseII:5"), ("parabola-1d-caseI", parabola_1d, "caseI:0"),
+                                ("caseI-2d", plain, "caseI:0"), ("caseII-sine", sine_fiber_2d, "caseII:17"),
+                                ("lifted-sine", sine_fiber_2d, "rem:17:caseI:0"),
+                                ("lifted-3d", isotropic_3d, "rem:109:rem:4:caseI:0")]:
+            (grp,) = [g for g in rep.roots if g.label == label]
+            picked[key] = grp
+        return picked
+
+    KEYS = ["parabola-1d", "parabola-1d-caseI", "caseI-2d", "caseII-sine", "lifted-sine", "lifted-3d"]
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_matches_the_tensor_oracle(self, groups, key):
+        # the jet is compared in its cell's units, (g, r Dg, r^2 D^2 g).  Where one bump tail
+        # covers a point, its terms grow with the logarithmic slope m = r |DS| / S (about 100
+        # at u = 0.9) and cancel, so either assembly rounds D^2 g at m^2 ulps of them
+        grp = groups[key]
+        X, radii = _probe_points(grp)
+        part = grp.partition
+        u = np.stack([np.linalg.norm(X - part.centers[nu], axis=1) / part.radii[nu] for nu in grp.cells])
+        assert np.any(u == 0.5) and np.any((u < 1.0) & (u > 1.0 - 1e-12)) and np.any(u == 0.0)
+        for rows in (slice(None), slice(0, 1), slice(-1, None), slice(0, 0)):
+            got, want = grp.jet(X[rows]), root_jet_by_tensors(grp, X[rows])
+            r, N = radii[rows], len(radii[rows])
+            pairs = part.chi_pairs(X[rows])
+            chi, d_chi, _ = chi_jets(part, X[rows], pairs.idx, pairs.cell)
+            S = np.bincount(pairs.idx, weights=chi**2, minlength=N)
+            dS = np.stack([np.bincount(pairs.idx, weights=2.0 * chi * d_chi[:, i], minlength=N)
+                           for i in range(grp.arity)], axis=1)
+            m = r * np.linalg.norm(dS, axis=1) / np.where(S > 0, S, 1.0)
+            scaled = [np.abs(v).reshape(N, grp.arity**k) * r[:, None] ** k for k, v in enumerate(want)]
+            scale = np.max(np.concatenate(scaled, axis=1), axis=1, initial=0.0) * (1.0 + m) ** 2
+            assert np.any(want[2] != 0.0) or N <= 1
+            for k, (a, b) in enumerate(zip(got, want)):
+                assert a.shape == b.shape == (N,) + (grp.arity,) * k
+                err = np.abs(a - b).reshape(N, grp.arity**k) * r[:, None] ** k
+                assert np.all(err <= 1e-13 * scale[:, None]), key
+        # the points outside the cover read zeros
+        assert all(np.all(v[-3:] == 0.0) for v in grp.jet(X))
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_batch_rows_equal_its_halves(self, groups, key):
+        grp = groups[key]
+        X, _ = _probe_points(grp)
+        half = len(X) // 2
+        for whole, a, b in zip(grp.jet(X), grp.jet(X[:half]), grp.jet(X[half:])):
+            assert np.array_equal(whole, np.concatenate([a, b]))
+
+    @pytest.mark.parametrize("name", ["parabola_1d", "isotropic_2d", "sine_fiber_2d", "isotropic_3d"])
+    def test_no_point_has_two_live_hits_in_a_group(self, request, name):
+        reports, levels = [request.getfixturevalue(name)], 0
+        while reports:
+            rep = reports.pop()
+            reports += [cd.sub_report for cd in rep.case_ii if cd.sub_report is not None]
+            if not rep.roots:
+                continue
+            part = rep.partition
+            X = np.concatenate([ball_points(Ball(tuple(c), r), 16) for c, r in zip(part.centers, part.radii)]
+                               + [ball_points(part.region, 2000)])
+            level = _Level(rep.roots, X)
+            for k in range(len(rep.roots)):
+                ids = level.ids[level.span(k)]
+                assert len(np.unique(ids)) == len(ids), rep.roots[k].label
+            levels += 1
+        assert levels >= 2 or name == "parabola_1d"
