@@ -40,7 +40,6 @@ DEFAULT_CELL_SCALE = 1.0 / 200.0
 MAX_PAIRS = 2**27  # candidate pairs one listing may hold: a chi_pairs batch or a colouring block
 _BLOCK_PAIRS = 2**14  # candidate pairs one block lists: a build_cover acceptance batch or a color_classes block
 RADIUS_PROBE = 512  # build_cover's radius probe: the first points of the region's nested `ball_points`
-_read_probes: dict = {}  # (f, p, region) -> rho at its radius probe, read by `decompose` for its next build_cover
 
 
 class _Buckets:
@@ -263,6 +262,7 @@ def build_cover(
     s: float = DEFAULT_CELL_SCALE,
     floor: float = 1e-3,
     max_cells: int = 200_000,
+    rho_probe: np.ndarray | None = None,
 ) -> list:
     """Greedy ball cover of {x in region : rho(x) >= floor} with radii s*rho.
 
@@ -276,10 +276,9 @@ def build_cover(
     those of the one-at-a-time greedy loop, bit for bit.  Above max_cells
     cells it raises CoverBudgetError with count max_cells + 1.  The grid
     spacing is half the smallest radius s*rho above the floor on the radius
-    probe, the region's first RADIUS_PROBE `ball_points`, which it reads
-    unless its caller left their values in `_read_probes`.
+    probe, the region's first RADIUS_PROBE `ball_points`, whose control
+    distances it reads unless the caller passes them as `rho_probe`.
     """
-    rho_probe = _read_probes.pop((f, p, region), None)  # taken first: no entry outlives the call
     if not 0.0 < s <= DEFAULT_CELL_SCALE + 1e-15:
         raise DomainError(f"cell scale s must lie in (0, 1/200], got {s}")
     if floor <= 0:
@@ -375,9 +374,12 @@ def _transition(v: np.ndarray) -> np.ndarray:
 
 
 def bump_profile(u: np.ndarray) -> np.ndarray:
-    """Radial bump profile: 1 for u <= 1/2, 0 for u >= 1, smooth between."""
+    """Radial bump profile: 1 for u <= 1/2, 0 for u >= 1, smooth between, where
+    `_transition` is evaluated on the band 1/2 < u < 1 alone."""
     u = np.asarray(u, dtype=float)
-    return np.where(u <= 0.5, 1.0, np.where(u >= 1.0, 0.0, _transition(2.0 * (1.0 - u))))
+    out, band = np.where(u <= 0.5, 1.0, 0.0), (u > 0.5) & (u < 1.0)
+    out[band] = _transition(2.0 * (1.0 - u[band]))
+    return out
 
 
 def bump_slopes(u: np.ndarray) -> tuple:
@@ -395,11 +397,6 @@ def bump_slopes(u: np.ndarray) -> tuple:
     s1 = 1.0 / (1.0 - v) ** 2 + 1.0 / v**2
     s2 = 2.0 / (1.0 - v) ** 3 - 2.0 / v**3
     return -2.0 * qq * s1, 4.0 * qq * ((1.0 - 2.0 * q) * s1**2 + s2)
-
-
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise outer products of two (N, n) batches."""
-    return a[:, :, None] * b[:, None, :]
 
 
 def _scatter(idx: np.ndarray, rows: np.ndarray, N: int) -> np.ndarray:

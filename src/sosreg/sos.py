@@ -11,8 +11,8 @@ H(xi, y) = int_0^1 (1-t) d^2_y f(xi, (1-t)X+ty) dt (no leading 1/2, so the
 identity is exact), and the reduced profile F of one fewer variable is
 decomposed recursively with a smaller Hölder exponent from the two-parameter
 recursion.  One `FiberSplit` (built by `reduced_profile`) holds a cell's
-split and is its root (y - X) sqrt(H), whose derivatives are taken in closed
-form.  Roots are grouped by cover color class into finitely many functions
+split and is its root (y - X) sqrt(H), whose derivatives are read from f's
+line series.  Roots are grouped by cover color class into finitely many functions
 g_l with f = sum g_l^2 on the truncated region.
 
 Cells decompose independently; assembly and reporting are deterministic.
@@ -35,8 +35,6 @@ from .cover import (
     ControlDistanceParams,
     CoverCell,
     Partition,
-    _outer,
-    _read_probes,
     _scatter,
     build_cover,
     build_partition,
@@ -157,7 +155,7 @@ def check_differential_inequalities(
 
 
 # ---------------------------------------------------------------------------
-# Implicit function helpers (Newton tracking and closed-form derivatives)
+# Implicit function helpers (Newton tracking and derivatives by line series)
 # ---------------------------------------------------------------------------
 
 
@@ -241,37 +239,21 @@ def track_implicit_root(
 
 
 def implicit_second_derivative(H: FunctionHandle, point) -> np.ndarray:
-    """Closed-form Hessian of the implicit function h at (x', h(x')), from
-    H's order-2 jet by the implicit jet of the fiber recursion:
-
-    d2h/dx_i dx_j = -H_ij/H_n + (H_j H_in + H_i H_jn)/H_n^2
-                    - H_i H_j H_nn/H_n^3.
-    """
-    return _implicit_jet(H.jet(point, 2))[1][0]
-
-
-def _pull(T: np.ndarray, P: np.ndarray, axes: int) -> np.ndarray:
-    """Contract each of the last `axes` axes of the batch T (N, ..., n) with
-    P, of shape (n, k) or (N, n, k): out[..., i, j] = T[..., a, b] P[a, i] P[b, j]."""
-    N, n, k = T.shape[0], P.shape[-2], P.shape[-1]
-    for _ in range(axes):
-        T = (T.reshape(N, -1, n) @ P).reshape(T.shape[:-1] + (k,))
-        T = np.moveaxis(T, -1, T.ndim - axes)
-    return T
-
-
-def _implicit_jet(U) -> tuple:
-    """D Phi and D^2 X for X(xi) defined by u(xi, X(xi)) = 0 and Phi(xi) = (xi, X(xi)).
-
-    U[m] is D^m u at the graph points, (N, n, ..., n) with y the last
-    coordinate, for m = 1, 2 (U[0] is not read).  Returns P = D Phi, whose
-    last row is DX, and X_2: differentiating u o Phi = 0 twice gives
-    u_y X_2 = -P^T D^2 u P.
-    """
-    uy = U[1][:, -1]
-    N, k = uy.shape[0], U[1].shape[1] - 1
-    P = np.concatenate([np.broadcast_to(np.eye(k), (N, k, k)), (-U[1][:, :k] / uy[:, None])[:, None, :]], axis=1)
-    return P, -_pull(U[2], P, 2) / uy[:, None, None]
+    """Hessian of the implicit function h, H(x', h(x')) = 0 with y the last coordinate, at
+    (x', h(x')), from H's line series by the graph-slope rule of `FiberSplit.jet`: along each
+    ray j of `_jet_layout(n - 1, 2)`, u = (j, 0) and e the last axis, h has the slope
+    X_1 = -c_1(u) / c_1(e) and, w = u + X_1 e, the curvature X_2 = -2 c_2(w) / c_1(e), which
+    `_jet_of_series` interpolates."""
+    P, k = as_points(point, H.arity), H.arity - 1
+    if k == 0:  # no x': the zero set is a point
+        return np.zeros((0, 0))
+    rays = _jet_layout(k, 2)[0]
+    e = np.eye(H.arity)[-1]
+    u = np.concatenate([rays, np.zeros((len(rays), 1))], axis=1)
+    c1 = H.line_series(P, np.concatenate([u, e[None]]), 1)[1]
+    X1 = -c1[:-1] / c1[-1]
+    c2 = H.line_series(P, u[:, None] + X1[..., None] * e, 2)[2]
+    return _jet_of_series([None, X1, -c2 / c1[-1]], k)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +277,8 @@ def rotation_with_last_axis(theta: np.ndarray) -> np.ndarray:
 
 
 class _RotatedFrame:
-    """Derivatives of f in coordinates v with x = base + R v; the fiber
-    direction is the last coordinate, r = R[:, -1] in x."""
+    """f in coordinates v with x = base + R v, the fiber direction the last coordinate,
+    r = R[:, -1] in x: point maps, values and fiber series; it builds no rotated tensor."""
 
     def __init__(self, f: FunctionHandle, base: np.ndarray, R: np.ndarray):
         self.f = f
@@ -314,11 +296,6 @@ class _RotatedFrame:
 
     def values(self, V) -> np.ndarray:
         return self.f.values(self.to_global(V))
-
-    def jet(self, V, order: int) -> list:
-        """f's jet at the points, each tensor rotated into the frame (R^T H R, ...)."""
-        J = self.f.jet(self.to_global(V), order)
-        return [J[0]] + [_pull(T, self.R, m) for m, T in enumerate(J[1:], 1)]
 
     def fiber(self, V) -> tuple:
         """(d_y f, d_y^2 f) at the points: c_1 and 2 c_2 of one degree-2
@@ -524,6 +501,15 @@ def _jet_layout(k: int, order: int) -> tuple:
     return np.array(list(rays), dtype=float), per_order
 
 
+def _jet_of_series(c: list, k: int) -> list:
+    """[D f, ..., D^m f] of an N-point batch in k variables, m = len(c) - 1, from f's
+    series coefficients c[1..m] along the rays of `_jet_layout(k, m)`, each (rays, N):
+    each order's partials by `_jet_layout`'s weights, each flat tensor entry its partial's."""
+    _, per_order = _jet_layout(k, len(c) - 1)
+    return [(weights @ c[m][rows] / denominator)[index].T.reshape((c[m].shape[1],) + (k,) * m)
+            for m, (rows, weights, denominator, index) in enumerate(per_order, 1)]
+
+
 def _reduced_profile_handle(
     frame: _RotatedFrame,
     minimizer: MinimizerProfile,
@@ -587,11 +573,7 @@ def _reduced_profile_handle(
             return [eval_many(Xi)]
         rays, per_order = _jet_layout(k, order)
         c = line_series(Xi, rays, order, sorted(set(per_order[-1][0])))  # c_4 only where order 4 reads it
-        J = [c[0][0]]
-        for m, (rows, weights, denominator, index) in enumerate(per_order, 1):
-            partials = weights @ c[m][rows] / denominator
-            J.append(partials[index].T.reshape((len(Xi),) + (k,) * m))
-        return J
+        return [c[0][0], *_jet_of_series(c, k)]
 
     def eval_many(Xi):
         return np.concatenate([frame.f.values(graph(Xi[b])) for b in _blocks(len(Xi))])
@@ -619,6 +601,8 @@ class FiberSplit:
     `h_ok` records whether H kept its lower bound on the samples that chose
     `nodes`.  Built by :func:`reduced_profile`; every method asks the
     minimizer once per batch, and it solves only batches not in its memo.
+    Every method reads f by values and line series alone, so none builds a
+    derivative tensor of f.
     """
 
     def __init__(self, cell: CoverCell, minimizer: MinimizerProfile, nodes: int, F, h_ok: bool):
@@ -651,42 +635,54 @@ class FiberSplit:
         return self.weights(level.X[level.ids[at]])
 
     def jet(self, X) -> tuple:
-        """(w, Dw, D^2 w) in closed form, from one fiber solve and one order-4
-        jet of f at the graph and quadrature points.
+        """(w, Dw, D^2 w) in x, from one fiber solve and three line series of f along the
+        rays j of `_jet_layout(n, 2)`, interpolated by `_jet_of_series`.
 
-        In the frame, w = s sqrt(H) with s = y - X(xi).  DX and D^2 X come
-        from differentiating f_y(xi, X(xi)) = 0 (`_implicit_jet`).  With
-        Psi_i(xi, y) = (xi, (1 - t_i) X(xi) + t_i y), H = sum_i tw_i f_yy o Psi_i,
-        so DH = sum_i tw_i DPsi_i^T D f_yy and D^2 H = sum_i tw_i
-        (DPsi_i^T D^2 f_yy DPsi_i + (1 - t_i) d_y f_yy D^2 X on the xi block);
-        sqrt(H) is taken by `power_jet` (zero where H <= 0).  The derivatives
-        are rotated back to x by R.
+        With e = R[:, -1], b = j . e and u = j - b e, the graph point gives X's slope
+        X_1 = -f_ue / (2 c_2(e)) and curvature X_2 = -f_wwe / (2 c_2(e)) along j, w = u + X_1 e
+        (f_ue, f_wwe as in `_reduced_profile_handle`).  Node i moves along V_i = u + ((1 - t_i)
+        X_1 + t_i b) e, so H = sum_i tw_i f_yy(Psi_i) has the series h_0 = sum tw_i 2 c_2(e),
+        h_1 = sum tw_i Df_yy[V_i] and h_2 = sum tw_i (D^2 f_yy[V_i, V_i] / 2 + 3 c_3(e) (1 - t_i) X_2),
+        where Df_yy[V] = c_3(V + e) + c_3(V - e) - 2 c_3(V) and D^2 f_yy[V, V] = 2 (c_4(V + e) +
+        c_4(V - e) - 2 c_4(V) - 2 c_4(e)).  With r the series of sqrt(H) (zero where h_0 <= 0)
+        and s = y - X, w = s sqrt(H) has c_1 = s r_1 + (b - X_1) r_0 and c_2 = s r_2 + (b - X_1)
+        r_1 - X_2 r_0 / 2: Taylor-mode differentiation of an implicit function (Griewank &
+        Walther, Evaluating Derivatives, ch. 13), with no tensor of f built at any level.
         """
         Xi, Y = self.frame.to_local(X)
-        N, k = Xi.shape
-        t, tw = _fiber_rule(self.nodes)
+        N, n, M = len(Y), self.frame.n, self.nodes
+        f, e = self.frame.f, self.frame.R[:, -1]
+        t, tw = _fiber_rule(M)
         Xstar = self.minimizer.solve_many(Xi)
-        graph = np.concatenate([Xi, Xstar[:, None]], axis=1)
-        J = self.frame.jet(np.concatenate([graph, _quadrature_points(Xi, Y, Xstar, t)]), 4)
-        P, X2 = _implicit_jet([None, J[2][:N, -1], J[3][:N, -1]])
-        DX = P[:, -1]
-        DPsi = np.zeros((N, len(t), k + 1, k + 1))
-        DPsi[..., :k, :k] = np.eye(k)
-        DPsi[..., -1, :k] = (1.0 - t)[:, None] * DX[:, None, :]
-        DPsi[..., -1, -1] = t
-        DPsi = DPsi.reshape(-1, k + 1, k + 1)
-        phi0, phi1, phi2 = (T[N:, ..., -1, -1] for T in J[2:])  # f_yy and its jet at the nodes
-        H0 = phi0.reshape(N, -1) @ tw
-        H1 = np.tensordot(_pull(phi1, DPsi, 1).reshape(N, len(t), k + 1), tw, axes=(1, 0))
-        H2 = np.tensordot(_pull(phi2, DPsi, 2).reshape(N, len(t), k + 1, k + 1), tw, axes=(1, 0))
-        H2[:, :k, :k] += (phi1[:, -1].reshape(N, -1) @ ((1.0 - t) * tw))[:, None, None] * X2
-        q0, q1, q2 = power_jet((H0, H1, H2), 0.5)
-        s = Y - Xstar
-        ds = np.concatenate([-DX, np.ones((N, 1))], axis=1)
-        w2 = _outer(ds, q1) + _outer(q1, ds) + s[:, None, None] * q2
-        w2[:, :k, :k] -= q0[:, None, None] * X2
-        R = self.frame.R
-        return s * q0, (ds * q0[:, None] + s[:, None] * q1) @ R.T, R @ w2 @ R.T
+        rays = _jet_layout(n, 2)[0]
+        D, b = len(rays), rays @ e
+        u = np.broadcast_to((rays - b[:, None] * e)[:, None], (D, N, n))
+        P = self.frame.to_global(np.column_stack([Xi, Xstar]))
+        c = f.line_series(P, np.concatenate([u, u + e, np.broadcast_to(e, (1, N, n))]), 2)[2]
+        fyy = 2.0 * c[-1]
+        X1 = -(c[D:-1] - c[:D] - c[-1]) / fyy
+        w = u + X1[..., None] * e
+        c = f.line_series(P, np.concatenate([w + e, w - e, np.broadcast_to(e, (1, N, n))]), 3)[3]
+        X2 = -(c[:D] - c[D:-1] - 2.0 * c[-1]) / fyy
+        V = (u[:, :, None] + ((1.0 - t) * X1[..., None] + t * b[:, None, None])[..., None] * e).reshape(D, N * M, n)
+        Q = self.frame.to_global(_quadrature_points(Xi, Y, Xstar, t))  # nodes fastest
+        _, _, c2, c3, c4 = f.line_series(Q, np.concatenate([V + e, V - e, V, np.broadcast_to(e, (1, N * M, n))]), 4)
+
+        def quad(a, weights=tw):  # the rule's sum over each point's nodes
+            return a.reshape(a.shape[:-1] + (N, M)) @ weights
+
+        def even(a):  # a(V + e) + a(V - e) - 2 a(V)
+            return a[:D] + a[D : 2 * D] - 2.0 * a[2 * D : 3 * D]
+
+        h0, h1 = quad(2.0 * c2[-1]), quad(even(c3))
+        h2 = quad(even(c4) - 2.0 * c4[-1]) + quad(3.0 * c3[-1], (1.0 - t) * tw) * X2
+        pos = h0 > 0.0
+        r0 = np.sqrt(np.where(pos, h0, 0.0))
+        half = np.where(pos, 0.5 / np.where(pos, r0, 1.0), 0.0)  # 1 / (2 r_0), zero where H <= 0
+        r1 = h1 * half
+        r2 = (h2 - r1**2) * half
+        s, slope = Y - Xstar, b[:, None] - X1
+        return (s * r0, *_jet_of_series([None, s * r1 + slope * r0, s * r2 + slope * r1 - 0.5 * X2 * r0], n))
 
     def identity_error(self, samples: int) -> float:
         """Max of |f - F - H (y - X)^2| over `samples` points of the cell
@@ -1084,8 +1080,8 @@ def decompose(f: FunctionHandle, params: DecomposeParams) -> DecompositionReport
     # boundary layer bookkeeping on a probe grid, whose prefix is the cover's radius probe
     probe = ball_points(params.region, max(params.verify_points, RADIUS_PROBE))
     rho_probe = control_distance_values(g, probe, cdp)
-    _read_probes[g, cdp, params.region] = rho_probe[:RADIUS_PROBE]
-    cells = build_cover(g, cdp, params.region, s=params.s, floor=params.floor, max_cells=params.max_cells)
+    cells = build_cover(g, cdp, params.region, s=params.s, floor=params.floor, max_cells=params.max_cells,
+                        rho_probe=rho_probe[:RADIUS_PROBE])
     excluded = rho_probe < params.floor
     f_probe = f.values(probe)
     report.boundary_excluded_fraction = float(np.mean(excluded))

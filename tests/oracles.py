@@ -18,6 +18,7 @@ from sosreg.cover import bump_profile, bump_slopes
 from sosreg.errors import DerivativeError
 from sosreg.exprlang import evaluate
 from sosreg.geometry import Ball, ball_points, sphere_points
+from sosreg.roots import power_jet
 
 _OFFS = np.array([-2, -1, 1, 2], dtype=np.longdouble)
 _COEF = np.array([1, -8, 8, -1], dtype=np.longdouble) / np.longdouble(12)
@@ -458,3 +459,51 @@ def profile_jet_by_tensors(splits, Xi, order):
         G = [None] + [T[:, :k] for T in J[2:]]
         F += [_compose(G, P, Xs, j) for j in range(1, order)]
     return F
+
+
+def rotated_jet(frame, V, order):
+    """f's jet at the points V of a split's frame, each tensor rotated into the frame (R^T D^2 f R, ...)."""
+    J = frame.f.jet(frame.to_global(V), order)
+    return [J[0]] + [_pull(T, frame.R, m) for m, T in enumerate(J[1:], 1)]
+
+
+def fiber_jet_by_tensors(split, X):
+    """(w, Dw, D^2 w) in x of a case-II root w = (y - X(xi)) sqrt(H(xi, y)), composed from
+    f's full order-4 tensors at the graph and quadrature points, rotated into the split's frame
+    (`rotated_jet`).
+
+    DX and D^2 X come from differentiating f_y(xi, X(xi)) = 0 (`_implicit_jet`).  With
+    Psi_i(xi, y) = (xi, (1 - t_i) X(xi) + t_i y), H = sum_i tw_i f_yy o Psi_i, so DH = sum_i
+    tw_i DPsi_i^T D f_yy and D^2 H = sum_i tw_i (DPsi_i^T D^2 f_yy DPsi_i + (1 - t_i) d_y f_yy
+    D^2 X on the xi block), tw_i = (1 - t_i) times the Gauss-Legendre weight on [0, 1].
+    sqrt(H) is taken by the library's `roots.power_jet` (zero where H <= 0), and the
+    minimizer's solves and node count are the split's.  The jet is rotated back to x by R.
+    """
+    frame, R = split.frame, split.frame.R
+    Xi, Y = frame.to_local(X)
+    N, k = Xi.shape
+    t, weights = np.polynomial.legendre.leggauss(split.nodes)
+    t = 0.5 * (t + 1.0)
+    tw = (1.0 - t) * (0.5 * weights)
+    Xstar = split.minimizer.solve_many(Xi)
+    ys = (1.0 - t)[None, :] * Xstar[:, None] + t[None, :] * Y[:, None]
+    nodes = np.concatenate([np.repeat(Xi, len(t), axis=0), ys.reshape(-1, 1)], axis=1)
+    J = rotated_jet(frame, np.concatenate([np.column_stack([Xi, Xstar]), nodes]), 4)
+    P, (X2,) = _implicit_jet([None, J[2][:N, -1], J[3][:N, -1]], 2)
+    DX = P[:, -1]
+    DPsi = np.zeros((N, len(t), k + 1, k + 1))
+    DPsi[..., :k, :k] = np.eye(k)
+    DPsi[..., -1, :k] = (1.0 - t)[:, None] * DX[:, None, :]
+    DPsi[..., -1, -1] = t
+    DPsi = DPsi.reshape(-1, k + 1, k + 1)
+    phi0, phi1, phi2 = (T[N:, ..., -1, -1] for T in J[2:])  # f_yy and its jet at the nodes
+    H0 = phi0.reshape(N, -1) @ tw
+    H1 = np.tensordot(_pull(phi1, DPsi, 1).reshape(N, len(t), k + 1), tw, axes=(1, 0))
+    H2 = np.tensordot(_pull(phi2, DPsi, 2).reshape(N, len(t), k + 1, k + 1), tw, axes=(1, 0))
+    H2[:, :k, :k] += (phi1[:, -1].reshape(N, -1) @ ((1.0 - t) * tw))[:, None, None] * X2
+    q0, q1, q2 = power_jet((H0, H1, H2), 0.5)
+    s = Y - Xstar
+    ds = np.concatenate([-DX, np.ones((N, 1))], axis=1)
+    w2 = ds[:, :, None] * q1[:, None, :] + q1[:, :, None] * ds[:, None, :] + s[:, None, None] * q2
+    w2[:, :k, :k] -= q0[:, None, None] * X2
+    return s * q0, (ds * q0[:, None] + s[:, None] * q1) @ R.T, R @ w2 @ R.T

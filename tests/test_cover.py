@@ -224,6 +224,17 @@ class TestCover:
 
 
 class TestPartition:
+    def test_bump_reads_the_transition_on_the_band_only(self, monkeypatch):
+        u = np.concatenate([[0.0, 0.5, 1.0, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)],
+                            np.linspace(-0.25, 1.25, 601)])
+        transition, seen = cover._transition, []
+        want = np.where(u <= 0.5, 1.0, np.where(u >= 1.0, 0.0, transition(2.0 * (1.0 - u))))
+        monkeypatch.setattr(cover, "_transition", lambda v: seen.append(v) or transition(v))
+        assert np.array_equal(bump_profile(u), want)
+        band = (u > 0.5) & (u < 1.0)
+        assert len(seen) == 1 and np.array_equal(seen[0], 2.0 * (1.0 - u[band]))
+        assert bump_profile(0.5) == 1.0 and bump_profile(1.0) == 0.0
+
     def test_single_cell_inner_plateau(self):
         cells = [CoverCell(nu=0, center=(0.0,), radius=1.0)]
         part = build_partition(cells)

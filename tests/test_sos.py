@@ -37,9 +37,11 @@ from oracles import (
     fd_callable_partial,
     fd_handle,
     fd_stencil,
+    fiber_jet_by_tensors,
     profile_jet_by_tensors,
     root_holder_two_reads,
     root_jet_by_tensors,
+    rotated_jet,
 )
 
 
@@ -150,6 +152,9 @@ class TestImplicitFunctionHelpers:
         roots = [track_implicit_root(H, [xi0 + k * h], *bracket) for k in (-2, -1, 0, 1, 2)]
         fd = (-roots[0] + 16 * roots[1] - 30 * roots[2] + 16 * roots[3] - roots[4]) / (12 * h * h)
         assert d2 == pytest.approx(fd, abs=1e-6)
+
+    def test_second_derivative_of_a_point_zero_set(self):
+        assert implicit_second_derivative(handle("x - 0.3"), (0.3,)).shape == (0, 0)
 
     def test_falling_function_and_reversed_bracket(self):
         # H = s^2 - x falls across the bracket, which is given high end first
@@ -547,7 +552,7 @@ class TestProfileLineSeries:
             self._check(split.F, Xi, r)
         # the cross term is live: D^2 F differs from the xi block of the rotated Hessian
         V = np.column_stack([Xi, split.minimizer.solve_many(Xi)])
-        assert np.max(np.abs(split.F.jet(Xi, 2)[2] - split.frame.jet(V, 2)[2][:, :2, :2])) > 1e-3 * scale
+        assert np.max(np.abs(split.F.jet(Xi, 2)[2] - rotated_jet(split.frame, V, 2)[2][:, :2, :2])) > 1e-3 * scale
 
     def test_level_two(self):
         split = _cubic_level_two()
@@ -572,22 +577,27 @@ class TestProfileLineSeries:
                 assert np.all(np.abs(g - w) <= 1e-12 * scale[(slice(None),) + (None,) * m]), (len(splits), m)
 
     def test_level_two_split_reads_no_tensors(self, monkeypatch):
-        tensors, rotated = [], []
-        tensor, frame_jet = FunctionHandle.derivative_tensor, _RotatedFrame.jet
+        # a reduced profile's tensors would come from its own jet, and an expression's from
+        # derivative_tensor, so every tensor read of any level passes one of the two
+        tensors, jets = [], []
+        tensor, jet = FunctionHandle.derivative_tensor, FunctionHandle.jet
         monkeypatch.setattr(FunctionHandle, "derivative_tensor",
                             lambda self, X, order: tensors.append(order) or tensor(self, X, order))
-        monkeypatch.setattr(_RotatedFrame, "jet",
-                            lambda self, V, order: rotated.append(order) or frame_jet(self, V, order))
-        split = _cubic_level_two()
+        monkeypatch.setattr(FunctionHandle, "jet", lambda self, X, order: jets.append(order) or jet(self, X, order))
+        one = _cubic_level_one()
+        split = _cubic_level_two(one)
         Xi = np.linspace(-0.07, 0.07, 11)[:, None]
         Y = np.linspace(-0.07, 0.07, 11)
         X = split.minimizer.solve_many(Xi)
         h = split.H(Xi, Y)
-        assert tensors == [] and rotated == []
+        assert tensors == [] and jets == []
         assert np.all(np.abs(split.frame.fiber(np.column_stack([Xi, X]))[0]) <= split.minimizer.g_tol)
         assert np.all(h > 0.0)
+        for s in (one, split):  # nor does the root's jet, at either level
+            s.jet(ball_points(Ball(s.cell.center, 0.9 * s.cell.radius), 11))
+        assert tensors == [] and jets == []
         split.F.jet(Xi, 4)  # nor does a full jet of the level-2 profile, at any level
-        assert tensors == [] and rotated == []
+        assert tensors == [] and jets == [4]
 
 
 class TestDecompose:
@@ -627,7 +637,7 @@ class TestDecompose:
         rep = decompose(f, DecomposeParams(delta=0.25, eta=0.3, region=region, verify_points=1200,
                                            estimate_holder=False))
         assert rep.value_scale == 1.0 and len(reads) >= 2  # the top level's candidates and a sub-level's
-        assert cover.RADIUS_PROBE not in reads and cover._read_probes == {}
+        assert cover.RADIUS_PROBE not in reads
         assert [(c.center, c.radius) for c in rep.cells] == [(c.center, c.radius) for c in alone]
 
     def test_empty_cover_below_floor(self):
@@ -796,14 +806,16 @@ def sine_fiber_2d():
     return decompose(handle("x^2 + sin(y)^2", ("x", "y")), params)
 
 
+@pytest.fixture(scope="module")
+def quartic_2d():
+    """x^2 + y^4 on B(0, 0.01): 75 case-II cells along the degenerate zero set x = 0."""
+    return decompose(handle("x^2 + y^4", ("x", "y")),
+                     DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0, 0.0), 0.01), estimate_holder=False))
+
+
 class TestSumOfSquares:
     """One pass per level gives the sum of squares bit for bit as adding
     g.eval_many(X)^2 one group at a time, each group reading alone."""
-
-    @pytest.fixture(scope="class")
-    def quartic_2d(self):
-        return decompose(handle("x^2 + y^4", ("x", "y")),
-                         DecomposeParams(delta=0.25, eta=0.3, region=Ball((0.0, 0.0), 0.01), estimate_holder=False))
 
     @pytest.mark.parametrize("name", ["isotropic_3d", "quartic_2d"])
     def test_one_pass_equals_group_by_group(self, request, name):
@@ -1086,6 +1098,36 @@ class TestRootJet:
             assert fine.seminorm / base.seminorm - 1.0 < 0.5, label
             inside = rep.partition.region.contains(np.array(fine.worst_pair))
             assert np.all(inside)
+
+
+def _cubic_4d_to_level_three():
+    # _cubic_4d_levels and a 1-D split of its level-3 profile, whose minimum lies near 0.037
+    splits = _cubic_4d_levels()
+    cell = CoverCell(nu=3, center=(0.035,), radius=0.02)
+    return splits + [reduced_profile(splits[-1].F, cell, [1.0], rho=1.0, delta=0.25)]
+
+
+class TestSplitJetOracle:
+    """`FiberSplit.jet`, by line series, against the oracle's composition of f's rotated
+    tensors, at recursion levels 0 to 3.  The error is taken in cell units, |D^m w| r^m
+    against the largest over the batch and m, not per point: on x^2 + y^4 the true D^2 w
+    is 0, so both forms read rounding noise there (below 2e-18) against a |Dw| of 0.04."""
+
+    @pytest.mark.parametrize("name", ["parabola_1d", "sine_fiber_2d", "quartic_2d", "cubic_4d"])
+    def test_matches_the_tensor_oracle(self, request, name):
+        if name == "cubic_4d":
+            splits = list(enumerate(_cubic_4d_to_level_three()))
+        else:
+            splits = [(depth, cd.split) for depth, cd in _case_ii_cells(request.getfixturevalue(name))]
+        assert {depth for depth, _ in splits} == {"sine_fiber_2d": {0, 1}, "cubic_4d": {0, 1, 2, 3}}.get(name, {0})
+        for depth, split in splits:
+            r = split.cell.radius
+            X = ball_points(Ball(split.cell.center, 0.95 * r), 40)
+            got, want = split.jet(X), fiber_jet_by_tensors(split, X)
+            scale = max(np.max(np.abs(w)) * r**m for m, w in enumerate(want))
+            for m, (g, w) in enumerate(zip(got, want)):
+                assert g.shape == w.shape
+                assert np.max(np.abs(g - w)) * r**m <= 1e-12 * scale, (name, depth, split.cell.nu, m)
 
 
 class TestRootHolderProbe:
